@@ -66,14 +66,14 @@ def cmd_ingest(config: RunConfig) -> None:
           f"-> {config.out_dir / PANEL_FILE}")
 
 
-def cmd_estimate(config: RunConfig, threads: int = 1) -> None:
+def cmd_estimate(config: RunConfig) -> None:
     panel = _load_panel_artifact(config)
     weights = _build_weights(config, panel)
     fit = gvar.estimate_structural(panel, weights)
     gvar.write_coefficients_json(fit, panel, config.out_dir / COEFFICIENTS_FILE)
     tvp_config = tvp.TVPConfig(iters=config.tvp.iters, seed=config.tvp.seed,
                                smooth_states=config.tvp.smooth_states)
-    result = tvp.estimate_all(panel, tvp_config, threads=threads)
+    result = tvp.estimate_all(panel, tvp_config)
     tvp.write_trajectories(result, panel, tvp_config,
                            config.out_dir / TRAJECTORY_FILE,
                            config.out_dir / TRAJECTORY_META_FILE)
@@ -144,7 +144,7 @@ def _forecaster_config(config: RunConfig, method: str) -> fc.ForecasterConfig:
         grid_floor=settings.grid_floor)
 
 
-def cmd_forecast(config: RunConfig, threads: int = 1) -> None:
+def cmd_forecast(config: RunConfig) -> None:
     panel = _load_panel_artifact(config)
     h = config.forecast.horizon
     t_len = len(panel.time_index)
@@ -159,7 +159,7 @@ def cmd_forecast(config: RunConfig, threads: int = 1) -> None:
 
     tvp_config = tvp.TVPConfig(iters=config.tvp.iters, seed=config.tvp.seed,
                                smooth_states=config.tvp.smooth_states)
-    tvp_result = tvp.estimate_all(train, tvp_config, threads=threads)
+    tvp_result = tvp.estimate_all(train, tvp_config)
     tvp.write_trajectories(tvp_result, train, tvp_config,
                            config.out_dir / TRAIN_TRAJECTORY_FILE)
     if not tvp_result.ok:
@@ -223,8 +223,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", required=True, help="path to the run config JSON")
     common.add_argument("--seed", type=int, default=None, help="override tvp.seed")
     common.add_argument("--out", default=None, help="override the output directory")
-    common.add_argument("--threads", type=int, default=1,
-                        help="worker threads for per-column estimation")
     common.add_argument("--time-invariant", action="store_true",
                         help="force constant equal weights (fixed-parameter mode)")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -244,11 +242,11 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "ingest":
             cmd_ingest(config)
         elif args.command == "estimate":
-            cmd_estimate(config, threads=args.threads)
+            cmd_estimate(config)
         elif args.command == "irf":
             cmd_irf(config)
         elif args.command == "forecast":
-            cmd_forecast(config, threads=args.threads)
+            cmd_forecast(config)
         elif args.command == "report":
             cmd_report(config)
     except ValidationError as exc:

@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtri
 
 from .errors import NumericalError, ValidationError
 from .gvar import StackedSystem, ma_coefficients, stability_check
@@ -250,7 +250,7 @@ def asymptotic_bands(system: StackedSystem, shock: ShockSpec, sample_size: int,
     chol_eps = cholesky_lower(system.sigma_eps)
     mas = ma_coefficients(system.f1, shock.horizon)
     h_mat = derivative_H(chol_eps)
-    z = norm.ppf(0.5 + shock.level / 2.0)
+    z = ndtri(0.5 + shock.level / 2.0)
     eye = np.eye(width)
 
     # rows of the selector pick the shocked columns of vec(B_s P) per variable

@@ -2,15 +2,24 @@
 
 Each panel column i follows a scalar AR(1)-type equation whose intercept and
 slope drift as independent random walks. The non-centred parametrization
-splits the coefficient path into a constant part and a standardized path,
+(Fruhwirth-Schnatter & Wagner 2010) splits the coefficient path into a
+constant part and a standardized path,
 
     theta_t = theta_0 + sqrt(Omega) * theta_tilde_t,
 
 so the state shocks are standard normal and the square-root innovation
-scales become plain regression coefficients. Estimation iterates: a Kalman
-forward pass and state draw for the standardized path, a normal posterior
-draw for (theta_0, sqrt_omega), and an inverse-gamma style draw for the
-observation noise. The draws of the final iteration are reported.
+scales become plain regression coefficients. Estimation iterates: a joint
+draw of the standardized path, a normal posterior draw for
+(theta_0, sqrt_omega), and an inverse-gamma style draw for the observation
+noise. The draws of the final iteration are reported.
+
+The path draw uses the banded posterior precision of the whole path (Chan &
+Jeliazkov 2009): the random-walk prior plus one scalar observation per period
+make it block tridiagonal, so one banded Cholesky factorization and two
+banded triangular solves give an exact joint draw. The Kalman forward pass
+and the backward (Carter-Kohn) draw stay as reference implementations, and
+the forward pass drives the independent filtered draws of
+``smooth_states=False``.
 """
 
 from __future__ import annotations
@@ -20,10 +29,11 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
+from scipy.linalg.lapack import dpbtrf, dtbtrs
 
 from .errors import NumericalError, ValidationError
 from .ingest import TimeSeriesPanel
-from .serialize import read_csv_rows, read_json, write_csv, write_json
+from .serialize import read_csv_rows, write_csv, write_json
 
 RIDGE_JITTER = 1e-8
 
@@ -66,10 +76,10 @@ class TVPPriors:
 class TVPEquationSpec:
     """One column's estimation problem: data, iteration budget, seed, priors.
 
-    ``smooth_states`` selects the state draw: the default joint backward
-    draw keeps the innovation scales identified; ``False`` uses independent
-    filtered draws (the literal forward-only scheme), which is prone to
-    collapsing the scales toward zero on drifting-coefficient data.
+    ``smooth_states`` selects the state draw: the default joint draw of the
+    whole path keeps the innovation scales identified; ``False`` uses
+    independent filtered draws (the literal forward-only scheme), which is
+    prone to collapsing the scales toward zero on drifting-coefficient data.
     """
 
     y: np.ndarray
@@ -260,6 +270,56 @@ def sample_theta_tilde(state: KalmanState, rng: np.random.Generator) -> np.ndarr
     return draws
 
 
+def sample_theta_tilde_banded(y: np.ndarray, theta0: np.ndarray, sqrt_omega: np.ndarray,
+                              sigma2: float, priors: TVPPriors | None,
+                              rng: np.random.Generator) -> np.ndarray:
+    """Joint draw of the standardized path from its banded posterior precision.
+
+    Same model as ``kalman_forward`` with unit state noise. The states are
+    interleaved, index 2(t-1)+k holding ``theta_tilde[t, k]``, so the
+    precision ``K`` has upper bandwidth 2: diagonal blocks
+    ``(p0 + I)^-1 + I`` (first), ``2I`` (middle) and ``I`` (last; a one-step
+    path has just ``(p0 + I)^-1``), each plus ``h_t h_t' / sigma2``, and
+    off-diagonal blocks ``-I``. With ``K = U'U``
+    the draw ``U^-1 (U^-T b + z)`` has mean ``K^-1 b`` and covariance
+    ``K^-1``, where ``b = h_t y*_t / sigma2`` plus ``(p0 + I)^-1 m0`` on the
+    first block.
+    """
+    y = np.asarray(y, float).reshape(-1)
+    if y.size < 2:
+        raise ValidationError("need at least 2 observations to draw a path")
+    if sigma2 <= 0:
+        raise ValidationError("sigma2 must be positive")
+    priors = priors or TVPPriors()
+    n = y.size - 1
+    ylag = y[:-1]
+    h = np.empty((n, 2))
+    h[:, 0] = sqrt_omega[0]
+    h[:, 1] = sqrt_omega[1] * ylag
+    ystar = y[1:] - (theta0[0] + theta0[1] * ylag)
+    prior_prec = np.linalg.inv(priors.p0 + np.eye(2))
+
+    # row j holds K[j-2, j], K[j-1, j], K[j, j]: its transpose is LAPACK's
+    # upper band storage, already in Fortran order
+    band = np.zeros((2 * n, 3))
+    band[2:, 0] = -1.0
+    band[1::2, 1] = h[:, 0] * h[:, 1] / sigma2
+    band[:, 2] = (h * h).reshape(-1) / sigma2 + 2.0
+    band[-2:, 2] -= 1.0
+    band[:2, 2] += np.diag(prior_prec) - 1.0
+    band[1, 1] += prior_prec[0, 1]
+    rhs = (h * (ystar / sigma2)[:, None]).reshape(-1, 1)
+    rhs[:2, 0] += prior_prec @ priors.m0
+
+    chol, info = dpbtrf(band.T, overwrite_ab=1)
+    if info != 0:
+        raise NumericalError(f"state precision not positive definite (dpbtrf info {info})")
+    w, _ = dtbtrs(chol, rhs, trans="T", overwrite_b=1)
+    w += rng.standard_normal((2 * n, 1))
+    draw, _ = dtbtrs(chol, w, overwrite_b=1)
+    return draw.reshape(n, 2)
+
+
 def _step3_design(y: np.ndarray, theta_tilde: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Regression target/design for the constant and scale coefficients."""
     ylag = y[:-1]
@@ -327,7 +387,7 @@ def sample_sigma(y: np.ndarray, design: np.ndarray, theta_star: np.ndarray,
 
 
 def fit_equation(spec: TVPEquationSpec) -> TVPTrajectory:
-    """Iterate filter / coefficient / variance draws and keep the final one."""
+    """Iterate path / coefficient / variance draws and keep the final one."""
     y = spec.y
     priors = spec.priors
     rng = np.random.default_rng(spec.seed)
@@ -337,10 +397,11 @@ def fit_equation(spec: TVPEquationSpec) -> TVPTrajectory:
     theta_tilde = np.zeros((y.size - 1, 2))
     for it in range(spec.iters):
         try:
-            state = kalman_forward(y, theta0, sqrt_omega, sigma2, priors)
             if spec.smooth_states:
-                theta_tilde = sample_theta_tilde_smoothed(state, rng)
+                theta_tilde = sample_theta_tilde_banded(y, theta0, sqrt_omega, sigma2,
+                                                        priors, rng)
             else:
+                state = kalman_forward(y, theta0, sqrt_omega, sigma2, priors)
                 theta_tilde = sample_theta_tilde(state, rng)
             theta0, sqrt_omega = sample_theta0_omega(y, theta_tilde, sigma2, priors, rng)
             target, design = _step3_design(y, theta_tilde)
@@ -373,38 +434,23 @@ class PanelTVPResult:
         return not self.errors
 
 
-def estimate_all(panel: TimeSeriesPanel, config: TVPConfig,
-                 threads: int = 1) -> PanelTVPResult:
+def estimate_all(panel: TimeSeriesPanel, config: TVPConfig) -> PanelTVPResult:
     """Fit every panel column independently with a per-column RNG stream.
 
     Column i draws from ``default_rng([seed, i])`` so results do not depend
-    on evaluation order or thread count; failures are collected and
-    estimation continues for the remaining columns.
+    on evaluation order; failures are collected and estimation continues for
+    the remaining columns.
     """
-    def fit_column(i: int) -> TVPTrajectory:
+    trajectories: list[TVPTrajectory | None] = [None] * panel.width
+    errors: dict[int, str] = {}
+    for i in range(panel.width):
         spec = TVPEquationSpec(y=panel.values[:, i], iters=config.iters,
                                seed=(config.seed, i), priors=config.priors,
                                smooth_states=config.smooth_states)
-        return fit_equation(spec)
-
-    trajectories: list[TVPTrajectory | None] = [None] * panel.width
-    errors: dict[int, str] = {}
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = {i: pool.submit(fit_column, i) for i in range(panel.width)}
-        for i, future in futures.items():
-            try:
-                trajectories[i] = future.result()
-            except (NumericalError, ValidationError) as exc:
-                errors[i] = str(exc)
-    else:
-        for i in range(panel.width):
-            try:
-                trajectories[i] = fit_column(i)
-            except (NumericalError, ValidationError) as exc:
-                errors[i] = str(exc)
+        try:
+            trajectories[i] = fit_equation(spec)
+        except (NumericalError, ValidationError) as exc:
+            errors[i] = str(exc)
     return PanelTVPResult(trajectories=trajectories, errors=errors)
 
 
@@ -450,6 +496,3 @@ def read_trajectories(csv_path: str | Path) -> dict[str, tuple[list[str], np.nda
         values.setdefault(column, []).append([float(b), float(f1)])
     return {col: (dates[col], np.array(values[col])) for col in dates}
 
-
-def read_trajectory_meta(meta_path: str | Path) -> dict:
-    return read_json(meta_path)

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import tvpgvar
 from tvpgvar import read_panel_csv
 from tvpgvar.cli import main
 from tvpgvar.irf import read_irf_csv, read_irf_json
@@ -286,3 +292,15 @@ def test_full_pipeline_rerun_byte_identical(tmp_path):
     assert digests[0].keys() == digests[1].keys()
     for name in digests[0]:
         assert digests[0][name] == digests[1][name], f"{name} differs between reruns"
+
+
+def test_package_import_skips_scipy_stats():
+    # every CLI stage pays the package import; scipy.stats alone costs about
+    # a second of it, and nothing in the package needs it
+    src_dir = str(Path(tvpgvar.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src_dir] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    code = "import sys, tvpgvar; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"

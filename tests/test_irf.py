@@ -312,6 +312,15 @@ class TestAsymptoticBands:
         np.testing.assert_allclose(ratio, norm.ppf(0.975), rtol=1e-12)
         assert norm.ppf(0.975) == pytest.approx(1.959964, abs=5e-7)
 
+    def test_band_multiplier_pinned_at_95(self):
+        # scalar VAR with F1 = 0 and unit variances: at horizon 1 the response
+        # variance is exactly 1, so the half-width is the multiplier itself
+        system = StackedSystem.from_reduced_form(np.zeros(1), np.zeros((1, 1)),
+                                                 np.eye(1))
+        shock = ShockSpec(targets=(0,), horizon=1, level=0.95)
+        result = asymptotic_bands(system, shock, 1, np.eye(1), np.zeros((1, 1)))
+        assert result.half_width[1, 0] == 1.959963984540054
+
     def test_band_symmetry_exact(self, rng):
         # one stored half-width defines both band edges, so symmetry holds
         # at the representation level

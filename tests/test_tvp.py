@@ -11,6 +11,8 @@ from tvpgvar import (
     sample_sigma,
     sample_theta0_omega,
     sample_theta_tilde,
+    sample_theta_tilde_banded,
+    sample_theta_tilde_smoothed,
 )
 from tvpgvar.errors import NumericalError, ValidationError
 from tvpgvar.tvp import (
@@ -147,6 +149,114 @@ class TestSampleThetaTilde:
         state = self.make_state(np.zeros((1, 2)), p)
         with pytest.raises(NumericalError, match="not PSD"):
             sample_theta_tilde(state, np.random.default_rng(0))
+
+
+def dense_path_posterior(y, theta0, sqrt_omega, sigma2, priors):
+    """Posterior mean and covariance of the interleaved standardized path by
+    plain Gaussian conditioning of the joint (path, observation) prior.
+
+    Built from the state-space definition only: theta_tilde_0 ~ N(m0, p0),
+    unit random-walk steps, so Cov(x_t, x_s) = p0 + min(t, s) I, and
+    y*_t = h_t' x_t + N(0, sigma2).
+    """
+    n = y.size - 1
+    steps = np.arange(1, n + 1)
+    prior_cov = (np.kron(np.ones((n, n)), priors.p0)
+                 + np.kron(np.minimum.outer(steps, steps), np.eye(2)))
+    prior_mean = np.tile(priors.m0, n)
+    loading = np.zeros((n, 2 * n))
+    loading[steps - 1, 2 * steps - 2] = sqrt_omega[0]
+    loading[steps - 1, 2 * steps - 1] = sqrt_omega[1] * y[:-1]
+    ystar = y[1:] - theta0[0] - theta0[1] * y[:-1]
+    obs_cov = loading @ prior_cov @ loading.T + sigma2 * np.eye(n)
+    gain = np.linalg.solve(obs_cov, loading @ prior_cov).T
+    mean = prior_mean + gain @ (ystar - loading @ prior_mean)
+    cov = prior_cov - gain @ loading @ prior_cov
+    return mean, (cov + cov.T) / 2.0
+
+
+class FixedNormals:
+    """Generator stand-in whose ``standard_normal`` returns a preset vector."""
+
+    def __init__(self, values):
+        self.values = np.asarray(values, float)
+
+    def standard_normal(self, size):
+        return self.values.reshape(size).copy()
+
+
+class TestSampleThetaTildeBanded:
+    theta0 = np.array([0.3, -0.4])
+    sqrt_omega = np.array([0.6, 0.35])
+    sigma2 = 0.45
+    priors = TVPPriors(m0=np.array([0.5, -1.2]),
+                       p0=np.array([[0.7, 0.2], [0.2, 0.4]]))
+
+    def draw(self, y, rng):
+        return sample_theta_tilde_banded(y, self.theta0, self.sqrt_omega,
+                                         self.sigma2, self.priors, rng)
+
+    @pytest.mark.parametrize("t_len", [2, 3, 13])
+    def test_exact_moments_match_dense_conditioning(self, rng, t_len):
+        # a zero normal vector returns the mean; unit vectors return the
+        # columns of a square root of the covariance
+        y = 1.0 + rng.standard_normal(t_len)
+        dim = 2 * (t_len - 1)
+        mean, cov = dense_path_posterior(y, self.theta0, self.sqrt_omega,
+                                         self.sigma2, self.priors)
+        got_mean = self.draw(y, FixedNormals(np.zeros(dim))).reshape(-1)
+        roots = np.column_stack([self.draw(y, FixedNormals(e)).reshape(-1) - got_mean
+                                 for e in np.eye(dim)])
+        np.testing.assert_allclose(got_mean, mean, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(roots @ roots.T, cov, rtol=0, atol=1e-10)
+
+    def test_default_priors(self, rng):
+        y = rng.standard_normal(9)
+        mean, cov = dense_path_posterior(y, self.theta0, self.sqrt_omega,
+                                         self.sigma2, TVPPriors())
+        got = sample_theta_tilde_banded(y, self.theta0, self.sqrt_omega, self.sigma2,
+                                        None, FixedNormals(np.zeros(16)))
+        np.testing.assert_allclose(got.reshape(-1), mean, rtol=0, atol=1e-10)
+
+    def test_monte_carlo_matches_oracle_and_carter_kohn(self, rng):
+        # the banded draw and the Kalman + backward-sampling draw both hit
+        # the dense-conditioning moments within Monte-Carlo error
+        y = 1.0 + rng.standard_normal(13)
+        mean, cov = dense_path_posterior(y, self.theta0, self.sqrt_omega,
+                                         self.sigma2, self.priors)
+        state = kalman_forward(y, self.theta0, self.sqrt_omega, self.sigma2, self.priors)
+        n_draws = 4000
+        gen_banded = np.random.default_rng(21)
+        gen_ck = np.random.default_rng(22)
+        samplers = {
+            "banded": lambda: self.draw(y, gen_banded),
+            "carter-kohn": lambda: sample_theta_tilde_smoothed(state, gen_ck),
+        }
+        sd = np.sqrt(np.diag(cov))
+        cov_se = np.sqrt((np.outer(sd ** 2, sd ** 2) + cov ** 2) / n_draws)
+        for name, sampler in samplers.items():
+            draws = np.stack([sampler().reshape(-1) for _ in range(n_draws)])
+            mean_z = (draws.mean(axis=0) - mean) / (sd / np.sqrt(n_draws))
+            cov_z = (np.cov(draws.T) - cov) / cov_se
+            assert np.max(np.abs(mean_z)) < 4.5, name
+            assert np.max(np.abs(cov_z)) < 5.0, name
+
+    def test_singular_precision_raises(self):
+        # with powers of two the rounding is exact: 2 + 2^80 == 2^80, so the
+        # second pivot of the first block is exactly zero
+        y = np.ones(10)
+        with pytest.raises(NumericalError, match="not positive definite"):
+            sample_theta_tilde_banded(y, np.zeros(2), np.full(2, 2.0 ** 40), 1.0,
+                                      None, np.random.default_rng(0))
+
+    def test_bad_inputs(self):
+        gen = np.random.default_rng(0)
+        with pytest.raises(ValidationError):
+            sample_theta_tilde_banded(np.array([1.0]), np.zeros(2), np.ones(2), 0.1,
+                                      None, gen)
+        with pytest.raises(ValidationError):
+            sample_theta_tilde_banded(np.ones(5), np.zeros(2), np.ones(2), 0.0,
+                                      None, gen)
 
 
 class TestSampleTheta0Omega:
@@ -303,14 +413,6 @@ class TestEstimateAll:
         res_b = estimate_all(panel, config)
         assert len(res_a.trajectories) == 10
         for ta, tb in zip(res_a.trajectories, res_b.trajectories):
-            np.testing.assert_array_equal(ta.theta, tb.theta)
-
-    def test_threaded_matches_serial(self, rng):
-        values = rng.standard_normal((50, 4))
-        panel = make_panel(values, ["A", "B"], ["x", "y"])
-        serial = estimate_all(panel, TVPConfig(iters=4, seed=3), threads=1)
-        threaded = estimate_all(panel, TVPConfig(iters=4, seed=3), threads=4)
-        for ta, tb in zip(serial.trajectories, threaded.trajectories):
             np.testing.assert_array_equal(ta.theta, tb.theta)
 
     def test_failures_collected_run_continues(self, rng, monkeypatch):
