@@ -9,6 +9,7 @@ Exit codes: 0 success, 1 validation error, 2 numerical failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -71,10 +72,8 @@ def cmd_estimate(config: RunConfig) -> None:
     weights = _build_weights(config, panel)
     fit = gvar.estimate_structural(panel, weights)
     gvar.write_coefficients_json(fit, panel, config.out_dir / COEFFICIENTS_FILE)
-    tvp_config = tvp.TVPConfig(iters=config.tvp.iters, seed=config.tvp.seed,
-                               smooth_states=config.tvp.smooth_states)
-    result = tvp.estimate_all(panel, tvp_config)
-    tvp.write_trajectories(result, panel, tvp_config,
+    result = tvp.estimate_all(panel, config.tvp)
+    tvp.write_trajectories(result, panel, config.tvp,
                            config.out_dir / TRAJECTORY_FILE,
                            config.out_dir / TRAJECTORY_META_FILE)
     print(f"coefficients -> {config.out_dir / COEFFICIENTS_FILE}")
@@ -157,10 +156,8 @@ def cmd_forecast(config: RunConfig) -> None:
     train = panel.slice_rows(0, t_len - h)
     actuals = panel.values[t_len - h:]
 
-    tvp_config = tvp.TVPConfig(iters=config.tvp.iters, seed=config.tvp.seed,
-                               smooth_states=config.tvp.smooth_states)
-    tvp_result = tvp.estimate_all(train, tvp_config)
-    tvp.write_trajectories(tvp_result, train, tvp_config,
+    tvp_result = tvp.estimate_all(train, config.tvp)
+    tvp.write_trajectories(tvp_result, train, config.tvp,
                            config.out_dir / TRAIN_TRAJECTORY_FILE)
     if not tvp_result.ok:
         names = train.column_names()
@@ -206,7 +203,7 @@ def cmd_report(config: RunConfig) -> None:
 
 def _apply_overrides(config: RunConfig, args: argparse.Namespace) -> RunConfig:
     if args.seed is not None:
-        config.tvp.seed = args.seed
+        config.tvp = dataclasses.replace(config.tvp, seed=args.seed)
     if args.out is not None:
         config.out_dir = Path(args.out).resolve()
     if args.time_invariant:

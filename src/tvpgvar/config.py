@@ -11,13 +11,14 @@ from pathlib import Path
 from typing import Any, Mapping
 
 from .errors import ValidationError
+from .forecast import METHOD_ORDER
 from .ingest import ALIGN_METHODS, TRANSFORMS
 from .serialize import read_json
+from .tvp import TVPConfig
 
 SCHEMA_VERSION = 1
 
 WEIGHT_PROVIDERS = ("equal", "rolling-share", "csv")
-FORECAST_METHODS = ("constant", "var1", "lasso")
 
 
 def _check_keys(obj: Mapping[str, Any], allowed: set[str], where: str) -> None:
@@ -35,13 +36,6 @@ class WeightSettings:
 
 
 @dataclass
-class TVPSettings:
-    iters: int = 1000
-    seed: int = 0
-    smooth_states: bool = True
-
-
-@dataclass
 class IRFSettings:
     horizon: int = 6
     level: float = 0.95
@@ -52,7 +46,7 @@ class IRFSettings:
 @dataclass
 class ForecastSettings:
     horizon: int = 6
-    methods: list[str] = field(default_factory=lambda: list(FORECAST_METHODS))
+    methods: list[str] = field(default_factory=lambda: list(METHOD_ORDER))
     lag_window: int = 6
     cv_folds: int = 5
     grid_size: int = 50
@@ -69,7 +63,7 @@ class RunConfig:
     variables: list[str] | None
     activities: list[str] | None
     weights: WeightSettings
-    tvp: TVPSettings
+    tvp: TVPConfig
     irf: IRFSettings
     forecast: ForecastSettings
     out_dir: Path
@@ -131,10 +125,9 @@ def load_config(path: str | Path) -> RunConfig:
             raise ValidationError(f"weight file not found: {weights.path}")
 
     tvp_obj = obj.get("tvp", {})
-    _check_keys(tvp_obj, {"iters", "seed", "smooth_states"}, "tvp")
-    tvp = TVPSettings(iters=int(tvp_obj.get("iters", 1000)),
-                      seed=int(tvp_obj.get("seed", 0)),
-                      smooth_states=bool(tvp_obj.get("smooth_states", True)))
+    _check_keys(tvp_obj, {"iters", "seed"}, "tvp")
+    tvp = TVPConfig(iters=int(tvp_obj.get("iters", 1000)),
+                    seed=int(tvp_obj.get("seed", 0)))
     if tvp.iters < 1:
         raise ValidationError("tvp.iters must be >= 1")
 
@@ -163,7 +156,7 @@ def load_config(path: str | Path) -> RunConfig:
     }
     forecast = ForecastSettings(
         horizon=int(fc_obj.get("horizon", 6)),
-        methods=list(fc_obj.get("methods", list(FORECAST_METHODS))),
+        methods=list(fc_obj.get("methods", list(METHOD_ORDER))),
         lag_window=int(fc_obj.get("lag_window", 6)),
         cv_folds=int(fc_obj.get("cv_folds", 5)),
         grid_size=int(fc_obj.get("grid_size", 50)),
@@ -173,7 +166,7 @@ def load_config(path: str | Path) -> RunConfig:
     if forecast.horizon < 1:
         raise ValidationError("forecast.horizon must be >= 1")
     for method in forecast.methods:
-        if method not in FORECAST_METHODS and method not in external:
+        if method not in METHOD_ORDER and method not in external:
             raise ValidationError(
                 f"unknown forecast method {method!r} (no external path configured)")
     for name, ext_path in external.items():

@@ -251,13 +251,8 @@ def _standardized_warm(fit: LassoFit, x: np.ndarray) -> np.ndarray:
     return fit.coef * np.where(scale > 0, scale, 1.0)
 
 
-def forecast_lasso(series: np.ndarray, config: ForecasterConfig,
-                   rng: np.random.Generator | None = None) -> np.ndarray:
-    """Tune, refit, and forecast one scalar series recursively.
-
-    ``rng`` is accepted for interface parity with stochastic forecasters;
-    the built-in path is deterministic.
-    """
+def forecast_lasso(series: np.ndarray, config: ForecasterConfig) -> np.ndarray:
+    """Tune, refit, and forecast one scalar series recursively."""
     series = np.asarray(series, float).reshape(-1)
     if series.size <= config.lag_window + config.cv_folds:
         raise ValidationError(
@@ -275,11 +270,6 @@ def forecast_lasso(series: np.ndarray, config: ForecasterConfig,
         window.append(value)
         window.pop(0)
     return out
-
-
-def read_param_paths_csv(path: str | Path) -> dict[str, tuple[list[str], np.ndarray]]:
-    """External plugin surface: predicted paths in trajectory-CSV schema."""
-    return read_trajectories(path)
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +336,7 @@ def two_stage_forecast(panel: TimeSeriesPanel, tvp_result: PanelTVPResult,
                 for i in usable:
                     errors[names[i]] = str(exc)
     elif config.kind == "external":
-        paths = read_param_paths_csv(config.external_path)
+        paths = read_trajectories(config.external_path)
         expected = list(_future_dates(panel, h))
         for i, name in enumerate(names):
             if name not in paths:

@@ -75,22 +75,6 @@ def duplication_matrix(m: int) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class MatrixCalculusKit:
-    """Bundle of the vec-calculus matrices for one dimension."""
-
-    dim: int
-    elimination: np.ndarray
-    commutation: np.ndarray
-    duplication: np.ndarray
-
-    @classmethod
-    def for_dim(cls, m: int) -> "MatrixCalculusKit":
-        return cls(dim=m, elimination=elimination_matrix(m),
-                   commutation=commutation_matrix(m, m),
-                   duplication=duplication_matrix(m))
-
-
 # ---------------------------------------------------------------------------
 # point responses
 # ---------------------------------------------------------------------------
@@ -198,9 +182,8 @@ def derivative_H(chol_factor: np.ndarray) -> np.ndarray:
     m = p.shape[0]
     if np.any(np.diag(p) <= 0):
         raise NumericalError("Cholesky factor must have positive diagonal")
-    kit = MatrixCalculusKit.for_dim(m)
-    lk = kit.elimination
-    inner = lk @ (np.eye(m * m) + kit.commutation) @ np.kron(p, np.eye(m)) @ lk.T
+    lk = elimination_matrix(m)
+    inner = lk @ (np.eye(m * m) + commutation_matrix(m, m)) @ np.kron(p, np.eye(m)) @ lk.T
     try:
         inner_inv = np.linalg.inv(inner)
     except np.linalg.LinAlgError:

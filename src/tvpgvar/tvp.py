@@ -17,9 +17,7 @@ The path draw uses the banded posterior precision of the whole path (Chan &
 Jeliazkov 2009): the random-walk prior plus one scalar observation per period
 make it block tridiagonal, so one banded Cholesky factorization and two
 banded triangular solves give an exact joint draw. The Kalman forward pass
-and the backward (Carter-Kohn) draw stay as reference implementations, and
-the forward pass drives the independent filtered draws of
-``smooth_states=False``.
+and the backward (Carter-Kohn) draw stay as reference implementations.
 """
 
 from __future__ import annotations
@@ -74,19 +72,12 @@ class TVPPriors:
 
 @dataclass(frozen=True)
 class TVPEquationSpec:
-    """One column's estimation problem: data, iteration budget, seed, priors.
-
-    ``smooth_states`` selects the state draw: the default joint draw of the
-    whole path keeps the innovation scales identified; ``False`` uses
-    independent filtered draws (the literal forward-only scheme), which is
-    prone to collapsing the scales toward zero on drifting-coefficient data.
-    """
+    """One column's estimation problem: data, iteration budget, seed, priors."""
 
     y: np.ndarray
     iters: int = 1000
     seed: int | Sequence[int] = 0
     priors: TVPPriors = field(default_factory=TVPPriors)
-    smooth_states: bool = True
 
     def __post_init__(self):
         y = np.asarray(self.y, float).reshape(-1)
@@ -251,25 +242,6 @@ def sample_theta_tilde_smoothed(state: KalmanState, rng: np.random.Generator,
     return draws
 
 
-def sample_theta_tilde(state: KalmanState, rng: np.random.Generator) -> np.ndarray:
-    """Draw the standardized path row-wise from N(m_t, P_t)."""
-    p = state.p
-    tr = p[:, 0, 0] + p[:, 1, 1]
-    det_gap = np.sqrt(np.maximum((p[:, 0, 0] - p[:, 1, 1]) ** 2 + 4.0 * p[:, 0, 1] ** 2, 0.0))
-    eig_min = (tr - det_gap) / 2.0
-    if np.min(eig_min) < -1e-10:
-        raise NumericalError(
-            f"filtered covariance not PSD (min eigenvalue {np.min(eig_min):.3e})")
-    l00 = np.sqrt(np.maximum(p[:, 0, 0], 0.0))
-    l10 = np.divide(p[:, 1, 0], l00, out=np.zeros_like(l00), where=l00 > 0)
-    l11 = np.sqrt(np.maximum(p[:, 1, 1] - l10 ** 2, 0.0))
-    z = rng.standard_normal(state.m.shape)
-    draws = np.empty_like(state.m)
-    draws[:, 0] = state.m[:, 0] + l00 * z[:, 0]
-    draws[:, 1] = state.m[:, 1] + l10 * z[:, 0] + l11 * z[:, 1]
-    return draws
-
-
 def sample_theta_tilde_banded(y: np.ndarray, theta0: np.ndarray, sqrt_omega: np.ndarray,
                               sigma2: float, priors: TVPPriors | None,
                               rng: np.random.Generator) -> np.ndarray:
@@ -397,12 +369,8 @@ def fit_equation(spec: TVPEquationSpec) -> TVPTrajectory:
     theta_tilde = np.zeros((y.size - 1, 2))
     for it in range(spec.iters):
         try:
-            if spec.smooth_states:
-                theta_tilde = sample_theta_tilde_banded(y, theta0, sqrt_omega, sigma2,
-                                                        priors, rng)
-            else:
-                state = kalman_forward(y, theta0, sqrt_omega, sigma2, priors)
-                theta_tilde = sample_theta_tilde(state, rng)
+            theta_tilde = sample_theta_tilde_banded(y, theta0, sqrt_omega, sigma2,
+                                                    priors, rng)
             theta0, sqrt_omega = sample_theta0_omega(y, theta_tilde, sigma2, priors, rng)
             target, design = _step3_design(y, theta_tilde)
             theta_star = np.concatenate([theta0, sqrt_omega])
@@ -419,7 +387,6 @@ class TVPConfig:
     iters: int = 1000
     seed: int = 0
     priors: TVPPriors = field(default_factory=TVPPriors)
-    smooth_states: bool = True
 
 
 @dataclass
@@ -445,8 +412,7 @@ def estimate_all(panel: TimeSeriesPanel, config: TVPConfig) -> PanelTVPResult:
     errors: dict[int, str] = {}
     for i in range(panel.width):
         spec = TVPEquationSpec(y=panel.values[:, i], iters=config.iters,
-                               seed=(config.seed, i), priors=config.priors,
-                               smooth_states=config.smooth_states)
+                               seed=(config.seed, i), priors=config.priors)
         try:
             trajectories[i] = fit_equation(spec)
         except (NumericalError, ValidationError) as exc:

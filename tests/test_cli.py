@@ -96,6 +96,9 @@ class TestIngest:
         config_path = mini_config(tmp_path, extra_section={"x": 1})
         assert main(["ingest", "--config", str(config_path)]) == 1
         assert "unknown config keys" in capsys.readouterr().err
+        config_path = mini_config(tmp_path, tvp={"smooth_states": True})
+        assert main(["ingest", "--config", str(config_path)]) == 1
+        assert "unknown config keys in tvp: ['smooth_states']" in capsys.readouterr().err
 
     def test_rerun_byte_identical(self, pipeline, tmp_path):
         first = (pipeline / "out" / "panel.csv").read_bytes()

@@ -20,7 +20,7 @@ from tvpgvar import (
     vech,
 )
 from tvpgvar.errors import NumericalError, ValidationError
-from tvpgvar.irf import MatrixCalculusKit, read_irf_csv, read_irf_json, write_irf_csv, write_irf_json
+from tvpgvar.irf import read_irf_csv, read_irf_json, write_irf_csv, write_irf_json
 
 from conftest import random_stable_system
 
@@ -67,12 +67,6 @@ class TestMatrixKit:
             np.testing.assert_array_equal(commutation_matrix(m, n) @ vec(q), vec(q.T))
             sym = s + s.T
             np.testing.assert_array_equal(duplication_matrix(m) @ vech(sym), vec(sym))
-
-    def test_kit_bundle(self):
-        kit = MatrixCalculusKit.for_dim(3)
-        assert kit.elimination.shape == (6, 9)
-        assert kit.commutation.shape == (9, 9)
-        assert kit.duplication.shape == (9, 6)
 
 
 class TestCholesky:

@@ -10,14 +10,11 @@ from tvpgvar import (
     fit_equation,
     sample_sigma,
     sample_theta0_omega,
-    sample_theta_tilde,
     sample_theta_tilde_banded,
     sample_theta_tilde_smoothed,
 )
 from tvpgvar.errors import NumericalError, ValidationError
-from tvpgvar.tvp import (
-    KalmanState, read_trajectories, sigma_posterior, write_trajectories,
-)
+from tvpgvar.tvp import read_trajectories, sigma_posterior, write_trajectories
 
 from conftest import make_panel
 
@@ -112,43 +109,6 @@ class TestKalmanForward:
             kalman_forward(np.array([1.0]), np.zeros(2), np.ones(2), 0.1)
         with pytest.raises(ValidationError):
             kalman_forward(np.ones(5), np.zeros(2), np.ones(2), 0.0)
-
-
-class TestSampleThetaTilde:
-    def make_state(self, m, p):
-        n = m.shape[0]
-        return KalmanState(m=m, p=p, innovations=np.zeros(n),
-                           innovation_var=np.ones(n), gains=np.zeros((n, 2)))
-
-    def test_degenerate_covariance_returns_mean(self, rng):
-        m = rng.standard_normal((15, 2))
-        state = self.make_state(m, np.zeros((15, 2, 2)))
-        draws = sample_theta_tilde(state, np.random.default_rng(1))
-        np.testing.assert_array_equal(draws, m)
-
-    def test_fixed_seed_deterministic(self, rng):
-        y = rng.standard_normal(50)
-        state = kalman_forward(y, np.zeros(2), np.array([0.5, 0.3]), 0.2)
-        a = sample_theta_tilde(state, np.random.default_rng(42))
-        b = sample_theta_tilde(state, np.random.default_rng(42))
-        np.testing.assert_array_equal(a, b)
-
-    def test_large_sample_mean(self, rng):
-        m = np.array([[1.5, -2.0]])
-        p = np.array([[[0.9, 0.2], [0.2, 0.4]]])
-        state = self.make_state(m, p)
-        n = 100_000
-        gen = np.random.default_rng(7)
-        draws = np.stack([sample_theta_tilde(state, gen)[0] for _ in range(n)])
-        for j in range(2):
-            tol = 4 * np.sqrt(p[0, j, j]) / np.sqrt(n)
-            assert abs(draws[:, j].mean() - m[0, j]) < tol
-
-    def test_non_psd_rejected(self):
-        p = np.array([[[1.0, 0.0], [0.0, -0.5]]])
-        state = self.make_state(np.zeros((1, 2)), p)
-        with pytest.raises(NumericalError, match="not PSD"):
-            sample_theta_tilde(state, np.random.default_rng(0))
 
 
 def dense_path_posterior(y, theta0, sqrt_omega, sigma2, priors):
@@ -376,18 +336,6 @@ class TestRunAlgorithm1:
         traj = fit_equation(TVPEquationSpec(y=y, iters=20, seed=5))
         recon = traj.theta0[None, :] + traj.sqrt_omega[None, :] * traj.theta_tilde
         np.testing.assert_array_equal(recon, traj.theta)
-
-    def test_filtered_draw_mode(self, rng):
-        # the independent-filtered-draw scheme stays available and is
-        # deterministic, but differs from the joint backward draw
-        y = rng.standard_normal(60)
-        joint = fit_equation(TVPEquationSpec(y=y, iters=10, seed=4))
-        filt_a = fit_equation(TVPEquationSpec(y=y, iters=10, seed=4,
-                                              smooth_states=False))
-        filt_b = fit_equation(TVPEquationSpec(y=y, iters=10, seed=4,
-                                              smooth_states=False))
-        np.testing.assert_array_equal(filt_a.theta, filt_b.theta)
-        assert not np.array_equal(joint.theta, filt_a.theta)
 
     def test_spec_validation(self):
         with pytest.raises(ValidationError):
