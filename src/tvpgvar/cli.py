@@ -84,10 +84,6 @@ def cmd_estimate(config: RunConfig) -> None:
         raise NumericalError(f"estimation failed for columns: {failed}")
 
 
-def _irf_label(value) -> str:
-    return value if isinstance(value, str) else str(value)
-
-
 def cmd_irf(config: RunConfig) -> None:
     panel = _load_panel_artifact(config)
     fit = gvar.read_coefficients_json(config.out_dir / COEFFICIENTS_FILE)
@@ -119,11 +115,11 @@ def cmd_irf(config: RunConfig) -> None:
         for targets in config.irf.shocks:
             indices = tuple(panel.column_index(name) for name in targets)
             shock = irf.ShockSpec(targets=indices, horizon=config.irf.horizon,
-                                  at_time=label if isinstance(label, str) else t,
+                                  at_time=label,
                                   level=config.irf.level)
             result = irf.asymptotic_bands(system, shock, sample_size,
                                           sigma_alpha, sigma_sigma)
-            stem = f"irf_{_irf_label(label)}__{'+'.join(targets)}"
+            stem = f"irf_{label}__{'+'.join(targets)}"
             irf.write_irf_json(result, names, config.out_dir / f"{stem}.json")
             irf.write_irf_csv(result, names, config.out_dir / f"{stem}.csv")
             print(f"irf {label} shock {'+'.join(targets)} "

@@ -27,6 +27,16 @@ def _check_keys(obj: Mapping[str, Any], allowed: set[str], where: str) -> None:
         raise ValidationError(f"unknown config keys in {where}: {sorted(unknown)}")
 
 
+def _number(obj: Mapping[str, Any], section: str, key: str, default: Any, kind: type) -> Any:
+    """``kind(obj[key])`` (int or float), or a ValidationError naming the key."""
+    value = obj.get(key, default)
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        what = "an integer" if kind is int else "a number"
+        raise ValidationError(f"{section}.{key} must be {what}, got {value!r}") from None
+
+
 @dataclass
 class WeightSettings:
     provider: str = "equal"
@@ -113,7 +123,7 @@ def load_config(path: str | Path) -> RunConfig:
     weights = WeightSettings(
         provider=provider,
         variable=weights_obj.get("variable"),
-        window=int(weights_obj.get("window", 24)),
+        window=_number(weights_obj, "weights", "window", 24, int),
         path=(base / weights_obj["path"]).resolve() if "path" in weights_obj else None,
     )
     if provider == "rolling-share" and not weights.variable:
@@ -126,16 +136,16 @@ def load_config(path: str | Path) -> RunConfig:
 
     tvp_obj = obj.get("tvp", {})
     _check_keys(tvp_obj, {"iters", "seed"}, "tvp")
-    tvp = TVPConfig(iters=int(tvp_obj.get("iters", 1000)),
-                    seed=int(tvp_obj.get("seed", 0)))
+    tvp = TVPConfig(iters=_number(tvp_obj, "tvp", "iters", 1000, int),
+                    seed=_number(tvp_obj, "tvp", "seed", 0, int))
     if tvp.iters < 1:
         raise ValidationError("tvp.iters must be >= 1")
 
     irf_obj = obj.get("irf", {})
     _check_keys(irf_obj, {"horizon", "level", "dates", "shocks"}, "irf")
     irf = IRFSettings(
-        horizon=int(irf_obj.get("horizon", 6)),
-        level=float(irf_obj.get("level", 0.95)),
+        horizon=_number(irf_obj, "irf", "horizon", 6, int),
+        level=_number(irf_obj, "irf", "level", 0.95, float),
         dates=list(irf_obj.get("dates", [])),
         shocks=[list(s) for s in irf_obj.get("shocks", [])],
     )
@@ -150,17 +160,18 @@ def load_config(path: str | Path) -> RunConfig:
     fc_obj = obj.get("forecast", {})
     _check_keys(fc_obj, {"horizon", "methods", "lag_window", "cv_folds",
                          "grid_size", "grid_floor", "external"}, "forecast")
-    external = {
-        name: (base / p).resolve()
-        for name, p in fc_obj.get("external", {}).items()
-    }
+    external_obj = fc_obj.get("external", {})
+    if not isinstance(external_obj, dict) or not all(
+            isinstance(p, str) for p in external_obj.values()):
+        raise ValidationError("forecast.external must be an object of method name -> file path")
+    external = {name: (base / p).resolve() for name, p in external_obj.items()}
     forecast = ForecastSettings(
-        horizon=int(fc_obj.get("horizon", 6)),
+        horizon=_number(fc_obj, "forecast", "horizon", 6, int),
         methods=list(fc_obj.get("methods", list(METHOD_ORDER))),
-        lag_window=int(fc_obj.get("lag_window", 6)),
-        cv_folds=int(fc_obj.get("cv_folds", 5)),
-        grid_size=int(fc_obj.get("grid_size", 50)),
-        grid_floor=float(fc_obj.get("grid_floor", 1e-4)),
+        lag_window=_number(fc_obj, "forecast", "lag_window", 6, int),
+        cv_folds=_number(fc_obj, "forecast", "cv_folds", 5, int),
+        grid_size=_number(fc_obj, "forecast", "grid_size", 50, int),
+        grid_floor=_number(fc_obj, "forecast", "grid_floor", 1e-4, float),
         external=external,
     )
     if forecast.horizon < 1:

@@ -21,6 +21,7 @@ from .ingest import COMMON_REGION, TimeSeriesPanel
 from .serialize import read_csv_rows, read_json, write_json
 
 WEIGHT_TOL = 1e-12
+COND_CAP = 1e12  # stack_system rejects a G0 with a larger condition number
 
 
 @dataclass(frozen=True)
@@ -378,8 +379,7 @@ def estimate_structural(panel: TimeSeriesPanel, weights: WeightSequence) -> Stru
         columns=tuple(names), nobs=nobs)
 
 
-def stack_system(fit: StructuralFit, weights: WeightSequence, t: int,
-                 cond_cap: float = 1e12) -> StackedSystem:
+def stack_system(fit: StructuralFit, weights: WeightSequence, t: int) -> StackedSystem:
     """Assemble (G0, G1, a) at period t and solve for the reduced form."""
     k, p, l = fit.dims
     width = k * p + l
@@ -401,9 +401,9 @@ def stack_system(fit: StructuralFit, weights: WeightSequence, t: int,
         g1[k * p + m] = a1 @ link
         a[k * p + m] = act.a_m
     cond = np.linalg.cond(g0)
-    if not np.isfinite(cond) or cond > cond_cap:
+    if not np.isfinite(cond) or cond > COND_CAP:
         raise NumericalError(
-            f"G0 at period {t} has condition number {cond:.3e} above cap {cond_cap:.1e}")
+            f"G0 at period {t} has condition number {cond:.3e} above cap {COND_CAP:.1e}")
     b = np.linalg.solve(g0, a)
     f1 = np.linalg.solve(g0, g1)
     sigma_eps = np.linalg.solve(g0, np.linalg.solve(g0, fit.sigma_u).T).T

@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .serialize import format_float, read_csv_rows, write_csv
+from .serialize import read_csv_rows, write_csv
 
 COMMON_REGION = "__COMMON__"
 
@@ -374,8 +374,7 @@ def validate_panel(panel: TimeSeriesPanel) -> ValidationReport:
 
 def write_panel_csv(panel: TimeSeriesPanel, path: str | Path) -> None:
     header = ["date"] + panel.column_names()
-    rows = [[panel.time_index[t]] + [format_float(v) for v in panel.values[t]]
-            for t in range(len(panel.time_index))]
+    rows = [[date] + values for date, values in zip(panel.time_index, panel.values.tolist())]
     write_csv(path, header, rows)
 
 

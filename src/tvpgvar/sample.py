@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .ingest import COMMON_REGION, month_label
-from .serialize import format_float, write_json
+from .serialize import write_csv, write_json
 
 SAMPLE_SEED = 20000131
 N_MONTHS = 252
@@ -67,20 +67,16 @@ def write_sample_csv(path: str | Path, seed: int = SAMPLE_SEED) -> Path:
     first month of each quarter."""
     path = Path(path)
     series = generate_series(seed)
-    lines = ["date,region,variable,value"]
+    rows = []
     for region in REGIONS:
         for variable in MONTHLY_VARIABLES + (QUARTERLY_VARIABLE,):
-            values = series[(region, variable)]
             step = 3 if variable == QUARTERLY_VARIABLE else 1
-            for t in range(0, N_MONTHS, step):
-                date = month_label(START_MONTH + t)
-                lines.append(f"{date},{region},{variable},{format_float(values[t])}")
-    for t in range(N_MONTHS):
-        date = month_label(START_MONTH + t)
-        lines.append(f"{date},{COMMON_REGION},{ACTIVITY},"
-                     f"{format_float(series[(COMMON_REGION, ACTIVITY)][t])}")
+            rows += [[month_label(START_MONTH + t), region, variable, series[(region, variable)][t]]
+                     for t in range(0, N_MONTHS, step)]
+    rows += [[month_label(START_MONTH + t), COMMON_REGION, ACTIVITY,
+              series[(COMMON_REGION, ACTIVITY)][t]] for t in range(N_MONTHS)]
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_csv(path, ["date", "region", "variable", "value"], rows)
     return path
 
 

@@ -1,9 +1,11 @@
-"""Deterministic serialization helpers.
+"""Deterministic serialization helpers: the one place numbers become text.
 
-All floating-point values are written with 17 significant digits so that
-every emitted CSV/JSON round-trips to the exact in-memory double. The JSON
-emitter is a small hand-rolled writer because the stdlib encoder does not
-let us control float formatting.
+Every float is written in Python's shortest round-trip ``repr`` (``0.95``,
+``1.0``, ``0.30000000000000004``), so each emitted CSV/JSON value parses back
+to the exact in-memory double. That is the format the stdlib JSON encoder
+already writes, so JSON goes through ``json.dumps`` with a hook for numpy
+arrays and scalars; non-finite floats and unsupported types are rejected.
+Files that cannot be decoded raise :class:`ValidationError` naming the file.
 """
 
 from __future__ import annotations
@@ -19,75 +21,49 @@ from .errors import ValidationError
 
 
 def format_float(x: float) -> str:
-    """Render a float with 17 significant digits (lossless round-trip)."""
-    if isinstance(x, (np.floating,)):
-        x = float(x)
+    """Render a float in its shortest round-trip form."""
+    x = float(x)
     if not math.isfinite(x):
         raise ValidationError(f"cannot serialize non-finite value {x!r}")
-    return format(x, ".17g")
+    return repr(x)
 
 
-def _dump_value(obj: Any, indent: int, out: list[str]) -> None:
-    pad = "  " * indent
-    if obj is None:
-        out.append("null")
-    elif obj is True:
-        out.append("true")
-    elif obj is False:
-        out.append("false")
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj))
-    elif isinstance(obj, (int, np.integer)):
-        out.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        out.append(format_float(float(obj)))
-    elif isinstance(obj, np.ndarray):
-        _dump_value(obj.tolist(), indent, out)
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            out.append("[]")
-            return
-        out.append("[\n")
-        for i, item in enumerate(obj):
-            out.append(pad + "  ")
-            _dump_value(item, indent + 1, out)
-            out.append(",\n" if i < len(obj) - 1 else "\n")
-        out.append(pad + "]")
-    elif isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        out.append("{\n")
-        items = list(obj.items())
-        for i, (key, value) in enumerate(items):
-            if not isinstance(key, str):
-                raise ValidationError(f"JSON keys must be strings, got {key!r}")
-            out.append(pad + "  " + json.dumps(key) + ": ")
-            _dump_value(value, indent + 1, out)
-            out.append(",\n" if i < len(items) - 1 else "\n")
-        out.append(pad + "}")
-    else:
-        raise ValidationError(f"cannot serialize object of type {type(obj).__name__}")
+def _numpy_default(obj: Any) -> Any:
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, np.generic):
+        return obj.item()
+    raise TypeError(f"cannot serialize object of type {type(obj).__name__}")
 
 
 def dumps_json(obj: Any) -> str:
-    """Serialize to JSON with deterministic layout and 17-digit floats."""
-    out: list[str] = []
-    _dump_value(obj, 0, out)
-    out.append("\n")
-    return "".join(out)
+    """Serialize to JSON with a two-space layout and round-trip floats."""
+    try:
+        return json.dumps(obj, indent=2, allow_nan=False, default=_numpy_default) + "\n"
+    except (ValueError, TypeError) as exc:
+        raise ValidationError(f"cannot serialize to JSON: {exc}") from None
 
 
 def write_json(obj: Any, path: str | Path) -> None:
     Path(path).write_text(dumps_json(obj), encoding="utf-8")
 
 
+def _read_text(path: str | Path) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not valid UTF-8 ({exc.reason} at byte {exc.start})") from None
+
+
 def read_json(path: str | Path) -> Any:
-    return json.loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        return json.loads(_read_text(path))
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"{path}: invalid JSON ({exc})") from None
 
 
 def write_csv(path: str | Path, header: list[str], rows: list[list[Any]]) -> None:
-    """Write a CSV with 17-digit floats and no quoting surprises.
+    """Write a CSV with round-trip floats and no quoting surprises.
 
     Cells may be str, int, or float; values must not contain commas or
     newlines (callers use restricted code/date vocabularies).
@@ -96,7 +72,10 @@ def write_csv(path: str | Path, header: list[str], rows: list[list[Any]]) -> Non
     for row in rows:
         cells = []
         for cell in row:
-            if isinstance(cell, str):
+            # floats first: they are nearly every cell of every artifact
+            if isinstance(cell, (float, np.floating)):
+                cells.append(format_float(cell))
+            elif isinstance(cell, str):
                 if "," in cell or "\n" in cell:
                     raise ValidationError(f"CSV cell may not contain commas/newlines: {cell!r}")
                 cells.append(cell)
@@ -104,8 +83,6 @@ def write_csv(path: str | Path, header: list[str], rows: list[list[Any]]) -> Non
                 cells.append("true" if cell else "false")
             elif isinstance(cell, (int, np.integer)):
                 cells.append(str(int(cell)))
-            elif isinstance(cell, (float, np.floating)):
-                cells.append(format_float(float(cell)))
             else:
                 raise ValidationError(f"cannot serialize CSV cell of type {type(cell).__name__}")
         lines.append(",".join(cells))
@@ -114,8 +91,7 @@ def write_csv(path: str | Path, header: list[str], rows: list[list[Any]]) -> Non
 
 def read_csv_rows(path: str | Path) -> tuple[list[str], list[list[str]]]:
     """Read a simple comma-separated file; returns (header, rows)."""
-    text = Path(path).read_text(encoding="utf-8")
-    lines = [ln for ln in text.splitlines() if ln != ""]
+    lines = [ln for ln in _read_text(path).splitlines() if ln != ""]
     if not lines:
         raise ValidationError(f"{path}: empty file")
     header = lines[0].split(",")

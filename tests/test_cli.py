@@ -100,6 +100,23 @@ class TestIngest:
         assert main(["ingest", "--config", str(config_path)]) == 1
         assert "unknown config keys in tvp: ['smooth_states']" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("tvp", "iters", "abc"),
+        ("irf", "horizon", None),
+        ("irf", "level", "high"),
+        ("forecast", "cv_folds", "x"),
+        ("weights", "window", "w"),
+        ("forecast", "external", ["a"]),
+        ("forecast", "external", {"plugin": 5}),
+    ])
+    def test_wrongly_typed_value_rejected(self, tmp_path, capsys, section, key, value):
+        config_path = mini_config(tmp_path)
+        obj = read_json(config_path)
+        obj[section][key] = value
+        write_json(obj, config_path)
+        assert main(["ingest", "--config", str(config_path)]) == 1
+        assert f"{section}.{key} must be" in capsys.readouterr().err
+
     def test_rerun_byte_identical(self, pipeline, tmp_path):
         first = (pipeline / "out" / "panel.csv").read_bytes()
         config_path = pipeline / "config.json"
@@ -297,13 +314,42 @@ def test_full_pipeline_rerun_byte_identical(tmp_path):
         assert digests[0][name] == digests[1][name], f"{name} differs between reruns"
 
 
-def test_package_import_skips_scipy_stats():
-    # every CLI stage pays the package import; scipy.stats alone costs about
-    # a second of it, and nothing in the package needs it
+def run_python(*args):
+    """Run a fresh interpreter that imports this checkout of the package."""
     src_dir = str(Path(tvpgvar.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src_dir] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    code = "import sys, tvpgvar; print('scipy.stats' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+
+
+class TestUndecodableInput:
+    """A file that cannot be decoded ends the stage with exit code 1 and a
+    message naming the file, not a traceback."""
+
+    def assert_clean_failure(self, proc, bad_file):
+        assert proc.returncode == 1
+        assert str(bad_file) in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_truncated_json_artifact(self, tmp_path):
+        config_path = mini_config(tmp_path)
+        assert main(["ingest", "--config", str(config_path)]) == 0
+        bad_file = tmp_path / "out" / "coefficients.json"
+        bad_file.write_text('{"a": 1')
+        proc = run_python("-m", "tvpgvar.cli", "irf", "--config", str(config_path))
+        self.assert_clean_failure(proc, bad_file)
+
+    def test_non_utf8_data_file(self, tmp_path):
+        config_path = mini_config(tmp_path)
+        bad_file = tmp_path / "mini.csv"
+        bad_file.write_bytes(bad_file.read_bytes() + b"2000-01,AAA,CPI,caf\xe9\n")
+        proc = run_python("-m", "tvpgvar.cli", "ingest", "--config", str(config_path))
+        self.assert_clean_failure(proc, bad_file)
+
+
+def test_package_import_skips_scipy_stats():
+    # every CLI stage pays the package import; scipy.stats alone costs about
+    # a second of it, and nothing in the package needs it
+    out = run_python("-c", "import sys, tvpgvar; print('scipy.stats' in sys.modules)")
+    assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "False"

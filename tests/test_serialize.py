@@ -55,3 +55,66 @@ def test_csv_round_trip(tmp_path):
 def test_csv_rejects_commas_in_cells(tmp_path):
     with pytest.raises(ValidationError):
         write_csv(tmp_path / "t.csv", ["a"], [["x,y"]])
+
+
+def test_dumps_json_text_is_pinned():
+    obj = {
+        "empty": [],
+        "nested": {
+            "none": {},
+            "ints": [3, -1],
+            "one": 1.0,
+            "level": 0.95,
+            "sum": 0.1 + 0.2,
+            "matrix": np.array([[1.0, 0.5], [-2.0, 1e-300]]),
+            "count": np.int64(7),
+            "pair": (1, "a"),
+        },
+    }
+    assert dumps_json(obj) == """{
+  "empty": [],
+  "nested": {
+    "none": {},
+    "ints": [
+      3,
+      -1
+    ],
+    "one": 1.0,
+    "level": 0.95,
+    "sum": 0.30000000000000004,
+    "matrix": [
+      [
+        1.0,
+        0.5
+      ],
+      [
+        -2.0,
+        1e-300
+      ]
+    ],
+    "count": 7,
+    "pair": [
+      1,
+      "a"
+    ]
+  }
+}
+"""
+
+
+def test_csv_writes_shortest_round_trip_floats(tmp_path):
+    path = tmp_path / "t.csv"
+    write_csv(path, ["a", "b", "c"], [[0.95, np.float64(0.1 + 0.2), 1.0]])
+    assert path.read_text() == "a,b,c\n0.95,0.30000000000000004,1.0\n"
+
+
+@pytest.mark.parametrize("bad", [
+    {"a": [1.0, float("nan")]},
+    {"a": {"b": np.array([0.0, np.inf])}},
+    {"a": [np.float32("-inf")]},
+    {"a": object()},
+])
+def test_dumps_json_rejects_non_finite_and_unsupported(bad):
+    with pytest.raises(ValidationError):
+        dumps_json(bad)
+
