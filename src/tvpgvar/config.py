@@ -27,6 +27,21 @@ def _check_keys(obj: Mapping[str, Any], allowed: set[str], where: str) -> None:
         raise ValidationError(f"unknown config keys in {where}: {sorted(unknown)}")
 
 
+def _section(obj: Mapping[str, Any], key: str) -> Mapping[str, Any]:
+    """``obj[key]`` (an empty object when absent), or a ValidationError naming it."""
+    value = obj.get(key, {})
+    if not isinstance(value, dict):
+        raise ValidationError(f"{key} must be an object, got {value!r}")
+    return value
+
+
+def _strings(value: Any, name: str) -> list[str]:
+    """``value`` as a list of strings, or a ValidationError naming the key."""
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise ValidationError(f"{name} must be a list of strings, got {value!r}")
+    return list(value)
+
+
 def _number(obj: Mapping[str, Any], section: str, key: str, default: Any, kind: type) -> Any:
     """``kind(obj[key])`` (int or float), or a ValidationError naming the key."""
     value = obj.get(key, default)
@@ -108,14 +123,15 @@ def load_config(path: str | Path) -> RunConfig:
     if transform not in TRANSFORMS:
         raise ValidationError(f"unknown transform {transform!r}")
 
-    panel = obj.get("panel", {})
+    panel = _section(obj, "panel")
     _check_keys(panel, {"regions", "variables", "activities"}, "panel")
     for key in ("regions", "variables", "activities"):
-        codes = panel.get(key)
-        if codes is not None and len(set(codes)) != len(codes):
-            raise ValidationError(f"duplicate codes in panel.{key}")
+        if panel.get(key) is not None:
+            codes = _strings(panel[key], f"panel.{key}")
+            if len(set(codes)) != len(codes):
+                raise ValidationError(f"duplicate codes in panel.{key}")
 
-    weights_obj = obj.get("weights", {})
+    weights_obj = _section(obj, "weights")
     _check_keys(weights_obj, {"provider", "variable", "window", "path"}, "weights")
     provider = weights_obj.get("provider", "equal")
     if provider not in WEIGHT_PROVIDERS:
@@ -134,20 +150,23 @@ def load_config(path: str | Path) -> RunConfig:
         if not weights.path.exists():
             raise ValidationError(f"weight file not found: {weights.path}")
 
-    tvp_obj = obj.get("tvp", {})
+    tvp_obj = _section(obj, "tvp")
     _check_keys(tvp_obj, {"iters", "seed"}, "tvp")
     tvp = TVPConfig(iters=_number(tvp_obj, "tvp", "iters", 1000, int),
                     seed=_number(tvp_obj, "tvp", "seed", 0, int))
     if tvp.iters < 1:
         raise ValidationError("tvp.iters must be >= 1")
 
-    irf_obj = obj.get("irf", {})
+    irf_obj = _section(obj, "irf")
     _check_keys(irf_obj, {"horizon", "level", "dates", "shocks"}, "irf")
+    shocks = irf_obj.get("shocks", [])
+    if not isinstance(shocks, list):
+        raise ValidationError(f"irf.shocks must be a list of column lists, got {shocks!r}")
     irf = IRFSettings(
         horizon=_number(irf_obj, "irf", "horizon", 6, int),
         level=_number(irf_obj, "irf", "level", 0.95, float),
-        dates=list(irf_obj.get("dates", [])),
-        shocks=[list(s) for s in irf_obj.get("shocks", [])],
+        dates=_strings(irf_obj.get("dates", []), "irf.dates"),
+        shocks=[_strings(s, f"irf.shocks[{i}]") for i, s in enumerate(shocks)],
     )
     if irf.horizon < 0:
         raise ValidationError("irf.horizon must be >= 0")
@@ -157,7 +176,7 @@ def load_config(path: str | Path) -> RunConfig:
         if not shock:
             raise ValidationError("each IRF shock needs at least one target column")
 
-    fc_obj = obj.get("forecast", {})
+    fc_obj = _section(obj, "forecast")
     _check_keys(fc_obj, {"horizon", "methods", "lag_window", "cv_folds",
                          "grid_size", "grid_floor", "external"}, "forecast")
     external_obj = fc_obj.get("external", {})
@@ -167,7 +186,7 @@ def load_config(path: str | Path) -> RunConfig:
     external = {name: (base / p).resolve() for name, p in external_obj.items()}
     forecast = ForecastSettings(
         horizon=_number(fc_obj, "forecast", "horizon", 6, int),
-        methods=list(fc_obj.get("methods", list(METHOD_ORDER))),
+        methods=_strings(fc_obj.get("methods", list(METHOD_ORDER)), "forecast.methods"),
         lag_window=_number(fc_obj, "forecast", "lag_window", 6, int),
         cv_folds=_number(fc_obj, "forecast", "cv_folds", 5, int),
         grid_size=_number(fc_obj, "forecast", "grid_size", 50, int),
@@ -184,7 +203,7 @@ def load_config(path: str | Path) -> RunConfig:
         if not ext_path.exists():
             raise ValidationError(f"external forecast file not found: {ext_path}")
 
-    output = obj.get("output", {})
+    output = _section(obj, "output")
     _check_keys(output, {"dir"}, "output")
     out_dir = (base / output.get("dir", "out")).resolve()
 

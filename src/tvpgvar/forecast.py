@@ -6,13 +6,23 @@ stacked parameter series, an l1-penalized lag regression tuned by
 forward-chaining cross-validation, or externally supplied paths. Stage two
 feeds the predicted coefficients back through the scalar recursion
 ``x_{t+1} = b_{t+1} + f_{t+1} x_t`` and scores against held-out actuals.
+
+The lasso has one solver, ``_lasso_gram``. It takes a batch of standardized
+problems in Gram form (``G = Xs'Xs/n``, ``c = Xs'yc/n``) and runs
+covariance-update coordinate descent on all of them at once. After each sweep
+it solves every running problem exactly on its current support and signs, and
+a solution that passes the optimality (KKT) check ends that problem. The
+cross-validation puts every (series, fold) problem of a forecast into one
+batch and walks the penalty path with warm starts. The refit starts from the
+full sample's own path. ``lasso_fit`` is the one-problem call of the same
+solver.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -25,8 +35,12 @@ METHOD_ORDER = ("constant", "var1", "lasso")
 
 
 # ---------------------------------------------------------------------------
-# lasso by cyclic coordinate descent
+# lasso: batched covariance-update coordinate descent with an exact finish
 # ---------------------------------------------------------------------------
+
+_TOL = 1e-7
+_MAX_SWEEPS = 100_000
+
 
 @dataclass(frozen=True)
 class LassoFit:
@@ -39,22 +53,28 @@ class LassoFit:
     objectives: np.ndarray  # standardized-scale objective after each sweep
 
 
-def _soft_threshold(z: float, lam: float) -> float:
-    if z > lam:
-        return z - lam
-    if z < -lam:
-        return z + lam
-    return 0.0
+class _Gram(NamedTuple):
+    """One standardized lasso problem in Gram form, or a stack of them with a
+    leading batch axis on every field (see ``_stack``)."""
+
+    mean: np.ndarray     # (p,) column means
+    scale: np.ndarray    # (p,) column sds, 1.0 for zero-variance columns
+    live: np.ndarray     # (p,) columns with non-zero variance
+    ybar: float
+    gram: np.ndarray     # (p, p) xs'xs / n
+    corr: np.ndarray     # (p,) xs'yc / n
+    yy: float            # yc'yc / n
+    lam_max: float       # max_j |corr_j|, the penalty ceiling
 
 
-def _standardize(x: np.ndarray, y: np.ndarray):
+def _standardize(x: np.ndarray, y: np.ndarray) -> _Gram:
     """Centre and scale the design, centre the target, and find the ceiling.
 
-    Returns ``(xs, mean, safe_scale, live, ybar, yc, lam_max)`` with
-    ``lam_max = max_j |xs_j' yc| / n``. Zero-variance columns stay exactly
-    zero in ``xs``, so they never set the ceiling. ``lasso_fit`` and
-    ``lasso_lambda_max`` share this one computation, so the penalty ceiling
-    and the zero-solution check agree to the last bit.
+    Zero-variance columns stay exactly zero in the standardized design, so
+    they never set the ceiling and their rows of ``gram`` and ``corr`` are
+    zero. The ceiling is the largest ``|corr_j|`` of this one computation, so
+    the solver's zero-solution check and ``lasso_lambda_max`` agree to the
+    last bit.
     """
     mean = x.mean(axis=0)
     scale = x.std(axis=0)
@@ -63,22 +83,147 @@ def _standardize(x: np.ndarray, y: np.ndarray):
     xs = (x - mean) / safe_scale
     ybar = float(y.mean())
     yc = y - ybar
-    lam_max = float(np.max(np.abs(xs.T @ yc / y.size), initial=0.0))
-    return xs, mean, safe_scale, live, ybar, yc, lam_max
+    corr = xs.T @ yc / y.size
+    lam_max = float(np.max(np.abs(corr), initial=0.0))
+    return _Gram(mean, safe_scale, live, ybar, xs.T @ xs / y.size, corr,
+                 float(yc @ yc) / y.size, lam_max)
 
 
-def lasso_fit(x: np.ndarray, y: np.ndarray, lam: float, tol: float = 1e-7,
-              max_iter: int = 100_000, warm_start: np.ndarray | None = None) -> LassoFit:
+def _stack(problems: Sequence[_Gram]) -> _Gram:
+    """Problems of one width as a batch: every field gains a leading axis."""
+    return _Gram(*(np.array(values) for values in zip(*problems)))
+
+
+def _original_scale(problems: _Gram, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients and intercepts on the original scale of standardized
+    solutions ``beta`` (..., p), broadcast against the problems' fields."""
+    coef = np.where(problems.live, beta / problems.scale, 0.0)
+    return coef, problems.ybar - np.sum(coef * problems.mean, axis=-1)
+
+
+def _solve(system: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Batched linear solve; a singular system gives NaN instead of failing
+    the whole batch."""
+    try:
+        return np.linalg.solve(system, rhs[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        out = np.full_like(rhs, np.nan)
+        for b in range(rhs.shape[0]):
+            try:
+                out[b] = np.linalg.solve(system[b], rhs[b])
+            except np.linalg.LinAlgError:
+                pass
+        return out
+
+
+def _exact_finish(gram: np.ndarray, corr: np.ndarray, lam: np.ndarray,
+                  beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Solve each problem exactly on the support and signs of ``beta``.
+
+    On the support A with signs s, the minimizer solves
+    ``G_AA b_A = c_A - lam s_A`` with zeros elsewhere. It is the lasso
+    solution when the optimality (KKT) conditions hold: no coefficient on
+    the support changes sign, and ``|c_j - (G b)_j| <= lam`` off it. Returns
+    the candidates and which of them pass.
+    """
+    support = beta != 0.0
+    signs = np.sign(beta)
+    system = np.where(support[:, :, None] & support[:, None, :], gram, 0.0)
+    diag = np.arange(beta.shape[1])
+    system[:, diag, diag] += ~support  # identity rows pin the others at zero
+    rhs = np.where(support, corr - lam[:, None] * signs, 0.0)
+    exact = np.where(support, _solve(system, rhs), 0.0)
+    grad = corr - np.einsum("bij,bj->bi", gram, exact)
+    ok = (np.all(np.isfinite(exact), axis=1)
+          & np.all(exact * signs >= 0.0, axis=1)
+          & np.all(support | (np.abs(grad) <= lam[:, None]), axis=1))
+    return exact, ok
+
+
+def _lasso_gram(problems: _Gram, lam: np.ndarray, beta: np.ndarray,
+                tol: float = _TOL, max_iter: int = _MAX_SWEEPS, record: bool = False):
+    """Solve a stack of B standardized lasso problems at once.
+
+    ``lam`` holds the (B,) penalties and ``beta`` the (B, p) standardized
+    starting points. A problem whose penalty is at or above its ceiling gets
+    exact zeros and no sweeps, whatever its start. The others run
+    covariance-update coordinate descent (Friedman, Hastie & Tibshirani 2010,
+    section 2.2) on the gradient ``c - G b``: each sweep updates every
+    coordinate of every running problem, then tries ``_exact_finish``. A
+    problem stops when its exact solution passes the optimality check, or
+    when no coefficient moved more than ``tol`` in the sweep, or after
+    ``max_iter`` sweeps; stopped problems leave the batch.
+
+    Returns ``(beta, n_sweeps, converged, objectives)``: the solutions, the
+    (B,) sweep counts and convergence flags and, with ``record``, the
+    (sweeps, B) objective after each sweep, NaN once a problem has stopped
+    (otherwise an empty (0, B) array).
+    """
+    n_prob, width = beta.shape
+    converged = lam >= problems.lam_max
+    beta = np.where(problems.live & ~converged[:, None], beta, 0.0)
+    n_sweeps = np.zeros(n_prob, dtype=int)
+    objectives = []
+    run = np.flatnonzero(~converged)
+    gram, corr, yy = problems.gram[run], problems.corr[run], problems.yy[run]
+    diag = np.where(problems.live[run], np.diagonal(gram, axis1=1, axis2=2), 1.0)
+    pen, b = lam[run], beta[run]
+    grad = corr - np.einsum("bij,bj->bi", gram, b)
+    # signs whose exact solution failed the check: the same signs give the
+    # same solution, so it is tried again only after they change
+    tried = np.full(b.shape, np.nan)
+    for sweep in range(1, max_iter + 1):
+        if run.size == 0:
+            break
+        max_delta = np.zeros(run.size)
+        for j in range(width):
+            old = b[:, j].copy()
+            z = grad[:, j] + diag[:, j] * old
+            new = (z - np.minimum(np.maximum(z, -pen), pen)) / diag[:, j]  # soft threshold
+            delta = new - old
+            b[:, j] = new
+            grad -= gram[:, j, :] * delta[:, None]  # the Gram matrix is symmetric
+            np.maximum(max_delta, np.abs(delta), out=max_delta)
+        signs = np.sign(b)
+        fresh = np.flatnonzero(np.any(signs != tried, axis=1))
+        ok = np.zeros(run.size, dtype=bool)
+        if fresh.size:
+            exact, ok[fresh] = _exact_finish(gram[fresh], corr[fresh], pen[fresh], b[fresh])
+            b[fresh[ok[fresh]]] = exact[ok[fresh]]
+            tried[fresh] = signs[fresh]
+        grad = corr - np.einsum("bij,bj->bi", gram, b)
+        if record:
+            row = np.full(n_prob, np.nan)
+            row[run] = (0.5 * yy - 0.5 * np.einsum("bj,bj->b", b, corr + grad)
+                        + pen * np.sum(np.abs(b), axis=1))
+            objectives.append(row)
+        n_sweeps[run] = sweep
+        beta[run] = b
+        done = ok | (max_delta < tol)
+        converged[run[done]] = True
+        keep = ~done
+        run, gram, corr, yy, diag, pen, b, grad, tried = (
+            run[keep], gram[keep], corr[keep], yy[keep], diag[keep], pen[keep],
+            b[keep], grad[keep], tried[keep])
+    return beta, n_sweeps, converged, np.array(objectives).reshape(-1, n_prob)
+
+
+def lasso_fit(x: np.ndarray, y: np.ndarray, lam: float, tol: float = _TOL,
+              max_iter: int = _MAX_SWEEPS,
+              warm_start: np.ndarray | None = None) -> LassoFit:
     """Minimize (1/2n)||y - X beta||^2 + lam ||beta||_1 by coordinate descent.
 
     Features are standardized internally (zero mean, unit variance) and the
     intercept is unpenalized; zero-variance columns keep coefficient zero.
-    When ``lam`` is at or above the penalty ceiling (``max_j |x_j'y|/n`` on
-    the standardized scale) the all-zero vector satisfies the optimality
-    conditions and is returned exactly, with no sweeps, whatever the warm
-    start. Otherwise convergence is declared when no standardized
-    coefficient moves more than ``tol`` in a full sweep; non-convergence is
-    reported on the result.
+    ``warm_start`` is a standardized starting point. When ``lam`` is at or
+    above the penalty ceiling (``max_j |x_j'y|/n`` on the standardized
+    scale) the all-zero vector satisfies the optimality conditions and is
+    returned exactly, with no sweeps, whatever the warm start. Otherwise
+    each sweep ends with an exact solve on the current support, accepted
+    when it passes the optimality check; failing that, convergence is
+    declared when no standardized coefficient moves more than ``tol`` in a
+    full sweep. Non-convergence is reported on the result. This is the
+    one-problem call of the batched solver that cross-validation uses.
     """
     x = np.asarray(x, float)
     y = np.asarray(y, float).reshape(-1)
@@ -88,52 +233,20 @@ def lasso_fit(x: np.ndarray, y: np.ndarray, lam: float, tol: float = 1e-7,
         raise ValidationError("lasso inputs must be finite")
     if lam < 0:
         raise ValidationError("penalty must be non-negative")
-    n, n_feat = x.shape
-
-    xs, mean, safe_scale, live, ybar, yc, lam_max = _standardize(x, y)
-    if lam >= lam_max:
-        return LassoFit(coef=np.zeros(n_feat), intercept=ybar, n_sweeps=0,
-                        converged=True, objectives=np.array([]))
-
-    beta = np.zeros(n_feat) if warm_start is None else np.asarray(warm_start, float).copy()
-    beta[~live] = 0.0
-    col_ss = np.einsum("ij,ij->j", xs, xs) / n  # ~1 for live columns
-    resid = yc - xs @ beta
-    live_idx = np.flatnonzero(live)
-
-    objectives = []
-    converged = False
-    sweeps = 0
-    for sweeps in range(1, max_iter + 1):
-        max_delta = 0.0
-        for j in live_idx:
-            old = beta[j]
-            if old != 0.0:
-                resid += xs[:, j] * old
-            z = float(xs[:, j] @ resid) / n
-            new = _soft_threshold(z, lam) / col_ss[j]
-            if new != 0.0:
-                resid -= xs[:, j] * new
-            beta[j] = new
-            delta = abs(new - old)
-            if delta > max_delta:
-                max_delta = delta
-        objectives.append(0.5 * float(resid @ resid) / n + lam * float(np.sum(np.abs(beta))))
-        if max_delta < tol:
-            converged = True
-            break
-
-    coef = np.where(live, beta / safe_scale, 0.0)
-    intercept = ybar - float(coef @ mean)
-    return LassoFit(coef=coef, intercept=intercept, n_sweeps=sweeps,
-                    converged=converged, objectives=np.array(objectives))
+    problem = _standardize(x, y)
+    start = np.zeros(x.shape[1]) if warm_start is None else np.asarray(warm_start, float)
+    beta, n_sweeps, converged, objectives = _lasso_gram(
+        _stack([problem]), np.array([float(lam)]), start[None, :], tol, max_iter, record=True)
+    coef, intercept = _original_scale(problem, beta[0])
+    return LassoFit(coef=coef, intercept=float(intercept), n_sweeps=int(n_sweeps[0]),
+                    converged=bool(converged[0]), objectives=objectives[:n_sweeps[0], 0])
 
 
 def lasso_lambda_max(x: np.ndarray, y: np.ndarray) -> float:
     """Smallest penalty with an all-zero solution, on the standardized scale."""
     x = np.asarray(x, float)
     y = np.asarray(y, float).reshape(-1)
-    return _standardize(x, y)[-1]
+    return _standardize(x, y).lam_max
 
 
 # ---------------------------------------------------------------------------
@@ -201,75 +314,114 @@ def forecast_var1(series: np.ndarray, horizon: int) -> np.ndarray:
 
 
 def _lag_design(series: np.ndarray, lag_window: int) -> tuple[np.ndarray, np.ndarray]:
-    n = series.size - lag_window
-    design = np.empty((n, lag_window))
+    """Lags ``(y_{t-1}, ..., y_{t-L})`` against ``y_t`` along the last axis,
+    so a stack of series (S, T) gives designs (S, T - L, L)."""
+    n = series.shape[-1] - lag_window
+    design = np.empty(series.shape[:-1] + (n, lag_window))
     for j in range(lag_window):
-        design[:, j] = series[lag_window - 1 - j:series.size - 1 - j]
-    return design, series[lag_window:]
+        design[..., j] = series[..., lag_window - 1 - j:series.shape[-1] - 1 - j]
+    return design, series[..., lag_window:]
 
 
 def _default_grid(x: np.ndarray, y: np.ndarray, config: ForecasterConfig) -> np.ndarray:
     lam_max = lasso_lambda_max(x, y)
     if lam_max <= 0:
-        return np.array([0.0])
+        return np.zeros(config.grid_size)
     return np.geomspace(lam_max, lam_max * config.grid_floor, config.grid_size)
 
 
-def select_lasso_lambda(series: np.ndarray, config: ForecasterConfig) -> float:
+def _penalty_grids(x: np.ndarray, y: np.ndarray, config: ForecasterConfig) -> np.ndarray:
+    """The (S, grid) descending penalties for the designs (S, n, L)."""
+    if config.lambda_grid is not None:
+        return np.tile(config.lambda_grid, (x.shape[0], 1))
+    return np.array([_default_grid(x[s], y[s], config) for s in range(x.shape[0])])
+
+
+def _walk_path(problems: _Gram, lam: np.ndarray) -> np.ndarray:
+    """Solve B problems along their (B, grid) penalty paths, each warm-started
+    from its solution at the previous penalty; returns (grid, B, p)."""
+    betas = np.empty((lam.shape[1],) + problems.corr.shape)
+    beta = np.zeros(problems.corr.shape)
+    for g in range(lam.shape[1]):
+        beta = betas[g] = _lasso_gram(problems, lam[:, g], beta)[0]
+    return betas
+
+
+def _series_stack(series: np.ndarray, config: ForecasterConfig) -> np.ndarray:
+    """A series (T,) or stack (S, T) as a finite (S, T) array long enough to
+    cross-validate."""
+    rows = np.atleast_2d(np.asarray(series, float))
+    if rows.shape[1] <= config.lag_window + config.cv_folds:
+        raise ValidationError(
+            f"series too short ({rows.shape[1]}) for lag window {config.lag_window} "
+            f"and {config.cv_folds} folds")
+    if not np.all(np.isfinite(rows)):
+        raise ValidationError("lasso inputs must be finite")
+    return rows
+
+
+def select_lasso_lambda(series: np.ndarray, config: ForecasterConfig) -> float | np.ndarray:
     """Forward-chaining cross-validation over the penalty grid.
 
+    ``series`` is one series (T,) or a stack (S, T) of series sharing one
+    time index; the penalty of each is returned (a float for one series).
     Rows are split into ``cv_folds + 1`` consecutive blocks; fold f trains on
     everything before block f+1 and validates on it, so the future is never
-    in the training set. Ties resolve to the largest penalty.
+    in the training set. Every (series, fold) problem is standardized once
+    and all of them walk the penalty path together in one ``_lasso_gram``
+    batch, each warm-started from its solution at the previous penalty.
+    Ties resolve to the largest penalty.
     """
-    x, y = _lag_design(series, config.lag_window)
-    n = y.size
-    if n <= config.cv_folds:
-        raise ValidationError(
-            f"series too short: {series.size} periods for lag window "
-            f"{config.lag_window} and {config.cv_folds} folds")
-    grid = config.lambda_grid if config.lambda_grid is not None else _default_grid(x, y, config)
+    rows = _series_stack(series, config)
+    x, y = _lag_design(rows, config.lag_window)
+    n_series, n = y.shape
+    grids = _penalty_grids(x, y, config)
     bounds = [round(n * (i + 1) / (config.cv_folds + 1)) for i in range(config.cv_folds + 1)]
-    scores = np.zeros(grid.size)
-    for f in range(config.cv_folds):
-        split, stop = bounds[f], bounds[f + 1]
-        x_tr, y_tr = x[:split], y[:split]
-        x_va, y_va = x[split:stop], y[split:stop]
-        if y_va.size == 0 or y_tr.size == 0:
-            continue
-        warm = None
-        for g, lam in enumerate(grid):
-            fit = lasso_fit(x_tr, y_tr, lam, warm_start=warm)
-            warm = _standardized_warm(fit, x_tr)
-            pred = fit.intercept + x_va @ fit.coef
-            scores[g] += float(np.mean((y_va - pred) ** 2))
-    return float(grid[int(np.argmin(scores))])
-
-
-def _standardized_warm(fit: LassoFit, x: np.ndarray) -> np.ndarray:
-    scale = x.std(axis=0)
-    return fit.coef * np.where(scale > 0, scale, 1.0)
+    folds = [(bounds[f], bounds[f + 1]) for f in range(config.cv_folds)
+             if 0 < bounds[f] < bounds[f + 1]]
+    scores = np.zeros(grids.shape)
+    if folds:
+        problems = _stack([_standardize(x[s, :split], y[s, :split])
+                           for split, _ in folds for s in range(n_series)])
+        betas = _walk_path(problems, np.tile(grids, (len(folds), 1)))  # fold-major
+        coef, intercept = _original_scale(problems, betas)  # (grid, fold x series, ...)
+        for f, (split, stop) in enumerate(folds):
+            part = slice(f * n_series, (f + 1) * n_series)
+            resid = np.einsum("smj,gsj->gsm", x[:, split:stop], coef[:, part])
+            resid += intercept[:, part, None]
+            resid -= y[:, split:stop]
+            scores += np.mean(np.square(resid, out=resid), axis=2).T
+    picks = grids[np.arange(n_series), np.argmin(scores, axis=1)]
+    return float(picks[0]) if np.ndim(series) == 1 else picks
 
 
 def forecast_lasso(series: np.ndarray, config: ForecasterConfig) -> np.ndarray:
-    """Tune, refit, and forecast one scalar series recursively."""
-    series = np.asarray(series, float).reshape(-1)
-    if series.size <= config.lag_window + config.cv_folds:
-        raise ValidationError(
-            f"series too short ({series.size}) for lag window {config.lag_window} "
-            f"and {config.cv_folds} folds")
-    lam = select_lasso_lambda(series, config)
-    x, y = _lag_design(series, config.lag_window)
-    fit = lasso_fit(x, y, lam)
-    window = list(series[-config.lag_window:])
-    out = np.empty(config.horizon)
-    for s in range(config.horizon):
-        features = np.array(window[::-1][:config.lag_window])
-        value = fit.intercept + float(fit.coef @ features)
-        out[s] = value
-        window.append(value)
-        window.pop(0)
-    return out
+    """Tune, refit, and forecast each series recursively.
+
+    ``series`` is one series (T,) or a stack (S, T) sharing one time index,
+    whose penalties are then chosen in one batch; returns (horizon,) or
+    (S, horizon).
+    """
+    rows = _series_stack(series, config)
+    lams = np.atleast_1d(select_lasso_lambda(rows, config))
+    x, y = _lag_design(rows, config.lag_window)
+    # the refit starts from the full sample's own path, walked down to the
+    # chosen penalty, instead of from zero
+    grids = _penalty_grids(x, y, config)
+    reached = int(np.max(np.sum(grids >= lams[:, None], axis=1)))
+    problems = _stack([_standardize(x[s], y[s]) for s in range(rows.shape[0])])
+    starts = _walk_path(problems, np.maximum(grids[:, :reached], lams[:, None]))[-1]
+    out = np.empty((rows.shape[0], config.horizon))
+    for s, lam in enumerate(lams):
+        fit = lasso_fit(x[s], y[s], lam, warm_start=starts[s])
+        window = list(rows[s, -config.lag_window:])
+        for step in range(config.horizon):
+            features = np.array(window[::-1][:config.lag_window])
+            value = fit.intercept + float(fit.coef @ features)
+            out[s, step] = value
+            window.append(value)
+            window.pop(0)
+    return out[0] if np.ndim(series) == 1 else out
 
 
 # ---------------------------------------------------------------------------
@@ -347,6 +499,24 @@ def two_stage_forecast(panel: TimeSeriesPanel, tvp_result: PanelTVPResult,
                 errors[name] = f"external path dates/shape mismatch (expected {expected})"
                 continue
             param[:, i, :] = values
+    elif config.kind == "lasso":
+        usable = []
+        for i, traj in enumerate(tvp_result.trajectories):
+            if traj is None:
+                errors[names[i]] = tvp_result.errors.get(i, "missing trajectory")
+            elif not np.all(np.isfinite(traj.theta)):
+                errors[names[i]] = "lasso inputs must be finite"
+            else:
+                usable.append(i)
+        if usable:
+            # intercept and slope series of every usable column, one batch
+            stacked = np.vstack([tvp_result.trajectories[i].theta.T for i in usable])
+            try:
+                pred = forecast_lasso(stacked, config)
+                param[:, usable, :] = pred.reshape(len(usable), 2, h).transpose(2, 0, 1)
+            except (NumericalError, ValidationError) as exc:
+                for i in usable:
+                    errors[names[i]] = str(exc)
     else:
         for i, traj in enumerate(tvp_result.trajectories):
             if traj is None:
@@ -355,9 +525,6 @@ def two_stage_forecast(panel: TimeSeriesPanel, tvp_result: PanelTVPResult,
             try:
                 if config.kind == "constant":
                     param[:, i, :] = forecast_constant(traj.theta, h)
-                elif config.kind == "lasso":
-                    param[:, i, 0] = forecast_lasso(traj.theta[:, 0], config)
-                    param[:, i, 1] = forecast_lasso(traj.theta[:, 1], config)
                 else:
                     raise ValidationError(f"unknown forecaster kind {config.kind!r}")
             except (NumericalError, ValidationError) as exc:

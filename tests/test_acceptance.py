@@ -17,7 +17,7 @@ import tvpgvar as tg
 from tvpgvar import ShockSpec, StackedSystem, WeightSequence
 from tvpgvar.cli import main
 from tvpgvar.errors import NumericalError
-from tvpgvar.forecast import ForecasterConfig, two_stage_forecast
+from tvpgvar.forecast import ForecasterConfig, select_lasso_lambda, two_stage_forecast
 from tvpgvar.irf import vec
 from tvpgvar.sample import IRF_DATES, bundled_csv_path, write_sample_config
 from tvpgvar.tvp import PanelTVPResult, TVPEquationSpec, TVPTrajectory
@@ -30,6 +30,7 @@ from conftest import (
     simulate_structural,
     wave_weights,
 )
+from oracles import select_lambda_cd
 
 
 def report(name: str, ok: bool, detail: str = "") -> None:
@@ -280,6 +281,31 @@ def test_lasso_correctness():
     assert zeroed
     assert ols_err <= 1e-6
     assert monotone
+
+
+def test_lasso_cv_matches_scalar_oracle_on_sample(tmp_path):
+    """The batched CV picks the scalar oracle's penalty on every training
+    series of the bundled sample, at the sampler and grid sizes of the
+    benchmark's ``sample`` workload."""
+    config_path = write_sample_config(tmp_path, data_path=bundled_csv_path(), iters=50)
+    assert main(["ingest", "--config", str(config_path), "--out", str(tmp_path / "out")]) == 0
+    panel = tg.read_panel_csv(tmp_path / "out" / "panel.csv")
+    train = panel.slice_rows(0, len(panel.time_index) - 6)
+    fitted = tg.estimate_all(train, tg.TVPConfig(iters=50, seed=7))
+    series = np.vstack([traj.theta.T for traj in fitted.trajectories])
+    config = ForecasterConfig(kind="lasso", lag_window=6, cv_folds=2, grid_size=25)
+    start = time.perf_counter()
+    fast = select_lasso_lambda(series, config)
+    fast_s = time.perf_counter() - start
+    start = time.perf_counter()
+    slow = np.array([select_lambda_cd(row, 6, 2, 25, 1e-4) for row in series])
+    slow_s = time.perf_counter() - start
+    same = int(np.sum(fast == slow))
+    report("lasso-cv-oracle", same == series.shape[0],
+           f"same penalty on {same}/{series.shape[0]} series, "
+           f"batched {fast_s:.2f}s vs scalar {slow_s:.2f}s")
+    assert series.shape[0] == 20
+    np.testing.assert_array_equal(fast, slow)
 
 
 def k2_weights(t_len):

@@ -117,6 +117,28 @@ class TestIngest:
         assert main(["ingest", "--config", str(config_path)]) == 1
         assert f"{section}.{key} must be" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("where, value, key", [
+        (("tvp",), 5, "tvp"),
+        (("panel", "regions"), 5, "panel.regions"),
+        (("panel", "regions"), "AAA", "panel.regions"),
+        (("irf", "dates"), "2003-06", "irf.dates"),
+        (("irf", "shocks"), "OIL", "irf.shocks"),
+        (("irf", "shocks"), ["OIL"], "irf.shocks[0]"),
+        (("forecast", "methods"), "lasso", "forecast.methods"),
+    ])
+    def test_wrongly_typed_section_or_list_rejected(self, tmp_path, where, value, key):
+        config_path = mini_config(tmp_path)
+        obj = read_json(config_path)
+        parent = obj
+        for name in where[:-1]:
+            parent = parent[name]
+        parent[where[-1]] = value
+        write_json(obj, config_path)
+        proc = run_python("-m", "tvpgvar.cli", "ingest", "--config", str(config_path))
+        assert proc.returncode == 1
+        assert f"{key} must be" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_rerun_byte_identical(self, pipeline, tmp_path):
         first = (pipeline / "out" / "panel.csv").read_bytes()
         config_path = pipeline / "config.json"

@@ -14,12 +14,14 @@ from tvpgvar import (
 )
 from tvpgvar.errors import ValidationError
 from tvpgvar.forecast import (
+    _lasso_gram, _original_scale, _stack, _standardize,
     read_mse_report, read_variable_paths, select_lasso_lambda,
     write_mse_report, write_param_paths, write_variable_paths,
 )
 from tvpgvar.tvp import PanelTVPResult, TVPTrajectory
 
 from conftest import make_panel
+from oracles import lasso_cd, lasso_objective
 
 
 def orthonormal_design(rng, n, n_feat):
@@ -202,6 +204,79 @@ class TestForecastVar1:
             forecast_var1(rng.standard_normal((5, 4)), 3)
 
 
+class TestBatchedSolver:
+    """The batched Gram-form solver against the scalar residual-form oracle,
+    with problems of every kind in one batch."""
+
+    # (penalty as a share of the ceiling, zero-variance column, warm start)
+    KINDS = [(0.3, False, False), (0.05, True, True), (1.0, False, True),
+             (1.5, True, True), (0.001, False, True), (0.0, False, False)]
+
+    def mixed_batch(self, seed, n, n_feat):
+        rng = np.random.default_rng([seed, n, n_feat])
+        xs, ys, lams, warms = [], [], [], []
+        for share, constant, warm in self.KINDS:
+            x = rng.standard_normal((n, n_feat)) * rng.uniform(0.1, 10.0, n_feat)
+            if constant:
+                x[:, -1] = 2.5
+            y = x @ rng.standard_normal(n_feat) + rng.standard_normal(n)
+            xs.append(x)
+            ys.append(y)
+            lams.append(share * lasso_lambda_max(x, y))
+            warms.append(rng.standard_normal(n_feat) if warm else np.zeros(n_feat))
+        return xs, ys, np.array(lams), np.array(warms)
+
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("n, n_feat", [(30, 2), (120, 4), (97, 6), (400, 11)])
+    def test_mixed_batch_matches_oracle(self, seed, n, n_feat):
+        xs, ys, lams, warms = self.mixed_batch(seed, n, n_feat)
+        problems = _stack([_standardize(x, y) for x, y in zip(xs, ys)])
+        beta, n_sweeps, converged, _ = _lasso_gram(problems, lams, warms)
+        coefs, intercepts = _original_scale(problems, beta)
+        assert np.all(converged)
+        for b, (x, y, lam, warm) in enumerate(zip(xs, ys, lams, warms)):
+            coef, intercept, *_ = lasso_cd(x, y, lam, tol=1e-12, warm_start=warm)
+            scale = x.std(axis=0)
+            np.testing.assert_allclose(coefs[b] * scale, coef * scale, rtol=0, atol=1e-8)
+            assert abs(intercepts[b] - intercept) <= 1e-8 * max(1.0, abs(intercept))
+            assert (lasso_objective(x, y, lam, coefs[b], intercepts[b])
+                    <= lasso_objective(x, y, lam, coef, intercept) + 1e-12)
+            if lam >= lasso_lambda_max(x, y):
+                np.testing.assert_array_equal(coefs[b], 0.0)
+                assert intercepts[b] == y.mean() and n_sweeps[b] == 0
+
+    def test_singular_support_stays_in_the_batch(self, rng):
+        # two identical columns make the exact solve on their joint support
+        # singular; that problem keeps sweeping and its neighbour still finishes
+        x = rng.standard_normal((80, 4))
+        x[:, 1] = x[:, 0]
+        y = x @ np.array([1.0, 1.0, -0.5, 0.2]) + 0.1 * rng.standard_normal(80)
+        x_ok = x.copy()
+        x_ok[:, 1] = rng.standard_normal(80)
+        problems = _stack([_standardize(x, y), _standardize(x_ok, y)])
+        lams = np.array([0.01 * lasso_lambda_max(x, y), 0.01 * lasso_lambda_max(x_ok, y)])
+        beta, _, converged, _ = _lasso_gram(problems, lams, np.ones((2, 4)))
+        assert np.all(converged) and np.all(np.isfinite(beta))
+        coef, intercept = _original_scale(problems, beta)
+        for b, design in enumerate((x, x_ok)):
+            oracle = lasso_cd(design, y, lams[b], tol=1e-12)
+            assert (lasso_objective(design, y, lams[b], coef[b], intercept[b])
+                    <= lasso_objective(design, y, lams[b], oracle[0], oracle[1]) + 1e-10)
+        np.testing.assert_allclose(coef[1], lasso_cd(x_ok, y, lams[1], tol=1e-12)[0],
+                                   rtol=0, atol=1e-8)
+
+    def test_stack_matches_one_series_at_a_time(self, rng):
+        config = ForecasterConfig(kind="lasso", horizon=4, lag_window=3, cv_folds=3,
+                                  grid_size=20)
+        stack = np.cumsum(rng.standard_normal((5, 80)), axis=1) * 0.1
+        lams = select_lasso_lambda(stack, config)
+        assert lams.shape == (5,)
+        assert [select_lasso_lambda(row, config) for row in stack] == list(lams)
+        np.testing.assert_allclose(
+            forecast_lasso(stack, config),
+            np.array([forecast_lasso(row, config) for row in stack]), rtol=0, atol=1e-12)
+
+
 class TestForecastLasso:
     def test_noise_free_ar_continuation(self):
         t_len = 120
@@ -362,6 +437,27 @@ class TestTwoStageForecast:
         assert np.all(np.isfinite(result.variable_paths))
         # the drifting slope path should keep drifting upward-ish
         assert result.param_paths[-1, 0, 1] > 0.5
+
+    def test_lasso_column_failures_stay_per_column(self, rng):
+        t_len, h = 90, 3
+        y = np.cumsum(rng.standard_normal((t_len, 3)), axis=0) * 0.05 + 1.0
+        panel = make_panel(y, ["A", "B", "C"], ["v1"])
+        drift = np.linspace(0.2, 0.6, t_len - 1)
+        theta = np.column_stack([np.full(t_len - 1, 0.1), drift])
+        broken = theta.copy()
+        broken[10, 1] = np.nan
+        paths = trajectories_from_paths([theta, theta, broken])
+        tvp_result = PanelTVPResult(trajectories=[None] + paths.trajectories[1:],
+                                    errors={0: "sampler failed"})
+        config = ForecasterConfig(kind="lasso", horizon=h, lag_window=4, cv_folds=4)
+        result = two_stage_forecast(panel, tvp_result, config)
+        assert result.errors == {"A.v1": "sampler failed",
+                                 "C.v1": "lasso inputs must be finite"}
+        assert np.all(np.isnan(result.variable_paths[:, [0, 2]]))
+        alone = two_stage_forecast(make_panel(y[:, 1:2], ["B"], ["v1"]),
+                                   trajectories_from_paths([theta]), config)
+        np.testing.assert_array_equal(result.param_paths[:, 1], alone.param_paths[:, 0])
+        np.testing.assert_array_equal(result.variable_paths[:, 1], alone.variable_paths[:, 0])
 
 
 class TestMSE:
