@@ -111,14 +111,13 @@ def cmd_irf(config: RunConfig) -> None:
             print(f"warning: skipping {label}: {exc}", file=sys.stderr)
             skipped.append(label)
             continue
-        sigma_alpha, sigma_sigma = irf.estimate_asymptotic_inputs(panel, system)
+        inputs = irf.estimate_asymptotic_inputs(panel, system)
         for targets in config.irf.shocks:
             indices = tuple(panel.column_index(name) for name in targets)
             shock = irf.ShockSpec(targets=indices, horizon=config.irf.horizon,
                                   at_time=label,
                                   level=config.irf.level)
-            result = irf.asymptotic_bands(system, shock, sample_size,
-                                          sigma_alpha, sigma_sigma)
+            result = irf.asymptotic_bands(system, shock, sample_size, inputs)
             stem = f"irf_{label}__{'+'.join(targets)}"
             irf.write_irf_json(result, names, config.out_dir / f"{stem}.json")
             irf.write_irf_csv(result, names, config.out_dir / f"{stem}.csv")

@@ -2,19 +2,21 @@
 
 Responses to a unit orthogonalized shock are ``B_n G0^-1 P e_j`` with ``P``
 the Cholesky factor of the structural residual covariance; identification
-order equals panel column order. Error bands come from the standard delta
-method for smooth functions of the reduced-form coefficients and residual
-covariance (Lutkepohl-style asymptotics), evaluated at the requested period
-for time-varying systems.
+order equals panel column order. Error bands are the delta-method bands of
+``B_s chol(Sigma_eps)`` (Lutkepohl 2005, section 3.7) at the requested period,
+in closed form from the w x w Kronecker factors of the estimates' covariances
+and the Cholesky derivative of Murray (2016), with no w^2 x w^2 matrix. That
+band belongs to the point response only when ``G0`` is lower triangular.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
+from scipy.linalg import solve_triangular
 from scipy.special import ndtri
 
 from .errors import NumericalError, ValidationError
@@ -22,57 +24,6 @@ from .gvar import StackedSystem, ma_coefficients, stability_check
 from .serialize import read_csv_rows, read_json, write_csv, write_json
 
 TIME_INVARIANT = "time-invariant"
-
-
-# ---------------------------------------------------------------------------
-# matrix calculus kit: vec/vech and the elimination/commutation/duplication
-# matrices used by the delta-method derivatives
-# ---------------------------------------------------------------------------
-
-def vec(a: np.ndarray) -> np.ndarray:
-    """Column-stacking operator."""
-    return np.asarray(a).reshape(-1, order="F")
-
-
-def vech(a: np.ndarray) -> np.ndarray:
-    """Column-stacking of the on-and-below-diagonal elements."""
-    a = np.asarray(a)
-    m = a.shape[0]
-    return np.concatenate([a[j:, j] for j in range(m)])
-
-
-def _vech_positions(m: int) -> list[tuple[int, int]]:
-    return [(i, j) for j in range(m) for i in range(j, m)]
-
-
-def elimination_matrix(m: int) -> np.ndarray:
-    """L_m with L_m vec(S) = vech(S) for any m x m matrix S."""
-    if m < 1:
-        raise ValidationError("dimension must be >= 1")
-    out = np.zeros((m * (m + 1) // 2, m * m))
-    for r, (i, j) in enumerate(_vech_positions(m)):
-        out[r, j * m + i] = 1.0
-    return out
-
-
-def commutation_matrix(m: int, n: int) -> np.ndarray:
-    """K_mn with K_mn vec(Q) = vec(Q') for any m x n matrix Q."""
-    if m < 1 or n < 1:
-        raise ValidationError("dimensions must be >= 1")
-    out = np.zeros((m * n, m * n))
-    for i in range(m):
-        for j in range(n):
-            out[i * n + j, j * m + i] = 1.0
-    return out
-
-
-def duplication_matrix(m: int) -> np.ndarray:
-    """D_m with D_m vech(S) = vec(S) for symmetric S."""
-    out = np.zeros((m * m, m * (m + 1) // 2))
-    for r, (i, j) in enumerate(_vech_positions(m)):
-        out[j * m + i, r] = 1.0
-        out[i * m + j, r] = 1.0
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -159,8 +110,157 @@ def girf_point(system: StackedSystem, j: int, horizon: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# delta-method derivatives and bands
+# delta-method bands
 # ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class IRFResult:
+    """Point responses plus symmetric half-widths at the requested level."""
+
+    point: np.ndarray       # (n+1, width)
+    half_width: np.ndarray  # (n+1, width)
+    stable: bool
+    at_time: int | str
+    targets: tuple[int, ...]
+    level: float
+    sample_size: int
+
+    @property
+    def horizon(self) -> int:
+        return self.point.shape[0] - 1
+
+    @property
+    def lower(self) -> np.ndarray:
+        return self.point - self.half_width
+
+    @property
+    def upper(self) -> np.ndarray:
+        return self.point + self.half_width
+
+
+class AsymptoticInputs(NamedTuple):
+    """w x w factors of ``Cov vec(dF1) = moment_inv kron sigma`` and
+    ``Cov vec(dSigma) = (I + K)(sigma kron sigma)``."""
+
+    moment_inv: np.ndarray
+    sigma: np.ndarray
+
+
+def estimate_asymptotic_inputs(panel, system: StackedSystem,
+                               residuals: np.ndarray | None = None) -> AsymptoticInputs:
+    """Standard Gaussian-VAR estimates of the band's input covariances.
+
+    ``moment_inv`` is the lagged-regressor block of the inverse second-moment
+    matrix (intercept included, then dropped). ``sigma`` is the innovation
+    covariance from ``residuals`` when given, otherwise from the system.
+    """
+    values = panel.values if hasattr(panel, "values") else np.asarray(panel, float)
+    t_len, width = values.shape
+    if width != system.width:
+        raise ValidationError("panel width does not match system")
+    lagged = np.column_stack([np.ones(t_len - 1), values[:-1]])
+    moment = lagged.T @ lagged / (t_len - 1)
+    try:
+        moment_inv = np.linalg.inv(moment)
+    except np.linalg.LinAlgError:
+        raise NumericalError("singular regressor moment matrix") from None
+    if residuals is not None:
+        residuals = np.asarray(residuals, float)
+        dof = max(residuals.shape[0] - (width + 1), 1)
+        sigma = residuals.T @ residuals / dof
+    else:
+        sigma = system.sigma_eps
+    return AsymptoticInputs(moment_inv=moment_inv[1:, 1:], sigma=sigma)
+
+
+def asymptotic_bands(system: StackedSystem, shock: ShockSpec, sample_size: int,
+                     inputs: AsymptoticInputs) -> IRFResult:
+    """Point responses with delta-method half-widths.
+
+    The band is the delta-method band of ``B_s P u`` with ``P = chol(Sigma_eps)``
+    and ``u`` the sum of the shocked unit vectors. It is the point response
+    ``B_s G0^-1 chol(Sigma_u) u`` only when ``G0`` is lower triangular.
+
+    With ``R = P^-1 sigma P^-T`` and ``C_j`` the matrix ``B_s P`` with the
+    columns before ``j`` zeroed and column ``j`` halved, the variance of
+    response i at horizon s is
+
+        sum_{j,j' in J} [(C_j R C_j'^T)_ii R_jj' + (C_j R)_ij' (C_j' R)_ij]
+        + sum_{m,m' < s} (B_m sigma B_m'^T)_ii v_{s-1-m}^T M^-1 v_{s-1-m'}
+
+    with ``v_k = F1^k P u``; the half-width is ``z_{1-alpha/2} sqrt(var / T)``.
+    """
+    if sample_size < 1:
+        raise ValidationError("sample size must be >= 1")
+    _check_targets(shock.targets, system.width)
+    moment_inv, sigma = (np.asarray(factor, float) for factor in inputs)
+    for name, factor in zip(AsymptoticInputs._fields, (moment_inv, sigma)):
+        if factor.shape != (system.width,) * 2:
+            raise ValidationError(f"band input {name} has shape {factor.shape}, "
+                                  f"expected {(system.width,) * 2}")
+        if not np.all(np.isfinite(factor)):
+            raise ValidationError(f"band input {name} has non-finite entries")
+    if np.max(np.abs(sigma - sigma.T)) > 1e-8 * max(np.max(np.abs(sigma)), 1e-300):
+        raise ValidationError("band input sigma must be symmetric")
+    sigma = (sigma + sigma.T) / 2.0
+    targets = list(shock.targets)
+    chol_eps = cholesky_lower(system.sigma_eps)
+    mas = ma_coefficients(system.f1, shock.horizon)
+
+    # covariance part: dW = P^-1 dSigma P^-T has Cov vec(dW) = (I + K)(R kron R)
+    # and d(B_s P) = B_s P Phi(dW), Phi keeping the lower triangle, diagonal halved
+    r = solve_triangular(chol_eps, solve_triangular(chol_eps, sigma, lower=True).T,
+                         lower=True)
+    cols, rows = np.arange(system.width), np.array(targets)[:, None]
+    mask = (cols > rows) + 0.5 * (cols == rows)
+    c = (mas @ chol_eps)[:, None] * mask[None, :, None, :]  # C_j per horizon
+    cr = c @ r
+    var = np.einsum("sjia,skia,jk->si", cr, c, r[np.ix_(targets, targets)])
+    picked = cr[..., targets]
+    var += np.einsum("sjik,skij->si", picked, picked)
+
+    # coefficient part: dB_s = sum_{m<s} B_m dF1 F1^(s-1-m)
+    v = mas[:shock.horizon] @ chol_eps[:, targets].sum(axis=1)
+    gram = v @ moment_inv @ v.T
+    b_sigma = mas @ sigma
+    for s in range(1, shock.horizon + 1):
+        var[s] += np.einsum("mn,mia,nia->i", gram[s - 1::-1, s - 1::-1],
+                            b_sigma[:s], mas[:s])
+
+    floor = np.min(var, axis=1)
+    if np.any(floor < -1e-10):
+        s = int(np.argmax(floor < -1e-10))
+        raise NumericalError(f"negative response variance {floor[s]:.3e} at horizon {s}")
+    z = ndtri(0.5 + shock.level / 2.0)
+    half = z * np.sqrt(np.clip(var, 0.0, None)) / np.sqrt(sample_size)
+    return IRFResult(point=oirf_point(system, shock), half_width=half,
+                     stable=stability_check(system.f1).stable,
+                     at_time=shock.at_time, targets=shock.targets,
+                     level=shock.level, sample_size=sample_size)
+
+
+# Kronecker-form band derivatives: unused by the bands, kept for bench/spans.py
+
+def elimination_matrix(m: int) -> np.ndarray:
+    """L_m with L_m vec(S) = vech(S) for any m x m matrix S."""
+    if m < 1:
+        raise ValidationError("dimension must be >= 1")
+    out = np.zeros((m * (m + 1) // 2, m * m))
+    for r, (i, j) in enumerate((i, j) for j in range(m) for i in range(j, m)):
+        out[r, j * m + i] = 1.0
+    return out
+
+
+def commutation_matrix(m: int, n: int) -> np.ndarray:
+    """K_mn with K_mn vec(Q) = vec(Q') for any m x n matrix Q."""
+    if m < 1 or n < 1:
+        raise ValidationError("dimensions must be >= 1")
+    out = np.zeros((m * n, m * n))
+    for i in range(m):
+        for j in range(n):
+            out[i * n + j, j * m + i] = 1.0
+    return out
+
 
 def derivative_Gn(f1: np.ndarray, mas: np.ndarray, n: int) -> np.ndarray:
     """d vec(B_n) / d vec(F1)' = sum_{m=0}^{n-1} (F1')^{n-1-m} kron B_m."""
@@ -189,110 +289,6 @@ def derivative_H(chol_factor: np.ndarray) -> np.ndarray:
     except np.linalg.LinAlgError:
         raise NumericalError("singular inner matrix in Cholesky derivative") from None
     return lk.T @ inner_inv
-
-
-@dataclass(frozen=True)
-class IRFResult:
-    """Point responses plus symmetric half-widths at the requested level."""
-
-    point: np.ndarray       # (n+1, width)
-    half_width: np.ndarray  # (n+1, width)
-    stable: bool
-    at_time: int | str
-    targets: tuple[int, ...]
-    level: float
-    sample_size: int
-
-    @property
-    def horizon(self) -> int:
-        return self.point.shape[0] - 1
-
-    @property
-    def lower(self) -> np.ndarray:
-        return self.point - self.half_width
-
-    @property
-    def upper(self) -> np.ndarray:
-        return self.point + self.half_width
-
-
-def asymptotic_bands(system: StackedSystem, shock: ShockSpec, sample_size: int,
-                     sigma_alpha: np.ndarray, sigma_sigma: np.ndarray) -> IRFResult:
-    """Point responses with delta-method half-widths.
-
-    The covariance of the vectorized response matrix at horizon s is
-    ``C_s S_alpha C_s' + Cbar_s S_sigma Cbar_s'`` with ``C_0 = 0``,
-    ``C_s = (P' kron I) G_s`` and ``Cbar_s = (I kron B_s) H``; the half-width
-    of each element is ``z_{1-alpha/2} * sqrt(var) / sqrt(T)``. Multi-target
-    shocks aggregate the full covariance across the shocked columns.
-    """
-    if sample_size < 1:
-        raise ValidationError("sample size must be >= 1")
-    _check_targets(shock.targets, system.width)
-    width = system.width
-    chol_eps = cholesky_lower(system.sigma_eps)
-    mas = ma_coefficients(system.f1, shock.horizon)
-    h_mat = derivative_H(chol_eps)
-    z = ndtri(0.5 + shock.level / 2.0)
-    eye = np.eye(width)
-
-    # rows of the selector pick the shocked columns of vec(B_s P) per variable
-    selector = np.zeros((width, width * width))
-    for j in shock.targets:
-        selector[np.arange(width), j * width + np.arange(width)] += 1.0
-
-    point = oirf_point(system, shock)
-    half = np.empty_like(point)
-    for s in range(shock.horizon + 1):
-        cbar = np.kron(eye, mas[s]) @ h_mat
-        cov = cbar @ sigma_sigma @ cbar.T
-        if s > 0:
-            c_s = np.kron(chol_eps.T, eye) @ derivative_Gn(system.f1, mas, s)
-            cov += c_s @ sigma_alpha @ c_s.T
-        var = np.diag(selector @ cov @ selector.T).copy()
-        floor = np.min(var)
-        if floor < -1e-10:
-            raise NumericalError(f"negative response variance {floor:.3e} at horizon {s}")
-        np.clip(var, 0.0, None, out=var)
-        half[s] = z * np.sqrt(var) / np.sqrt(sample_size)
-
-    return IRFResult(point=point, half_width=half,
-                     stable=stability_check(system.f1).stable,
-                     at_time=shock.at_time, targets=shock.targets,
-                     level=shock.level, sample_size=sample_size)
-
-
-def estimate_asymptotic_inputs(panel, system: StackedSystem,
-                               residuals: np.ndarray | None = None
-                               ) -> tuple[np.ndarray, np.ndarray]:
-    """Standard Gaussian-VAR covariance estimates for the band formula.
-
-    ``S_alpha`` is the lagged-regressor submatrix of the inverse second-moment
-    matrix (intercept included, then dropped) kron the innovation covariance;
-    ``S_sigma = 2 D+ (Sigma kron Sigma) D+'`` with D the duplication matrix.
-    The innovation covariance comes from ``residuals`` when given, otherwise
-    from the system.
-    """
-    values = panel.values if hasattr(panel, "values") else np.asarray(panel, float)
-    t_len, width = values.shape
-    if width != system.width:
-        raise ValidationError("panel width does not match system")
-    lagged = np.column_stack([np.ones(t_len - 1), values[:-1]])
-    moment = lagged.T @ lagged / (t_len - 1)
-    try:
-        moment_inv = np.linalg.inv(moment)
-    except np.linalg.LinAlgError:
-        raise NumericalError("singular regressor moment matrix") from None
-    if residuals is not None:
-        residuals = np.asarray(residuals, float)
-        dof = max(residuals.shape[0] - (width + 1), 1)
-        sigma_eps = residuals.T @ residuals / dof
-    else:
-        sigma_eps = system.sigma_eps
-    sigma_alpha = np.kron(moment_inv[1:, 1:], sigma_eps)
-    dup_pinv = np.linalg.pinv(duplication_matrix(width))
-    sigma_sigma = 2.0 * dup_pinv @ np.kron(sigma_eps, sigma_eps) @ dup_pinv.T
-    return sigma_alpha, sigma_sigma
 
 
 # ---------------------------------------------------------------------------

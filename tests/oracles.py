@@ -6,11 +6,28 @@ the forward-chaining cross-validation built on it, each warm start taken from
 the previous penalty's fit. Both are written from the definitions, share no
 code with ``tvpgvar.forecast`` and reproduce what the package computed before
 it moved to the batched Gram-form solver.
+
+``dense_asymptotic_inputs`` and ``dense_asymptotic_bands`` are the
+Kronecker-form delta-method bands: the full w^2 x w^2 input covariances
+``S_alpha = M^-1 kron Sigma`` and ``S_sigma = 2 D+ (Sigma kron Sigma) D+'``
+pushed through ``derivative_Gn`` and ``derivative_H``. They are what the
+package computed before it moved to the closed form, together with the
+``vec``/``vech``/duplication-matrix kit they need.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.special import ndtri
+
+from tvpgvar.gvar import ma_coefficients, stability_check
+from tvpgvar.irf import (
+    IRFResult,
+    cholesky_lower,
+    derivative_Gn,
+    derivative_H,
+    oirf_point,
+)
 
 
 def standardize(x, y):
@@ -111,3 +128,70 @@ def select_lambda_cd(series, lag_window, cv_folds, grid_size, grid_floor, tol=1e
             pred = intercept + x_va @ coef
             scores[g] += float(np.mean((y_va - pred) ** 2))
     return float(grid[int(np.argmin(scores))])
+
+
+def vec(a):
+    """Column-stacking operator."""
+    return np.asarray(a).reshape(-1, order="F")
+
+
+def vech(a):
+    """Column-stacking of the on-and-below-diagonal elements."""
+    a = np.asarray(a)
+    return np.concatenate([a[j:, j] for j in range(a.shape[0])])
+
+
+def duplication_matrix(m):
+    """D_m with D_m vech(S) = vec(S) for symmetric S."""
+    out = np.zeros((m * m, m * (m + 1) // 2))
+    for r, (i, j) in enumerate((i, j) for j in range(m) for i in range(j, m)):
+        out[j * m + i, r] = 1.0
+        out[i * m + j, r] = 1.0
+    return out
+
+
+def dense_asymptotic_inputs(panel, system, residuals=None):
+    """``(S_alpha, S_sigma)``: the covariances of ``vec(dF1)`` and ``vech(dSigma)``."""
+    values = panel.values if hasattr(panel, "values") else np.asarray(panel, float)
+    t_len, width = values.shape
+    lagged = np.column_stack([np.ones(t_len - 1), values[:-1]])
+    moment_inv = np.linalg.inv(lagged.T @ lagged / (t_len - 1))
+    if residuals is not None:
+        residuals = np.asarray(residuals, float)
+        dof = max(residuals.shape[0] - (width + 1), 1)
+        sigma_eps = residuals.T @ residuals / dof
+    else:
+        sigma_eps = system.sigma_eps
+    sigma_alpha = np.kron(moment_inv[1:, 1:], sigma_eps)
+    dup_pinv = np.linalg.pinv(duplication_matrix(width))
+    sigma_sigma = 2.0 * dup_pinv @ np.kron(sigma_eps, sigma_eps) @ dup_pinv.T
+    return sigma_alpha, sigma_sigma
+
+
+def dense_asymptotic_bands(system, shock, sample_size, sigma_alpha, sigma_sigma):
+    """Half-widths from ``C_s S_alpha C_s' + Cbar_s S_sigma Cbar_s'`` with
+    ``C_0 = 0``, ``C_s = (P' kron I) G_s`` and ``Cbar_s = (I kron B_s) H``,
+    ``P = chol(Sigma_eps)``; multi-target shocks sum the shocked columns."""
+    width = system.width
+    chol_eps = cholesky_lower(system.sigma_eps)
+    mas = ma_coefficients(system.f1, shock.horizon)
+    h_mat = derivative_H(chol_eps)
+    z = ndtri(0.5 + shock.level / 2.0)
+    eye = np.eye(width)
+    selector = np.zeros((width, width * width))
+    for j in shock.targets:
+        selector[np.arange(width), j * width + np.arange(width)] += 1.0
+    point = oirf_point(system, shock)
+    half = np.empty_like(point)
+    for s in range(shock.horizon + 1):
+        cbar = np.kron(eye, mas[s]) @ h_mat
+        cov = cbar @ sigma_sigma @ cbar.T
+        if s > 0:
+            c_s = np.kron(chol_eps.T, eye) @ derivative_Gn(system.f1, mas, s)
+            cov += c_s @ sigma_alpha @ c_s.T
+        var = np.clip(np.diag(selector @ cov @ selector.T), 0.0, None)
+        half[s] = z * np.sqrt(var) / np.sqrt(sample_size)
+    return IRFResult(point=point, half_width=half,
+                     stable=stability_check(system.f1).stable,
+                     at_time=shock.at_time, targets=shock.targets,
+                     level=shock.level, sample_size=sample_size)

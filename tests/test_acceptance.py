@@ -18,7 +18,6 @@ from tvpgvar import ShockSpec, StackedSystem, WeightSequence
 from tvpgvar.cli import main
 from tvpgvar.errors import NumericalError
 from tvpgvar.forecast import ForecasterConfig, select_lasso_lambda, two_stage_forecast
-from tvpgvar.irf import vec
 from tvpgvar.sample import IRF_DATES, bundled_csv_path, write_sample_config
 from tvpgvar.tvp import PanelTVPResult, TVPEquationSpec, TVPTrajectory
 
@@ -30,7 +29,7 @@ from conftest import (
     simulate_structural,
     wave_weights,
 )
-from oracles import select_lambda_cd
+from oracles import select_lambda_cd, vec, vech
 
 
 def report(name: str, ok: bool, detail: str = "") -> None:
@@ -102,7 +101,7 @@ def test_matrix_calculus_kit():
         n = int(rng.integers(1, 7))
         s = rng.standard_normal((m, m))
         q = rng.standard_normal((m, n))
-        ok &= bool(np.array_equal(tg.elimination_matrix(m) @ vec(s), tg.vech(s)))
+        ok &= bool(np.array_equal(tg.elimination_matrix(m) @ vec(s), vech(s)))
         ok &= bool(np.array_equal(tg.commutation_matrix(m, n) @ vec(q), vec(q.T)))
     report("matrix-calculus-kit", ok)
     assert ok
@@ -181,10 +180,10 @@ def test_band_coverage_monte_carlo():
         resid = xr[1:] - design @ coef
         sigma_hat = resid.T @ resid / (t_len - 1 - 3)
         system = StackedSystem.from_reduced_form(coef[0], coef[1:].T, sigma_hat)
-        sigma_alpha, sigma_sigma = tg.estimate_asymptotic_inputs(xr, system)
+        inputs = tg.estimate_asymptotic_inputs(xr, system)
         for j in range(2):
             result = tg.asymptotic_bands(system, ShockSpec(targets=(j,), horizon=horizon),
-                                         t_len - 1, sigma_alpha, sigma_sigma)
+                                         t_len - 1, inputs)
             inside = ((true_oirf[:, :, j] >= result.lower)
                       & (true_oirf[:, :, j] <= result.upper))
             hits += inside.sum(axis=1)

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.stats import norm
 
 from tvpgvar import (
+    AsymptoticInputs,
     ShockSpec,
     StackedSystem,
     asymptotic_bands,
@@ -10,19 +13,23 @@ from tvpgvar import (
     commutation_matrix,
     derivative_Gn,
     derivative_H,
-    duplication_matrix,
     elimination_matrix,
     estimate_asymptotic_inputs,
     girf_point,
     ma_coefficients,
     oirf_point,
-    vec,
-    vech,
 )
 from tvpgvar.errors import NumericalError, ValidationError
 from tvpgvar.irf import read_irf_csv, read_irf_json, write_irf_csv, write_irf_json
 
 from conftest import random_stable_system
+from oracles import (
+    dense_asymptotic_bands,
+    dense_asymptotic_inputs,
+    duplication_matrix,
+    vec,
+    vech,
+)
 
 
 def oirf_simulation_oracle(system, targets, horizon):
@@ -274,34 +281,38 @@ class TestDerivatives:
         assert rel <= 1e-5
 
 
+def eye_inputs(width):
+    return AsymptoticInputs(moment_inv=np.eye(width), sigma=np.eye(width))
+
+
 class TestAsymptoticBands:
     def test_zero_covariances_zero_widths(self, rng):
         system = random_stable_system(rng, 3)
         shock = ShockSpec(targets=(0,), horizon=4)
-        result = asymptotic_bands(system, shock, 500, np.zeros((9, 9)),
-                                  np.zeros((6, 6)))
+        zero = np.zeros((3, 3))
+        result = asymptotic_bands(system, shock, 500, AsymptoticInputs(zero, zero))
         np.testing.assert_array_equal(result.half_width, 0.0)
         np.testing.assert_array_equal(result.lower, result.point)
 
     def test_horizon_zero_has_no_coefficient_term(self, rng):
-        # C_0 = 0: with zero covariance for the residual-covariance part the
-        # horizon-0 band collapses even though the coefficient part is huge
+        # B_0 = I does not depend on F1: a huge coefficient covariance leaves
+        # the horizon-0 band unchanged and widens every later one
         system = random_stable_system(rng, 3)
         shock = ShockSpec(targets=(1,), horizon=3)
-        result = asymptotic_bands(system, shock, 200, 1e6 * np.eye(9),
-                                  np.zeros((6, 6)))
-        np.testing.assert_array_equal(result.half_width[0], 0.0)
-        assert np.all(result.half_width[1:] > 0)
+        quiet = asymptotic_bands(system, shock, 200,
+                                 AsymptoticInputs(np.zeros((3, 3)), system.sigma_eps))
+        loud = asymptotic_bands(system, shock, 200,
+                                AsymptoticInputs(1e6 * np.eye(3), system.sigma_eps))
+        np.testing.assert_array_equal(loud.half_width[0], quiet.half_width[0])
+        assert np.all(loud.half_width[1:] > quiet.half_width[1:])
 
     def test_quantile_scaling(self, rng):
         system = random_stable_system(rng, 3)
         shock95 = ShockSpec(targets=(2,), horizon=4, level=0.95)
         level_z1 = 2 * norm.cdf(1.0) - 1  # level whose quantile is exactly 1
         shock_z1 = ShockSpec(targets=(2,), horizon=4, level=level_z1)
-        sigma_alpha = np.eye(9)
-        sigma_sigma = np.eye(6)
-        res95 = asymptotic_bands(system, shock95, 400, sigma_alpha, sigma_sigma)
-        res_z1 = asymptotic_bands(system, shock_z1, 400, sigma_alpha, sigma_sigma)
+        res95 = asymptotic_bands(system, shock95, 400, eye_inputs(3))
+        res_z1 = asymptotic_bands(system, shock_z1, 400, eye_inputs(3))
         ratio = res95.half_width[1:] / res_z1.half_width[1:]
         np.testing.assert_allclose(ratio, norm.ppf(0.975), rtol=1e-12)
         assert norm.ppf(0.975) == pytest.approx(1.959964, abs=5e-7)
@@ -312,17 +323,15 @@ class TestAsymptoticBands:
         system = StackedSystem.from_reduced_form(np.zeros(1), np.zeros((1, 1)),
                                                  np.eye(1))
         shock = ShockSpec(targets=(0,), horizon=1, level=0.95)
-        result = asymptotic_bands(system, shock, 1, np.eye(1), np.zeros((1, 1)))
+        result = asymptotic_bands(system, shock, 1, eye_inputs(1))
         assert result.half_width[1, 0] == 1.959963984540054
 
     def test_band_symmetry_exact(self, rng):
         # one stored half-width defines both band edges, so symmetry holds
         # at the representation level
         system = random_stable_system(rng, 2)
-        sigma_alpha, sigma_sigma = estimate_asymptotic_inputs(
-            rng.standard_normal((100, 2)), system)
-        result = asymptotic_bands(system, ShockSpec(targets=(0,), horizon=5),
-                                  100, sigma_alpha, sigma_sigma)
+        inputs = estimate_asymptotic_inputs(rng.standard_normal((100, 2)), system)
+        result = asymptotic_bands(system, ShockSpec(targets=(0,), horizon=5), 100, inputs)
         np.testing.assert_array_equal(result.upper, result.point + result.half_width)
         np.testing.assert_array_equal(result.lower, result.point - result.half_width)
         assert np.all(result.half_width >= 0)
@@ -330,22 +339,18 @@ class TestAsymptoticBands:
     def test_sample_size_scaling(self, rng):
         system = random_stable_system(rng, 2)
         shock = ShockSpec(targets=(1,), horizon=3)
-        r100 = asymptotic_bands(system, shock, 100, np.eye(4), np.eye(3))
-        r400 = asymptotic_bands(system, shock, 400, np.eye(4), np.eye(3))
+        r100 = asymptotic_bands(system, shock, 100, eye_inputs(2))
+        r400 = asymptotic_bands(system, shock, 400, eye_inputs(2))
         np.testing.assert_allclose(r100.half_width, 2 * r400.half_width, rtol=1e-12)
 
     def test_multi_target_variance_uses_cross_terms(self, rng):
         # a two-column shock is one linear functional: its variance includes
         # the covariance between the two single-shock responses
         system = random_stable_system(rng, 3)
-        sigma_alpha, sigma_sigma = estimate_asymptotic_inputs(
-            rng.standard_normal((300, 3)), system)
-        both = asymptotic_bands(system, ShockSpec(targets=(0, 1), horizon=2),
-                                300, sigma_alpha, sigma_sigma)
-        single_a = asymptotic_bands(system, ShockSpec(targets=(0,), horizon=2),
-                                    300, sigma_alpha, sigma_sigma)
-        single_b = asymptotic_bands(system, ShockSpec(targets=(1,), horizon=2),
-                                    300, sigma_alpha, sigma_sigma)
+        inputs = estimate_asymptotic_inputs(rng.standard_normal((300, 3)), system)
+        both = asymptotic_bands(system, ShockSpec(targets=(0, 1), horizon=2), 300, inputs)
+        single_a = asymptotic_bands(system, ShockSpec(targets=(0,), horizon=2), 300, inputs)
+        single_b = asymptotic_bands(system, ShockSpec(targets=(1,), horizon=2), 300, inputs)
         np.testing.assert_array_equal(both.point, single_a.point + single_b.point)
         # half-widths are NOT additive (they aggregate a covariance)
         assert not np.allclose(both.half_width[1:],
@@ -354,12 +359,12 @@ class TestAsymptoticBands:
     def test_stability_flag_attached(self, rng):
         stable = random_stable_system(rng, 2)
         result = asymptotic_bands(stable, ShockSpec(targets=(0,), horizon=2),
-                                  50, np.eye(4), np.eye(3))
+                                  50, eye_inputs(2))
         assert result.stable
         unstable = StackedSystem.from_reduced_form(
             np.zeros(2), 1.05 * np.eye(2), np.eye(2))
         result = asymptotic_bands(unstable, ShockSpec(targets=(0,), horizon=2),
-                                  50, np.eye(4), np.eye(3))
+                                  50, eye_inputs(2))
         assert not result.stable
 
     def test_convergence_when_stable(self, rng):
@@ -368,6 +373,134 @@ class TestAsymptoticBands:
         peaks = np.max(np.abs(point), axis=1)
         tail = peaks[2 * system.width:]
         assert all(b <= a + 1e-12 for a, b in zip(tail, tail[1:]))
+
+    def test_negative_variance_rejected(self, rng):
+        system = random_stable_system(rng, 3)
+        inputs = AsymptoticInputs(-1e6 * np.eye(3), system.sigma_eps)
+        with pytest.raises(NumericalError, match="negative response variance .* horizon 1"):
+            asymptotic_bands(system, ShockSpec(targets=(0,), horizon=3), 100, inputs)
+
+
+class TestClosedFormBands:
+    @pytest.mark.parametrize("width", [1, 2, 3, 6, 10, 20])
+    def test_matches_kronecker_oracle(self, width):
+        rng = np.random.default_rng(700 + width)
+        system = random_stable_system(rng, width)
+        if width > 1:
+            assert np.max(np.abs(system.g0 - np.eye(width))) > 0.05
+        values = rng.standard_normal((120, width))
+        multi = tuple(int(j) for j in rng.permutation(width)[:3])
+        for residuals in (None, rng.standard_normal((119, width))):
+            inputs = estimate_asymptotic_inputs(values, system, residuals)
+            dense = dense_asymptotic_inputs(values, system, residuals)
+            for targets in ((int(rng.integers(width)),), multi):
+                for level in (0.9, 0.95):
+                    shock = ShockSpec(targets=targets, horizon=6, level=level)
+                    closed = asymptotic_bands(system, shock, 119, inputs)
+                    oracle = dense_asymptotic_bands(system, shock, 119, *dense)
+                    np.testing.assert_array_equal(closed.point, oracle.point)
+                    np.testing.assert_allclose(closed.half_width, oracle.half_width,
+                                               rtol=1e-10, atol=0)
+
+    def test_stacked_system_matches_gradient_of_band_functional(self):
+        # G0 != I: the band is the delta-method band of r(F1, Sigma) =
+        # e_i' F1^s chol(Sigma) u, so its variance is g' V g with g the finite-
+        # difference gradient in (vec F1, vech Sigma) and V the dense covariance
+        rng = np.random.default_rng(808)
+        width, horizon, step = 4, 3, 1e-6
+        system = random_stable_system(rng, width)
+        assert np.max(np.abs(np.triu(system.g0, 1))) > 0.05
+        values = rng.standard_normal((150, width))
+        inputs = estimate_asymptotic_inputs(values, system)
+        sigma_alpha, sigma_sigma = dense_asymptotic_inputs(values, system)
+        cov = np.zeros((width * width + sigma_sigma.shape[0],) * 2)
+        cov[:width * width, :width * width] = sigma_alpha
+        cov[width * width:, width * width:] = sigma_sigma
+        targets = (1, 3)
+        unit = np.zeros(width)
+        unit[list(targets)] = 1.0
+
+        def functional(params):
+            f1 = params[:width * width].reshape((width, width), order="F")
+            sigma = duplication_matrix(width) @ params[width * width:]
+            sigma = sigma.reshape((width, width), order="F")
+            return ma_coefficients(f1, horizon)[horizon] @ np.linalg.cholesky(sigma) @ unit
+
+        theta = np.concatenate([vec(system.f1), vech(system.sigma_eps)])
+        grad = np.empty((width, theta.size))
+        for k in range(theta.size):
+            delta = np.zeros(theta.size)
+            delta[k] = step
+            grad[:, k] = (functional(theta + delta) - functional(theta - delta)) / (2 * step)
+        expected = np.einsum("ik,kl,il->i", grad, cov, grad)
+        level_z1 = 2 * norm.cdf(1.0) - 1
+        result = asymptotic_bands(
+            system, ShockSpec(targets=targets, horizon=horizon, level=level_z1), 1, inputs)
+        np.testing.assert_allclose(result.half_width[horizon] ** 2, expected, rtol=1e-6)
+
+    def test_band_functional_is_point_for_lower_triangular_g0(self, rng):
+        system = random_stable_system(rng, 4)
+        g0 = np.tril(system.g0)
+        sigma_eps = np.linalg.solve(g0, np.linalg.solve(g0, system.sigma_u).T).T
+        lower = StackedSystem(g0=g0, g1=g0 @ system.f1, a=g0 @ system.b,
+                              sigma_u=system.sigma_u, sigma_eps=(sigma_eps + sigma_eps.T) / 2,
+                              b=system.b, f1=system.f1)
+        shock = ShockSpec(targets=(0, 2), horizon=4)
+        functional = ma_coefficients(lower.f1, 4) @ cholesky_lower(lower.sigma_eps)[:, [0, 2]]
+        np.testing.assert_allclose(oirf_point(lower, shock), functional.sum(axis=2),
+                                   rtol=0, atol=1e-12)
+
+    def test_no_kronecker_products(self, rng, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.kron called on the band path")
+
+        system = random_stable_system(rng, 5)
+        values = rng.standard_normal((80, 5))
+        monkeypatch.setattr(np, "kron", refuse)
+        inputs = estimate_asymptotic_inputs(values, system)
+        asymptotic_bands(system, ShockSpec(targets=(0, 4), horizon=6), 79, inputs)
+
+    def test_memory_at_width_100(self):
+        # the Kronecker form needs w^2 x w^2 = 800 MB matrices at this width
+        rng = np.random.default_rng(100)
+        system = random_stable_system(rng, 100)
+        values = rng.standard_normal((250, 100))
+        tracemalloc.start()
+        try:
+            inputs = estimate_asymptotic_inputs(values, system)
+            asymptotic_bands(system, ShockSpec(targets=(50,), horizon=6), 249, inputs)
+            peak_mb = tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+        assert peak_mb < 20.0
+
+
+class TestBandInputs:
+    def bands(self, rng, moment_inv, sigma):
+        system = random_stable_system(rng, 3)
+        return asymptotic_bands(system, ShockSpec(targets=(0,), horizon=2), 100,
+                                AsymptoticInputs(moment_inv, sigma))
+
+    @pytest.mark.parametrize("which", ["moment_inv", "sigma"])
+    def test_non_finite_rejected(self, rng, which):
+        factors = {"moment_inv": np.eye(3), "sigma": np.eye(3)}
+        factors[which][1, 1] = np.nan
+        with pytest.raises(ValidationError, match=f"{which} has non-finite"):
+            self.bands(rng, **factors)
+
+    @pytest.mark.parametrize("which", ["moment_inv", "sigma"])
+    @pytest.mark.parametrize("shape", [(2, 2), (3, 4), (9, 9), (3,)])
+    def test_wrong_shape_rejected(self, rng, which, shape):
+        factors = {"moment_inv": np.eye(3), "sigma": np.eye(3)}
+        factors[which] = np.ones(shape)
+        with pytest.raises(ValidationError, match=f"{which} has shape"):
+            self.bands(rng, **factors)
+
+    def test_asymmetric_sigma_rejected(self, rng):
+        sigma = np.eye(3)
+        sigma[0, 2] = 0.3
+        with pytest.raises(ValidationError, match="sigma must be symmetric"):
+            self.bands(rng, np.eye(3), sigma)
 
 
 class TestAsymptoticInputs:
@@ -380,16 +513,18 @@ class TestAsymptoticInputs:
             y[t] = phi * y[t - 1] + eps[t]
         system = StackedSystem.from_reduced_form(
             np.zeros(1), np.array([[phi]]), np.array([[1.0]]))
-        sigma_alpha, _ = estimate_asymptotic_inputs(y[:, None], system)
-        assert sigma_alpha.shape == (1, 1)
-        assert sigma_alpha[0, 0] == pytest.approx(1 - phi ** 2, rel=0.05)
+        inputs = estimate_asymptotic_inputs(y[:, None], system)
+        assert inputs.moment_inv.shape == inputs.sigma.shape == (1, 1)
+        slope_var = inputs.moment_inv[0, 0] * inputs.sigma[0, 0]
+        assert slope_var == pytest.approx(1 - phi ** 2, rel=0.05)
 
     def test_sigma_sigma_identity_case(self):
-        # for Sigma = I_2: 2 D+ D+' with the hand-built duplication matrix
+        # the dense oracle for Sigma = I_2: 2 D+ D+' with the hand-built
+        # duplication matrix
         system = StackedSystem.from_reduced_form(
             np.zeros(2), 0.2 * np.eye(2), np.eye(2))
         values = np.random.default_rng(0).standard_normal((50, 2))
-        _, sigma_sigma = estimate_asymptotic_inputs(values, system)
+        _, sigma_sigma = dense_asymptotic_inputs(values, system)
         dup = np.array([[1.0, 0, 0], [0, 1, 0], [0, 1, 0], [0, 0, 1]])
         dup_pinv = np.linalg.pinv(dup)
         np.testing.assert_allclose(sigma_sigma, 2 * dup_pinv @ dup_pinv.T, atol=1e-12)
@@ -401,28 +536,27 @@ class TestAsymptoticInputs:
         y = scale * rng.standard_normal(t_len)
         sigma = np.array([[scale ** 2]])
         system = StackedSystem.from_reduced_form(np.zeros(1), np.zeros((1, 1)), sigma)
-        sigma_alpha, _ = estimate_asymptotic_inputs(y[:, None], system)
-        assert sigma_alpha[0, 0] == pytest.approx(scale ** 2 / np.var(y), rel=0.05)
+        inputs = estimate_asymptotic_inputs(y[:, None], system)
+        slope_var = inputs.moment_inv[0, 0] * inputs.sigma[0, 0]
+        assert slope_var == pytest.approx(scale ** 2 / np.var(y), rel=0.05)
 
     def test_residuals_override(self, rng):
         system = random_stable_system(rng, 2)
         resid = rng.standard_normal((200, 2))
         values = rng.standard_normal((201, 2))
-        sigma_alpha, sigma_sigma = estimate_asymptotic_inputs(values, system, resid)
-        sigma_hat = resid.T @ resid / (200 - 3)
+        inputs = estimate_asymptotic_inputs(values, system, resid)
         lagged = np.column_stack([np.ones(200), values[:-1]])
         moment_inv = np.linalg.inv(lagged.T @ lagged / 200)
-        np.testing.assert_allclose(sigma_alpha, np.kron(moment_inv[1:, 1:], sigma_hat),
-                                   atol=1e-12)
+        np.testing.assert_allclose(inputs.moment_inv, moment_inv[1:, 1:], atol=1e-12)
+        np.testing.assert_allclose(inputs.sigma, resid.T @ resid / (200 - 3), atol=1e-12)
 
 
 def test_irf_json_round_trip(tmp_path, rng):
     system = random_stable_system(rng, 3)
-    sigma_alpha, sigma_sigma = estimate_asymptotic_inputs(
-        rng.standard_normal((150, 3)), system)
+    inputs = estimate_asymptotic_inputs(rng.standard_normal((150, 3)), system)
     result = asymptotic_bands(system, ShockSpec(targets=(0, 2), horizon=6,
                                                 at_time=17, level=0.9),
-                              149, sigma_alpha, sigma_sigma)
+                              149, inputs)
     columns = ["A.x", "A.y", "ACT"]
     path = tmp_path / "irf.json"
     write_irf_json(result, columns, path)
@@ -439,7 +573,7 @@ def test_irf_json_round_trip(tmp_path, rng):
 def test_irf_csv_round_trip(tmp_path, rng):
     system = random_stable_system(rng, 2)
     result = asymptotic_bands(system, ShockSpec(targets=(1,), horizon=4),
-                              100, np.eye(4), np.eye(3))
+                              100, eye_inputs(2))
     columns = ["u", "v"]
     path = tmp_path / "irf.csv"
     write_irf_csv(result, columns, path)
