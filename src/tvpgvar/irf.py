@@ -16,8 +16,6 @@ from pathlib import Path
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.linalg import solve_triangular
-from scipy.special import ndtri
 
 from .errors import NumericalError, ValidationError
 from .gvar import StackedSystem, ma_coefficients, stability_check
@@ -192,6 +190,10 @@ def asymptotic_bands(system: StackedSystem, shock: ShockSpec, sample_size: int,
     """
     if sample_size < 1:
         raise ValidationError("sample size must be >= 1")
+    # imported here so that stages which never compute a band start without SciPy
+    from scipy.linalg import solve_triangular
+    from scipy.special import ndtri
+
     _check_targets(shock.targets, system.width)
     moment_inv, sigma = (np.asarray(factor, float) for factor in inputs)
     for name, factor in zip(AsymptoticInputs._fields, (moment_inv, sigma)):

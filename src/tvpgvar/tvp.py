@@ -27,7 +27,6 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg.lapack import dpbtrf, dtbtrs
 
 from .errors import NumericalError, ValidationError
 from .ingest import TimeSeriesPanel
@@ -282,6 +281,9 @@ def sample_theta_tilde_banded(y: np.ndarray, theta0: np.ndarray, sqrt_omega: np.
     band[1, 1] += prior_prec[0, 1]
     rhs = (h * (ystar / sigma2)[:, None]).reshape(-1, 1)
     rhs[:2, 0] += prior_prec @ priors.m0
+
+    # imported here so that stages which never draw a path start without SciPy
+    from scipy.linalg.lapack import dpbtrf, dtbtrs
 
     chol, info = dpbtrf(band.T, overwrite_ab=1)
     if info != 0:

@@ -12,6 +12,7 @@ from tvpgvar.cli import main
 from tvpgvar.irf import read_irf_csv, read_irf_json
 from tvpgvar.forecast import read_mse_report
 from tvpgvar.ingest import month_label
+from tvpgvar.sample import bundled_csv_path, write_sample_config
 from tvpgvar.serialize import read_json, write_json
 
 
@@ -369,9 +370,38 @@ class TestUndecodableInput:
         self.assert_clean_failure(proc, bad_file)
 
 
-def test_package_import_skips_scipy_stats():
-    # every CLI stage pays the package import; scipy.stats alone costs about
-    # a second of it, and nothing in the package needs it
-    out = run_python("-c", "import sys, tvpgvar; print('scipy.stats' in sys.modules)")
+# a fresh interpreter runs the CLI stages named in argv in order, then prints
+# the SciPy modules loaded after the import and after each stage
+STAGE_SCRIPT = """
+import sys
+def loaded():
+    print("scipy:", *sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+import tvpgvar, tvpgvar.cli
+loaded()
+for stage in sys.argv[2:]:
+    code = tvpgvar.cli.main([stage, "--config", sys.argv[1]])
+    assert code == 0, (stage, code)
+    loaded()
+"""
+
+
+def scipy_lines(stdout):
+    return [line.split()[1:] for line in stdout.splitlines() if line.startswith("scipy:")]
+
+
+def test_ingest_and_report_start_without_scipy(tmp_path):
+    # every CLI stage is its own process, and loading SciPy costs about 0.4 s
+    # of start-up: the package, ingest and report must run on numpy alone,
+    # and only the stages that call SciPy load it; forecast runs here only to
+    # write the MSE report that report reads
+    config_path = str(write_sample_config(tmp_path, bundled_csv_path(), iters=20))
+    out = run_python("-c", STAGE_SCRIPT, config_path, "ingest", "estimate", "forecast")
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "False"
+    after_import, after_ingest, after_estimate, _ = scipy_lines(out.stdout)
+    assert after_import == after_ingest == []
+    assert "scipy.linalg.lapack" in after_estimate
+
+    out = run_python("-c", STAGE_SCRIPT, config_path, "ingest", "report")
+    assert out.returncode == 0, out.stderr
+    assert "selected model:" in out.stdout
+    assert scipy_lines(out.stdout) == [[], [], []]
