@@ -127,17 +127,6 @@ def cmd_irf(config: RunConfig) -> None:
         raise NumericalError(f"all requested periods were skipped: {skipped}")
 
 
-def _forecaster_config(config: RunConfig, method: str) -> fc.ForecasterConfig:
-    settings = config.forecast
-    if method in config.forecast.external:
-        return fc.ForecasterConfig(kind="external", horizon=settings.horizon,
-                                   external_path=config.forecast.external[method])
-    return fc.ForecasterConfig(
-        kind=method, horizon=settings.horizon, lag_window=settings.lag_window,
-        cv_folds=settings.cv_folds, grid_size=settings.grid_size,
-        grid_floor=settings.grid_floor)
-
-
 def cmd_forecast(config: RunConfig) -> None:
     panel = _load_panel_artifact(config)
     h = config.forecast.horizon
@@ -160,8 +149,12 @@ def cmd_forecast(config: RunConfig) -> None:
         raise NumericalError(f"trajectory estimation failed for columns: {failed}")
 
     results = []
-    for method in config.forecast.methods:
-        fconf = _forecaster_config(config, method)
+    for method in config.methods:
+        if method in config.external:
+            fconf = dataclasses.replace(config.forecast, kind="external",
+                                        external_path=config.external[method])
+        else:
+            fconf = dataclasses.replace(config.forecast, kind=method)
         result = fc.two_stage_forecast(train, tvp_result, fconf, actuals=actuals)
         result.model_kind = method
         results.append(result)

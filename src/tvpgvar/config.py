@@ -11,7 +11,7 @@ from pathlib import Path
 from typing import Any, Mapping
 
 from .errors import ValidationError
-from .forecast import METHOD_ORDER
+from .forecast import METHOD_ORDER, ForecasterConfig
 from .ingest import ALIGN_METHODS, TRANSFORMS
 from .serialize import read_json
 from .tvp import TVPConfig
@@ -69,17 +69,6 @@ class IRFSettings:
 
 
 @dataclass
-class ForecastSettings:
-    horizon: int = 6
-    methods: list[str] = field(default_factory=lambda: list(METHOD_ORDER))
-    lag_window: int = 6
-    cv_folds: int = 5
-    grid_size: int = 50
-    grid_floor: float = 1e-4
-    external: dict[str, Path] = field(default_factory=dict)
-
-
-@dataclass
 class RunConfig:
     data_path: Path
     imputation: str
@@ -90,7 +79,9 @@ class RunConfig:
     weights: WeightSettings
     tvp: TVPConfig
     irf: IRFSettings
-    forecast: ForecastSettings
+    forecast: ForecasterConfig  # every method's settings; cmd_forecast sets the kind
+    methods: list[str]
+    external: dict[str, Path]  # external method name -> predicted-path CSV
     out_dir: Path
     time_invariant: bool = False
 
@@ -184,18 +175,15 @@ def load_config(path: str | Path) -> RunConfig:
             isinstance(p, str) for p in external_obj.values()):
         raise ValidationError("forecast.external must be an object of method name -> file path")
     external = {name: (base / p).resolve() for name, p in external_obj.items()}
-    forecast = ForecastSettings(
+    methods = _strings(fc_obj.get("methods", list(METHOD_ORDER)), "forecast.methods")
+    forecast = ForecasterConfig(
         horizon=_number(fc_obj, "forecast", "horizon", 6, int),
-        methods=_strings(fc_obj.get("methods", list(METHOD_ORDER)), "forecast.methods"),
         lag_window=_number(fc_obj, "forecast", "lag_window", 6, int),
         cv_folds=_number(fc_obj, "forecast", "cv_folds", 5, int),
         grid_size=_number(fc_obj, "forecast", "grid_size", 50, int),
         grid_floor=_number(fc_obj, "forecast", "grid_floor", 1e-4, float),
-        external=external,
     )
-    if forecast.horizon < 1:
-        raise ValidationError("forecast.horizon must be >= 1")
-    for method in forecast.methods:
+    for method in methods:
         if method not in METHOD_ORDER and method not in external:
             raise ValidationError(
                 f"unknown forecast method {method!r} (no external path configured)")
@@ -211,4 +199,4 @@ def load_config(path: str | Path) -> RunConfig:
         data_path=data_path, imputation=imputation, transform=transform,
         regions=panel.get("regions"), variables=panel.get("variables"),
         activities=panel.get("activities"), weights=weights, tvp=tvp,
-        irf=irf, forecast=forecast, out_dir=out_dir)
+        irf=irf, forecast=forecast, methods=methods, external=external, out_dir=out_dir)

@@ -13,9 +13,9 @@ covariance-update coordinate descent on all of them at once. After each sweep
 it solves every running problem exactly on its current support and signs, and
 a solution that passes the optimality (KKT) check ends that problem. The
 cross-validation puts every (series, fold) problem of a forecast into one
-batch and walks the penalty path with warm starts. The refit starts from the
-full sample's own path. ``lasso_fit`` is the one-problem call of the same
-solver.
+batch and walks the penalty path with warm starts. The forecast walks the full
+sample's path down to each series' chosen penalty and uses that solution.
+``lasso_fit`` is the one-problem call of the same solver.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from .serialize import read_csv_rows, write_csv
 from .tvp import PanelTVPResult, read_trajectories
 
 METHOD_ORDER = ("constant", "var1", "lasso")
+FORECASTER_KINDS = METHOD_ORDER + ("external",)
 
 
 # ---------------------------------------------------------------------------
@@ -255,41 +256,42 @@ def lasso_lambda_max(x: np.ndarray, y: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class ForecasterConfig:
-    """Stage-one settings; ``lambda_grid`` defaults to a geometric path."""
+    """Stage-one settings. The numeric fields are the ``forecast`` config keys
+    of the same name; a value out of range fails with a message naming it."""
 
     kind: str = "constant"  # constant | var1 | lasso | external
     horizon: int = 6
     lag_window: int = 6
-    lambda_grid: np.ndarray | None = None
     cv_folds: int = 5
     grid_size: int = 50
     grid_floor: float = 1e-4
     external_path: str | Path | None = None
 
     def __post_init__(self):
+        if self.kind not in FORECASTER_KINDS:
+            raise ValidationError(
+                f"unknown forecaster kind {self.kind!r}, expected one of {FORECASTER_KINDS}")
         if self.horizon < 1:
-            raise ValidationError("forecast horizon must be >= 1")
+            raise ValidationError("forecast.horizon must be >= 1")
         if self.lag_window < 1:
-            raise ValidationError("lag window must be >= 1")
+            raise ValidationError("forecast.lag_window must be >= 1")
         if self.cv_folds < 2:
-            raise ValidationError("cross-validation needs >= 2 folds")
-        if self.lambda_grid is not None:
-            grid = np.asarray(self.lambda_grid, float)
-            if grid.ndim != 1 or grid.size == 0:
-                raise ValidationError("lambda grid must be a non-empty vector")
-            if np.any(grid <= 0) or np.any(np.diff(grid) >= 0):
-                raise ValidationError("lambda grid must be strictly descending and positive")
-            object.__setattr__(self, "lambda_grid", grid)
+            raise ValidationError("forecast.cv_folds must be >= 2")
+        if self.grid_size < 1:
+            raise ValidationError("forecast.grid_size must be >= 1")
+        if not 0.0 < self.grid_floor < 1.0:
+            raise ValidationError("forecast.grid_floor must be in (0, 1)")
         if self.kind == "external" and self.external_path is None:
             raise ValidationError("external forecaster needs a predicted-path CSV")
 
 
 def forecast_constant(traj_theta: np.ndarray, horizon: int) -> np.ndarray:
-    """Repeat the final in-sample parameter vector for every step."""
+    """Repeat the final in-sample parameters for every step: (T, ...) paths
+    give (horizon, ...) predictions."""
     if horizon < 1:
         raise ValidationError("horizon must be >= 1")
     theta = np.asarray(traj_theta, float)
-    return np.tile(theta[-1], (horizon, 1))
+    return np.repeat(theta[-1:], horizon, axis=0)
 
 
 def forecast_var1(series: np.ndarray, horizon: int) -> np.ndarray:
@@ -323,18 +325,16 @@ def _lag_design(series: np.ndarray, lag_window: int) -> tuple[np.ndarray, np.nda
     return design, series[..., lag_window:]
 
 
-def _default_grid(x: np.ndarray, y: np.ndarray, config: ForecasterConfig) -> np.ndarray:
-    lam_max = lasso_lambda_max(x, y)
-    if lam_max <= 0:
-        return np.zeros(config.grid_size)
-    return np.geomspace(lam_max, lam_max * config.grid_floor, config.grid_size)
-
-
 def _penalty_grids(x: np.ndarray, y: np.ndarray, config: ForecasterConfig) -> np.ndarray:
-    """The (S, grid) descending penalties for the designs (S, n, L)."""
-    if config.lambda_grid is not None:
-        return np.tile(config.lambda_grid, (x.shape[0], 1))
-    return np.array([_default_grid(x[s], y[s], config) for s in range(x.shape[0])])
+    """The (S, grid_size) descending penalties for the designs (S, n, L): a
+    geometric path from each ceiling down to ``grid_floor`` of it, or zeros
+    when the ceiling is zero."""
+    grids = np.zeros((x.shape[0], config.grid_size))
+    for s in range(x.shape[0]):
+        lam_max = lasso_lambda_max(x[s], y[s])
+        if lam_max > 0:
+            grids[s] = np.geomspace(lam_max, lam_max * config.grid_floor, config.grid_size)
+    return grids
 
 
 def _walk_path(problems: _Gram, lam: np.ndarray) -> np.ndarray:
@@ -396,31 +396,29 @@ def select_lasso_lambda(series: np.ndarray, config: ForecasterConfig) -> float |
 
 
 def forecast_lasso(series: np.ndarray, config: ForecasterConfig) -> np.ndarray:
-    """Tune, refit, and forecast each series recursively.
+    """Tune, fit, and forecast each series recursively.
 
     ``series`` is one series (T,) or a stack (S, T) sharing one time index,
     whose penalties are then chosen in one batch; returns (horizon,) or
-    (S, horizon).
+    (S, horizon). The fit is the full sample's path walked down to
+    ``max(grid, chosen penalty)``: its last step is each series' chosen
+    penalty, warm-started along the path as in cross-validation.
     """
     rows = _series_stack(series, config)
     lams = np.atleast_1d(select_lasso_lambda(rows, config))
     x, y = _lag_design(rows, config.lag_window)
-    # the refit starts from the full sample's own path, walked down to the
-    # chosen penalty, instead of from zero
     grids = _penalty_grids(x, y, config)
     reached = int(np.max(np.sum(grids >= lams[:, None], axis=1)))
     problems = _stack([_standardize(x[s], y[s]) for s in range(rows.shape[0])])
-    starts = _walk_path(problems, np.maximum(grids[:, :reached], lams[:, None]))[-1]
+    beta = _walk_path(problems, np.maximum(grids[:, :reached], lams[:, None]))[-1]
+    coef, intercept = _original_scale(problems, beta)
     out = np.empty((rows.shape[0], config.horizon))
-    for s, lam in enumerate(lams):
-        fit = lasso_fit(x[s], y[s], lam, warm_start=starts[s])
+    for s in range(rows.shape[0]):
         window = list(rows[s, -config.lag_window:])
         for step in range(config.horizon):
-            features = np.array(window[::-1][:config.lag_window])
-            value = fit.intercept + float(fit.coef @ features)
+            value = intercept[s] + float(coef[s] @ np.array(window[::-1]))
             out[s, step] = value
-            window.append(value)
-            window.pop(0)
+            window = window[1:] + [value]
     return out[0] if np.ndim(series) == 1 else out
 
 
@@ -459,7 +457,8 @@ def two_stage_forecast(panel: TimeSeriesPanel, tvp_result: PanelTVPResult,
 
     ``panel`` is the training window whose final row seeds the recursion;
     ``actuals``, when given, is the (horizon, width) held-out block to score
-    against. Stage-one failures abort only the affected column.
+    against. A missing or non-finite trajectory, a stage-one failure or a
+    missing external path aborts only the affected columns.
     """
     names = panel.column_names()
     width = panel.width
@@ -468,89 +467,57 @@ def two_stage_forecast(panel: TimeSeriesPanel, tvp_result: PanelTVPResult,
         raise ValidationError("trajectory count does not match panel width")
     param = np.full((h, width, 2), np.nan)
     errors: dict[str, str] = {}
+    usable = []
+    for i, traj in enumerate(tvp_result.trajectories):
+        if traj is None:
+            errors[names[i]] = tvp_result.errors.get(i, "missing trajectory")
+        elif not np.all(np.isfinite(traj.theta)):
+            errors[names[i]] = f"{config.kind} inputs must be finite"
+        else:
+            usable.append(i)
 
-    if config.kind == "var1":
-        stacked = []
-        usable = []
-        for i, traj in enumerate(tvp_result.trajectories):
-            if traj is None:
-                errors[names[i]] = tvp_result.errors.get(i, "missing trajectory")
-            else:
-                stacked.append(traj.theta)
-                usable.append(i)
-        if usable:
-            joint = np.hstack(stacked)
-            try:
-                pred = forecast_var1(joint, h)
-                for pos, i in enumerate(usable):
-                    param[:, i, :] = pred[:, 2 * pos:2 * pos + 2]
-            except (NumericalError, ValidationError) as exc:
-                for i in usable:
-                    errors[names[i]] = str(exc)
-    elif config.kind == "external":
+    if config.kind == "external":
         paths = read_trajectories(config.external_path)
         expected = list(_future_dates(panel, h))
-        for i, name in enumerate(names):
-            if name not in paths:
-                errors[name] = "external path file has no rows for this column"
+        for i in usable:
+            if names[i] not in paths:
+                errors[names[i]] = "external path file has no rows for this column"
                 continue
-            dates, values = paths[name]
+            dates, values = paths[names[i]]
             if dates != expected or values.shape != (h, 2):
-                errors[name] = f"external path dates/shape mismatch (expected {expected})"
+                errors[names[i]] = f"external path dates/shape mismatch (expected {expected})"
                 continue
             param[:, i, :] = values
-    elif config.kind == "lasso":
-        usable = []
-        for i, traj in enumerate(tvp_result.trajectories):
-            if traj is None:
-                errors[names[i]] = tvp_result.errors.get(i, "missing trajectory")
-            elif not np.all(np.isfinite(traj.theta)):
-                errors[names[i]] = "lasso inputs must be finite"
+    elif usable:
+        # (T, n, 2); the joint VAR(1) and the lasso see the series b_0, f_0, b_1, ...
+        theta = np.stack([tvp_result.trajectories[i].theta for i in usable], axis=1)
+        t_len = theta.shape[0]
+        try:
+            if config.kind == "constant":
+                pred = forecast_constant(theta, h)
+            elif config.kind == "var1":
+                pred = forecast_var1(theta.reshape(t_len, -1), h)
             else:
-                usable.append(i)
-        if usable:
-            # intercept and slope series of every usable column, one batch
-            stacked = np.vstack([tvp_result.trajectories[i].theta.T for i in usable])
-            try:
-                pred = forecast_lasso(stacked, config)
-                param[:, usable, :] = pred.reshape(len(usable), 2, h).transpose(2, 0, 1)
-            except (NumericalError, ValidationError) as exc:
-                for i in usable:
-                    errors[names[i]] = str(exc)
-    else:
-        for i, traj in enumerate(tvp_result.trajectories):
-            if traj is None:
-                errors[names[i]] = tvp_result.errors.get(i, "missing trajectory")
-                continue
-            try:
-                if config.kind == "constant":
-                    param[:, i, :] = forecast_constant(traj.theta, h)
-                else:
-                    raise ValidationError(f"unknown forecaster kind {config.kind!r}")
-            except (NumericalError, ValidationError) as exc:
+                pred = forecast_lasso(theta.transpose(1, 2, 0).reshape(-1, t_len), config).T
+            param[:, usable] = pred.reshape(h, len(usable), 2)
+        except (NumericalError, ValidationError) as exc:
+            for i in usable:
                 errors[names[i]] = str(exc)
-                param[:, i, :] = np.nan
 
-    variables = np.full((h, width), np.nan)
-    last = panel.values[-1]
-    for i in range(width):
-        if names[i] in errors:
-            continue
-        state = last[i]
-        for s in range(h):
-            state = param[s, i, 0] + param[s, i, 1] * state
-            variables[s, i] = state
+    # a failed column keeps NaN parameters, so its path stays NaN
+    variables = np.empty((h, width))
+    state = panel.values[-1]
+    for s in range(h):
+        state = param[s, :, 0] + param[s, :, 1] * state
+        variables[s] = state
 
     mse_per_series = None
     if actuals is not None:
         actuals = np.asarray(actuals, float)
         if actuals.shape != (h, width):
             raise ValidationError(f"actuals shape {actuals.shape} != ({h}, {width})")
-        mse_per_series = {}
-        for i, name in enumerate(names):
-            if name in errors:
-                continue
-            mse_per_series[name] = mse(actuals[:, i], variables[:, i])
+        mse_per_series = {name: mse(actuals[:, i], variables[:, i])
+                          for i, name in enumerate(names) if name not in errors}
 
     return ForecastResult(
         model_kind=config.kind, columns=tuple(names),

@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -142,26 +142,24 @@ class TimeSeriesPanel:
         )
 
 
-def load_panel(path: str | Path, schema: Mapping[str, str] | None = None) -> list[RawSeries]:
-    """Parse a long-format CSV into one RawSeries per (region, variable).
+def load_panel(path: str | Path) -> list[RawSeries]:
+    """Parse a long-format ``date,region,variable,value`` CSV into one
+    RawSeries per (region, variable).
 
-    ``schema`` optionally maps the canonical column names
-    (date/region/variable/value) to the actual header names. Rows are sorted
-    by date within each series; duplicates, malformed dates, and non-numeric
+    The columns are found by header name, in any order. Rows are sorted by
+    date within each series; duplicates, malformed dates, and non-numeric
     values are rejected with the offending row number (header = row 1).
     """
     path = Path(path)
     if not path.exists():
         raise ValidationError(f"input file not found: {path}")
-    schema = dict(schema or {})
-    colmap = {key: schema.get(key, key) for key in ("date", "region", "variable", "value")}
 
     header, rows = read_csv_rows(path)
     positions = {}
-    for key, name in colmap.items():
+    for name in ("date", "region", "variable", "value"):
         if name not in header:
             raise ValidationError(f"{path}: missing column {name!r} in header {header}")
-        positions[key] = header.index(name)
+        positions[name] = header.index(name)
 
     seen: dict[tuple[str, str, str], int] = {}
     groups: dict[tuple[str, str], list[tuple[int, float]]] = {}

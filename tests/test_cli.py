@@ -140,6 +140,22 @@ class TestIngest:
         assert f"{key} must be" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("key, value", [
+        # unchecked, forecast would end in: an empty-sequence argmin; a
+        # np.geomspace traceback; NaN penalties that run the solver to its
+        # sweep cap; an ascending grid, silently
+        ("grid_size", 0), ("grid_floor", 0), ("grid_floor", -1.0), ("grid_floor", 2.0),
+    ])
+    def test_out_of_range_grid_setting_rejected(self, tmp_path, key, value):
+        config_path = mini_config(tmp_path)
+        obj = read_json(config_path)
+        obj["forecast"][key] = value
+        write_json(obj, config_path)
+        proc = run_python("-m", "tvpgvar.cli", "ingest", "--config", str(config_path))
+        assert proc.returncode == 1
+        assert f"forecast.{key} must be" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_rerun_byte_identical(self, pipeline, tmp_path):
         first = (pipeline / "out" / "panel.csv").read_bytes()
         config_path = pipeline / "config.json"
@@ -338,11 +354,13 @@ def test_full_pipeline_rerun_byte_identical(tmp_path):
 
 
 def run_python(*args):
-    """Run a fresh interpreter that imports this checkout of the package."""
+    """Run a fresh interpreter that imports this checkout of the package; a
+    run that hangs fails the test after two minutes."""
     src_dir = str(Path(tvpgvar.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src_dir] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          timeout=120)
 
 
 class TestUndecodableInput:

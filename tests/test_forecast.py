@@ -21,7 +21,7 @@ from tvpgvar.forecast import (
 from tvpgvar.tvp import PanelTVPResult, TVPTrajectory
 
 from conftest import make_panel
-from oracles import lasso_cd, lasso_objective
+from oracles import lag_design, lasso_cd, lasso_objective
 
 
 def orthonormal_design(rng, n, n_feat):
@@ -284,9 +284,8 @@ class TestForecastLasso:
         y[0] = 2.0
         for t in range(1, t_len):
             y[t] = 0.9 * y[t - 1]
-        config = ForecasterConfig(
-            kind="lasso", horizon=6, lag_window=1, cv_folds=3,
-            lambda_grid=np.geomspace(1.0, 1e-10, 40))
+        config = ForecasterConfig(kind="lasso", horizon=6, lag_window=1, cv_folds=3,
+                                  grid_size=40, grid_floor=1e-10)
         out = forecast_lasso(y, config)
         expected = y[-1] * 0.9 ** np.arange(1, 7)
         np.testing.assert_allclose(out, expected, atol=1e-4)
@@ -312,11 +311,40 @@ class TestForecastLasso:
         with pytest.raises(ValidationError, match="too short"):
             forecast_lasso(np.ones(11), config)
 
-    def test_grid_validation(self):
-        with pytest.raises(ValidationError, match="descending"):
-            ForecasterConfig(kind="lasso", lambda_grid=np.array([0.1, 0.2]))
-        with pytest.raises(ValidationError, match="descending"):
-            ForecasterConfig(kind="lasso", lambda_grid=np.array([0.1, -0.2]))
+    @pytest.mark.parametrize("settings, message", [
+        ({"grid_size": 0}, "forecast.grid_size must be >= 1"),
+        ({"grid_floor": 0.0}, r"forecast.grid_floor must be in \(0, 1\)"),
+        ({"grid_floor": -1.0}, r"forecast.grid_floor must be in \(0, 1\)"),
+        ({"grid_floor": 1.0}, r"forecast.grid_floor must be in \(0, 1\)"),
+        ({"grid_floor": 2.0}, r"forecast.grid_floor must be in \(0, 1\)"),
+        ({"grid_floor": float("nan")}, r"forecast.grid_floor must be in \(0, 1\)"),
+        ({"kind": "bogus"}, "unknown forecaster kind 'bogus'"),
+        ({"kind": "external"}, "needs a predicted-path CSV"),
+    ])
+    def test_config_validation(self, settings, message):
+        with pytest.raises(ValidationError, match=message):
+            ForecasterConfig(**settings)
+
+    def test_path_solution_is_the_refit_at_the_chosen_penalty(self, rng):
+        # the forecast uses the full-sample path's solution at each chosen
+        # penalty; a lasso_fit solve there, started from zero, forecasts the same
+        h = 6
+        walks = np.cumsum(rng.standard_normal((6, 90)), axis=1) * 0.1
+        # noise-free, so every lag vector lies in a plane: a degenerate design
+        sinusoid = 1.0 + np.sin(0.3 * np.arange(120))[None, :]
+        for stack, lag_window in ((walks, 4), (sinusoid, 6)):
+            config = ForecasterConfig(kind="lasso", horizon=h, lag_window=lag_window,
+                                      cv_folds=3, grid_size=30)
+            expected = np.empty((stack.shape[0], h))
+            for s, row in enumerate(stack):
+                x, y = lag_design(row, lag_window)
+                fit = lasso_fit(x, y, select_lasso_lambda(row, config))
+                window = list(row[::-1][:lag_window])  # most recent first
+                for step in range(h):
+                    expected[s, step] = fit.intercept + fit.coef @ np.array(window)
+                    window = [expected[s, step]] + window[:-1]
+            np.testing.assert_allclose(forecast_lasso(stack, config), expected,
+                                       rtol=0, atol=1e-12)
 
 
 def trajectories_from_paths(theta_per_column, sigma2=0.01):
@@ -437,6 +465,23 @@ class TestTwoStageForecast:
         assert np.all(np.isfinite(result.variable_paths))
         # the drifting slope path should keep drifting upward-ish
         assert result.param_paths[-1, 0, 1] > 0.5
+
+    @pytest.mark.parametrize("kind", ["constant", "var1"])
+    def test_non_finite_path_fails_only_its_column(self, rng, kind):
+        t_len, h = 80, 4
+        values = rng.standard_normal((t_len, 3))
+        panel = make_panel(values, ["A", "B", "C"], ["v1"])
+        paths = [0.1 * np.cumsum(rng.standard_normal((t_len - 1, 2)), axis=0) + [0.2, 0.5]
+                 for _ in range(3)]
+        paths[1][5, 0] = np.nan
+        config = ForecasterConfig(kind=kind, horizon=h)
+        result = two_stage_forecast(panel, trajectories_from_paths(paths), config)
+        assert result.errors == {"B.v1": f"{kind} inputs must be finite"}
+        assert np.all(np.isnan(result.variable_paths[:, 1]))
+        alone = two_stage_forecast(make_panel(values[:, [0, 2]], ["A", "C"], ["v1"]),
+                                   trajectories_from_paths([paths[0], paths[2]]), config)
+        np.testing.assert_array_equal(result.param_paths[:, [0, 2]], alone.param_paths)
+        np.testing.assert_array_equal(result.variable_paths[:, [0, 2]], alone.variable_paths)
 
     def test_lasso_column_failures_stay_per_column(self, rng):
         t_len, h = 90, 3

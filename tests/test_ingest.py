@@ -61,12 +61,13 @@ class TestLoadPanel:
         with pytest.raises(ValidationError, match="not found"):
             load_panel(tmp_path / "nope.csv")
 
-    def test_schema_mapping(self, tmp_path):
-        path = write_rows(tmp_path, ["2000-01,USA,CPI,1.0", "2000-02,USA,CPI,2.0"],
-                          header="month,ctry,series,obs")
-        series = load_panel(path, schema={"date": "month", "region": "ctry",
-                                          "variable": "series", "value": "obs"})
-        assert series[0].key == ("USA", "CPI")
+    def test_columns_found_by_header_name(self, tmp_path):
+        path = write_rows(tmp_path, ["1.0,CPI,USA,2000-01", "2.0,CPI,USA,2000-02"],
+                          header="value,variable,region,date")
+        assert load_panel(path)[0].key == ("USA", "CPI")
+        path = write_rows(tmp_path, ["2000-01,USA,CPI,1.0"], header="date,region,variable,obs")
+        with pytest.raises(ValidationError, match="missing column 'value'"):
+            load_panel(path)
 
     def test_quarterly_frequency_inferred(self, tmp_path):
         path = write_rows(tmp_path, [
