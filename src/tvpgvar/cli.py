@@ -112,12 +112,12 @@ def cmd_irf(config: RunConfig) -> None:
             skipped.append(label)
             continue
         inputs = irf.estimate_asymptotic_inputs(panel, system)
-        for targets in config.irf.shocks:
-            indices = tuple(panel.column_index(name) for name in targets)
-            shock = irf.ShockSpec(targets=indices, horizon=config.irf.horizon,
-                                  at_time=label,
-                                  level=config.irf.level)
-            result = irf.asymptotic_bands(system, shock, sample_size, inputs)
+        shocks = [irf.ShockSpec(targets=tuple(panel.column_index(name) for name in targets),
+                                horizon=config.irf.horizon, at_time=label,
+                                level=config.irf.level)
+                  for targets in config.irf.shocks]
+        results = irf.asymptotic_bands(system, shocks, sample_size, inputs)
+        for targets, result in zip(config.irf.shocks, results):
             stem = f"irf_{label}__{'+'.join(targets)}"
             irf.write_irf_json(result, names, config.out_dir / f"{stem}.json")
             irf.write_irf_csv(result, names, config.out_dir / f"{stem}.csv")

@@ -7,10 +7,13 @@ order equals panel column order. Error bands are the delta-method bands of
 in closed form from the w x w Kronecker factors of the estimates' covariances
 and the Cholesky derivative of Murray (2016), with no w^2 x w^2 matrix. That
 band belongs to the point response only when ``G0`` is lower triangular.
+The band multiplier is a port of the Cephes ``ndtri`` normal quantile
+(Moshier 1989), the one SciPy uses, so this module runs on numpy alone.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple, Sequence
@@ -82,13 +85,20 @@ def oirf_point(system: StackedSystem, shock: ShockSpec) -> np.ndarray:
     shock is by construction the sum of its single-target responses.
     """
     _check_targets(shock.targets, system.width)
-    chol = cholesky_lower(system.sigma_u)
-    base = np.linalg.solve(system.g0, chol)  # all single-shock impact columns
-    mas = ma_coefficients(system.f1, shock.horizon)
-    out = np.zeros((shock.horizon + 1, system.width))
-    for j in shock.targets:
-        column = base[:, j]
-        for s in range(shock.horizon + 1):
+    return _accumulate(ma_coefficients(system.f1, shock.horizon), _impact(system),
+                       shock.targets)
+
+
+def _impact(system: StackedSystem) -> np.ndarray:
+    """``G0^-1 chol(Sigma_u)``: all single-shock impact columns."""
+    return np.linalg.solve(system.g0, cholesky_lower(system.sigma_u))
+
+
+def _accumulate(mas: np.ndarray, impact: np.ndarray, targets: Sequence[int]) -> np.ndarray:
+    out = np.zeros((mas.shape[0], impact.shape[0]))
+    for j in targets:
+        column = impact[:, j]
+        for s in range(mas.shape[0]):
             out[s] += mas[s] @ column
     return out
 
@@ -113,15 +123,22 @@ def girf_point(system: StackedSystem, j: int, horizon: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class IRFResult:
-    """Point responses plus symmetric half-widths at the requested level."""
+    """Point responses plus symmetric half-widths at the requested level, and
+    how far to trust the period's system: the spectral radius of ``F1`` and
+    the condition number of ``G0``."""
 
     point: np.ndarray       # (n+1, width)
     half_width: np.ndarray  # (n+1, width)
-    stable: bool
+    radius: float
+    g0_condition: float
     at_time: int | str
     targets: tuple[int, ...]
     level: float
     sample_size: int
+
+    @property
+    def stable(self) -> bool:
+        return self.radius < 1.0
 
     @property
     def horizon(self) -> int:
@@ -171,9 +188,15 @@ def estimate_asymptotic_inputs(panel, system: StackedSystem,
     return AsymptoticInputs(moment_inv=moment_inv[1:, 1:], sigma=sigma)
 
 
-def asymptotic_bands(system: StackedSystem, shock: ShockSpec, sample_size: int,
-                     inputs: AsymptoticInputs) -> IRFResult:
+def asymptotic_bands(system: StackedSystem, shocks: ShockSpec | Sequence[ShockSpec],
+                     sample_size: int, inputs: AsymptoticInputs
+                     ) -> IRFResult | list[IRFResult]:
     """Point responses with delta-method half-widths.
+
+    ``shocks`` is one ``ShockSpec``, answered with one result, or a period's
+    shocks, answered with a list in the same order. What depends only on the
+    system (its Cholesky factors, ``R``, the MA matrices, the eigenvalues of
+    ``F1`` and the condition number of ``G0``) is computed once for all of them.
 
     The band is the delta-method band of ``B_s P u`` with ``P = chol(Sigma_eps)``
     and ``u`` the sum of the shocked unit vectors. It is the point response
@@ -188,13 +211,14 @@ def asymptotic_bands(system: StackedSystem, shock: ShockSpec, sample_size: int,
 
     with ``v_k = F1^k P u``; the half-width is ``z_{1-alpha/2} sqrt(var / T)``.
     """
+    single = isinstance(shocks, ShockSpec)
+    shocks = [shocks] if single else list(shocks)
+    if not shocks:
+        raise ValidationError("no shocks given")
     if sample_size < 1:
         raise ValidationError("sample size must be >= 1")
-    # imported here so that stages which never compute a band start without SciPy
-    from scipy.linalg import solve_triangular
-    from scipy.special import ndtri
-
-    _check_targets(shock.targets, system.width)
+    for shock in shocks:
+        _check_targets(shock.targets, system.width)
     moment_inv, sigma = (np.asarray(factor, float) for factor in inputs)
     for name, factor in zip(AsymptoticInputs._fields, (moment_inv, sigma)):
         if factor.shape != (system.width,) * 2:
@@ -205,40 +229,111 @@ def asymptotic_bands(system: StackedSystem, shock: ShockSpec, sample_size: int,
     if np.max(np.abs(sigma - sigma.T)) > 1e-8 * max(np.max(np.abs(sigma)), 1e-300):
         raise ValidationError("band input sigma must be symmetric")
     sigma = (sigma + sigma.T) / 2.0
-    targets = list(shock.targets)
     chol_eps = cholesky_lower(system.sigma_eps)
-    mas = ma_coefficients(system.f1, shock.horizon)
-
     # covariance part: dW = P^-1 dSigma P^-T has Cov vec(dW) = (I + K)(R kron R)
     # and d(B_s P) = B_s P Phi(dW), Phi keeping the lower triangle, diagonal halved
-    r = solve_triangular(chol_eps, solve_triangular(chol_eps, sigma, lower=True).T,
-                         lower=True)
-    cols, rows = np.arange(system.width), np.array(targets)[:, None]
+    r = _solve_lower(chol_eps, _solve_lower(chol_eps, sigma).T)
+    mas = ma_coefficients(system.f1, max(shock.horizon for shock in shocks))
+    mas_chol, b_sigma = mas @ chol_eps, mas @ sigma
+    impact = _impact(system)
+    radius = stability_check(system.f1).radius
+    g0_condition = float(np.linalg.cond(system.g0))
+
+    results = []
+    for shock in shocks:
+        n = shock.horizon + 1
+        var = _response_variance(mas[:n], mas_chol[:n], b_sigma[:n], chol_eps, r,
+                                 moment_inv, list(shock.targets))
+        floor = np.min(var, axis=1)
+        if np.any(floor < -1e-10):
+            s = int(np.argmax(floor < -1e-10))
+            raise NumericalError(f"negative response variance {floor[s]:.3e} at horizon {s}")
+        z = _ndtri(0.5 + shock.level / 2.0)
+        half = z * np.sqrt(np.clip(var, 0.0, None)) / np.sqrt(sample_size)
+        results.append(IRFResult(
+            point=_accumulate(mas[:n], impact, shock.targets), half_width=half,
+            radius=radius, g0_condition=g0_condition, at_time=shock.at_time,
+            targets=shock.targets, level=shock.level, sample_size=sample_size))
+    return results[0] if single else results
+
+
+def _response_variance(mas, mas_chol, b_sigma, chol_eps, r, moment_inv, targets):
+    """Variance of every response at horizons 0..S (see ``asymptotic_bands``),
+    from ``B_s``, ``B_s P`` and ``B_s sigma`` for s = 0..S."""
+    cols, rows = np.arange(chol_eps.shape[0]), np.array(targets)[:, None]
     mask = (cols > rows) + 0.5 * (cols == rows)
-    c = (mas @ chol_eps)[:, None] * mask[None, :, None, :]  # C_j per horizon
+    c = mas_chol[:, None] * mask[None, :, None, :]  # C_j per horizon
     cr = c @ r
     var = np.einsum("sjia,skia,jk->si", cr, c, r[np.ix_(targets, targets)])
     picked = cr[..., targets]
     var += np.einsum("sjik,skij->si", picked, picked)
 
     # coefficient part: dB_s = sum_{m<s} B_m dF1 F1^(s-1-m)
-    v = mas[:shock.horizon] @ chol_eps[:, targets].sum(axis=1)
+    horizon = mas.shape[0] - 1
+    v = mas[:horizon] @ chol_eps[:, targets].sum(axis=1)
     gram = v @ moment_inv @ v.T
-    b_sigma = mas @ sigma
-    for s in range(1, shock.horizon + 1):
+    for s in range(1, horizon + 1):
         var[s] += np.einsum("mn,mia,nia->i", gram[s - 1::-1, s - 1::-1],
                             b_sigma[:s], mas[:s])
+    return var
 
-    floor = np.min(var, axis=1)
-    if np.any(floor < -1e-10):
-        s = int(np.argmax(floor < -1e-10))
-        raise NumericalError(f"negative response variance {floor[s]:.3e} at horizon {s}")
-    z = ndtri(0.5 + shock.level / 2.0)
-    half = z * np.sqrt(np.clip(var, 0.0, None)) / np.sqrt(sample_size)
-    return IRFResult(point=oirf_point(system, shock), half_width=half,
-                     stable=stability_check(system.f1).stable,
-                     at_time=shock.at_time, targets=shock.targets,
-                     level=shock.level, sample_size=sample_size)
+
+def _solve_lower(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """``factor^-1 rhs`` for a lower-triangular ``factor``: forward substitution
+    row by row, each row over all right-hand sides at once."""
+    out = np.empty_like(rhs)
+    for i in range(factor.shape[0]):
+        out[i] = (rhs[i] - factor[i, :i] @ out[:i]) / factor[i, i]
+    return out
+
+
+# Cephes ndtri (Moshier 1989): a rational approximation in y - 1/2 for the
+# centre, and in 1/x with x = sqrt(-2 log y) for the tails; Q* lack their
+# leading coefficient 1
+_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
+       1.39312609387279679503e1, -1.23916583867381258016e0)
+_Q0 = (1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
+       -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
+       1.59056225126211695515e1, -1.18331621121330003142e0)
+_P1 = (4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
+       4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
+       -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4)
+_Q1 = (1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
+       1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
+       -3.80806407691578277194e-2, -9.33259480895457427372e-4)
+_P2 = (3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292474443415e0,
+       1.33303460815807542389e0, 2.01485389549179081538e-1, 1.23716634817820021358e-2,
+       3.01581553508235416007e-4, 2.65806974686737550832e-6, 6.23974539184983293730e-9)
+_Q2 = (6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
+       2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
+       2.89247864745380683936e-6, 6.79019408009981274425e-9)
+_EXP_M2 = 0.13533528323661269189  # exp(-2)
+
+
+def _polevl(x: float, coef: Sequence[float], monic: bool = False) -> float:
+    """Horner evaluation, with an implicit leading 1 when ``monic``."""
+    out = x + coef[0] if monic else coef[0]
+    for c in coef[1:]:
+        out = out * x + c
+    return out
+
+
+def _ndtri(p: float) -> float:
+    """Standard normal quantile, bit for bit equal to ``scipy.special.ndtri``."""
+    if p == 0.0 or p == 1.0:
+        return math.copysign(math.inf, p - 0.5)
+    upper = p > 1.0 - _EXP_M2
+    y = 1.0 - p if upper else p
+    if y > _EXP_M2:
+        y -= 0.5
+        y2 = y * y
+        x = y + y * (y2 * _polevl(y2, _P0) / _polevl(y2, _Q0, True))
+        return x * 2.50662827463100050242  # sqrt(2 pi)
+    x = math.sqrt(-2.0 * math.log(y))
+    z = 1.0 / x
+    num, den = (_P1, _Q1) if x < 8.0 else (_P2, _Q2)  # x = 8 at y = exp(-32)
+    tail = x - math.log(x) / x - z * _polevl(z, num) / _polevl(z, den, True)
+    return tail if upper else -tail
 
 
 # Kronecker-form band derivatives: unused by the bands, kept for bench/spans.py
@@ -305,6 +400,8 @@ def write_irf_json(result: IRFResult, columns: Sequence[str], path: str | Path) 
         "level": result.level,
         "sample_size": result.sample_size,
         "stable": result.stable,
+        "radius": result.radius,
+        "g0_condition": result.g0_condition,
         "horizons": list(range(result.horizon + 1)),
         "columns": list(columns),
         "responses": result.point.T,
@@ -317,11 +414,16 @@ def write_irf_json(result: IRFResult, columns: Sequence[str], path: str | Path) 
 
 def read_irf_json(path: str | Path) -> tuple[IRFResult, list[str]]:
     obj = read_json(path)
+    missing = [key for key in ("responses", "half_width", "at_time", "radius", "g0_condition",
+                               "targets", "level", "sample_size", "columns") if key not in obj]
+    if missing:
+        raise ValidationError(f"{path}: IRF artifact lacks {', '.join(missing)}")
     point = np.array(obj["responses"], float).T
     half = np.array(obj["half_width"], float).T
     at_time = obj["at_time"]
     result = IRFResult(
-        point=point, half_width=half, stable=bool(obj["stable"]),
+        point=point, half_width=half, radius=float(obj["radius"]),
+        g0_condition=float(obj["g0_condition"]),
         at_time=at_time if isinstance(at_time, str) else int(at_time),
         targets=tuple(int(j) for j in obj["targets"]),
         level=float(obj["level"]), sample_size=int(obj["sample_size"]))

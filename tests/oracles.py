@@ -192,6 +192,7 @@ def dense_asymptotic_bands(system, shock, sample_size, sigma_alpha, sigma_sigma)
         var = np.clip(np.diag(selector @ cov @ selector.T), 0.0, None)
         half[s] = z * np.sqrt(var) / np.sqrt(sample_size)
     return IRFResult(point=point, half_width=half,
-                     stable=stability_check(system.f1).stable,
+                     radius=stability_check(system.f1).radius,
+                     g0_condition=float(np.linalg.cond(system.g0)),
                      at_time=shock.at_time, targets=shock.targets,
                      level=shock.level, sample_size=sample_size)

@@ -423,3 +423,18 @@ def test_ingest_and_report_start_without_scipy(tmp_path):
     assert out.returncode == 0, out.stderr
     assert "selected model:" in out.stdout
     assert scipy_lines(out.stdout) == [[], [], []]
+
+
+def test_irf_starts_without_scipy(tmp_path):
+    # the bands' normal quantile and triangular solves run on numpy alone, so
+    # a fresh irf process never loads SciPy; estimate, which does load it,
+    # runs first in its own process to write the coefficients
+    config_path = str(write_sample_config(tmp_path, bundled_csv_path(), iters=20))
+    out = run_python("-c", STAGE_SCRIPT, config_path, "ingest", "estimate")
+    assert out.returncode == 0, out.stderr
+    assert "scipy.linalg.lapack" in scipy_lines(out.stdout)[-1]
+
+    out = run_python("-c", STAGE_SCRIPT, config_path, "irf")
+    assert out.returncode == 0, out.stderr
+    assert list((tmp_path / "out").glob("irf_*.json"))
+    assert scipy_lines(out.stdout) == [[], []]

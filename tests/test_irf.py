@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
+from scipy.special import ndtri
 from scipy.stats import norm
 
 from tvpgvar import (
@@ -20,9 +22,24 @@ from tvpgvar import (
     oirf_point,
 )
 from tvpgvar.errors import NumericalError, ValidationError
-from tvpgvar.irf import read_irf_csv, read_irf_json, write_irf_csv, write_irf_json
+from tvpgvar.gvar import estimate_structural, stack_system
+from tvpgvar.irf import (
+    _ndtri,
+    _solve_lower,
+    read_irf_csv,
+    read_irf_json,
+    write_irf_csv,
+    write_irf_json,
+)
+from tvpgvar.serialize import read_json, write_json
 
-from conftest import random_stable_system
+from conftest import (
+    make_panel,
+    random_coefficients,
+    random_stable_system,
+    simulate_structural,
+    wave_weights,
+)
 from oracles import (
     dense_asymptotic_bands,
     dense_asymptotic_inputs,
@@ -475,6 +492,89 @@ class TestClosedFormBands:
         assert peak_mb < 20.0
 
 
+class TestNumpyReplacements:
+    """The band's quantile and triangular solves against the SciPy routines."""
+
+    def test_quantile_bit_equal_to_ndtri(self):
+        far_tail = 1.0 - np.logspace(-13.8, -15.9, 400)  # (1 - level) / 2 < exp(-32)
+        assert np.all((1.0 - far_tail) / 2.0 < np.exp(-32.0))
+        levels = np.concatenate([
+            np.linspace(1e-9, 1 - 1e-12, 100_001), far_tail,
+            [0.5, 0.68, 0.8, 0.9, 0.95, 0.99, 0.999, 1e-300, 1 - 2**-52]])
+        probabilities = 0.5 + levels / 2.0
+        ported = np.array([_ndtri(float(p)) for p in probabilities])
+        np.testing.assert_array_equal(ported.view(np.int64),
+                                      ndtri(probabilities).view(np.int64))
+
+    @pytest.mark.parametrize("width", [1, 2, 10, 31, 100])
+    def test_forward_substitution_matches_solve_triangular(self, width):
+        rng = np.random.default_rng(900 + width)
+        root = rng.standard_normal((width, width))
+        factor = np.linalg.cholesky(root @ root.T / width + np.eye(width))
+        root = rng.standard_normal((width, width))
+        sigma = root @ root.T / width + 0.5 * np.eye(width)
+        ours = _solve_lower(factor, _solve_lower(factor, sigma).T)
+        scipy_r = solve_triangular(factor, solve_triangular(factor, sigma, lower=True).T,
+                                   lower=True)
+        assert np.max(np.abs(ours - scipy_r)) <= 1e-13 * np.max(np.abs(scipy_r))
+
+
+class TestPeriodShocks:
+    """A period's shocks in one call reuse the system's factors, bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def period(self):
+        rng = np.random.default_rng(31)
+        n_regions, p, l = 3, 3, 1
+        coeffs = random_coefficients(rng, n_regions, p, l)
+        weights = wave_weights(250, n_regions, l)
+        noise = 0.1 * rng.standard_normal((250, n_regions * p + l))
+        x = simulate_structural(coeffs, weights, rng.standard_normal(n_regions * p + l),
+                                n_regions, p, l, noise=noise)
+        panel = make_panel(x, ["A", "B", "C"], ["v1", "v2", "v3"], ["ACT"])
+        system = stack_system(estimate_structural(panel, weights), weights, 180)
+        assert np.max(np.abs(system.g0 - np.eye(system.width))) > 0.01
+        return system, estimate_asymptotic_inputs(panel, system)
+
+    def test_batch_equals_one_at_a_time(self, period):
+        system, inputs = period
+        shocks = [ShockSpec(targets=targets, horizon=horizon, at_time=180, level=level)
+                  for targets, horizon, level in [((9,), 6, 0.95), ((0,), 6, 0.9),
+                                                  ((9, 0), 6, 0.95), ((4, 2, 7), 3, 0.68),
+                                                  ((5,), 0, 0.95)]]
+        batch = asymptotic_bands(system, shocks, 249, inputs)
+        assert len(batch) == len(shocks)
+        for shock, together in zip(shocks, batch):
+            alone = asymptotic_bands(system, shock, 249, inputs)
+            assert together.targets == shock.targets and together.level == shock.level
+            np.testing.assert_array_equal(together.point, alone.point)
+            np.testing.assert_array_equal(together.half_width, alone.half_width)
+            np.testing.assert_array_equal(together.point, oirf_point(system, shock))
+            assert (together.stable, together.radius, together.g0_condition) == \
+                (alone.stable, alone.radius, alone.g0_condition)
+
+    def test_combined_shock_is_sum_of_singles(self, period):
+        system, inputs = period
+        last, first, both = asymptotic_bands(
+            system, [ShockSpec(targets=t, horizon=6) for t in ((9,), (0,), (9, 0))],
+            249, inputs)
+        total = last.point + first.point
+        scale = max(1.0, float(np.max(np.abs(total))))
+        assert np.max(np.abs(both.point - total)) <= 1e-9 * scale
+
+    def test_conditioning_recorded(self, period):
+        system, inputs = period
+        result = asymptotic_bands(system, ShockSpec(targets=(0,)), 249, inputs)
+        assert result.radius == np.max(np.abs(np.linalg.eigvals(system.f1)))
+        assert result.stable == (result.radius < 1.0)
+        assert result.g0_condition == np.linalg.cond(system.g0) >= 1.0
+
+    def test_empty_shock_list_rejected(self, period):
+        system, inputs = period
+        with pytest.raises(ValidationError, match="no shocks"):
+            asymptotic_bands(system, [], 249, inputs)
+
+
 class TestBandInputs:
     def bands(self, rng, moment_inv, sigma):
         system = random_stable_system(rng, 3)
@@ -566,8 +666,23 @@ def test_irf_json_round_trip(tmp_path, rng):
     assert loaded.at_time == 17
     assert loaded.level == 0.9
     assert loaded.stable == result.stable
+    for key in ("radius", "g0_condition"):
+        assert np.isfinite(read_json(path)[key])
+        assert getattr(loaded, key) == getattr(result, key)
     np.testing.assert_array_equal(loaded.point, result.point)
     np.testing.assert_array_equal(loaded.half_width, result.half_width)
+
+
+def test_irf_json_without_conditioning_rejected(tmp_path, rng):
+    system = random_stable_system(rng, 2)
+    result = asymptotic_bands(system, ShockSpec(targets=(0,), horizon=2), 100, eye_inputs(2))
+    path = tmp_path / "irf.json"
+    write_irf_json(result, ["u", "v"], path)
+    obj = read_json(path)
+    del obj["radius"], obj["g0_condition"]
+    write_json(obj, path)
+    with pytest.raises(ValidationError, match="lacks radius, g0_condition"):
+        read_irf_json(path)
 
 
 def test_irf_csv_round_trip(tmp_path, rng):
