@@ -28,6 +28,7 @@ TRAIN_TRAJECTORY_FILE = "trajectories_train.csv"
 MSE_REPORT_FILE = "mse_report.csv"
 FORECAST_PARAMS_FILE = "forecast_params.csv"
 FORECAST_VARIABLES_FILE = "forecast_variables.csv"
+STACKING_FILE = "stacking.json"  # not irf_*: report counts those per requested IRF
 
 
 def _build_weights(config: RunConfig, panel: ingest.TimeSeriesPanel) -> gvar.WeightSequence:
@@ -94,22 +95,28 @@ def cmd_irf(config: RunConfig) -> None:
     names = panel.column_names()
 
     if config.time_invariant:
-        requests = [(irf.TIME_INVARIANT, 0)]
+        # equal weights are the same at every period; stack the last one
+        requests = [(irf.TIME_INVARIANT, sample_size)]
     else:
         if not config.irf.dates:
             raise ValidationError("config lists no IRF dates (or use --time-invariant)")
         requests = [(date, panel.date_index(date)) for date in config.irf.dates]
+        if any(t == 0 for _, t in requests):
+            raise ValidationError(
+                f"IRF date {panel.time_index[0]} is the first panel month and has no "
+                f"lagged month; the first usable month is {panel.time_index[1]}")
     if not config.irf.shocks:
         raise ValidationError("config lists no IRF shocks")
 
-    skipped = []
+    periods = []
     for label, t in requests:
+        periods.append({"label": label, "period": t, "status": "ok", "reason": None})
         try:
             system = gvar.stack_system(fit, weights, t)
         except NumericalError as exc:
             # ill-conditioned stacking at this period: skip it, keep going
             print(f"warning: skipping {label}: {exc}", file=sys.stderr)
-            skipped.append(label)
+            periods[-1].update(status="skipped", reason=str(exc))
             continue
         inputs = irf.estimate_asymptotic_inputs(panel, system)
         shocks = [irf.ShockSpec(targets=tuple(panel.column_index(name) for name in targets),
@@ -123,8 +130,10 @@ def cmd_irf(config: RunConfig) -> None:
             irf.write_irf_csv(result, names, config.out_dir / f"{stem}.csv")
             print(f"irf {label} shock {'+'.join(targets)} "
                   f"stable={result.stable} -> {stem}.json")
-    if skipped and len(skipped) == len(requests):
-        raise NumericalError(f"all requested periods were skipped: {skipped}")
+    write_json({"periods": periods}, config.out_dir / STACKING_FILE)
+    if all(p["status"] == "skipped" for p in periods):
+        raise NumericalError(
+            f"all requested periods were skipped: {[p['label'] for p in periods]}")
 
 
 def cmd_forecast(config: RunConfig) -> None:

@@ -1,11 +1,15 @@
-"""Multi-country VAR core: link matrices, structural least squares, stacking.
+"""Multi-country VAR core: weight aggregation, structural least squares, stacking.
 
 Each country equation regresses its own p variables on their lags, weighted
 cross-country ("starred") aggregates, and the common activity block; each
-activity equation mirrors that with country aggregates. Rewriting every
-equation through a selector/weighting link matrix stacks the system into
-contemporaneous and lag coefficient matrices (G0, G1), whose reduced form
-``F1 = G0^-1 G1`` drives impulse responses and the moving-average recursion.
+activity equation mirrors that with country aggregates. One linear map,
+``_aggregates``, builds those series: estimation applies it to the panel,
+and the link matrices are the same map applied to the identity. Each
+equation works on ``z_t = W_t x_t`` and its lag term is the lag of that
+series, so the stacked system at period t is ``G0_t x_t = a + G1_{t-1}
+x_{t-1}``: ``G0`` carries the weights of t, ``G1`` those of t-1, and period
+0 (no lag) cannot be stacked. The reduced form ``F1 = G0_t^-1 G1_{t-1}``
+drives impulse responses and the moving-average recursion.
 """
 
 from __future__ import annotations
@@ -242,6 +246,37 @@ class StackedSystem:
             raise NumericalError("sigma_eps != G0^-1 sigma_u G0^-T")
 
 
+def _aggregates(x: np.ndarray, we: np.ndarray, wb: np.ndarray,
+                dims: tuple[int, int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """Every equation's series, built from the global vectors ``x`` (..., K*p+l).
+
+    Country k gets ``[x_k, sum_i we[i,k] x_i, activities]`` (2p+l values) and
+    activity m gets ``[x_m, sum_k wb[k,m] x_k]`` (1+p values), returned as
+    (..., K, 2p+l) and (..., l, 1+p). ``we``/``wb`` broadcast against the
+    leading axes of ``x``: per-period weights for a panel, one period's
+    weights for the identity (the link matrices).
+    """
+    k, p, l = dims
+    x_e = x[..., :k * p].reshape(x.shape[:-1] + (k, p))
+    x_b = x[..., k * p:]
+    star_e = np.einsum("...ik,...ip->...kp", we, x_e)
+    star_b = np.einsum("...km,...kp->...mp", wb, x_e)
+    shared = np.broadcast_to(x_b[..., None, :], x_e.shape[:-1] + (l,))
+    return (np.concatenate([x_e, star_e, shared], axis=-1),
+            np.concatenate([x_b[..., None], star_b], axis=-1))
+
+
+def _links(weights: WeightSequence, t: int,
+           dims: tuple[int, int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """Period-t link matrices: (K, 2p+l, width) country and (l, 1+p, width) activity."""
+    if not 0 <= t < weights.n_periods:
+        raise ValidationError(f"time index {t} out of range [0, {weights.n_periods})")
+    n_regions, p, l = dims
+    country, activity = _aggregates(np.eye(n_regions * p + l), weights.we[t],
+                                    weights.wb[t], dims)
+    return country.transpose(1, 2, 0), activity.transpose(1, 2, 0)
+
+
 def build_link_matrix_country(k: int, t: int, weights: WeightSequence,
                               dims: tuple[int, int, int]) -> np.ndarray:
     """Link matrix mapping the global vector to country k's equation block.
@@ -250,57 +285,44 @@ def build_link_matrix_country(k: int, t: int, weights: WeightSequence,
     column-k country weights to every country block, and the last l rows
     select the activities. Indices are 0-based.
     """
-    n_regions, p, l = dims
-    if not 0 <= k < n_regions:
-        raise ValidationError(f"country index {k} out of range [0, {n_regions})")
-    if not 0 <= t < weights.n_periods:
-        raise ValidationError(f"time index {t} out of range [0, {weights.n_periods})")
-    width = n_regions * p + l
-    link = np.zeros((2 * p + l, width))
-    link[0:p, k * p:(k + 1) * p] = np.eye(p)
-    for i in range(n_regions):
-        link[p:2 * p, i * p:(i + 1) * p] = weights.we[t, i, k] * np.eye(p)
-    if l:
-        link[2 * p:, n_regions * p:] = np.eye(l)
-    return link
+    if not 0 <= k < dims[0]:
+        raise ValidationError(f"country index {k} out of range [0, {dims[0]})")
+    return _links(weights, t, dims)[0][k]
 
 
 def build_link_matrix_activity(m: int, t: int, weights: WeightSequence,
                                dims: tuple[int, int, int]) -> np.ndarray:
     """Link matrix for activity m: its own selector row plus country weights."""
-    n_regions, p, l = dims
-    if not 0 <= m < l:
-        raise ValidationError(f"activity index {m} out of range [0, {l})")
-    if not 0 <= t < weights.n_periods:
-        raise ValidationError(f"time index {t} out of range [0, {weights.n_periods})")
-    width = n_regions * p + l
-    link = np.zeros((p + 1, width))
-    link[0, n_regions * p + m] = 1.0
-    for i in range(n_regions):
-        link[1:, i * p:(i + 1) * p] = weights.wb[t, i, m] * np.eye(p)
-    return link
+    if not 0 <= m < dims[2]:
+        raise ValidationError(f"activity index {m} out of range [0, {dims[2]})")
+    return _links(weights, t, dims)[1][m]
 
 
-def _starred_series(panel: TimeSeriesPanel, weights: WeightSequence):
-    k, p, l = panel.dims
-    t_len = len(panel.time_index)
-    x_e = panel.values[:, :k * p].reshape(t_len, k, p)
-    x_b = panel.values[:, k * p:]
-    # foreign aggregate for country k at t uses the weights of the same t
-    star_e = np.einsum("tik,tip->tkp", weights.we, x_e)
-    star_b = np.einsum("tkm,tkp->tmp", weights.wb, x_e)
-    return x_e, x_b, star_e, star_b
+def _ols(z: np.ndarray, own: int, spans: Sequence[slice], target: np.ndarray,
+         equation: str) -> tuple[np.ndarray, np.ndarray]:
+    """(coefficients, residuals) of one equation regressed on an intercept, the
+    lag of the first ``own`` columns of its series ``z``, and each span at t, t-1."""
+    cols = [np.ones((len(z) - 1, 1)), z[:-1, :own]]
+    for span in spans:
+        cols += [z[1:, span], z[:-1, span]]
+    design = np.hstack(cols)
+    coef, _, rank, _ = np.linalg.lstsq(design, target, rcond=None)
+    if rank < design.shape[1]:
+        raise NumericalError(f"rank-deficient regressors in {equation} "
+                             f"(rank {rank} < {design.shape[1]})")
+    return coef, target - design @ coef
 
 
 def estimate_structural(panel: TimeSeriesPanel, weights: WeightSequence) -> StructuralFit:
     """Estimate all structural blocks by per-equation ordinary least squares.
 
     Country k's p-variable block is regressed on an intercept, its own lag,
-    the contemporaneous and lagged foreign aggregates (built with the weights
-    of the matching period), and the contemporaneous and lagged activities;
-    activity equations mirror that with country aggregates. Residuals come
-    back column-aligned with the panel; the residual covariance uses the
-    unbiased divisor nobs - q with q the largest per-equation regressor count.
+    the foreign aggregate and the activities at t and t-1; activity
+    equations mirror that with country aggregates. Each aggregate series
+    uses the weights of its own period, so the lag term of period t carries
+    the weights of t-1. Residuals come back column-aligned with the panel;
+    the residual covariance uses the unbiased divisor nobs - q with q the
+    largest per-equation regressor count.
     """
     k, p, l = panel.dims
     t_len = len(panel.time_index)
@@ -309,65 +331,35 @@ def estimate_structural(panel: TimeSeriesPanel, weights: WeightSequence) -> Stru
             f"weights cover {weights.n_periods} periods, panel has {t_len}")
     if weights.n_regions != k or weights.n_activities != l:
         raise ValidationError("weight dimensions do not match panel dims")
-    x_e, x_b, star_e, star_b = _starred_series(panel, weights)
+    z_e, z_b = _aggregates(panel.values, weights.we, weights.wb, panel.dims)
     nobs = t_len - 1
-    names = panel.column_names()
 
-    use_foreign = k > 1
-    q_country = 1 + p + (2 * p if use_foreign else 0) + 2 * l
-    q_activity = 1 + 1 + 2 * p
-    q_max = max(q_country, q_activity) if l else q_country
+    use_foreign = k > 1  # one country has no foreign aggregate
+    # regressor counts of a country and (if any) an activity equation
+    q_max = max(1 + p + (2 * p if use_foreign else 0) + 2 * l, 2 + 2 * p if l else 0)
     if nobs < q_max + 1:
         raise NumericalError(
             f"panel too short: {nobs} usable periods for up to {q_max} regressors")
 
     residuals = np.empty((nobs, k * p + l))
+    spans = ([slice(p, 2 * p)] if use_foreign else []) + [slice(2 * p, None)]
     countries = []
-    ones = np.ones((nobs, 1))
     for kk in range(k):
-        blocks = [ones, x_e[:-1, kk, :]]
-        if use_foreign:
-            blocks += [star_e[1:, kk, :], star_e[:-1, kk, :]]
-        if l:
-            blocks += [x_b[1:], x_b[:-1]]
-        design = np.hstack(blocks)
-        target = x_e[1:, kk, :]
-        coef, _, rank, _ = np.linalg.lstsq(design, target, rcond=None)
-        if rank < design.shape[1]:
-            raise NumericalError(
-                f"rank-deficient regressors in country equation {panel.regions[kk]} "
-                f"(rank {rank} < {design.shape[1]})")
-        residuals[:, kk * p:(kk + 1) * p] = target - design @ coef
-        pos = 1
-        phi1 = coef[pos:pos + p].T
-        pos += p
-        if use_foreign:
-            gamma_e0 = coef[pos:pos + p].T
-            gamma_e1 = coef[pos + p:pos + 2 * p].T
-            pos += 2 * p
-        else:
-            gamma_e0 = np.zeros((p, p))
-            gamma_e1 = np.zeros((p, p))
-        if l:
-            gamma_b0 = coef[pos:pos + l].T
-            gamma_b1 = coef[pos + l:pos + 2 * l].T
-        else:
-            gamma_b0 = np.zeros((p, 0))
-            gamma_b1 = np.zeros((p, 0))
+        coef, residuals[:, kk * p:(kk + 1) * p] = _ols(
+            z_e[:, kk], p, spans, z_e[1:, kk, :p],
+            f"country equation {panel.regions[kk]}")
+        if not use_foreign:
+            coef = np.vstack([coef[:1 + p], np.zeros((2 * p, p)), coef[1 + p:]])
+        a_k, phi1, ge0, ge1, gb0, gb1 = np.split(coef, np.cumsum([1, p, p, p, l]))
         countries.append(CountryCoefficients(
-            a_k=coef[0].copy(), phi1=phi1, gamma_e0=gamma_e0, gamma_e1=gamma_e1,
-            gamma_b0=gamma_b0, gamma_b1=gamma_b1))
+            a_k=a_k[0].copy(), phi1=phi1.T, gamma_e0=ge0.T, gamma_e1=ge1.T,
+            gamma_b0=gb0.T, gamma_b1=gb1.T))
 
     activities = []
     for m in range(l):
-        design = np.hstack([ones, x_b[:-1, m:m + 1], star_b[1:, m, :], star_b[:-1, m, :]])
-        target = x_b[1:, m]
-        coef, _, rank, _ = np.linalg.lstsq(design, target, rcond=None)
-        if rank < design.shape[1]:
-            raise NumericalError(
-                f"rank-deficient regressors in activity equation {panel.activities[m]} "
-                f"(rank {rank} < {design.shape[1]})")
-        residuals[:, k * p + m] = target - design @ coef
+        coef, residuals[:, k * p + m] = _ols(
+            z_b[:, m], 1, [slice(1, None)], z_b[1:, m, 0],
+            f"activity equation {panel.activities[m]}")
         activities.append(ActivityCoefficients(
             a_m=float(coef[0]), phi_b=float(coef[1]),
             gamma_be0=coef[2:2 + p].copy(), gamma_be1=coef[2 + p:2 + 2 * p].copy()))
@@ -376,30 +368,29 @@ def estimate_structural(panel: TimeSeriesPanel, weights: WeightSequence) -> Stru
     return StructuralFit(
         countries=tuple(countries), activities=tuple(activities),
         residuals=residuals, sigma_u=sigma_u, dims=(k, p, l),
-        columns=tuple(names), nobs=nobs)
+        columns=tuple(panel.column_names()), nobs=nobs)
 
 
 def stack_system(fit: StructuralFit, weights: WeightSequence, t: int) -> StackedSystem:
-    """Assemble (G0, G1, a) at period t and solve for the reduced form."""
-    k, p, l = fit.dims
-    width = k * p + l
-    g0 = np.zeros((width, width))
-    g1 = np.zeros((width, width))
-    a = np.zeros(width)
-    for kk, c in enumerate(fit.countries):
-        link = build_link_matrix_country(kk, t, weights, fit.dims)
-        a0 = np.hstack([np.eye(p), -c.gamma_e0, -c.gamma_b0])
-        a1 = np.hstack([c.phi1, c.gamma_e1, c.gamma_b1])
-        g0[kk * p:(kk + 1) * p] = a0 @ link
-        g1[kk * p:(kk + 1) * p] = a1 @ link
-        a[kk * p:(kk + 1) * p] = c.a_k
-    for m, act in enumerate(fit.activities):
-        link = build_link_matrix_activity(m, t, weights, fit.dims)
-        a0 = np.concatenate([[1.0], -act.gamma_be0])
-        a1 = np.concatenate([[act.phi_b], act.gamma_be1])
-        g0[k * p + m] = a0 @ link
-        g1[k * p + m] = a1 @ link
-        a[k * p + m] = act.a_m
+    """Assemble (G0_t, G1_{t-1}, a) and solve for the reduced form at period t.
+
+    ``G0_t x_t = a + G1_{t-1} x_{t-1}``: the contemporaneous terms carry the
+    weights of period t and the lag terms those of t-1, as in estimation.
+    Period 0 has no lag, so ``t`` must be at least 1.
+    """
+    if t < 1:
+        raise ValidationError(f"period {t} has no lagged period; stacking starts at period 1")
+    p = fit.dims[1]
+    blocks = [(np.hstack([np.eye(p), -c.gamma_e0, -c.gamma_b0]),
+               np.hstack([c.phi1, c.gamma_e1, c.gamma_b1]), c.a_k)
+              for c in fit.countries]
+    blocks += [(np.concatenate([[1.0], -act.gamma_be0])[None],
+                np.concatenate([[act.phi_b], act.gamma_be1])[None], [act.a_m])
+               for act in fit.activities]
+    now, lag = _links(weights, t, fit.dims), _links(weights, t - 1, fit.dims)
+    g0 = np.vstack([a0 @ link for (a0, _, _), link in zip(blocks, [*now[0], *now[1]])])
+    g1 = np.vstack([a1 @ link for (_, a1, _), link in zip(blocks, [*lag[0], *lag[1]])])
+    a = np.concatenate([c for _, _, c in blocks])
     cond = np.linalg.cond(g0)
     if not np.isfinite(cond) or cond > COND_CAP:
         raise NumericalError(

@@ -229,6 +229,18 @@ class TestIRF:
         assert main(["irf", "--config", str(bad_path)]) == 1
         assert "1980-01" in capsys.readouterr().err
 
+    def test_first_panel_month_rejected(self, pipeline, capsys):
+        # the first month has no lagged month to stack G1 from
+        config_path = pipeline / "config.json"
+        obj = read_json(config_path)
+        obj["irf"]["dates"] = ["2003-06", "2000-01"]
+        bad_path = config_path.parent / "first_month_irf.json"
+        write_json(obj, bad_path)
+        assert main(["irf", "--config", str(bad_path)]) == 1
+        err = capsys.readouterr().err
+        assert "2000-01" in err and "first usable month is 2000-02" in err
+        assert "Traceback" not in err
+
     def test_ill_conditioned_period_skipped(self, pipeline, capsys, monkeypatch):
         import tvpgvar.cli as cli_mod
         from tvpgvar.errors import NumericalError as NumErr
@@ -254,6 +266,16 @@ class TestIRF:
         captured = capsys.readouterr()
         assert "skipping 2003-06" in captured.err
         assert len(sorted(out_dir.glob("irf_*.json"))) == 3  # one date survived
+        stacking = read_json(out_dir / "stacking.json")["periods"]
+        assert [(p["label"], p["status"]) for p in stacking] == [
+            ("2003-06", "skipped"), ("2005-01", "ok")]
+        assert stacking[0]["period"] == 41
+        assert "condition number above cap (synthetic)" in stacking[0]["reason"]
+        assert stacking[1]["reason"] is None
+        first = (out_dir / "stacking.json").read_bytes()
+        first_t = None
+        assert main(["irf", "--config", str(config_path), "--out", str(out_dir)]) == 0
+        assert (out_dir / "stacking.json").read_bytes() == first
 
     def test_time_invariant_mode(self, pipeline):
         config_path = pipeline / "config.json"

@@ -11,7 +11,14 @@ from tvpgvar import (
     stack_system,
 )
 from tvpgvar.errors import NumericalError, ValidationError
-from tvpgvar.gvar import read_coefficients_json, write_coefficients_json
+from tvpgvar.gvar import (
+    ActivityCoefficients,
+    CountryCoefficients,
+    StructuralFit,
+    read_coefficients_json,
+    write_coefficients_json,
+)
+from tvpgvar.irf import ShockSpec, oirf_point
 
 from conftest import (
     make_panel,
@@ -29,6 +36,22 @@ def swap_weights(t_len):
     we[:, 1, 0] = 1.0
     wb = np.full((t_len, 2, 1), 0.5)
     return WeightSequence(we=we, wb=wb)
+
+
+def true_fit(coeffs, dims):
+    """StructuralFit holding the true blocks of ``random_coefficients``, unit Sigma_u."""
+    n_regions, p, l = dims
+    countries = tuple(CountryCoefficients(
+        a_k=coeffs["ak"][k], phi1=coeffs["phi"][k], gamma_e0=coeffs["ge0"][k],
+        gamma_e1=coeffs["ge1"][k], gamma_b0=coeffs["gb0"][k], gamma_b1=coeffs["gb1"][k])
+        for k in range(n_regions))
+    activities = tuple(ActivityCoefficients(
+        a_m=coeffs["am"][m], phi_b=coeffs["phib"][m],
+        gamma_be0=coeffs["gbe0"][m], gamma_be1=coeffs["gbe1"][m]) for m in range(l))
+    width = n_regions * p + l
+    return StructuralFit(countries=countries, activities=activities, residuals=None,
+                         sigma_u=np.eye(width), dims=dims,
+                         columns=tuple(f"c{j}" for j in range(width)), nobs=100)
 
 
 class TestWeightSequence:
@@ -276,7 +299,7 @@ class TestStackSystem:
                 a, gamma_be0=np.zeros(p), gamma_be1=np.zeros(p))
                 for a in fit.activities),
         )
-        system = stack_system(zeroed, weights, 0)
+        system = stack_system(zeroed, weights, 1)
         np.testing.assert_array_equal(system.g0, np.eye(3))
         expected_diag = [zeroed.countries[0].phi1[0, 0],
                          zeroed.countries[1].phi1[0, 0],
@@ -307,7 +330,7 @@ class TestStackSystem:
             fit, countries=tuple(
                 dataclasses.replace(c, gamma_e0=np.array([[0.2]]))
                 for c in fit.countries))
-        system = stack_system(pinned, weights, 0)
+        system = stack_system(pinned, weights, 1)
         np.testing.assert_allclose(system.g0, [[1.0, -0.2], [-0.2, 1.0]])
 
     def test_g0_f1_multiply_back(self, rng):
@@ -320,7 +343,7 @@ class TestStackSystem:
                                 n_regions, p, l, noise=noise)
         panel = make_panel(x, ["A", "B", "C"], ["v1", "v2"], ["ACT"])
         fit = estimate_structural(panel, weights)
-        for t in (0, 100, 299):
+        for t in (1, 100, 299):
             system = stack_system(fit, weights, t)
             assert np.max(np.abs(system.g0 @ system.f1 - system.g1)) < 1e-12
             assert np.max(np.abs(system.g0 @ system.b - system.a)) < 1e-12
@@ -348,8 +371,11 @@ class TestStackSystem:
             phib=[a.phi_b for a in fit.activities],
             am=[a.a_m for a in fit.activities])
         t = 77
-        g0_ref, g1_ref, a_ref = structural_matrices(
+        # G0 carries the weights of t, G1 those of t-1
+        g0_ref, _, a_ref = structural_matrices(
             coeffs_hat, weights.we[t], weights.wb[t], n_regions, p, l)
+        _, g1_ref, _ = structural_matrices(
+            coeffs_hat, weights.we[t - 1], weights.wb[t - 1], n_regions, p, l)
         system = stack_system(fit, weights, t)
         np.testing.assert_allclose(system.g0, g0_ref, atol=1e-13)
         np.testing.assert_allclose(system.g1, g1_ref, atol=1e-13)
@@ -365,10 +391,38 @@ class TestStackSystem:
                                 n_regions, p, l, noise=noise)
         panel = make_panel(x, ["A", "B"], ["v1"], ["ACT"])
         fit = estimate_structural(panel, weights)
-        s0 = stack_system(fit, weights, 0)
+        s0 = stack_system(fit, weights, 1)
         s1 = stack_system(fit, weights, t_len - 1)
         assert np.max(np.abs(s0.f1 - s1.f1)) < 1e-12
         assert np.max(np.abs(s0.b - s1.b)) < 1e-12
+
+    def test_period_zero_rejected(self, rng):
+        # period 0 has no lag, so there is no G1 to stack
+        fit = true_fit(random_coefficients(rng, 2, 1, 1), (2, 1, 1))
+        with pytest.raises(ValidationError, match="period 0 has no lagged period"):
+            stack_system(fit, WeightSequence.equal(10, 2, 1), 0)
+
+    @pytest.mark.parametrize("t", [1, 50, 119])
+    def test_one_step_propagation_under_time_varying_weights(self, rng, t):
+        # b + F1 x_{t-1} from the stacked system at t reproduces the
+        # simulator's G0_t^-1 (a + G1_{t-1} x_{t-1}) step
+        n_regions, p, l = 3, 2, 1
+        weights = wave_weights(120, n_regions, l)
+        coeffs = random_coefficients(rng, n_regions, p, l)
+        x = simulate_structural(coeffs, weights, rng.standard_normal(7), n_regions, p, l)
+        system = stack_system(true_fit(coeffs, (n_regions, p, l)), weights, t)
+        assert np.max(np.abs(system.b + system.f1 @ x[t - 1] - x[t])) < 1e-12
+
+    def test_responses_vary_with_the_weights_of_the_period(self, rng):
+        n_regions, p, l = 3, 2, 1
+        fit = true_fit(random_coefficients(rng, n_regions, p, l), (n_regions, p, l))
+        shock = ShockSpec(targets=(6,), horizon=4)
+        varying = wave_weights(120, n_regions, l)
+        a, b = (oirf_point(stack_system(fit, varying, t), shock) for t in (20, 50))
+        assert np.max(np.abs(a - b)) > 1e-6
+        equal = WeightSequence.equal(120, n_regions, l)
+        a, b = (oirf_point(stack_system(fit, equal, t), shock) for t in (20, 50))
+        np.testing.assert_array_equal(a, b)
 
     def test_zero_coupling_reduces_to_univariate_ar(self, rng):
         # with all couplings zero the reduced-form simulation equals
