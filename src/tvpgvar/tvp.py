@@ -18,10 +18,16 @@ Jeliazkov 2009): the random-walk prior plus one scalar observation per period
 make it block tridiagonal, so one banded Cholesky factorization and two
 banded triangular solves give an exact joint draw. The Kalman forward pass
 and the backward (Carter-Kohn) draw stay as reference implementations.
+The banded routines (LAPACK ``dpbtrf``/``dtbtrs``) come from SciPy's compiled
+``_flapack`` extension, loaded by file path without importing ``scipy``.
 """
 
 from __future__ import annotations
 
+import functools
+import importlib.machinery
+import importlib.util
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -241,6 +247,37 @@ def sample_theta_tilde_smoothed(state: KalmanState, rng: np.random.Generator,
     return draws
 
 
+@functools.cache
+def _flapack():
+    """SciPy's compiled LAPACK wrappers, the module behind ``scipy.linalg.lapack``.
+
+    ``import scipy.linalg`` adds about 0.3 s and 19 MB to the start of every
+    process that draws a path, mostly for modules the draw never calls; the
+    extension loaded alone exposes the same Fortran routines. It is left out
+    of ``sys.modules``, so a later ``import scipy.linalg`` loads its own copy.
+    """
+    spec = importlib.util.find_spec("scipy")
+    if spec is None or spec.origin is None:
+        raise ImportError("SciPy is not installed; tvpgvar needs scipy>=1.10 for its "
+                          "compiled LAPACK extension")
+    folder = Path(spec.origin).parent / "linalg"
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = folder / f"_flapack{suffix}"
+        if path.is_file():
+            break
+    else:
+        raise ImportError(f"no compiled LAPACK extension _flapack.* in {folder}; "
+                          "tvpgvar needs scipy>=1.10")
+    loader = importlib.machinery.ExtensionFileLoader("_flapack", str(path))
+    module = importlib.util.module_from_spec(
+        importlib.util.spec_from_file_location("_flapack", path, loader=loader))
+    loader.exec_module(module)
+    # CPython files a single-phase extension module under its name on creation
+    if sys.modules.get("_flapack") is module:
+        del sys.modules["_flapack"]
+    return module
+
+
 def sample_theta_tilde_banded(y: np.ndarray, theta0: np.ndarray, sqrt_omega: np.ndarray,
                               sigma2: float, priors: TVPPriors | None,
                               rng: np.random.Generator) -> np.ndarray:
@@ -282,15 +319,13 @@ def sample_theta_tilde_banded(y: np.ndarray, theta0: np.ndarray, sqrt_omega: np.
     rhs = (h * (ystar / sigma2)[:, None]).reshape(-1, 1)
     rhs[:2, 0] += prior_prec @ priors.m0
 
-    # imported here so that stages which never draw a path start without SciPy
-    from scipy.linalg.lapack import dpbtrf, dtbtrs
-
-    chol, info = dpbtrf(band.T, overwrite_ab=1)
+    lapack = _flapack()
+    chol, info = lapack.dpbtrf(band.T, overwrite_ab=1)
     if info != 0:
         raise NumericalError(f"state precision not positive definite (dpbtrf info {info})")
-    w, _ = dtbtrs(chol, rhs, trans="T", overwrite_b=1)
+    w, _ = lapack.dtbtrs(chol, rhs, trans="T", overwrite_b=1)
     w += rng.standard_normal((2 * n, 1))
-    draw, _ = dtbtrs(chol, w, overwrite_b=1)
+    draw, _ = lapack.dtbtrs(chol, w, overwrite_b=1)
     return draw.reshape(n, 2)
 
 

@@ -1,5 +1,10 @@
+import importlib.machinery
+import importlib.util
+import re
+
 import numpy as np
 import pytest
+from scipy.linalg import lapack
 
 from tvpgvar import (
     TVPConfig,
@@ -14,7 +19,7 @@ from tvpgvar import (
     sample_theta_tilde_smoothed,
 )
 from tvpgvar.errors import NumericalError, ValidationError
-from tvpgvar.tvp import read_trajectories, sigma_posterior, write_trajectories
+from tvpgvar.tvp import _flapack, read_trajectories, sigma_posterior, write_trajectories
 
 from conftest import make_panel
 
@@ -205,7 +210,7 @@ class TestSampleThetaTildeBanded:
         # with powers of two the rounding is exact: 2 + 2^80 == 2^80, so the
         # second pivot of the first block is exactly zero
         y = np.ones(10)
-        with pytest.raises(NumericalError, match="not positive definite"):
+        with pytest.raises(NumericalError, match=r"not positive definite \(dpbtrf info 2\)"):
             sample_theta_tilde_banded(y, np.zeros(2), np.full(2, 2.0 ** 40), 1.0,
                                       None, np.random.default_rng(0))
 
@@ -217,6 +222,58 @@ class TestSampleThetaTildeBanded:
         with pytest.raises(ValidationError):
             sample_theta_tilde_banded(np.ones(5), np.zeros(2), np.ones(2), 0.0,
                                       None, gen)
+
+
+def random_band(rng, size):
+    """Upper band storage (3 x size) of a random SPD matrix of bandwidth 2."""
+    band = np.zeros((3, size))
+    band[0, 2:] = rng.uniform(-1.0, 1.0, size - 2)
+    band[1, 1:] = rng.uniform(-1.0, 1.0, size - 1)
+    band[2] = rng.uniform(4.5, 6.0, size)
+    return band
+
+
+class TestBandedLapack:
+    """The extension loaded by file path runs the same Fortran as the public
+    ``scipy.linalg.lapack``: every output is equal bit for bit."""
+
+    def test_matches_public_scipy_lapack(self, rng):
+        ours = _flapack()
+        assert ours is not lapack._flapack
+        band = random_band(rng, 24)
+        rhs = rng.standard_normal((24, 3))
+        chol, info = ours.dpbtrf(band.copy())
+        ref_chol, ref_info = lapack.dpbtrf(band.copy())
+        assert info == ref_info == 0
+        assert np.array_equal(chol, ref_chol)
+        for trans in ("N", "T"):
+            x, info = ours.dtbtrs(chol, rhs.copy(), trans=trans)
+            ref_x, ref_info = lapack.dtbtrs(ref_chol, rhs.copy(), trans=trans)
+            assert info == ref_info == 0
+            assert np.array_equal(x, ref_x)
+
+    def test_not_positive_definite_same_info(self, rng):
+        band = random_band(rng, 10)
+        band[2, 6] = -1.0
+        _, info = _flapack().dpbtrf(band.copy())
+        _, ref_info = lapack.dpbtrf(band.copy())
+        assert info == ref_info == 7
+
+    @pytest.mark.parametrize("installed", [False, True])
+    def test_missing_extension_is_an_import_error(self, monkeypatch, tmp_path, installed):
+        # a SciPy that is absent, or whose linalg folder has no _flapack.*
+        package = tmp_path / "scipy"
+        package.mkdir()
+        (package / "__init__.py").touch()
+        spec = (importlib.machinery.ModuleSpec("scipy", None, origin=str(package / "__init__.py"))
+                if installed else None)
+        real_find_spec = importlib.util.find_spec
+        monkeypatch.setattr(importlib.util, "find_spec", lambda name, *args:
+                            spec if name == "scipy" else real_find_spec(name, *args))
+        match = re.escape(str(package / "linalg")) if installed else "not installed"
+        _flapack.cache_clear()  # a failed load is not cached
+        with pytest.raises(ImportError, match=match + r".*scipy>=1\.10"):
+            _flapack()
 
 
 class TestSampleTheta0Omega:
