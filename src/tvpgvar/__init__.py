@@ -50,28 +50,19 @@ from .irf import (
     ShockSpec,
     asymptotic_bands,
     cholesky_lower,
-    commutation_matrix,
-    derivative_Gn,
-    derivative_H,
-    elimination_matrix,
     estimate_asymptotic_inputs,
     girf_point,
     oirf_point,
 )
 from .tvp import (
-    KalmanState,
     PanelTVPResult,
     TVPConfig,
-    TVPEquationSpec,
-    TVPPriors,
     TVPTrajectory,
     estimate_all,
-    kalman_forward,
     fit_equation,
     sample_sigma,
     sample_theta0_omega,
     sample_theta_tilde_banded,
-    sample_theta_tilde_smoothed,
 )
 
 __version__ = "0.1.0"
@@ -83,7 +74,6 @@ __all__ = [
     "ForecastResult",
     "ForecasterConfig",
     "IRFResult",
-    "KalmanState",
     "LassoFit",
     "NumericalError",
     "PanelTVPResult",
@@ -93,8 +83,6 @@ __all__ = [
     "StackedSystem",
     "StructuralFit",
     "TVPConfig",
-    "TVPEquationSpec",
-    "TVPPriors",
     "TVPTrajectory",
     "TimeSeriesPanel",
     "ValidationError",
@@ -105,10 +93,6 @@ __all__ = [
     "build_link_matrix_activity",
     "build_link_matrix_country",
     "cholesky_lower",
-    "commutation_matrix",
-    "derivative_Gn",
-    "derivative_H",
-    "elimination_matrix",
     "estimate_all",
     "estimate_asymptotic_inputs",
     "estimate_structural",
@@ -116,7 +100,6 @@ __all__ = [
     "forecast_lasso",
     "forecast_var1",
     "girf_point",
-    "kalman_forward",
     "lasso_fit",
     "lasso_lambda_max",
     "load_panel",
@@ -128,7 +111,6 @@ __all__ = [
     "sample_sigma",
     "sample_theta0_omega",
     "sample_theta_tilde_banded",
-    "sample_theta_tilde_smoothed",
     "select_model",
     "stability_check",
     "stack_system",

@@ -43,9 +43,16 @@ def _strings(value: Any, name: str) -> list[str]:
 
 
 def _number(obj: Mapping[str, Any], section: str, key: str, default: Any, kind: type) -> Any:
-    """``kind(obj[key])`` (int or float), or a ValidationError naming the key."""
+    """``kind(obj[key])`` (int or float), or a ValidationError naming the key.
+
+    Booleans are not numbers here, and an int key takes no fractional value:
+    ``int(2.7)`` and ``int(True)`` would silently run with 2 and 1.
+    """
     value = obj.get(key, default)
     try:
+        if isinstance(value, bool) or (
+                kind is int and isinstance(value, float) and not value.is_integer()):
+            raise ValueError(value)
         return kind(value)
     except (TypeError, ValueError):
         what = "an integer" if kind is int else "a number"
@@ -145,8 +152,6 @@ def load_config(path: str | Path) -> RunConfig:
     _check_keys(tvp_obj, {"iters", "seed"}, "tvp")
     tvp = TVPConfig(iters=_number(tvp_obj, "tvp", "iters", 1000, int),
                     seed=_number(tvp_obj, "tvp", "seed", 0, int))
-    if tvp.iters < 1:
-        raise ValidationError("tvp.iters must be >= 1")
 
     irf_obj = _section(obj, "irf")
     _check_keys(irf_obj, {"horizon", "level", "dates", "shocks"}, "irf")

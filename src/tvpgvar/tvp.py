@@ -13,6 +13,12 @@ draw of the standardized path, a normal posterior draw for
 (theta_0, sqrt_omega), and an inverse-gamma style draw for the observation
 noise. The draws of the final iteration are reported.
 
+The priors are fixed: theta_tilde_0 ~ N(0, P0_SCALE * I) with P0_SCALE = 1e-15;
+(theta_0, sqrt_omega) ~ N(0, A0) with the data-based A0 = diag{1 / diag((X'X)^-1)}
+of the current step-3 regression, recomputed each iteration; and the
+observation precision ~ Gamma(C0_SHAPE, C0_RATE) = Gamma(0.01, 0.01). The
+only settings are the iteration count and the seed (``TVPConfig``).
+
 The path draw uses the banded posterior precision of the whole path (Chan &
 Jeliazkov 2009): the random-walk prior plus one scalar observation per period
 make it block tridiagonal, so one banded Cholesky factorization and two
@@ -28,7 +34,7 @@ import functools
 import importlib.machinery
 import importlib.util
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -39,60 +45,13 @@ from .ingest import TimeSeriesPanel
 from .serialize import read_csv_rows, write_csv, write_json
 
 RIDGE_JITTER = 1e-8
+P0_SCALE = 1e-15  # prior covariance of the first standardized state, times I
+C0_SHAPE = C0_RATE = 0.01  # Gamma prior of the observation precision
 
 
-def _default_a0_inv(design: np.ndarray) -> np.ndarray:
+def _default_a0_inv(xtx: np.ndarray) -> np.ndarray:
     # data-based prior: A0 = diag{1 / diag((X'X)^-1)}, so A0^-1 = diag{diag((X'X)^-1)}
-    xtx = design.T @ design
-    diag = np.diag(np.linalg.pinv(xtx)).copy()
-    diag = np.clip(diag, 0.0, None)
-    return np.diag(diag)
-
-
-@dataclass(frozen=True)
-class TVPPriors:
-    """Prior settings; ``a0``/``A0`` default to the data-based choice."""
-
-    m0: np.ndarray = field(default_factory=lambda: np.zeros(2))
-    p0: np.ndarray = field(default_factory=lambda: 1e-15 * np.eye(2))
-    a0: np.ndarray = field(default_factory=lambda: np.zeros(4))
-    big_a0: np.ndarray | None = None  # None -> diag{1/diag((X'X)^-1)} per iteration
-    c0: float = 0.01
-    big_c0: float = 0.01
-
-    def __post_init__(self):
-        object.__setattr__(self, "m0", np.asarray(self.m0, float).reshape(2))
-        object.__setattr__(self, "p0", np.asarray(self.p0, float).reshape(2, 2))
-        object.__setattr__(self, "a0", np.asarray(self.a0, float).reshape(4))
-        if self.big_a0 is not None:
-            object.__setattr__(self, "big_a0", np.asarray(self.big_a0, float).reshape(4, 4))
-        for name, mat in (("p0", self.p0), ("big_a0", self.big_a0)):
-            if mat is None:
-                continue
-            if np.max(np.abs(mat - mat.T)) > 1e-12:
-                raise ValidationError(f"prior {name} must be symmetric")
-            if np.min(np.linalg.eigvalsh(mat)) < -1e-12:
-                raise ValidationError(f"prior {name} must be positive semi-definite")
-
-
-@dataclass(frozen=True)
-class TVPEquationSpec:
-    """One column's estimation problem: data, iteration budget, seed, priors."""
-
-    y: np.ndarray
-    iters: int = 1000
-    seed: int | Sequence[int] = 0
-    priors: TVPPriors = field(default_factory=TVPPriors)
-
-    def __post_init__(self):
-        y = np.asarray(self.y, float).reshape(-1)
-        object.__setattr__(self, "y", y)
-        if y.size < 3:
-            raise ValidationError("need at least 3 observations per equation")
-        if not np.all(np.isfinite(y)):
-            raise ValidationError("observations must be finite")
-        if self.iters < 1:
-            raise ValidationError("iters must be >= 1")
+    return np.diag(np.clip(np.diag(np.linalg.pinv(xtx)), 0.0, None))
 
 
 @dataclass(frozen=True)
@@ -130,21 +89,24 @@ class TVPTrajectory:
 
 
 def kalman_forward(y: np.ndarray, theta0: np.ndarray, sqrt_omega: np.ndarray,
-                   sigma2: float, priors: TVPPriors | None = None,
+                   sigma2: float, m0: Sequence[float] = (0.0, 0.0),
+                   p0: np.ndarray = P0_SCALE * np.eye(2),
                    state_noise: float = 1.0) -> KalmanState:
     """Forward Kalman pass for the standardized state path.
 
     Observation t (t = 1..T-1) is ``y_t - [1, y_{t-1}] @ theta0`` with loading
     ``H_t = [sqrt_omega_1, sqrt_omega_2 * y_{t-1}]``, observation variance
     ``sigma2``, and state innovation covariance ``state_noise * I`` (1 for the
-    non-centred random walk; 0 degenerates to recursive least squares).
+    non-centred random walk; 0 degenerates to recursive least squares). The
+    initial state is N(m0, p0), by default the sampler's fixed prior.
     """
     y = np.asarray(y, float).reshape(-1)
     if y.size < 2:
         raise ValidationError("need at least 2 observations to filter")
     if sigma2 <= 0:
         raise ValidationError("sigma2 must be positive")
-    priors = priors or TVPPriors()
+    m0 = np.asarray(m0, float).reshape(2)
+    p0 = np.asarray(p0, float).reshape(2, 2)
     n = y.size - 1
 
     m_out = np.empty((n, 2))
@@ -154,10 +116,10 @@ def kalman_forward(y: np.ndarray, theta0: np.ndarray, sqrt_omega: np.ndarray,
     k_out = np.empty((n, 2))
 
     # scalar 2x2 recursion: much faster than ndarray ops at this size
-    m0, m1 = float(priors.m0[0]), float(priors.m0[1])
-    p00 = float(priors.p0[0, 0])
-    p01 = float((priors.p0[0, 1] + priors.p0[1, 0]) / 2.0)
-    p11 = float(priors.p0[1, 1])
+    m0, m1 = float(m0[0]), float(m0[1])
+    p00 = float(p0[0, 0])
+    p01 = float((p0[0, 1] + p0[1, 0]) / 2.0)
+    p11 = float(p0[1, 1])
     t00, t01 = float(theta0[0]), float(theta0[1])
     w0, w1 = float(sqrt_omega[0]), float(sqrt_omega[1])
     q = float(state_noise)
@@ -279,33 +241,29 @@ def _flapack():
 
 
 def sample_theta_tilde_banded(y: np.ndarray, theta0: np.ndarray, sqrt_omega: np.ndarray,
-                              sigma2: float, priors: TVPPriors | None,
-                              rng: np.random.Generator) -> np.ndarray:
+                              sigma2: float, rng: np.random.Generator) -> np.ndarray:
     """Joint draw of the standardized path from its banded posterior precision.
 
-    Same model as ``kalman_forward`` with unit state noise. The states are
-    interleaved, index 2(t-1)+k holding ``theta_tilde[t, k]``, so the
-    precision ``K`` has upper bandwidth 2: diagonal blocks
-    ``(p0 + I)^-1 + I`` (first), ``2I`` (middle) and ``I`` (last; a one-step
-    path has just ``(p0 + I)^-1``), each plus ``h_t h_t' / sigma2``, and
-    off-diagonal blocks ``-I``. With ``K = U'U``
-    the draw ``U^-1 (U^-T b + z)`` has mean ``K^-1 b`` and covariance
-    ``K^-1``, where ``b = h_t y*_t / sigma2`` plus ``(p0 + I)^-1 m0`` on the
-    first block.
+    Same model as ``kalman_forward`` with unit state noise and the fixed
+    prior N(0, P0_SCALE * I). The states are interleaved, index 2(t-1)+k
+    holding ``theta_tilde[t, k]``, so the precision ``K`` has upper bandwidth
+    2: diagonal blocks ``(1 / (1 + P0_SCALE) + 1) I`` (first), ``2I`` (middle)
+    and ``I`` (last; a one-step path has just ``I / (1 + P0_SCALE)``), each
+    plus ``h_t h_t' / sigma2``, and off-diagonal blocks ``-I``. With
+    ``K = U'U`` the draw ``U^-1 (U^-T b + z)`` has mean ``K^-1 b`` and
+    covariance ``K^-1``, where ``b = h_t y*_t / sigma2``.
     """
     y = np.asarray(y, float).reshape(-1)
     if y.size < 2:
         raise ValidationError("need at least 2 observations to draw a path")
     if sigma2 <= 0:
         raise ValidationError("sigma2 must be positive")
-    priors = priors or TVPPriors()
     n = y.size - 1
     ylag = y[:-1]
     h = np.empty((n, 2))
     h[:, 0] = sqrt_omega[0]
     h[:, 1] = sqrt_omega[1] * ylag
     ystar = y[1:] - (theta0[0] + theta0[1] * ylag)
-    prior_prec = np.linalg.inv(priors.p0 + np.eye(2))
 
     # row j holds K[j-2, j], K[j-1, j], K[j, j]: its transpose is LAPACK's
     # upper band storage, already in Fortran order
@@ -314,10 +272,8 @@ def sample_theta_tilde_banded(y: np.ndarray, theta0: np.ndarray, sqrt_omega: np.
     band[1::2, 1] = h[:, 0] * h[:, 1] / sigma2
     band[:, 2] = (h * h).reshape(-1) / sigma2 + 2.0
     band[-2:, 2] -= 1.0
-    band[:2, 2] += np.diag(prior_prec) - 1.0
-    band[1, 1] += prior_prec[0, 1]
+    band[:2, 2] += 1.0 / (1.0 + P0_SCALE) - 1.0
     rhs = (h * (ystar / sigma2)[:, None]).reshape(-1, 1)
-    rhs[:2, 0] += prior_prec @ priors.m0
 
     lapack = _flapack()
     chol, info = lapack.dpbtrf(band.T, overwrite_ab=1)
@@ -340,24 +296,19 @@ def _step3_design(y: np.ndarray, theta_tilde: np.ndarray) -> tuple[np.ndarray, n
     return target, design
 
 
-def sample_theta0_omega(y: np.ndarray, theta_tilde: np.ndarray, sigma2: float,
-                        priors: TVPPriors, rng: np.random.Generator
-                        ) -> tuple[np.ndarray, np.ndarray]:
+def sample_theta0_omega(target: np.ndarray, design: np.ndarray, sigma2: float,
+                        rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Draw (theta0, sqrt_omega) from their joint normal posterior.
 
-    The design row at t is [1, y_{t-1}, tilde_1t, y_{t-1} * tilde_2t], scaled
-    by 1/sigma; the posterior is N(A (X'y/sigma^2 + A0^-1 a0), A) with
-    A = (X'X/sigma^2 + A0^-1)^-1. Signs of sqrt_omega are unidentified and
+    ``target``/``design`` are the step-3 regression: y_t on the row
+    [1, y_{t-1}, tilde_1t, y_{t-1} * tilde_2t]. The posterior is
+    N(A X'y / sigma^2, A) with A = (X'X/sigma^2 + A0^-1)^-1 and the data-based
+    A0^-1 = diag{diag((X'X)^-1)}. Signs of sqrt_omega are unidentified and
     may come back negative; the implied variances use the squares.
     """
-    y = np.asarray(y, float).reshape(-1)
-    target, design = _step3_design(y, theta_tilde)
-    if priors.big_a0 is None:
-        a0_inv = _default_a0_inv(design)
-    else:
-        a0_inv = np.linalg.inv(priors.big_a0)
-    prec = design.T @ design / sigma2 + a0_inv
-    rhs = design.T @ target / sigma2 + a0_inv @ priors.a0
+    xtx = design.T @ design
+    prec = xtx / sigma2 + _default_a0_inv(xtx)
+    rhs = design.T @ target / sigma2
     try:
         chol = np.linalg.cholesky(prec)
     except np.linalg.LinAlgError:
@@ -372,46 +323,51 @@ def sample_theta0_omega(y: np.ndarray, theta_tilde: np.ndarray, sigma2: float,
     return draw[:2].copy(), draw[2:].copy()
 
 
-def sigma_posterior(y: np.ndarray, design: np.ndarray, theta_star: np.ndarray,
-                    priors: TVPPriors) -> tuple[float, float]:
+def sigma_posterior(y: np.ndarray, design: np.ndarray,
+                    theta_star: np.ndarray) -> tuple[float, float]:
     """Gamma posterior (shape, rate) of the observation precision:
-    shape c0 + n/2, rate C0 + SSR/2 for the step-3 regression residuals."""
+    shape C0_SHAPE + n/2, rate C0_RATE + SSR/2 for the step-3 regression residuals."""
     y = np.asarray(y, float).reshape(-1)
     resid = y - design @ theta_star
     if not np.all(np.isfinite(resid)):
         raise ValidationError("non-finite residuals in variance update")
-    c_t = priors.c0 + y.size / 2.0
-    big_c_t = priors.big_c0 + 0.5 * float(resid @ resid)
+    c_t = C0_SHAPE + y.size / 2.0
+    big_c_t = C0_RATE + 0.5 * float(resid @ resid)
     if big_c_t <= 0:
         raise NumericalError(f"non-positive posterior rate {big_c_t}")
     return c_t, big_c_t
 
 
 def sample_sigma(y: np.ndarray, design: np.ndarray, theta_star: np.ndarray,
-                 priors: TVPPriors, rng: np.random.Generator) -> float:
+                 rng: np.random.Generator) -> float:
     """Draw the observation variance: precision ~ Gamma(shape, rate)."""
-    c_t, big_c_t = sigma_posterior(y, design, theta_star, priors)
+    c_t, big_c_t = sigma_posterior(y, design, theta_star)
     precision = rng.gamma(shape=c_t, scale=1.0 / big_c_t)
     return 1.0 / precision
 
 
-def fit_equation(spec: TVPEquationSpec) -> TVPTrajectory:
-    """Iterate path / coefficient / variance draws and keep the final one."""
-    y = spec.y
-    priors = spec.priors
-    rng = np.random.default_rng(spec.seed)
+def fit_equation(y: np.ndarray, iters: int, seed: int | Sequence[int]) -> TVPTrajectory:
+    """Iterate path / coefficient / variance draws on one column and keep the
+    final draw; ``seed`` seeds the column's own ``default_rng``."""
+    y = np.asarray(y, float).reshape(-1)
+    if y.size < 3:
+        raise ValidationError("need at least 3 observations per equation")
+    if not np.all(np.isfinite(y)):
+        raise ValidationError("observations must be finite")
+    if iters < 1:
+        raise ValidationError("iters must be >= 1")
+    rng = np.random.default_rng(seed)
     theta0 = np.zeros(2)
     sqrt_omega = np.ones(2)
     sigma2 = 0.1
     theta_tilde = np.zeros((y.size - 1, 2))
-    for it in range(spec.iters):
+    for it in range(iters):
         try:
-            theta_tilde = sample_theta_tilde_banded(y, theta0, sqrt_omega, sigma2,
-                                                    priors, rng)
-            theta0, sqrt_omega = sample_theta0_omega(y, theta_tilde, sigma2, priors, rng)
+            theta_tilde = sample_theta_tilde_banded(y, theta0, sqrt_omega, sigma2, rng)
             target, design = _step3_design(y, theta_tilde)
+            theta0, sqrt_omega = sample_theta0_omega(target, design, sigma2, rng)
             theta_star = np.concatenate([theta0, sqrt_omega])
-            sigma2 = sample_sigma(target, design, theta_star, priors, rng)
+            sigma2 = sample_sigma(target, design, theta_star, rng)
         except (NumericalError, ValidationError) as exc:
             raise NumericalError(f"iteration {it}: {exc}") from exc
     theta = theta0[None, :] + sqrt_omega[None, :] * theta_tilde
@@ -421,9 +377,16 @@ def fit_equation(spec: TVPEquationSpec) -> TVPTrajectory:
 
 @dataclass(frozen=True)
 class TVPConfig:
+    """The sampler's settings: iterations per column and the base seed."""
+
     iters: int = 1000
     seed: int = 0
-    priors: TVPPriors = field(default_factory=TVPPriors)
+
+    def __post_init__(self):
+        if self.iters < 1:
+            raise ValidationError("tvp.iters must be >= 1")
+        if self.seed < 0:
+            raise ValidationError("tvp.seed must be >= 0")
 
 
 @dataclass
@@ -448,10 +411,8 @@ def estimate_all(panel: TimeSeriesPanel, config: TVPConfig) -> PanelTVPResult:
     trajectories: list[TVPTrajectory | None] = [None] * panel.width
     errors: dict[int, str] = {}
     for i in range(panel.width):
-        spec = TVPEquationSpec(y=panel.values[:, i], iters=config.iters,
-                               seed=(config.seed, i), priors=config.priors)
         try:
-            trajectories[i] = fit_equation(spec)
+            trajectories[i] = fit_equation(panel.values[:, i], config.iters, (config.seed, i))
         except (NumericalError, ValidationError) as exc:
             errors[i] = str(exc)
     return PanelTVPResult(trajectories=trajectories, errors=errors)

@@ -18,8 +18,9 @@ from tvpgvar import ShockSpec, StackedSystem, WeightSequence
 from tvpgvar.cli import main
 from tvpgvar.errors import NumericalError
 from tvpgvar.forecast import ForecasterConfig, select_lasso_lambda, two_stage_forecast
+from tvpgvar.irf import commutation_matrix, derivative_Gn, derivative_H, elimination_matrix
 from tvpgvar.sample import IRF_DATES, bundled_csv_path, write_sample_config
-from tvpgvar.tvp import PanelTVPResult, TVPEquationSpec, TVPTrajectory
+from tvpgvar.tvp import PanelTVPResult, TVPTrajectory
 
 from conftest import (
     make_panel,
@@ -101,8 +102,8 @@ def test_matrix_calculus_kit():
         n = int(rng.integers(1, 7))
         s = rng.standard_normal((m, m))
         q = rng.standard_normal((m, n))
-        ok &= bool(np.array_equal(tg.elimination_matrix(m) @ vec(s), vech(s)))
-        ok &= bool(np.array_equal(tg.commutation_matrix(m, n) @ vec(q), vec(q.T)))
+        ok &= bool(np.array_equal(elimination_matrix(m) @ vec(s), vech(s)))
+        ok &= bool(np.array_equal(commutation_matrix(m, n) @ vec(q), vec(q.T)))
     report("matrix-calculus-kit", ok)
     assert ok
 
@@ -116,7 +117,7 @@ def test_analytic_derivatives_match_finite_differences():
         horizon = int(rng.integers(1, 6))
         f1 = 0.5 * rng.standard_normal((dim, dim))
         mas = tg.ma_coefficients(f1, horizon)
-        analytic = tg.derivative_Gn(f1, mas, horizon)
+        analytic = derivative_Gn(f1, mas, horizon)
         numeric = np.empty_like(analytic)
         for col in range(dim * dim):
             delta = np.zeros(dim * dim)
@@ -133,7 +134,7 @@ def test_analytic_derivatives_match_finite_differences():
         dim = int(rng.integers(1, 6))
         root = rng.standard_normal((dim, dim))
         sigma = root @ root.T + 0.5 * np.eye(dim)
-        analytic = tg.derivative_H(np.linalg.cholesky(sigma))
+        analytic = derivative_H(np.linalg.cholesky(sigma))
         numeric = np.empty_like(analytic)
         col = 0
         for j in range(dim):
@@ -206,7 +207,7 @@ def test_tvp_recovery_constant_ar1():
     y[0] = 0.6
     for t in range(1, t_len):
         y[t] = 0.3 + 0.5 * y[t - 1] + 0.1 * rng.standard_normal()
-    traj = tg.fit_equation(TVPEquationSpec(y=y, iters=1000, seed=77))
+    traj = tg.fit_equation(y, 1000, 77)
     averaged = traj.theta.mean(axis=0)
     err = np.abs(averaged - np.array([0.3, 0.5]))
     scales = np.abs(traj.sqrt_omega)
@@ -228,7 +229,7 @@ def test_tvp_recovery_drifting_slope():
     y[0] = 0.1 / (1 - f_true[0])
     for t in range(1, t_len):
         y[t] = 0.1 + f_true[t] * y[t - 1] + 0.05 * rng.standard_normal()
-    traj = tg.fit_equation(TVPEquationSpec(y=y, iters=1000, seed=(7, 0)))
+    traj = tg.fit_equation(y, 1000, (7, 0))
     corr = float(np.corrcoef(traj.theta[:, 1], f_true[1:])[0, 1])
     elapsed = time.perf_counter() - start
     ok = corr > 0.8 and elapsed < 60

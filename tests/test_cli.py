@@ -109,6 +109,10 @@ class TestIngest:
         ("weights", "window", "w"),
         ("forecast", "external", ["a"]),
         ("forecast", "external", {"plugin": 5}),
+        ("tvp", "iters", 0),
+        ("tvp", "seed", -1),
+        ("tvp", "iters", 2.7),  # int() would run 2 iterations
+        ("irf", "horizon", True),  # int() would give 1
     ])
     def test_wrongly_typed_value_rejected(self, tmp_path, capsys, section, key, value):
         config_path = mini_config(tmp_path)
@@ -194,6 +198,16 @@ class TestEstimate:
         config_path = mini_config(tmp_path)
         assert main(["estimate", "--config", str(config_path)]) == 1
         assert "run 'ingest' first" in capsys.readouterr().err
+
+    def test_negative_seed_override_rejected(self, tmp_path):
+        # numpy's default_rng rejects a negative seed with a bare ValueError
+        config_path = mini_config(tmp_path)
+        assert main(["ingest", "--config", str(config_path)]) == 0
+        proc = run_python("-m", "tvpgvar.cli", "estimate", "--config", str(config_path),
+                          "--seed", "-1")
+        assert proc.returncode == 1
+        assert "tvp.seed must be >= 0" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 class TestIRF:

@@ -12,10 +12,6 @@ from tvpgvar import (
     StackedSystem,
     asymptotic_bands,
     cholesky_lower,
-    commutation_matrix,
-    derivative_Gn,
-    derivative_H,
-    elimination_matrix,
     estimate_asymptotic_inputs,
     girf_point,
     ma_coefficients,
@@ -26,6 +22,10 @@ from tvpgvar.gvar import estimate_structural, stack_system
 from tvpgvar.irf import (
     _ndtri,
     _solve_lower,
+    commutation_matrix,
+    derivative_Gn,
+    derivative_H,
+    elimination_matrix,
     read_irf_csv,
     read_irf_json,
     write_irf_csv,

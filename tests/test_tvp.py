@@ -8,18 +8,22 @@ from scipy.linalg import lapack
 
 from tvpgvar import (
     TVPConfig,
-    TVPEquationSpec,
-    TVPPriors,
     estimate_all,
-    kalman_forward,
     fit_equation,
     sample_sigma,
     sample_theta0_omega,
     sample_theta_tilde_banded,
-    sample_theta_tilde_smoothed,
 )
 from tvpgvar.errors import NumericalError, ValidationError
-from tvpgvar.tvp import _flapack, read_trajectories, sigma_posterior, write_trajectories
+from tvpgvar.tvp import (
+    P0_SCALE,
+    _flapack,
+    kalman_forward,
+    read_trajectories,
+    sample_theta_tilde_smoothed,
+    sigma_posterior,
+    write_trajectories,
+)
 
 from conftest import make_panel
 
@@ -35,6 +39,13 @@ def simulate_tvp_series(rng, t_len, theta0, sqrt_omega, sigma, y0=0.0):
         f = theta0[1] + sqrt_omega[1] * tilde[t, 1]
         y[t] = b + f * y[t - 1] + sigma * rng.standard_normal()
     return y, tilde
+
+
+def step3(y, tilde):
+    """Target and design of the (theta0, sqrt_omega) regression."""
+    design = np.column_stack([np.ones(y.size - 1), y[:-1],
+                              tilde[:, 0], y[:-1] * tilde[:, 1]])
+    return y[1:], design
 
 
 class TestKalmanForward:
@@ -54,12 +65,12 @@ class TestKalmanForward:
         theta0 = np.array([0.2, 0.3])
         sw = np.array([0.7, -0.4])
         sigma2 = 0.3
-        priors = TVPPriors(m0=np.array([0.1, -0.2]),
-                           p0=np.array([[0.5, 0.1], [0.1, 0.8]]))
-        state = kalman_forward(y, theta0, sw, sigma2, priors)
+        m0 = np.array([0.1, -0.2])
+        p0 = np.array([[0.5, 0.1], [0.1, 0.8]])
+        state = kalman_forward(y, theta0, sw, sigma2, m0=m0, p0=p0)
 
-        m = priors.m0.copy()
-        p = priors.p0.copy()
+        m = m0.copy()
+        p = p0.copy()
         for t in (1, 2):
             h = np.array([sw[0], sw[1] * y[t - 1]])
             ystar = y[t] - (theta0[0] + theta0[1] * y[t - 1])
@@ -100,8 +111,8 @@ class TestKalmanForward:
         theta0 = np.zeros(2)
         sw = np.array([1.0, 1.0])
         sigma2 = 0.4
-        priors = TVPPriors(m0=np.zeros(2), p0=np.eye(2))
-        state = kalman_forward(y, theta0, sw, sigma2, priors, state_noise=0.0)
+        state = kalman_forward(y, theta0, sw, sigma2, m0=np.zeros(2), p0=np.eye(2),
+                               state_noise=0.0)
         for t in range(1, t_len):
             h_rows = np.column_stack([np.full(t, sw[0]), sw[1] * y[:t]])
             targets = y[1:t + 1]
@@ -116,19 +127,19 @@ class TestKalmanForward:
             kalman_forward(np.ones(5), np.zeros(2), np.ones(2), 0.0)
 
 
-def dense_path_posterior(y, theta0, sqrt_omega, sigma2, priors):
+def dense_path_posterior(y, theta0, sqrt_omega, sigma2):
     """Posterior mean and covariance of the interleaved standardized path by
     plain Gaussian conditioning of the joint (path, observation) prior.
 
-    Built from the state-space definition only: theta_tilde_0 ~ N(m0, p0),
-    unit random-walk steps, so Cov(x_t, x_s) = p0 + min(t, s) I, and
-    y*_t = h_t' x_t + N(0, sigma2).
+    Built from the state-space definition only: theta_tilde_0 ~ N(0, p0)
+    with the sampler's fixed p0 = P0_SCALE * I, unit random-walk steps, so
+    Cov(x_t, x_s) = p0 + min(t, s) I, and y*_t = h_t' x_t + N(0, sigma2).
     """
     n = y.size - 1
     steps = np.arange(1, n + 1)
-    prior_cov = (np.kron(np.ones((n, n)), priors.p0)
+    prior_cov = (np.kron(np.ones((n, n)), P0_SCALE * np.eye(2))
                  + np.kron(np.minimum.outer(steps, steps), np.eye(2)))
-    prior_mean = np.tile(priors.m0, n)
+    prior_mean = np.zeros(2 * n)
     loading = np.zeros((n, 2 * n))
     loading[steps - 1, 2 * steps - 2] = sqrt_omega[0]
     loading[steps - 1, 2 * steps - 1] = sqrt_omega[1] * y[:-1]
@@ -154,12 +165,10 @@ class TestSampleThetaTildeBanded:
     theta0 = np.array([0.3, -0.4])
     sqrt_omega = np.array([0.6, 0.35])
     sigma2 = 0.45
-    priors = TVPPriors(m0=np.array([0.5, -1.2]),
-                       p0=np.array([[0.7, 0.2], [0.2, 0.4]]))
 
     def draw(self, y, rng):
         return sample_theta_tilde_banded(y, self.theta0, self.sqrt_omega,
-                                         self.sigma2, self.priors, rng)
+                                         self.sigma2, rng)
 
     @pytest.mark.parametrize("t_len", [2, 3, 13])
     def test_exact_moments_match_dense_conditioning(self, rng, t_len):
@@ -167,29 +176,19 @@ class TestSampleThetaTildeBanded:
         # columns of a square root of the covariance
         y = 1.0 + rng.standard_normal(t_len)
         dim = 2 * (t_len - 1)
-        mean, cov = dense_path_posterior(y, self.theta0, self.sqrt_omega,
-                                         self.sigma2, self.priors)
+        mean, cov = dense_path_posterior(y, self.theta0, self.sqrt_omega, self.sigma2)
         got_mean = self.draw(y, FixedNormals(np.zeros(dim))).reshape(-1)
         roots = np.column_stack([self.draw(y, FixedNormals(e)).reshape(-1) - got_mean
                                  for e in np.eye(dim)])
         np.testing.assert_allclose(got_mean, mean, rtol=0, atol=1e-10)
         np.testing.assert_allclose(roots @ roots.T, cov, rtol=0, atol=1e-10)
 
-    def test_default_priors(self, rng):
-        y = rng.standard_normal(9)
-        mean, cov = dense_path_posterior(y, self.theta0, self.sqrt_omega,
-                                         self.sigma2, TVPPriors())
-        got = sample_theta_tilde_banded(y, self.theta0, self.sqrt_omega, self.sigma2,
-                                        None, FixedNormals(np.zeros(16)))
-        np.testing.assert_allclose(got.reshape(-1), mean, rtol=0, atol=1e-10)
-
     def test_monte_carlo_matches_oracle_and_carter_kohn(self, rng):
         # the banded draw and the Kalman + backward-sampling draw both hit
         # the dense-conditioning moments within Monte-Carlo error
         y = 1.0 + rng.standard_normal(13)
-        mean, cov = dense_path_posterior(y, self.theta0, self.sqrt_omega,
-                                         self.sigma2, self.priors)
-        state = kalman_forward(y, self.theta0, self.sqrt_omega, self.sigma2, self.priors)
+        mean, cov = dense_path_posterior(y, self.theta0, self.sqrt_omega, self.sigma2)
+        state = kalman_forward(y, self.theta0, self.sqrt_omega, self.sigma2)
         n_draws = 4000
         gen_banded = np.random.default_rng(21)
         gen_ck = np.random.default_rng(22)
@@ -212,16 +211,14 @@ class TestSampleThetaTildeBanded:
         y = np.ones(10)
         with pytest.raises(NumericalError, match=r"not positive definite \(dpbtrf info 2\)"):
             sample_theta_tilde_banded(y, np.zeros(2), np.full(2, 2.0 ** 40), 1.0,
-                                      None, np.random.default_rng(0))
+                                      np.random.default_rng(0))
 
     def test_bad_inputs(self):
         gen = np.random.default_rng(0)
         with pytest.raises(ValidationError):
-            sample_theta_tilde_banded(np.array([1.0]), np.zeros(2), np.ones(2), 0.1,
-                                      None, gen)
+            sample_theta_tilde_banded(np.array([1.0]), np.zeros(2), np.ones(2), 0.1, gen)
         with pytest.raises(ValidationError):
-            sample_theta_tilde_banded(np.ones(5), np.zeros(2), np.ones(2), 0.0,
-                                      None, gen)
+            sample_theta_tilde_banded(np.ones(5), np.zeros(2), np.ones(2), 0.0, gen)
 
 
 def random_band(rng, size):
@@ -278,49 +275,31 @@ class TestBandedLapack:
 
 class TestSampleTheta0Omega:
     def test_flat_prior_zero_noise_matches_ols(self, rng):
-        # with a flat prior the posterior mean is the OLS solution of the
-        # step-3 regression; a vanishing noise variance collapses the draw
-        # onto that mean
+        # the data-based prior precision diag((X'X)^-1) is O(1) while the
+        # data's is X'X / sigma2, so a vanishing noise variance makes the
+        # prior flat and collapses the draw onto the OLS solution
         t_len = 120
         y = rng.standard_normal(t_len)
         tilde = rng.standard_normal((t_len - 1, 2))
-        design = np.column_stack([np.ones(t_len - 1), y[:-1],
-                                  tilde[:, 0], y[:-1] * tilde[:, 1]])
-        priors = TVPPriors(big_a0=1e14 * np.eye(4))
-        theta0, sw = sample_theta0_omega(y, tilde, 1e-18, priors,
-                                         np.random.default_rng(3))
-        ols = np.linalg.lstsq(design, y[1:], rcond=None)[0]
+        target, design = step3(y, tilde)
+        theta0, sw = sample_theta0_omega(target, design, 1e-18, np.random.default_rng(3))
+        ols = np.linalg.lstsq(design, target, rcond=None)[0]
         np.testing.assert_allclose(np.concatenate([theta0, sw]), ols, atol=1e-6)
-
-    def test_dead_scale_columns_fall_back_to_prior(self, rng):
-        t_len = 150
-        y = rng.standard_normal(t_len)
-        tilde = np.zeros((t_len - 1, 2))
-        priors = TVPPriors(big_a0=np.eye(4))
-        gen = np.random.default_rng(11)
-        draws = np.stack([
-            np.concatenate(sample_theta0_omega(y, tilde, 0.5, priors, gen))
-            for _ in range(4000)])
-        assert np.all(np.isfinite(draws))
-        # the sqrt_omega block has no data information: posterior = prior
-        cov = np.cov(draws[:, 2:].T)
-        np.testing.assert_allclose(cov, np.eye(2), atol=0.12)
-        np.testing.assert_allclose(draws[:, 2:].mean(axis=0), 0.0, atol=0.07)
 
     def test_posterior_moments_match_analytic(self, rng):
         t_len = 80
         y = rng.standard_normal(t_len)
         tilde = rng.standard_normal((t_len - 1, 2))
         sigma2 = 0.3
-        priors = TVPPriors(big_a0=2.0 * np.eye(4))
-        design = np.column_stack([np.ones(t_len - 1), y[:-1],
-                                  tilde[:, 0], y[:-1] * tilde[:, 1]])
-        prec = design.T @ design / sigma2 + np.linalg.inv(priors.big_a0)
+        target, design = step3(y, tilde)
+        # A0^-1 = diag{diag((X'X)^-1)}: the data-based prior, with mean zero
+        a0_inv = np.diag(np.diag(np.linalg.inv(design.T @ design)))
+        prec = design.T @ design / sigma2 + a0_inv
         cov = np.linalg.inv(prec)
-        mean = cov @ (design.T @ y[1:] / sigma2)
+        mean = cov @ (design.T @ target / sigma2)
         gen = np.random.default_rng(5)
         draws = np.stack([
-            np.concatenate(sample_theta0_omega(y, tilde, sigma2, priors, gen))
+            np.concatenate(sample_theta0_omega(target, design, sigma2, gen))
             for _ in range(6000)])
         np.testing.assert_allclose(draws.mean(axis=0), mean, atol=0.05)
         np.testing.assert_allclose(np.cov(draws.T), cov, atol=0.05)
@@ -329,10 +308,10 @@ class TestSampleTheta0Omega:
         theta0 = np.array([0.4, 0.3])
         sw = np.array([0.08, 0.04])
         y, tilde = simulate_tvp_series(rng, 500, theta0, sw, 0.05)
+        target, design = step3(y, tilde[1:])
         gen = np.random.default_rng(9)
         draws = np.stack([
-            np.concatenate(sample_theta0_omega(y, tilde[1:], 0.05 ** 2,
-                                               TVPPriors(), gen))
+            np.concatenate(sample_theta0_omega(target, design, 0.05 ** 2, gen))
             for _ in range(500)])
         post_mean = draws.mean(axis=0)
         post_sd = draws.std(axis=0)
@@ -348,8 +327,7 @@ class TestSampleSigma:
         y = np.zeros(100)
         design = np.zeros((100, 4))
         theta = np.zeros(4)
-        priors = TVPPriors(c0=0.01, big_c0=0.01)
-        c_t, big_c_t = sigma_posterior(y, design, theta, priors)
+        c_t, big_c_t = sigma_posterior(y, design, theta)
         assert c_t == pytest.approx(50.01)
         assert big_c_t == pytest.approx(0.01)
 
@@ -358,10 +336,9 @@ class TestSampleSigma:
         y = rng.standard_normal(t_len)
         design = np.column_stack([np.ones(t_len), rng.standard_normal((t_len, 3))])
         theta = rng.standard_normal(4)
-        priors = TVPPriors()
-        c_t, big_c_t = sigma_posterior(y, design, theta, priors)
+        c_t, big_c_t = sigma_posterior(y, design, theta)
         gen = np.random.default_rng(2)
-        draws = np.array([1.0 / sample_sigma(y, design, theta, priors, gen)
+        draws = np.array([1.0 / sample_sigma(y, design, theta, gen)
                           for _ in range(100_000)])
         assert abs(draws.mean() - c_t / big_c_t) / (c_t / big_c_t) < 0.01
 
@@ -369,36 +346,39 @@ class TestSampleSigma:
         y = rng.standard_normal(60)
         design = np.column_stack([np.ones(60), rng.standard_normal((60, 3))])
         theta = rng.standard_normal(4)
-        priors = TVPPriors()
-        _, rate_one = sigma_posterior(y, design, theta, priors)
+        _, rate_one = sigma_posterior(y, design, theta)
         resid = y - design @ theta
         ssr = float(resid @ resid)
-        _, rate_two = sigma_posterior(np.sqrt(2.0) * y, np.sqrt(2.0) * design,
-                                      theta, priors)
+        _, rate_two = sigma_posterior(np.sqrt(2.0) * y, np.sqrt(2.0) * design, theta)
         assert rate_two - rate_one == pytest.approx(0.5 * ssr, rel=1e-12)
 
 
 class TestRunAlgorithm1:
     def test_single_iteration_deterministic(self, rng):
         y = rng.standard_normal(50)
-        spec = TVPEquationSpec(y=y, iters=1, seed=123)
-        a = fit_equation(spec)
-        b = fit_equation(spec)
+        a = fit_equation(y, 1, 123)
+        b = fit_equation(y, 1, 123)
         np.testing.assert_array_equal(a.theta, b.theta)
         np.testing.assert_array_equal(a.theta_tilde, b.theta_tilde)
         assert a.sigma2 == b.sigma2
 
     def test_reconstruction_identity(self, rng):
         y = rng.standard_normal(80)
-        traj = fit_equation(TVPEquationSpec(y=y, iters=20, seed=5))
+        traj = fit_equation(y, 20, 5)
         recon = traj.theta0[None, :] + traj.sqrt_omega[None, :] * traj.theta_tilde
         np.testing.assert_array_equal(recon, traj.theta)
 
     def test_spec_validation(self):
-        with pytest.raises(ValidationError):
-            TVPEquationSpec(y=np.ones(2), iters=10)
-        with pytest.raises(ValidationError):
-            TVPEquationSpec(y=np.ones(10), iters=0)
+        with pytest.raises(ValidationError, match="at least 3 observations"):
+            fit_equation(np.ones(2), 10, 0)
+        with pytest.raises(ValidationError, match="must be finite"):
+            fit_equation(np.array([1.0, np.nan, 2.0]), 10, 0)
+        with pytest.raises(ValidationError, match="iters must be >= 1"):
+            fit_equation(np.ones(10), 0, 0)
+        with pytest.raises(ValidationError, match="tvp.iters must be >= 1"):
+            TVPConfig(iters=0)
+        with pytest.raises(ValidationError, match="tvp.seed must be >= 0"):
+            TVPConfig(seed=-1)
 
 
 class TestEstimateAll:
@@ -426,10 +406,10 @@ class TestEstimateAll:
         panel = make_panel(values, ["A"], ["x", "y", "z"])
         real = tvp_mod.fit_equation
 
-        def flaky(spec):
-            if spec.seed[1] == 1:
+        def flaky(y, iters, seed):
+            if seed[1] == 1:
                 raise NumericalError("synthetic breakdown")
-            return real(spec)
+            return real(y, iters, seed)
 
         monkeypatch.setattr(tvp_mod, "fit_equation", flaky)
         result = tvp_mod.estimate_all(panel, TVPConfig(iters=2, seed=0))
