@@ -34,7 +34,7 @@ STACKING_FILE = "stacking.json"  # not irf_*: report counts those per requested 
 def _build_weights(config: RunConfig, panel: ingest.TimeSeriesPanel) -> gvar.WeightSequence:
     k, _, l = panel.dims
     t_len = len(panel.time_index)
-    if config.time_invariant or config.weights.provider == "equal":
+    if config.weights.provider == "equal":
         return gvar.WeightSequence.equal(t_len, k, l)
     if config.weights.provider == "rolling-share":
         return gvar.WeightSequence.rolling_share(
@@ -94,17 +94,13 @@ def cmd_irf(config: RunConfig) -> None:
     sample_size = len(panel.time_index) - 1
     names = panel.column_names()
 
-    if config.time_invariant:
-        # equal weights are the same at every period; stack the last one
-        requests = [(irf.TIME_INVARIANT, sample_size)]
-    else:
-        if not config.irf.dates:
-            raise ValidationError("config lists no IRF dates (or use --time-invariant)")
-        requests = [(date, panel.date_index(date)) for date in config.irf.dates]
-        if any(t == 0 for _, t in requests):
-            raise ValidationError(
-                f"IRF date {panel.time_index[0]} is the first panel month and has no "
-                f"lagged month; the first usable month is {panel.time_index[1]}")
+    if not config.irf.dates:
+        raise ValidationError("config lists no IRF dates")
+    requests = [(date, panel.date_index(date)) for date in config.irf.dates]
+    if any(t == 0 for _, t in requests):
+        raise ValidationError(
+            f"IRF date {panel.time_index[0]} is the first panel month and has no "
+            f"lagged month; the first usable month is {panel.time_index[1]}")
     if not config.irf.shocks:
         raise ValidationError("config lists no IRF shocks")
 
@@ -167,6 +163,12 @@ def cmd_forecast(config: RunConfig) -> None:
         result = fc.two_stage_forecast(train, tvp_result, fconf, actuals=actuals)
         result.model_kind = method
         results.append(result)
+        failed: dict[str, list[str]] = {}
+        for name, reason in result.errors.items():
+            failed.setdefault(reason, []).append(name)
+        for reason, columns in failed.items():
+            print(f"warning: {method} failed for {', '.join(columns)}: {reason}",
+                  file=sys.stderr)
     fc.write_param_paths(results, config.out_dir / FORECAST_PARAMS_FILE)
     fc.write_variable_paths(results, config.out_dir / FORECAST_VARIABLES_FILE,
                             actuals=actuals)
@@ -203,8 +205,6 @@ def _apply_overrides(config: RunConfig, args: argparse.Namespace) -> RunConfig:
         config.tvp = dataclasses.replace(config.tvp, seed=args.seed)
     if args.out is not None:
         config.out_dir = Path(args.out).resolve()
-    if args.time_invariant:
-        config.time_invariant = True
     return config
 
 
@@ -217,8 +217,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", required=True, help="path to the run config JSON")
     common.add_argument("--seed", type=int, default=None, help="override tvp.seed")
     common.add_argument("--out", default=None, help="override the output directory")
-    common.add_argument("--time-invariant", action="store_true",
-                        help="force constant equal weights (fixed-parameter mode)")
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("ingest", parents=[common], help="align raw series into the monthly panel")
     sub.add_parser("estimate", parents=[common], help="structural blocks + coefficient paths")

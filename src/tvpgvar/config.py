@@ -45,18 +45,16 @@ def _strings(value: Any, name: str) -> list[str]:
 def _number(obj: Mapping[str, Any], section: str, key: str, default: Any, kind: type) -> Any:
     """``kind(obj[key])`` (int or float), or a ValidationError naming the key.
 
-    Booleans are not numbers here, and an int key takes no fractional value:
-    ``int(2.7)`` and ``int(True)`` would silently run with 2 and 1.
+    Only JSON numbers pass: strings and booleans do not, and an int key takes
+    no fractional value, where ``int("3")``, ``int(True)`` and ``int(2.7)``
+    would silently run with 3, 1 and 2.
     """
     value = obj.get(key, default)
-    try:
-        if isinstance(value, bool) or (
-                kind is int and isinstance(value, float) and not value.is_integer()):
-            raise ValueError(value)
-        return kind(value)
-    except (TypeError, ValueError):
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or (
+            kind is int and isinstance(value, float) and not value.is_integer()):
         what = "an integer" if kind is int else "a number"
-        raise ValidationError(f"{section}.{key} must be {what}, got {value!r}") from None
+        raise ValidationError(f"{section}.{key} must be {what}, got {value!r}")
+    return kind(value)
 
 
 @dataclass
@@ -90,7 +88,6 @@ class RunConfig:
     methods: list[str]
     external: dict[str, Path]  # external method name -> predicted-path CSV
     out_dir: Path
-    time_invariant: bool = False
 
 
 def load_config(path: str | Path) -> RunConfig:

@@ -11,11 +11,14 @@ The lasso has one solver, ``_lasso_gram``. It takes a batch of standardized
 problems in Gram form (``G = Xs'Xs/n``, ``c = Xs'yc/n``) and runs
 covariance-update coordinate descent on all of them at once. After each sweep
 it solves every running problem exactly on its current support and signs, and
-a solution that passes the optimality (KKT) check ends that problem. The
-cross-validation puts every (series, fold) problem of a forecast into one
-batch and walks the penalty path with warm starts. The forecast walks the full
-sample's path down to each series' chosen penalty and uses that solution.
-``lasso_fit`` is the one-problem call of the same solver.
+a solution that passes the optimality (KKT) check ends that problem. A lasso
+forecast builds its inputs once (``_lasso_inputs``): the lag designs, the
+standardized full-sample problems and the penalty grids of a (series, time)
+stack. The cross-validation puts every (series, fold) problem into one batch,
+walks the penalty path with warm starts and returns each series' grid
+position; the fit walks the full-sample problems down to those positions and
+uses the solutions there. ``lasso_fit`` is the one-problem call of the same
+solver.
 """
 
 from __future__ import annotations
@@ -325,18 +328,6 @@ def _lag_design(series: np.ndarray, lag_window: int) -> tuple[np.ndarray, np.nda
     return design, series[..., lag_window:]
 
 
-def _penalty_grids(x: np.ndarray, y: np.ndarray, config: ForecasterConfig) -> np.ndarray:
-    """The (S, grid_size) descending penalties for the designs (S, n, L): a
-    geometric path from each ceiling down to ``grid_floor`` of it, or zeros
-    when the ceiling is zero."""
-    grids = np.zeros((x.shape[0], config.grid_size))
-    for s in range(x.shape[0]):
-        lam_max = lasso_lambda_max(x[s], y[s])
-        if lam_max > 0:
-            grids[s] = np.geomspace(lam_max, lam_max * config.grid_floor, config.grid_size)
-    return grids
-
-
 def _walk_path(problems: _Gram, lam: np.ndarray) -> np.ndarray:
     """Solve B problems along their (B, grid) penalty paths, each warm-started
     from its solution at the previous penalty; returns (grid, B, p)."""
@@ -347,37 +338,48 @@ def _walk_path(problems: _Gram, lam: np.ndarray) -> np.ndarray:
     return betas
 
 
-def _series_stack(series: np.ndarray, config: ForecasterConfig) -> np.ndarray:
-    """A series (T,) or stack (S, T) as a finite (S, T) array long enough to
-    cross-validate."""
-    rows = np.atleast_2d(np.asarray(series, float))
-    if rows.shape[1] <= config.lag_window + config.cv_folds:
-        raise ValidationError(
-            f"series too short ({rows.shape[1]}) for lag window {config.lag_window} "
-            f"and {config.cv_folds} folds")
-    if not np.all(np.isfinite(rows)):
-        raise ValidationError("lasso inputs must be finite")
-    return rows
+def _lasso_inputs(series: np.ndarray, config: ForecasterConfig
+                  ) -> tuple[np.ndarray, np.ndarray, _Gram, np.ndarray]:
+    """Everything the CV and the fit share for a stack (S, T) of series.
 
-
-def select_lasso_lambda(series: np.ndarray, config: ForecasterConfig) -> float | np.ndarray:
-    """Forward-chaining cross-validation over the penalty grid.
-
-    ``series`` is one series (T,) or a stack (S, T) of series sharing one
-    time index; the penalty of each is returned (a float for one series).
-    Rows are split into ``cv_folds + 1`` consecutive blocks; fold f trains on
-    everything before block f+1 and validates on it, so the future is never
-    in the training set. Every (series, fold) problem is standardized once
-    and all of them walk the penalty path together in one ``_lasso_gram``
-    batch, each warm-started from its solution at the previous penalty.
-    Ties resolve to the largest penalty.
+    Returns the lag designs (S, n, L) and targets (S, n), the full-sample
+    problems stacked as one ``_Gram`` and the (S, grid_size) descending
+    penalty grids: a geometric path from each ceiling down to ``grid_floor``
+    of it, or zeros when the ceiling is zero.
     """
-    rows = _series_stack(series, config)
-    x, y = _lag_design(rows, config.lag_window)
+    series = np.asarray(series, float)
+    if series.ndim != 2:
+        raise ValidationError(f"lasso series must be a (series, time) stack, got {series.shape}")
+    if series.shape[1] <= config.lag_window + config.cv_folds:
+        raise ValidationError(
+            f"series too short ({series.shape[1]}) for lag window {config.lag_window} "
+            f"and {config.cv_folds} folds")
+    if not np.all(np.isfinite(series)):
+        raise ValidationError("lasso inputs must be finite")
+    x, y = _lag_design(series, config.lag_window)
+    problems = _stack([_standardize(x[s], y[s]) for s in range(series.shape[0])])
+    live = problems.lam_max > 0
+    ceiling = np.where(live, problems.lam_max, 1.0)
+    grids = np.geomspace(ceiling, ceiling * config.grid_floor, config.grid_size, axis=-1)
+    return x, y, problems, np.where(live[:, None], grids, 0.0)
+
+
+def select_lasso_lambda(x: np.ndarray, y: np.ndarray, grids: np.ndarray,
+                        cv_folds: int) -> np.ndarray:
+    """Forward-chaining cross-validation over the penalty grids.
+
+    ``x`` (S, n, L), ``y`` (S, n) and ``grids`` (S, grid) are the lag designs,
+    targets and penalty grids of ``_lasso_inputs``; returns each series' grid
+    position. Rows are split into ``cv_folds + 1`` consecutive blocks; fold f
+    trains on everything before block f+1 and validates on it, so the future
+    is never in the training set. Every (series, fold) problem is
+    standardized once and all of them walk the penalty path together in one
+    ``_lasso_gram`` batch, each warm-started from its solution at the
+    previous penalty. Ties resolve to the largest penalty.
+    """
     n_series, n = y.shape
-    grids = _penalty_grids(x, y, config)
-    bounds = [round(n * (i + 1) / (config.cv_folds + 1)) for i in range(config.cv_folds + 1)]
-    folds = [(bounds[f], bounds[f + 1]) for f in range(config.cv_folds)
+    bounds = [round(n * (i + 1) / (cv_folds + 1)) for i in range(cv_folds + 1)]
+    folds = [(bounds[f], bounds[f + 1]) for f in range(cv_folds)
              if 0 < bounds[f] < bounds[f + 1]]
     scores = np.zeros(grids.shape)
     if folds:
@@ -391,27 +393,23 @@ def select_lasso_lambda(series: np.ndarray, config: ForecasterConfig) -> float |
             resid += intercept[:, part, None]
             resid -= y[:, split:stop]
             scores += np.mean(np.square(resid, out=resid), axis=2).T
-    picks = grids[np.arange(n_series), np.argmin(scores, axis=1)]
-    return float(picks[0]) if np.ndim(series) == 1 else picks
+    return np.argmin(scores, axis=1)
 
 
 def forecast_lasso(series: np.ndarray, config: ForecasterConfig) -> np.ndarray:
-    """Tune, fit, and forecast each series recursively.
+    """Tune, fit, and forecast each series of a stack (S, T) recursively.
 
-    ``series`` is one series (T,) or a stack (S, T) sharing one time index,
-    whose penalties are then chosen in one batch; returns (horizon,) or
-    (S, horizon). The fit is the full sample's path walked down to
-    ``max(grid, chosen penalty)``: its last step is each series' chosen
-    penalty, warm-started along the path as in cross-validation.
+    The penalties of all series are chosen in one batch; returns (S, horizon).
+    The fit walks the full sample's path down to the deepest chosen grid
+    position, each series clamped at its own chosen penalty, warm-started
+    along the path as in cross-validation.
     """
-    rows = _series_stack(series, config)
-    lams = np.atleast_1d(select_lasso_lambda(rows, config))
-    x, y = _lag_design(rows, config.lag_window)
-    grids = _penalty_grids(x, y, config)
-    reached = int(np.max(np.sum(grids >= lams[:, None], axis=1)))
-    problems = _stack([_standardize(x[s], y[s]) for s in range(rows.shape[0])])
-    beta = _walk_path(problems, np.maximum(grids[:, :reached], lams[:, None]))[-1]
+    x, y, problems, grids = _lasso_inputs(series, config)
+    picks = select_lasso_lambda(x, y, grids, config.cv_folds)
+    chosen = grids[np.arange(grids.shape[0]), picks]
+    beta = _walk_path(problems, np.maximum(grids[:, :picks.max() + 1], chosen[:, None]))[-1]
     coef, intercept = _original_scale(problems, beta)
+    rows = np.asarray(series, float)
     out = np.empty((rows.shape[0], config.horizon))
     for s in range(rows.shape[0]):
         window = list(rows[s, -config.lag_window:])
@@ -419,7 +417,7 @@ def forecast_lasso(series: np.ndarray, config: ForecasterConfig) -> np.ndarray:
             value = intercept[s] + float(coef[s] @ np.array(window[::-1]))
             out[s, step] = value
             window = window[1:] + [value]
-    return out[0] if np.ndim(series) == 1 else out
+    return out
 
 
 # ---------------------------------------------------------------------------

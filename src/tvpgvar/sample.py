@@ -1,4 +1,4 @@
-"""Deterministic bundled sample data: 3 regions x 3 variables + 1 activity.
+"""Deterministic sample data: 3 regions x 3 variables + 1 activity.
 
 Monthly price and unemployment indicators plus quarterly output for three
 stylized regions over 2000-01..2020-12 (252 months, 84 quarters), with a
@@ -13,7 +13,6 @@ a ready-to-use run config into RUNDIR.
 from __future__ import annotations
 
 import sys
-from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -78,11 +77,6 @@ def write_sample_csv(path: str | Path, seed: int = SAMPLE_SEED) -> Path:
     path.parent.mkdir(parents=True, exist_ok=True)
     write_csv(path, ["date", "region", "variable", "value"], rows)
     return path
-
-
-def bundled_csv_path() -> Path:
-    """Location of the CSV shipped inside the package."""
-    return Path(resources.files("tvpgvar").joinpath("data/sample_panel.csv"))
 
 
 def sample_config_dict(data_path: str | Path, out_dir: str = "out",

@@ -17,9 +17,11 @@ import tvpgvar as tg
 from tvpgvar import ShockSpec, StackedSystem, WeightSequence
 from tvpgvar.cli import main
 from tvpgvar.errors import NumericalError
-from tvpgvar.forecast import ForecasterConfig, select_lasso_lambda, two_stage_forecast
+from tvpgvar.forecast import (
+    ForecasterConfig, _lasso_inputs, select_lasso_lambda, two_stage_forecast,
+)
 from tvpgvar.irf import commutation_matrix, derivative_Gn, derivative_H, elimination_matrix
-from tvpgvar.sample import IRF_DATES, bundled_csv_path, write_sample_config
+from tvpgvar.sample import IRF_DATES, write_sample_config
 from tvpgvar.tvp import PanelTVPResult, TVPTrajectory
 
 from conftest import (
@@ -285,9 +287,9 @@ def test_lasso_correctness():
 
 def test_lasso_cv_matches_scalar_oracle_on_sample(tmp_path):
     """The batched CV picks the scalar oracle's penalty on every training
-    series of the bundled sample, at the sampler and grid sizes of the
+    series of the sample dataset, at the sampler and grid sizes of the
     benchmark's ``sample`` workload."""
-    config_path = write_sample_config(tmp_path, data_path=bundled_csv_path(), iters=50)
+    config_path = write_sample_config(tmp_path, iters=50)
     assert main(["ingest", "--config", str(config_path), "--out", str(tmp_path / "out")]) == 0
     panel = tg.read_panel_csv(tmp_path / "out" / "panel.csv")
     train = panel.slice_rows(0, len(panel.time_index) - 6)
@@ -295,7 +297,8 @@ def test_lasso_cv_matches_scalar_oracle_on_sample(tmp_path):
     series = np.vstack([traj.theta.T for traj in fitted.trajectories])
     config = ForecasterConfig(kind="lasso", lag_window=6, cv_folds=2, grid_size=25)
     start = time.perf_counter()
-    fast = select_lasso_lambda(series, config)
+    x, y, _, grids = _lasso_inputs(series, config)
+    fast = grids[np.arange(series.shape[0]), select_lasso_lambda(x, y, grids, config.cv_folds)]
     fast_s = time.perf_counter() - start
     start = time.perf_counter()
     slow = np.array([select_lambda_cd(row, 6, 2, 25, 1e-4) for row in series])
@@ -449,7 +452,7 @@ def test_forecaster_head_to_head():
 
 def test_end_to_end_determinism(tmp_path):
     start = time.perf_counter()
-    config_path = write_sample_config(tmp_path, data_path=bundled_csv_path())
+    config_path = write_sample_config(tmp_path)
     outputs = []
     for out_name in ("out_a", "out_b"):
         out_dir = tmp_path / out_name

@@ -12,7 +12,7 @@ from tvpgvar.cli import main
 from tvpgvar.irf import read_irf_csv, read_irf_json
 from tvpgvar.forecast import read_mse_report
 from tvpgvar.ingest import month_label
-from tvpgvar.sample import bundled_csv_path, write_sample_config
+from tvpgvar.sample import write_sample_config
 from tvpgvar.serialize import read_json, write_json
 
 
@@ -113,6 +113,8 @@ class TestIngest:
         ("tvp", "seed", -1),
         ("tvp", "iters", 2.7),  # int() would run 2 iterations
         ("irf", "horizon", True),  # int() would give 1
+        ("tvp", "iters", "3"),  # int() would parse the string
+        ("irf", "level", "0.9"),
     ])
     def test_wrongly_typed_value_rejected(self, tmp_path, capsys, section, key, value):
         config_path = mini_config(tmp_path)
@@ -291,14 +293,6 @@ class TestIRF:
         assert main(["irf", "--config", str(config_path), "--out", str(out_dir)]) == 0
         assert (out_dir / "stacking.json").read_bytes() == first
 
-    def test_time_invariant_mode(self, pipeline):
-        config_path = pipeline / "config.json"
-        assert main(["irf", "--config", str(config_path), "--time-invariant"]) == 0
-        files = sorted((pipeline / "out").glob("irf_time-invariant__*.json"))
-        assert len(files) == 3
-        result, _ = read_irf_json(files[0])
-        assert result.at_time == "time-invariant"
-
 
 class TestForecast:
     def test_mse_report_shape(self, pipeline):
@@ -331,6 +325,23 @@ class TestForecast:
 
     def test_train_trajectories_written(self, pipeline):
         assert (pipeline / "out" / "trajectories_train.csv").exists()
+
+
+    def test_failed_method_reported(self, tmp_path, capsys):
+        # 19 training months of 5 columns: var1 needs 20 periods for its
+        # 10-dim parameter VAR(1), so it fails while constant still scores
+        config_path = mini_config(tmp_path)
+        write_mini_dataset(tmp_path / "mini.csv", t_len=25)
+        obj = read_json(config_path)
+        obj["forecast"].update(horizon=6, methods=["constant", "var1"])
+        write_json(obj, config_path)
+        assert main(["ingest", "--config", str(config_path)]) == 0
+        assert main(["forecast", "--config", str(config_path)]) == 0
+        err = capsys.readouterr().err
+        assert ("warning: var1 failed for AAA.CPI, AAA.GDP, BBB.CPI, BBB.GDP, OIL: "
+                "need at least 20 periods") in err
+        assert "warning: constant" not in err
+        assert set(read_mse_report(tmp_path / "out" / "mse_report.csv")) == {"constant"}
 
 
 class TestExternalForecaster:
@@ -451,7 +462,7 @@ def test_ingest_and_report_start_without_scipy(tmp_path):
     # every CLI stage is its own process, and importing scipy.linalg costs
     # about 0.3 s and 19 MB: estimate and forecast load only SciPy's compiled
     # LAPACK extension, and the other stages run on numpy alone
-    config_path = write_sample_config(tmp_path, bundled_csv_path(), iters=20)
+    config_path = write_sample_config(tmp_path, iters=20)
     for stage in ("ingest", "estimate", "forecast", "report"):
         lines, loaded = run_stage_fresh(config_path, stage)
         assert loaded == [], stage
@@ -460,7 +471,7 @@ def test_ingest_and_report_start_without_scipy(tmp_path):
 
 def test_irf_starts_without_scipy(tmp_path):
     # the bands' normal quantile and triangular solves run on numpy alone
-    config_path = write_sample_config(tmp_path, bundled_csv_path(), iters=20)
+    config_path = write_sample_config(tmp_path, iters=20)
     for stage in ("ingest", "estimate"):
         assert main([stage, "--config", str(config_path)]) == 0
     _, loaded = run_stage_fresh(config_path, "irf")

@@ -14,7 +14,7 @@ from tvpgvar import (
 )
 from tvpgvar.errors import ValidationError
 from tvpgvar.forecast import (
-    _lasso_gram, _original_scale, _stack, _standardize,
+    _lasso_gram, _lasso_inputs, _original_scale, _stack, _standardize,
     read_mse_report, read_variable_paths, select_lasso_lambda,
     write_mse_report, write_param_paths, write_variable_paths,
 )
@@ -22,6 +22,12 @@ from tvpgvar.tvp import PanelTVPResult, TVPTrajectory
 
 from conftest import make_panel
 from oracles import lag_design, lasso_cd, lasso_objective
+
+
+def chosen_penalties(stack, config):
+    """Each series' cross-validated penalty: its grid at the chosen position."""
+    x, y, _, grids = _lasso_inputs(stack, config)
+    return grids[np.arange(grids.shape[0]), select_lasso_lambda(x, y, grids, config.cv_folds)]
 
 
 def orthonormal_design(rng, n, n_feat):
@@ -269,12 +275,45 @@ class TestBatchedSolver:
         config = ForecasterConfig(kind="lasso", horizon=4, lag_window=3, cv_folds=3,
                                   grid_size=20)
         stack = np.cumsum(rng.standard_normal((5, 80)), axis=1) * 0.1
-        lams = select_lasso_lambda(stack, config)
+        lams = chosen_penalties(stack, config)
         assert lams.shape == (5,)
-        assert [select_lasso_lambda(row, config) for row in stack] == list(lams)
+        assert [chosen_penalties(row[None], config)[0] for row in stack] == list(lams)
         np.testing.assert_allclose(
             forecast_lasso(stack, config),
-            np.array([forecast_lasso(row, config) for row in stack]), rtol=0, atol=1e-12)
+            np.vstack([forecast_lasso(row[None], config) for row in stack]), rtol=0, atol=1e-12)
+
+    def test_penalty_grids_match_per_series_geomspace(self, rng):
+        # one geomspace call over the stack gives each series' own path from
+        # its ceiling, bit for bit, and zeros for a constant series
+        config = ForecasterConfig(kind="lasso", lag_window=3, cv_folds=3, grid_size=20)
+        stack = np.cumsum(rng.standard_normal((6, 60)), axis=1) * rng.uniform(0.01, 100, (6, 1))
+        stack[2] = 1.0
+        x, y, problems, grids = _lasso_inputs(stack, config)
+        for s in range(stack.shape[0]):
+            lam_max = lasso_lambda_max(x[s], y[s])
+            assert problems.lam_max[s] == lam_max
+            expected = (np.zeros(20) if lam_max == 0
+                        else np.geomspace(lam_max, lam_max * config.grid_floor, 20))
+            np.testing.assert_array_equal(grids[s], expected)
+        np.testing.assert_array_equal(grids[2], 0.0)
+
+    def test_one_standardization_per_problem(self, rng, monkeypatch):
+        # the CV's (series, fold) problems plus one full-sample problem per
+        # series, which gives both the penalty grid and the fit
+        import tvpgvar.forecast as forecast_module
+
+        calls = []
+        standardize = forecast_module._standardize
+
+        def counted(x, y):
+            calls.append(x.shape)
+            return standardize(x, y)
+
+        monkeypatch.setattr(forecast_module, "_standardize", counted)
+        config = ForecasterConfig(kind="lasso", horizon=4, lag_window=3, cv_folds=3,
+                                  grid_size=20)
+        forecast_lasso(np.cumsum(rng.standard_normal((4, 80)), axis=1), config)
+        assert len(calls) == 4 * (config.cv_folds + 1)
 
 
 class TestForecastLasso:
@@ -286,30 +325,33 @@ class TestForecastLasso:
             y[t] = 0.9 * y[t - 1]
         config = ForecasterConfig(kind="lasso", horizon=6, lag_window=1, cv_folds=3,
                                   grid_size=40, grid_floor=1e-10)
-        out = forecast_lasso(y, config)
+        out = forecast_lasso(y[None], config)[0]
         expected = y[-1] * 0.9 ** np.arange(1, 7)
         np.testing.assert_allclose(out, expected, atol=1e-4)
 
     def test_constant_series_intercept_only(self):
         y = np.full(60, 4.2)
         config = ForecasterConfig(kind="lasso", horizon=5, lag_window=3, cv_folds=3)
-        out = forecast_lasso(y, config)
+        out = forecast_lasso(y[None], config)
         np.testing.assert_allclose(out, 4.2, atol=1e-12)
 
     def test_deterministic(self, rng):
-        y = np.cumsum(rng.standard_normal(90)) * 0.1 + 1.0
+        y = np.cumsum(rng.standard_normal((1, 90)), axis=1) * 0.1 + 1.0
         config = ForecasterConfig(kind="lasso", horizon=4, lag_window=4, cv_folds=4)
         a = forecast_lasso(y, config)
         b = forecast_lasso(y, config)
         np.testing.assert_array_equal(a, b)
-        lam_a = select_lasso_lambda(y, config)
-        lam_b = select_lasso_lambda(y, config)
-        assert lam_a == lam_b
+        np.testing.assert_array_equal(chosen_penalties(y, config), chosen_penalties(y, config))
 
     def test_series_too_short(self):
         config = ForecasterConfig(kind="lasso", horizon=2, lag_window=6, cv_folds=5)
         with pytest.raises(ValidationError, match="too short"):
-            forecast_lasso(np.ones(11), config)
+            forecast_lasso(np.ones((1, 11)), config)
+
+    def test_one_series_needs_a_stack(self):
+        config = ForecasterConfig(kind="lasso", horizon=2, lag_window=3, cv_folds=3)
+        with pytest.raises(ValidationError, match=r"\(series, time\) stack"):
+            forecast_lasso(np.ones(40), config)
 
     @pytest.mark.parametrize("settings, message", [
         ({"grid_size": 0}, "forecast.grid_size must be >= 1"),
@@ -338,7 +380,7 @@ class TestForecastLasso:
             expected = np.empty((stack.shape[0], h))
             for s, row in enumerate(stack):
                 x, y = lag_design(row, lag_window)
-                fit = lasso_fit(x, y, select_lasso_lambda(row, config))
+                fit = lasso_fit(x, y, chosen_penalties(row[None], config)[0])
                 window = list(row[::-1][:lag_window])  # most recent first
                 for step in range(h):
                     expected[s, step] = fit.intercept + fit.coef @ np.array(window)

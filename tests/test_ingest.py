@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,7 @@ from tvpgvar.errors import ValidationError
 from tvpgvar.ingest import (
     COMMON_REGION, month_index, month_label, read_panel_csv, write_panel_csv,
 )
-from tvpgvar.sample import bundled_csv_path
+from tvpgvar.sample import write_sample_csv
 
 from conftest import make_panel
 
@@ -80,8 +82,8 @@ class TestLoadPanel:
         with pytest.raises(ValidationError, match="irregular"):
             load_panel(path)
 
-    def test_bundled_fixture_counts(self):
-        series = load_panel(bundled_csv_path())
+    def test_bundled_fixture_counts(self, tmp_path):
+        series = load_panel(write_sample_csv(tmp_path / "sample_panel.csv"))
         assert len(series) == 10
         lengths = sorted({len(s) for s in series})
         assert lengths == [84, 252]
@@ -156,8 +158,8 @@ class TestAlignFrequencies:
         np.testing.assert_array_equal(panel_a.values, panel_b.values)
         assert panel_a.column_names() == ["EUR.CPI", "USA.CPI", "OIL"]
 
-    def test_width_is_kp_plus_l(self):
-        series = load_panel(bundled_csv_path())
+    def test_width_is_kp_plus_l(self, tmp_path):
+        series = load_panel(write_sample_csv(tmp_path / "sample_panel.csv"))
         panel = align_frequencies(series)
         assert panel.width == 3 * 3 + 1
         assert panel.values.shape[1] == 10
@@ -204,11 +206,10 @@ def test_panel_csv_misordered_columns_rejected(tmp_path):
 
 
 def test_bundled_fixture_matches_generator(tmp_path):
-    # the shipped CSV is exactly what the seeded generator produces
-    from tvpgvar.sample import write_sample_csv
-    regenerated = tmp_path / "regen.csv"
-    write_sample_csv(regenerated)
-    assert regenerated.read_bytes() == bundled_csv_path().read_bytes()
+    # the seeded generator still writes the sample CSV byte for byte
+    regenerated = write_sample_csv(tmp_path / "sample_panel.csv")
+    assert hashlib.sha256(regenerated.read_bytes()).hexdigest() == (
+        "326126fabccaf35193acadec5d888849caa631cbd9848b452242f7f8ab0a87c7")
 
 
 def test_panel_csv_round_trip(tmp_path, rng):
