@@ -15,7 +15,6 @@ from .forecast import (
     forecast_lasso,
     forecast_var1,
     lasso_fit,
-    lasso_lambda_max,
     mse,
     select_model,
     two_stage_forecast,
@@ -27,8 +26,6 @@ from .gvar import (
     StackedSystem,
     StructuralFit,
     WeightSequence,
-    build_link_matrix_activity,
-    build_link_matrix_country,
     estimate_structural,
     ma_coefficients,
     stability_check,
@@ -51,7 +48,6 @@ from .irf import (
     asymptotic_bands,
     cholesky_lower,
     estimate_asymptotic_inputs,
-    girf_point,
     oirf_point,
 )
 from .tvp import (
@@ -90,8 +86,6 @@ __all__ = [
     "WeightSequence",
     "align_frequencies",
     "asymptotic_bands",
-    "build_link_matrix_activity",
-    "build_link_matrix_country",
     "cholesky_lower",
     "estimate_all",
     "estimate_asymptotic_inputs",
@@ -99,9 +93,7 @@ __all__ = [
     "forecast_constant",
     "forecast_lasso",
     "forecast_var1",
-    "girf_point",
     "lasso_fit",
-    "lasso_lambda_max",
     "load_panel",
     "ma_coefficients",
     "mse",

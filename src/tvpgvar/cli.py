@@ -136,12 +136,15 @@ def cmd_forecast(config: RunConfig) -> None:
     panel = _load_panel_artifact(config)
     h = config.forecast.horizon
     t_len = len(panel.time_index)
-    width = panel.width
-    min_train = max(2 * width + 2, config.forecast.lag_window + config.forecast.cv_folds + 2)
-    if t_len - h < min_train:
+    kinds = {method: "external" if method in config.external else method
+             for method in config.methods}
+    needs = {method: fc.min_training_months(kind, config.forecast, panel.width)
+             for method, kind in kinds.items()}
+    method = max(needs, key=needs.get, default=None)
+    if method is not None and t_len - h < needs[method]:
         raise ValidationError(
             f"insufficient data: {t_len} months minus {h} held out leaves "
-            f"fewer than {min_train} training months")
+            f"{t_len - h} training months, and {method} needs at least {needs[method]}")
     train = panel.slice_rows(0, t_len - h)
     actuals = panel.values[t_len - h:]
 
@@ -155,11 +158,8 @@ def cmd_forecast(config: RunConfig) -> None:
 
     results = []
     for method in config.methods:
-        if method in config.external:
-            fconf = dataclasses.replace(config.forecast, kind="external",
-                                        external_path=config.external[method])
-        else:
-            fconf = dataclasses.replace(config.forecast, kind=method)
+        fconf = dataclasses.replace(config.forecast, kind=kinds[method],
+                                    external_path=config.external.get(method))
         result = fc.two_stage_forecast(train, tvp_result, fconf, actuals=actuals)
         result.model_kind = method
         results.append(result)

@@ -134,7 +134,7 @@ def load_config(path: str | Path) -> RunConfig:
     weights = WeightSettings(
         provider=provider,
         variable=weights_obj.get("variable"),
-        window=_number(weights_obj, "weights", "window", 24, int),
+        window=_number(weights_obj, "weights", "window", WeightSettings.window, int),
         path=(base / weights_obj["path"]).resolve() if "path" in weights_obj else None,
     )
     if provider == "rolling-share" and not weights.variable:
@@ -147,8 +147,8 @@ def load_config(path: str | Path) -> RunConfig:
 
     tvp_obj = _section(obj, "tvp")
     _check_keys(tvp_obj, {"iters", "seed"}, "tvp")
-    tvp = TVPConfig(iters=_number(tvp_obj, "tvp", "iters", 1000, int),
-                    seed=_number(tvp_obj, "tvp", "seed", 0, int))
+    tvp = TVPConfig(iters=_number(tvp_obj, "tvp", "iters", TVPConfig.iters, int),
+                    seed=_number(tvp_obj, "tvp", "seed", TVPConfig.seed, int))
 
     irf_obj = _section(obj, "irf")
     _check_keys(irf_obj, {"horizon", "level", "dates", "shocks"}, "irf")
@@ -156,8 +156,8 @@ def load_config(path: str | Path) -> RunConfig:
     if not isinstance(shocks, list):
         raise ValidationError(f"irf.shocks must be a list of column lists, got {shocks!r}")
     irf = IRFSettings(
-        horizon=_number(irf_obj, "irf", "horizon", 6, int),
-        level=_number(irf_obj, "irf", "level", 0.95, float),
+        horizon=_number(irf_obj, "irf", "horizon", IRFSettings.horizon, int),
+        level=_number(irf_obj, "irf", "level", IRFSettings.level, float),
         dates=_strings(irf_obj.get("dates", []), "irf.dates"),
         shocks=[_strings(s, f"irf.shocks[{i}]") for i, s in enumerate(shocks)],
     )
@@ -179,11 +179,11 @@ def load_config(path: str | Path) -> RunConfig:
     external = {name: (base / p).resolve() for name, p in external_obj.items()}
     methods = _strings(fc_obj.get("methods", list(METHOD_ORDER)), "forecast.methods")
     forecast = ForecasterConfig(
-        horizon=_number(fc_obj, "forecast", "horizon", 6, int),
-        lag_window=_number(fc_obj, "forecast", "lag_window", 6, int),
-        cv_folds=_number(fc_obj, "forecast", "cv_folds", 5, int),
-        grid_size=_number(fc_obj, "forecast", "grid_size", 50, int),
-        grid_floor=_number(fc_obj, "forecast", "grid_floor", 1e-4, float),
+        horizon=_number(fc_obj, "forecast", "horizon", ForecasterConfig.horizon, int),
+        lag_window=_number(fc_obj, "forecast", "lag_window", ForecasterConfig.lag_window, int),
+        cv_folds=_number(fc_obj, "forecast", "cv_folds", ForecasterConfig.cv_folds, int),
+        grid_size=_number(fc_obj, "forecast", "grid_size", ForecasterConfig.grid_size, int),
+        grid_floor=_number(fc_obj, "forecast", "grid_floor", ForecasterConfig.grid_floor, float),
     )
     for method in methods:
         if method not in METHOD_ORDER and method not in external:

@@ -62,8 +62,8 @@ class _Gram(NamedTuple):
     leading batch axis on every field (see ``_stack``)."""
 
     mean: np.ndarray     # (p,) column means
-    scale: np.ndarray    # (p,) column sds, 1.0 for zero-variance columns
-    live: np.ndarray     # (p,) columns with non-zero variance
+    scale: np.ndarray    # (p,) column sds, 1.0 for constant columns
+    live: np.ndarray     # (p,) columns whose values are not all equal
     ybar: float
     gram: np.ndarray     # (p, p) xs'xs / n
     corr: np.ndarray     # (p,) xs'yc / n
@@ -74,17 +74,17 @@ class _Gram(NamedTuple):
 def _standardize(x: np.ndarray, y: np.ndarray) -> _Gram:
     """Centre and scale the design, centre the target, and find the ceiling.
 
-    Zero-variance columns stay exactly zero in the standardized design, so
-    they never set the ceiling and their rows of ``gram`` and ``corr`` are
-    zero. The ceiling is the largest ``|corr_j|`` of this one computation, so
-    the solver's zero-solution check and ``lasso_lambda_max`` agree to the
-    last bit.
+    A column is live when its values are not all equal. A constant column is
+    dead even where rounding makes its computed sd non-zero (a constant 4.2):
+    it stays exactly zero in the standardized design, so it never sets the
+    ceiling and its rows of ``gram`` and ``corr`` are zero. The ceiling is the
+    largest ``|corr_j|`` of this one computation, so the solver's zero-solution
+    check and the penalty grid agree to the last bit.
     """
     mean = x.mean(axis=0)
-    scale = x.std(axis=0)
-    live = scale > 0
-    safe_scale = np.where(live, scale, 1.0)
-    xs = (x - mean) / safe_scale
+    live = np.any(x != x[:1], axis=0)
+    safe_scale = np.where(live, x.std(axis=0), 1.0)
+    xs = np.where(live, (x - mean) / safe_scale, 0.0)
     ybar = float(y.mean())
     yc = y - ybar
     corr = xs.T @ yc / y.size
@@ -218,7 +218,7 @@ def lasso_fit(x: np.ndarray, y: np.ndarray, lam: float, tol: float = _TOL,
     """Minimize (1/2n)||y - X beta||^2 + lam ||beta||_1 by coordinate descent.
 
     Features are standardized internally (zero mean, unit variance) and the
-    intercept is unpenalized; zero-variance columns keep coefficient zero.
+    intercept is unpenalized; constant columns keep coefficient zero.
     ``warm_start`` is a standardized starting point. When ``lam`` is at or
     above the penalty ceiling (``max_j |x_j'y|/n`` on the standardized
     scale) the all-zero vector satisfies the optimality conditions and is
@@ -244,13 +244,6 @@ def lasso_fit(x: np.ndarray, y: np.ndarray, lam: float, tol: float = _TOL,
     coef, intercept = _original_scale(problem, beta[0])
     return LassoFit(coef=coef, intercept=float(intercept), n_sweeps=int(n_sweeps[0]),
                     converged=bool(converged[0]), objectives=objectives[:n_sweeps[0], 0])
-
-
-def lasso_lambda_max(x: np.ndarray, y: np.ndarray) -> float:
-    """Smallest penalty with an all-zero solution, on the standardized scale."""
-    x = np.asarray(x, float)
-    y = np.asarray(y, float).reshape(-1)
-    return _standardize(x, y).lam_max
 
 
 # ---------------------------------------------------------------------------
@@ -286,6 +279,21 @@ class ForecasterConfig:
             raise ValidationError("forecast.grid_floor must be in (0, 1)")
         if self.kind == "external" and self.external_path is None:
             raise ValidationError("external forecaster needs a predicted-path CSV")
+
+
+def min_training_months(kind: str, config: ForecasterConfig, width: int) -> int:
+    """Fewest training months a ``kind`` forecaster needs for ``width`` columns.
+
+    A parameter path has one row per training month but the first (the
+    initial lag). The joint VAR(1) fits 2·width path series and needs twice
+    that many rows; the lasso needs more rows than its lag window plus folds;
+    the others need the sampler's three months.
+    """
+    if kind == "var1":
+        return 2 * (2 * width) + 1
+    if kind == "lasso":
+        return config.lag_window + config.cv_folds + 2
+    return 3
 
 
 def forecast_constant(traj_theta: np.ndarray, horizon: int) -> np.ndarray:

@@ -84,10 +84,6 @@ class WeightSequence:
             if np.any(np.abs(colsums - 1.0) > 1e-9):
                 raise ValidationError("activity weight columns must sum to 1")
 
-    def is_constant(self) -> bool:
-        return (np.all(self.we == self.we[:1])
-                and np.all(self.wb == self.wb[:1]))
-
     @classmethod
     def equal(cls, n_periods: int, n_regions: int, n_activities: int) -> "WeightSequence":
         """Fixed equal weights: off-diagonal 1/(K-1), activity weights 1/K."""
@@ -219,20 +215,6 @@ class StackedSystem:
     def width(self) -> int:
         return self.g0.shape[0]
 
-    @classmethod
-    def from_reduced_form(cls, intercept: np.ndarray, f1: np.ndarray,
-                          sigma_eps: np.ndarray) -> "StackedSystem":
-        """Plain reduced-form VAR(1) as a stacked system with G0 = I."""
-        n = f1.shape[0]
-        return cls(
-            g0=np.eye(n), g1=np.asarray(f1, float).copy(),
-            a=np.asarray(intercept, float).copy(),
-            sigma_u=np.asarray(sigma_eps, float).copy(),
-            sigma_eps=np.asarray(sigma_eps, float).copy(),
-            b=np.asarray(intercept, float).copy(),
-            f1=np.asarray(f1, float).copy(),
-        )
-
     def validate(self, tol: float = 1e-10) -> None:
         if np.max(np.abs(self.g0 @ self.f1 - self.g1)) > tol:
             raise NumericalError("reduced form violates G0 @ F1 = G1")
@@ -268,34 +250,16 @@ def _aggregates(x: np.ndarray, we: np.ndarray, wb: np.ndarray,
 
 def _links(weights: WeightSequence, t: int,
            dims: tuple[int, int, int]) -> tuple[np.ndarray, np.ndarray]:
-    """Period-t link matrices: (K, 2p+l, width) country and (l, 1+p, width) activity."""
+    """Period-t link matrices: (K, 2p+l, width) country and (l, 1+p, width)
+    activity, ``_aggregates`` applied to the identity: country k's rows select
+    its own variables, its foreign aggregate and the activities; activity m's
+    rows select its own column and its country aggregate."""
     if not 0 <= t < weights.n_periods:
         raise ValidationError(f"time index {t} out of range [0, {weights.n_periods})")
     n_regions, p, l = dims
     country, activity = _aggregates(np.eye(n_regions * p + l), weights.we[t],
                                     weights.wb[t], dims)
     return country.transpose(1, 2, 0), activity.transpose(1, 2, 0)
-
-
-def build_link_matrix_country(k: int, t: int, weights: WeightSequence,
-                              dims: tuple[int, int, int]) -> np.ndarray:
-    """Link matrix mapping the global vector to country k's equation block.
-
-    Rows 0..p-1 select country k's own variables, rows p..2p-1 apply the
-    column-k country weights to every country block, and the last l rows
-    select the activities. Indices are 0-based.
-    """
-    if not 0 <= k < dims[0]:
-        raise ValidationError(f"country index {k} out of range [0, {dims[0]})")
-    return _links(weights, t, dims)[0][k]
-
-
-def build_link_matrix_activity(m: int, t: int, weights: WeightSequence,
-                               dims: tuple[int, int, int]) -> np.ndarray:
-    """Link matrix for activity m: its own selector row plus country weights."""
-    if not 0 <= m < dims[2]:
-        raise ValidationError(f"activity index {m} out of range [0, {dims[2]})")
-    return _links(weights, t, dims)[1][m]
 
 
 def _ols(z: np.ndarray, own: int, spans: Sequence[slice], target: np.ndarray,

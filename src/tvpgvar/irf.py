@@ -1,4 +1,4 @@
-"""Orthogonal and generalized impulse responses with asymptotic error bands.
+"""Orthogonal impulse responses with asymptotic error bands.
 
 Responses to a unit orthogonalized shock are ``B_n G0^-1 P e_j`` with ``P``
 the Cholesky factor of the structural residual covariance; identification
@@ -14,7 +14,7 @@ The band multiplier is a port of the Cephes ``ndtri`` normal quantile
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
@@ -22,9 +22,8 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .gvar import StackedSystem, ma_coefficients, stability_check
+from .ingest import TimeSeriesPanel
 from .serialize import read_csv_rows, read_json, write_csv, write_json
-
-TIME_INVARIANT = "time-invariant"
 
 
 # ---------------------------------------------------------------------------
@@ -56,7 +55,7 @@ class ShockSpec:
 
     targets: tuple[int, ...]
     horizon: int = 6
-    at_time: int | str = TIME_INVARIANT
+    at_time: int | str = field(kw_only=True)  # the period's label
     level: float = 0.95
 
     def __post_init__(self):
@@ -103,20 +102,6 @@ def _accumulate(mas: np.ndarray, impact: np.ndarray, targets: Sequence[int]) -> 
     return out
 
 
-def girf_point(system: StackedSystem, j: int, horizon: int) -> np.ndarray:
-    """Generalized (ordering-free) responses to a one-sd shock in column j.
-
-    Closed form under Gaussian shocks: ``B_s G0^-1 Sigma_u e_j / sqrt(sigma_jj)``.
-    """
-    _check_targets([j], system.width)
-    sjj = float(system.sigma_u[j, j])
-    if sjj <= 0:
-        raise NumericalError(f"non-positive shock variance sigma_{j}{j} = {sjj}")
-    base = np.linalg.solve(system.g0, system.sigma_u[:, j] / np.sqrt(sjj))
-    mas = ma_coefficients(system.f1, horizon)
-    return np.stack([mas[s] @ base for s in range(horizon + 1)])
-
-
 # ---------------------------------------------------------------------------
 # delta-method bands
 # ---------------------------------------------------------------------------
@@ -161,42 +146,34 @@ class AsymptoticInputs(NamedTuple):
     sigma: np.ndarray
 
 
-def estimate_asymptotic_inputs(panel, system: StackedSystem,
-                               residuals: np.ndarray | None = None) -> AsymptoticInputs:
+def estimate_asymptotic_inputs(panel: TimeSeriesPanel,
+                               system: StackedSystem) -> AsymptoticInputs:
     """Standard Gaussian-VAR estimates of the band's input covariances.
 
     ``moment_inv`` is the lagged-regressor block of the inverse second-moment
-    matrix (intercept included, then dropped). ``sigma`` is the innovation
-    covariance from ``residuals`` when given, otherwise from the system.
+    matrix of the panel (intercept included, then dropped). ``sigma`` is the
+    system's innovation covariance ``Sigma_eps``.
     """
-    values = panel.values if hasattr(panel, "values") else np.asarray(panel, float)
-    t_len, width = values.shape
+    t_len, width = panel.values.shape
     if width != system.width:
         raise ValidationError("panel width does not match system")
-    lagged = np.column_stack([np.ones(t_len - 1), values[:-1]])
+    lagged = np.column_stack([np.ones(t_len - 1), panel.values[:-1]])
     moment = lagged.T @ lagged / (t_len - 1)
     try:
         moment_inv = np.linalg.inv(moment)
     except np.linalg.LinAlgError:
         raise NumericalError("singular regressor moment matrix") from None
-    if residuals is not None:
-        residuals = np.asarray(residuals, float)
-        dof = max(residuals.shape[0] - (width + 1), 1)
-        sigma = residuals.T @ residuals / dof
-    else:
-        sigma = system.sigma_eps
-    return AsymptoticInputs(moment_inv=moment_inv[1:, 1:], sigma=sigma)
+    return AsymptoticInputs(moment_inv=moment_inv[1:, 1:], sigma=system.sigma_eps)
 
 
-def asymptotic_bands(system: StackedSystem, shocks: ShockSpec | Sequence[ShockSpec],
-                     sample_size: int, inputs: AsymptoticInputs
-                     ) -> IRFResult | list[IRFResult]:
+def asymptotic_bands(system: StackedSystem, shocks: Sequence[ShockSpec],
+                     sample_size: int, inputs: AsymptoticInputs) -> list[IRFResult]:
     """Point responses with delta-method half-widths.
 
-    ``shocks`` is one ``ShockSpec``, answered with one result, or a period's
-    shocks, answered with a list in the same order. What depends only on the
-    system (its Cholesky factors, ``R``, the MA matrices, the eigenvalues of
-    ``F1`` and the condition number of ``G0``) is computed once for all of them.
+    ``shocks`` are a period's shocks, answered with a list of results in the
+    same order. What depends only on the system (its Cholesky factors, ``R``,
+    the MA matrices, the eigenvalues of ``F1`` and the condition number of
+    ``G0``) is computed once for all of them.
 
     The band is the delta-method band of ``B_s P u`` with ``P = chol(Sigma_eps)``
     and ``u`` the sum of the shocked unit vectors. It is the point response
@@ -211,8 +188,7 @@ def asymptotic_bands(system: StackedSystem, shocks: ShockSpec | Sequence[ShockSp
 
     with ``v_k = F1^k P u``; the half-width is ``z_{1-alpha/2} sqrt(var / T)``.
     """
-    single = isinstance(shocks, ShockSpec)
-    shocks = [shocks] if single else list(shocks)
+    shocks = list(shocks)
     if not shocks:
         raise ValidationError("no shocks given")
     if sample_size < 1:
@@ -254,7 +230,7 @@ def asymptotic_bands(system: StackedSystem, shocks: ShockSpec | Sequence[ShockSp
             point=_accumulate(mas[:n], impact, shock.targets), half_width=half,
             radius=radius, g0_condition=g0_condition, at_time=shock.at_time,
             targets=shock.targets, level=shock.level, sample_size=sample_size))
-    return results[0] if single else results
+    return results
 
 
 def _response_variance(mas, mas_chol, b_sigma, chol_eps, r, moment_inv, targets):

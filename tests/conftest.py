@@ -125,6 +125,19 @@ def random_stable_system(rng: np.random.Generator, dim: int,
                          sigma_eps=(sigma_eps + sigma_eps.T) / 2, b=b, f1=f1)
 
 
+def from_reduced_form(intercept: np.ndarray, f1: np.ndarray,
+                      sigma_eps: np.ndarray) -> StackedSystem:
+    """Plain reduced-form VAR(1) as a stacked system with G0 = I."""
+    return StackedSystem(
+        g0=np.eye(f1.shape[0]), g1=np.asarray(f1, float).copy(),
+        a=np.asarray(intercept, float).copy(),
+        sigma_u=np.asarray(sigma_eps, float).copy(),
+        sigma_eps=np.asarray(sigma_eps, float).copy(),
+        b=np.asarray(intercept, float).copy(),
+        f1=np.asarray(f1, float).copy(),
+    )
+
+
 def oirf_simulation_oracle(system: StackedSystem, targets, horizon: int) -> np.ndarray:
     """Shocked-minus-baseline paths of the reduced-form recursion."""
     width = system.width

@@ -32,15 +32,15 @@ from tvpgvar.irf import (
 
 def standardize(x, y):
     """``(xs, mean, safe_scale, live, ybar, yc, lam_max)``: centred, unit-variance
-    features (zero-variance columns stay zero), the centred target and the
-    penalty ceiling ``max_j |xs_j' yc| / n``."""
+    features (a column whose values are all equal is dead and stays zero), the
+    centred target and the penalty ceiling ``max_j |xs_j' yc| / n``."""
     x = np.asarray(x, float)
     y = np.asarray(y, float).reshape(-1)
     mean = x.mean(axis=0)
-    scale = x.std(axis=0)
-    live = scale > 0
-    safe_scale = np.where(live, scale, 1.0)
+    live = np.array([np.unique(column).size > 1 for column in x.T], dtype=bool)
+    safe_scale = np.where(live, x.std(axis=0), 1.0)
     xs = (x - mean) / safe_scale
+    xs[:, ~live] = 0.0
     ybar = float(y.mean())
     yc = y - ybar
     lam_max = float(np.max(np.abs(xs.T @ yc / y.size), initial=0.0))
@@ -150,18 +150,12 @@ def duplication_matrix(m):
     return out
 
 
-def dense_asymptotic_inputs(panel, system, residuals=None):
+def dense_asymptotic_inputs(panel, system):
     """``(S_alpha, S_sigma)``: the covariances of ``vec(dF1)`` and ``vech(dSigma)``."""
-    values = panel.values if hasattr(panel, "values") else np.asarray(panel, float)
-    t_len, width = values.shape
-    lagged = np.column_stack([np.ones(t_len - 1), values[:-1]])
+    t_len, width = panel.values.shape
+    lagged = np.column_stack([np.ones(t_len - 1), panel.values[:-1]])
     moment_inv = np.linalg.inv(lagged.T @ lagged / (t_len - 1))
-    if residuals is not None:
-        residuals = np.asarray(residuals, float)
-        dof = max(residuals.shape[0] - (width + 1), 1)
-        sigma_eps = residuals.T @ residuals / dof
-    else:
-        sigma_eps = system.sigma_eps
+    sigma_eps = system.sigma_eps
     sigma_alpha = np.kron(moment_inv[1:, 1:], sigma_eps)
     dup_pinv = np.linalg.pinv(duplication_matrix(width))
     sigma_sigma = 2.0 * dup_pinv @ np.kron(sigma_eps, sigma_eps) @ dup_pinv.T

@@ -14,17 +14,18 @@ import numpy as np
 from scipy.stats import norm
 
 import tvpgvar as tg
-from tvpgvar import ShockSpec, StackedSystem, WeightSequence
+from tvpgvar import ShockSpec, WeightSequence
 from tvpgvar.cli import main
 from tvpgvar.errors import NumericalError
 from tvpgvar.forecast import (
-    ForecasterConfig, _lasso_inputs, select_lasso_lambda, two_stage_forecast,
+    ForecasterConfig, _lasso_inputs, _standardize, select_lasso_lambda, two_stage_forecast,
 )
 from tvpgvar.irf import commutation_matrix, derivative_Gn, derivative_H, elimination_matrix
 from tvpgvar.sample import IRF_DATES, write_sample_config
 from tvpgvar.tvp import PanelTVPResult, TVPTrajectory
 
 from conftest import (
+    from_reduced_form,
     make_panel,
     oirf_simulation_oracle,
     random_coefficients,
@@ -67,7 +68,7 @@ def test_oirf_oracle_equivalence():
         dim = int(rng.integers(2, 6))
         system = random_stable_system(rng, dim)
         j = int(rng.integers(dim))
-        point = tg.oirf_point(system, ShockSpec(targets=(j,), horizon=10))
+        point = tg.oirf_point(system, ShockSpec(targets=(j,), horizon=10, at_time=1))
         oracle = oirf_simulation_oracle(system, (j,), 10)
         worst = max(worst, float(np.max(np.abs(point - oracle))))
     elapsed = time.perf_counter() - start
@@ -87,9 +88,9 @@ def test_multi_shock_additivity():
         split = int(rng.integers(1, dim))
         set_a = tuple(int(j) for j in order[:split])
         set_b = (int(order[split]),)
-        resp_a = tg.oirf_point(system, ShockSpec(targets=set_a, horizon=6))
-        resp_b = tg.oirf_point(system, ShockSpec(targets=set_b, horizon=6))
-        resp_ab = tg.oirf_point(system, ShockSpec(targets=set_a + set_b, horizon=6))
+        resp_a = tg.oirf_point(system, ShockSpec(targets=set_a, horizon=6, at_time=1))
+        resp_b = tg.oirf_point(system, ShockSpec(targets=set_b, horizon=6, at_time=1))
+        resp_ab = tg.oirf_point(system, ShockSpec(targets=set_a + set_b, horizon=6, at_time=1))
         worst = max(worst, float(np.max(np.abs(resp_ab - (resp_a + resp_b)))))
     ok = worst == 0.0
     report("multi-shock-additivity", ok, f"worst abs diff {worst:.1e}")
@@ -182,11 +183,10 @@ def test_band_coverage_monte_carlo():
         coef, _, _, _ = np.linalg.lstsq(design, xr[1:], rcond=None)
         resid = xr[1:] - design @ coef
         sigma_hat = resid.T @ resid / (t_len - 1 - 3)
-        system = StackedSystem.from_reduced_form(coef[0], coef[1:].T, sigma_hat)
-        inputs = tg.estimate_asymptotic_inputs(xr, system)
-        for j in range(2):
-            result = tg.asymptotic_bands(system, ShockSpec(targets=(j,), horizon=horizon),
-                                         t_len - 1, inputs)
+        system = from_reduced_form(coef[0], coef[1:].T, sigma_hat)
+        inputs = tg.estimate_asymptotic_inputs(make_panel(xr, ["A"], ["x1", "x2"]), system)
+        shocks = [ShockSpec(targets=(j,), horizon=horizon, at_time=1) for j in range(2)]
+        for j, result in enumerate(tg.asymptotic_bands(system, shocks, t_len - 1, inputs)):
             inside = ((true_oirf[:, :, j] >= result.lower)
                       & (true_oirf[:, :, j] <= result.upper))
             hits += inside.sum(axis=1)
@@ -260,7 +260,7 @@ def test_lasso_correctness():
     # lambda at or above lambda_max kills every coefficient
     x2 = rng.standard_normal((150, 4))
     y2 = rng.standard_normal(150) + x2[:, 0]
-    lam_max = tg.lasso_lambda_max(x2, y2)
+    lam_max = _standardize(x2, y2).lam_max
     zeroed = all(np.all(tg.lasso_fit(x2, y2, lam).coef == 0.0)
                  for lam in (lam_max, 2 * lam_max))
 

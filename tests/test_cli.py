@@ -327,21 +327,44 @@ class TestForecast:
         assert (pipeline / "out" / "trajectories_train.csv").exists()
 
 
-    def test_failed_method_reported(self, tmp_path, capsys):
-        # 19 training months of 5 columns: var1 needs 20 periods for its
-        # 10-dim parameter VAR(1), so it fails while constant still scores
+    def test_short_panel_names_var1_need(self, tmp_path, capsys):
+        # 19 training months of 5 columns: the 10-dim parameter VAR(1) needs
+        # 20 path rows, so 21 training months; the stage stops before sampling
         config_path = mini_config(tmp_path)
         write_mini_dataset(tmp_path / "mini.csv", t_len=25)
         obj = read_json(config_path)
         obj["forecast"].update(horizon=6, methods=["constant", "var1"])
         write_json(obj, config_path)
         assert main(["ingest", "--config", str(config_path)]) == 0
+        assert main(["forecast", "--config", str(config_path)]) == 1
+        err = capsys.readouterr().err
+        assert "19 training months, and var1 needs at least 21" in err
+        assert not (tmp_path / "out" / "trajectories_train.csv").exists()
+
+    def test_failed_method_reported(self, tmp_path, capsys):
+        # the external path file lacks OIL: only the stage's own run can tell,
+        # so the method fails for that column while the rest still score
+        from tvpgvar.serialize import write_csv
+
+        config_path = mini_config(tmp_path)
+        assert main(["ingest", "--config", str(config_path)]) == 0
+        panel = read_panel_csv(tmp_path / "out" / "panel.csv")
+        ext_path = tmp_path / "external_paths.csv"
+        write_csv(ext_path, ["date", "column", "b", "f1"],
+                  [[date, name, 0.0, 1.0] for date in panel.time_index[-4:]
+                   for name in panel.column_names() if name != "OIL"])
+        obj = read_json(config_path)
+        obj["forecast"].update(methods=["constant", "partial"],
+                               external={"partial": str(ext_path)})
+        write_json(obj, config_path)
         assert main(["forecast", "--config", str(config_path)]) == 0
         err = capsys.readouterr().err
-        assert ("warning: var1 failed for AAA.CPI, AAA.GDP, BBB.CPI, BBB.GDP, OIL: "
-                "need at least 20 periods") in err
+        assert ("warning: partial failed for OIL: "
+                "external path file has no rows for this column") in err
         assert "warning: constant" not in err
-        assert set(read_mse_report(tmp_path / "out" / "mse_report.csv")) == {"constant"}
+        table = read_mse_report(tmp_path / "out" / "mse_report.csv")
+        assert set(table) == {"constant", "partial"}
+        assert set(table["partial"]) == {"AAA.CPI", "AAA.GDP", "BBB.CPI", "BBB.GDP", "ALL"}
 
 
 class TestExternalForecaster:

@@ -7,7 +7,6 @@ from tvpgvar import (
     forecast_lasso,
     forecast_var1,
     lasso_fit,
-    lasso_lambda_max,
     mse,
     select_model,
     two_stage_forecast,
@@ -69,7 +68,7 @@ class TestLassoFit:
     def test_lambda_max_gives_zero_solution(self, rng):
         x = rng.standard_normal((120, 4))
         y = rng.standard_normal(120) + x[:, 1]
-        lam_max = lasso_lambda_max(x, y)
+        lam_max = _standardize(x, y).lam_max
         for lam in (lam_max, 1.5 * lam_max):
             fit = lasso_fit(x, y, lam)
             np.testing.assert_array_equal(fit.coef, 0.0)
@@ -83,7 +82,7 @@ class TestLassoFit:
         rng = np.random.default_rng([seed, n, n_feat])
         x = rng.standard_normal((n, n_feat)) * rng.uniform(0.1, 10.0, n_feat)
         y = rng.standard_normal(n) + x @ rng.standard_normal(n_feat)
-        fit = lasso_fit(x, y, lasso_lambda_max(x, y))
+        fit = lasso_fit(x, y, _standardize(x, y).lam_max)
         np.testing.assert_array_equal(fit.coef, 0.0)
         assert fit.intercept == y.mean()
 
@@ -93,7 +92,7 @@ class TestLassoFit:
         x = rng.standard_normal((80, 5))
         x[:, 2] = 1.7
         y = rng.standard_normal(80) + x[:, 0] - x[:, 4]
-        fit = lasso_fit(x, y, lasso_lambda_max(x, y))
+        fit = lasso_fit(x, y, _standardize(x, y).lam_max)
         np.testing.assert_array_equal(fit.coef, 0.0)
 
     @pytest.mark.parametrize("seed", range(8))
@@ -102,7 +101,7 @@ class TestLassoFit:
         x = rng.standard_normal((120, 4))
         y = rng.standard_normal(120) + x[:, 1]
         warm = rng.standard_normal(4)
-        lam_max = lasso_lambda_max(x, y)
+        lam_max = _standardize(x, y).lam_max
         for lam in (lam_max, 1.5 * lam_max):
             fit = lasso_fit(x, y, lam, warm_start=warm)
             np.testing.assert_array_equal(fit.coef, 0.0)
@@ -118,7 +117,7 @@ class TestLassoFit:
     def test_path_continuity_with_warm_starts(self, rng):
         x = rng.standard_normal((200, 5))
         y = x @ np.array([1.0, 0.5, -0.7, 0.0, 0.2]) + 0.2 * rng.standard_normal(200)
-        lam_max = lasso_lambda_max(x, y)
+        lam_max = _standardize(x, y).lam_max
         grid = np.geomspace(lam_max, 1e-3 * lam_max, 30)
         warm = None
         coefs = []
@@ -228,7 +227,7 @@ class TestBatchedSolver:
             y = x @ rng.standard_normal(n_feat) + rng.standard_normal(n)
             xs.append(x)
             ys.append(y)
-            lams.append(share * lasso_lambda_max(x, y))
+            lams.append(share * _standardize(x, y).lam_max)
             warms.append(rng.standard_normal(n_feat) if warm else np.zeros(n_feat))
         return xs, ys, np.array(lams), np.array(warms)
 
@@ -247,7 +246,7 @@ class TestBatchedSolver:
             assert abs(intercepts[b] - intercept) <= 1e-8 * max(1.0, abs(intercept))
             assert (lasso_objective(x, y, lam, coefs[b], intercepts[b])
                     <= lasso_objective(x, y, lam, coef, intercept) + 1e-12)
-            if lam >= lasso_lambda_max(x, y):
+            if lam >= _standardize(x, y).lam_max:
                 np.testing.assert_array_equal(coefs[b], 0.0)
                 assert intercepts[b] == y.mean() and n_sweeps[b] == 0
 
@@ -260,7 +259,7 @@ class TestBatchedSolver:
         x_ok = x.copy()
         x_ok[:, 1] = rng.standard_normal(80)
         problems = _stack([_standardize(x, y), _standardize(x_ok, y)])
-        lams = np.array([0.01 * lasso_lambda_max(x, y), 0.01 * lasso_lambda_max(x_ok, y)])
+        lams = 0.01 * problems.lam_max
         beta, _, converged, _ = _lasso_gram(problems, lams, np.ones((2, 4)))
         assert np.all(converged) and np.all(np.isfinite(beta))
         coef, intercept = _original_scale(problems, beta)
@@ -284,18 +283,20 @@ class TestBatchedSolver:
 
     def test_penalty_grids_match_per_series_geomspace(self, rng):
         # one geomspace call over the stack gives each series' own path from
-        # its ceiling, bit for bit, and zeros for a constant series
+        # its ceiling, bit for bit, and zeros for a constant series, also for
+        # a constant like 4.2 whose computed sd is rounding noise, not zero
         config = ForecasterConfig(kind="lasso", lag_window=3, cv_folds=3, grid_size=20)
         stack = np.cumsum(rng.standard_normal((6, 60)), axis=1) * rng.uniform(0.01, 100, (6, 1))
         stack[2] = 1.0
+        stack[4] = 4.2
         x, y, problems, grids = _lasso_inputs(stack, config)
         for s in range(stack.shape[0]):
-            lam_max = lasso_lambda_max(x[s], y[s])
+            lam_max = _standardize(x[s], y[s]).lam_max
             assert problems.lam_max[s] == lam_max
             expected = (np.zeros(20) if lam_max == 0
                         else np.geomspace(lam_max, lam_max * config.grid_floor, 20))
             np.testing.assert_array_equal(grids[s], expected)
-        np.testing.assert_array_equal(grids[2], 0.0)
+        np.testing.assert_array_equal(grids[[2, 4]], 0.0)
 
     def test_one_standardization_per_problem(self, rng, monkeypatch):
         # the CV's (series, fold) problems plus one full-sample problem per

@@ -3,8 +3,6 @@ import pytest
 
 from tvpgvar import (
     WeightSequence,
-    build_link_matrix_activity,
-    build_link_matrix_country,
     estimate_structural,
     ma_coefficients,
     stability_check,
@@ -15,6 +13,7 @@ from tvpgvar.gvar import (
     ActivityCoefficients,
     CountryCoefficients,
     StructuralFit,
+    _links,
     read_coefficients_json,
     write_coefficients_json,
 )
@@ -60,7 +59,6 @@ class TestWeightSequence:
         np.testing.assert_allclose(w.we.sum(axis=1), 1.0)
         np.testing.assert_allclose(w.wb.sum(axis=1), 1.0)
         assert np.all(np.diagonal(w.we, axis1=1, axis2=2) == 0)
-        assert w.is_constant()
 
     def test_single_country_degenerate(self):
         w = WeightSequence.equal(3, 1, 1)
@@ -84,7 +82,6 @@ class TestWeightSequence:
         panel = make_panel(values, ["A", "B"], ["CPI", "GDP"], ["ACT"])
         w = WeightSequence.rolling_share(panel, "GDP", window=6)
         w.validate()
-        assert not w.is_constant()
         # weights at t reflect trailing means of the GDP columns
         t = 17
         means = values[t - 5:t + 1][:, [1, 3]].mean(axis=0)
@@ -121,19 +118,19 @@ class TestWeightSequence:
 class TestLinkMatrices:
     def test_country_k2p1l1_first(self):
         w = swap_weights(1)
-        link = build_link_matrix_country(0, 0, w, (2, 1, 1))
+        link = _links(w, 0, (2, 1, 1))[0][0]
         np.testing.assert_array_equal(link, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
 
     def test_country_k2p1l1_second(self):
         w = swap_weights(1)
-        link = build_link_matrix_country(1, 0, w, (2, 1, 1))
+        link = _links(w, 0, (2, 1, 1))[0][1]
         np.testing.assert_array_equal(link, [[0, 1, 0], [1, 0, 0], [0, 0, 1]])
 
     def test_country_k3p2l1_equal_weights_blocks(self):
         # hand-built from the block layout: own identity rows, halved foreign
         # identity blocks in the middle rows, activity selector last
         w = WeightSequence.equal(1, 3, 1)
-        link = build_link_matrix_country(1, 0, w, (3, 2, 1))
+        link = _links(w, 0, (3, 2, 1))[0][1]
         eye2 = np.eye(2)
         expected = np.zeros((5, 7))
         expected[0:2, 2:4] = eye2
@@ -144,12 +141,12 @@ class TestLinkMatrices:
 
     def test_activity_k1p1l1(self):
         w = WeightSequence(we=np.zeros((1, 1, 1)), wb=np.ones((1, 1, 1)))
-        link = build_link_matrix_activity(0, 0, w, (1, 1, 1))
+        link = _links(w, 0, (1, 1, 1))[1][0]
         np.testing.assert_array_equal(link, [[0, 1], [1, 0]])
 
     def test_activity_k2p1l1(self):
         w = swap_weights(1)
-        link = build_link_matrix_activity(0, 0, w, (2, 1, 1))
+        link = _links(w, 0, (2, 1, 1))[1][0]
         np.testing.assert_allclose(link, [[0, 0, 1], [0.5, 0.5, 0]])
 
     def test_activity_k2p2l2_second_activity(self):
@@ -159,7 +156,7 @@ class TestLinkMatrices:
         wb[0, :, 0] = [0.5, 0.5]
         wb[0, :, 1] = [0.3, 0.7]
         w = WeightSequence(we=we, wb=wb)
-        link = build_link_matrix_activity(1, 0, w, (2, 2, 2))
+        link = _links(w, 0, (2, 2, 2))[1][1]
         expected = np.zeros((3, 6))
         expected[0, 5] = 1.0
         expected[1:3, 0:2] = 0.3 * np.eye(2)
@@ -167,19 +164,14 @@ class TestLinkMatrices:
         np.testing.assert_allclose(link, expected)
 
     def test_index_out_of_range(self):
-        w = swap_weights(2)
-        with pytest.raises(ValidationError):
-            build_link_matrix_country(2, 0, w, (2, 1, 1))
-        with pytest.raises(ValidationError):
-            build_link_matrix_country(0, 5, w, (2, 1, 1))
-        with pytest.raises(ValidationError):
-            build_link_matrix_activity(1, 0, w, (2, 1, 1))
+        with pytest.raises(ValidationError, match="time index 5 out of range"):
+            _links(swap_weights(2), 5, (2, 1, 1))
 
     def test_own_block_identity_and_weight_rows_sum(self, rng):
         n_regions, p, l = 4, 3, 2
         w = wave_weights(6, n_regions, l)
         for k in range(n_regions):
-            link = build_link_matrix_country(k, 3, w, (n_regions, p, l))
+            link = _links(w, 3, (n_regions, p, l))[0][k]
             np.testing.assert_array_equal(link[0:p, k * p:(k + 1) * p], np.eye(p))
             weight_rows = link[p:2 * p, :n_regions * p]
             np.testing.assert_allclose(weight_rows.sum(axis=1), 1.0)
@@ -416,7 +408,7 @@ class TestStackSystem:
     def test_responses_vary_with_the_weights_of_the_period(self, rng):
         n_regions, p, l = 3, 2, 1
         fit = true_fit(random_coefficients(rng, n_regions, p, l), (n_regions, p, l))
-        shock = ShockSpec(targets=(6,), horizon=4)
+        shock = ShockSpec(targets=(6,), horizon=4, at_time=1)
         varying = wave_weights(120, n_regions, l)
         a, b = (oirf_point(stack_system(fit, varying, t), shock) for t in (20, 50))
         assert np.max(np.abs(a - b)) > 1e-6

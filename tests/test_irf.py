@@ -13,7 +13,6 @@ from tvpgvar import (
     asymptotic_bands,
     cholesky_lower,
     estimate_asymptotic_inputs,
-    girf_point,
     ma_coefficients,
     oirf_point,
 )
@@ -34,7 +33,9 @@ from tvpgvar.irf import (
 from tvpgvar.serialize import read_json, write_json
 
 from conftest import (
+    from_reduced_form,
     make_panel,
+    oirf_simulation_oracle,
     random_coefficients,
     random_stable_system,
     simulate_structural,
@@ -47,24 +48,6 @@ from oracles import (
     vec,
     vech,
 )
-
-
-def oirf_simulation_oracle(system, targets, horizon):
-    """Shocked-minus-baseline paths of the reduced-form recursion."""
-    width = system.width
-    chol = np.linalg.cholesky(system.sigma_u)
-    u0 = np.zeros(width)
-    for j in targets:
-        u0 += chol[:, j]
-    x_init = np.zeros(width)
-    shocked = np.empty((horizon + 1, width))
-    baseline = np.empty((horizon + 1, width))
-    shocked[0] = system.b + system.f1 @ x_init + np.linalg.solve(system.g0, u0)
-    baseline[0] = system.b + system.f1 @ x_init
-    for s in range(1, horizon + 1):
-        shocked[s] = system.b + system.f1 @ shocked[s - 1]
-        baseline[s] = system.b + system.f1 @ baseline[s - 1]
-    return shocked - baseline
 
 
 class TestMatrixKit:
@@ -122,9 +105,9 @@ class TestCholesky:
 class TestOIRF:
     def test_identity_system_horizon_zero(self, rng):
         f1 = 0.5 * np.eye(3)
-        system = StackedSystem.from_reduced_form(np.zeros(3), f1, np.eye(3))
+        system = from_reduced_form(np.zeros(3), f1, np.eye(3))
         for j in range(3):
-            resp = oirf_point(system, ShockSpec(targets=(j,), horizon=2))
+            resp = oirf_point(system, ShockSpec(targets=(j,), horizon=2, at_time=1))
             np.testing.assert_array_equal(resp[0], np.eye(3)[j])
 
     def test_additivity_exact(self, rng):
@@ -137,9 +120,9 @@ class TestOIRF:
             split = int(rng.integers(1, dim))
             set_a = tuple(int(j) for j in targets[:split])
             set_b = (int(targets[split]),)
-            resp_a = oirf_point(system, ShockSpec(targets=set_a, horizon=5))
-            resp_b = oirf_point(system, ShockSpec(targets=set_b, horizon=5))
-            resp_ab = oirf_point(system, ShockSpec(targets=set_a + set_b, horizon=5))
+            resp_a = oirf_point(system, ShockSpec(targets=set_a, horizon=5, at_time=1))
+            resp_b = oirf_point(system, ShockSpec(targets=set_b, horizon=5, at_time=1))
+            resp_ab = oirf_point(system, ShockSpec(targets=set_a + set_b, horizon=5, at_time=1))
             np.testing.assert_array_equal(resp_ab, resp_a + resp_b)
 
     def test_additivity_general_splits(self, rng):
@@ -152,9 +135,9 @@ class TestOIRF:
             split = int(rng.integers(1, dim))
             set_a = tuple(int(j) for j in targets[:split])
             set_b = tuple(int(j) for j in targets[split:])
-            resp_a = oirf_point(system, ShockSpec(targets=set_a, horizon=5))
-            resp_b = oirf_point(system, ShockSpec(targets=set_b, horizon=5))
-            resp_ab = oirf_point(system, ShockSpec(targets=set_a + set_b, horizon=5))
+            resp_a = oirf_point(system, ShockSpec(targets=set_a, horizon=5, at_time=1))
+            resp_b = oirf_point(system, ShockSpec(targets=set_b, horizon=5, at_time=1))
+            resp_ab = oirf_point(system, ShockSpec(targets=set_a + set_b, horizon=5, at_time=1))
             np.testing.assert_allclose(resp_ab, resp_a + resp_b, rtol=0, atol=1e-13)
 
     def test_matches_simulation_oracle(self, rng):
@@ -162,7 +145,7 @@ class TestOIRF:
             dim = int(rng.integers(2, 6))
             system = random_stable_system(rng, dim)
             j = int(rng.integers(dim))
-            shock = ShockSpec(targets=(j,), horizon=10)
+            shock = ShockSpec(targets=(j,), horizon=10, at_time=1)
             point = oirf_point(system, shock)
             oracle = oirf_simulation_oracle(system, (j,), 10)
             np.testing.assert_allclose(point, oracle, atol=1e-8)
@@ -170,63 +153,15 @@ class TestOIRF:
     def test_target_out_of_range(self, rng):
         system = random_stable_system(rng, 3)
         with pytest.raises(ValidationError, match="out of range"):
-            oirf_point(system, ShockSpec(targets=(3,), horizon=2))
+            oirf_point(system, ShockSpec(targets=(3,), horizon=2, at_time=1))
 
     def test_shock_spec_validation(self):
         with pytest.raises(ValidationError, match="distinct"):
-            ShockSpec(targets=(1, 1), horizon=2)
+            ShockSpec(targets=(1, 1), horizon=2, at_time=1)
         with pytest.raises(ValidationError, match="at least one"):
-            ShockSpec(targets=(), horizon=2)
+            ShockSpec(targets=(), horizon=2, at_time=1)
         with pytest.raises(ValidationError, match="level"):
-            ShockSpec(targets=(0,), horizon=2, level=1.5)
-
-
-class TestGIRF:
-    def test_diagonal_sigma_matches_oirf_any_target(self, rng):
-        g0 = np.eye(3) + 0.2 * (np.ones((3, 3)) - np.eye(3))
-        f1 = 0.4 * np.eye(3)
-        sigma_u = np.diag([1.0, 2.0, 0.5])
-        sigma_eps = np.linalg.solve(g0, np.linalg.solve(g0, sigma_u).T).T
-        system = StackedSystem(g0=g0, g1=g0 @ f1, a=np.zeros(3), sigma_u=sigma_u,
-                               sigma_eps=(sigma_eps + sigma_eps.T) / 2,
-                               b=np.zeros(3), f1=f1)
-        for j in range(3):
-            girf = girf_point(system, j, 6)
-            oirf = oirf_point(system, ShockSpec(targets=(j,), horizon=6))
-            np.testing.assert_allclose(girf, oirf, atol=1e-12)
-
-    def test_first_variable_matches_oirf_general_sigma(self, rng):
-        system = random_stable_system(rng, 4)
-        girf = girf_point(system, 0, 8)
-        oirf = oirf_point(system, ShockSpec(targets=(0,), horizon=8))
-        np.testing.assert_allclose(girf, oirf, atol=1e-12)
-
-    def test_unit_system_horizon_zero(self):
-        system = StackedSystem.from_reduced_form(np.zeros(2), 0.3 * np.eye(2), np.eye(2))
-        np.testing.assert_allclose(girf_point(system, 1, 0)[0], [0.0, 1.0])
-
-    def test_permutation_invariance(self, rng):
-        system = random_stable_system(rng, 4)
-        perm = rng.permutation(4)
-        pmat = np.eye(4)[perm]
-        permuted = StackedSystem(
-            g0=pmat @ system.g0 @ pmat.T, g1=pmat @ system.g1 @ pmat.T,
-            a=pmat @ system.a, sigma_u=pmat @ system.sigma_u @ pmat.T,
-            sigma_eps=pmat @ system.sigma_eps @ pmat.T,
-            b=pmat @ system.b, f1=pmat @ system.f1 @ pmat.T)
-        j = 2
-        j_new = int(np.flatnonzero(perm == j)[0])
-        original = girf_point(system, j, 6)
-        mapped = girf_point(permuted, j_new, 6)
-        np.testing.assert_allclose(mapped, original[:, perm], atol=1e-10)
-
-    def test_non_positive_variance_rejected(self, rng):
-        system = random_stable_system(rng, 3)
-        bad = StackedSystem(g0=system.g0, g1=system.g1, a=system.a,
-                            sigma_u=system.sigma_u - np.diag([0.0, 10.0, 0.0]),
-                            sigma_eps=system.sigma_eps, b=system.b, f1=system.f1)
-        with pytest.raises(NumericalError, match="variance"):
-            girf_point(bad, 1, 3)
+            ShockSpec(targets=(0,), horizon=2, at_time=1, level=1.5)
 
 
 class TestDerivatives:
@@ -298,6 +233,11 @@ class TestDerivatives:
         assert rel <= 1e-5
 
 
+def panel_of(values):
+    """A one-region panel holding the columns of ``values``."""
+    return make_panel(values, ["A"], [f"v{j}" for j in range(values.shape[1])])
+
+
 def eye_inputs(width):
     return AsymptoticInputs(moment_inv=np.eye(width), sigma=np.eye(width))
 
@@ -305,9 +245,9 @@ def eye_inputs(width):
 class TestAsymptoticBands:
     def test_zero_covariances_zero_widths(self, rng):
         system = random_stable_system(rng, 3)
-        shock = ShockSpec(targets=(0,), horizon=4)
+        shock = ShockSpec(targets=(0,), horizon=4, at_time=1)
         zero = np.zeros((3, 3))
-        result = asymptotic_bands(system, shock, 500, AsymptoticInputs(zero, zero))
+        (result,) = asymptotic_bands(system, [shock], 500, AsymptoticInputs(zero, zero))
         np.testing.assert_array_equal(result.half_width, 0.0)
         np.testing.assert_array_equal(result.lower, result.point)
 
@@ -315,21 +255,21 @@ class TestAsymptoticBands:
         # B_0 = I does not depend on F1: a huge coefficient covariance leaves
         # the horizon-0 band unchanged and widens every later one
         system = random_stable_system(rng, 3)
-        shock = ShockSpec(targets=(1,), horizon=3)
-        quiet = asymptotic_bands(system, shock, 200,
-                                 AsymptoticInputs(np.zeros((3, 3)), system.sigma_eps))
-        loud = asymptotic_bands(system, shock, 200,
-                                AsymptoticInputs(1e6 * np.eye(3), system.sigma_eps))
+        shock = ShockSpec(targets=(1,), horizon=3, at_time=1)
+        (quiet,) = asymptotic_bands(system, [shock], 200,
+                                    AsymptoticInputs(np.zeros((3, 3)), system.sigma_eps))
+        (loud,) = asymptotic_bands(system, [shock], 200,
+                                   AsymptoticInputs(1e6 * np.eye(3), system.sigma_eps))
         np.testing.assert_array_equal(loud.half_width[0], quiet.half_width[0])
         assert np.all(loud.half_width[1:] > quiet.half_width[1:])
 
     def test_quantile_scaling(self, rng):
         system = random_stable_system(rng, 3)
-        shock95 = ShockSpec(targets=(2,), horizon=4, level=0.95)
+        shock95 = ShockSpec(targets=(2,), horizon=4, at_time=1, level=0.95)
         level_z1 = 2 * norm.cdf(1.0) - 1  # level whose quantile is exactly 1
-        shock_z1 = ShockSpec(targets=(2,), horizon=4, level=level_z1)
-        res95 = asymptotic_bands(system, shock95, 400, eye_inputs(3))
-        res_z1 = asymptotic_bands(system, shock_z1, 400, eye_inputs(3))
+        shock_z1 = ShockSpec(targets=(2,), horizon=4, at_time=1, level=level_z1)
+        (res95,) = asymptotic_bands(system, [shock95], 400, eye_inputs(3))
+        (res_z1,) = asymptotic_bands(system, [shock_z1], 400, eye_inputs(3))
         ratio = res95.half_width[1:] / res_z1.half_width[1:]
         np.testing.assert_allclose(ratio, norm.ppf(0.975), rtol=1e-12)
         assert norm.ppf(0.975) == pytest.approx(1.959964, abs=5e-7)
@@ -337,37 +277,37 @@ class TestAsymptoticBands:
     def test_band_multiplier_pinned_at_95(self):
         # scalar VAR with F1 = 0 and unit variances: at horizon 1 the response
         # variance is exactly 1, so the half-width is the multiplier itself
-        system = StackedSystem.from_reduced_form(np.zeros(1), np.zeros((1, 1)),
-                                                 np.eye(1))
-        shock = ShockSpec(targets=(0,), horizon=1, level=0.95)
-        result = asymptotic_bands(system, shock, 1, eye_inputs(1))
+        system = from_reduced_form(np.zeros(1), np.zeros((1, 1)), np.eye(1))
+        shock = ShockSpec(targets=(0,), horizon=1, at_time=1, level=0.95)
+        (result,) = asymptotic_bands(system, [shock], 1, eye_inputs(1))
         assert result.half_width[1, 0] == 1.959963984540054
 
     def test_band_symmetry_exact(self, rng):
         # one stored half-width defines both band edges, so symmetry holds
         # at the representation level
         system = random_stable_system(rng, 2)
-        inputs = estimate_asymptotic_inputs(rng.standard_normal((100, 2)), system)
-        result = asymptotic_bands(system, ShockSpec(targets=(0,), horizon=5), 100, inputs)
+        inputs = estimate_asymptotic_inputs(panel_of(rng.standard_normal((100, 2))), system)
+        (result,) = asymptotic_bands(system, [ShockSpec(targets=(0,), horizon=5, at_time=1)],
+                                     100, inputs)
         np.testing.assert_array_equal(result.upper, result.point + result.half_width)
         np.testing.assert_array_equal(result.lower, result.point - result.half_width)
         assert np.all(result.half_width >= 0)
 
     def test_sample_size_scaling(self, rng):
         system = random_stable_system(rng, 2)
-        shock = ShockSpec(targets=(1,), horizon=3)
-        r100 = asymptotic_bands(system, shock, 100, eye_inputs(2))
-        r400 = asymptotic_bands(system, shock, 400, eye_inputs(2))
+        shock = ShockSpec(targets=(1,), horizon=3, at_time=1)
+        (r100,) = asymptotic_bands(system, [shock], 100, eye_inputs(2))
+        (r400,) = asymptotic_bands(system, [shock], 400, eye_inputs(2))
         np.testing.assert_allclose(r100.half_width, 2 * r400.half_width, rtol=1e-12)
 
     def test_multi_target_variance_uses_cross_terms(self, rng):
         # a two-column shock is one linear functional: its variance includes
         # the covariance between the two single-shock responses
         system = random_stable_system(rng, 3)
-        inputs = estimate_asymptotic_inputs(rng.standard_normal((300, 3)), system)
-        both = asymptotic_bands(system, ShockSpec(targets=(0, 1), horizon=2), 300, inputs)
-        single_a = asymptotic_bands(system, ShockSpec(targets=(0,), horizon=2), 300, inputs)
-        single_b = asymptotic_bands(system, ShockSpec(targets=(1,), horizon=2), 300, inputs)
+        inputs = estimate_asymptotic_inputs(panel_of(rng.standard_normal((300, 3))), system)
+        both, single_a, single_b = asymptotic_bands(
+            system, [ShockSpec(targets=t, horizon=2, at_time=1) for t in ((0, 1), (0,), (1,))],
+            300, inputs)
         np.testing.assert_array_equal(both.point, single_a.point + single_b.point)
         # half-widths are NOT additive (they aggregate a covariance)
         assert not np.allclose(both.half_width[1:],
@@ -375,18 +315,18 @@ class TestAsymptoticBands:
 
     def test_stability_flag_attached(self, rng):
         stable = random_stable_system(rng, 2)
-        result = asymptotic_bands(stable, ShockSpec(targets=(0,), horizon=2),
-                                  50, eye_inputs(2))
+        (result,) = asymptotic_bands(stable, [ShockSpec(targets=(0,), horizon=2, at_time=1)],
+                                     50, eye_inputs(2))
         assert result.stable
-        unstable = StackedSystem.from_reduced_form(
+        unstable = from_reduced_form(
             np.zeros(2), 1.05 * np.eye(2), np.eye(2))
-        result = asymptotic_bands(unstable, ShockSpec(targets=(0,), horizon=2),
-                                  50, eye_inputs(2))
+        (result,) = asymptotic_bands(unstable, [ShockSpec(targets=(0,), horizon=2, at_time=1)],
+                                     50, eye_inputs(2))
         assert not result.stable
 
     def test_convergence_when_stable(self, rng):
         system = random_stable_system(rng, 3)
-        point = oirf_point(system, ShockSpec(targets=(0,), horizon=30))
+        point = oirf_point(system, ShockSpec(targets=(0,), horizon=30, at_time=1))
         peaks = np.max(np.abs(point), axis=1)
         tail = peaks[2 * system.width:]
         assert all(b <= a + 1e-12 for a, b in zip(tail, tail[1:]))
@@ -395,7 +335,8 @@ class TestAsymptoticBands:
         system = random_stable_system(rng, 3)
         inputs = AsymptoticInputs(-1e6 * np.eye(3), system.sigma_eps)
         with pytest.raises(NumericalError, match="negative response variance .* horizon 1"):
-            asymptotic_bands(system, ShockSpec(targets=(0,), horizon=3), 100, inputs)
+            asymptotic_bands(system, [ShockSpec(targets=(0,), horizon=3, at_time=1)], 100,
+                             inputs)
 
 
 class TestClosedFormBands:
@@ -405,19 +346,18 @@ class TestClosedFormBands:
         system = random_stable_system(rng, width)
         if width > 1:
             assert np.max(np.abs(system.g0 - np.eye(width))) > 0.05
-        values = rng.standard_normal((120, width))
+        panel = panel_of(rng.standard_normal((120, width)))
         multi = tuple(int(j) for j in rng.permutation(width)[:3])
-        for residuals in (None, rng.standard_normal((119, width))):
-            inputs = estimate_asymptotic_inputs(values, system, residuals)
-            dense = dense_asymptotic_inputs(values, system, residuals)
-            for targets in ((int(rng.integers(width)),), multi):
-                for level in (0.9, 0.95):
-                    shock = ShockSpec(targets=targets, horizon=6, level=level)
-                    closed = asymptotic_bands(system, shock, 119, inputs)
-                    oracle = dense_asymptotic_bands(system, shock, 119, *dense)
-                    np.testing.assert_array_equal(closed.point, oracle.point)
-                    np.testing.assert_allclose(closed.half_width, oracle.half_width,
-                                               rtol=1e-10, atol=0)
+        inputs = estimate_asymptotic_inputs(panel, system)
+        dense = dense_asymptotic_inputs(panel, system)
+        for targets in ((int(rng.integers(width)),), multi):
+            for level in (0.9, 0.95):
+                shock = ShockSpec(targets=targets, horizon=6, at_time=1, level=level)
+                (closed,) = asymptotic_bands(system, [shock], 119, inputs)
+                oracle = dense_asymptotic_bands(system, shock, 119, *dense)
+                np.testing.assert_array_equal(closed.point, oracle.point)
+                np.testing.assert_allclose(closed.half_width, oracle.half_width,
+                                           rtol=1e-10, atol=0)
 
     def test_stacked_system_matches_gradient_of_band_functional(self):
         # G0 != I: the band is the delta-method band of r(F1, Sigma) =
@@ -427,9 +367,9 @@ class TestClosedFormBands:
         width, horizon, step = 4, 3, 1e-6
         system = random_stable_system(rng, width)
         assert np.max(np.abs(np.triu(system.g0, 1))) > 0.05
-        values = rng.standard_normal((150, width))
-        inputs = estimate_asymptotic_inputs(values, system)
-        sigma_alpha, sigma_sigma = dense_asymptotic_inputs(values, system)
+        panel = panel_of(rng.standard_normal((150, width)))
+        inputs = estimate_asymptotic_inputs(panel, system)
+        sigma_alpha, sigma_sigma = dense_asymptotic_inputs(panel, system)
         cov = np.zeros((width * width + sigma_sigma.shape[0],) * 2)
         cov[:width * width, :width * width] = sigma_alpha
         cov[width * width:, width * width:] = sigma_sigma
@@ -451,8 +391,8 @@ class TestClosedFormBands:
             grad[:, k] = (functional(theta + delta) - functional(theta - delta)) / (2 * step)
         expected = np.einsum("ik,kl,il->i", grad, cov, grad)
         level_z1 = 2 * norm.cdf(1.0) - 1
-        result = asymptotic_bands(
-            system, ShockSpec(targets=targets, horizon=horizon, level=level_z1), 1, inputs)
+        shock = ShockSpec(targets=targets, horizon=horizon, at_time=1, level=level_z1)
+        (result,) = asymptotic_bands(system, [shock], 1, inputs)
         np.testing.assert_allclose(result.half_width[horizon] ** 2, expected, rtol=1e-6)
 
     def test_band_functional_is_point_for_lower_triangular_g0(self, rng):
@@ -462,7 +402,7 @@ class TestClosedFormBands:
         lower = StackedSystem(g0=g0, g1=g0 @ system.f1, a=g0 @ system.b,
                               sigma_u=system.sigma_u, sigma_eps=(sigma_eps + sigma_eps.T) / 2,
                               b=system.b, f1=system.f1)
-        shock = ShockSpec(targets=(0, 2), horizon=4)
+        shock = ShockSpec(targets=(0, 2), horizon=4, at_time=1)
         functional = ma_coefficients(lower.f1, 4) @ cholesky_lower(lower.sigma_eps)[:, [0, 2]]
         np.testing.assert_allclose(oirf_point(lower, shock), functional.sum(axis=2),
                                    rtol=0, atol=1e-12)
@@ -472,20 +412,21 @@ class TestClosedFormBands:
             raise AssertionError("np.kron called on the band path")
 
         system = random_stable_system(rng, 5)
-        values = rng.standard_normal((80, 5))
+        panel = panel_of(rng.standard_normal((80, 5)))
         monkeypatch.setattr(np, "kron", refuse)
-        inputs = estimate_asymptotic_inputs(values, system)
-        asymptotic_bands(system, ShockSpec(targets=(0, 4), horizon=6), 79, inputs)
+        inputs = estimate_asymptotic_inputs(panel, system)
+        asymptotic_bands(system, [ShockSpec(targets=(0, 4), horizon=6, at_time=1)], 79, inputs)
 
     def test_memory_at_width_100(self):
         # the Kronecker form needs w^2 x w^2 = 800 MB matrices at this width
         rng = np.random.default_rng(100)
         system = random_stable_system(rng, 100)
-        values = rng.standard_normal((250, 100))
+        panel = panel_of(rng.standard_normal((250, 100)))
         tracemalloc.start()
         try:
-            inputs = estimate_asymptotic_inputs(values, system)
-            asymptotic_bands(system, ShockSpec(targets=(50,), horizon=6), 249, inputs)
+            inputs = estimate_asymptotic_inputs(panel, system)
+            asymptotic_bands(system, [ShockSpec(targets=(50,), horizon=6, at_time=1)], 249,
+                             inputs)
             peak_mb = tracemalloc.get_traced_memory()[1] / 2**20
         finally:
             tracemalloc.stop()
@@ -545,7 +486,7 @@ class TestPeriodShocks:
         batch = asymptotic_bands(system, shocks, 249, inputs)
         assert len(batch) == len(shocks)
         for shock, together in zip(shocks, batch):
-            alone = asymptotic_bands(system, shock, 249, inputs)
+            (alone,) = asymptotic_bands(system, [shock], 249, inputs)
             assert together.targets == shock.targets and together.level == shock.level
             np.testing.assert_array_equal(together.point, alone.point)
             np.testing.assert_array_equal(together.half_width, alone.half_width)
@@ -556,7 +497,7 @@ class TestPeriodShocks:
     def test_combined_shock_is_sum_of_singles(self, period):
         system, inputs = period
         last, first, both = asymptotic_bands(
-            system, [ShockSpec(targets=t, horizon=6) for t in ((9,), (0,), (9, 0))],
+            system, [ShockSpec(targets=t, horizon=6, at_time=1) for t in ((9,), (0,), (9, 0))],
             249, inputs)
         total = last.point + first.point
         scale = max(1.0, float(np.max(np.abs(total))))
@@ -564,7 +505,8 @@ class TestPeriodShocks:
 
     def test_conditioning_recorded(self, period):
         system, inputs = period
-        result = asymptotic_bands(system, ShockSpec(targets=(0,)), 249, inputs)
+        (result,) = asymptotic_bands(system, [ShockSpec(targets=(0,), at_time=1)], 249,
+                                     inputs)
         assert result.radius == np.max(np.abs(np.linalg.eigvals(system.f1)))
         assert result.stable == (result.radius < 1.0)
         assert result.g0_condition == np.linalg.cond(system.g0) >= 1.0
@@ -578,7 +520,7 @@ class TestPeriodShocks:
 class TestBandInputs:
     def bands(self, rng, moment_inv, sigma):
         system = random_stable_system(rng, 3)
-        return asymptotic_bands(system, ShockSpec(targets=(0,), horizon=2), 100,
+        return asymptotic_bands(system, [ShockSpec(targets=(0,), horizon=2, at_time=1)], 100,
                                 AsymptoticInputs(moment_inv, sigma))
 
     @pytest.mark.parametrize("which", ["moment_inv", "sigma"])
@@ -611,9 +553,9 @@ class TestAsymptoticInputs:
         eps = rng.standard_normal(t_len)
         for t in range(1, t_len):
             y[t] = phi * y[t - 1] + eps[t]
-        system = StackedSystem.from_reduced_form(
+        system = from_reduced_form(
             np.zeros(1), np.array([[phi]]), np.array([[1.0]]))
-        inputs = estimate_asymptotic_inputs(y[:, None], system)
+        inputs = estimate_asymptotic_inputs(panel_of(y[:, None]), system)
         assert inputs.moment_inv.shape == inputs.sigma.shape == (1, 1)
         slope_var = inputs.moment_inv[0, 0] * inputs.sigma[0, 0]
         assert slope_var == pytest.approx(1 - phi ** 2, rel=0.05)
@@ -621,10 +563,10 @@ class TestAsymptoticInputs:
     def test_sigma_sigma_identity_case(self):
         # the dense oracle for Sigma = I_2: 2 D+ D+' with the hand-built
         # duplication matrix
-        system = StackedSystem.from_reduced_form(
+        system = from_reduced_form(
             np.zeros(2), 0.2 * np.eye(2), np.eye(2))
-        values = np.random.default_rng(0).standard_normal((50, 2))
-        _, sigma_sigma = dense_asymptotic_inputs(values, system)
+        panel = panel_of(np.random.default_rng(0).standard_normal((50, 2)))
+        _, sigma_sigma = dense_asymptotic_inputs(panel, system)
         dup = np.array([[1.0, 0, 0], [0, 1, 0], [0, 1, 0], [0, 0, 1]])
         dup_pinv = np.linalg.pinv(dup)
         np.testing.assert_allclose(sigma_sigma, 2 * dup_pinv @ dup_pinv.T, atol=1e-12)
@@ -635,28 +577,17 @@ class TestAsymptoticInputs:
         scale = 1.7
         y = scale * rng.standard_normal(t_len)
         sigma = np.array([[scale ** 2]])
-        system = StackedSystem.from_reduced_form(np.zeros(1), np.zeros((1, 1)), sigma)
-        inputs = estimate_asymptotic_inputs(y[:, None], system)
+        system = from_reduced_form(np.zeros(1), np.zeros((1, 1)), sigma)
+        inputs = estimate_asymptotic_inputs(panel_of(y[:, None]), system)
         slope_var = inputs.moment_inv[0, 0] * inputs.sigma[0, 0]
         assert slope_var == pytest.approx(scale ** 2 / np.var(y), rel=0.05)
-
-    def test_residuals_override(self, rng):
-        system = random_stable_system(rng, 2)
-        resid = rng.standard_normal((200, 2))
-        values = rng.standard_normal((201, 2))
-        inputs = estimate_asymptotic_inputs(values, system, resid)
-        lagged = np.column_stack([np.ones(200), values[:-1]])
-        moment_inv = np.linalg.inv(lagged.T @ lagged / 200)
-        np.testing.assert_allclose(inputs.moment_inv, moment_inv[1:, 1:], atol=1e-12)
-        np.testing.assert_allclose(inputs.sigma, resid.T @ resid / (200 - 3), atol=1e-12)
 
 
 def test_irf_json_round_trip(tmp_path, rng):
     system = random_stable_system(rng, 3)
-    inputs = estimate_asymptotic_inputs(rng.standard_normal((150, 3)), system)
-    result = asymptotic_bands(system, ShockSpec(targets=(0, 2), horizon=6,
-                                                at_time=17, level=0.9),
-                              149, inputs)
+    inputs = estimate_asymptotic_inputs(panel_of(rng.standard_normal((150, 3))), system)
+    (result,) = asymptotic_bands(
+        system, [ShockSpec(targets=(0, 2), horizon=6, at_time=17, level=0.9)], 149, inputs)
     columns = ["A.x", "A.y", "ACT"]
     path = tmp_path / "irf.json"
     write_irf_json(result, columns, path)
@@ -675,7 +606,8 @@ def test_irf_json_round_trip(tmp_path, rng):
 
 def test_irf_json_without_conditioning_rejected(tmp_path, rng):
     system = random_stable_system(rng, 2)
-    result = asymptotic_bands(system, ShockSpec(targets=(0,), horizon=2), 100, eye_inputs(2))
+    (result,) = asymptotic_bands(system, [ShockSpec(targets=(0,), horizon=2, at_time=1)], 100,
+                                 eye_inputs(2))
     path = tmp_path / "irf.json"
     write_irf_json(result, ["u", "v"], path)
     obj = read_json(path)
@@ -687,8 +619,8 @@ def test_irf_json_without_conditioning_rejected(tmp_path, rng):
 
 def test_irf_csv_round_trip(tmp_path, rng):
     system = random_stable_system(rng, 2)
-    result = asymptotic_bands(system, ShockSpec(targets=(1,), horizon=4),
-                              100, eye_inputs(2))
+    (result,) = asymptotic_bands(system, [ShockSpec(targets=(1,), horizon=4, at_time=1)],
+                                 100, eye_inputs(2))
     columns = ["u", "v"]
     path = tmp_path / "irf.csv"
     write_irf_csv(result, columns, path)
