@@ -134,14 +134,12 @@ def cmd_irf(config: RunConfig) -> None:
 
 def cmd_forecast(config: RunConfig) -> None:
     panel = _load_panel_artifact(config)
-    h = config.forecast.horizon
+    h = next(iter(config.methods.values())).horizon
     t_len = len(panel.time_index)
-    kinds = {method: "external" if method in config.external else method
-             for method in config.methods}
-    needs = {method: fc.min_training_months(kind, config.forecast, panel.width)
-             for method, kind in kinds.items()}
-    method = max(needs, key=needs.get, default=None)
-    if method is not None and t_len - h < needs[method]:
+    needs = {method: fc.min_training_months(fconf, panel.width)
+             for method, fconf in config.methods.items()}
+    method = max(needs, key=needs.get)
+    if t_len - h < needs[method]:
         raise ValidationError(
             f"insufficient data: {t_len} months minus {h} held out leaves "
             f"{t_len - h} training months, and {method} needs at least {needs[method]}")
@@ -156,15 +154,11 @@ def cmd_forecast(config: RunConfig) -> None:
         failed = ", ".join(names[i] for i in sorted(tvp_result.errors))
         raise NumericalError(f"trajectory estimation failed for columns: {failed}")
 
-    results = []
-    for method in config.methods:
-        fconf = dataclasses.replace(config.forecast, kind=kinds[method],
-                                    external_path=config.external.get(method))
-        result = fc.two_stage_forecast(train, tvp_result, fconf, actuals=actuals)
-        result.model_kind = method
-        results.append(result)
+    results = {}
+    for method, fconf in config.methods.items():
+        results[method] = fc.two_stage_forecast(train, tvp_result, fconf, actuals=actuals)
         failed: dict[str, list[str]] = {}
-        for name, reason in result.errors.items():
+        for name, reason in results[method].errors.items():
             failed.setdefault(reason, []).append(name)
         for reason, columns in failed.items():
             print(f"warning: {method} failed for {', '.join(columns)}: {reason}",
@@ -173,7 +167,8 @@ def cmd_forecast(config: RunConfig) -> None:
     fc.write_variable_paths(results, config.out_dir / FORECAST_VARIABLES_FILE,
                             actuals=actuals)
     fc.write_mse_report(results, config.out_dir / MSE_REPORT_FILE)
-    aggregates = {r.model_kind: r.pooled_mse for r in results if r.pooled_mse is not None}
+    aggregates = {method: r.pooled_mse for method, r in results.items()
+                  if r.pooled_mse is not None}
     if not aggregates:
         raise NumericalError("no forecaster produced a scoreable path")
     best = fc.select_model(aggregates)

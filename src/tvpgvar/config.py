@@ -6,7 +6,7 @@ fails fast; relative paths resolve against the config file's directory.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Mapping
 
@@ -57,6 +57,16 @@ def _number(obj: Mapping[str, Any], section: str, key: str, default: Any, kind: 
     return kind(value)
 
 
+def _path(base: Path, obj: Mapping[str, Any], section: str, key: str,
+          default: Any = None) -> Path:
+    """``obj[key]`` resolved against ``base``, or a ValidationError naming the
+    key when it is not a string."""
+    value = obj.get(key, default)
+    if not isinstance(value, str):
+        raise ValidationError(f"{section}.{key} must be a string, got {value!r}")
+    return (base / value).resolve()
+
+
 @dataclass
 class WeightSettings:
     provider: str = "equal"
@@ -84,9 +94,7 @@ class RunConfig:
     weights: WeightSettings
     tvp: TVPConfig
     irf: IRFSettings
-    forecast: ForecasterConfig  # every method's settings; cmd_forecast sets the kind
-    methods: list[str]
-    external: dict[str, Path]  # external method name -> predicted-path CSV
+    methods: dict[str, ForecasterConfig]  # in config order, kind and external path set
     out_dir: Path
 
 
@@ -108,7 +116,7 @@ def load_config(path: str | Path) -> RunConfig:
     if not isinstance(data, dict) or "path" not in data:
         raise ValidationError("config needs a data object with a path")
     _check_keys(data, {"path", "imputation", "transform"}, "data")
-    data_path = (base / data["path"]).resolve()
+    data_path = _path(base, data, "data", "path")
     if not data_path.exists():
         raise ValidationError(f"data file not found: {data_path}")
     imputation = data.get("imputation", "linear-interpolate")
@@ -135,7 +143,7 @@ def load_config(path: str | Path) -> RunConfig:
         provider=provider,
         variable=weights_obj.get("variable"),
         window=_number(weights_obj, "weights", "window", WeightSettings.window, int),
-        path=(base / weights_obj["path"]).resolve() if "path" in weights_obj else None,
+        path=_path(base, weights_obj, "weights", "path") if "path" in weights_obj else None,
     )
     if provider == "rolling-share" and not weights.variable:
         raise ValidationError("rolling-share weights need a 'variable'")
@@ -176,29 +184,41 @@ def load_config(path: str | Path) -> RunConfig:
     if not isinstance(external_obj, dict) or not all(
             isinstance(p, str) for p in external_obj.values()):
         raise ValidationError("forecast.external must be an object of method name -> file path")
+    reused = sorted(set(external_obj) & set(METHOD_ORDER))
+    if reused:
+        raise ValidationError(f"forecast.external may not reuse a built-in method name: {reused}")
     external = {name: (base / p).resolve() for name, p in external_obj.items()}
-    methods = _strings(fc_obj.get("methods", list(METHOD_ORDER)), "forecast.methods")
-    forecast = ForecasterConfig(
+    names = _strings(fc_obj.get("methods", list(METHOD_ORDER)), "forecast.methods")
+    if not names:
+        raise ValidationError("forecast.methods must list at least one method")
+    if len(set(names)) != len(names):
+        raise ValidationError(f"duplicate names in forecast.methods: {names}")
+    settings = ForecasterConfig(
         horizon=_number(fc_obj, "forecast", "horizon", ForecasterConfig.horizon, int),
         lag_window=_number(fc_obj, "forecast", "lag_window", ForecasterConfig.lag_window, int),
         cv_folds=_number(fc_obj, "forecast", "cv_folds", ForecasterConfig.cv_folds, int),
         grid_size=_number(fc_obj, "forecast", "grid_size", ForecasterConfig.grid_size, int),
         grid_floor=_number(fc_obj, "forecast", "grid_floor", ForecasterConfig.grid_floor, float),
     )
-    for method in methods:
-        if method not in METHOD_ORDER and method not in external:
+    methods = {}
+    for name in names:
+        if name in external:
+            methods[name] = replace(settings, kind="external", external_path=external[name])
+        elif name in METHOD_ORDER:
+            methods[name] = replace(settings, kind=name)
+        else:
             raise ValidationError(
-                f"unknown forecast method {method!r} (no external path configured)")
-    for name, ext_path in external.items():
+                f"unknown forecast method {name!r} (no external path configured)")
+    for ext_path in external.values():
         if not ext_path.exists():
             raise ValidationError(f"external forecast file not found: {ext_path}")
 
     output = _section(obj, "output")
     _check_keys(output, {"dir"}, "output")
-    out_dir = (base / output.get("dir", "out")).resolve()
+    out_dir = _path(base, output, "output", "dir", "out")
 
     return RunConfig(
         data_path=data_path, imputation=imputation, transform=transform,
         regions=panel.get("regions"), variables=panel.get("variables"),
         activities=panel.get("activities"), weights=weights, tvp=tvp,
-        irf=irf, forecast=forecast, methods=methods, external=external, out_dir=out_dir)
+        irf=irf, methods=methods, out_dir=out_dir)

@@ -3,7 +3,9 @@
 Stage one extrapolates each column's (intercept, slope) trajectory with a
 pluggable forecaster — freeze-the-last-value baseline, a joint VAR(1) on the
 stacked parameter series, an l1-penalized lag regression tuned by
-forward-chaining cross-validation, or externally supplied paths. Stage two
+forward-chaining cross-validation, or externally supplied paths. The three
+in-process forecasters share one call shape: ``(series, config)`` maps a
+(T, d) array of parameter series to (horizon, d) predictions. Stage two
 feeds the predicted coefficients back through the scalar recursion
 ``x_{t+1} = b_{t+1} + f_{t+1} x_t`` and scores against held-out actuals.
 
@@ -13,12 +15,12 @@ covariance-update coordinate descent on all of them at once. After each sweep
 it solves every running problem exactly on its current support and signs, and
 a solution that passes the optimality (KKT) check ends that problem. A lasso
 forecast builds its inputs once (``_lasso_inputs``): the lag designs, the
-standardized full-sample problems and the penalty grids of a (series, time)
-stack. The cross-validation puts every (series, fold) problem into one batch,
-walks the penalty path with warm starts and returns each series' grid
-position; the fit walks the full-sample problems down to those positions and
-uses the solutions there. ``lasso_fit`` is the one-problem call of the same
-solver.
+standardized full-sample problems and the penalty grids of the (series, time)
+transpose of its input. The cross-validation puts every (series, fold)
+problem into one batch, walks the penalty path with warm starts and returns
+each series' grid position; the fit walks the full-sample problems down to
+those positions and uses the solutions there. ``lasso_fit`` is the
+one-problem call of the same solver.
 """
 
 from __future__ import annotations
@@ -281,32 +283,28 @@ class ForecasterConfig:
             raise ValidationError("external forecaster needs a predicted-path CSV")
 
 
-def min_training_months(kind: str, config: ForecasterConfig, width: int) -> int:
-    """Fewest training months a ``kind`` forecaster needs for ``width`` columns.
+def min_training_months(config: ForecasterConfig, width: int) -> int:
+    """Fewest training months a forecaster needs for ``width`` columns.
 
     A parameter path has one row per training month but the first (the
     initial lag). The joint VAR(1) fits 2·width path series and needs twice
     that many rows; the lasso needs more rows than its lag window plus folds;
     the others need the sampler's three months.
     """
-    if kind == "var1":
+    if config.kind == "var1":
         return 2 * (2 * width) + 1
-    if kind == "lasso":
+    if config.kind == "lasso":
         return config.lag_window + config.cv_folds + 2
     return 3
 
 
-def forecast_constant(traj_theta: np.ndarray, horizon: int) -> np.ndarray:
-    """Repeat the final in-sample parameters for every step: (T, ...) paths
-    give (horizon, ...) predictions."""
-    if horizon < 1:
-        raise ValidationError("horizon must be >= 1")
-    theta = np.asarray(traj_theta, float)
-    return np.repeat(theta[-1:], horizon, axis=0)
+def forecast_constant(series: np.ndarray, config: ForecasterConfig) -> np.ndarray:
+    """Repeat the final row of the (T, d) series for every step of the horizon."""
+    return np.repeat(np.asarray(series, float)[-1:], config.horizon, axis=0)
 
 
-def forecast_var1(series: np.ndarray, horizon: int) -> np.ndarray:
-    """OLS VAR(1) on the stacked series, iterated ``horizon`` steps ahead."""
+def forecast_var1(series: np.ndarray, config: ForecasterConfig) -> np.ndarray:
+    """OLS VAR(1) on the (T, d) series, iterated ``config.horizon`` steps ahead."""
     series = np.asarray(series, float)
     if series.ndim != 2:
         raise ValidationError("stacked series must be 2-D")
@@ -318,9 +316,9 @@ def forecast_var1(series: np.ndarray, horizon: int) -> np.ndarray:
     if rank < design.shape[1]:
         raise NumericalError("rank-deficient design in parameter VAR(1)")
     intercept, slope = coef[0], coef[1:].T
-    out = np.empty((horizon, dim))
+    out = np.empty((config.horizon, dim))
     state = series[-1]
-    for s in range(horizon):
+    for s in range(config.horizon):
         state = intercept + slope @ state
         out[s] = state
     return out
@@ -405,27 +403,30 @@ def select_lasso_lambda(x: np.ndarray, y: np.ndarray, grids: np.ndarray,
 
 
 def forecast_lasso(series: np.ndarray, config: ForecasterConfig) -> np.ndarray:
-    """Tune, fit, and forecast each series of a stack (S, T) recursively.
+    """Tune, fit, and forecast each column of the (T, d) series recursively.
 
-    The penalties of all series are chosen in one batch; returns (S, horizon).
-    The fit walks the full sample's path down to the deepest chosen grid
-    position, each series clamped at its own chosen penalty, warm-started
-    along the path as in cross-validation.
+    The penalties of all columns are chosen in one batch; returns
+    (horizon, d). The fit walks the full sample's path down to the deepest
+    chosen grid position, each column clamped at its own chosen penalty,
+    warm-started along the path as in cross-validation.
     """
-    x, y, problems, grids = _lasso_inputs(series, config)
+    rows = np.ascontiguousarray(np.asarray(series, float).T)  # (d, T)
+    x, y, problems, grids = _lasso_inputs(rows, config)
     picks = select_lasso_lambda(x, y, grids, config.cv_folds)
     chosen = grids[np.arange(grids.shape[0]), picks]
     beta = _walk_path(problems, np.maximum(grids[:, :picks.max() + 1], chosen[:, None]))[-1]
     coef, intercept = _original_scale(problems, beta)
-    rows = np.asarray(series, float)
-    out = np.empty((rows.shape[0], config.horizon))
+    out = np.empty((config.horizon, rows.shape[0]))
     for s in range(rows.shape[0]):
         window = list(rows[s, -config.lag_window:])
         for step in range(config.horizon):
             value = intercept[s] + float(coef[s] @ np.array(window[::-1]))
-            out[s, step] = value
+            out[step, s] = value
             window = window[1:] + [value]
     return out
+
+
+_FORECASTERS = {"constant": forecast_constant, "var1": forecast_var1, "lasso": forecast_lasso}
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +437,6 @@ def forecast_lasso(series: np.ndarray, config: ForecasterConfig) -> np.ndarray:
 class ForecastResult:
     """Predicted parameter and variable paths plus optional per-series MSE."""
 
-    model_kind: str
     columns: tuple[str, ...]
     future_dates: tuple[str, ...]
     param_paths: np.ndarray      # (h, width, 2)
@@ -495,16 +495,10 @@ def two_stage_forecast(panel: TimeSeriesPanel, tvp_result: PanelTVPResult,
                 continue
             param[:, i, :] = values
     elif usable:
-        # (T, n, 2); the joint VAR(1) and the lasso see the series b_0, f_0, b_1, ...
-        theta = np.stack([tvp_result.trajectories[i].theta for i in usable], axis=1)
-        t_len = theta.shape[0]
+        # (T, 2n): the forecasters see the series b_0, f_0, b_1, ...
+        series = np.hstack([tvp_result.trajectories[i].theta for i in usable])
         try:
-            if config.kind == "constant":
-                pred = forecast_constant(theta, h)
-            elif config.kind == "var1":
-                pred = forecast_var1(theta.reshape(t_len, -1), h)
-            else:
-                pred = forecast_lasso(theta.transpose(1, 2, 0).reshape(-1, t_len), config).T
+            pred = _FORECASTERS[config.kind](series, config)
             param[:, usable] = pred.reshape(h, len(usable), 2)
         except (NumericalError, ValidationError) as exc:
             for i in usable:
@@ -526,7 +520,7 @@ def two_stage_forecast(panel: TimeSeriesPanel, tvp_result: PanelTVPResult,
                           for i, name in enumerate(names) if name not in errors}
 
     return ForecastResult(
-        model_kind=config.kind, columns=tuple(names),
+        columns=tuple(names),
         future_dates=_future_dates(panel, h),
         param_paths=param, variable_paths=variables,
         mse_per_series=mse_per_series, errors=errors)
@@ -563,18 +557,18 @@ def select_model(results: Mapping[str, float]) -> str:
 # artifacts
 # ---------------------------------------------------------------------------
 
-def write_mse_report(results: Sequence[ForecastResult], path: str | Path) -> None:
+def write_mse_report(results: Mapping[str, ForecastResult], path: str | Path) -> None:
     """Per-series rows plus one ``ALL`` aggregate row per method."""
     rows = []
-    for result in results:
+    for method, result in results.items():
         if result.mse_per_series is None:
             continue
         for name in result.columns:
             if name in result.mse_per_series:
-                rows.append([result.model_kind, name, result.mse_per_series[name]])
+                rows.append([method, name, result.mse_per_series[name]])
         pooled = result.pooled_mse
         if pooled is not None:
-            rows.append([result.model_kind, "ALL", pooled])
+            rows.append([method, "ALL", pooled])
     write_csv(path, ["method", "series", "mse"], rows)
 
 
@@ -588,29 +582,28 @@ def read_mse_report(path: str | Path) -> dict[str, dict[str, float]]:
     return out
 
 
-def write_param_paths(results: Sequence[ForecastResult], path: str | Path) -> None:
+def write_param_paths(results: Mapping[str, ForecastResult], path: str | Path) -> None:
     rows = []
-    for result in results:
+    for method, result in results.items():
         for i, name in enumerate(result.columns):
             if name in result.errors:
                 continue
             for s, date in enumerate(result.future_dates):
-                rows.append([result.model_kind, date, name,
+                rows.append([method, date, name,
                              result.param_paths[s, i, 0], result.param_paths[s, i, 1]])
     write_csv(path, ["method", "date", "column", "b", "f1"], rows)
 
 
-def write_variable_paths(results: Sequence[ForecastResult], path: str | Path,
+def write_variable_paths(results: Mapping[str, ForecastResult], path: str | Path,
                          actuals: np.ndarray | None = None) -> None:
     rows = []
-    for result in results:
+    for method, result in results.items():
         for i, name in enumerate(result.columns):
             if name in result.errors:
                 continue
             for s, date in enumerate(result.future_dates):
                 actual_cell = "" if actuals is None else actuals[s, i]
-                rows.append([result.model_kind, date, name, actual_cell,
-                             result.variable_paths[s, i]])
+                rows.append([method, date, name, actual_cell, result.variable_paths[s, i]])
     write_csv(path, ["method", "date", "column", "actual", "predicted"], rows)
 
 

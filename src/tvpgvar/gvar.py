@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .ingest import COMMON_REGION, TimeSeriesPanel
-from .serialize import read_csv_rows, read_json, write_json
+from .serialize import parse_float, read_csv_rows, read_json, write_json
 
 WEIGHT_TOL = 1e-12
 COND_CAP = 1e12  # stack_system rejects a G0 with a larger condition number
@@ -151,7 +151,7 @@ class WeightSequence:
             if src not in region_ix:
                 raise ValidationError(f"{path}: row {rownum}: unknown region {src!r}")
             t = date_ix[date]
-            w = float(weight)
+            w = parse_float(weight, f"{path}: row {rownum}")
             if dst.startswith(COMMON_REGION + ":"):
                 act = dst.split(":", 1)[1]
                 if act not in act_ix:

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .serialize import read_csv_rows, write_csv
+from .serialize import parse_float, read_csv_rows, write_csv
 
 COMMON_REGION = "__COMMON__"
 
@@ -167,22 +167,14 @@ def load_panel(path: str | Path) -> list[RawSeries]:
     order: list[tuple[str, str]] = []
     for i, row in enumerate(rows):
         rownum = i + 2
-        if len(row) != len(header):
-            raise ValidationError(f"{path}: row {rownum} has {len(row)} cells, expected {len(header)}")
         date = row[positions["date"]].strip()
         region = _check_code(row[positions["region"]].strip(), "region", rownum)
         variable = _check_code(row[positions["variable"]].strip(), "variable", rownum)
-        raw_value = row[positions["value"]].strip()
         try:
             midx = month_index(date)
         except ValidationError as exc:
             raise ValidationError(f"{path}: row {rownum}: {exc}") from None
-        try:
-            value = float(raw_value)
-        except ValueError:
-            raise ValidationError(f"{path}: row {rownum}: non-numeric value {raw_value!r}") from None
-        if not np.isfinite(value):
-            raise ValidationError(f"{path}: row {rownum}: non-finite value {raw_value!r}")
+        value = parse_float(row[positions["value"]].strip(), f"{path}: row {rownum}")
         dup_key = (region, variable, date)
         if dup_key in seen:
             raise ValidationError(

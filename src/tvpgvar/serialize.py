@@ -90,9 +90,31 @@ def write_csv(path: str | Path, header: list[str], rows: list[list[Any]]) -> Non
 
 
 def read_csv_rows(path: str | Path) -> tuple[list[str], list[list[str]]]:
-    """Read a simple comma-separated file; returns (header, rows)."""
+    """Read a simple comma-separated file; returns (header, rows).
+
+    Blank lines are skipped and not counted: row N is the Nth non-blank line,
+    the header being row 1, as in every reader's messages. A row whose cell
+    count differs from the header's is rejected, naming the file and row.
+    """
     lines = [ln for ln in _read_text(path).splitlines() if ln != ""]
     if not lines:
         raise ValidationError(f"{path}: empty file")
     header = lines[0].split(",")
-    return header, [ln.split(",") for ln in lines[1:]]
+    rows = [ln.split(",") for ln in lines[1:]]
+    for i, row in enumerate(rows):
+        if len(row) != len(header):
+            raise ValidationError(
+                f"{path}: row {i + 2} has {len(row)} cells, expected {len(header)}")
+    return header, rows
+
+
+def parse_float(cell: str, where: str) -> float:
+    """A CSV cell as a finite float, or a ValidationError that starts with
+    ``where`` (the file and row) and quotes the cell."""
+    try:
+        value = float(cell)
+    except ValueError:
+        raise ValidationError(f"{where}: non-numeric value {cell!r}") from None
+    if not math.isfinite(value):
+        raise ValidationError(f"{where}: non-finite value {cell!r}")
+    return value

@@ -42,7 +42,7 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .ingest import TimeSeriesPanel
-from .serialize import read_csv_rows, write_csv, write_json
+from .serialize import parse_float, read_csv_rows, write_csv, write_json
 
 RIDGE_JITTER = 1e-8
 P0_SCALE = 1e-15  # prior covariance of the first standardized state, times I
@@ -455,8 +455,9 @@ def read_trajectories(csv_path: str | Path) -> dict[str, tuple[list[str], np.nda
         raise ValidationError(f"{csv_path}: expected header date,column,b,f1")
     dates: dict[str, list[str]] = {}
     values: dict[str, list[list[float]]] = {}
-    for date, column, b, f1 in rows:
+    for i, (date, column, b, f1) in enumerate(rows):
+        where = f"{csv_path}: row {i + 2}"
         dates.setdefault(column, []).append(date)
-        values.setdefault(column, []).append([float(b), float(f1)])
+        values.setdefault(column, []).append([parse_float(b, where), parse_float(f1, where)])
     return {col: (dates[col], np.array(values[col])) for col in dates}
 

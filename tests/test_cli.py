@@ -9,6 +9,8 @@ import pytest
 import tvpgvar
 from tvpgvar import read_panel_csv
 from tvpgvar.cli import main
+from tvpgvar.config import load_config
+from tvpgvar.errors import ValidationError
 from tvpgvar.irf import read_irf_csv, read_irf_json
 from tvpgvar.forecast import read_mse_report
 from tvpgvar.ingest import month_label
@@ -132,6 +134,9 @@ class TestIngest:
         (("irf", "shocks"), "OIL", "irf.shocks"),
         (("irf", "shocks"), ["OIL"], "irf.shocks[0]"),
         (("forecast", "methods"), "lasso", "forecast.methods"),
+        (("data", "path"), 5, "data.path"),
+        (("weights", "path"), 5, "weights.path"),
+        (("output", "dir"), 5, "output.dir"),
     ])
     def test_wrongly_typed_section_or_list_rejected(self, tmp_path, where, value, key):
         config_path = mini_config(tmp_path)
@@ -161,6 +166,35 @@ class TestIngest:
         assert proc.returncode == 1
         assert f"forecast.{key} must be" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    def test_any_wrongly_typed_key_raises_only_validation_error(self, tmp_path):
+        # every key of the sample config, plus the two optional path keys,
+        # set to each JSON type in turn: loading succeeds or fails cleanly
+        config_path = write_sample_config(tmp_path, iters=20)
+        sample = read_json(config_path)
+        sample["weights"]["path"] = "weights.csv"
+        sample["forecast"]["external"] = {}
+        keys = [(section,) for section in sample]
+        keys += [(section, key) for section, body in sample.items()
+                 if isinstance(body, dict) for key in body]
+        unexpected = []
+        for where in keys:
+            for value in (5, 2.5, "x", [], ["a"], {}, None, True):
+                obj = read_json(config_path)
+                parent = obj
+                for name in where[:-1]:
+                    parent = parent[name]
+                parent[where[-1]] = value
+                bad_path = tmp_path / "swept.json"
+                write_json(obj, bad_path)
+                try:
+                    load_config(bad_path)
+                except ValidationError:
+                    pass
+                except Exception as exc:
+                    unexpected.append((".".join(where), value, type(exc).__name__))
+        assert len(keys) == 27
+        assert unexpected == []
 
     def test_rerun_byte_identical(self, pipeline, tmp_path):
         first = (pipeline / "out" / "panel.csv").read_bytes()
@@ -341,6 +375,25 @@ class TestForecast:
         assert "19 training months, and var1 needs at least 21" in err
         assert not (tmp_path / "out" / "trajectories_train.csv").exists()
 
+    @pytest.mark.parametrize("methods, external, message", [
+        ([], {}, "forecast.methods must list at least one method"),
+        (["constant", "constant"], {}, "duplicate names in forecast.methods"),
+        (["constant"], {"constant": "paths.csv"},
+         "forecast.external may not reuse a built-in method name: ['constant']"),
+    ])
+    def test_bad_method_list_rejected_at_load(self, tmp_path, capsys, methods, external,
+                                              message):
+        # the stage ends before it samples: no training trajectories
+        config_path = mini_config(tmp_path)
+        assert main(["ingest", "--config", str(config_path)]) == 0
+        (tmp_path / "paths.csv").write_text("date,column,b,f1\n")
+        obj = read_json(config_path)
+        obj["forecast"].update(methods=methods, external=external)
+        write_json(obj, config_path)
+        assert main(["forecast", "--config", str(config_path)]) == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out" / "trajectories_train.csv").exists()
+
     def test_failed_method_reported(self, tmp_path, capsys):
         # the external path file lacks OIL: only the stage's own run can tell,
         # so the method fails for that column while the rest still score
@@ -434,8 +487,9 @@ def run_python(*args):
 
 
 class TestUndecodableInput:
-    """A file that cannot be decoded ends the stage with exit code 1 and a
-    message naming the file, not a traceback."""
+    """A file that cannot be decoded, or a CSV row that cannot be parsed, ends
+    the stage with exit code 1 and a message naming the file (and the row),
+    not a traceback."""
 
     def assert_clean_failure(self, proc, bad_file):
         assert proc.returncode == 1
@@ -456,6 +510,53 @@ class TestUndecodableInput:
         bad_file.write_bytes(bad_file.read_bytes() + b"2000-01,AAA,CPI,caf\xe9\n")
         proc = run_python("-m", "tvpgvar.cli", "ingest", "--config", str(config_path))
         self.assert_clean_failure(proc, bad_file)
+
+
+    @pytest.mark.parametrize("bad_row, message", [
+        ("2000-02,BBB,AAA,abc", "row 7: non-numeric value 'abc'"),
+        ("2000-02,BBB,AAA", "row 7 has 3 cells, expected 4"),
+        ("2000-02,BBB,AAA,nan", "row 7: non-finite value 'nan'"),
+    ])
+    def test_bad_weight_row(self, tmp_path, bad_row, message):
+        config_path = mini_config(tmp_path)
+        assert main(["ingest", "--config", str(config_path)]) == 0
+        panel = read_panel_csv(tmp_path / "out" / "panel.csv")
+        lines = ["date,from,to,weight"]
+        for date in panel.time_index:
+            lines += [f"{date},AAA,BBB,1.0", f"{date},BBB,AAA,1.0",
+                      f"{date},AAA,__COMMON__:OIL,0.5", f"{date},BBB,__COMMON__:OIL,0.5"]
+        lines[6] = bad_row
+        bad_file = tmp_path / "weights.csv"
+        bad_file.write_text("\n".join(lines) + "\n")
+        obj = read_json(config_path)
+        obj["weights"] = {"provider": "csv", "path": str(bad_file)}
+        write_json(obj, config_path)
+        proc = run_python("-m", "tvpgvar.cli", "estimate", "--config", str(config_path))
+        self.assert_clean_failure(proc, bad_file)
+        assert f"{bad_file}: {message}" in proc.stderr
+
+    @pytest.mark.parametrize("bad_cell, message", [
+        ("abc", "row 3: non-numeric value 'abc'"),
+        ("nan", "row 3: non-finite value 'nan'"),
+        ("0.0,1.0", "row 3 has 5 cells, expected 4"),
+    ])
+    def test_bad_external_path_row(self, tmp_path, bad_cell, message):
+        config_path = mini_config(tmp_path)
+        assert main(["ingest", "--config", str(config_path)]) == 0
+        panel = read_panel_csv(tmp_path / "out" / "panel.csv")
+        lines = ["date,column,b,f1"] + [f"{date},{name},0.0,1.0"
+                                        for date in panel.time_index[-4:]
+                                        for name in panel.column_names()]
+        lines[2] = lines[2].rsplit(",", 1)[0] + "," + bad_cell
+        bad_file = tmp_path / "external_paths.csv"
+        bad_file.write_text("\n".join(lines) + "\n")
+        obj = read_json(config_path)
+        obj["forecast"].update(methods=["constant", "plugin"],
+                               external={"plugin": str(bad_file)})
+        write_json(obj, config_path)
+        proc = run_python("-m", "tvpgvar.cli", "forecast", "--config", str(config_path))
+        self.assert_clean_failure(proc, bad_file)
+        assert f"{bad_file}: {message}" in proc.stderr
 
 
 # a fresh interpreter imports the package, runs the CLI stage argv[2] and

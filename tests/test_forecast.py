@@ -148,20 +148,22 @@ class TestLassoFit:
 class TestForecastConstant:
     def test_repeats_last_row(self):
         theta = np.array([[0.1, 0.2], [0.3, 0.5]])
-        out = forecast_constant(theta, 6)
+        out = forecast_constant(theta, ForecasterConfig(horizon=6))
         assert out.shape == (6, 2)
         np.testing.assert_array_equal(out, np.tile([0.3, 0.5], (6, 1)))
 
     def test_single_step_equals_last_row(self, rng):
         theta = rng.standard_normal((10, 2))
-        np.testing.assert_array_equal(forecast_constant(theta, 1)[0], theta[-1])
+        np.testing.assert_array_equal(
+            forecast_constant(theta, ForecasterConfig(horizon=1))[0], theta[-1])
 
     def test_invariant_to_history_before_last_row(self, rng):
         theta_a = rng.standard_normal((10, 2))
         theta_b = rng.standard_normal((10, 2))
         theta_b[-1] = theta_a[-1]
-        np.testing.assert_array_equal(forecast_constant(theta_a, 4),
-                                      forecast_constant(theta_b, 4))
+        config = ForecasterConfig(horizon=4)
+        np.testing.assert_array_equal(forecast_constant(theta_a, config),
+                                      forecast_constant(theta_b, config))
 
 
 class TestForecastVar1:
@@ -175,7 +177,7 @@ class TestForecastVar1:
         for t in range(1, t_len):
             series[t] = intercept + slope @ series[t - 1]
         horizon = 8
-        out = forecast_var1(series, horizon)
+        out = forecast_var1(series, ForecasterConfig(kind="var1", horizon=horizon))
         expected = np.empty((horizon, dim))
         state = series[-1]
         for s in range(horizon):
@@ -185,7 +187,7 @@ class TestForecastVar1:
 
     def test_white_noise_converges_to_mean(self, rng):
         series = rng.standard_normal((400, 2)) + np.array([1.0, -2.0])
-        out = forecast_var1(series, 60)
+        out = forecast_var1(series, ForecasterConfig(kind="var1", horizon=60))
         np.testing.assert_allclose(out[-1], series.mean(axis=0), atol=0.3)
         gap_start = np.abs(out[0] - series.mean(axis=0))
         gap_end = np.abs(out[-1] - series.mean(axis=0))
@@ -196,7 +198,7 @@ class TestForecastVar1:
         y[0] = 0.3
         for t in range(1, 80):
             y[t] = 0.4 + 0.6 * y[t - 1] + 0.05 * rng.standard_normal()
-        out = forecast_var1(y[:, None], 5)
+        out = forecast_var1(y[:, None], ForecasterConfig(kind="var1", horizon=5))
         design = np.column_stack([np.ones(79), y[:-1]])
         coef = np.linalg.lstsq(design, y[1:], rcond=None)[0]
         state = y[-1]
@@ -206,7 +208,7 @@ class TestForecastVar1:
 
     def test_too_short_rejected(self, rng):
         with pytest.raises(ValidationError, match="at least"):
-            forecast_var1(rng.standard_normal((5, 4)), 3)
+            forecast_var1(rng.standard_normal((5, 4)), ForecasterConfig(kind="var1", horizon=3))
 
 
 class TestBatchedSolver:
@@ -278,8 +280,9 @@ class TestBatchedSolver:
         assert lams.shape == (5,)
         assert [chosen_penalties(row[None], config)[0] for row in stack] == list(lams)
         np.testing.assert_allclose(
-            forecast_lasso(stack, config),
-            np.vstack([forecast_lasso(row[None], config) for row in stack]), rtol=0, atol=1e-12)
+            forecast_lasso(stack.T, config),
+            np.hstack([forecast_lasso(row[:, None], config) for row in stack]),
+            rtol=0, atol=1e-12)
 
     def test_penalty_grids_match_per_series_geomspace(self, rng):
         # one geomspace call over the stack gives each series' own path from
@@ -313,7 +316,7 @@ class TestBatchedSolver:
         monkeypatch.setattr(forecast_module, "_standardize", counted)
         config = ForecasterConfig(kind="lasso", horizon=4, lag_window=3, cv_folds=3,
                                   grid_size=20)
-        forecast_lasso(np.cumsum(rng.standard_normal((4, 80)), axis=1), config)
+        forecast_lasso(np.cumsum(rng.standard_normal((4, 80)), axis=1).T, config)
         assert len(calls) == 4 * (config.cv_folds + 1)
 
 
@@ -326,28 +329,28 @@ class TestForecastLasso:
             y[t] = 0.9 * y[t - 1]
         config = ForecasterConfig(kind="lasso", horizon=6, lag_window=1, cv_folds=3,
                                   grid_size=40, grid_floor=1e-10)
-        out = forecast_lasso(y[None], config)[0]
+        out = forecast_lasso(y[:, None], config)[:, 0]
         expected = y[-1] * 0.9 ** np.arange(1, 7)
         np.testing.assert_allclose(out, expected, atol=1e-4)
 
     def test_constant_series_intercept_only(self):
         y = np.full(60, 4.2)
         config = ForecasterConfig(kind="lasso", horizon=5, lag_window=3, cv_folds=3)
-        out = forecast_lasso(y[None], config)
+        out = forecast_lasso(y[:, None], config)
         np.testing.assert_allclose(out, 4.2, atol=1e-12)
 
     def test_deterministic(self, rng):
         y = np.cumsum(rng.standard_normal((1, 90)), axis=1) * 0.1 + 1.0
         config = ForecasterConfig(kind="lasso", horizon=4, lag_window=4, cv_folds=4)
-        a = forecast_lasso(y, config)
-        b = forecast_lasso(y, config)
+        a = forecast_lasso(y.T, config)
+        b = forecast_lasso(y.T, config)
         np.testing.assert_array_equal(a, b)
         np.testing.assert_array_equal(chosen_penalties(y, config), chosen_penalties(y, config))
 
     def test_series_too_short(self):
         config = ForecasterConfig(kind="lasso", horizon=2, lag_window=6, cv_folds=5)
         with pytest.raises(ValidationError, match="too short"):
-            forecast_lasso(np.ones((1, 11)), config)
+            forecast_lasso(np.ones((11, 1)), config)
 
     def test_one_series_needs_a_stack(self):
         config = ForecasterConfig(kind="lasso", horizon=2, lag_window=3, cv_folds=3)
@@ -386,7 +389,7 @@ class TestForecastLasso:
                 for step in range(h):
                     expected[s, step] = fit.intercept + fit.coef @ np.array(window)
                     window = [expected[s, step]] + window[:-1]
-            np.testing.assert_allclose(forecast_lasso(stack, config), expected,
+            np.testing.assert_allclose(forecast_lasso(stack.T, config), expected.T,
                                        rtol=0, atol=1e-12)
 
 
@@ -457,7 +460,7 @@ class TestTwoStageForecast:
                                     ForecasterConfig(kind="var1", horizon=h))
         assert not result.errors
         # stage one is the joint VAR(1) on the stacked parameter series
-        expected = forecast_var1(np.hstack(paths), h)
+        expected = forecast_var1(np.hstack(paths), ForecasterConfig(kind="var1", horizon=h))
         np.testing.assert_allclose(result.param_paths[:, 0, :], expected[:, 0:2],
                                    atol=1e-12)
         np.testing.assert_allclose(result.param_paths[:, 1, :], expected[:, 2:4],
@@ -597,21 +600,20 @@ def test_report_files_round_trip(tmp_path, rng):
     theta_a = base + 0.05 * rng.standard_normal(base.shape)
     theta_b = base + 0.05 * rng.standard_normal(base.shape)
     tvp_result = trajectories_from_paths([theta_a, theta_b])
-    results = []
-    for kind in ("constant", "var1"):
-        results.append(two_stage_forecast(
-            panel, tvp_result, ForecasterConfig(kind=kind, horizon=h),
-            actuals=values[-h:]))
+    results = {kind: two_stage_forecast(panel, tvp_result,
+                                        ForecasterConfig(kind=kind, horizon=h),
+                                        actuals=values[-h:])
+               for kind in ("constant", "var1")}
     write_mse_report(results, tmp_path / "mse.csv")
     table = read_mse_report(tmp_path / "mse.csv")
     assert set(table) == {"constant", "var1"}
-    assert table["constant"]["ALL"] == pytest.approx(results[0].pooled_mse)
-    assert table["constant"]["A.x"] == results[0].mse_per_series["A.x"]
+    assert table["constant"]["ALL"] == pytest.approx(results["constant"].pooled_mse)
+    assert table["constant"]["A.x"] == results["constant"].mse_per_series["A.x"]
 
     write_param_paths(results, tmp_path / "params.csv")
     write_variable_paths(results, tmp_path / "vars.csv", actuals=values[-h:])
     variables = read_variable_paths(tmp_path / "vars.csv")
-    key = ("constant", results[0].future_dates[0], "A.x")
+    key = ("constant", results["constant"].future_dates[0], "A.x")
     actual, predicted = variables[key]
     assert actual == values[-h:][0, 0]
-    assert predicted == results[0].variable_paths[0, 0]
+    assert predicted == results["constant"].variable_paths[0, 0]
