@@ -108,9 +108,10 @@ def load_config(path: str | Path) -> RunConfig:
         raise ValidationError("config must be a JSON object")
     _check_keys(obj, {"schema_version", "data", "panel", "weights", "tvp",
                       "irf", "forecast", "output"}, "top level")
-    if obj.get("schema_version") != SCHEMA_VERSION:
-        raise ValidationError(
-            f"unsupported schema_version {obj.get('schema_version')!r}, expected {SCHEMA_VERSION}")
+    version = obj.get("schema_version")
+    # True == 1.0 == 1 in Python: only the integer itself names the version
+    if type(version) is not int or version != SCHEMA_VERSION:
+        raise ValidationError(f"unsupported schema_version {version!r}, expected {SCHEMA_VERSION}")
 
     data = obj.get("data")
     if not isinstance(data, dict) or "path" not in data:

@@ -13,11 +13,19 @@ Kronecker-form delta-method bands: the full w^2 x w^2 input covariances
 pushed through ``derivative_Gn`` and ``derivative_H``. They are what the
 package computed before it moved to the closed form, together with the
 ``vec``/``vech``/duplication-matrix kit they need.
+
+``fit_equation_loop`` is the TVP sampler one column at a time: per
+iteration a banded path draw through SciPy's public LAPACK wrappers, the
+data-based prior ``A0^-1 = diag{diag(pinv(X'X))}``, three generic solves for
+the coefficient draw and a scalar variance draw. It is what the package ran
+before the iteration was batched over the panel's columns, and it draws from
+the column's generator in the same order: path normals, 4 normals, a gamma.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.linalg import lapack
 from scipy.special import ndtri
 
 from tvpgvar.gvar import ma_coefficients, stability_check
@@ -28,6 +36,7 @@ from tvpgvar.irf import (
     derivative_H,
     oirf_point,
 )
+from tvpgvar.tvp import C0_RATE, C0_SHAPE, P0_SCALE, RIDGE_JITTER, TVPTrajectory
 
 
 def standardize(x, y):
@@ -190,3 +199,48 @@ def dense_asymptotic_bands(system, shock, sample_size, sigma_alpha, sigma_sigma)
                      g0_condition=float(np.linalg.cond(system.g0)),
                      at_time=shock.at_time, targets=shock.targets,
                      level=shock.level, sample_size=sample_size)
+
+
+def _path_draw_loop(y, theta0, sqrt_omega, sigma2, rng):
+    """Banded-precision draw of one column's standardized path, (T-1, 2)."""
+    n = y.size - 1
+    ylag = y[:-1]
+    h = np.column_stack([np.full(n, sqrt_omega[0]), sqrt_omega[1] * ylag])
+    ystar = y[1:] - (theta0[0] + theta0[1] * ylag)
+    band = np.zeros((2 * n, 3))
+    band[2:, 0] = -1.0
+    band[1::2, 1] = h[:, 0] * h[:, 1] / sigma2
+    band[:, 2] = (h * h).reshape(-1) / sigma2 + 2.0
+    band[-2:, 2] -= 1.0
+    band[:2, 2] += 1.0 / (1.0 + P0_SCALE) - 1.0
+    chol, info = lapack.dpbtrf(band.T.copy())
+    assert info == 0, f"dpbtrf info {info}"
+    w, _ = lapack.dtbtrs(chol, (h * (ystar / sigma2)[:, None]).reshape(-1, 1), trans="T")
+    draw, _ = lapack.dtbtrs(chol, w + rng.standard_normal((2 * n, 1)))
+    return draw.reshape(n, 2)
+
+
+def fit_equation_loop(y, iters, seed):
+    """The final draw of ``iters`` sampler iterations on one column, seeded by
+    ``default_rng(seed)``."""
+    y = np.asarray(y, float)
+    rng = np.random.default_rng(seed)
+    theta0, sqrt_omega, sigma2 = np.zeros(2), np.ones(2), 0.1
+    for _ in range(iters):
+        tilde = _path_draw_loop(y, theta0, sqrt_omega, sigma2, rng)
+        target = y[1:]
+        design = np.column_stack([np.ones(y.size - 1), y[:-1], tilde[:, 0], y[:-1] * tilde[:, 1]])
+        xtx = design.T @ design
+        prec = xtx / sigma2 + np.diag(np.clip(np.diag(np.linalg.pinv(xtx)), 0.0, None))
+        try:
+            chol = np.linalg.cholesky(prec)
+        except np.linalg.LinAlgError:
+            chol = np.linalg.cholesky(prec + RIDGE_JITTER * np.eye(4))
+        mean = np.linalg.solve(chol.T, np.linalg.solve(chol, design.T @ target / sigma2))
+        draw = mean + np.linalg.solve(chol.T, rng.standard_normal(4))
+        theta0, sqrt_omega = draw[:2], draw[2:]
+        resid = target - design @ draw
+        rate = C0_RATE + 0.5 * float(resid @ resid)
+        sigma2 = 1.0 / rng.gamma(shape=C0_SHAPE + target.size / 2.0, scale=1.0 / rate)
+    return TVPTrajectory(theta0=theta0, sqrt_omega=sqrt_omega, theta_tilde=tilde,
+                         theta=theta0[None, :] + sqrt_omega[None, :] * tilde, sigma2=sigma2)

@@ -103,6 +103,12 @@ class TestIngest:
         assert main(["ingest", "--config", str(config_path)]) == 1
         assert "unknown config keys in tvp: ['smooth_states']" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("version", [2, 0, "1", None, True, 1.0])
+    def test_unsupported_schema_version_rejected(self, tmp_path, capsys, version):
+        config_path = mini_config(tmp_path, schema_version=version)
+        assert main(["ingest", "--config", str(config_path)]) == 1
+        assert f"unsupported schema_version {version!r}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("section, key, value", [
         ("tvp", "iters", "abc"),
         ("irf", "horizon", None),

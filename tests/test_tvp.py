@@ -1,6 +1,7 @@
 import importlib.machinery
 import importlib.util
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -14,7 +15,11 @@ from tvpgvar import (
     sample_theta0_omega,
     sample_theta_tilde_banded,
 )
+from tvpgvar.cli import main
+from tvpgvar.config import load_config
 from tvpgvar.errors import NumericalError, ValidationError
+from tvpgvar.ingest import read_panel_csv
+from tvpgvar.sample import write_sample_config
 from tvpgvar.tvp import (
     P0_SCALE,
     _flapack,
@@ -26,6 +31,7 @@ from tvpgvar.tvp import (
 )
 
 from conftest import make_panel
+from oracles import fit_equation_loop
 
 
 def simulate_tvp_series(rng, t_len, theta0, sqrt_omega, sigma, y0=0.0):
@@ -46,6 +52,13 @@ def step3(y, tilde):
     design = np.column_stack([np.ones(y.size - 1), y[:-1],
                               tilde[:, 0], y[:-1] * tilde[:, 1]])
     return y[1:], design
+
+
+def draw_one(target, design, sigma2, rng):
+    """(theta0, sqrt_omega) of a one-column stack."""
+    draw, failed = sample_theta0_omega(target[None], design[None], np.array([sigma2]), [rng])
+    assert failed == {}
+    return draw[0, :2], draw[0, 2:]
 
 
 class TestKalmanForward:
@@ -167,8 +180,12 @@ class TestSampleThetaTildeBanded:
     sigma2 = 0.45
 
     def draw(self, y, rng):
-        return sample_theta_tilde_banded(y, self.theta0, self.sqrt_omega,
-                                         self.sigma2, rng)
+        # a one-column stack
+        draws, failed = sample_theta_tilde_banded(y[None], self.theta0[None],
+                                                  self.sqrt_omega[None],
+                                                  np.array([self.sigma2]), [rng])
+        assert failed == {}
+        return draws[0]
 
     @pytest.mark.parametrize("t_len", [2, 3, 13])
     def test_exact_moments_match_dense_conditioning(self, rng, t_len):
@@ -205,20 +222,27 @@ class TestSampleThetaTildeBanded:
             assert np.max(np.abs(mean_z)) < 4.5, name
             assert np.max(np.abs(cov_z)) < 5.0, name
 
-    def test_singular_precision_raises(self):
+    def test_singular_precision_reported_per_column(self):
         # with powers of two the rounding is exact: 2 + 2^80 == 2^80, so the
-        # second pivot of the first block is exactly zero
-        y = np.ones(10)
-        with pytest.raises(NumericalError, match=r"not positive definite \(dpbtrf info 2\)"):
-            sample_theta_tilde_banded(y, np.zeros(2), np.full(2, 2.0 ** 40), 1.0,
-                                      np.random.default_rng(0))
+        # second pivot of column 1's first block is exactly zero; column 0
+        # of the same stack is drawn as if it were alone
+        y = np.ones((2, 10))
+        sqrt_omega = np.array([self.sqrt_omega, np.full(2, 2.0 ** 40)])
+        theta0 = np.array([self.theta0, np.zeros(2)])
+        draws, failed = sample_theta_tilde_banded(
+            y, theta0, sqrt_omega, np.array([self.sigma2, 1.0]),
+            [np.random.default_rng(0), np.random.default_rng(1)])
+        assert failed == {1: "state precision not positive definite (dpbtrf info 2)"}
+        np.testing.assert_array_equal(draws[0], self.draw(y[0], np.random.default_rng(0)))
 
     def test_bad_inputs(self):
         gen = np.random.default_rng(0)
         with pytest.raises(ValidationError):
-            sample_theta_tilde_banded(np.array([1.0]), np.zeros(2), np.ones(2), 0.1, gen)
+            sample_theta_tilde_banded(np.array([[1.0]]), np.zeros((1, 2)), np.ones((1, 2)),
+                                      np.array([0.1]), [gen])
         with pytest.raises(ValidationError):
-            sample_theta_tilde_banded(np.ones(5), np.zeros(2), np.ones(2), 0.0, gen)
+            sample_theta_tilde_banded(np.ones((1, 5)), np.zeros((1, 2)), np.ones((1, 2)),
+                                      np.array([0.0]), [gen])
 
 
 def random_band(rng, size):
@@ -282,7 +306,7 @@ class TestSampleTheta0Omega:
         y = rng.standard_normal(t_len)
         tilde = rng.standard_normal((t_len - 1, 2))
         target, design = step3(y, tilde)
-        theta0, sw = sample_theta0_omega(target, design, 1e-18, np.random.default_rng(3))
+        theta0, sw = draw_one(target, design, 1e-18, np.random.default_rng(3))
         ols = np.linalg.lstsq(design, target, rcond=None)[0]
         np.testing.assert_allclose(np.concatenate([theta0, sw]), ols, atol=1e-6)
 
@@ -299,7 +323,7 @@ class TestSampleTheta0Omega:
         mean = cov @ (design.T @ target / sigma2)
         gen = np.random.default_rng(5)
         draws = np.stack([
-            np.concatenate(sample_theta0_omega(target, design, sigma2, gen))
+            np.concatenate(draw_one(target, design, sigma2, gen))
             for _ in range(6000)])
         np.testing.assert_allclose(draws.mean(axis=0), mean, atol=0.05)
         np.testing.assert_allclose(np.cov(draws.T), cov, atol=0.05)
@@ -311,7 +335,7 @@ class TestSampleTheta0Omega:
         target, design = step3(y, tilde[1:])
         gen = np.random.default_rng(9)
         draws = np.stack([
-            np.concatenate(sample_theta0_omega(target, design, 0.05 ** 2, gen))
+            np.concatenate(draw_one(target, design, 0.05 ** 2, gen))
             for _ in range(500)])
         post_mean = draws.mean(axis=0)
         post_sd = draws.std(axis=0)
@@ -327,18 +351,18 @@ class TestSampleSigma:
         y = np.zeros(100)
         design = np.zeros((100, 4))
         theta = np.zeros(4)
-        c_t, big_c_t = sigma_posterior(y, design, theta)
+        c_t, big_c_t = sigma_posterior(y[None], design[None], theta[None])
         assert c_t == pytest.approx(50.01)
-        assert big_c_t == pytest.approx(0.01)
+        assert big_c_t == pytest.approx([0.01])
 
     def test_precision_moment(self, rng):
         t_len = 100
         y = rng.standard_normal(t_len)
         design = np.column_stack([np.ones(t_len), rng.standard_normal((t_len, 3))])
         theta = rng.standard_normal(4)
-        c_t, big_c_t = sigma_posterior(y, design, theta)
+        c_t, (big_c_t,) = sigma_posterior(y[None], design[None], theta[None])
         gen = np.random.default_rng(2)
-        draws = np.array([1.0 / sample_sigma(y, design, theta, gen)
+        draws = np.array([1.0 / sample_sigma(y[None], design[None], theta[None], [gen])[0][0]
                           for _ in range(100_000)])
         assert abs(draws.mean() - c_t / big_c_t) / (c_t / big_c_t) < 0.01
 
@@ -346,10 +370,11 @@ class TestSampleSigma:
         y = rng.standard_normal(60)
         design = np.column_stack([np.ones(60), rng.standard_normal((60, 3))])
         theta = rng.standard_normal(4)
-        _, rate_one = sigma_posterior(y, design, theta)
+        _, (rate_one,) = sigma_posterior(y[None], design[None], theta[None])
         resid = y - design @ theta
         ssr = float(resid @ resid)
-        _, rate_two = sigma_posterior(np.sqrt(2.0) * y, np.sqrt(2.0) * design, theta)
+        _, (rate_two,) = sigma_posterior(np.sqrt(2.0) * y[None], np.sqrt(2.0) * design[None],
+                                         theta[None])
         assert rate_two - rate_one == pytest.approx(0.5 * ssr, rel=1e-12)
 
 
@@ -400,24 +425,71 @@ class TestEstimateAll:
         for ta, tb in zip(res_a.trajectories, res_b.trajectories):
             np.testing.assert_array_equal(ta.theta, tb.theta)
 
-    def test_failures_collected_run_continues(self, rng, monkeypatch):
-        import tvpgvar.tvp as tvp_mod
+    def test_failures_collected_run_continues(self, rng):
+        # column 1 at 1e160 overflows X'X in the first coefficient draw; the
+        # other columns come out bit-equal to their runs without it, each
+        # alone on its own stream
         values = rng.standard_normal((40, 3))
-        panel = make_panel(values, ["A"], ["x", "y", "z"])
-        real = tvp_mod.fit_equation
-
-        def flaky(y, iters, seed):
-            if seed[1] == 1:
-                raise NumericalError("synthetic breakdown")
-            return real(y, iters, seed)
-
-        monkeypatch.setattr(tvp_mod, "fit_equation", flaky)
-        result = tvp_mod.estimate_all(panel, TVPConfig(iters=2, seed=0))
+        values[:, 1] *= 1e160
+        result = estimate_all(make_panel(values, ["A"], ["x", "y", "z"]),
+                              TVPConfig(iters=2, seed=0))
         assert not result.ok
         assert set(result.errors) == {1}
+        assert result.errors[1].startswith("iteration 0: ")
         assert result.trajectories[1] is None
         assert result.trajectories[0] is not None
         assert result.trajectories[2] is not None
+        for i in (0, 2):
+            ours, alone = result.trajectories[i], fit_equation(values[:, i], 2, (0, i))
+            np.testing.assert_array_equal(ours.theta, alone.theta)
+            np.testing.assert_array_equal(ours.theta_tilde, alone.theta_tilde)
+            assert ours.sigma2 == alone.sigma2
+
+    @pytest.mark.parametrize("scale", [1e155, 1e160])
+    def test_overflowing_column_is_a_numerical_error(self, rng, scale):
+        # the pseudo-inverse of a non-finite X'X used to raise LinAlgError out
+        # of estimate_all and lose every column; the overflow on the way to
+        # the reason raises no numpy warning either
+        values = rng.standard_normal((40, 3))
+        values[:, 1] *= scale
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = estimate_all(make_panel(values, ["A"], ["x", "y", "z"]),
+                                  TVPConfig(iters=3, seed=0))
+            with pytest.raises(NumericalError, match=r"^iteration 0: non-finite X'X"):
+                fit_equation(values[:, 1], 3, 0)
+        assert result.errors == {1: "iteration 0: non-finite X'X in coefficient posterior"}
+        assert [t is None for t in result.trajectories] == [False, True, False]
+
+    def test_constant_column_takes_the_pseudo_inverse_prior(self):
+        # a constant series makes X'X singular, but rounding gives this one a
+        # Cholesky factor whose inverse would put a huge prior precision on
+        # the unidentified direction; the pseudo-inverse drops it, as the
+        # per-column loop did
+        values = np.random.default_rng(3).standard_normal((60, 2))
+        values[:, 1] = 4.2
+        result = estimate_all(make_panel(values, ["A"], ["x", "y"]), TVPConfig(iters=5, seed=0))
+        reference = fit_equation_loop(values[:, 1], 5, (0, 1))
+        np.testing.assert_allclose(result.trajectories[1].theta, reference.theta, rtol=0,
+                                   atol=1e-6 * np.abs(reference.theta).max())
+
+    def test_matches_per_column_reference_on_sample(self, tmp_path, capsys):
+        # the batched iteration against the one-column-at-a-time loop it
+        # replaced, on the bundled sample at the benchmark's iteration count
+        config_path = write_sample_config(tmp_path, iters=50)
+        assert main(["ingest", "--config", str(config_path), "--out", str(tmp_path / "out")]) == 0
+        panel = read_panel_csv(tmp_path / "out" / "panel.csv")
+        config = load_config(config_path).tvp
+        result = estimate_all(panel, config)
+        assert result.ok
+        for i, trajectory in enumerate(result.trajectories):
+            reference = fit_equation_loop(panel.values[:, i], config.iters, (config.seed, i))
+            # relative to each coefficient path's scale: the paths cross zero,
+            # where an elementwise ratio measures nothing but the crossing
+            scale = np.abs(reference.theta).max(axis=0)
+            np.testing.assert_allclose(trajectory.theta, reference.theta, rtol=0,
+                                       atol=1e-9 * scale.min())
+            assert trajectory.sigma2 == pytest.approx(reference.sigma2, rel=1e-9, abs=0)
 
 
 def test_trajectory_csv_round_trip(tmp_path, rng):
