@@ -48,7 +48,6 @@ from .irf import (
     asymptotic_bands,
     cholesky_lower,
     estimate_asymptotic_inputs,
-    oirf_point,
 )
 from .tvp import (
     PanelTVPResult,
@@ -97,7 +96,6 @@ __all__ = [
     "load_panel",
     "ma_coefficients",
     "mse",
-    "oirf_point",
     "read_panel_csv",
     "fit_equation",
     "sample_sigma",

@@ -43,11 +43,11 @@ def _build_weights(config: RunConfig, panel: ingest.TimeSeriesPanel) -> gvar.Wei
         config.weights.path, panel.time_index, panel.regions, panel.activities)
 
 
-def _load_panel_artifact(config: RunConfig) -> ingest.TimeSeriesPanel:
-    path = config.out_dir / PANEL_FILE
+def _artifact(config: RunConfig, name: str, stage: str) -> Path:
+    path = config.out_dir / name
     if not path.exists():
-        raise ValidationError(f"panel artifact not found: {path} (run 'ingest' first)")
-    return ingest.read_panel_csv(path)
+        raise ValidationError(f"{path}: not found (run '{stage}' first)")
+    return path
 
 
 def cmd_ingest(config: RunConfig) -> None:
@@ -69,7 +69,7 @@ def cmd_ingest(config: RunConfig) -> None:
 
 
 def cmd_estimate(config: RunConfig) -> None:
-    panel = _load_panel_artifact(config)
+    panel = ingest.read_panel_csv(_artifact(config, PANEL_FILE, "ingest"))
     weights = _build_weights(config, panel)
     fit = gvar.estimate_structural(panel, weights)
     gvar.write_coefficients_json(fit, panel, config.out_dir / COEFFICIENTS_FILE)
@@ -86,10 +86,11 @@ def cmd_estimate(config: RunConfig) -> None:
 
 
 def cmd_irf(config: RunConfig) -> None:
-    panel = _load_panel_artifact(config)
-    fit = gvar.read_coefficients_json(config.out_dir / COEFFICIENTS_FILE)
+    panel = ingest.read_panel_csv(_artifact(config, PANEL_FILE, "ingest"))
+    coefficients = _artifact(config, COEFFICIENTS_FILE, "estimate")
+    fit = gvar.read_coefficients_json(coefficients)
     if fit.columns != tuple(panel.column_names()):
-        raise ValidationError("coefficient file does not match panel columns")
+        raise ValidationError(f"{coefficients}: columns do not match the panel's")
     weights = _build_weights(config, panel)
     sample_size = len(panel.time_index) - 1
     names = panel.column_names()
@@ -133,7 +134,7 @@ def cmd_irf(config: RunConfig) -> None:
 
 
 def cmd_forecast(config: RunConfig) -> None:
-    panel = _load_panel_artifact(config)
+    panel = ingest.read_panel_csv(_artifact(config, PANEL_FILE, "ingest"))
     h = next(iter(config.methods.values())).horizon
     t_len = len(panel.time_index)
     needs = {method: fc.min_training_months(fconf, panel.width)
@@ -177,10 +178,7 @@ def cmd_forecast(config: RunConfig) -> None:
 
 
 def cmd_report(config: RunConfig) -> None:
-    report_path = config.out_dir / MSE_REPORT_FILE
-    if not report_path.exists():
-        raise ValidationError(f"no MSE report at {report_path} (run 'forecast' first)")
-    table = fc.read_mse_report(report_path)
+    table = fc.read_mse_report(_artifact(config, MSE_REPORT_FILE, "forecast"))
     print("method,aggregate_mse")
     aggregates = {}
     for method, per_series in table.items():

@@ -13,7 +13,7 @@ from typing import Any, Mapping
 from .errors import ValidationError
 from .forecast import METHOD_ORDER, ForecasterConfig
 from .ingest import ALIGN_METHODS, TRANSFORMS
-from .serialize import read_json
+from .serialize import parse_strings, read_json
 from .tvp import TVPConfig
 
 SCHEMA_VERSION = 1
@@ -33,13 +33,6 @@ def _section(obj: Mapping[str, Any], key: str) -> Mapping[str, Any]:
     if not isinstance(value, dict):
         raise ValidationError(f"{key} must be an object, got {value!r}")
     return value
-
-
-def _strings(value: Any, name: str) -> list[str]:
-    """``value`` as a list of strings, or a ValidationError naming the key."""
-    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
-        raise ValidationError(f"{name} must be a list of strings, got {value!r}")
-    return list(value)
 
 
 def _number(obj: Mapping[str, Any], section: str, key: str, default: Any, kind: type) -> Any:
@@ -100,8 +93,6 @@ class RunConfig:
 
 def load_config(path: str | Path) -> RunConfig:
     path = Path(path)
-    if not path.exists():
-        raise ValidationError(f"config file not found: {path}")
     base = path.parent
     obj = read_json(path)
     if not isinstance(obj, dict):
@@ -118,8 +109,6 @@ def load_config(path: str | Path) -> RunConfig:
         raise ValidationError("config needs a data object with a path")
     _check_keys(data, {"path", "imputation", "transform"}, "data")
     data_path = _path(base, data, "data", "path")
-    if not data_path.exists():
-        raise ValidationError(f"data file not found: {data_path}")
     imputation = data.get("imputation", "linear-interpolate")
     if imputation not in ALIGN_METHODS:
         raise ValidationError(f"unknown imputation {imputation!r}")
@@ -131,7 +120,7 @@ def load_config(path: str | Path) -> RunConfig:
     _check_keys(panel, {"regions", "variables", "activities"}, "panel")
     for key in ("regions", "variables", "activities"):
         if panel.get(key) is not None:
-            codes = _strings(panel[key], f"panel.{key}")
+            codes = parse_strings(panel[key], f"panel.{key}")
             if len(set(codes)) != len(codes):
                 raise ValidationError(f"duplicate codes in panel.{key}")
 
@@ -148,11 +137,8 @@ def load_config(path: str | Path) -> RunConfig:
     )
     if provider == "rolling-share" and not weights.variable:
         raise ValidationError("rolling-share weights need a 'variable'")
-    if provider == "csv":
-        if weights.path is None:
-            raise ValidationError("csv weights need a 'path'")
-        if not weights.path.exists():
-            raise ValidationError(f"weight file not found: {weights.path}")
+    if provider == "csv" and weights.path is None:
+        raise ValidationError("csv weights need a 'path'")
 
     tvp_obj = _section(obj, "tvp")
     _check_keys(tvp_obj, {"iters", "seed"}, "tvp")
@@ -167,8 +153,8 @@ def load_config(path: str | Path) -> RunConfig:
     irf = IRFSettings(
         horizon=_number(irf_obj, "irf", "horizon", IRFSettings.horizon, int),
         level=_number(irf_obj, "irf", "level", IRFSettings.level, float),
-        dates=_strings(irf_obj.get("dates", []), "irf.dates"),
-        shocks=[_strings(s, f"irf.shocks[{i}]") for i, s in enumerate(shocks)],
+        dates=parse_strings(irf_obj.get("dates", []), "irf.dates"),
+        shocks=[parse_strings(s, f"irf.shocks[{i}]") for i, s in enumerate(shocks)],
     )
     if irf.horizon < 0:
         raise ValidationError("irf.horizon must be >= 0")
@@ -189,7 +175,7 @@ def load_config(path: str | Path) -> RunConfig:
     if reused:
         raise ValidationError(f"forecast.external may not reuse a built-in method name: {reused}")
     external = {name: (base / p).resolve() for name, p in external_obj.items()}
-    names = _strings(fc_obj.get("methods", list(METHOD_ORDER)), "forecast.methods")
+    names = parse_strings(fc_obj.get("methods", list(METHOD_ORDER)), "forecast.methods")
     if not names:
         raise ValidationError("forecast.methods must list at least one method")
     if len(set(names)) != len(names):
@@ -210,9 +196,6 @@ def load_config(path: str | Path) -> RunConfig:
         else:
             raise ValidationError(
                 f"unknown forecast method {name!r} (no external path configured)")
-    for ext_path in external.values():
-        if not ext_path.exists():
-            raise ValidationError(f"external forecast file not found: {ext_path}")
 
     output = _section(obj, "output")
     _check_keys(output, {"dir"}, "output")

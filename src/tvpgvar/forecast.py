@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .ingest import TimeSeriesPanel, month_index, month_label
-from .serialize import read_csv_rows, write_csv
+from .serialize import parse_float, read_table, write_csv
 from .tvp import PanelTVPResult, read_trajectories
 
 METHOD_ORDER = ("constant", "var1", "lasso")
@@ -573,45 +573,40 @@ def write_mse_report(results: Mapping[str, ForecastResult], path: str | Path) ->
 
 
 def read_mse_report(path: str | Path) -> dict[str, dict[str, float]]:
-    header, rows = read_csv_rows(path)
-    if header != ["method", "series", "mse"]:
-        raise ValidationError(f"{path}: expected header method,series,mse")
     out: dict[str, dict[str, float]] = {}
-    for method, series, value in rows:
-        out.setdefault(method, {})[series] = float(value)
+    for where, (method, series, value) in read_table(path, ["method", "series", "mse"]):
+        out.setdefault(method, {})[series] = parse_float(value, where)
     return out
 
 
-def write_param_paths(results: Mapping[str, ForecastResult], path: str | Path) -> None:
-    rows = []
+def _path_cells(results: Mapping[str, ForecastResult]):
+    """``(method, result, i, name, s, date)``: methods x good columns x future dates."""
     for method, result in results.items():
         for i, name in enumerate(result.columns):
             if name in result.errors:
                 continue
             for s, date in enumerate(result.future_dates):
-                rows.append([method, date, name,
-                             result.param_paths[s, i, 0], result.param_paths[s, i, 1]])
+                yield method, result, i, name, s, date
+
+
+def write_param_paths(results: Mapping[str, ForecastResult], path: str | Path) -> None:
+    rows = [[method, date, name, *result.param_paths[s, i]]
+            for method, result, i, name, s, date in _path_cells(results)]
     write_csv(path, ["method", "date", "column", "b", "f1"], rows)
 
 
 def write_variable_paths(results: Mapping[str, ForecastResult], path: str | Path,
                          actuals: np.ndarray | None = None) -> None:
-    rows = []
-    for method, result in results.items():
-        for i, name in enumerate(result.columns):
-            if name in result.errors:
-                continue
-            for s, date in enumerate(result.future_dates):
-                actual_cell = "" if actuals is None else actuals[s, i]
-                rows.append([method, date, name, actual_cell, result.variable_paths[s, i]])
+    rows = [[method, date, name, "" if actuals is None else actuals[s, i],
+             result.variable_paths[s, i]]
+            for method, result, i, name, s, date in _path_cells(results)]
     write_csv(path, ["method", "date", "column", "actual", "predicted"], rows)
 
 
 def read_variable_paths(path: str | Path) -> dict[tuple[str, str, str], tuple[float | None, float]]:
-    header, rows = read_csv_rows(path)
-    if header != ["method", "date", "column", "actual", "predicted"]:
-        raise ValidationError(f"{path}: unexpected header")
     out = {}
-    for method, date, column, actual, predicted in rows:
-        out[(method, date, column)] = (float(actual) if actual else None, float(predicted))
+    for where, (method, date, column, actual, predicted) in read_table(
+            path, ["method", "date", "column", "actual", "predicted"]):
+        out[(method, date, column)] = (parse_float(actual, where) if actual else None,
+                                       parse_float(predicted, where))
     return out

@@ -22,7 +22,8 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .ingest import COMMON_REGION, TimeSeriesPanel
-from .serialize import parse_float, read_csv_rows, read_json, write_json
+from .serialize import (parse_array, parse_float, parse_strings, read_json, read_table,
+                        require_keys, write_json)
 
 WEIGHT_TOL = 1e-12
 COND_CAP = 1e12  # stack_system rejects a G0 with a larger condition number
@@ -134,32 +135,27 @@ class WeightSequence:
         Rows with ``to = __COMMON__:<activity>`` populate the activity weight
         block. Every panel date must be covered.
         """
-        header, rows = read_csv_rows(path)
-        if header != ["date", "from", "to", "weight"]:
-            raise ValidationError(f"{path}: expected header date,from,to,weight")
         region_ix = {r: i for i, r in enumerate(regions)}
         act_ix = {a: i for i, a in enumerate(activities)}
         date_ix = {d: t for t, d in enumerate(time_index)}
         k, l = len(regions), len(activities)
         we = np.zeros((len(time_index), k, k))
         wb = np.zeros((len(time_index), k, l))
-        for i, row in enumerate(rows):
-            rownum = i + 2
-            date, src, dst, weight = row
+        for where, (date, src, dst, weight) in read_table(path, ["date", "from", "to", "weight"]):
             if date not in date_ix:
-                raise ValidationError(f"{path}: row {rownum}: date {date} not in panel range")
+                raise ValidationError(f"{where}: date {date} not in panel range")
             if src not in region_ix:
-                raise ValidationError(f"{path}: row {rownum}: unknown region {src!r}")
+                raise ValidationError(f"{where}: unknown region {src!r}")
             t = date_ix[date]
-            w = parse_float(weight, f"{path}: row {rownum}")
+            w = parse_float(weight, where)
             if dst.startswith(COMMON_REGION + ":"):
                 act = dst.split(":", 1)[1]
                 if act not in act_ix:
-                    raise ValidationError(f"{path}: row {rownum}: unknown activity {act!r}")
+                    raise ValidationError(f"{where}: unknown activity {act!r}")
                 wb[t, region_ix[src], act_ix[act]] = w
             else:
                 if dst not in region_ix:
-                    raise ValidationError(f"{path}: row {rownum}: unknown region {dst!r}")
+                    raise ValidationError(f"{where}: unknown region {dst!r}")
                 we[t, region_ix[src], region_ix[dst]] = w
         return cls(we=we, wb=wb)
 
@@ -427,33 +423,32 @@ def write_coefficients_json(fit: StructuralFit, panel: TimeSeriesPanel,
 
 
 def read_coefficients_json(path: str | Path) -> StructuralFit:
-    """Rebuild a StructuralFit (without residuals) from the JSON export."""
-    obj = read_json(path)
-    regions = obj["regions"]
-    variables = obj["variables"]
-    activities = obj["activities"]
+    """Rebuild a StructuralFit (without residuals) from the JSON export, each
+    block checked against the shape that the file's own code lists give it."""
+    obj = require_keys(read_json(path), ("regions", "variables", "activities", "nobs",
+                                         "countries", "activity_equations", "sigma_u"), str(path))
+    regions, variables, activities = (parse_strings(obj[key], f"{path}: {key}")
+                                      for key in ("regions", "variables", "activities"))
     k, p, l = len(regions), len(variables), len(activities)
-    countries = tuple(
-        CountryCoefficients(
-            a_k=np.array(c["a_k"], float),
-            phi1=np.array(c["phi1"], float),
-            gamma_e0=np.array(c["gamma_e0"], float),
-            gamma_e1=np.array(c["gamma_e1"], float),
-            gamma_b0=np.array(c["gamma_b0"], float).reshape(p, l),
-            gamma_b1=np.array(c["gamma_b1"], float).reshape(p, l),
-        )
-        for c in obj["countries"]
-    )
-    acts = tuple(
-        ActivityCoefficients(
-            a_m=float(a["a_m"]), phi_b=float(a["phi_b"]),
-            gamma_be0=np.array(a["gamma_be0"], float),
-            gamma_be1=np.array(a["gamma_be1"], float),
-        )
-        for a in obj["activity_equations"]
-    )
-    columns = tuple([f"{r}.{v}" for r in regions for v in variables] + list(activities))
+    equations = {}
+    for key, count, shapes in (
+            ("countries", k, {"a_k": (p,), "phi1": (p, p), "gamma_e0": (p, p),
+                              "gamma_e1": (p, p), "gamma_b0": (p, l), "gamma_b1": (p, l)}),
+            ("activity_equations", l, {"a_m": (), "phi_b": (), "gamma_be0": (p,),
+                                       "gamma_be1": (p,)})):
+        entries = obj[key]
+        if not isinstance(entries, list) or len(entries) != count:
+            raise ValidationError(f"{path}: {key} must list {count} equations")
+        equations[key] = []
+        for i, entry in enumerate(entries):
+            where = f"{path}: {key}[{i}]"
+            require_keys(entry, list(shapes), where)
+            equations[key].append({name: parse_array(entry[name], shape, f"{where}.{name}")
+                                   for name, shape in shapes.items()})
+    columns = tuple([f"{r}.{v}" for r in regions for v in variables] + activities)
     return StructuralFit(
-        countries=countries, activities=acts, residuals=None,
-        sigma_u=np.array(obj["sigma_u"], float), dims=(k, p, l),
-        columns=columns, nobs=int(obj["nobs"]))
+        countries=tuple(CountryCoefficients(**b) for b in equations["countries"]),
+        activities=tuple(ActivityCoefficients(**b) for b in equations["activity_equations"]),
+        residuals=None, dims=(k, p, l), columns=columns,
+        sigma_u=parse_array(obj["sigma_u"], (len(columns),) * 2, f"{path}: sigma_u"),
+        nobs=int(parse_float(obj["nobs"], f"{path}: nobs")))

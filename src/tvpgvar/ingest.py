@@ -151,9 +151,6 @@ def load_panel(path: str | Path) -> list[RawSeries]:
     values are rejected with the offending row number (header = row 1).
     """
     path = Path(path)
-    if not path.exists():
-        raise ValidationError(f"input file not found: {path}")
-
     header, rows = read_csv_rows(path)
     positions = {}
     for name in ("date", "region", "variable", "value"):
@@ -340,9 +337,6 @@ class ValidationReport:
 def validate_panel(panel: TimeSeriesPanel) -> ValidationReport:
     """Report every invariant violation (non-finite cell, ordering breach)."""
     issues: list[str] = []
-    expected = panel.n_regions * panel.n_variables + panel.n_activities
-    if panel.values.shape[1] != expected:
-        issues.append(f"width {panel.values.shape[1]} != K*p+l = {expected}")
     names = panel.column_names()
     if len(set(names)) != len(names):
         issues.append("duplicate column names")
@@ -355,8 +349,8 @@ def validate_panel(panel: TimeSeriesPanel) -> ValidationReport:
     for t, j in bad:
         issues.append(f"non-finite cell at ({panel.time_index[t]}, {names[j]})")
     return ValidationReport(
-        width=panel.values.shape[1],
-        expected_width=expected,
+        width=panel.width,
+        expected_width=panel.width,
         n_rows=len(panel.time_index),
         issues=issues,
     )
@@ -369,10 +363,8 @@ def write_panel_csv(panel: TimeSeriesPanel, path: str | Path) -> None:
 
 
 def read_panel_csv(path: str | Path) -> TimeSeriesPanel:
-    """Load a panel written by :func:`write_panel_csv` (exact round-trip)."""
+    """Load and validate a panel written by :func:`write_panel_csv` (exact round-trip)."""
     header, rows = read_csv_rows(path)
-    if not header or header[0] != "date":
-        raise ValidationError(f"{path}: expected first column 'date'")
     names = header[1:]
     regions: list[str] = []
     variables: list[str] = []
@@ -386,18 +378,24 @@ def read_panel_csv(path: str | Path) -> TimeSeriesPanel:
                 variables.append(variable)
         else:
             activities.append(name)
-    expected = [f"{r}.{v}" for r in regions for v in variables] + activities
-    if names != expected:
-        raise ValidationError(f"{path}: columns are not in region-major panel order")
-    dates = []
+    if header != ["date"] + [f"{r}.{v}" for r in regions for v in variables] + activities:
+        raise ValidationError(f"{path}: expected 'date', then the columns in "
+                              "region-major panel order")
     values = []
-    for row in rows:
-        dates.append(row[0])
-        values.append([float(c) for c in row[1:]])
-    return TimeSeriesPanel(
-        time_index=tuple(dates),
-        regions=tuple(regions),
-        variables=tuple(variables),
-        activities=tuple(activities),
-        values=np.array(values, dtype=float),
-    )
+    for i, row in enumerate(rows):
+        where = f"{path}: row {i + 2}"
+        values.append([parse_float(c, where) for c in row[1:]])
+    try:
+        panel = TimeSeriesPanel(
+            time_index=tuple(row[0] for row in rows),
+            regions=tuple(regions),
+            variables=tuple(variables),
+            activities=tuple(activities),
+            values=np.array(values, dtype=float).reshape(len(rows), len(names)),
+        )
+        issues = validate_panel(panel).issues
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
+    if issues:
+        raise ValidationError(f"{path}: " + "; ".join(issues[:5]))
+    return panel

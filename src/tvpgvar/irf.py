@@ -23,7 +23,8 @@ import numpy as np
 from .errors import NumericalError, ValidationError
 from .gvar import StackedSystem, ma_coefficients, stability_check
 from .ingest import TimeSeriesPanel
-from .serialize import read_csv_rows, read_json, write_csv, write_json
+from .serialize import (parse_array, parse_float, parse_strings, read_json, read_table,
+                        require_keys, write_csv, write_json)
 
 
 # ---------------------------------------------------------------------------
@@ -77,23 +78,13 @@ def _check_targets(targets: Sequence[int], width: int) -> None:
             raise ValidationError(f"shock target {j} out of range [0, {width})")
 
 
-def oirf_point(system: StackedSystem, shock: ShockSpec) -> np.ndarray:
-    """Point responses, one row per horizon 0..n, one column per variable.
-
-    Multi-target responses are accumulated target by target, so a combined
-    shock is by construction the sum of its single-target responses.
-    """
-    _check_targets(shock.targets, system.width)
-    return _accumulate(ma_coefficients(system.f1, shock.horizon), _impact(system),
-                       shock.targets)
-
-
 def _impact(system: StackedSystem) -> np.ndarray:
     """``G0^-1 chol(Sigma_u)``: all single-shock impact columns."""
     return np.linalg.solve(system.g0, cholesky_lower(system.sigma_u))
 
 
 def _accumulate(mas: np.ndarray, impact: np.ndarray, targets: Sequence[int]) -> np.ndarray:
+    """Point responses summed target by target: exactly the sum of the single-target ones."""
     out = np.zeros((mas.shape[0], impact.shape[0]))
     for j in targets:
         column = impact[:, j]
@@ -389,21 +380,24 @@ def write_irf_json(result: IRFResult, columns: Sequence[str], path: str | Path) 
 
 
 def read_irf_json(path: str | Path) -> tuple[IRFResult, list[str]]:
-    obj = read_json(path)
-    missing = [key for key in ("responses", "half_width", "at_time", "radius", "g0_condition",
-                               "targets", "level", "sample_size", "columns") if key not in obj]
-    if missing:
-        raise ValidationError(f"{path}: IRF artifact lacks {', '.join(missing)}")
-    point = np.array(obj["responses"], float).T
-    half = np.array(obj["half_width"], float).T
+    obj = require_keys(read_json(path), ("responses", "half_width", "at_time", "radius",
+                                         "g0_condition", "targets", "level", "sample_size",
+                                         "columns"), str(path))
+    columns = parse_strings(obj["columns"], f"{path}: columns")
+    point = parse_array(obj["responses"], (len(columns), None), f"{path}: responses")
     at_time = obj["at_time"]
+    if not isinstance(at_time, str):
+        at_time = int(parse_float(at_time, f"{path}: at_time"))
     result = IRFResult(
-        point=point, half_width=half, radius=float(obj["radius"]),
-        g0_condition=float(obj["g0_condition"]),
-        at_time=at_time if isinstance(at_time, str) else int(at_time),
-        targets=tuple(int(j) for j in obj["targets"]),
-        level=float(obj["level"]), sample_size=int(obj["sample_size"]))
-    return result, list(obj["columns"])
+        point=point.T, half_width=parse_array(obj["half_width"], point.shape,
+                                              f"{path}: half_width").T,
+        radius=parse_float(obj["radius"], f"{path}: radius"),
+        g0_condition=parse_float(obj["g0_condition"], f"{path}: g0_condition"),
+        at_time=at_time,
+        targets=tuple(int(j) for j in parse_array(obj["targets"], (None,), f"{path}: targets")),
+        level=parse_float(obj["level"], f"{path}: level"),
+        sample_size=int(parse_float(obj["sample_size"], f"{path}: sample_size")))
+    return result, columns
 
 
 def write_irf_csv(result: IRFResult, columns: Sequence[str], path: str | Path) -> None:
@@ -417,10 +411,8 @@ def write_irf_csv(result: IRFResult, columns: Sequence[str], path: str | Path) -
 
 def read_irf_csv(path: str | Path) -> dict[str, np.ndarray]:
     """Read the long-format band CSV into column -> (n+1, 3) arrays."""
-    header, rows = read_csv_rows(path)
-    if header != ["horizon", "column", "point", "lower", "upper"]:
-        raise ValidationError(f"{path}: expected header horizon,column,point,lower,upper")
     data: dict[str, list[list[float]]] = {}
-    for _, name, pt, lo, hi in rows:
-        data.setdefault(name, []).append([float(pt), float(lo), float(hi)])
+    for where, (_, name, *cells) in read_table(path, ["horizon", "column", "point", "lower",
+                                                      "upper"]):
+        data.setdefault(name, []).append([parse_float(c, where) for c in cells])
     return {name: np.array(vals) for name, vals in data.items()}

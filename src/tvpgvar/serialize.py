@@ -5,7 +5,8 @@ Every float is written in Python's shortest round-trip ``repr`` (``0.95``,
 to the exact in-memory double. That is the format the stdlib JSON encoder
 already writes, so JSON goes through ``json.dumps`` with a hook for numpy
 arrays and scalars; non-finite floats and unsupported types are rejected.
-Files that cannot be decoded raise :class:`ValidationError` naming the file.
+Reads are checked: a missing or undecodable file, a wrong CSV header or JSON key, a misshapen
+array or a non-finite number raises :class:`ValidationError` naming the file (and CSV row).
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 from pathlib import Path
-from typing import Any
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -53,6 +54,8 @@ def _read_text(path: str | Path) -> str:
         return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise ValidationError(f"{path}: not valid UTF-8 ({exc.reason} at byte {exc.start})") from None
+    except OSError as exc:
+        raise ValidationError(f"{path}: file not found or unreadable ({exc.strerror})") from None
 
 
 def read_json(path: str | Path) -> Any:
@@ -60,6 +63,39 @@ def read_json(path: str | Path) -> Any:
         return json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}: invalid JSON ({exc})") from None
+
+
+def require_keys(obj: Any, keys: Sequence[str], where: str) -> dict:
+    """``obj`` if it is a JSON object with all of ``keys``, else a ValidationError."""
+    if not isinstance(obj, dict):
+        raise ValidationError(f"{where}: expected a JSON object")
+    missing = [key for key in keys if key not in obj]
+    if missing:
+        raise ValidationError(f"{where}: lacks {', '.join(missing)}")
+    return obj
+
+
+def parse_strings(value: Any, name: str) -> list[str]:
+    """``value`` as a list of strings, or a ValidationError naming it."""
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise ValidationError(f"{name} must be a list of strings, got {value!r}")
+    return list(value)
+
+
+def parse_array(value: Any, shape: Sequence[int | None], where: str) -> np.ndarray | float:
+    """A nested JSON list as a float array of ``shape`` (a float if ``()``), each entry
+    through :func:`parse_float`; a ``None`` length is that of the first list at its depth."""
+    dims = list(shape)
+
+    def walk(v: Any, depth: int) -> Any:
+        if depth == len(dims):
+            return parse_float(v, where)
+        if not isinstance(v, list) or dims[depth] not in (None, len(v)):
+            raise ValidationError(f"{where}: expected an array of shape {tuple(shape)}")
+        dims[depth] = len(v)
+        return [walk(x, depth + 1) for x in v]
+    parsed = walk(value, 0)
+    return np.array(parsed, dtype=float).reshape([d or 0 for d in dims]) if dims else parsed
 
 
 def write_csv(path: str | Path, header: list[str], rows: list[list[Any]]) -> None:
@@ -108,12 +144,20 @@ def read_csv_rows(path: str | Path) -> tuple[list[str], list[list[str]]]:
     return header, rows
 
 
-def parse_float(cell: str, where: str) -> float:
-    """A CSV cell as a finite float, or a ValidationError that starts with
-    ``where`` (the file and row) and quotes the cell."""
+def read_table(path: str | Path, header: Sequence[str]) -> list[tuple[str, list[str]]]:
+    """The rows of a CSV with exactly ``header``, each with its ``"<path>: row N"`` label."""
+    found, rows = read_csv_rows(path)
+    if found != list(header):
+        raise ValidationError(f"{path}: expected header {','.join(header)}")
+    return [(f"{path}: row {i + 2}", row) for i, row in enumerate(rows)]
+
+
+def parse_float(cell: Any, where: str) -> float:
+    """A CSV cell (or JSON number) as a finite float, or a ValidationError
+    that starts with ``where`` (the file and row or key) and quotes the cell."""
     try:
         value = float(cell)
-    except ValueError:
+    except (TypeError, ValueError, OverflowError):
         raise ValidationError(f"{where}: non-numeric value {cell!r}") from None
     if not math.isfinite(value):
         raise ValidationError(f"{where}: non-finite value {cell!r}")

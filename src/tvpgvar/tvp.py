@@ -57,7 +57,7 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .ingest import TimeSeriesPanel
-from .serialize import parse_float, read_csv_rows, write_csv, write_json
+from .serialize import parse_float, read_table, write_csv, write_json
 
 RIDGE_JITTER = 1e-8
 SINGULAR_PIVOT = 1e-8  # relative squared Cholesky pivot below which X'X counts as singular
@@ -92,11 +92,13 @@ class TVPTrajectory:
     sigma2: float
 
     def __post_init__(self):
-        if self.sigma2 <= 0:
+        # written so that NaN fails: every comparison with NaN is False
+        if not self.sigma2 > 0:
             raise ValidationError("sigma2 must be positive")
         recon = self.theta0[None, :] + self.sqrt_omega[None, :] * self.theta_tilde
-        if np.max(np.abs(recon - self.theta)) > 1e-12 * max(1.0, np.max(np.abs(self.theta))):
-            raise ValidationError("theta does not reconstruct from theta0 + sqrt_omega * theta_tilde")
+        if not np.max(np.abs(recon - self.theta)) <= 1e-12 * max(1.0, np.max(np.abs(self.theta))):
+            raise ValidationError("theta is not finite or does not reconstruct "
+                                  "from theta0 + sqrt_omega * theta_tilde")
 
 
 def kalman_forward(y: np.ndarray, theta0: np.ndarray, sqrt_omega: np.ndarray,
@@ -619,14 +621,9 @@ def write_trajectories(result: PanelTVPResult, panel: TimeSeriesPanel,
 
 def read_trajectories(csv_path: str | Path) -> dict[str, tuple[list[str], np.ndarray]]:
     """Read a trajectory (or predicted-path) CSV: column -> (dates, (n, 2))."""
-    header, rows = read_csv_rows(csv_path)
-    if header != ["date", "column", "b", "f1"]:
-        raise ValidationError(f"{csv_path}: expected header date,column,b,f1")
     dates: dict[str, list[str]] = {}
     values: dict[str, list[list[float]]] = {}
-    for i, (date, column, b, f1) in enumerate(rows):
-        where = f"{csv_path}: row {i + 2}"
+    for where, (date, column, b, f1) in read_table(csv_path, ["date", "column", "b", "f1"]):
         dates.setdefault(column, []).append(date)
         values.setdefault(column, []).append([parse_float(b, where), parse_float(f1, where)])
     return {col: (dates[col], np.array(values[col])) for col in dates}
-

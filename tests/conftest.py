@@ -10,7 +10,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from tvpgvar import StackedSystem, TimeSeriesPanel, WeightSequence
+from tvpgvar import (
+    AsymptoticInputs, ShockSpec, StackedSystem, TimeSeriesPanel, WeightSequence,
+    asymptotic_bands,
+)
 from tvpgvar.ingest import month_label
 
 
@@ -154,6 +157,14 @@ def oirf_simulation_oracle(system: StackedSystem, targets, horizon: int) -> np.n
         shocked[s] = system.b + system.f1 @ shocked[s - 1]
         baseline[s] = system.b + system.f1 @ baseline[s - 1]
     return shocked - baseline
+
+
+def reported_point(system: StackedSystem, shock: ShockSpec) -> np.ndarray:
+    """The point response the package reports: that of ``asymptotic_bands``
+    (unit band inputs, which the point does not depend on)."""
+    eye = np.eye(system.width)
+    (result,) = asymptotic_bands(system, [shock], 1, AsymptoticInputs(eye, eye))
+    return result.point
 
 
 @pytest.fixture

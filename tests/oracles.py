@@ -14,6 +14,10 @@ pushed through ``derivative_Gn`` and ``derivative_H``. They are what the
 package computed before it moved to the closed form, together with the
 ``vec``/``vech``/duplication-matrix kit they need.
 
+``oirf_point`` is the point response ``B_s G0^-1 chol(Sigma_u) u`` from its
+definition, ``B_s = F1^s`` by matrix powers and ``u`` the sum of the shocked
+unit vectors, sharing no code with the package's accumulation.
+
 ``fit_equation_loop`` is the TVP sampler one column at a time: per
 iteration a banded path draw through SciPy's public LAPACK wrappers, the
 data-based prior ``A0^-1 = diag{diag(pinv(X'X))}``, three generic solves for
@@ -29,13 +33,7 @@ from scipy.linalg import lapack
 from scipy.special import ndtri
 
 from tvpgvar.gvar import ma_coefficients, stability_check
-from tvpgvar.irf import (
-    IRFResult,
-    cholesky_lower,
-    derivative_Gn,
-    derivative_H,
-    oirf_point,
-)
+from tvpgvar.irf import IRFResult, cholesky_lower, derivative_Gn, derivative_H
 from tvpgvar.tvp import C0_RATE, C0_SHAPE, P0_SCALE, RIDGE_JITTER, TVPTrajectory
 
 
@@ -169,6 +167,15 @@ def dense_asymptotic_inputs(panel, system):
     dup_pinv = np.linalg.pinv(duplication_matrix(width))
     sigma_sigma = 2.0 * dup_pinv @ np.kron(sigma_eps, sigma_eps) @ dup_pinv.T
     return sigma_alpha, sigma_sigma
+
+
+def oirf_point(system, shock):
+    """``B_s G0^-1 chol(Sigma_u) u`` for s = 0..n, one row per horizon."""
+    u = np.zeros(system.width)
+    u[list(shock.targets)] = 1.0
+    impact = np.linalg.solve(system.g0, np.linalg.cholesky(system.sigma_u) @ u)
+    return np.array([np.linalg.matrix_power(system.f1, s) @ impact
+                     for s in range(shock.horizon + 1)])
 
 
 def dense_asymptotic_bands(system, shock, sample_size, sigma_alpha, sigma_sigma):

@@ -1,4 +1,5 @@
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -492,6 +493,11 @@ def run_python(*args):
                           timeout=120)
 
 
+def last_cell(line, value):
+    """A CSV line with its last cell replaced by ``value``."""
+    return line.rsplit(",", 1)[0] + "," + value
+
+
 class TestUndecodableInput:
     """A file that cannot be decoded, or a CSV row that cannot be parsed, ends
     the stage with exit code 1 and a message naming the file (and the row),
@@ -509,6 +515,37 @@ class TestUndecodableInput:
         bad_file.write_text('{"a": 1')
         proc = run_python("-m", "tvpgvar.cli", "irf", "--config", str(config_path))
         self.assert_clean_failure(proc, bad_file)
+
+    def run_on_copy(self, pipeline, tmp_path, stage, name, damage):
+        """Run ``stage`` on a copy of the pipeline's artifacts in which
+        ``damage`` rewrote the lines of file ``name`` (None deletes it)."""
+        out = tmp_path / "out"
+        shutil.copytree(pipeline / "out", out)
+        bad_file = out / name
+        if damage is None:
+            bad_file.unlink()
+        else:
+            bad_file.write_text("\n".join(damage(bad_file.read_text().splitlines())) + "\n")
+        return bad_file, run_python("-m", "tvpgvar.cli", stage, "--config",
+                                    str(pipeline / "config.json"), "--out", str(out))
+
+    @pytest.mark.parametrize("stage, name, damage, message", [
+        ("estimate", "panel.csv", lambda rows: rows[:2] + [last_cell(rows[2], "nan")] + rows[3:],
+         "row 3: non-finite value 'nan'"),
+        ("estimate", "panel.csv", lambda rows: rows[:2] + [last_cell(rows[2], "abc")] + rows[3:],
+         "row 3: non-numeric value 'abc'"),
+        ("estimate", "panel.csv", lambda lines: lines[:3] + lines[4:],
+         "non-consecutive month at 2000-04"),
+        ("irf", "coefficients.json", None, "not found (run 'estimate' first)"),
+        ("irf", "coefficients.json",
+         lambda lines: [line for line in lines if '"nobs"' not in line], "lacks nobs"),
+        ("report", "mse_report.csv", lambda lines: lines[:1] + ["constant,ALL,abc"] + lines[2:],
+         "row 2: non-numeric value 'abc'"),
+    ], ids=["panel-nan", "panel-abc", "panel-gap", "no-coefficients", "no-nobs", "mse-abc"])
+    def test_malformed_artifact(self, pipeline, tmp_path, stage, name, damage, message):
+        bad_file, proc = self.run_on_copy(pipeline, tmp_path, stage, name, damage)
+        self.assert_clean_failure(proc, bad_file)
+        assert f"{bad_file}: {message}" in proc.stderr
 
     def test_non_utf8_data_file(self, tmp_path):
         config_path = mini_config(tmp_path)

@@ -519,9 +519,10 @@ class TestTwoStageForecast:
         panel = make_panel(values, ["A", "B", "C"], ["v1"])
         paths = [0.1 * np.cumsum(rng.standard_normal((t_len - 1, 2)), axis=0) + [0.2, 0.5]
                  for _ in range(3)]
-        paths[1][5, 0] = np.nan
         config = ForecasterConfig(kind=kind, horizon=h)
-        result = two_stage_forecast(panel, trajectories_from_paths(paths), config)
+        tvp_result = trajectories_from_paths(paths)
+        tvp_result.trajectories[1].theta[5, 0] = np.nan  # a built trajectory holds no NaN
+        result = two_stage_forecast(panel, tvp_result, config)
         assert result.errors == {"B.v1": f"{kind} inputs must be finite"}
         assert np.all(np.isnan(result.variable_paths[:, 1]))
         alone = two_stage_forecast(make_panel(values[:, [0, 2]], ["A", "C"], ["v1"]),
@@ -535,9 +536,8 @@ class TestTwoStageForecast:
         panel = make_panel(y, ["A", "B", "C"], ["v1"])
         drift = np.linspace(0.2, 0.6, t_len - 1)
         theta = np.column_stack([np.full(t_len - 1, 0.1), drift])
-        broken = theta.copy()
-        broken[10, 1] = np.nan
-        paths = trajectories_from_paths([theta, theta, broken])
+        paths = trajectories_from_paths([theta, theta, theta.copy()])
+        paths.trajectories[2].theta[10, 1] = np.nan  # a built trajectory holds no NaN
         tvp_result = PanelTVPResult(trajectories=[None] + paths.trajectories[1:],
                                     errors={0: "sampler failed"})
         config = ForecasterConfig(kind="lasso", horizon=h, lag_window=4, cv_folds=4)

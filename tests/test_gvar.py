@@ -17,7 +17,7 @@ from tvpgvar.gvar import (
     read_coefficients_json,
     write_coefficients_json,
 )
-from tvpgvar.irf import ShockSpec, oirf_point
+from tvpgvar.irf import ShockSpec
 
 from conftest import (
     make_panel,
@@ -26,6 +26,7 @@ from conftest import (
     structural_matrices,
     wave_weights,
 )
+from oracles import oirf_point
 
 
 def swap_weights(t_len):

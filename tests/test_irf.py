@@ -14,7 +14,6 @@ from tvpgvar import (
     cholesky_lower,
     estimate_asymptotic_inputs,
     ma_coefficients,
-    oirf_point,
 )
 from tvpgvar.errors import NumericalError, ValidationError
 from tvpgvar.gvar import estimate_structural, stack_system
@@ -38,6 +37,7 @@ from conftest import (
     oirf_simulation_oracle,
     random_coefficients,
     random_stable_system,
+    reported_point,
     simulate_structural,
     wave_weights,
 )
@@ -45,6 +45,7 @@ from oracles import (
     dense_asymptotic_bands,
     dense_asymptotic_inputs,
     duplication_matrix,
+    oirf_point,
     vec,
     vech,
 )
@@ -107,7 +108,7 @@ class TestOIRF:
         f1 = 0.5 * np.eye(3)
         system = from_reduced_form(np.zeros(3), f1, np.eye(3))
         for j in range(3):
-            resp = oirf_point(system, ShockSpec(targets=(j,), horizon=2, at_time=1))
+            resp = reported_point(system, ShockSpec(targets=(j,), horizon=2, at_time=1))
             np.testing.assert_array_equal(resp[0], np.eye(3)[j])
 
     def test_additivity_exact(self, rng):
@@ -120,9 +121,9 @@ class TestOIRF:
             split = int(rng.integers(1, dim))
             set_a = tuple(int(j) for j in targets[:split])
             set_b = (int(targets[split]),)
-            resp_a = oirf_point(system, ShockSpec(targets=set_a, horizon=5, at_time=1))
-            resp_b = oirf_point(system, ShockSpec(targets=set_b, horizon=5, at_time=1))
-            resp_ab = oirf_point(system, ShockSpec(targets=set_a + set_b, horizon=5, at_time=1))
+            resp_a = reported_point(system, ShockSpec(targets=set_a, horizon=5, at_time=1))
+            resp_b = reported_point(system, ShockSpec(targets=set_b, horizon=5, at_time=1))
+            resp_ab = reported_point(system, ShockSpec(targets=set_a + set_b, horizon=5, at_time=1))
             np.testing.assert_array_equal(resp_ab, resp_a + resp_b)
 
     def test_additivity_general_splits(self, rng):
@@ -135,9 +136,9 @@ class TestOIRF:
             split = int(rng.integers(1, dim))
             set_a = tuple(int(j) for j in targets[:split])
             set_b = tuple(int(j) for j in targets[split:])
-            resp_a = oirf_point(system, ShockSpec(targets=set_a, horizon=5, at_time=1))
-            resp_b = oirf_point(system, ShockSpec(targets=set_b, horizon=5, at_time=1))
-            resp_ab = oirf_point(system, ShockSpec(targets=set_a + set_b, horizon=5, at_time=1))
+            resp_a = reported_point(system, ShockSpec(targets=set_a, horizon=5, at_time=1))
+            resp_b = reported_point(system, ShockSpec(targets=set_b, horizon=5, at_time=1))
+            resp_ab = reported_point(system, ShockSpec(targets=set_a + set_b, horizon=5, at_time=1))
             np.testing.assert_allclose(resp_ab, resp_a + resp_b, rtol=0, atol=1e-13)
 
     def test_matches_simulation_oracle(self, rng):
@@ -146,14 +147,15 @@ class TestOIRF:
             system = random_stable_system(rng, dim)
             j = int(rng.integers(dim))
             shock = ShockSpec(targets=(j,), horizon=10, at_time=1)
-            point = oirf_point(system, shock)
+            point = reported_point(system, shock)
             oracle = oirf_simulation_oracle(system, (j,), 10)
             np.testing.assert_allclose(point, oracle, atol=1e-8)
 
     def test_target_out_of_range(self, rng):
         system = random_stable_system(rng, 3)
         with pytest.raises(ValidationError, match="out of range"):
-            oirf_point(system, ShockSpec(targets=(3,), horizon=2, at_time=1))
+            asymptotic_bands(system, [ShockSpec(targets=(3,), horizon=2, at_time=1)], 1,
+                             eye_inputs(3))
 
     def test_shock_spec_validation(self):
         with pytest.raises(ValidationError, match="distinct"):
@@ -326,7 +328,7 @@ class TestAsymptoticBands:
 
     def test_convergence_when_stable(self, rng):
         system = random_stable_system(rng, 3)
-        point = oirf_point(system, ShockSpec(targets=(0,), horizon=30, at_time=1))
+        point = reported_point(system, ShockSpec(targets=(0,), horizon=30, at_time=1))
         peaks = np.max(np.abs(point), axis=1)
         tail = peaks[2 * system.width:]
         assert all(b <= a + 1e-12 for a, b in zip(tail, tail[1:]))
@@ -355,7 +357,7 @@ class TestClosedFormBands:
                 shock = ShockSpec(targets=targets, horizon=6, at_time=1, level=level)
                 (closed,) = asymptotic_bands(system, [shock], 119, inputs)
                 oracle = dense_asymptotic_bands(system, shock, 119, *dense)
-                np.testing.assert_array_equal(closed.point, oracle.point)
+                np.testing.assert_allclose(closed.point, oracle.point, rtol=0, atol=1e-12)
                 np.testing.assert_allclose(closed.half_width, oracle.half_width,
                                            rtol=1e-10, atol=0)
 
@@ -490,7 +492,8 @@ class TestPeriodShocks:
             assert together.targets == shock.targets and together.level == shock.level
             np.testing.assert_array_equal(together.point, alone.point)
             np.testing.assert_array_equal(together.half_width, alone.half_width)
-            np.testing.assert_array_equal(together.point, oirf_point(system, shock))
+            np.testing.assert_allclose(together.point, oirf_point(system, shock),
+                                       rtol=0, atol=1e-12)
             assert (together.stable, together.radius, together.g0_condition) == \
                 (alone.stable, alone.radius, alone.g0_condition)
 

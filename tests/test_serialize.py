@@ -1,12 +1,20 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
+from tvpgvar.cli import main
 from tvpgvar.errors import ValidationError
+from tvpgvar.forecast import read_mse_report, read_variable_paths
+from tvpgvar.gvar import read_coefficients_json
+from tvpgvar.ingest import read_panel_csv
+from tvpgvar.irf import read_irf_csv, read_irf_json
+from tvpgvar.sample import write_sample_config
 from tvpgvar.serialize import (
     dumps_json, format_float, read_csv_rows, read_json, write_csv, write_json,
 )
+from tvpgvar.tvp import read_trajectories
 
 
 def test_format_float_round_trips_exactly(rng):
@@ -118,3 +126,76 @@ def test_dumps_json_rejects_non_finite_and_unsupported(bad):
     with pytest.raises(ValidationError):
         dumps_json(bad)
 
+
+
+@pytest.fixture(scope="module")
+def artifacts(tmp_path_factory):
+    """The output directory of one short sample run of every stage."""
+    run_dir = tmp_path_factory.mktemp("run")
+    config_path = write_sample_config(run_dir, iters=20)
+    for stage in ("ingest", "estimate", "irf", "forecast"):
+        assert main([stage, "--config", str(config_path)]) == 0
+    return run_dir / "out"
+
+
+def damage_csv(text, damage):
+    lines = text.splitlines()
+    if damage == "header":
+        lines[0] = "x" + lines[0]
+    else:  # the last cell of row 2 (the header is row 1), numeric in every artifact
+        lines[1] = lines[1].rsplit(",", 1)[0] + ",abc"
+    return "\n".join(lines) + "\n"
+
+
+def damage_json(text, damage, key):
+    obj = json.loads(text)
+    if damage == "header":
+        del obj[key]
+    else:
+        obj[key][0][0] = "abc"
+    return json.dumps(obj)
+
+
+@pytest.mark.parametrize("loader, pattern, key", [
+    (read_panel_csv, "panel.csv", None),
+    (read_coefficients_json, "coefficients.json", "sigma_u"),
+    (read_trajectories, "trajectories.csv", None),
+    (read_irf_json, "irf_*.json", "responses"),
+    (read_irf_csv, "irf_*.csv", None),
+    (read_mse_report, "mse_report.csv", None),
+    (read_variable_paths, "forecast_variables.csv", None),
+])
+@pytest.mark.parametrize("damage", ["missing", "header", "cell"])
+def test_loader_names_the_damaged_file(artifacts, tmp_path, loader, pattern, key, damage):
+    # "header" is a wrong CSV header or a missing JSON key
+    source = sorted(artifacts.glob(pattern))[0]
+    loader(source)
+    path = tmp_path / source.name
+    if damage != "missing":
+        text = source.read_text()
+        path.write_text(damage_json(text, damage, key) if key else damage_csv(text, damage))
+    with pytest.raises(ValidationError) as error:
+        loader(path)
+    message = str(error.value)
+    assert message.startswith(str(path))
+    if damage == "cell":
+        assert "non-numeric value 'abc'" in message
+        if key is None:
+            assert message.startswith(f"{path}: row 2: ")
+
+
+@pytest.mark.parametrize("damage, message", [
+    (lambda obj: obj["countries"][0]["phi1"].pop(), "countries[0].phi1: expected an array"),
+    (lambda obj: obj["countries"][1].pop("gamma_b0"), "countries[1]: lacks gamma_b0"),
+    (lambda obj: obj["activity_equations"].pop(), "activity_equations must list 1 equations"),
+    (lambda obj: obj["sigma_u"].pop(), "sigma_u: expected an array of shape"),
+    (lambda obj: obj.update(nobs=[1]), "nobs: non-numeric value [1]"),
+], ids=["short-block", "missing-block", "equation-count", "sigma-shape", "nobs"])
+def test_coefficient_blocks_checked_against_the_code_lists(artifacts, tmp_path, damage,
+                                                           message):
+    obj = read_json(artifacts / "coefficients.json")
+    damage(obj)
+    path = tmp_path / "coefficients.json"
+    write_json(obj, path)
+    with pytest.raises(ValidationError, match="^" + re.escape(f"{path}: {message}")):
+        read_coefficients_json(path)

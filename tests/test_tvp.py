@@ -22,6 +22,7 @@ from tvpgvar.ingest import read_panel_csv
 from tvpgvar.sample import write_sample_config
 from tvpgvar.tvp import (
     P0_SCALE,
+    TVPTrajectory,
     _flapack,
     kalman_forward,
     read_trajectories,
@@ -392,6 +393,18 @@ class TestRunAlgorithm1:
         traj = fit_equation(y, 20, 5)
         recon = traj.theta0[None, :] + traj.sqrt_omega[None, :] * traj.theta_tilde
         np.testing.assert_array_equal(recon, traj.theta)
+
+    @pytest.mark.parametrize("sigma2, theta_tilde, theta", [
+        (np.nan, [[0.0, 0.0]], [[0.0, 0.0]]),
+        (0.5, [[np.nan, 0.0]], [[5.0, 0.0]]),
+        (0.5, [[np.nan, 0.0]], [[np.nan, 0.0]]),
+    ])
+    def test_nan_trajectory_rejected(self, sigma2, theta_tilde, theta):
+        # every comparison with NaN is False, so a check must be written to fail on it
+        with pytest.raises(ValidationError, match="sigma2|theta"):
+            TVPTrajectory(theta0=np.zeros(2), sqrt_omega=np.ones(2),
+                          theta_tilde=np.array(theta_tilde), theta=np.array(theta),
+                          sigma2=sigma2)
 
     def test_spec_validation(self):
         with pytest.raises(ValidationError, match="at least 3 observations"):
