@@ -4,107 +4,45 @@ Estimates stacked multi-country VAR systems with time-varying cross-country
 weights, per-equation drifting coefficients, orthogonalized impulse
 responses with delta-method error bands, and two-stage out-of-sample
 forecasts driven by pluggable parameter-path forecasters.
+
+The names below load with their module on first use (PEP 562), so
+``import tvpgvar`` loads neither numpy nor any stage module.
 """
 
-from .errors import NumericalError, ValidationError
-from .forecast import (
-    ForecastResult,
-    ForecasterConfig,
-    LassoFit,
-    forecast_constant,
-    forecast_lasso,
-    forecast_var1,
-    lasso_fit,
-    mse,
-    select_model,
-    two_stage_forecast,
-)
-from .gvar import (
-    ActivityCoefficients,
-    CountryCoefficients,
-    Stability,
-    StackedSystem,
-    StructuralFit,
-    WeightSequence,
-    estimate_structural,
-    ma_coefficients,
-    stability_check,
-    stack_system,
-)
-from .ingest import (
-    RawSeries,
-    TimeSeriesPanel,
-    ValidationReport,
-    align_frequencies,
-    load_panel,
-    read_panel_csv,
-    validate_panel,
-    write_panel_csv,
-)
-from .irf import (
-    AsymptoticInputs,
-    IRFResult,
-    ShockSpec,
-    asymptotic_bands,
-    cholesky_lower,
-    estimate_asymptotic_inputs,
-)
-from .tvp import (
-    PanelTVPResult,
-    TVPConfig,
-    TVPTrajectory,
-    estimate_all,
-    fit_equation,
-    sample_sigma,
-    sample_theta0_omega,
-    sample_theta_tilde_banded,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ActivityCoefficients",
-    "AsymptoticInputs",
-    "CountryCoefficients",
-    "ForecastResult",
-    "ForecasterConfig",
-    "IRFResult",
-    "LassoFit",
-    "NumericalError",
-    "PanelTVPResult",
-    "RawSeries",
-    "ShockSpec",
-    "Stability",
-    "StackedSystem",
-    "StructuralFit",
-    "TVPConfig",
-    "TVPTrajectory",
-    "TimeSeriesPanel",
-    "ValidationError",
-    "ValidationReport",
-    "WeightSequence",
-    "align_frequencies",
-    "asymptotic_bands",
-    "cholesky_lower",
-    "estimate_all",
-    "estimate_asymptotic_inputs",
-    "estimate_structural",
-    "forecast_constant",
-    "forecast_lasso",
-    "forecast_var1",
-    "lasso_fit",
-    "load_panel",
-    "ma_coefficients",
-    "mse",
-    "read_panel_csv",
-    "fit_equation",
-    "sample_sigma",
-    "sample_theta0_omega",
-    "sample_theta_tilde_banded",
-    "select_model",
-    "stability_check",
-    "stack_system",
-    "two_stage_forecast",
-    "validate_panel",
-    "write_panel_csv",
-]
+# public name -> the module that defines it
+_HOMES = {
+    "ForecasterConfig": "config", "TVPConfig": "config", "select_model": "config",
+    "NumericalError": "errors", "ValidationError": "errors",
+    "ForecastResult": "forecast", "LassoFit": "forecast", "forecast_constant": "forecast",
+    "forecast_lasso": "forecast", "forecast_var1": "forecast", "lasso_fit": "forecast",
+    "mse": "forecast", "two_stage_forecast": "forecast",
+    "ActivityCoefficients": "gvar", "CountryCoefficients": "gvar", "Stability": "gvar",
+    "StackedSystem": "gvar", "StructuralFit": "gvar", "WeightSequence": "gvar",
+    "estimate_structural": "gvar", "ma_coefficients": "gvar", "stability_check": "gvar",
+    "stack_system": "gvar",
+    "RawSeries": "ingest", "TimeSeriesPanel": "ingest", "ValidationReport": "ingest",
+    "align_frequencies": "ingest", "load_panel": "ingest", "read_panel_csv": "ingest",
+    "validate_panel": "ingest", "write_panel_csv": "ingest",
+    "AsymptoticInputs": "irf", "IRFResult": "irf", "ShockSpec": "irf",
+    "asymptotic_bands": "irf", "cholesky_lower": "irf", "estimate_asymptotic_inputs": "irf",
+    "PanelTVPResult": "tvp", "TVPTrajectory": "tvp", "estimate_all": "tvp",
+    "fit_equation": "tvp", "sample_sigma": "tvp", "sample_theta0_omega": "tvp",
+    "sample_theta_tilde_banded": "tvp",
+}
+
+__all__ = list(_HOMES)
+
+
+def __getattr__(name: str):
+    if name not in _HOMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f".{_HOMES[name]}", __name__), name)
+    return value
+
+
+def __dir__():
+    return sorted([*globals(), *_HOMES])

@@ -3,6 +3,8 @@
 Stages compose through on-disk artifacts in the configured output directory,
 so each can be rerun independently; with a fixed seed every command is a
 pure function of (config, input files) and reruns are byte-identical.
+Each command imports only the modules it runs, so ``report`` and ``ingest``
+start without the estimation code, and ``report`` without numpy.
 Exit codes: 0 success, 1 validation error, 2 numerical failure.
 """
 
@@ -12,12 +14,14 @@ import argparse
 import dataclasses
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import forecast as fc
-from . import gvar, ingest, irf, tvp
-from .config import RunConfig, load_config
+from .config import RunConfig, load_config, read_mse_report, select_model
 from .errors import NumericalError, ValidationError
 from .serialize import write_json
+
+if TYPE_CHECKING:
+    from . import gvar, ingest
 
 PANEL_FILE = "panel.csv"
 VALIDATION_FILE = "validation.json"
@@ -32,6 +36,8 @@ STACKING_FILE = "stacking.json"  # not irf_*: report counts those per requested 
 
 
 def _build_weights(config: RunConfig, panel: ingest.TimeSeriesPanel) -> gvar.WeightSequence:
+    from . import gvar
+
     k, _, l = panel.dims
     t_len = len(panel.time_index)
     if config.weights.provider == "equal":
@@ -51,6 +57,8 @@ def _artifact(config: RunConfig, name: str, stage: str) -> Path:
 
 
 def cmd_ingest(config: RunConfig) -> None:
+    from . import ingest
+
     series = ingest.load_panel(config.data_path)
     panel = ingest.align_frequencies(
         series, method=config.imputation,
@@ -69,6 +77,8 @@ def cmd_ingest(config: RunConfig) -> None:
 
 
 def cmd_estimate(config: RunConfig) -> None:
+    from . import gvar, ingest, tvp
+
     panel = ingest.read_panel_csv(_artifact(config, PANEL_FILE, "ingest"))
     weights = _build_weights(config, panel)
     fit = gvar.estimate_structural(panel, weights)
@@ -86,6 +96,8 @@ def cmd_estimate(config: RunConfig) -> None:
 
 
 def cmd_irf(config: RunConfig) -> None:
+    from . import gvar, ingest, irf
+
     panel = ingest.read_panel_csv(_artifact(config, PANEL_FILE, "ingest"))
     coefficients = _artifact(config, COEFFICIENTS_FILE, "estimate")
     fit = gvar.read_coefficients_json(coefficients)
@@ -134,6 +146,9 @@ def cmd_irf(config: RunConfig) -> None:
 
 
 def cmd_forecast(config: RunConfig) -> None:
+    from . import forecast as fc
+    from . import ingest, tvp
+
     panel = ingest.read_panel_csv(_artifact(config, PANEL_FILE, "ingest"))
     h = next(iter(config.methods.values())).horizon
     t_len = len(panel.time_index)
@@ -144,6 +159,9 @@ def cmd_forecast(config: RunConfig) -> None:
         raise ValidationError(
             f"insufficient data: {t_len} months minus {h} held out leaves "
             f"{t_len - h} training months, and {method} needs at least {needs[method]}")
+    # read the external path files first: a bad one fails before the sampler runs
+    external = {method: tvp.read_trajectories(fconf.external_path)
+                for method, fconf in config.methods.items() if fconf.kind == "external"}
     train = panel.slice_rows(0, t_len - h)
     actuals = panel.values[t_len - h:]
 
@@ -157,7 +175,8 @@ def cmd_forecast(config: RunConfig) -> None:
 
     results = {}
     for method, fconf in config.methods.items():
-        results[method] = fc.two_stage_forecast(train, tvp_result, fconf, actuals=actuals)
+        results[method] = fc.two_stage_forecast(train, tvp_result, fconf, actuals=actuals,
+                                                paths=external.get(method))
         failed: dict[str, list[str]] = {}
         for name, reason in results[method].errors.items():
             failed.setdefault(reason, []).append(name)
@@ -172,13 +191,13 @@ def cmd_forecast(config: RunConfig) -> None:
                   if r.pooled_mse is not None}
     if not aggregates:
         raise NumericalError("no forecaster produced a scoreable path")
-    best = fc.select_model(aggregates)
+    best = select_model(aggregates)
     print(f"mse report -> {config.out_dir / MSE_REPORT_FILE}")
     print(f"selected model: {best}")
 
 
 def cmd_report(config: RunConfig) -> None:
-    table = fc.read_mse_report(_artifact(config, MSE_REPORT_FILE, "forecast"))
+    table = read_mse_report(_artifact(config, MSE_REPORT_FILE, "forecast"))
     print("method,aggregate_mse")
     aggregates = {}
     for method, per_series in table.items():
@@ -186,7 +205,7 @@ def cmd_report(config: RunConfig) -> None:
             aggregates[method] = per_series["ALL"]
             print(f"{method},{per_series['ALL']:.6g}")
     if aggregates:
-        print(f"selected model: {fc.select_model(aggregates)}")
+        print(f"selected model: {select_model(aggregates)}")
     irf_files = sorted(p.name for p in config.out_dir.glob("irf_*.json"))
     print(f"irf artifacts: {len(irf_files)}")
     for name in irf_files:

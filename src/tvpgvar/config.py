@@ -2,19 +2,27 @@
 
 Unknown keys are rejected so that a config is either fully understood or
 fails fast; relative paths resolve against the config file's directory.
+
+This is the package's leaf module. It owns the vocabulary the stages share
+(the alignment, transform and forecaster names, ``ForecasterConfig``,
+``TVPConfig``) and the method scores' reader and tie-break, and imports
+neither numpy nor a stage module, so ``report`` starts without them.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Mapping
 
 from .errors import ValidationError
-from .forecast import METHOD_ORDER, ForecasterConfig
-from .ingest import ALIGN_METHODS, TRANSFORMS
-from .serialize import parse_strings, read_json
-from .tvp import TVPConfig
+from .serialize import parse_float, parse_strings, read_json, read_table
+
+ALIGN_METHODS = ("linear-interpolate", "repeat-last")
+TRANSFORMS = ("none", "log")
+METHOD_ORDER = ("constant", "var1", "lasso")
+FORECASTER_KINDS = METHOD_ORDER + ("external",)
 
 SCHEMA_VERSION = 1
 
@@ -58,6 +66,51 @@ def _path(base: Path, obj: Mapping[str, Any], section: str, key: str,
     if not isinstance(value, str):
         raise ValidationError(f"{section}.{key} must be a string, got {value!r}")
     return (base / value).resolve()
+
+
+@dataclass(frozen=True)
+class TVPConfig:
+    """The sampler's settings: iterations per column and the base seed."""
+
+    iters: int = 1000
+    seed: int = 0
+
+    def __post_init__(self):
+        if self.iters < 1:
+            raise ValidationError("tvp.iters must be >= 1")
+        if self.seed < 0:
+            raise ValidationError("tvp.seed must be >= 0")
+
+
+@dataclass(frozen=True)
+class ForecasterConfig:
+    """Stage-one settings. The numeric fields are the ``forecast`` config keys
+    of the same name; a value out of range fails with a message naming it."""
+
+    kind: str = "constant"  # constant | var1 | lasso | external
+    horizon: int = 6
+    lag_window: int = 6
+    cv_folds: int = 5
+    grid_size: int = 50
+    grid_floor: float = 1e-4
+    external_path: str | Path | None = None
+
+    def __post_init__(self):
+        if self.kind not in FORECASTER_KINDS:
+            raise ValidationError(
+                f"unknown forecaster kind {self.kind!r}, expected one of {FORECASTER_KINDS}")
+        if self.horizon < 1:
+            raise ValidationError("forecast.horizon must be >= 1")
+        if self.lag_window < 1:
+            raise ValidationError("forecast.lag_window must be >= 1")
+        if self.cv_folds < 2:
+            raise ValidationError("forecast.cv_folds must be >= 2")
+        if self.grid_size < 1:
+            raise ValidationError("forecast.grid_size must be >= 1")
+        if not 0.0 < self.grid_floor < 1.0:
+            raise ValidationError("forecast.grid_floor must be in (0, 1)")
+        if self.kind == "external" and self.external_path is None:
+            raise ValidationError("external forecaster needs a predicted-path CSV")
 
 
 @dataclass
@@ -206,3 +259,27 @@ def load_config(path: str | Path) -> RunConfig:
         regions=panel.get("regions"), variables=panel.get("variables"),
         activities=panel.get("activities"), weights=weights, tvp=tvp,
         irf=irf, methods=methods, out_dir=out_dir)
+
+
+def select_model(results: Mapping[str, float]) -> str:
+    """Pick minimal MSE; ties resolve by fixed method order, then name."""
+    if not results:
+        raise ValidationError("no model scores to select from")
+    for name, value in results.items():
+        if not math.isfinite(value):
+            raise ValidationError(f"non-finite MSE for {name}")
+
+    def rank(item: tuple[str, float]):
+        name, value = item
+        order = METHOD_ORDER.index(name) if name in METHOD_ORDER else len(METHOD_ORDER)
+        return (value, order, name)
+
+    return min(results.items(), key=rank)[0]
+
+
+def read_mse_report(path: str | Path) -> dict[str, dict[str, float]]:
+    """The ``forecast`` stage's MSE report: method -> series (or ``ALL``) -> MSE."""
+    out: dict[str, dict[str, float]] = {}
+    for where, (method, series, value) in read_table(path, ["method", "series", "mse"]):
+        out.setdefault(method, {})[series] = parse_float(value, where)
+    return out

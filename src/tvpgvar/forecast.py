@@ -31,13 +31,11 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
+from .config import ForecasterConfig, read_mse_report  # noqa: F401 (read_mse_report re-exported)
 from .errors import NumericalError, ValidationError
 from .ingest import TimeSeriesPanel, month_index, month_label
 from .serialize import parse_float, read_table, write_csv
-from .tvp import PanelTVPResult, read_trajectories
-
-METHOD_ORDER = ("constant", "var1", "lasso")
-FORECASTER_KINDS = METHOD_ORDER + ("external",)
+from .tvp import PanelTVPResult
 
 
 # ---------------------------------------------------------------------------
@@ -252,37 +250,6 @@ def lasso_fit(x: np.ndarray, y: np.ndarray, lam: float, tol: float = _TOL,
 # forecasters
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ForecasterConfig:
-    """Stage-one settings. The numeric fields are the ``forecast`` config keys
-    of the same name; a value out of range fails with a message naming it."""
-
-    kind: str = "constant"  # constant | var1 | lasso | external
-    horizon: int = 6
-    lag_window: int = 6
-    cv_folds: int = 5
-    grid_size: int = 50
-    grid_floor: float = 1e-4
-    external_path: str | Path | None = None
-
-    def __post_init__(self):
-        if self.kind not in FORECASTER_KINDS:
-            raise ValidationError(
-                f"unknown forecaster kind {self.kind!r}, expected one of {FORECASTER_KINDS}")
-        if self.horizon < 1:
-            raise ValidationError("forecast.horizon must be >= 1")
-        if self.lag_window < 1:
-            raise ValidationError("forecast.lag_window must be >= 1")
-        if self.cv_folds < 2:
-            raise ValidationError("forecast.cv_folds must be >= 2")
-        if self.grid_size < 1:
-            raise ValidationError("forecast.grid_size must be >= 1")
-        if not 0.0 < self.grid_floor < 1.0:
-            raise ValidationError("forecast.grid_floor must be in (0, 1)")
-        if self.kind == "external" and self.external_path is None:
-            raise ValidationError("external forecaster needs a predicted-path CSV")
-
-
 def min_training_months(config: ForecasterConfig, width: int) -> int:
     """Fewest training months a forecaster needs for ``width`` columns.
 
@@ -457,14 +424,17 @@ def _future_dates(panel: TimeSeriesPanel, horizon: int) -> tuple[str, ...]:
 
 
 def two_stage_forecast(panel: TimeSeriesPanel, tvp_result: PanelTVPResult,
-                       config: ForecasterConfig,
-                       actuals: np.ndarray | None = None) -> ForecastResult:
+                       config: ForecasterConfig, actuals: np.ndarray | None = None,
+                       paths: Mapping[str, tuple[list[str], np.ndarray]] | None = None
+                       ) -> ForecastResult:
     """Forecast parameters per column, then roll the scalar recursion forward.
 
     ``panel`` is the training window whose final row seeds the recursion;
     ``actuals``, when given, is the (horizon, width) held-out block to score
-    against. A missing or non-finite trajectory, a stage-one failure or a
-    missing external path aborts only the affected columns.
+    against. An external forecaster takes ``paths``, its ``external_path``
+    file as ``read_trajectories`` returns it. A missing trajectory, a
+    stage-one failure or a missing external path aborts only the affected
+    columns.
     """
     names = panel.column_names()
     width = panel.width
@@ -477,13 +447,12 @@ def two_stage_forecast(panel: TimeSeriesPanel, tvp_result: PanelTVPResult,
     for i, traj in enumerate(tvp_result.trajectories):
         if traj is None:
             errors[names[i]] = tvp_result.errors.get(i, "missing trajectory")
-        elif not np.all(np.isfinite(traj.theta)):
-            errors[names[i]] = f"{config.kind} inputs must be finite"
         else:
             usable.append(i)
 
     if config.kind == "external":
-        paths = read_trajectories(config.external_path)
+        if paths is None:
+            raise ValidationError("external forecaster needs its paths read from external_path")
         expected = list(_future_dates(panel, h))
         for i in usable:
             if names[i] not in paths:
@@ -537,22 +506,6 @@ def mse(actual: np.ndarray, predicted: np.ndarray) -> float:
     return float(np.mean((actual - predicted) ** 2))
 
 
-def select_model(results: Mapping[str, float]) -> str:
-    """Pick minimal MSE; ties resolve by fixed method order, then name."""
-    if not results:
-        raise ValidationError("no model scores to select from")
-    for name, value in results.items():
-        if not np.isfinite(value):
-            raise ValidationError(f"non-finite MSE for {name}")
-
-    def rank(item: tuple[str, float]):
-        name, value = item
-        order = METHOD_ORDER.index(name) if name in METHOD_ORDER else len(METHOD_ORDER)
-        return (value, order, name)
-
-    return min(results.items(), key=rank)[0]
-
-
 # ---------------------------------------------------------------------------
 # artifacts
 # ---------------------------------------------------------------------------
@@ -570,13 +523,6 @@ def write_mse_report(results: Mapping[str, ForecastResult], path: str | Path) ->
         if pooled is not None:
             rows.append([method, "ALL", pooled])
     write_csv(path, ["method", "series", "mse"], rows)
-
-
-def read_mse_report(path: str | Path) -> dict[str, dict[str, float]]:
-    out: dict[str, dict[str, float]] = {}
-    for where, (method, series, value) in read_table(path, ["method", "series", "mse"]):
-        out.setdefault(method, {})[series] = parse_float(value, where)
-    return out
 
 
 def _path_cells(results: Mapping[str, ForecastResult]):

@@ -16,13 +16,11 @@ from typing import Sequence
 
 import numpy as np
 
+from .config import ALIGN_METHODS, TRANSFORMS
 from .errors import ValidationError
 from .serialize import parse_float, read_csv_rows, write_csv
 
 COMMON_REGION = "__COMMON__"
-
-ALIGN_METHODS = ("linear-interpolate", "repeat-last")
-TRANSFORMS = ("none", "log")
 
 _DATE_RE = re.compile(r"^(\d{4})-(\d{2})$")
 _CODE_RE = re.compile(r"^[A-Za-z0-9_\-]+$")

@@ -3,8 +3,10 @@
 Every float is written in Python's shortest round-trip ``repr`` (``0.95``,
 ``1.0``, ``0.30000000000000004``), so each emitted CSV/JSON value parses back
 to the exact in-memory double. That is the format the stdlib JSON encoder
-already writes, so JSON goes through ``json.dumps`` with a hook for numpy
-arrays and scalars; non-finite floats and unsupported types are rejected.
+already writes, so JSON goes through ``json.dumps`` with a hook that turns
+numpy arrays and scalars into lists and numbers through ``.tolist()``;
+non-finite floats and unsupported types are rejected. The module loads numpy
+only to build an array, so the stages that never do start without it.
 Reads are checked: a missing or undecodable file, a wrong CSV header or JSON key, a misshapen
 array or a non-finite number raises :class:`ValidationError` naming the file (and CSV row).
 """
@@ -14,11 +16,12 @@ from __future__ import annotations
 import json
 import math
 from pathlib import Path
-from typing import Any, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, Sequence
 
 from .errors import ValidationError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def format_float(x: float) -> str:
@@ -30,11 +33,10 @@ def format_float(x: float) -> str:
 
 
 def _numpy_default(obj: Any) -> Any:
-    if isinstance(obj, np.ndarray):
+    try:
         return obj.tolist()
-    if isinstance(obj, np.generic):
-        return obj.item()
-    raise TypeError(f"cannot serialize object of type {type(obj).__name__}")
+    except AttributeError:
+        raise TypeError(f"cannot serialize object of type {type(obj).__name__}") from None
 
 
 def dumps_json(obj: Any) -> str:
@@ -95,32 +97,43 @@ def parse_array(value: Any, shape: Sequence[int | None], where: str) -> np.ndarr
         dims[depth] = len(v)
         return [walk(x, depth + 1) for x in v]
     parsed = walk(value, 0)
-    return np.array(parsed, dtype=float).reshape([d or 0 for d in dims]) if dims else parsed
+    if not dims:
+        return parsed
+    import numpy as np  # here, not at the top: a stage that builds no array never loads it
+
+    return np.array(parsed, dtype=float).reshape([d or 0 for d in dims])
 
 
 def write_csv(path: str | Path, header: list[str], rows: list[list[Any]]) -> None:
     """Write a CSV with round-trip floats and no quoting surprises.
 
-    Cells may be str, int, or float; values must not contain commas or
-    newlines (callers use restricted code/date vocabularies).
+    Cells may be str, bool, int, or float, or a numpy scalar of those; values
+    must not contain commas or newlines (callers use restricted code/date
+    vocabularies).
     """
     lines = [",".join(header)]
     for row in rows:
         cells = []
         for cell in row:
-            # floats first: they are nearly every cell of every artifact
-            if isinstance(cell, (float, np.floating)):
+            # floats first (numpy's float64 is one): they are nearly every
+            # cell of every artifact, and strings most of the rest
+            if isinstance(cell, float):
                 cells.append(format_float(cell))
             elif isinstance(cell, str):
                 if "," in cell or "\n" in cell:
                     raise ValidationError(f"CSV cell may not contain commas/newlines: {cell!r}")
                 cells.append(cell)
-            elif isinstance(cell, (bool, np.bool_)):
-                cells.append("true" if cell else "false")
-            elif isinstance(cell, (int, np.integer)):
-                cells.append(str(int(cell)))
             else:
-                raise ValidationError(f"cannot serialize CSV cell of type {type(cell).__name__}")
+                value = cell.item() if getattr(cell, "ndim", None) == 0 else cell  # numpy scalar
+                if isinstance(value, bool):
+                    cells.append("true" if value else "false")
+                elif isinstance(value, int):
+                    cells.append(str(value))
+                elif isinstance(value, float):
+                    cells.append(format_float(value))
+                else:
+                    raise ValidationError(
+                        f"cannot serialize CSV cell of type {type(cell).__name__}")
         lines.append(",".join(cells))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 

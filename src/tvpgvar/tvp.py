@@ -55,6 +55,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .config import TVPConfig
 from .errors import NumericalError, ValidationError
 from .ingest import TimeSeriesPanel
 from .serialize import parse_float, read_table, write_csv, write_json
@@ -82,7 +83,8 @@ class TVPTrajectory:
 
     Row t corresponds to observation t+1 of the input series (the first
     observation is consumed as the initial lag). ``theta`` reconstructs as
-    ``theta0 + sqrt_omega * theta_tilde`` row-wise.
+    ``theta0 + sqrt_omega * theta_tilde`` row-wise, so it holds no NaN, and
+    the arrays are read-only once checked.
     """
 
     theta0: np.ndarray       # (2,)
@@ -99,6 +101,8 @@ class TVPTrajectory:
         if not np.max(np.abs(recon - self.theta)) <= 1e-12 * max(1.0, np.max(np.abs(self.theta))):
             raise ValidationError("theta is not finite or does not reconstruct "
                                   "from theta0 + sqrt_omega * theta_tilde")
+        for array in (self.theta0, self.sqrt_omega, self.theta_tilde, self.theta):
+            array.setflags(write=False)
 
 
 def kalman_forward(y: np.ndarray, theta0: np.ndarray, sqrt_omega: np.ndarray,
@@ -535,20 +539,6 @@ def fit_equation(y: np.ndarray, iters: int, seed: int | Sequence[int]) -> TVPTra
     return trajectory
 
 
-@dataclass(frozen=True)
-class TVPConfig:
-    """The sampler's settings: iterations per column and the base seed."""
-
-    iters: int = 1000
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.iters < 1:
-            raise ValidationError("tvp.iters must be >= 1")
-        if self.seed < 0:
-            raise ValidationError("tvp.seed must be >= 0")
-
-
 @dataclass
 class PanelTVPResult:
     """Per-column trajectories; failed columns carry None plus a reason."""
@@ -597,10 +587,8 @@ def write_trajectories(result: PanelTVPResult, panel: TimeSeriesPanel,
     dates = panel.time_index[1:]
     rows = []
     for i, traj in enumerate(result.trajectories):
-        if traj is None:
-            continue
-        for t, date in enumerate(dates):
-            rows.append([date, names[i], traj.theta[t, 0], traj.theta[t, 1]])
+        if traj is not None:  # Python floats: write_csv formats them fastest
+            rows += [[date, names[i], b, f1] for date, (b, f1) in zip(dates, traj.theta.tolist())]
     write_csv(csv_path, ["date", "column", "b", "f1"], rows)
     if meta_path is not None:
         meta = {

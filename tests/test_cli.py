@@ -299,10 +299,10 @@ class TestIRF:
         assert "Traceback" not in err
 
     def test_ill_conditioned_period_skipped(self, pipeline, capsys, monkeypatch):
-        import tvpgvar.cli as cli_mod
+        import tvpgvar.gvar
         from tvpgvar.errors import NumericalError as NumErr
 
-        real = cli_mod.gvar.stack_system
+        real = tvpgvar.gvar.stack_system
         first_t = None
 
         def flaky(fit, weights, t, **kwargs):
@@ -313,7 +313,7 @@ class TestIRF:
                 raise NumErr("G0 condition number above cap (synthetic)")
             return real(fit, weights, t, **kwargs)
 
-        monkeypatch.setattr(cli_mod.gvar, "stack_system", flaky)
+        monkeypatch.setattr(tvpgvar.gvar, "stack_system", flaky)
         out_dir = pipeline / "out_skip"
         config_path = pipeline / "config.json"
         assert main(["ingest", "--config", str(config_path), "--out", str(out_dir)]) == 0
@@ -425,6 +425,24 @@ class TestForecast:
         table = read_mse_report(tmp_path / "out" / "mse_report.csv")
         assert set(table) == {"constant", "partial"}
         assert set(table["partial"]) == {"AAA.CPI", "AAA.GDP", "BBB.CPI", "BBB.GDP", "ALL"}
+
+    @pytest.mark.parametrize("text, message", [
+        (None, "file not found or unreadable"),
+        ("date,column,b,f1\n2005-09,OIL,0.0,abc\n", "row 2: non-numeric value 'abc'"),
+    ], ids=["missing", "bad-cell"])
+    def test_external_file_checked_before_sampler(self, tmp_path, capsys, text, message):
+        config_path = mini_config(tmp_path)
+        assert main(["ingest", "--config", str(config_path)]) == 0
+        ext_path = tmp_path / "external_paths.csv"
+        if text is not None:
+            ext_path.write_text(text)
+        obj = read_json(config_path)
+        obj["forecast"].update(methods=["constant", "plugin"],
+                               external={"plugin": str(ext_path)})
+        write_json(obj, config_path)
+        assert main(["forecast", "--config", str(config_path)]) == 1
+        assert f"{ext_path}: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "trajectories_train.csv").exists()
 
 
 class TestExternalForecaster:
@@ -644,3 +662,49 @@ def test_irf_starts_without_scipy(tmp_path):
     _, loaded = run_stage_fresh(config_path, "irf")
     assert loaded == []
     assert list((tmp_path / "out").glob("irf_*.json"))
+
+
+# a fresh interpreter imports the package and, given a config and a stage,
+# runs that CLI stage; it prints the package modules it then holds, and numpy
+SCOPE_SCRIPT = """
+import sys
+import tvpgvar
+if sys.argv[1:]:
+    import tvpgvar.cli
+    assert tvpgvar.cli.main([sys.argv[2], "--config", sys.argv[1]]) == 0, sys.argv[2]
+print("loaded:", *sorted(m[len("tvpgvar."):] for m in sys.modules if m.startswith("tvpgvar.")),
+      *(["numpy"] if "numpy" in sys.modules else []))
+"""
+
+
+def loaded_after(*argv):
+    proc = run_python("-c", SCOPE_SCRIPT, *argv)
+    assert proc.returncode == 0, (argv, proc.stderr)
+    last = proc.stdout.splitlines()[-1]
+    assert last.startswith("loaded:"), (argv, proc.stdout)
+    return set(last.split()[1:])
+
+
+def test_each_stage_loads_only_the_modules_it_runs(tmp_path):
+    # every CLI stage is its own process: what it imports is start-up it pays
+    assert loaded_after() == set()
+    config_path = mini_config(tmp_path)
+    shared = {"cli", "config", "errors", "serialize"}
+    runs = {"ingest": {"ingest"}, "estimate": {"ingest", "gvar", "tvp"},
+            "irf": {"ingest", "gvar", "irf"}, "forecast": {"ingest", "tvp", "forecast"},
+            "report": set()}
+    for stage, modules in runs.items():
+        expected = shared | modules | ({"numpy"} if modules else set())
+        assert loaded_after(str(config_path), stage) == expected, stage
+
+
+def test_package_names_resolve_on_first_use():
+    namespace = {}
+    exec("from tvpgvar import *", namespace)
+    assert len(tvpgvar.__all__) == 44
+    assert set(tvpgvar.__all__) <= set(dir(tvpgvar))
+    for name in tvpgvar.__all__:
+        assert namespace[name] is getattr(tvpgvar, name)
+        assert namespace[name].__module__.startswith("tvpgvar.")
+    with pytest.raises(AttributeError, match="no_such_name"):
+        tvpgvar.no_such_name

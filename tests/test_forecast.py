@@ -17,7 +17,7 @@ from tvpgvar.forecast import (
     read_mse_report, read_variable_paths, select_lasso_lambda,
     write_mse_report, write_param_paths, write_variable_paths,
 )
-from tvpgvar.tvp import PanelTVPResult, TVPTrajectory
+from tvpgvar.tvp import PanelTVPResult, TVPTrajectory, read_trajectories
 
 from conftest import make_panel
 from oracles import lag_design, lasso_cd, lasso_objective
@@ -477,8 +477,10 @@ class TestTwoStageForecast:
         theta = np.tile([0.0, 0.0], (t_len - 1, 1))
         tvp_result = trajectories_from_paths([theta])
         config = ForecasterConfig(kind="external", horizon=h, external_path=path)
-        result = two_stage_forecast(panel, tvp_result, config)
+        result = two_stage_forecast(panel, tvp_result, config, paths=read_trajectories(path))
         assert not result.errors
+        with pytest.raises(ValidationError, match="external_path"):
+            two_stage_forecast(panel, tvp_result, config)
         np.testing.assert_allclose(result.param_paths[:, 0, 0], [0.1, 0.2])
         expected_1 = 0.1 + 0.6 * y[-1, 0]
         expected_2 = 0.2 + 0.5 * expected_1
@@ -494,7 +496,7 @@ class TestTwoStageForecast:
                   [["1999-01", "A.v1", 0.1, 0.6], ["1999-02", "A.v1", 0.1, 0.5]])
         tvp_result = trajectories_from_paths([np.zeros((29, 2))])
         config = ForecasterConfig(kind="external", horizon=2, external_path=path)
-        result = two_stage_forecast(panel, tvp_result, config)
+        result = two_stage_forecast(panel, tvp_result, config, paths=read_trajectories(path))
         assert "A.v1" in result.errors
         assert np.all(np.isnan(result.variable_paths[:, 0]))
 
@@ -521,9 +523,11 @@ class TestTwoStageForecast:
                  for _ in range(3)]
         config = ForecasterConfig(kind=kind, horizon=h)
         tvp_result = trajectories_from_paths(paths)
-        tvp_result.trajectories[1].theta[5, 0] = np.nan  # a built trajectory holds no NaN
+        # a built trajectory holds no NaN: the sampler reports a failed column as None
+        tvp_result.trajectories[1] = None
+        tvp_result.errors[1] = "iteration 3: residuals are not finite"
         result = two_stage_forecast(panel, tvp_result, config)
-        assert result.errors == {"B.v1": f"{kind} inputs must be finite"}
+        assert result.errors == {"B.v1": "iteration 3: residuals are not finite"}
         assert np.all(np.isnan(result.variable_paths[:, 1]))
         alone = two_stage_forecast(make_panel(values[:, [0, 2]], ["A", "C"], ["v1"]),
                                    trajectories_from_paths([paths[0], paths[2]]), config)
@@ -536,14 +540,12 @@ class TestTwoStageForecast:
         panel = make_panel(y, ["A", "B", "C"], ["v1"])
         drift = np.linspace(0.2, 0.6, t_len - 1)
         theta = np.column_stack([np.full(t_len - 1, 0.1), drift])
-        paths = trajectories_from_paths([theta, theta, theta.copy()])
-        paths.trajectories[2].theta[10, 1] = np.nan  # a built trajectory holds no NaN
-        tvp_result = PanelTVPResult(trajectories=[None] + paths.trajectories[1:],
-                                    errors={0: "sampler failed"})
+        paths = trajectories_from_paths([theta])
+        tvp_result = PanelTVPResult(trajectories=[None, paths.trajectories[0], None],
+                                    errors={0: "sampler failed", 2: "iteration 7: no factor"})
         config = ForecasterConfig(kind="lasso", horizon=h, lag_window=4, cv_folds=4)
         result = two_stage_forecast(panel, tvp_result, config)
-        assert result.errors == {"A.v1": "sampler failed",
-                                 "C.v1": "lasso inputs must be finite"}
+        assert result.errors == {"A.v1": "sampler failed", "C.v1": "iteration 7: no factor"}
         assert np.all(np.isnan(result.variable_paths[:, [0, 2]]))
         alone = two_stage_forecast(make_panel(y[:, 1:2], ["B"], ["v1"]),
                                    trajectories_from_paths([theta]), config)

@@ -406,6 +406,13 @@ class TestRunAlgorithm1:
                           theta_tilde=np.array(theta_tilde), theta=np.array(theta),
                           sigma2=sigma2)
 
+    @pytest.mark.parametrize("name", ["theta0", "sqrt_omega", "theta_tilde", "theta"])
+    def test_trajectory_arrays_read_only(self, rng, name):
+        # checked once when built: no later write can slip a NaN past the check
+        traj = fit_equation(rng.standard_normal(40), 5, 3)
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(traj, name)[0] = np.nan
+
     def test_spec_validation(self):
         with pytest.raises(ValidationError, match="at least 3 observations"):
             fit_equation(np.ones(2), 10, 0)
