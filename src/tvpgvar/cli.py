@@ -5,6 +5,8 @@ so each can be rerun independently; with a fixed seed every command is a
 pure function of (config, input files) and reruns are byte-identical.
 Each command imports only the modules it runs, so ``report`` and ``ingest``
 start without the estimation code, and ``report`` without numpy.
+A command that succeeds ends with one ``<stage>: <seconds> s`` line of wall
+time on stderr; timings never enter the output directory.
 Exit codes: 0 success, 1 validation error, 2 numerical failure.
 """
 
@@ -13,6 +15,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
+import time
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -240,6 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    start = time.perf_counter()
     try:
         config = _apply_overrides(load_config(args.config), args)
         config.out_dir.mkdir(parents=True, exist_ok=True)
@@ -259,6 +263,7 @@ def main(argv: list[str] | None = None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
+    print(f"{args.command}: {time.perf_counter() - start:.2f} s", file=sys.stderr)
     return 0
 
 

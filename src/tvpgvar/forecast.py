@@ -9,18 +9,16 @@ in-process forecasters share one call shape: ``(series, config)`` maps a
 feeds the predicted coefficients back through the scalar recursion
 ``x_{t+1} = b_{t+1} + f_{t+1} x_t`` and scores against held-out actuals.
 
-The lasso has one solver, ``_lasso_gram``. It takes a batch of standardized
-problems in Gram form (``G = Xs'Xs/n``, ``c = Xs'yc/n``) and runs
-covariance-update coordinate descent on all of them at once. After each sweep
-it solves every running problem exactly on its current support and signs, and
-a solution that passes the optimality (KKT) check ends that problem. A lasso
-forecast builds its inputs once (``_lasso_inputs``): the lag designs, the
-standardized full-sample problems and the penalty grids of the (series, time)
-transpose of its input. The cross-validation puts every (series, fold)
-problem into one batch, walks the penalty path with warm starts and returns
-each series' grid position; the fit walks the full-sample problems down to
-those positions and uses the solutions there. ``lasso_fit`` is the
-one-problem call of the same solver.
+The lasso has one solver, ``_lasso_path``. It takes a batch of standardized
+problems in Gram form (``G = Xs'Xs/n``, ``c = Xs'yc/n``) and follows each
+one's exact, piecewise-linear solution path (homotopy) from its penalty
+ceiling down a grid of penalties, all problems in one batched step per piece.
+A lasso forecast builds its inputs once (``_lasso_inputs``): the lag designs,
+the standardized full-sample problems and the penalty grids of the (series,
+time) transpose of its input. The cross-validation puts every (series, fold)
+problem into one batch, follows the paths down the grid and returns each
+series' grid position; the fit follows each full-sample path straight to its
+chosen penalty. ``lasso_fit`` is the one-problem call of the same solver.
 """
 
 from __future__ import annotations
@@ -39,22 +37,22 @@ from .tvp import PanelTVPResult
 
 
 # ---------------------------------------------------------------------------
-# lasso: batched covariance-update coordinate descent with an exact finish
+# lasso: the exact piecewise-linear path, batched over problems
 # ---------------------------------------------------------------------------
 
-_TOL = 1e-7
-_MAX_SWEEPS = 100_000
+# A column joins only while its correlation gains on the penalty faster than
+# round-off could fake: an exact copy of an active column gains at rate 0.
+_RATE_TOL = 1e-9
+_SIDES = np.array([1.0, -1.0])
+_NEW_SIGN = np.array([1.0, -1.0, 0.0])  # by event kind: join +, join -, cross
 
 
 @dataclass(frozen=True)
 class LassoFit:
-    """Coordinate-descent solution on internally standardized features."""
+    """Lasso solution on internally standardized features."""
 
     coef: np.ndarray       # original-scale coefficients
     intercept: float
-    n_sweeps: int
-    converged: bool
-    objectives: np.ndarray  # standardized-scale objective after each sweep
 
 
 class _Gram(NamedTuple):
@@ -67,7 +65,6 @@ class _Gram(NamedTuple):
     ybar: float
     gram: np.ndarray     # (p, p) xs'xs / n
     corr: np.ndarray     # (p,) xs'yc / n
-    yy: float            # yc'yc / n
     lam_max: float       # max_j |corr_j|, the penalty ceiling
 
 
@@ -78,19 +75,17 @@ def _standardize(x: np.ndarray, y: np.ndarray) -> _Gram:
     dead even where rounding makes its computed sd non-zero (a constant 4.2):
     it stays exactly zero in the standardized design, so it never sets the
     ceiling and its rows of ``gram`` and ``corr`` are zero. The ceiling is the
-    largest ``|corr_j|`` of this one computation, so the solver's zero-solution
-    check and the penalty grid agree to the last bit.
+    largest ``|corr_j|`` of this one computation, so the path's zero solution
+    and the penalty grid agree to the last bit.
     """
     mean = x.mean(axis=0)
     live = np.any(x != x[:1], axis=0)
     safe_scale = np.where(live, x.std(axis=0), 1.0)
     xs = np.where(live, (x - mean) / safe_scale, 0.0)
     ybar = float(y.mean())
-    yc = y - ybar
-    corr = xs.T @ yc / y.size
+    corr = xs.T @ (y - ybar) / y.size
     lam_max = float(np.max(np.abs(corr), initial=0.0))
-    return _Gram(mean, safe_scale, live, ybar, xs.T @ xs / y.size, corr,
-                 float(yc @ yc) / y.size, lam_max)
+    return _Gram(mean, safe_scale, live, ybar, xs.T @ xs / y.size, corr, lam_max)
 
 
 def _stack(problems: Sequence[_Gram]) -> _Gram:
@@ -105,129 +100,95 @@ def _original_scale(problems: _Gram, beta: np.ndarray) -> tuple[np.ndarray, np.n
     return coef, problems.ybar - np.sum(coef * problems.mean, axis=-1)
 
 
-def _solve(system: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Batched linear solve; a singular system gives NaN instead of failing
-    the whole batch."""
-    try:
-        return np.linalg.solve(system, rhs[..., None])[..., 0]
-    except np.linalg.LinAlgError:
-        out = np.full_like(rhs, np.nan)
-        for b in range(rhs.shape[0]):
-            try:
-                out[b] = np.linalg.solve(system[b], rhs[b])
-            except np.linalg.LinAlgError:
-                pass
-        return out
+def _lasso_path(problems: _Gram, lams: np.ndarray) -> np.ndarray:
+    """Solve B standardized lasso problems at their (B, grid) descending
+    penalties by following each one's exact solution path; returns the
+    standardized solutions (grid, B, p).
 
+    The lasso solution is piecewise linear in the penalty (Osborne, Presnell &
+    Turlach 2000; Efron et al. 2004). On an active set A with signs s it is
+    ``b_A(lam) = e - lam d`` with ``G_AA d = s_A`` and ``G_AA e = c_A``, and
+    the gradient ``c - G b`` is ``u + lam a`` with ``a = G d``,
+    ``u = c - G e``. Every problem starts at its ceiling with the column of
+    largest ``|c_j|`` active. Each step makes one masked solve for all
+    problems, records every grid penalty the current piece reaches, and
+    applies the piece's end, the largest penalty at which an event happens:
 
-def _exact_finish(gram: np.ndarray, corr: np.ndarray, lam: np.ndarray,
-                  beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Solve each problem exactly on the support and signs of ``beta``.
+    - a join, where an inactive live column's ``|u_j + lam a_j|`` reaches
+      ``lam`` while gaining on it at a rate (``1 - a_j``, or ``1 + a_j`` for a
+      negative gradient) above ``_RATE_TOL``; it enters with the sign of its
+      gradient;
+    - a cross, where an active coefficient that shrinks as the penalty falls
+      reaches zero; it leaves the active set and is exactly zero from there on.
 
-    On the support A with signs s, the minimizer solves
-    ``G_AA b_A = c_A - lam s_A`` with zeros elsewhere. It is the lasso
-    solution when the optimality (KKT) conditions hold: no coefficient on
-    the support changes sign, and ``|c_j - (G b)_j| <= lam`` off it. Returns
-    the candidates and which of them pass.
+    A column that has just left is losing on the penalty, and one that has
+    just entered is growing, so neither event repeats at once. An event already
+    due is taken at the current penalty. A grid penalty at or above the
+    ceiling gets exact zeros. No (active set, signs) pair holds on two pieces
+    of one path, so more than ``3**p`` events between two grid penalties mean
+    the path has stalled: ``NumericalError`` names the problem's row.
     """
-    support = beta != 0.0
-    signs = np.sign(beta)
-    system = np.where(support[:, :, None] & support[:, None, :], gram, 0.0)
-    diag = np.arange(beta.shape[1])
-    system[:, diag, diag] += ~support  # identity rows pin the others at zero
-    rhs = np.where(support, corr - lam[:, None] * signs, 0.0)
-    exact = np.where(support, _solve(system, rhs), 0.0)
-    grad = corr - np.einsum("bij,bj->bi", gram, exact)
-    ok = (np.all(np.isfinite(exact), axis=1)
-          & np.all(exact * signs >= 0.0, axis=1)
-          & np.all(support | (np.abs(grad) <= lam[:, None]), axis=1))
-    return exact, ok
+    n_prob, width = problems.corr.shape
+    n_grid = lams.shape[1]
+    betas = np.zeros((n_grid,) + problems.corr.shape)
+    cap = 3 ** width
+    cols = np.arange(width)
+    first = np.argmax(np.abs(problems.corr), axis=1)
+    signs = np.where(cols == first[:, None], np.sign(problems.corr), 0.0)
+    lam = problems.lam_max.copy()
+    nxt = np.sum(lams >= lam[:, None], axis=1)  # next grid position below the ceiling
+    events = np.zeros(n_prob, dtype=int)
+    run = np.flatnonzero(nxt < n_grid)
+    while run.size:
+        gram, corr, s = problems.gram[run], problems.corr[run], signs[run]
+        active = s != 0.0
+        system = np.where(active[:, :, None] & active[:, None, :], gram, 0.0)
+        system[:, cols, cols] += ~active  # identity rows pin the others at zero
+        rhs = np.where(active[:, :, None], np.stack([s, corr], axis=2), 0.0)
+        de = np.linalg.solve(system, rhs)
+        d, e = de[..., 0], de[..., 1]
+        ga = np.einsum("bij,bjk->bik", gram, de)
+        a, u = ga[..., 0], corr - ga[..., 1]
+        # candidate event penalties (R, p, 3): join on either side, cross
+        rate = 1.0 - _SIDES * a[..., None]
+        free = (problems.live[run] & ~active)[..., None] & (rate > _RATE_TOL)
+        cand = np.full(rate.shape[:2] + (3,), -np.inf)
+        np.divide(_SIDES * u[..., None], rate, out=cand[..., :2], where=free)
+        np.divide(e, d, out=cand[..., 2], where=s * d < 0.0)
+        flat = cand.reshape(run.size, -1)
+        pick = np.argmax(flat, axis=1)
+        lam_ev = np.minimum(flat[np.arange(run.size), pick], lam[run])
+        # record every grid penalty on the current piece, down to its end
+        targets = lams[run]
+        r, k = np.nonzero((np.arange(n_grid) >= nxt[run, None]) & (targets >= lam_ev[:, None]))
+        betas[k, run[r]] = e[r] - targets[r, k, None] * d[r]
+        reached = np.bincount(r, minlength=run.size)
+        nxt[run] += reached
+        events[run[reached > 0]] = 0
+        # the rest take their event: join (kinds 0, 1) or cross (kind 2)
+        go = nxt[run] < n_grid
+        b, j, kind = run[go], pick[go] // 3, pick[go] % 3
+        signs[b, j] = _NEW_SIGN[kind]
+        lam[b] = lam_ev[go]
+        events[b] += 1
+        if np.any(events[b] > cap):
+            stalled = b[np.argmax(events[b])]
+            raise NumericalError(
+                f"lasso path of problem {stalled} took more than {cap} events "
+                "between two grid penalties")
+        run = b
+    return betas
 
 
-def _lasso_gram(problems: _Gram, lam: np.ndarray, beta: np.ndarray,
-                tol: float = _TOL, max_iter: int = _MAX_SWEEPS, record: bool = False):
-    """Solve a stack of B standardized lasso problems at once.
-
-    ``lam`` holds the (B,) penalties and ``beta`` the (B, p) standardized
-    starting points. A problem whose penalty is at or above its ceiling gets
-    exact zeros and no sweeps, whatever its start. The others run
-    covariance-update coordinate descent (Friedman, Hastie & Tibshirani 2010,
-    section 2.2) on the gradient ``c - G b``: each sweep updates every
-    coordinate of every running problem, then tries ``_exact_finish``. A
-    problem stops when its exact solution passes the optimality check, or
-    when no coefficient moved more than ``tol`` in the sweep, or after
-    ``max_iter`` sweeps; stopped problems leave the batch.
-
-    Returns ``(beta, n_sweeps, converged, objectives)``: the solutions, the
-    (B,) sweep counts and convergence flags and, with ``record``, the
-    (sweeps, B) objective after each sweep, NaN once a problem has stopped
-    (otherwise an empty (0, B) array).
-    """
-    n_prob, width = beta.shape
-    converged = lam >= problems.lam_max
-    beta = np.where(problems.live & ~converged[:, None], beta, 0.0)
-    n_sweeps = np.zeros(n_prob, dtype=int)
-    objectives = []
-    run = np.flatnonzero(~converged)
-    gram, corr, yy = problems.gram[run], problems.corr[run], problems.yy[run]
-    diag = np.where(problems.live[run], np.diagonal(gram, axis1=1, axis2=2), 1.0)
-    pen, b = lam[run], beta[run]
-    grad = corr - np.einsum("bij,bj->bi", gram, b)
-    # signs whose exact solution failed the check: the same signs give the
-    # same solution, so it is tried again only after they change
-    tried = np.full(b.shape, np.nan)
-    for sweep in range(1, max_iter + 1):
-        if run.size == 0:
-            break
-        max_delta = np.zeros(run.size)
-        for j in range(width):
-            old = b[:, j].copy()
-            z = grad[:, j] + diag[:, j] * old
-            new = (z - np.minimum(np.maximum(z, -pen), pen)) / diag[:, j]  # soft threshold
-            delta = new - old
-            b[:, j] = new
-            grad -= gram[:, j, :] * delta[:, None]  # the Gram matrix is symmetric
-            np.maximum(max_delta, np.abs(delta), out=max_delta)
-        signs = np.sign(b)
-        fresh = np.flatnonzero(np.any(signs != tried, axis=1))
-        ok = np.zeros(run.size, dtype=bool)
-        if fresh.size:
-            exact, ok[fresh] = _exact_finish(gram[fresh], corr[fresh], pen[fresh], b[fresh])
-            b[fresh[ok[fresh]]] = exact[ok[fresh]]
-            tried[fresh] = signs[fresh]
-        grad = corr - np.einsum("bij,bj->bi", gram, b)
-        if record:
-            row = np.full(n_prob, np.nan)
-            row[run] = (0.5 * yy - 0.5 * np.einsum("bj,bj->b", b, corr + grad)
-                        + pen * np.sum(np.abs(b), axis=1))
-            objectives.append(row)
-        n_sweeps[run] = sweep
-        beta[run] = b
-        done = ok | (max_delta < tol)
-        converged[run[done]] = True
-        keep = ~done
-        run, gram, corr, yy, diag, pen, b, grad, tried = (
-            run[keep], gram[keep], corr[keep], yy[keep], diag[keep], pen[keep],
-            b[keep], grad[keep], tried[keep])
-    return beta, n_sweeps, converged, np.array(objectives).reshape(-1, n_prob)
-
-
-def lasso_fit(x: np.ndarray, y: np.ndarray, lam: float, tol: float = _TOL,
-              max_iter: int = _MAX_SWEEPS,
-              warm_start: np.ndarray | None = None) -> LassoFit:
-    """Minimize (1/2n)||y - X beta||^2 + lam ||beta||_1 by coordinate descent.
+def lasso_fit(x: np.ndarray, y: np.ndarray, lam: float) -> LassoFit:
+    """Minimize (1/2n)||y - X beta||^2 + lam ||beta||_1 exactly.
 
     Features are standardized internally (zero mean, unit variance) and the
-    intercept is unpenalized; constant columns keep coefficient zero.
-    ``warm_start`` is a standardized starting point. When ``lam`` is at or
-    above the penalty ceiling (``max_j |x_j'y|/n`` on the standardized
-    scale) the all-zero vector satisfies the optimality conditions and is
-    returned exactly, with no sweeps, whatever the warm start. Otherwise
-    each sweep ends with an exact solve on the current support, accepted
-    when it passes the optimality check; failing that, convergence is
-    declared when no standardized coefficient moves more than ``tol`` in a
-    full sweep. Non-convergence is reported on the result. This is the
-    one-problem call of the batched solver that cross-validation uses.
+    intercept is unpenalized; constant columns keep coefficient zero. When
+    ``lam`` is at or above the penalty ceiling (``max_j |x_j'y|/n`` on the
+    standardized scale) the all-zero vector satisfies the optimality
+    conditions and is returned exactly, with intercept ``y.mean()``. This is
+    the one-problem call of the path solver that cross-validation uses.
     """
     x = np.asarray(x, float)
     y = np.asarray(y, float).reshape(-1)
@@ -238,12 +199,9 @@ def lasso_fit(x: np.ndarray, y: np.ndarray, lam: float, tol: float = _TOL,
     if lam < 0:
         raise ValidationError("penalty must be non-negative")
     problem = _standardize(x, y)
-    start = np.zeros(x.shape[1]) if warm_start is None else np.asarray(warm_start, float)
-    beta, n_sweeps, converged, objectives = _lasso_gram(
-        _stack([problem]), np.array([float(lam)]), start[None, :], tol, max_iter, record=True)
-    coef, intercept = _original_scale(problem, beta[0])
-    return LassoFit(coef=coef, intercept=float(intercept), n_sweeps=int(n_sweeps[0]),
-                    converged=bool(converged[0]), objectives=objectives[:n_sweeps[0], 0])
+    beta = _lasso_path(_stack([problem]), np.array([[float(lam)]]))[0, 0]
+    coef, intercept = _original_scale(problem, beta)
+    return LassoFit(coef=coef, intercept=float(intercept))
 
 
 # ---------------------------------------------------------------------------
@@ -301,16 +259,6 @@ def _lag_design(series: np.ndarray, lag_window: int) -> tuple[np.ndarray, np.nda
     return design, series[..., lag_window:]
 
 
-def _walk_path(problems: _Gram, lam: np.ndarray) -> np.ndarray:
-    """Solve B problems along their (B, grid) penalty paths, each warm-started
-    from its solution at the previous penalty; returns (grid, B, p)."""
-    betas = np.empty((lam.shape[1],) + problems.corr.shape)
-    beta = np.zeros(problems.corr.shape)
-    for g in range(lam.shape[1]):
-        beta = betas[g] = _lasso_gram(problems, lam[:, g], beta)[0]
-    return betas
-
-
 def _lasso_inputs(series: np.ndarray, config: ForecasterConfig
                   ) -> tuple[np.ndarray, np.ndarray, _Gram, np.ndarray]:
     """Everything the CV and the fit share for a stack (S, T) of series.
@@ -346,9 +294,8 @@ def select_lasso_lambda(x: np.ndarray, y: np.ndarray, grids: np.ndarray,
     position. Rows are split into ``cv_folds + 1`` consecutive blocks; fold f
     trains on everything before block f+1 and validates on it, so the future
     is never in the training set. Every (series, fold) problem is
-    standardized once and all of them walk the penalty path together in one
-    ``_lasso_gram`` batch, each warm-started from its solution at the
-    previous penalty. Ties resolve to the largest penalty.
+    standardized once and all of them follow their exact paths down the grid
+    in one ``_lasso_path`` batch. Ties resolve to the largest penalty.
     """
     n_series, n = y.shape
     bounds = [round(n * (i + 1) / (cv_folds + 1)) for i in range(cv_folds + 1)]
@@ -358,7 +305,7 @@ def select_lasso_lambda(x: np.ndarray, y: np.ndarray, grids: np.ndarray,
     if folds:
         problems = _stack([_standardize(x[s, :split], y[s, :split])
                            for split, _ in folds for s in range(n_series)])
-        betas = _walk_path(problems, np.tile(grids, (len(folds), 1)))  # fold-major
+        betas = _lasso_path(problems, np.tile(grids, (len(folds), 1)))  # fold-major
         coef, intercept = _original_scale(problems, betas)  # (grid, fold x series, ...)
         for f, (split, stop) in enumerate(folds):
             part = slice(f * n_series, (f + 1) * n_series)
@@ -373,15 +320,13 @@ def forecast_lasso(series: np.ndarray, config: ForecasterConfig) -> np.ndarray:
     """Tune, fit, and forecast each column of the (T, d) series recursively.
 
     The penalties of all columns are chosen in one batch; returns
-    (horizon, d). The fit walks the full sample's path down to the deepest
-    chosen grid position, each column clamped at its own chosen penalty,
-    warm-started along the path as in cross-validation.
+    (horizon, d). The fit follows each full-sample path straight to its
+    column's chosen penalty.
     """
     rows = np.ascontiguousarray(np.asarray(series, float).T)  # (d, T)
     x, y, problems, grids = _lasso_inputs(rows, config)
     picks = select_lasso_lambda(x, y, grids, config.cv_folds)
-    chosen = grids[np.arange(grids.shape[0]), picks]
-    beta = _walk_path(problems, np.maximum(grids[:, :picks.max() + 1], chosen[:, None]))[-1]
+    beta = _lasso_path(problems, grids[np.arange(grids.shape[0]), picks][:, None])[0]
     coef, intercept = _original_scale(problems, beta)
     out = np.empty((config.horizon, rows.shape[0]))
     for s in range(rows.shape[0]):

@@ -5,7 +5,8 @@ update per coefficient, the residual kept up to date) and ``select_lambda_cd``
 the forward-chaining cross-validation built on it, each warm start taken from
 the previous penalty's fit. Both are written from the definitions, share no
 code with ``tvpgvar.forecast`` and reproduce what the package computed before
-it moved to the batched Gram-form solver.
+it moved to batched solvers; the package now follows the exact lasso path, so
+``lasso_cd`` is the only coordinate descent left.
 
 ``dense_asymptotic_inputs`` and ``dense_asymptotic_bands`` are the
 Kronecker-form delta-method bands: the full w^2 x w^2 input covariances

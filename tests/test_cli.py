@@ -1,4 +1,5 @@
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -499,6 +500,20 @@ def test_full_pipeline_rerun_byte_identical(tmp_path):
     assert digests[0].keys() == digests[1].keys()
     for name in digests[0]:
         assert digests[0][name] == digests[1][name], f"{name} differs between reruns"
+
+
+def test_each_stage_prints_its_wall_time(tmp_path, capsys):
+    # one timing line on stderr per stage; timings stay out of the output
+    # directory, which the byte-identical rerun above pins
+    config_path = mini_config(tmp_path)
+    for command in ("ingest", "estimate", "irf", "forecast", "report"):
+        assert main([command, "--config", str(config_path)]) == 0
+        captured = capsys.readouterr()
+        lines = (captured.out + captured.err).splitlines()
+        timings = [line for line in lines if line.startswith(f"{command}: ")]
+        assert len(timings) == 1, (command, lines)
+        assert re.fullmatch(rf"{command}: \d+\.\d\d s", timings[0])
+        assert timings[0] in captured.err.splitlines()
 
 
 def run_python(*args):

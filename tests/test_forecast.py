@@ -13,7 +13,7 @@ from tvpgvar import (
 )
 from tvpgvar.errors import ValidationError
 from tvpgvar.forecast import (
-    _lasso_gram, _lasso_inputs, _original_scale, _stack, _standardize,
+    _lag_design, _lasso_inputs, _lasso_path, _original_scale, _stack, _standardize,
     read_mse_report, read_variable_paths, select_lasso_lambda,
     write_mse_report, write_param_paths, write_variable_paths,
 )
@@ -41,7 +41,7 @@ class TestLassoFit:
     def test_zero_penalty_matches_ols(self, rng):
         x = rng.standard_normal((200, 5))
         y = x @ np.array([1.0, -2.0, 0.5, 0.0, 3.0]) + 0.1 * rng.standard_normal(200)
-        fit = lasso_fit(x, y, lam=0.0, tol=1e-12)
+        fit = lasso_fit(x, y, lam=0.0)
         design = np.column_stack([np.ones(200), x])
         ols = np.linalg.lstsq(design, y, rcond=None)[0]
         np.testing.assert_allclose(fit.intercept, ols[0], atol=1e-6)
@@ -53,7 +53,7 @@ class TestLassoFit:
         beta = np.array([2.0, -1.5, 0.8, 0.05, 0.0, -0.02])
         y = x @ beta + 0.05 * rng.standard_normal(n)
         lam = 0.3
-        fit = lasso_fit(x, y, lam, tol=1e-12)
+        fit = lasso_fit(x, y, lam)
         yc = y - y.mean()
         z = x.T @ yc / n  # per-column OLS on the orthonormal design
         col_ss = np.einsum("ij,ij->j", x - x.mean(0), x - x.mean(0)) / n
@@ -95,38 +95,12 @@ class TestLassoFit:
         fit = lasso_fit(x, y, _standardize(x, y).lam_max)
         np.testing.assert_array_equal(fit.coef, 0.0)
 
-    @pytest.mark.parametrize("seed", range(8))
-    def test_lambda_max_zero_ignores_warm_start(self, seed):
-        rng = np.random.default_rng(seed)
-        x = rng.standard_normal((120, 4))
-        y = rng.standard_normal(120) + x[:, 1]
-        warm = rng.standard_normal(4)
-        lam_max = _standardize(x, y).lam_max
-        for lam in (lam_max, 1.5 * lam_max):
-            fit = lasso_fit(x, y, lam, warm_start=warm)
-            np.testing.assert_array_equal(fit.coef, 0.0)
-
-    def test_objective_non_increasing_per_sweep(self, rng):
-        x = rng.standard_normal((150, 8))
-        x[:, 3] = x[:, 2] + 0.01 * rng.standard_normal(150)  # near-collinear
-        y = x @ rng.standard_normal(8) + rng.standard_normal(150)
-        fit = lasso_fit(x, y, lam=0.05, tol=1e-12)
-        diffs = np.diff(fit.objectives)
-        assert np.all(diffs <= 1e-12)
-
     def test_path_continuity_with_warm_starts(self, rng):
         x = rng.standard_normal((200, 5))
         y = x @ np.array([1.0, 0.5, -0.7, 0.0, 0.2]) + 0.2 * rng.standard_normal(200)
         lam_max = _standardize(x, y).lam_max
         grid = np.geomspace(lam_max, 1e-3 * lam_max, 30)
-        warm = None
-        coefs = []
-        for lam in grid:
-            fit = lasso_fit(x, y, lam, warm_start=warm)
-            scale = x.std(axis=0)
-            warm = fit.coef * scale
-            coefs.append(fit.coef * scale)
-        coefs = np.array(coefs)
+        coefs = np.array([lasso_fit(x, y, lam).coef * x.std(axis=0) for lam in grid])
         steps = np.abs(np.diff(grid))
         jumps = np.max(np.abs(np.diff(coefs, axis=0)), axis=1)
         # measured Lipschitz-style bound on this fixed data
@@ -135,7 +109,7 @@ class TestLassoFit:
     def test_constant_column_gets_zero_coefficient(self, rng):
         x = np.column_stack([np.full(50, 3.0), rng.standard_normal(50)])
         y = 2.0 * x[:, 1] + 1.0
-        fit = lasso_fit(x, y, lam=0.0, tol=1e-12)
+        fit = lasso_fit(x, y, lam=0.0)
         assert fit.coef[0] == 0.0
         np.testing.assert_allclose(fit.coef[1], 2.0, atol=1e-8)
         np.testing.assert_allclose(fit.intercept, 1.0, atol=1e-8)
@@ -212,17 +186,18 @@ class TestForecastVar1:
 
 
 class TestBatchedSolver:
-    """The batched Gram-form solver against the scalar residual-form oracle,
-    with problems of every kind in one batch."""
+    """The batched path solver against the scalar residual-form oracle, with
+    problems of every kind in one batch, and against the optimality (KKT)
+    conditions."""
 
-    # (penalty as a share of the ceiling, zero-variance column, warm start)
-    KINDS = [(0.3, False, False), (0.05, True, True), (1.0, False, True),
-             (1.5, True, True), (0.001, False, True), (0.0, False, False)]
+    # (penalty as a share of the ceiling, zero-variance column)
+    KINDS = [(0.3, False), (0.05, True), (1.0, False), (1.5, True), (0.001, False),
+             (0.0, False)]
 
     def mixed_batch(self, seed, n, n_feat):
         rng = np.random.default_rng([seed, n, n_feat])
-        xs, ys, lams, warms = [], [], [], []
-        for share, constant, warm in self.KINDS:
+        xs, ys, lams = [], [], []
+        for share, constant in self.KINDS:
             x = rng.standard_normal((n, n_feat)) * rng.uniform(0.1, 10.0, n_feat)
             if constant:
                 x[:, -1] = 2.5
@@ -230,19 +205,30 @@ class TestBatchedSolver:
             xs.append(x)
             ys.append(y)
             lams.append(share * _standardize(x, y).lam_max)
-            warms.append(rng.standard_normal(n_feat) if warm else np.zeros(n_feat))
-        return xs, ys, np.array(lams), np.array(warms)
+        return xs, ys, np.array(lams)
+
+    @staticmethod
+    def kkt_violation(problems, lams, betas):
+        """Worst optimality violation of the path solutions (grid, B, p) at
+        the (B, grid) penalties, relative to each positive penalty: an active
+        gradient must equal ``lam`` times the coefficient's sign, an inactive
+        live one must not exceed ``lam`` in size."""
+        grad = problems.corr - np.einsum("bij,gbj->gbi", problems.gram, betas)
+        lam = lams.T[..., None]
+        on = np.abs(grad - lam * np.sign(betas))
+        off = np.maximum(np.abs(grad) - lam, 0.0)
+        worst = np.where(betas != 0.0, on, np.where(problems.live, off, 0.0))
+        return float(np.max(worst[lams.T > 0] / lam[lams.T > 0]))
 
     @pytest.mark.parametrize("seed", range(8))
     @pytest.mark.parametrize("n, n_feat", [(30, 2), (120, 4), (97, 6), (400, 11)])
     def test_mixed_batch_matches_oracle(self, seed, n, n_feat):
-        xs, ys, lams, warms = self.mixed_batch(seed, n, n_feat)
+        xs, ys, lams = self.mixed_batch(seed, n, n_feat)
         problems = _stack([_standardize(x, y) for x, y in zip(xs, ys)])
-        beta, n_sweeps, converged, _ = _lasso_gram(problems, lams, warms)
+        beta = _lasso_path(problems, lams[:, None])[0]
         coefs, intercepts = _original_scale(problems, beta)
-        assert np.all(converged)
-        for b, (x, y, lam, warm) in enumerate(zip(xs, ys, lams, warms)):
-            coef, intercept, *_ = lasso_cd(x, y, lam, tol=1e-12, warm_start=warm)
+        for b, (x, y, lam) in enumerate(zip(xs, ys, lams)):
+            coef, intercept, *_ = lasso_cd(x, y, lam, tol=1e-12)
             scale = x.std(axis=0)
             np.testing.assert_allclose(coefs[b] * scale, coef * scale, rtol=0, atol=1e-8)
             assert abs(intercepts[b] - intercept) <= 1e-8 * max(1.0, abs(intercept))
@@ -250,27 +236,49 @@ class TestBatchedSolver:
                     <= lasso_objective(x, y, lam, coef, intercept) + 1e-12)
             if lam >= _standardize(x, y).lam_max:
                 np.testing.assert_array_equal(coefs[b], 0.0)
-                assert intercepts[b] == y.mean() and n_sweeps[b] == 0
+                assert intercepts[b] == y.mean()
 
-    def test_singular_support_stays_in_the_batch(self, rng):
-        # two identical columns make the exact solve on their joint support
-        # singular; that problem keeps sweeping and its neighbour still finishes
-        x = rng.standard_normal((80, 4))
-        x[:, 1] = x[:, 0]
-        y = x @ np.array([1.0, 1.0, -0.5, 0.2]) + 0.1 * rng.standard_normal(80)
-        x_ok = x.copy()
-        x_ok[:, 1] = rng.standard_normal(80)
-        problems = _stack([_standardize(x, y), _standardize(x_ok, y)])
+    @pytest.mark.parametrize("lag_window, cv_folds", [(3, 3), (6, 5), (8, 5)])
+    def test_kkt_certificate_on_random_walk_lags(self, rng, lag_window, cv_folds):
+        # lags of random walks are near-collinear, like the sampler's paths;
+        # every (fold problem, grid penalty) of the CV's batch is certified
+        config = ForecasterConfig(kind="lasso", lag_window=lag_window, cv_folds=cv_folds)
+        stack = np.cumsum(rng.standard_normal((40, 200)), axis=1) * rng.uniform(1e-3, 10, (40, 1))
+        _, _, _, grids = _lasso_inputs(stack, config)
+        x, y = _lag_design(stack, lag_window)
+        split = y.shape[1] // 2
+        problems = _stack([_standardize(x[s, :split], y[s, :split]) for s in range(40)])
+        betas = _lasso_path(problems, grids)
+        assert self.kkt_violation(problems, grids, betas) <= 1e-9
+
+    def test_singular_support_stays_in_the_batch(self):
+        # an exact copy of a column never joins the path once its twin is
+        # active (its gradient moves with the penalty, where round-off alone
+        # would give a 0/0 join time), so the active system stays regular;
+        # each such problem's neighbour in the batch still matches the oracle
+        designs, targets = [], []
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            x = rng.standard_normal((80, 4))
+            x[:, 1] = x[:, 0]
+            y = x @ np.array([1.0, 1.0, -0.5, 0.2]) + 0.1 * rng.standard_normal(80)
+            x_ok = x.copy()
+            x_ok[:, 1] = rng.standard_normal(80)
+            designs += [x, x_ok]
+            targets += [y, y]
+        problems = _stack([_standardize(x, y) for x, y in zip(designs, targets)])
         lams = 0.01 * problems.lam_max
-        beta, _, converged, _ = _lasso_gram(problems, lams, np.ones((2, 4)))
-        assert np.all(converged) and np.all(np.isfinite(beta))
+        beta = _lasso_path(problems, lams[:, None])[0]
+        assert np.all(np.isfinite(beta))
+        assert np.all(np.count_nonzero(beta[::2, :2], axis=1) == 1)
+        assert self.kkt_violation(problems, lams[:, None], beta[None]) <= 1e-9
         coef, intercept = _original_scale(problems, beta)
-        for b, design in enumerate((x, x_ok)):
-            oracle = lasso_cd(design, y, lams[b], tol=1e-12)
-            assert (lasso_objective(design, y, lams[b], coef[b], intercept[b])
-                    <= lasso_objective(design, y, lams[b], oracle[0], oracle[1]) + 1e-10)
-        np.testing.assert_allclose(coef[1], lasso_cd(x_ok, y, lams[1], tol=1e-12)[0],
-                                   rtol=0, atol=1e-8)
+        for b, (x, y, lam) in enumerate(zip(designs, targets, lams)):
+            oracle = lasso_cd(x, y, lam, tol=1e-12)
+            assert (lasso_objective(x, y, lam, coef[b], intercept[b])
+                    <= lasso_objective(x, y, lam, oracle[0], oracle[1]) + 1e-10)
+            if b % 2:
+                np.testing.assert_allclose(coef[b], oracle[0], rtol=0, atol=1e-8)
 
     def test_stack_matches_one_series_at_a_time(self, rng):
         config = ForecasterConfig(kind="lasso", horizon=4, lag_window=3, cv_folds=3,
