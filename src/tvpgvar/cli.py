@@ -4,7 +4,9 @@ Stages compose through on-disk artifacts in the configured output directory,
 so each can be rerun independently; with a fixed seed every command is a
 pure function of (config, input files) and reruns are byte-identical.
 Each command imports only the modules it runs, so ``report`` and ``ingest``
-start without the estimation code, and ``report`` without numpy.
+start without the estimation code, and both without numpy.
+``irf`` re-fits the structural blocks from ``panel.csv`` under its own weights,
+so it needs only ``ingest`` to have run.
 A command that succeeds ends with one ``<stage>: <seconds> s`` line of wall
 time on stderr; timings never enter the output directory.
 Exit codes: 0 success, 1 validation error, 2 numerical failure.
@@ -102,11 +104,10 @@ def cmd_irf(config: RunConfig) -> None:
     from . import gvar, ingest, irf
 
     panel = ingest.read_panel_csv(_artifact(config, PANEL_FILE, "ingest"))
-    coefficients = _artifact(config, COEFFICIENTS_FILE, "estimate")
-    fit = gvar.read_coefficients_json(coefficients)
-    if fit.columns != tuple(panel.column_names()):
-        raise ValidationError(f"{coefficients}: columns do not match the panel's")
     weights = _build_weights(config, panel)
+    # re-fit rather than read coefficients.json: that file records no weights,
+    # so a fit made under other weights would meet this run's links
+    fit = gvar.estimate_structural(panel, weights)
     sample_size = len(panel.time_index) - 1
     names = panel.column_names()
 

@@ -5,20 +5,29 @@ formatted ``YYYY-MM``. Series observed quarterly (3-month date spacing) are
 expanded to monthly frequency on the common date range; the reserved region
 code ``__COMMON__`` marks shared activity series (oil price and the like)
 that enter every country's equation.
+
+Ingest is scalar work on thousands of cells, cheaper than importing numpy, so
+this module runs on the standard library alone: a panel keeps its cells as
+float rows and builds its numpy array when an estimation stage first reads
+``values``.
 """
 
 from __future__ import annotations
 
+import math
 import re
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .config import ALIGN_METHODS, TRANSFORMS
 from .errors import ValidationError
 from .serialize import parse_float, read_csv_rows, write_csv
+
+if TYPE_CHECKING:
+    import numpy as np
 
 COMMON_REGION = "__COMMON__"
 
@@ -57,7 +66,7 @@ class RawSeries:
     region: str
     variable: str
     dates: tuple[str, ...]
-    values: np.ndarray
+    values: tuple[float, ...]
     frequency: str  # "monthly" | "quarterly"
 
     @property
@@ -74,23 +83,31 @@ class TimeSeriesPanel:
 
     Column order is region-major, variable-minor, activities last; that
     ordering also fixes the Cholesky identification order downstream.
+    The cells are stored once, as one tuple of floats per month.
     """
 
     time_index: tuple[str, ...]
     regions: tuple[str, ...]
     variables: tuple[str, ...]
     activities: tuple[str, ...]
-    values: np.ndarray  # (T, K*p + l)
+    rows: tuple[tuple[float, ...], ...] = field(repr=False)  # T rows of K*p + l
 
     def __post_init__(self):
-        k, p, l = self.n_regions, self.n_variables, self.n_activities
-        if self.values.shape != (len(self.time_index), k * p + l):
+        width = self.width
+        if len(self.rows) != len(self.time_index) or any(len(row) != width for row in self.rows):
             raise ValidationError(
-                f"panel values shape {self.values.shape} does not match "
-                f"T={len(self.time_index)}, K*p+l={k * p + l}")
+                f"panel rows do not match T={len(self.time_index)}, K*p+l={width}")
         if len(self.time_index) < 3:
             raise ValidationError("panel needs at least 3 months")
-        self.values.setflags(write=False)
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        """The cells as a read-only (T, K*p + l) float array, built on first use."""
+        import numpy as np  # here, not at the top: the ingest stage never needs the array
+
+        values = np.array(self.rows, dtype=float).reshape(len(self.rows), self.width)
+        values.setflags(write=False)
+        return values
 
     @property
     def n_regions(self) -> int:
@@ -136,7 +153,7 @@ class TimeSeriesPanel:
             regions=self.regions,
             variables=self.variables,
             activities=self.activities,
-            values=self.values[start:stop].copy(),
+            rows=self.rows[start:stop],
         )
 
 
@@ -160,15 +177,26 @@ def load_panel(path: str | Path) -> list[RawSeries]:
     groups: dict[tuple[str, str], list[tuple[int, float]]] = {}
     group_dates: dict[tuple[str, str], dict[int, str]] = {}
     order: list[tuple[str, str]] = []
+    # each distinct string is checked once, on the first row that has it, so
+    # an error still names the first bad row; a valid region code is a valid
+    # variable code, so one set holds both
+    codes: set[str] = set()
+    months: dict[str, int] = {}
     for i, row in enumerate(rows):
         rownum = i + 2
         date = row[positions["date"]].strip()
-        region = _check_code(row[positions["region"]].strip(), "region", rownum)
-        variable = _check_code(row[positions["variable"]].strip(), "variable", rownum)
-        try:
-            midx = month_index(date)
-        except ValidationError as exc:
-            raise ValidationError(f"{path}: row {rownum}: {exc}") from None
+        region = row[positions["region"]].strip()
+        if region not in codes:
+            codes.add(_check_code(region, "region", rownum))
+        variable = row[positions["variable"]].strip()
+        if variable not in codes:
+            codes.add(_check_code(variable, "variable", rownum))
+        midx = months.get(date)
+        if midx is None:
+            try:
+                midx = months[date] = month_index(date)
+            except ValidationError as exc:
+                raise ValidationError(f"{path}: row {rownum}: {exc}") from None
         value = parse_float(row[positions["value"]].strip(), f"{path}: row {rownum}")
         dup_key = (region, variable, date)
         if dup_key in seen:
@@ -187,15 +215,13 @@ def load_panel(path: str | Path) -> list[RawSeries]:
     series: list[RawSeries] = []
     for key in order:
         pts = sorted(groups[key])
-        months = [m for m, _ in pts]
-        vals = np.array([v for _, v in pts], dtype=float)
-        freq = _infer_frequency(months, key, path)
+        anchors = [m for m, _ in pts]
         series.append(RawSeries(
             region=key[0],
             variable=key[1],
-            dates=tuple(group_dates[key][m] for m in months),
-            values=vals,
-            frequency=freq,
+            dates=tuple(group_dates[key][m] for m in anchors),
+            values=tuple(v for _, v in pts),
+            frequency=_infer_frequency(anchors, key, path),
         ))
     if not series:
         raise ValidationError(f"{path}: no data rows")
@@ -215,16 +241,23 @@ def _infer_frequency(months: Sequence[int], key: tuple[str, str], path: Path) ->
         "expected uniform 1-month or 3-month steps")
 
 
-def _expand_to_monthly(s: RawSeries, months: np.ndarray, method: str) -> np.ndarray:
-    anchors = np.array([month_index(d) for d in s.dates])
+def _expand_to_monthly(s: RawSeries, months: range, method: str) -> Sequence[float]:
+    """``s`` on each of ``months``, which lie within its first and last anchor."""
+    ys = s.values
     if s.frequency == "monthly":
-        start = int(months[0] - anchors[0])
-        return s.values[start:start + len(months)].astype(float)
-    if method == "linear-interpolate":
-        return np.interp(months, anchors, s.values)
-    # repeat-last: carry the most recent anchor value forward
-    idx = np.searchsorted(anchors, months, side="right") - 1
-    return s.values[idx]
+        start = months[0] - month_index(s.dates[0])
+        return ys[start:start + len(months)]
+    anchors = [month_index(d) for d in s.dates]
+    out = []
+    for x in months:
+        j = bisect_right(anchors, x) - 1  # the last anchor at or before x
+        if method == "repeat-last" or anchors[j] == x:
+            out.append(ys[j])
+        else:
+            # numpy's interp formula, so the panel matches np.interp bit for bit
+            slope = (ys[j + 1] - ys[j]) / (anchors[j + 1] - anchors[j])
+            out.append(slope * (x - anchors[j]) + ys[j])
+    return out
 
 
 def align_frequencies(
@@ -289,15 +322,14 @@ def align_frequencies(
     start, stop = max(firsts), min(lasts)
     if start > stop:
         raise ValidationError("empty date-range intersection across series")
-    months = np.arange(start, stop + 1)
+    months = range(start, stop + 1)
 
     columns = [_expand_to_monthly(lookup[key], months, method) for key in wanted]
-    values = np.column_stack(columns)
     if transform == "log":
-        if np.any(values <= 0):
+        if any(v <= 0 for column in columns for v in column):
             raise ValidationError("log transform requires strictly positive values")
-        values = np.log(values)
-    if not np.all(np.isfinite(values)):
+        columns = [[math.log(v) for v in column] for column in columns]
+    if not all(math.isfinite(v) for column in columns for v in column):
         raise ValidationError("aligned panel contains non-finite values")
 
     return TimeSeriesPanel(
@@ -305,7 +337,7 @@ def align_frequencies(
         regions=tuple(regions),
         variables=tuple(variables),
         activities=tuple(activities),
-        values=values,
+        rows=tuple(zip(*columns)),
     )
 
 
@@ -343,9 +375,10 @@ def validate_panel(panel: TimeSeriesPanel) -> ValidationReport:
             if months[i + 1] - months[i] != 1]
     for g in gaps:
         issues.append(f"non-consecutive month at {g}")
-    bad = np.argwhere(~np.isfinite(panel.values))
-    for t, j in bad:
-        issues.append(f"non-finite cell at ({panel.time_index[t]}, {names[j]})")
+    for date, row in zip(panel.time_index, panel.rows):
+        if not all(map(math.isfinite, row)):
+            issues.extend(f"non-finite cell at ({date}, {name})"
+                          for name, value in zip(names, row) if not math.isfinite(value))
     return ValidationReport(
         width=panel.width,
         expected_width=panel.width,
@@ -356,7 +389,7 @@ def validate_panel(panel: TimeSeriesPanel) -> ValidationReport:
 
 def write_panel_csv(panel: TimeSeriesPanel, path: str | Path) -> None:
     header = ["date"] + panel.column_names()
-    rows = [[date] + values for date, values in zip(panel.time_index, panel.values.tolist())]
+    rows = [[date, *row] for date, row in zip(panel.time_index, panel.rows)]
     write_csv(path, header, rows)
 
 
@@ -379,17 +412,17 @@ def read_panel_csv(path: str | Path) -> TimeSeriesPanel:
     if header != ["date"] + [f"{r}.{v}" for r in regions for v in variables] + activities:
         raise ValidationError(f"{path}: expected 'date', then the columns in "
                               "region-major panel order")
-    values = []
+    cells = []
     for i, row in enumerate(rows):
         where = f"{path}: row {i + 2}"
-        values.append([parse_float(c, where) for c in row[1:]])
+        cells.append(tuple([parse_float(c, where) for c in row[1:]]))
     try:
         panel = TimeSeriesPanel(
             time_index=tuple(row[0] for row in rows),
             regions=tuple(regions),
             variables=tuple(variables),
             activities=tuple(activities),
-            values=np.array(values, dtype=float).reshape(len(rows), len(names)),
+            rows=tuple(cells),
         )
         issues = validate_panel(panel).issues
     except ValidationError as exc:

@@ -23,7 +23,7 @@ def make_panel(values: np.ndarray, regions, variables, activities=(),
     return TimeSeriesPanel(
         time_index=tuple(month_label(start_month + t) for t in range(values.shape[0])),
         regions=tuple(regions), variables=tuple(variables),
-        activities=tuple(activities), values=values.copy())
+        activities=tuple(activities), rows=tuple(map(tuple, values.tolist())))
 
 
 def random_coefficients(rng: np.random.Generator, n_regions: int, p: int, l: int,

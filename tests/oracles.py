@@ -25,6 +25,11 @@ data-based prior ``A0^-1 = diag{diag(pinv(X'X))}``, three generic solves for
 the coefficient draw and a scalar variance draw. It is what the package ran
 before the iteration was batched over the panel's columns, and it draws from
 the column's generator in the same order: path normals, 4 normals, a gamma.
+
+``expand_to_monthly_np`` puts one raw series on a range of months with numpy,
+as ``ingest`` did before it moved to the standard library: ``np.interp``
+between quarterly anchors, or the anchor at
+``np.searchsorted(anchors, months, side="right") - 1`` for repeat-last.
 """
 
 from __future__ import annotations
@@ -34,6 +39,7 @@ from scipy.linalg import lapack
 from scipy.special import ndtri
 
 from tvpgvar.gvar import ma_coefficients, stability_check
+from tvpgvar.ingest import month_index
 from tvpgvar.irf import IRFResult, cholesky_lower, derivative_Gn, derivative_H
 from tvpgvar.tvp import C0_RATE, C0_SHAPE, P0_SCALE, RIDGE_JITTER, TVPTrajectory
 
@@ -252,3 +258,17 @@ def fit_equation_loop(y, iters, seed):
         sigma2 = 1.0 / rng.gamma(shape=C0_SHAPE + target.size / 2.0, scale=1.0 / rate)
     return TVPTrajectory(theta0=theta0, sqrt_omega=sqrt_omega, theta_tilde=tilde,
                          theta=theta0[None, :] + sqrt_omega[None, :] * tilde, sigma2=sigma2)
+
+
+def expand_to_monthly_np(series, months, method):
+    """``series`` (a ``RawSeries``) on ``months``, which lie within its first
+    and last anchor, as a float array."""
+    anchors = np.array([month_index(d) for d in series.dates])
+    values = np.asarray(series.values, float)
+    months = np.asarray(months)
+    if series.frequency == "monthly":
+        start = int(months[0] - anchors[0])
+        return values[start:start + len(months)]
+    if method == "linear-interpolate":
+        return np.interp(months, anchors, values)
+    return values[np.searchsorted(anchors, months, side="right") - 1]

@@ -13,6 +13,7 @@ from tvpgvar import read_panel_csv
 from tvpgvar.cli import main
 from tvpgvar.config import load_config
 from tvpgvar.errors import ValidationError
+from tvpgvar.gvar import read_coefficients_json
 from tvpgvar.irf import read_irf_csv, read_irf_json
 from tvpgvar.forecast import read_mse_report
 from tvpgvar.ingest import month_label
@@ -488,6 +489,26 @@ class TestReport:
         assert "run 'forecast' first" in capsys.readouterr().err
 
 
+def test_irf_refits_under_its_own_weights(tmp_path):
+    # coefficients.json records no weights: irf after an estimate under equal
+    # weights must equal a run that fits and stacks under rolling-share
+    equal_config = mini_config(tmp_path)
+    obj = read_json(equal_config)
+    obj["weights"] = {"provider": "rolling-share", "variable": "CPI", "window": 12}
+    share_config = tmp_path / "share.json"
+    write_json(obj, share_config)
+    outputs = []
+    for estimate_config, out_name in ((equal_config, "mixed"), (share_config, "own")):
+        out_dir = tmp_path / out_name
+        for command, config_path in (("ingest", share_config), ("estimate", estimate_config),
+                                     ("irf", share_config)):
+            assert main([command, "--config", str(config_path), "--out", str(out_dir)]) == 0
+        outputs.append({p.name: p.read_bytes() for p in sorted(out_dir.iterdir())
+                        if p.name.startswith("irf_") or p.name == "stacking.json"})
+    assert len(outputs[0]) == 2 * 3 * 2 + 1
+    assert outputs[0] == outputs[1]
+
+
 def test_full_pipeline_rerun_byte_identical(tmp_path):
     config_path = mini_config(tmp_path)
     digests = []
@@ -542,25 +563,11 @@ class TestUndecodableInput:
         assert "Traceback" not in proc.stderr
 
     def test_truncated_json_artifact(self, tmp_path):
-        config_path = mini_config(tmp_path)
-        assert main(["ingest", "--config", str(config_path)]) == 0
-        bad_file = tmp_path / "out" / "coefficients.json"
+        bad_file = tmp_path / "coefficients.json"
         bad_file.write_text('{"a": 1')
-        proc = run_python("-m", "tvpgvar.cli", "irf", "--config", str(config_path))
-        self.assert_clean_failure(proc, bad_file)
-
-    def run_on_copy(self, pipeline, tmp_path, stage, name, damage):
-        """Run ``stage`` on a copy of the pipeline's artifacts in which
-        ``damage`` rewrote the lines of file ``name`` (None deletes it)."""
-        out = tmp_path / "out"
-        shutil.copytree(pipeline / "out", out)
-        bad_file = out / name
-        if damage is None:
-            bad_file.unlink()
-        else:
-            bad_file.write_text("\n".join(damage(bad_file.read_text().splitlines())) + "\n")
-        return bad_file, run_python("-m", "tvpgvar.cli", stage, "--config",
-                                    str(pipeline / "config.json"), "--out", str(out))
+        with pytest.raises(ValidationError, match="invalid JSON") as caught:
+            read_coefficients_json(bad_file)
+        assert str(caught.value).startswith(f"{bad_file}: ")
 
     @pytest.mark.parametrize("stage, name, damage, message", [
         ("estimate", "panel.csv", lambda rows: rows[:2] + [last_cell(rows[2], "nan")] + rows[3:],
@@ -569,16 +576,33 @@ class TestUndecodableInput:
          "row 3: non-numeric value 'abc'"),
         ("estimate", "panel.csv", lambda lines: lines[:3] + lines[4:],
          "non-consecutive month at 2000-04"),
-        ("irf", "coefficients.json", None, "not found (run 'estimate' first)"),
-        ("irf", "coefficients.json",
+        # no stage reads coefficients.json (irf re-fits), so its reader is called directly
+        (None, "coefficients.json", None, "file not found or unreadable"),
+        (None, "coefficients.json",
          lambda lines: [line for line in lines if '"nobs"' not in line], "lacks nobs"),
         ("report", "mse_report.csv", lambda lines: lines[:1] + ["constant,ALL,abc"] + lines[2:],
          "row 2: non-numeric value 'abc'"),
     ], ids=["panel-nan", "panel-abc", "panel-gap", "no-coefficients", "no-nobs", "mse-abc"])
     def test_malformed_artifact(self, pipeline, tmp_path, stage, name, damage, message):
-        bad_file, proc = self.run_on_copy(pipeline, tmp_path, stage, name, damage)
-        self.assert_clean_failure(proc, bad_file)
-        assert f"{bad_file}: {message}" in proc.stderr
+        # a copy of the pipeline's artifacts in which ``damage`` rewrote the
+        # lines of file ``name`` (None deletes it)
+        out = tmp_path / "out"
+        shutil.copytree(pipeline / "out", out)
+        bad_file = out / name
+        if damage is None:
+            bad_file.unlink()
+        else:
+            bad_file.write_text("\n".join(damage(bad_file.read_text().splitlines())) + "\n")
+        if stage is None:
+            with pytest.raises(ValidationError) as caught:
+                read_coefficients_json(bad_file)
+            error = str(caught.value)
+        else:
+            proc = run_python("-m", "tvpgvar.cli", stage, "--config",
+                              str(pipeline / "config.json"), "--out", str(out))
+            self.assert_clean_failure(proc, bad_file)
+            error = proc.stderr
+        assert f"{bad_file}: {message}" in error
 
     def test_non_utf8_data_file(self, tmp_path):
         config_path = mini_config(tmp_path)
@@ -661,7 +685,7 @@ def run_stage_fresh(config_path, stage):
 def test_ingest_and_report_start_without_scipy(tmp_path):
     # every CLI stage is its own process, and importing scipy.linalg costs
     # about 0.3 s and 19 MB: estimate and forecast load only SciPy's compiled
-    # LAPACK extension, and the other stages run on numpy alone
+    # LAPACK extension, and irf runs on numpy alone
     config_path = write_sample_config(tmp_path, iters=20)
     for stage in ("ingest", "estimate", "forecast", "report"):
         lines, loaded = run_stage_fresh(config_path, stage)
@@ -705,12 +729,11 @@ def test_each_stage_loads_only_the_modules_it_runs(tmp_path):
     assert loaded_after() == set()
     config_path = mini_config(tmp_path)
     shared = {"cli", "config", "errors", "serialize"}
-    runs = {"ingest": {"ingest"}, "estimate": {"ingest", "gvar", "tvp"},
-            "irf": {"ingest", "gvar", "irf"}, "forecast": {"ingest", "tvp", "forecast"},
-            "report": set()}
+    runs = {"ingest": {"ingest"}, "estimate": {"ingest", "gvar", "tvp", "numpy"},
+            "irf": {"ingest", "gvar", "irf", "numpy"},
+            "forecast": {"ingest", "tvp", "forecast", "numpy"}, "report": set()}
     for stage, modules in runs.items():
-        expected = shared | modules | ({"numpy"} if modules else set())
-        assert loaded_after(str(config_path), stage) == expected, stage
+        assert loaded_after(str(config_path), stage) == shared | modules, stage
 
 
 def test_package_names_resolve_on_first_use():

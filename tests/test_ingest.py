@@ -1,16 +1,19 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
 
 from tvpgvar import align_frequencies, load_panel, validate_panel
+from tvpgvar.config import ALIGN_METHODS
 from tvpgvar.errors import ValidationError
 from tvpgvar.ingest import (
-    COMMON_REGION, month_index, month_label, read_panel_csv, write_panel_csv,
+    COMMON_REGION, RawSeries, month_index, month_label, read_panel_csv, write_panel_csv,
 )
 from tvpgvar.sample import write_sample_csv
 
 from conftest import make_panel
+from oracles import expand_to_monthly_np
 
 
 def write_rows(tmp_path, rows, header="date,region,variable,value"):
@@ -54,6 +57,19 @@ class TestLoadPanel:
         with pytest.raises(ValidationError, match="row 2"):
             load_panel(path)
 
+    @pytest.mark.parametrize("bad_row, message", [
+        ("2000/02,EUR,CPI,2.0", "row 3: malformed date"),
+        ("2000-02,E U,CPI,2.0", "invalid region code 'E U' \\(row 3\\)"),
+        ("2000-02,EUR,C/PI,2.0", "invalid variable code 'C/PI' \\(row 3\\)"),
+    ])
+    def test_first_bad_row_named(self, tmp_path, bad_row, message):
+        # each distinct date and code is checked once: a string seen again
+        # later must still fail at its first row
+        path = write_rows(tmp_path, ["2000-01,USA,CPI,1.0", bad_row, "2000-03,USA,CPI,3.0",
+                                     bad_row])
+        with pytest.raises(ValidationError, match=message):
+            load_panel(path)
+
     def test_non_numeric_value_rejected(self, tmp_path):
         path = write_rows(tmp_path, ["2000-01,USA,CPI,abc"])
         with pytest.raises(ValidationError, match="row 2.*non-numeric"):
@@ -93,17 +109,15 @@ class TestLoadPanel:
 
 
 class TestAlignFrequencies:
-    def quarterly(self, values, region="USA", variable="GDP"):
-        import tvpgvar.ingest as ingest
-        dates = tuple(month_label(month_index("2000-01") + 3 * i) for i in range(len(values)))
-        return ingest.RawSeries(region=region, variable=variable, dates=dates,
-                                values=np.array(values, float), frequency="quarterly")
+    def quarterly(self, values, region="USA", variable="GDP", start="2000-01"):
+        dates = tuple(month_label(month_index(start) + 3 * i) for i in range(len(values)))
+        return RawSeries(region=region, variable=variable, dates=dates,
+                         values=tuple(map(float, values)), frequency="quarterly")
 
     def monthly(self, values, region="USA", variable="CPI", start="2000-01"):
-        import tvpgvar.ingest as ingest
         dates = tuple(month_label(month_index(start) + i) for i in range(len(values)))
-        return ingest.RawSeries(region=region, variable=variable, dates=dates,
-                                values=np.array(values, float), frequency="monthly")
+        return RawSeries(region=region, variable=variable, dates=dates,
+                         values=tuple(map(float, values)), frequency="monthly")
 
     def test_linear_interpolation(self):
         panel = align_frequencies(
@@ -173,6 +187,32 @@ class TestAlignFrequencies:
     def test_log_transform(self):
         panel = align_frequencies([self.monthly([1.0, np.e, np.e ** 2])], transform="log")
         np.testing.assert_allclose(panel.values[:, 0], [0.0, 1.0, 2.0], atol=1e-15)
+        # the transform is math.log, which can differ from np.log by 1 ulp
+        values = np.random.default_rng(3).lognormal(0.0, 3.0, 200)
+        panel = align_frequencies([self.monthly(values)], transform="log")
+        assert panel.values[:, 0].tolist() == [math.log(v) for v in values]
+
+    @pytest.mark.parametrize("method", ALIGN_METHODS)
+    def test_alignment_matches_numpy_oracle(self, method):
+        # np.interp and searchsorted, bit for bit, on random series whose
+        # common range may start and end between quarterly anchors
+        for seed in range(300):
+            rng = np.random.default_rng(seed)
+            n_anchors = int(rng.integers(3, 60))
+            scale = 10.0 ** rng.integers(-4, 5)
+            gdp = self.quarterly(rng.normal(rng.normal() * scale, scale, n_anchors),
+                                 start="2000-04")
+            start = month_index("2000-04") + int(rng.integers(0, 3))
+            cpi = self.monthly(rng.normal(0.0, scale, 3 * n_anchors - 2 - rng.integers(0, 3)),
+                               start=month_label(start))
+            oil = self.monthly(rng.normal(0.0, scale, 3 * n_anchors + 6),
+                               region=COMMON_REGION, variable="OIL", start="2000-01")
+            panel = align_frequencies([gdp, cpi, oil], method=method,
+                                      variables=["GDP", "CPI"])
+            months = [month_index(d) for d in panel.time_index]
+            expected = np.column_stack([expand_to_monthly_np(s, months, method)
+                                        for s in (gdp, cpi, oil)])
+            np.testing.assert_array_equal(panel.values, expected)
 
 
 class TestValidatePanel:
@@ -222,3 +262,6 @@ def test_panel_csv_round_trip(tmp_path, rng):
     assert loaded.variables == panel.variables
     assert loaded.activities == panel.activities
     np.testing.assert_array_equal(loaded.values, panel.values)
+    assert loaded.values.dtype == np.float64
+    assert not loaded.values.flags.writeable
+    assert loaded.values is loaded.values  # built once, on first use
