@@ -34,6 +34,7 @@ COEFFICIENTS_FILE = "coefficients.json"
 TRAJECTORY_FILE = "trajectories.csv"
 TRAJECTORY_META_FILE = "trajectories_meta.json"
 TRAIN_TRAJECTORY_FILE = "trajectories_train.csv"
+TRAIN_TRAJECTORY_META_FILE = "trajectories_train_meta.json"
 MSE_REPORT_FILE = "mse_report.csv"
 FORECAST_PARAMS_FILE = "forecast_params.csv"
 FORECAST_VARIABLES_FILE = "forecast_variables.csv"
@@ -171,7 +172,8 @@ def cmd_forecast(config: RunConfig) -> None:
 
     tvp_result = tvp.estimate_all(train, config.tvp)
     tvp.write_trajectories(tvp_result, train, config.tvp,
-                           config.out_dir / TRAIN_TRAJECTORY_FILE)
+                           config.out_dir / TRAIN_TRAJECTORY_FILE,
+                           config.out_dir / TRAIN_TRAJECTORY_META_FILE)
     if not tvp_result.ok:
         names = train.column_names()
         failed = ", ".join(names[i] for i in sorted(tvp_result.errors))

@@ -457,17 +457,17 @@ def mse(actual: np.ndarray, predicted: np.ndarray) -> float:
 
 def write_mse_report(results: Mapping[str, ForecastResult], path: str | Path) -> None:
     """Per-series rows plus one ``ALL`` aggregate row per method."""
-    rows = []
-    for method, result in results.items():
-        if result.mse_per_series is None:
-            continue
-        for name in result.columns:
-            if name in result.mse_per_series:
-                rows.append([method, name, result.mse_per_series[name]])
-        pooled = result.pooled_mse
-        if pooled is not None:
-            rows.append([method, "ALL", pooled])
-    write_csv(path, ["method", "series", "mse"], rows)
+    def rows():
+        for method, result in results.items():
+            if result.mse_per_series is None:
+                continue
+            for name in result.columns:
+                if name in result.mse_per_series:
+                    yield method, name, result.mse_per_series[name]
+            pooled = result.pooled_mse
+            if pooled is not None:
+                yield method, "ALL", pooled
+    write_csv(path, ["method", "series", "mse"], rows())
 
 
 def _path_cells(results: Mapping[str, ForecastResult]):
@@ -481,16 +481,16 @@ def _path_cells(results: Mapping[str, ForecastResult]):
 
 
 def write_param_paths(results: Mapping[str, ForecastResult], path: str | Path) -> None:
-    rows = [[method, date, name, *result.param_paths[s, i]]
-            for method, result, i, name, s, date in _path_cells(results)]
+    rows = ((method, date, name, *result.param_paths[s, i])
+            for method, result, i, name, s, date in _path_cells(results))
     write_csv(path, ["method", "date", "column", "b", "f1"], rows)
 
 
 def write_variable_paths(results: Mapping[str, ForecastResult], path: str | Path,
                          actuals: np.ndarray | None = None) -> None:
-    rows = [[method, date, name, "" if actuals is None else actuals[s, i],
-             result.variable_paths[s, i]]
-            for method, result, i, name, s, date in _path_cells(results)]
+    rows = ((method, date, name, "" if actuals is None else actuals[s, i],
+             result.variable_paths[s, i])
+            for method, result, i, name, s, date in _path_cells(results))
     write_csv(path, ["method", "date", "column", "actual", "predicted"], rows)
 
 

@@ -9,13 +9,15 @@ that enter every country's equation.
 Ingest is scalar work on thousands of cells, cheaper than importing numpy, so
 this module runs on the standard library alone: a panel keeps its cells as
 float rows and builds its numpy array when an estimation stage first reads
-``values``.
+``values``. A panel read back from ``panel.csv`` holds each row as an
+``array('d')``, 8 bytes a cell, parsed straight from its line.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -83,14 +85,15 @@ class TimeSeriesPanel:
 
     Column order is region-major, variable-minor, activities last; that
     ordering also fixes the Cholesky identification order downstream.
-    The cells are stored once, as one tuple of floats per month.
+    The cells are stored once, as one float row (a tuple, or an ``array('d')``
+    when read from ``panel.csv``) per month.
     """
 
     time_index: tuple[str, ...]
     regions: tuple[str, ...]
     variables: tuple[str, ...]
     activities: tuple[str, ...]
-    rows: tuple[tuple[float, ...], ...] = field(repr=False)  # T rows of K*p + l
+    rows: tuple[Sequence[float], ...] = field(repr=False)  # T rows of K*p + l
 
     def __post_init__(self):
         width = self.width
@@ -364,8 +367,8 @@ class ValidationReport:
         }
 
 
-def validate_panel(panel: TimeSeriesPanel) -> ValidationReport:
-    """Report every invariant violation (non-finite cell, ordering breach)."""
+def _order_issues(panel: TimeSeriesPanel) -> list[str]:
+    """The duplicate-name and month-order violations of ``panel``."""
     issues: list[str] = []
     names = panel.column_names()
     if len(set(names)) != len(names):
@@ -375,6 +378,13 @@ def validate_panel(panel: TimeSeriesPanel) -> ValidationReport:
             if months[i + 1] - months[i] != 1]
     for g in gaps:
         issues.append(f"non-consecutive month at {g}")
+    return issues
+
+
+def validate_panel(panel: TimeSeriesPanel) -> ValidationReport:
+    """Report every invariant violation (non-finite cell, ordering breach)."""
+    issues = _order_issues(panel)
+    names = panel.column_names()
     for date, row in zip(panel.time_index, panel.rows):
         if not all(map(math.isfinite, row)):
             issues.extend(f"non-finite cell at ({date}, {name})"
@@ -389,12 +399,15 @@ def validate_panel(panel: TimeSeriesPanel) -> ValidationReport:
 
 def write_panel_csv(panel: TimeSeriesPanel, path: str | Path) -> None:
     header = ["date"] + panel.column_names()
-    rows = [[date, *row] for date, row in zip(panel.time_index, panel.rows)]
-    write_csv(path, header, rows)
+    write_csv(path, header, ((date, *row) for date, row in zip(panel.time_index, panel.rows)))
 
 
 def read_panel_csv(path: str | Path) -> TimeSeriesPanel:
-    """Load and validate a panel written by :func:`write_panel_csv` (exact round-trip)."""
+    """Load and validate a panel written by :func:`write_panel_csv` (exact round-trip).
+
+    Each cell is checked once, by :func:`parse_float` as its line is parsed,
+    so the panel is then checked only for its column names and month order.
+    """
     header, rows = read_csv_rows(path)
     names = header[1:]
     regions: list[str] = []
@@ -412,19 +425,21 @@ def read_panel_csv(path: str | Path) -> TimeSeriesPanel:
     if header != ["date"] + [f"{r}.{v}" for r in regions for v in variables] + activities:
         raise ValidationError(f"{path}: expected 'date', then the columns in "
                               "region-major panel order")
+    dates = []
     cells = []
-    for i, row in enumerate(rows):
-        where = f"{path}: row {i + 2}"
-        cells.append(tuple([parse_float(c, where) for c in row[1:]]))
+    for rownum, row in enumerate(rows, 2):
+        where = f"{path}: row {rownum}"
+        dates.append(row[0])
+        cells.append(array("d", [parse_float(c, where) for c in row[1:]]))
     try:
         panel = TimeSeriesPanel(
-            time_index=tuple(row[0] for row in rows),
+            time_index=tuple(dates),
             regions=tuple(regions),
             variables=tuple(variables),
             activities=tuple(activities),
             rows=tuple(cells),
         )
-        issues = validate_panel(panel).issues
+        issues = _order_issues(panel)
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from None
     if issues:

@@ -401,11 +401,9 @@ def read_irf_json(path: str | Path) -> tuple[IRFResult, list[str]]:
 
 
 def write_irf_csv(result: IRFResult, columns: Sequence[str], path: str | Path) -> None:
-    rows = []
     lower, upper = result.lower, result.upper
-    for s in range(result.horizon + 1):
-        for j, name in enumerate(columns):
-            rows.append([s, name, result.point[s, j], lower[s, j], upper[s, j]])
+    rows = ((s, name, result.point[s, j], lower[s, j], upper[s, j])
+            for s in range(result.horizon + 1) for j, name in enumerate(columns))
     write_csv(path, ["horizon", "column", "point", "lower", "upper"], rows)
 
 

@@ -66,14 +66,12 @@ def write_sample_csv(path: str | Path, seed: int = SAMPLE_SEED) -> Path:
     first month of each quarter."""
     path = Path(path)
     series = generate_series(seed)
-    rows = []
-    for region in REGIONS:
-        for variable in MONTHLY_VARIABLES + (QUARTERLY_VARIABLE,):
-            step = 3 if variable == QUARTERLY_VARIABLE else 1
-            rows += [[month_label(START_MONTH + t), region, variable, series[(region, variable)][t]]
-                     for t in range(0, N_MONTHS, step)]
-    rows += [[month_label(START_MONTH + t), COMMON_REGION, ACTIVITY,
-              series[(COMMON_REGION, ACTIVITY)][t]] for t in range(N_MONTHS)]
+    keys = [(region, variable) for region in REGIONS
+            for variable in MONTHLY_VARIABLES + (QUARTERLY_VARIABLE,)]
+    keys.append((COMMON_REGION, ACTIVITY))
+    rows = ((month_label(START_MONTH + t), region, variable, series[(region, variable)][t])
+            for region, variable in keys
+            for t in range(0, N_MONTHS, 3 if variable == QUARTERLY_VARIABLE else 1))
     path.parent.mkdir(parents=True, exist_ok=True)
     write_csv(path, ["date", "region", "variable", "value"], rows)
     return path

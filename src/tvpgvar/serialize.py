@@ -3,20 +3,26 @@
 Every float is written in Python's shortest round-trip ``repr`` (``0.95``,
 ``1.0``, ``0.30000000000000004``), so each emitted CSV/JSON value parses back
 to the exact in-memory double. That is the format the stdlib JSON encoder
-already writes, so JSON goes through ``json.dumps`` with a hook that turns
+already writes, so JSON goes through the stdlib encoder with a hook that turns
 numpy arrays and scalars into lists and numbers through ``.tolist()``;
 non-finite floats and unsupported types are rejected. The module loads numpy
 only to build an array, so the stages that never do start without it.
+Writes stream: CSV rows are formatted one at a time and written a few hundred
+lines at a time, JSON as the encoder emits it, into a temporary file beside
+the target, which replaces the target only when the whole write succeeded, so
+a failed write leaves the target as it was and no partial file.
 Reads are checked: a missing or undecodable file, a wrong CSV header or JSON key, a misshapen
 array or a non-finite number raises :class:`ValidationError` naming the file (and CSV row).
+CSV rows are split one at a time as the caller iterates.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import IO, TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence
 
 from .errors import ValidationError
 
@@ -39,16 +45,43 @@ def _numpy_default(obj: Any) -> Any:
         raise TypeError(f"cannot serialize object of type {type(obj).__name__}") from None
 
 
+_JSON_OPTIONS = {"indent": 2, "allow_nan": False, "default": _numpy_default}
+
+
 def dumps_json(obj: Any) -> str:
     """Serialize to JSON with a two-space layout and round-trip floats."""
     try:
-        return json.dumps(obj, indent=2, allow_nan=False, default=_numpy_default) + "\n"
+        return json.dumps(obj, **_JSON_OPTIONS) + "\n"
     except (ValueError, TypeError) as exc:
         raise ValidationError(f"cannot serialize to JSON: {exc}") from None
 
 
+def _write_atomically(path: str | Path, write: Callable[[IO[str]], None]) -> None:
+    """Call ``write`` on a temporary file beside ``path``, then move it onto
+    ``path``; on any error remove the temporary file and leave ``path`` as it was."""
+    head, name = os.path.split(path)  # str work: cheaper than pathlib on every write
+    temporary = os.path.join(head, f".{name}.{os.getpid()}.tmp")
+    try:
+        with open(temporary, "w", encoding="utf-8") as fh:
+            write(fh)
+        os.replace(temporary, path)
+    except BaseException:
+        try:
+            os.unlink(temporary)
+        except OSError:
+            pass
+        raise
+
+
 def write_json(obj: Any, path: str | Path) -> None:
-    Path(path).write_text(dumps_json(obj), encoding="utf-8")
+    """Write ``obj`` as :func:`dumps_json` renders it, streamed into the file."""
+    def write(fh: IO[str]) -> None:
+        try:
+            json.dump(obj, fh, **_JSON_OPTIONS)
+        except (ValueError, TypeError) as exc:
+            raise ValidationError(f"cannot serialize to JSON: {exc}") from None
+        fh.write("\n")
+    _write_atomically(path, write)
 
 
 def _read_text(path: str | Path) -> str:
@@ -104,65 +137,92 @@ def parse_array(value: Any, shape: Sequence[int | None], where: str) -> np.ndarr
     return np.array(parsed, dtype=float).reshape([d or 0 for d in dims])
 
 
-def write_csv(path: str | Path, header: list[str], rows: list[list[Any]]) -> None:
-    """Write a CSV with round-trip floats and no quoting surprises.
+def write_csv(path: str | Path, header: list[str], rows: Iterable[Iterable[Any]]) -> None:
+    """Write a CSV with round-trip floats and no quoting surprises, one row at a time.
 
-    Cells may be str, bool, int, or float, or a numpy scalar of those; values
-    must not contain commas or newlines (callers use restricted code/date
-    vocabularies).
+    ``rows`` may be any iterable, a generator included. Cells may be str,
+    bool, int, or float, or a numpy scalar of those; values must not contain
+    commas or newlines (callers use restricted code/date vocabularies).
     """
-    lines = [",".join(header)]
-    for row in rows:
-        cells = []
-        for cell in row:
-            # floats first (numpy's float64 is one): they are nearly every
-            # cell of every artifact, and strings most of the rest
-            if isinstance(cell, float):
-                cells.append(format_float(cell))
-            elif isinstance(cell, str):
-                if "," in cell or "\n" in cell:
-                    raise ValidationError(f"CSV cell may not contain commas/newlines: {cell!r}")
-                cells.append(cell)
-            else:
-                value = cell.item() if getattr(cell, "ndim", None) == 0 else cell  # numpy scalar
-                if isinstance(value, bool):
-                    cells.append("true" if value else "false")
-                elif isinstance(value, int):
-                    cells.append(str(value))
-                elif isinstance(value, float):
-                    cells.append(format_float(value))
+    def write(fh: IO[str]) -> None:
+        # lines go out 256 at a time: one write call per row costs a few
+        # percent of the formatting, and 256 lines are a few kB
+        lines = [",".join(header) + "\n"]
+        for row in rows:
+            cells = []
+            for cell in row:
+                # floats first (numpy's float64 is one): they are nearly every
+                # cell of every artifact, and strings most of the rest
+                if isinstance(cell, float):
+                    cells.append(format_float(cell))
+                elif isinstance(cell, str):
+                    if "," in cell or "\n" in cell:
+                        raise ValidationError(f"CSV cell may not contain commas/newlines: {cell!r}")
+                    cells.append(cell)
                 else:
-                    raise ValidationError(
-                        f"cannot serialize CSV cell of type {type(cell).__name__}")
-        lines.append(",".join(cells))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+                    value = cell.item() if getattr(cell, "ndim", None) == 0 else cell  # numpy scalar
+                    if isinstance(value, bool):
+                        cells.append("true" if value else "false")
+                    elif isinstance(value, int):
+                        cells.append(str(value))
+                    elif isinstance(value, float):
+                        cells.append(format_float(value))
+                    else:
+                        raise ValidationError(
+                            f"cannot serialize CSV cell of type {type(cell).__name__}")
+            lines.append(",".join(cells) + "\n")
+            if len(lines) == 256:
+                fh.write("".join(lines))
+                lines.clear()
+        fh.write("".join(lines))
+    _write_atomically(path, write)
 
 
-def read_csv_rows(path: str | Path) -> tuple[list[str], list[list[str]]]:
-    """Read a simple comma-separated file; returns (header, rows).
+def _nonblank_lines(text: str) -> Iterator[str]:
+    """The non-blank lines of ``text`` as ``str.splitlines`` finds them, split
+    one block of about 64k characters at a time."""
+    start = 0
+    while start < len(text):
+        # a block ends just after a "\n", which ends a line wherever it stands
+        end = text.find("\n", start + (1 << 16))
+        end = len(text) if end < 0 else end + 1
+        for line in text[start:end].splitlines():
+            if line:
+                yield line
+        start = end
+
+
+def read_csv_rows(path: str | Path) -> tuple[list[str], Iterator[list[str]]]:
+    """Read a simple comma-separated file; returns (header, rows), the rows
+    split one at a time as they are iterated.
 
     Blank lines are skipped and not counted: row N is the Nth non-blank line,
     the header being row 1, as in every reader's messages. A row whose cell
-    count differs from the header's is rejected, naming the file and row.
+    count differs from the header's is rejected when it is reached, naming the
+    file and row.
     """
-    lines = [ln for ln in _read_text(path).splitlines() if ln != ""]
-    if not lines:
+    lines = _nonblank_lines(_read_text(path))
+    first = next(lines, None)
+    if first is None:
         raise ValidationError(f"{path}: empty file")
-    header = lines[0].split(",")
-    rows = [ln.split(",") for ln in lines[1:]]
-    for i, row in enumerate(rows):
-        if len(row) != len(header):
-            raise ValidationError(
-                f"{path}: row {i + 2} has {len(row)} cells, expected {len(header)}")
-    return header, rows
+    header = first.split(",")
+
+    def rows() -> Iterator[list[str]]:
+        for rownum, line in enumerate(lines, 2):
+            row = line.split(",")
+            if len(row) != len(header):
+                raise ValidationError(
+                    f"{path}: row {rownum} has {len(row)} cells, expected {len(header)}")
+            yield row
+    return header, rows()
 
 
-def read_table(path: str | Path, header: Sequence[str]) -> list[tuple[str, list[str]]]:
+def read_table(path: str | Path, header: Sequence[str]) -> Iterator[tuple[str, list[str]]]:
     """The rows of a CSV with exactly ``header``, each with its ``"<path>: row N"`` label."""
     found, rows = read_csv_rows(path)
     if found != list(header):
         raise ValidationError(f"{path}: expected header {','.join(header)}")
-    return [(f"{path}: row {i + 2}", row) for i, row in enumerate(rows)]
+    return ((f"{path}: row {rownum}", row) for rownum, row in enumerate(rows, 2))
 
 
 def parse_float(cell: Any, where: str) -> float:

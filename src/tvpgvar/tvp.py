@@ -580,31 +580,29 @@ def estimate_all(panel: TimeSeriesPanel, config: TVPConfig) -> PanelTVPResult:
 
 
 def write_trajectories(result: PanelTVPResult, panel: TimeSeriesPanel,
-                       config: TVPConfig, csv_path: str | Path,
-                       meta_path: str | Path | None = None) -> None:
+                       config: TVPConfig, csv_path: str | Path, meta_path: str | Path) -> None:
     """Export paths as ``date,column,b,f1`` rows plus a JSON sidecar."""
     names = panel.column_names()
     dates = panel.time_index[1:]
-    rows = []
-    for i, traj in enumerate(result.trajectories):
-        if traj is not None:  # Python floats: write_csv formats them fastest
-            rows += [[date, names[i], b, f1] for date, (b, f1) in zip(dates, traj.theta.tolist())]
+    # one column's Python floats at a time: write_csv formats them fastest
+    rows = ((date, names[i], b, f1)
+            for i, traj in enumerate(result.trajectories) if traj is not None
+            for date, (b, f1) in zip(dates, traj.theta.tolist()))
     write_csv(csv_path, ["date", "column", "b", "f1"], rows)
-    if meta_path is not None:
-        meta = {
-            "seed": config.seed,
-            "iters": config.iters,
-            "columns": {
-                names[i]: {
-                    "theta0": traj.theta0,
-                    "sqrt_omega": traj.sqrt_omega,
-                    "sigma2": traj.sigma2,
-                }
-                for i, traj in enumerate(result.trajectories) if traj is not None
-            },
-            "errors": {names[i]: msg for i, msg in result.errors.items()},
-        }
-        write_json(meta, meta_path)
+    meta = {
+        "seed": config.seed,
+        "iters": config.iters,
+        "columns": {
+            names[i]: {
+                "theta0": traj.theta0,
+                "sqrt_omega": traj.sqrt_omega,
+                "sigma2": traj.sigma2,
+            }
+            for i, traj in enumerate(result.trajectories) if traj is not None
+        },
+        "errors": {names[i]: msg for i, msg in result.errors.items()},
+    }
+    write_json(meta, meta_path)
 
 
 def read_trajectories(csv_path: str | Path) -> dict[str, tuple[list[str], np.ndarray]]:

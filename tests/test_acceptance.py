@@ -458,7 +458,7 @@ def test_end_to_end_determinism(tmp_path):
     identical = outputs[0].keys() == outputs[1].keys() and all(
         outputs[0][name] == outputs[1][name] for name in outputs[0])
     names = set(outputs[0])
-    has_mse = "mse_report.csv" in names
+    has_mse = "mse_report.csv" in names and "trajectories_train_meta.json" in names
     irf_jsons = [n for n in names if n.startswith("irf_") and n.endswith(".json")]
     has_dates = all(any(date in n for n in irf_jsons) for date in IRF_DATES)
     ok = identical and has_mse and has_dates and elapsed < 300

@@ -369,6 +369,18 @@ class TestForecast:
     def test_train_trajectories_written(self, pipeline):
         assert (pipeline / "out" / "trajectories_train.csv").exists()
 
+    def test_train_trajectories_record_their_seed(self, tmp_path):
+        # the sidecar names the seed and iterations behind mse_report.csv
+        config_path = mini_config(tmp_path)
+        assert main(["ingest", "--config", str(config_path)]) == 0
+        assert main(["forecast", "--config", str(config_path), "--seed", "9"]) == 0
+        meta = read_json(tmp_path / "out" / "trajectories_train_meta.json")
+        assert meta["seed"] == 9
+        assert meta["iters"] == 25
+        assert meta["errors"] == {}
+        assert list(meta["columns"]) == ["AAA.CPI", "AAA.GDP", "BBB.CPI", "BBB.GDP", "OIL"]
+        assert set(meta["columns"]["OIL"]) == {"theta0", "sqrt_omega", "sigma2"}
+
 
     def test_short_panel_names_var1_need(self, tmp_path, capsys):
         # 19 training months of 5 columns: the 10-dim parameter VAR(1) needs

@@ -1,5 +1,6 @@
 import hashlib
 import math
+from array import array
 
 import numpy as np
 import pytest
@@ -265,3 +266,5 @@ def test_panel_csv_round_trip(tmp_path, rng):
     assert loaded.values.dtype == np.float64
     assert not loaded.values.flags.writeable
     assert loaded.values is loaded.values  # built once, on first use
+    # each row parsed straight into 8-byte cells
+    assert all(isinstance(row, array) and row.typecode == "d" for row in loaded.rows)

@@ -1,20 +1,23 @@
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from conftest import make_panel
 from tvpgvar.cli import main
+from tvpgvar.config import TVPConfig
 from tvpgvar.errors import ValidationError
 from tvpgvar.forecast import read_mse_report, read_variable_paths
 from tvpgvar.gvar import read_coefficients_json
-from tvpgvar.ingest import read_panel_csv
+from tvpgvar.ingest import read_panel_csv, write_panel_csv
 from tvpgvar.irf import read_irf_csv, read_irf_json
 from tvpgvar.sample import write_sample_config
 from tvpgvar.serialize import (
     dumps_json, format_float, read_csv_rows, read_json, write_csv, write_json,
 )
-from tvpgvar.tvp import read_trajectories
+from tvpgvar.tvp import PanelTVPResult, TVPTrajectory, read_trajectories, write_trajectories
 
 
 def test_format_float_round_trips_exactly(rng):
@@ -56,6 +59,7 @@ def test_csv_round_trip(tmp_path):
     write_csv(path, ["a", "b"], [["x", 0.1], ["y", 2]])
     header, rows = read_csv_rows(path)
     assert header == ["a", "b"]
+    rows = list(rows)  # split as they are iterated
     assert float(rows[0][1]) == 0.1
     assert rows[1] == ["y", "2"]
 
@@ -199,3 +203,113 @@ def test_coefficient_blocks_checked_against_the_code_lists(artifacts, tmp_path, 
     write_json(obj, path)
     with pytest.raises(ValidationError, match="^" + re.escape(f"{path}: {message}")):
         read_coefficients_json(path)
+
+
+# ---------------------------------------------------------------------------
+# streaming and atomic replacement
+# ---------------------------------------------------------------------------
+
+def traced_peak(call) -> int:
+    """The peak of the memory ``call()`` allocates, in bytes, as tracemalloc sees it."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def wide_panel(rng):
+    """600 months x 100 columns (33 regions x 3 variables + 1 activity)."""
+    regions = [f"R{i:02d}" for i in range(33)]
+    return make_panel(rng.standard_normal((600, 100)), regions, ["x", "y", "z"], ["ACT"])
+
+
+def test_write_trajectories_streams(tmp_path, rng):
+    # the whole file as Python rows would take about 20 MB
+    panel = wide_panel(rng)
+    n = len(panel.time_index) - 1
+    trajectories = []
+    for _ in range(panel.width):
+        theta0, sqrt_omega = rng.standard_normal(2), rng.uniform(0.1, 1.0, 2)
+        theta_tilde = rng.standard_normal((n, 2))
+        trajectories.append(TVPTrajectory(theta0=theta0, sqrt_omega=sqrt_omega,
+                                          theta_tilde=theta_tilde,
+                                          theta=theta0 + sqrt_omega * theta_tilde, sigma2=1.0))
+    result = PanelTVPResult(trajectories=trajectories, errors={})
+    path = tmp_path / "trajectories.csv"
+    peak = traced_peak(lambda: write_trajectories(result, panel, TVPConfig(), path,
+                                                  tmp_path / "trajectories_meta.json"))
+    assert peak < 1_000_000
+    loaded = read_trajectories(path)
+    assert len(loaded) == panel.width
+    np.testing.assert_array_equal(loaded["R32.z"][1], trajectories[98].theta)
+
+
+def test_read_panel_csv_streams(tmp_path, rng):
+    # reading holds the file's bytes and text, then 8 bytes a cell in array('d')
+    # rows; the split rows of the whole file would take about 3 MB more
+    panel = wide_panel(rng)
+    path = tmp_path / "panel.csv"
+    write_panel_csv(panel, path)
+    loaded = []
+    peak = traced_peak(lambda: loaded.append(read_panel_csv(path)))
+    cells = len(panel.time_index) * panel.width
+    assert peak < 2 * path.stat().st_size + 16 * cells
+    np.testing.assert_array_equal(loaded[0].values, panel.values)
+
+
+def test_write_csv_takes_a_generator(tmp_path):
+    path = tmp_path / "t.csv"
+    write_csv(path, ["a", "b"], ((str(i), i / 4) for i in range(3)))
+    assert path.read_text() == "a,b\n0,0.0\n1,0.25\n2,0.5\n"
+
+
+def test_csv_rows_are_split_as_they_are_read(tmp_path):
+    # a damaged row is met when the iteration reaches it, not before
+    path = tmp_path / "t.csv"
+    path.write_text("a,b\n1,2\n\n3\n")
+    header, rows = read_csv_rows(path)
+    assert header == ["a", "b"]
+    assert next(rows) == ["1", "2"]
+    with pytest.raises(ValidationError, match=re.escape(f"{path}: row 3 has 1 cells, expected 2")):
+        next(rows)
+
+
+def test_csv_rows_split_as_splitlines_does(tmp_path, rng):
+    # rows are split a block at a time; across block edges they must still
+    # split where str.splitlines splits, "\r\n" and blank lines included
+    ends = ["\n", "\r\n", "\r", "\n\n", "\r\n\r\n", "\x0c"]
+    text = "a,b" + "".join(f"{ends[k]}{i},{i * 0.37}"
+                           for i, k in enumerate(rng.integers(0, len(ends), 20_000)))
+    path = tmp_path / "t.csv"
+    path.write_bytes(text.encode("utf-8"))
+    header, rows = read_csv_rows(path)
+    assert [header, *rows] == [line.split(",") for line in text.splitlines() if line]
+
+
+@pytest.mark.parametrize("write", [
+    lambda path: write_csv(path, ["a", "b"], [["x", 1.0]] * 600 + [["y,z", 2.0]]),
+    lambda path: write_csv(path, ["a", "b"], [["x", 1.0]] * 600 + [["y", float("nan")]]),
+    lambda path: write_json({"a": [1.0] * 600, "b": float("nan")}, path),
+], ids=["csv-comma", "csv-nan", "json-nan"])
+@pytest.mark.parametrize("existing", [b"old,bytes\n", None], ids=["existing", "absent"])
+def test_failed_write_leaves_the_target_as_it_was(tmp_path, write, existing):
+    # the bad cell or value comes last, after lines already written to the file
+    path = tmp_path / "artifact"
+    if existing is not None:
+        path.write_bytes(existing)
+    with pytest.raises(ValidationError):
+        write(path)
+    if existing is None:
+        assert not path.exists()
+    else:
+        assert path.read_bytes() == existing
+    assert [p.name for p in tmp_path.iterdir()] == ([] if existing is None else ["artifact"])
+
+
+def test_write_json_matches_dumps_json(tmp_path, rng):
+    obj = {"a": rng.standard_normal((3, 2)), "b": {"c": [1, 0.1 + 0.2, None, True]}}
+    path = tmp_path / "obj.json"
+    write_json(obj, path)
+    assert path.read_text(encoding="utf-8") == dumps_json(obj)
