@@ -9,8 +9,8 @@ that enter every country's equation.
 Ingest is scalar work on thousands of cells, cheaper than importing numpy, so
 this module runs on the standard library alone: a panel keeps its cells as
 float rows and builds its numpy array when an estimation stage first reads
-``values``. A panel read back from ``panel.csv`` holds each row as an
-``array('d')``, 8 bytes a cell, parsed straight from its line.
+``values``. Each row is an ``array('d')``, 8 bytes a cell; a panel read back
+from ``panel.csv`` parses each row straight from its line.
 """
 
 from __future__ import annotations
@@ -85,17 +85,19 @@ class TimeSeriesPanel:
 
     Column order is region-major, variable-minor, activities last; that
     ordering also fixes the Cholesky identification order downstream.
-    The cells are stored once, as one float row (a tuple, or an ``array('d')``
-    when read from ``panel.csv``) per month.
+    The cells are stored once, as one ``array('d')`` row per month; rows
+    given as any other float sequence are converted on construction.
     """
 
     time_index: tuple[str, ...]
     regions: tuple[str, ...]
     variables: tuple[str, ...]
     activities: tuple[str, ...]
-    rows: tuple[Sequence[float], ...] = field(repr=False)  # T rows of K*p + l
+    rows: tuple[array, ...] = field(repr=False)  # T rows of K*p + l
 
     def __post_init__(self):
+        if not all(isinstance(row, array) and row.typecode == "d" for row in self.rows):
+            object.__setattr__(self, "rows", tuple(array("d", row) for row in self.rows))
         width = self.width
         if len(self.rows) != len(self.time_index) or any(len(row) != width for row in self.rows):
             raise ValidationError(

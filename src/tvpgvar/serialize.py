@@ -3,14 +3,14 @@
 Every float is written in Python's shortest round-trip ``repr`` (``0.95``,
 ``1.0``, ``0.30000000000000004``), so each emitted CSV/JSON value parses back
 to the exact in-memory double. That is the format the stdlib JSON encoder
-already writes, so JSON goes through the stdlib encoder with a hook that turns
+already writes, so JSON goes through ``json.dumps`` with a hook that turns
 numpy arrays and scalars into lists and numbers through ``.tolist()``;
 non-finite floats and unsupported types are rejected. The module loads numpy
 only to build an array, so the stages that never do start without it.
-Writes stream: CSV rows are formatted one at a time and written a few hundred
-lines at a time, JSON as the encoder emits it, into a temporary file beside
-the target, which replaces the target only when the whole write succeeded, so
-a failed write leaves the target as it was and no partial file.
+Writes go into a temporary file beside the target, which replaces the target
+only when the whole write succeeded, so a failed write leaves the target as it
+was and no partial file. CSV rows are formatted one at a time and written a
+few hundred lines at a time; JSON artifacts are small and are rendered whole.
 Reads are checked: a missing or undecodable file, a wrong CSV header or JSON key, a misshapen
 array or a non-finite number raises :class:`ValidationError` naming the file (and CSV row).
 CSV rows are split one at a time as the caller iterates.
@@ -45,13 +45,10 @@ def _numpy_default(obj: Any) -> Any:
         raise TypeError(f"cannot serialize object of type {type(obj).__name__}") from None
 
 
-_JSON_OPTIONS = {"indent": 2, "allow_nan": False, "default": _numpy_default}
-
-
 def dumps_json(obj: Any) -> str:
     """Serialize to JSON with a two-space layout and round-trip floats."""
     try:
-        return json.dumps(obj, **_JSON_OPTIONS) + "\n"
+        return json.dumps(obj, indent=2, allow_nan=False, default=_numpy_default) + "\n"
     except (ValueError, TypeError) as exc:
         raise ValidationError(f"cannot serialize to JSON: {exc}") from None
 
@@ -74,14 +71,7 @@ def _write_atomically(path: str | Path, write: Callable[[IO[str]], None]) -> Non
 
 
 def write_json(obj: Any, path: str | Path) -> None:
-    """Write ``obj`` as :func:`dumps_json` renders it, streamed into the file."""
-    def write(fh: IO[str]) -> None:
-        try:
-            json.dump(obj, fh, **_JSON_OPTIONS)
-        except (ValueError, TypeError) as exc:
-            raise ValidationError(f"cannot serialize to JSON: {exc}") from None
-        fh.write("\n")
-    _write_atomically(path, write)
+    _write_atomically(path, lambda fh: fh.write(dumps_json(obj)))
 
 
 def _read_text(path: str | Path) -> str:
@@ -178,20 +168,6 @@ def write_csv(path: str | Path, header: list[str], rows: Iterable[Iterable[Any]]
     _write_atomically(path, write)
 
 
-def _nonblank_lines(text: str) -> Iterator[str]:
-    """The non-blank lines of ``text`` as ``str.splitlines`` finds them, split
-    one block of about 64k characters at a time."""
-    start = 0
-    while start < len(text):
-        # a block ends just after a "\n", which ends a line wherever it stands
-        end = text.find("\n", start + (1 << 16))
-        end = len(text) if end < 0 else end + 1
-        for line in text[start:end].splitlines():
-            if line:
-                yield line
-        start = end
-
-
 def read_csv_rows(path: str | Path) -> tuple[list[str], Iterator[list[str]]]:
     """Read a simple comma-separated file; returns (header, rows), the rows
     split one at a time as they are iterated.
@@ -201,7 +177,7 @@ def read_csv_rows(path: str | Path) -> tuple[list[str], Iterator[list[str]]]:
     count differs from the header's is rejected when it is reached, naming the
     file and row.
     """
-    lines = _nonblank_lines(_read_text(path))
+    lines = iter([line for line in _read_text(path).splitlines() if line])
     first = next(lines, None)
     if first is None:
         raise ValidationError(f"{path}: empty file")

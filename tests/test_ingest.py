@@ -266,5 +266,7 @@ def test_panel_csv_round_trip(tmp_path, rng):
     assert loaded.values.dtype == np.float64
     assert not loaded.values.flags.writeable
     assert loaded.values is loaded.values  # built once, on first use
-    # each row parsed straight into 8-byte cells
-    assert all(isinstance(row, array) and row.typecode == "d" for row in loaded.rows)
+    # every panel holds 8-byte cells, so a read panel equals the panel it was written from
+    for p in (panel, loaded):
+        assert all(isinstance(row, array) and row.typecode == "d" for row in p.rows)
+    assert loaded == panel

@@ -247,8 +247,8 @@ def test_write_trajectories_streams(tmp_path, rng):
 
 
 def test_read_panel_csv_streams(tmp_path, rng):
-    # reading holds the file's bytes and text, then 8 bytes a cell in array('d')
-    # rows; the split rows of the whole file would take about 3 MB more
+    # reading holds the file's bytes, its text and its lines, then 8 bytes a cell
+    # in array('d') rows; the split rows of the whole file would take about 3 MB more
     panel = wide_panel(rng)
     path = tmp_path / "panel.csv"
     write_panel_csv(panel, path)
@@ -276,18 +276,6 @@ def test_csv_rows_are_split_as_they_are_read(tmp_path):
         next(rows)
 
 
-def test_csv_rows_split_as_splitlines_does(tmp_path, rng):
-    # rows are split a block at a time; across block edges they must still
-    # split where str.splitlines splits, "\r\n" and blank lines included
-    ends = ["\n", "\r\n", "\r", "\n\n", "\r\n\r\n", "\x0c"]
-    text = "a,b" + "".join(f"{ends[k]}{i},{i * 0.37}"
-                           for i, k in enumerate(rng.integers(0, len(ends), 20_000)))
-    path = tmp_path / "t.csv"
-    path.write_bytes(text.encode("utf-8"))
-    header, rows = read_csv_rows(path)
-    assert [header, *rows] == [line.split(",") for line in text.splitlines() if line]
-
-
 @pytest.mark.parametrize("write", [
     lambda path: write_csv(path, ["a", "b"], [["x", 1.0]] * 600 + [["y,z", 2.0]]),
     lambda path: write_csv(path, ["a", "b"], [["x", 1.0]] * 600 + [["y", float("nan")]]),
@@ -306,10 +294,3 @@ def test_failed_write_leaves_the_target_as_it_was(tmp_path, write, existing):
     else:
         assert path.read_bytes() == existing
     assert [p.name for p in tmp_path.iterdir()] == ([] if existing is None else ["artifact"])
-
-
-def test_write_json_matches_dumps_json(tmp_path, rng):
-    obj = {"a": rng.standard_normal((3, 2)), "b": {"c": [1, 0.1 + 0.2, None, True]}}
-    path = tmp_path / "obj.json"
-    write_json(obj, path)
-    assert path.read_text(encoding="utf-8") == dumps_json(obj)
