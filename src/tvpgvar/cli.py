@@ -15,7 +15,6 @@ Exit codes: 0 success, 1 validation error, 2 numerical failure.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 import time
 from pathlib import Path
@@ -102,6 +101,11 @@ def cmd_estimate(config: RunConfig) -> None:
 
 
 def cmd_irf(config: RunConfig) -> None:
+    # before the numpy import and the fit: a config without requests fails at once
+    if not config.irf.dates:
+        raise ValidationError("config lists no IRF dates")
+    if not config.irf.shocks:
+        raise ValidationError("config lists no IRF shocks")
     from . import gvar, ingest, irf
 
     panel = ingest.read_panel_csv(_artifact(config, PANEL_FILE, "ingest"))
@@ -112,15 +116,11 @@ def cmd_irf(config: RunConfig) -> None:
     sample_size = len(panel.time_index) - 1
     names = panel.column_names()
 
-    if not config.irf.dates:
-        raise ValidationError("config lists no IRF dates")
     requests = [(date, panel.date_index(date)) for date in config.irf.dates]
     if any(t == 0 for _, t in requests):
         raise ValidationError(
             f"IRF date {panel.time_index[0]} is the first panel month and has no "
             f"lagged month; the first usable month is {panel.time_index[1]}")
-    if not config.irf.shocks:
-        raise ValidationError("config lists no IRF shocks")
 
     periods = []
     for label, t in requests:
@@ -220,7 +220,7 @@ def cmd_report(config: RunConfig) -> None:
 
 def _apply_overrides(config: RunConfig, args: argparse.Namespace) -> RunConfig:
     if args.seed is not None:
-        config.tvp = dataclasses.replace(config.tvp, seed=args.seed)
+        config.tvp = config.tvp.replace(seed=args.seed)
     if args.out is not None:
         config.out_dir = Path(args.out).resolve()
     return config

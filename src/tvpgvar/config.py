@@ -5,14 +5,14 @@ fails fast; relative paths resolve against the config file's directory.
 
 This is the package's leaf module. It owns the vocabulary the stages share
 (the alignment, transform and forecaster names, ``ForecasterConfig``,
-``TVPConfig``) and the method scores' reader and tie-break, and imports
-neither numpy nor a stage module, so ``report`` starts without them.
+``TVPConfig``), the ``Record`` base of the numpy-free stages' records, and
+the method scores' reader and tie-break. It imports neither numpy, nor a
+stage module, nor ``inspect``, so ``report`` starts without them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Mapping
 
@@ -43,19 +43,26 @@ def _section(obj: Mapping[str, Any], key: str) -> Mapping[str, Any]:
     return value
 
 
-def _number(obj: Mapping[str, Any], section: str, key: str, default: Any, kind: type) -> Any:
-    """``kind(obj[key])`` (int or float), or a ValidationError naming the key.
+def _numbers(obj: Mapping[str, Any], section: str, kinds: Mapping[str, type]) -> dict[str, Any]:
+    """``kind(obj[key])`` for each ``key: kind`` of ``kinds`` that ``obj`` holds
+    (an absent key takes the record's default), or a ValidationError naming
+    the key.
 
     Only JSON numbers pass: strings and booleans do not, and an int key takes
     no fractional value, where ``int("3")``, ``int(True)`` and ``int(2.7)``
     would silently run with 3, 1 and 2.
     """
-    value = obj.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or (
-            kind is int and isinstance(value, float) and not value.is_integer()):
-        what = "an integer" if kind is int else "a number"
-        raise ValidationError(f"{section}.{key} must be {what}, got {value!r}")
-    return kind(value)
+    out = {}
+    for key, kind in kinds.items():
+        if key not in obj:
+            continue
+        value = obj[key]
+        if isinstance(value, bool) or not isinstance(value, (int, float)) or (
+                kind is int and isinstance(value, float) and not value.is_integer()):
+            what = "an integer" if kind is int else "a number"
+            raise ValidationError(f"{section}.{key} must be {what}, got {value!r}")
+        out[key] = kind(value)
+    return out
 
 
 def _path(base: Path, obj: Mapping[str, Any], section: str, key: str,
@@ -68,80 +75,118 @@ def _path(base: Path, obj: Mapping[str, Any], section: str, key: str,
     return (base / value).resolve()
 
 
-@dataclass(frozen=True)
-class TVPConfig:
+class Record:
+    """Base of the records that the numpy-free stages build.
+
+    Their methods are written out, not generated when the module loads:
+    generating them would load ``inspect`` and compile code in every stage
+    process, a large share of the start-up of ``ingest`` and ``report``.
+    A subclass's own ``__init__`` checks its arguments and stores them with
+    ``_set``; its parameters are the fields. The base compares and prints
+    records field by field (leaving ``_hidden`` fields out of ``repr``) and
+    makes checked copies with ``replace``. A subclass declared
+    ``frozen=True`` refuses assignment and hashes by its fields.
+    """
+
+    _fields: tuple[str, ...]
+    _hidden: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, frozen: bool = False):
+        code = cls.__init__.__code__
+        cls._fields = code.co_varnames[1:code.co_argcount]
+        if frozen:
+            cls.__setattr__ = cls.__delattr__ = Record._refuse
+            cls.__hash__ = Record._hash
+
+    def _set(self, **fields: Any) -> None:
+        self.__dict__.update(fields)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def _refuse(self, name: str, *value: Any) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def _hash(self) -> int:
+        return hash(self._values())
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}"
+                          for name in self._fields if name not in self._hidden)
+        return f"{self.__class__.__qualname__}({shown})"
+
+    def replace(self, **changes: Any):
+        """A copy with ``changes``, checked by the constructor like any new record."""
+        return self.__class__(**{**dict(zip(self._fields, self._values())), **changes})
+
+
+class TVPConfig(Record, frozen=True):
     """The sampler's settings: iterations per column and the base seed."""
 
-    iters: int = 1000
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.iters < 1:
+    def __init__(self, iters: int = 1000, seed: int = 0):
+        if iters < 1:
             raise ValidationError("tvp.iters must be >= 1")
-        if self.seed < 0:
+        if seed < 0:
             raise ValidationError("tvp.seed must be >= 0")
+        self._set(iters=iters, seed=seed)
 
 
-@dataclass(frozen=True)
-class ForecasterConfig:
+class ForecasterConfig(Record, frozen=True):
     """Stage-one settings. The numeric fields are the ``forecast`` config keys
-    of the same name; a value out of range fails with a message naming it."""
+    of the same name; a value out of range fails with a message naming it.
+    ``kind`` is one of ``FORECASTER_KINDS``."""
 
-    kind: str = "constant"  # constant | var1 | lasso | external
-    horizon: int = 6
-    lag_window: int = 6
-    cv_folds: int = 5
-    grid_size: int = 50
-    grid_floor: float = 1e-4
-    external_path: str | Path | None = None
-
-    def __post_init__(self):
-        if self.kind not in FORECASTER_KINDS:
+    def __init__(self, kind: str = "constant", horizon: int = 6, lag_window: int = 6,
+                 cv_folds: int = 5, grid_size: int = 50, grid_floor: float = 1e-4,
+                 external_path: str | Path | None = None):
+        if kind not in FORECASTER_KINDS:
             raise ValidationError(
-                f"unknown forecaster kind {self.kind!r}, expected one of {FORECASTER_KINDS}")
-        if self.horizon < 1:
+                f"unknown forecaster kind {kind!r}, expected one of {FORECASTER_KINDS}")
+        if horizon < 1:
             raise ValidationError("forecast.horizon must be >= 1")
-        if self.lag_window < 1:
+        if lag_window < 1:
             raise ValidationError("forecast.lag_window must be >= 1")
-        if self.cv_folds < 2:
+        if cv_folds < 2:
             raise ValidationError("forecast.cv_folds must be >= 2")
-        if self.grid_size < 1:
+        if grid_size < 1:
             raise ValidationError("forecast.grid_size must be >= 1")
-        if not 0.0 < self.grid_floor < 1.0:
+        if not 0.0 < grid_floor < 1.0:
             raise ValidationError("forecast.grid_floor must be in (0, 1)")
-        if self.kind == "external" and self.external_path is None:
+        if kind == "external" and external_path is None:
             raise ValidationError("external forecaster needs a predicted-path CSV")
+        self._set(kind=kind, horizon=horizon, lag_window=lag_window, cv_folds=cv_folds,
+                  grid_size=grid_size, grid_floor=grid_floor, external_path=external_path)
 
 
-@dataclass
-class WeightSettings:
-    provider: str = "equal"
-    variable: str | None = None
-    window: int = 24
-    path: Path | None = None
+class WeightSettings(Record):
+    def __init__(self, provider: str = "equal", variable: str | None = None,
+                 window: int = 24, path: Path | None = None):
+        self._set(provider=provider, variable=variable, window=window, path=path)
 
 
-@dataclass
-class IRFSettings:
-    horizon: int = 6
-    level: float = 0.95
-    dates: list[str] = field(default_factory=list)
-    shocks: list[list[str]] = field(default_factory=list)
+class IRFSettings(Record):
+    def __init__(self, horizon: int = 6, level: float = 0.95,
+                 dates: list[str] | None = None, shocks: list[list[str]] | None = None):
+        self._set(horizon=horizon, level=level, dates=[] if dates is None else dates,
+                  shocks=[] if shocks is None else shocks)
 
 
-@dataclass
-class RunConfig:
-    data_path: Path
-    imputation: str
-    transform: str
-    regions: list[str] | None
-    variables: list[str] | None
-    activities: list[str] | None
-    weights: WeightSettings
-    tvp: TVPConfig
-    irf: IRFSettings
-    methods: dict[str, ForecasterConfig]  # in config order, kind and external path set
-    out_dir: Path
+class RunConfig(Record):
+    """A loaded config; ``methods`` is in config order, each with its kind and
+    external path set."""
+
+    def __init__(self, data_path: Path, imputation: str, transform: str,
+                 regions: list[str] | None, variables: list[str] | None,
+                 activities: list[str] | None, weights: WeightSettings, tvp: TVPConfig,
+                 irf: IRFSettings, methods: dict[str, ForecasterConfig], out_dir: Path):
+        self._set(data_path=data_path, imputation=imputation, transform=transform,
+                  regions=regions, variables=variables, activities=activities,
+                  weights=weights, tvp=tvp, irf=irf, methods=methods, out_dir=out_dir)
 
 
 def load_config(path: str | Path) -> RunConfig:
@@ -185,7 +230,7 @@ def load_config(path: str | Path) -> RunConfig:
     weights = WeightSettings(
         provider=provider,
         variable=weights_obj.get("variable"),
-        window=_number(weights_obj, "weights", "window", WeightSettings.window, int),
+        **_numbers(weights_obj, "weights", {"window": int}),
         path=_path(base, weights_obj, "weights", "path") if "path" in weights_obj else None,
     )
     if provider == "rolling-share" and not weights.variable:
@@ -195,8 +240,7 @@ def load_config(path: str | Path) -> RunConfig:
 
     tvp_obj = _section(obj, "tvp")
     _check_keys(tvp_obj, {"iters", "seed"}, "tvp")
-    tvp = TVPConfig(iters=_number(tvp_obj, "tvp", "iters", TVPConfig.iters, int),
-                    seed=_number(tvp_obj, "tvp", "seed", TVPConfig.seed, int))
+    tvp = TVPConfig(**_numbers(tvp_obj, "tvp", {"iters": int, "seed": int}))
 
     irf_obj = _section(obj, "irf")
     _check_keys(irf_obj, {"horizon", "level", "dates", "shocks"}, "irf")
@@ -204,8 +248,7 @@ def load_config(path: str | Path) -> RunConfig:
     if not isinstance(shocks, list):
         raise ValidationError(f"irf.shocks must be a list of column lists, got {shocks!r}")
     irf = IRFSettings(
-        horizon=_number(irf_obj, "irf", "horizon", IRFSettings.horizon, int),
-        level=_number(irf_obj, "irf", "level", IRFSettings.level, float),
+        **_numbers(irf_obj, "irf", {"horizon": int, "level": float}),
         dates=parse_strings(irf_obj.get("dates", []), "irf.dates"),
         shocks=[parse_strings(s, f"irf.shocks[{i}]") for i, s in enumerate(shocks)],
     )
@@ -233,19 +276,15 @@ def load_config(path: str | Path) -> RunConfig:
         raise ValidationError("forecast.methods must list at least one method")
     if len(set(names)) != len(names):
         raise ValidationError(f"duplicate names in forecast.methods: {names}")
-    settings = ForecasterConfig(
-        horizon=_number(fc_obj, "forecast", "horizon", ForecasterConfig.horizon, int),
-        lag_window=_number(fc_obj, "forecast", "lag_window", ForecasterConfig.lag_window, int),
-        cv_folds=_number(fc_obj, "forecast", "cv_folds", ForecasterConfig.cv_folds, int),
-        grid_size=_number(fc_obj, "forecast", "grid_size", ForecasterConfig.grid_size, int),
-        grid_floor=_number(fc_obj, "forecast", "grid_floor", ForecasterConfig.grid_floor, float),
-    )
+    settings = ForecasterConfig(**_numbers(fc_obj, "forecast", {
+        "horizon": int, "lag_window": int, "cv_folds": int, "grid_size": int,
+        "grid_floor": float}))
     methods = {}
     for name in names:
         if name in external:
-            methods[name] = replace(settings, kind="external", external_path=external[name])
+            methods[name] = settings.replace(kind="external", external_path=external[name])
         elif name in METHOD_ORDER:
-            methods[name] = replace(settings, kind=name)
+            methods[name] = settings.replace(kind=name)
         else:
             raise ValidationError(
                 f"unknown forecast method {name!r} (no external path configured)")

@@ -19,12 +19,11 @@ import math
 import re
 from array import array
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
-from .config import ALIGN_METHODS, TRANSFORMS
+from .config import ALIGN_METHODS, TRANSFORMS, Record
 from .errors import ValidationError
 from .serialize import parse_float, read_csv_rows, write_csv
 
@@ -61,15 +60,14 @@ def _check_code(code: str, what: str, row: int | None = None) -> str:
     return code
 
 
-@dataclass(frozen=True)
-class RawSeries:
-    """One (region, variable) series in its native observation frequency."""
+class RawSeries(Record, frozen=True):
+    """One (region, variable) series in its native observation frequency,
+    ``"monthly"`` or ``"quarterly"``."""
 
-    region: str
-    variable: str
-    dates: tuple[str, ...]
-    values: tuple[float, ...]
-    frequency: str  # "monthly" | "quarterly"
+    def __init__(self, region: str, variable: str, dates: tuple[str, ...],
+                 values: tuple[float, ...], frequency: str):
+        self._set(region=region, variable=variable, dates=dates, values=values,
+                  frequency=frequency)
 
     @property
     def key(self) -> tuple[str, str]:
@@ -79,30 +77,30 @@ class RawSeries:
         return len(self.dates)
 
 
-@dataclass(frozen=True)
-class TimeSeriesPanel:
+class TimeSeriesPanel(Record, frozen=True):
     """Aligned monthly panel: K regions x p variables plus l activity columns.
 
     Column order is region-major, variable-minor, activities last; that
     ordering also fixes the Cholesky identification order downstream.
-    The cells are stored once, as one ``array('d')`` row per month; rows
-    given as any other float sequence are converted on construction.
+    The cells are stored once, as T ``array('d')`` rows of K*p + l, one per
+    month; rows given as any other float sequence are converted on
+    construction. ``repr`` leaves the rows out.
     """
 
-    time_index: tuple[str, ...]
-    regions: tuple[str, ...]
-    variables: tuple[str, ...]
-    activities: tuple[str, ...]
-    rows: tuple[array, ...] = field(repr=False)  # T rows of K*p + l
+    _hidden = ("rows",)
 
-    def __post_init__(self):
-        if not all(isinstance(row, array) and row.typecode == "d" for row in self.rows):
-            object.__setattr__(self, "rows", tuple(array("d", row) for row in self.rows))
+    def __init__(self, time_index: tuple[str, ...], regions: tuple[str, ...],
+                 variables: tuple[str, ...], activities: tuple[str, ...],
+                 rows: tuple[array, ...]):
+        if not all(isinstance(row, array) and row.typecode == "d" for row in rows):
+            rows = tuple(array("d", row) for row in rows)
+        self._set(time_index=time_index, regions=regions, variables=variables,
+                  activities=activities, rows=rows)
         width = self.width
-        if len(self.rows) != len(self.time_index) or any(len(row) != width for row in self.rows):
+        if len(rows) != len(time_index) or any(len(row) != width for row in rows):
             raise ValidationError(
-                f"panel rows do not match T={len(self.time_index)}, K*p+l={width}")
-        if len(self.time_index) < 3:
+                f"panel rows do not match T={len(time_index)}, K*p+l={width}")
+        if len(time_index) < 3:
             raise ValidationError("panel needs at least 3 months")
 
     @cached_property
@@ -172,28 +170,27 @@ def load_panel(path: str | Path) -> list[RawSeries]:
     """
     path = Path(path)
     header, rows = read_csv_rows(path)
-    positions = {}
-    for name in ("date", "region", "variable", "value"):
+    names = ("date", "region", "variable", "value")
+    for name in names:
         if name not in header:
             raise ValidationError(f"{path}: missing column {name!r} in header {header}")
-        positions[name] = header.index(name)
+    at_date, at_region, at_variable, at_value = (header.index(name) for name in names)
 
-    seen: dict[tuple[str, str, str], int] = {}
-    groups: dict[tuple[str, str], list[tuple[int, float]]] = {}
-    group_dates: dict[tuple[str, str], dict[int, str]] = {}
-    order: list[tuple[str, str]] = []
+    # (region, variable) -> month -> (date, value, row number), in order of
+    # first appearance; the month also finds a duplicate date, as each month
+    # has one YYYY-MM label
+    points: dict[tuple[str, str], dict[int, tuple[str, float, int]]] = {}
     # each distinct string is checked once, on the first row that has it, so
     # an error still names the first bad row; a valid region code is a valid
     # variable code, so one set holds both
     codes: set[str] = set()
     months: dict[str, int] = {}
-    for i, row in enumerate(rows):
-        rownum = i + 2
-        date = row[positions["date"]].strip()
-        region = row[positions["region"]].strip()
+    for rownum, row in enumerate(rows, 2):
+        date = row[at_date].strip()
+        region = row[at_region].strip()
         if region not in codes:
             codes.add(_check_code(region, "region", rownum))
-        variable = row[positions["variable"]].strip()
+        variable = row[at_variable].strip()
         if variable not in codes:
             codes.add(_check_code(variable, "variable", rownum))
         midx = months.get(date)
@@ -202,30 +199,22 @@ def load_panel(path: str | Path) -> list[RawSeries]:
                 midx = months[date] = month_index(date)
             except ValidationError as exc:
                 raise ValidationError(f"{path}: row {rownum}: {exc}") from None
-        value = parse_float(row[positions["value"]].strip(), f"{path}: row {rownum}")
-        dup_key = (region, variable, date)
-        if dup_key in seen:
+        value = parse_float(row[at_value].strip(), f"{path}: row {rownum}")
+        by_month = points.setdefault((region, variable), {})
+        if midx in by_month:
             raise ValidationError(
                 f"{path}: row {rownum}: duplicate ({region}, {variable}, {date}), "
-                f"first seen at row {seen[dup_key]}")
-        seen[dup_key] = rownum
-        key = (region, variable)
-        if key not in groups:
-            groups[key] = []
-            group_dates[key] = {}
-            order.append(key)
-        groups[key].append((midx, value))
-        group_dates[key][midx] = date
+                f"first seen at row {by_month[midx][2]}")
+        by_month[midx] = (date, value, rownum)
 
     series: list[RawSeries] = []
-    for key in order:
-        pts = sorted(groups[key])
-        anchors = [m for m, _ in pts]
+    for key, by_month in points.items():
+        anchors = sorted(by_month)
         series.append(RawSeries(
             region=key[0],
             variable=key[1],
-            dates=tuple(group_dates[key][m] for m in anchors),
-            values=tuple(v for _, v in pts),
+            dates=tuple(by_month[m][0] for m in anchors),
+            values=tuple(by_month[m][1] for m in anchors),
             frequency=_infer_frequency(anchors, key, path),
         ))
     if not series:
@@ -346,14 +335,13 @@ def align_frequencies(
     )
 
 
-@dataclass
-class ValidationReport:
+class ValidationReport(Record):
     """Outcome of panel validation; empty ``issues`` means a clean panel."""
 
-    width: int
-    expected_width: int
-    n_rows: int
-    issues: list[str] = field(default_factory=list)
+    def __init__(self, width: int, expected_width: int, n_rows: int,
+                 issues: list[str] | None = None):
+        self._set(width=width, expected_width=expected_width, n_rows=n_rows,
+                  issues=[] if issues is None else issues)
 
     @property
     def ok(self) -> bool:

@@ -716,7 +716,8 @@ def test_irf_starts_without_scipy(tmp_path):
 
 
 # a fresh interpreter imports the package and, given a config and a stage,
-# runs that CLI stage; it prints the package modules it then holds, and numpy
+# runs that CLI stage; it prints the package modules it then holds, and which
+# of numpy, dataclasses and inspect
 SCOPE_SCRIPT = """
 import sys
 import tvpgvar
@@ -724,7 +725,7 @@ if sys.argv[1:]:
     import tvpgvar.cli
     assert tvpgvar.cli.main([sys.argv[2], "--config", sys.argv[1]]) == 0, sys.argv[2]
 print("loaded:", *sorted(m[len("tvpgvar."):] for m in sys.modules if m.startswith("tvpgvar.")),
-      *(["numpy"] if "numpy" in sys.modules else []))
+      *(m for m in ("numpy", "dataclasses", "inspect") if m in sys.modules))
 """
 
 
@@ -745,7 +746,23 @@ def test_each_stage_loads_only_the_modules_it_runs(tmp_path):
             "irf": {"ingest", "gvar", "irf", "numpy"},
             "forecast": {"ingest", "tvp", "forecast", "numpy"}, "report": set()}
     for stage, modules in runs.items():
-        assert loaded_after(str(config_path), stage) == shared | modules, stage
+        loaded = loaded_after(str(config_path), stage)
+        if "numpy" in modules:  # numpy loads inspect, and its stages' modules keep @dataclass
+            loaded -= {"dataclasses", "inspect"}
+        assert loaded == shared | modules, stage
+
+
+def test_irf_without_requests_fails_before_numpy(tmp_path):
+    # no panel.csv either: the config is at fault, and is named before any fit
+    config_path = mini_config(tmp_path, irf={"dates": []})
+    script = ("import sys, tvpgvar.cli\n"
+              "code = tvpgvar.cli.main(['irf', '--config', sys.argv[1]])\n"
+              "print('numpy' in sys.modules)\n"
+              "sys.exit(code)")
+    proc = run_python("-c", script, str(config_path))
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.strip() == "error: config lists no IRF dates"
+    assert proc.stdout.split() == ["False"]
 
 
 def test_package_names_resolve_on_first_use():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from tvpgvar import align_frequencies, load_panel, validate_panel
-from tvpgvar.config import ALIGN_METHODS
+from tvpgvar.config import ALIGN_METHODS, ForecasterConfig, TVPConfig
 from tvpgvar.errors import ValidationError
 from tvpgvar.ingest import (
     COMMON_REGION, RawSeries, month_index, month_label, read_panel_csv, write_panel_csv,
@@ -50,7 +50,7 @@ class TestLoadPanel:
     def test_duplicate_row_rejected_with_row_number(self, tmp_path):
         path = write_rows(tmp_path, [
             "2000-01,USA,CPI,100.0", "2000-02,USA,CPI,100.5", "2000-01,USA,CPI,99.0"])
-        with pytest.raises(ValidationError, match=r"row 4.*duplicate"):
+        with pytest.raises(ValidationError, match=r"row 4.*duplicate.*first seen at row 2"):
             load_panel(path)
 
     def test_malformed_date_rejected(self, tmp_path):
@@ -107,6 +107,33 @@ class TestLoadPanel:
         quarterly = [s for s in series if s.frequency == "quarterly"]
         assert len(quarterly) == 3
         assert all(len(s) == 84 for s in quarterly)
+
+
+class TestRecords:
+    """The records of the numpy-free stages behave as frozen value types."""
+
+    @pytest.mark.parametrize("make, field", [
+        (TVPConfig, "seed"),
+        (ForecasterConfig, "horizon"),
+        (lambda: RawSeries("USA", "CPI", ("2000-01",), (1.0,), "monthly"), "values"),
+        (lambda: make_panel(np.zeros((3, 1)), ["A"], ["x"]), "rows"),
+    ])
+    def test_fields_refuse_assignment(self, make, field):
+        record = make()
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{field}'"):
+            setattr(record, field, getattr(record, field))
+        assert record == make()
+
+    def test_replace_runs_the_constructor_checks(self):
+        assert ForecasterConfig().replace(cv_folds=3) == ForecasterConfig(cv_folds=3)
+        assert hash(TVPConfig().replace(seed=0)) == hash(TVPConfig())
+        with pytest.raises(ValidationError, match="forecast.cv_folds must be >= 2"):
+            ForecasterConfig().replace(cv_folds=1)
+
+    def test_panel_repr_omits_rows(self):
+        panel = make_panel(np.full((3, 2), 7.25), ["A"], ["x", "y"])
+        assert repr(panel) == ("TimeSeriesPanel(time_index=('2000-01', '2000-02', '2000-03'), "
+                               "regions=('A',), variables=('x', 'y'), activities=())")
 
 
 class TestAlignFrequencies:
