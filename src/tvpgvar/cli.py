@@ -106,21 +106,26 @@ def cmd_irf(config: RunConfig) -> None:
         raise ValidationError("config lists no IRF dates")
     if not config.irf.shocks:
         raise ValidationError("config lists no IRF shocks")
-    from . import gvar, ingest, irf
+    from . import ingest
 
     panel = ingest.read_panel_csv(_artifact(config, PANEL_FILE, "ingest"))
+    # the dates and shock names need only the panel's header and months:
+    # check them before the numpy import and the fit too
+    requests = [(date, panel.date_index(date)) for date in config.irf.dates]
+    if any(t == 0 for _, t in requests):
+        raise ValidationError(
+            f"IRF date {panel.time_index[0]} is the first panel month and has no "
+            f"lagged month; the first usable month is {panel.time_index[1]}")
+    shock_targets = [tuple(panel.column_index(name) for name in targets)
+                     for targets in config.irf.shocks]
+    from . import gvar, irf
+
     weights = _build_weights(config, panel)
     # re-fit rather than read coefficients.json: that file records no weights,
     # so a fit made under other weights would meet this run's links
     fit = gvar.estimate_structural(panel, weights)
     sample_size = len(panel.time_index) - 1
     names = panel.column_names()
-
-    requests = [(date, panel.date_index(date)) for date in config.irf.dates]
-    if any(t == 0 for _, t in requests):
-        raise ValidationError(
-            f"IRF date {panel.time_index[0]} is the first panel month and has no "
-            f"lagged month; the first usable month is {panel.time_index[1]}")
 
     periods = []
     for label, t in requests:
@@ -133,10 +138,9 @@ def cmd_irf(config: RunConfig) -> None:
             periods[-1].update(status="skipped", reason=str(exc))
             continue
         inputs = irf.estimate_asymptotic_inputs(panel, system)
-        shocks = [irf.ShockSpec(targets=tuple(panel.column_index(name) for name in targets),
-                                horizon=config.irf.horizon, at_time=label,
-                                level=config.irf.level)
-                  for targets in config.irf.shocks]
+        shocks = [irf.ShockSpec(targets=targets, horizon=config.irf.horizon,
+                                at_time=label, level=config.irf.level)
+                  for targets in shock_targets]
         results = irf.asymptotic_bands(system, shocks, sample_size, inputs)
         for targets, result in zip(config.irf.shocks, results):
             stem = f"irf_{label}__{'+'.join(targets)}"

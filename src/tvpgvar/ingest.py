@@ -338,10 +338,8 @@ def align_frequencies(
 class ValidationReport(Record):
     """Outcome of panel validation; empty ``issues`` means a clean panel."""
 
-    def __init__(self, width: int, expected_width: int, n_rows: int,
-                 issues: list[str] | None = None):
-        self._set(width=width, expected_width=expected_width, n_rows=n_rows,
-                  issues=[] if issues is None else issues)
+    def __init__(self, width: int, n_rows: int, issues: list[str] | None = None):
+        self._set(width=width, n_rows=n_rows, issues=[] if issues is None else issues)
 
     @property
     def ok(self) -> bool:
@@ -351,7 +349,6 @@ class ValidationReport(Record):
         return {
             "ok": self.ok,
             "width": self.width,
-            "expected_width": self.expected_width,
             "n_rows": self.n_rows,
             "issues": list(self.issues),
         }
@@ -381,7 +378,6 @@ def validate_panel(panel: TimeSeriesPanel) -> ValidationReport:
                           for name, value in zip(names, row) if not math.isfinite(value))
     return ValidationReport(
         width=panel.width,
-        expected_width=panel.width,
         n_rows=len(panel.time_index),
         issues=issues,
     )

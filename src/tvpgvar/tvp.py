@@ -274,13 +274,15 @@ def sample_theta_tilde_banded(y: np.ndarray, theta0: np.ndarray, sqrt_omega: np.
     ``K = LL'`` the draw ``L^-T (L^-1 b + z)`` has mean ``K^-1 b`` and
     covariance ``K^-1``, where ``b = h_t y*_t / sigma2``.
 
-    The bands and right-hand sides are built for the whole stack; the
-    factorization and the two solves run column by column. The band is kept
-    in LAPACK's lower storage, where ``dpbtrf`` updates unit-stride vectors:
-    it gives the same factor as the upper storage, whose strided updates took
-    58 against 21 us for a 498-row band (2-core host, OpenBLAS). Returns the
-    draws (columns, T-1, 2) and {column: reason} for the columns whose
-    precision is not positive definite (their rows are zero).
+    The bands and right-hand sides are built for the whole stack, in place,
+    so the only full-size arrays are the band and the right-hand sides; the
+    factorization and the two solves run column by column, and each column's
+    draw overwrites its right-hand side. The band is kept in LAPACK's lower
+    storage, where ``dpbtrf`` updates unit-stride vectors: it gives the same
+    factor as the upper storage, whose strided updates took 58 against 21 us
+    for a 498-row band (2-core host, OpenBLAS). Returns the draws
+    (columns, T-1, 2) and {column: reason} for the columns whose precision
+    is not positive definite (their rows are zero).
     """
     y = np.asarray(y, float)
     if y.ndim != 2 or y.shape[1] < 2:
@@ -291,8 +293,15 @@ def sample_theta_tilde_banded(y: np.ndarray, theta0: np.ndarray, sqrt_omega: np.
     ylag = y[:, :-1]
     s2 = sigma2[:, None]
     h0 = sqrt_omega[:, :1]  # h_t = [h0, h1_t]
-    h1 = sqrt_omega[:, 1:] * ylag
-    scaled = (y[:, 1:] - (theta0[:, :1] + theta0[:, 1:] * ylag)) / s2  # y*_t / sigma2
+    # rhs[c, 2(t-1)+k] becomes h_tk y*_t / sigma2; until then the odd rows
+    # hold h1_t and the even rows y*_t / sigma2
+    rhs = np.empty((width, 2 * n, 1))
+    h1, scaled = rhs[:, 1::2, 0], rhs[:, 0::2, 0]
+    np.multiply(sqrt_omega[:, 1:], ylag, out=h1)
+    np.multiply(theta0[:, 1:], ylag, out=scaled)
+    np.add(theta0[:, :1], scaled, out=scaled)
+    np.subtract(y[:, 1:], scaled, out=scaled)
+    np.divide(scaled, s2, out=scaled)
 
     # row j = 2(t-1)+k of band[c] holds K[j, j], K[j+1, j], K[j+2, j] (its
     # transpose is LAPACK's lower band storage, already in Fortran order);
@@ -300,27 +309,28 @@ def sample_theta_tilde_banded(y: np.ndarray, theta0: np.ndarray, sqrt_omega: np.
     band = np.zeros((width, 2 * n, 3))
     rows = band.reshape(width, n, 2, 3)
     rows[:, :, 0, 0] = h0 * h0 / s2 + 2.0
-    rows[:, :, 1, 0] = h1 * h1 / s2 + 2.0
-    rows[:, :, 0, 1] = h0 * h1 / s2
+    for entry, factor in ((rows[:, :, 1, 0], h1), (rows[:, :, 0, 1], h0)):
+        np.multiply(factor, h1, out=entry)
+        np.divide(entry, s2, out=entry)
+    rows[:, :, 1, 0] += 2.0
     rows[:, :-1, :, 2] = -1.0
     band[:, -2:, 0] -= 1.0
     band[:, :2, 0] += 1.0 / (1.0 + P0_SCALE) - 1.0
-    rhs = np.empty((width, 2 * n, 1))
-    rhs[:, 0::2, 0] = h0 * scaled
-    rhs[:, 1::2, 0] = h1 * scaled
+    np.multiply(h1, scaled, out=h1)
+    np.multiply(h0, scaled, out=scaled)
 
     lapack = _flapack()
-    draws = np.zeros((width, 2 * n, 1))
     failed = {}
     for c, rng in enumerate(rngs):
         chol, info = lapack.dpbtrf(band[c].T, lower=1, overwrite_ab=1)
         if info != 0:
             failed[c] = f"state precision not positive definite (dpbtrf info {info})"
+            rhs[c] = 0.0
             continue
         w, _ = lapack.dtbtrs(chol, rhs[c], uplo="L", overwrite_b=1)
         w += rng.standard_normal((2 * n, 1))
-        draws[c], _ = lapack.dtbtrs(chol, w, uplo="L", trans="T", overwrite_b=1)
-    return draws.reshape(width, n, 2), failed
+        rhs[c], _ = lapack.dtbtrs(chol, w, uplo="L", trans="T", overwrite_b=1)
+    return rhs.reshape(width, n, 2), failed
 
 
 def _step3_design(y: np.ndarray, theta_tilde: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -492,6 +502,9 @@ def _sample_stack(y: np.ndarray, iters: int, seeds: Sequence,
     # reported; numpy's warnings on its way there would only be noise
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for it in range(iters):
+            # the previous path goes before the next band is built, and the
+            # step-3 arrays after their last use: one iteration at a time
+            tilde = None
             tilde, failed = sample_theta_tilde_banded(y, theta_star[:, :2], theta_star[:, 2:],
                                                       sigma2, rngs)
             ids, y, sigma2, tilde, rngs = _drop(failed, it, errors, ids, y, sigma2, tilde, rngs)
@@ -500,6 +513,7 @@ def _sample_stack(y: np.ndarray, iters: int, seeds: Sequence,
             ids, y, theta_star, tilde, rngs, target, design = _drop(
                 failed, it, errors, ids, y, theta_star, tilde, rngs, target, design)
             sigma2, failed = sample_sigma(target, design, theta_star, rngs)
+            del target, design
             ids, y, theta_star, sigma2, tilde, rngs = _drop(
                 failed, it, errors, ids, y, theta_star, sigma2, tilde, rngs)
             if not ids.size:
@@ -570,7 +584,7 @@ def estimate_all(panel: TimeSeriesPanel, config: TVPConfig) -> PanelTVPResult:
             live.append(i)
         except ValidationError as exc:
             errors[i] = str(exc)
-    fitted, failed = _sample_stack(panel.values[:, live].T, config.iters,
+    fitted, failed = _sample_stack(panel.values.T[live], config.iters,
                                    [(config.seed, i) for i in live])
     trajectories: list[TVPTrajectory | None] = [None] * panel.width
     for i, trajectory in zip(live, fitted):

@@ -765,6 +765,20 @@ def test_irf_without_requests_fails_before_numpy(tmp_path):
     assert proc.stdout.split() == ["False"]
 
 
+def test_irf_unknown_shock_column_fails_before_numpy(tmp_path):
+    # the shock names are checked against panel.csv's header, before any fit
+    config_path = mini_config(tmp_path, irf={"dates": ["2003-06"], "shocks": [["NOPE"]]})
+    assert main(["ingest", "--config", str(config_path)]) == 0
+    script = ("import sys, tvpgvar.cli\n"
+              "code = tvpgvar.cli.main(['irf', '--config', sys.argv[1]])\n"
+              "print('numpy' in sys.modules)\n"
+              "sys.exit(code)")
+    proc = run_python("-c", script, str(config_path))
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.strip() == "error: unknown panel column 'NOPE'"
+    assert proc.stdout.split() == ["False"]
+
+
 def test_package_names_resolve_on_first_use():
     namespace = {}
     exec("from tvpgvar import *", namespace)

@@ -262,8 +262,7 @@ class TestValidatePanel:
         panel = make_panel(rng.standard_normal((8, 10)), ["A", "B", "C"],
                            ["x", "y", "z"], ["ACT"])
         report = validate_panel(panel)
-        assert report.width == 10
-        assert report.expected_width == 10
+        assert report.as_dict() == {"ok": True, "width": 10, "n_rows": 8, "issues": []}
 
 
 def test_panel_csv_misordered_columns_rejected(tmp_path):

@@ -1,6 +1,7 @@
 import importlib.machinery
 import importlib.util
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -235,6 +236,8 @@ class TestSampleThetaTildeBanded:
             [np.random.default_rng(0), np.random.default_rng(1)])
         assert failed == {1: "state precision not positive definite (dpbtrf info 2)"}
         np.testing.assert_array_equal(draws[0], self.draw(y[0], np.random.default_rng(0)))
+        # the draws overwrite the right-hand sides: a failed column keeps none of them
+        np.testing.assert_array_equal(draws[1], np.zeros((9, 2)))
 
     def test_bad_inputs(self):
         gen = np.random.default_rng(0)
@@ -492,6 +495,29 @@ class TestEstimateAll:
         reference = fit_equation_loop(values[:, 1], 5, (0, 1))
         np.testing.assert_allclose(result.trajectories[1].theta, reference.theta, rtol=0,
                                    atol=1e-6 * np.abs(reference.theta).max())
+
+    def test_holds_one_iteration_at_a_time(self):
+        # the largest arrays the sampler must hold at once: one path draw's
+        # band (3 lower diagonals) and right-hand sides over the 2n
+        # interleaved states of every column, and the theta and theta_tilde
+        # paths it returns; a loop that also keeps the previous iteration's
+        # path and step-3 designs, or full-size temporaries, goes over
+        width, t_len, iters = 31, 250, 20
+        values = 1.0 + np.cumsum(0.1 * np.random.default_rng(7).standard_normal((t_len, width)),
+                                 axis=0)
+        panel = make_panel(values, [f"R{k}" for k in range(10)], ["a", "b", "c"], ["OIL"])
+        panel.values  # built on first use; the input is not the sampler's
+        estimate_all(panel, TVPConfig(iters=1, seed=0))  # loads LAPACK and numpy's caches
+        n = t_len - 1
+        band, rhs, paths = width * 2 * n * 3 * 8, width * 2 * n * 8, 2 * width * n * 2 * 8
+        tracemalloc.start()
+        try:
+            result = estimate_all(panel, TVPConfig(iters=iters, seed=3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.ok
+        assert peak < band + rhs + paths
 
     def test_matches_per_column_reference_on_sample(self, tmp_path, capsys):
         # the batched iteration against the one-column-at-a-time loop it
