@@ -20,10 +20,9 @@ _HOMES = {
     "ForecastResult": "forecast", "LassoFit": "forecast", "forecast_constant": "forecast",
     "forecast_lasso": "forecast", "forecast_var1": "forecast", "lasso_fit": "forecast",
     "mse": "forecast", "two_stage_forecast": "forecast",
-    "ActivityCoefficients": "gvar", "CountryCoefficients": "gvar", "Stability": "gvar",
-    "StackedSystem": "gvar", "StructuralFit": "gvar", "WeightSequence": "gvar",
-    "estimate_structural": "gvar", "ma_coefficients": "gvar", "stability_check": "gvar",
-    "stack_system": "gvar",
+    "ActivityCoefficients": "gvar", "CountryCoefficients": "gvar", "StackedSystem": "gvar",
+    "StructuralFit": "gvar", "WeightSequence": "gvar", "estimate_structural": "gvar",
+    "ma_coefficients": "gvar", "spectral_radius": "gvar", "stack_system": "gvar",
     "RawSeries": "ingest", "TimeSeriesPanel": "ingest", "ValidationReport": "ingest",
     "align_frequencies": "ingest", "load_panel": "ingest", "read_panel_csv": "ingest",
     "validate_panel": "ingest", "write_panel_csv": "ingest",

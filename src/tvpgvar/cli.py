@@ -95,9 +95,7 @@ def cmd_estimate(config: RunConfig) -> None:
     print(f"coefficients -> {config.out_dir / COEFFICIENTS_FILE}")
     print(f"trajectories -> {config.out_dir / TRAJECTORY_FILE}")
     if not result.ok:
-        names = panel.column_names()
-        failed = ", ".join(names[i] for i in sorted(result.errors))
-        raise NumericalError(f"estimation failed for columns: {failed}")
+        raise NumericalError(f"estimation failed for columns: {', '.join(result.errors)}")
 
 
 def cmd_irf(config: RunConfig) -> None:
@@ -179,9 +177,8 @@ def cmd_forecast(config: RunConfig) -> None:
                            config.out_dir / TRAIN_TRAJECTORY_FILE,
                            config.out_dir / TRAIN_TRAJECTORY_META_FILE)
     if not tvp_result.ok:
-        names = train.column_names()
-        failed = ", ".join(names[i] for i in sorted(tvp_result.errors))
-        raise NumericalError(f"trajectory estimation failed for columns: {failed}")
+        raise NumericalError(
+            f"trajectory estimation failed for columns: {', '.join(tvp_result.errors)}")
 
     results = {}
     for method, fconf in config.methods.items():

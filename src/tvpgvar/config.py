@@ -256,9 +256,11 @@ def load_config(path: str | Path) -> RunConfig:
         raise ValidationError("irf.horizon must be >= 0")
     if not 0.0 < irf.level < 1.0:
         raise ValidationError("irf.level must be in (0, 1)")
-    for shock in irf.shocks:
+    for i, shock in enumerate(irf.shocks):
         if not shock:
             raise ValidationError("each IRF shock needs at least one target column")
+        if len(set(shock)) != len(shock):
+            raise ValidationError(f"duplicate columns in irf.shocks[{i}]: {shock}")
 
     fc_obj = _section(obj, "forecast")
     _check_keys(fc_obj, {"horizon", "methods", "lag_window", "cv_folds",

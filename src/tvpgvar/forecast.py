@@ -5,7 +5,8 @@ pluggable forecaster — freeze-the-last-value baseline, a joint VAR(1) on the
 stacked parameter series, an l1-penalized lag regression tuned by
 forward-chaining cross-validation, or externally supplied paths. The three
 in-process forecasters share one call shape: ``(series, config)`` maps a
-(T, d) array of parameter series to (horizon, d) predictions. Stage two
+(T, d) array of parameter series to (horizon, d) predictions and
+{series: reason} for the series that failed alone. Stage two
 feeds the predicted coefficients back through the scalar recursion
 ``x_{t+1} = b_{t+1} + f_{t+1} x_t`` and scores against held-out actuals.
 
@@ -100,10 +101,10 @@ def _original_scale(problems: _Gram, beta: np.ndarray) -> tuple[np.ndarray, np.n
     return coef, problems.ybar - np.sum(coef * problems.mean, axis=-1)
 
 
-def _lasso_path(problems: _Gram, lams: np.ndarray) -> np.ndarray:
+def _lasso_path(problems: _Gram, lams: np.ndarray) -> tuple[np.ndarray, dict[int, str]]:
     """Solve B standardized lasso problems at their (B, grid) descending
     penalties by following each one's exact solution path; returns the
-    standardized solutions (grid, B, p).
+    standardized solutions (grid, B, p) and {problem: reason} of stalled paths.
 
     The lasso solution is piecewise linear in the penalty (Osborne, Presnell &
     Turlach 2000; Efron et al. 2004). On an active set A with signs s it is
@@ -126,7 +127,7 @@ def _lasso_path(problems: _Gram, lams: np.ndarray) -> np.ndarray:
     due is taken at the current penalty. A grid penalty at or above the
     ceiling gets exact zeros. No (active set, signs) pair holds on two pieces
     of one path, so more than ``3**p`` events between two grid penalties mean
-    the path has stalled: ``NumericalError`` names the problem's row.
+    the path has stalled: the problem stops there, its later solutions zero.
     """
     n_prob, width = problems.corr.shape
     n_grid = lams.shape[1]
@@ -138,6 +139,7 @@ def _lasso_path(problems: _Gram, lams: np.ndarray) -> np.ndarray:
     lam = problems.lam_max.copy()
     nxt = np.sum(lams >= lam[:, None], axis=1)  # next grid position below the ceiling
     events = np.zeros(n_prob, dtype=int)
+    failed: dict[int, str] = {}
     run = np.flatnonzero(nxt < n_grid)
     while run.size:
         gram, corr, s = problems.gram[run], problems.corr[run], signs[run]
@@ -171,13 +173,11 @@ def _lasso_path(problems: _Gram, lams: np.ndarray) -> np.ndarray:
         signs[b, j] = _NEW_SIGN[kind]
         lam[b] = lam_ev[go]
         events[b] += 1
-        if np.any(events[b] > cap):
-            stalled = b[np.argmax(events[b])]
-            raise NumericalError(
-                f"lasso path of problem {stalled} took more than {cap} events "
-                "between two grid penalties")
-        run = b
-    return betas
+        stalled = events[b] > cap
+        for row in b[stalled].tolist():
+            failed[row] = f"lasso path took more than {cap} events between two grid penalties"
+        run = b[~stalled]
+    return betas, failed
 
 
 def lasso_fit(x: np.ndarray, y: np.ndarray, lam: float) -> LassoFit:
@@ -199,8 +199,10 @@ def lasso_fit(x: np.ndarray, y: np.ndarray, lam: float) -> LassoFit:
     if lam < 0:
         raise ValidationError("penalty must be non-negative")
     problem = _standardize(x, y)
-    beta = _lasso_path(_stack([problem]), np.array([[float(lam)]]))[0, 0]
-    coef, intercept = _original_scale(problem, beta)
+    betas, failed = _lasso_path(_stack([problem]), np.array([[float(lam)]]))
+    if failed:
+        raise NumericalError(failed[0])
+    coef, intercept = _original_scale(problem, betas[0, 0])
     return LassoFit(coef=coef, intercept=float(intercept))
 
 
@@ -223,12 +225,12 @@ def min_training_months(config: ForecasterConfig, width: int) -> int:
     return 3
 
 
-def forecast_constant(series: np.ndarray, config: ForecasterConfig) -> np.ndarray:
+def forecast_constant(series: np.ndarray, config: ForecasterConfig) -> tuple[np.ndarray, dict]:
     """Repeat the final row of the (T, d) series for every step of the horizon."""
-    return np.repeat(np.asarray(series, float)[-1:], config.horizon, axis=0)
+    return np.repeat(np.asarray(series, float)[-1:], config.horizon, axis=0), {}
 
 
-def forecast_var1(series: np.ndarray, config: ForecasterConfig) -> np.ndarray:
+def forecast_var1(series: np.ndarray, config: ForecasterConfig) -> tuple[np.ndarray, dict]:
     """OLS VAR(1) on the (T, d) series, iterated ``config.horizon`` steps ahead."""
     series = np.asarray(series, float)
     if series.ndim != 2:
@@ -246,7 +248,7 @@ def forecast_var1(series: np.ndarray, config: ForecasterConfig) -> np.ndarray:
     for s in range(config.horizon):
         state = intercept + slope @ state
         out[s] = state
-    return out
+    return out, {}
 
 
 def _lag_design(series: np.ndarray, lag_window: int) -> tuple[np.ndarray, np.ndarray]:
@@ -286,26 +288,28 @@ def _lasso_inputs(series: np.ndarray, config: ForecasterConfig
 
 
 def select_lasso_lambda(x: np.ndarray, y: np.ndarray, grids: np.ndarray,
-                        cv_folds: int) -> np.ndarray:
+                        cv_folds: int) -> tuple[np.ndarray, dict[int, str]]:
     """Forward-chaining cross-validation over the penalty grids.
 
     ``x`` (S, n, L), ``y`` (S, n) and ``grids`` (S, grid) are the lag designs,
     targets and penalty grids of ``_lasso_inputs``; returns each series' grid
-    position. Rows are split into ``cv_folds + 1`` consecutive blocks; fold f
-    trains on everything before block f+1 and validates on it, so the future
-    is never in the training set. Every (series, fold) problem is
-    standardized once and all of them follow their exact paths down the grid
-    in one ``_lasso_path`` batch. Ties resolve to the largest penalty.
+    position and {series: reason} of stalled fold paths. Rows are split into
+    ``cv_folds + 1`` consecutive blocks; fold f trains on everything before
+    block f+1 and validates on it, so the future is never in the training
+    set. Every (series, fold) problem is standardized once and all of them
+    follow their exact paths down the grid in one ``_lasso_path`` batch.
+    Ties resolve to the largest penalty.
     """
     n_series, n = y.shape
     bounds = [round(n * (i + 1) / (cv_folds + 1)) for i in range(cv_folds + 1)]
     folds = [(bounds[f], bounds[f + 1]) for f in range(cv_folds)
              if 0 < bounds[f] < bounds[f + 1]]
     scores = np.zeros(grids.shape)
+    stalled: dict[int, str] = {}
     if folds:
         problems = _stack([_standardize(x[s, :split], y[s, :split])
                            for split, _ in folds for s in range(n_series)])
-        betas = _lasso_path(problems, np.tile(grids, (len(folds), 1)))  # fold-major
+        betas, stalled = _lasso_path(problems, np.tile(grids, (len(folds), 1)))  # fold-major
         coef, intercept = _original_scale(problems, betas)  # (grid, fold x series, ...)
         for f, (split, stop) in enumerate(folds):
             part = slice(f * n_series, (f + 1) * n_series)
@@ -313,21 +317,21 @@ def select_lasso_lambda(x: np.ndarray, y: np.ndarray, grids: np.ndarray,
             resid += intercept[:, part, None]
             resid -= y[:, split:stop]
             scores += np.mean(np.square(resid, out=resid), axis=2).T
-    return np.argmin(scores, axis=1)
+    return np.argmin(scores, axis=1), {row % n_series: why for row, why in stalled.items()}
 
 
-def forecast_lasso(series: np.ndarray, config: ForecasterConfig) -> np.ndarray:
+def forecast_lasso(series: np.ndarray, config: ForecasterConfig) -> tuple[np.ndarray, dict]:
     """Tune, fit, and forecast each column of the (T, d) series recursively.
 
     The penalties of all columns are chosen in one batch; returns
-    (horizon, d). The fit follows each full-sample path straight to its
-    column's chosen penalty.
+    (horizon, d) and {column: reason} of the columns with a stalled path. The
+    fit follows each full-sample path straight to its column's chosen penalty.
     """
     rows = np.ascontiguousarray(np.asarray(series, float).T)  # (d, T)
     x, y, problems, grids = _lasso_inputs(rows, config)
-    picks = select_lasso_lambda(x, y, grids, config.cv_folds)
-    beta = _lasso_path(problems, grids[np.arange(grids.shape[0]), picks][:, None])[0]
-    coef, intercept = _original_scale(problems, beta)
+    picks, failed = select_lasso_lambda(x, y, grids, config.cv_folds)
+    betas, stalled = _lasso_path(problems, grids[np.arange(grids.shape[0]), picks][:, None])
+    coef, intercept = _original_scale(problems, betas[0])
     out = np.empty((config.horizon, rows.shape[0]))
     for s in range(rows.shape[0]):
         window = list(rows[s, -config.lag_window:])
@@ -335,7 +339,7 @@ def forecast_lasso(series: np.ndarray, config: ForecasterConfig) -> np.ndarray:
             value = intercept[s] + float(coef[s] @ np.array(window[::-1]))
             out[step, s] = value
             window = window[1:] + [value]
-    return out
+    return out, {**stalled, **failed}
 
 
 _FORECASTERS = {"constant": forecast_constant, "var1": forecast_var1, "lasso": forecast_lasso}
@@ -378,8 +382,8 @@ def two_stage_forecast(panel: TimeSeriesPanel, tvp_result: PanelTVPResult,
     ``actuals``, when given, is the (horizon, width) held-out block to score
     against. An external forecaster takes ``paths``, its ``external_path``
     file as ``read_trajectories`` returns it. A missing trajectory, a
-    stage-one failure or a missing external path aborts only the affected
-    columns.
+    stage-one failure of either of a column's series or a missing external
+    path aborts only the affected columns.
     """
     names = panel.column_names()
     width = panel.width
@@ -391,7 +395,7 @@ def two_stage_forecast(panel: TimeSeriesPanel, tvp_result: PanelTVPResult,
     usable = []
     for i, traj in enumerate(tvp_result.trajectories):
         if traj is None:
-            errors[names[i]] = tvp_result.errors.get(i, "missing trajectory")
+            errors[names[i]] = tvp_result.errors.get(names[i], "missing trajectory")
         else:
             usable.append(i)
 
@@ -412,11 +416,16 @@ def two_stage_forecast(panel: TimeSeriesPanel, tvp_result: PanelTVPResult,
         # (T, 2n): the forecasters see the series b_0, f_0, b_1, ...
         series = np.hstack([tvp_result.trajectories[i].theta for i in usable])
         try:
-            pred = _FORECASTERS[config.kind](series, config)
-            param[:, usable] = pred.reshape(h, len(usable), 2)
+            pred, failed = _FORECASTERS[config.kind](series, config)
         except (NumericalError, ValidationError) as exc:
             for i in usable:
                 errors[names[i]] = str(exc)
+        else:
+            param[:, usable] = pred.reshape(h, len(usable), 2)
+            for s, reason in sorted(failed.items()):
+                i = usable[s // 2]
+                param[:, i] = np.nan
+                errors.setdefault(names[i], f"{('b', 'f1')[s % 2]} series of {names[i]}: {reason}")
 
     # a failed column keeps NaN parameters, so its path stays NaN
     variables = np.empty((h, width))

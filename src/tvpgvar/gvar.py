@@ -378,19 +378,13 @@ def ma_coefficients(f1: np.ndarray, horizon: int) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class Stability:
-    radius: float
-    stable: bool
-
-
-def stability_check(f1: np.ndarray) -> Stability:
-    """Spectral radius of the transition matrix; stable iff strictly below 1."""
+def spectral_radius(f1: np.ndarray) -> float:
+    """Spectral radius of the transition matrix; the system is stable iff it
+    is strictly below 1."""
     f1 = np.asarray(f1, float)
     if f1.ndim != 2 or f1.shape[0] != f1.shape[1]:
         raise ValidationError("stability check needs a square matrix")
-    radius = float(np.max(np.abs(np.linalg.eigvals(f1))))
-    return Stability(radius=radius, stable=radius < 1.0)
+    return float(np.max(np.abs(np.linalg.eigvals(f1))))
 
 
 def write_coefficients_json(fit: StructuralFit, panel: TimeSeriesPanel,

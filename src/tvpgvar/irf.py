@@ -21,7 +21,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .gvar import StackedSystem, ma_coefficients, stability_check
+from .gvar import StackedSystem, ma_coefficients, spectral_radius
 from .ingest import TimeSeriesPanel
 from .serialize import (parse_array, parse_float, parse_strings, read_json, read_table,
                         require_keys, write_csv, write_json)
@@ -203,7 +203,7 @@ def asymptotic_bands(system: StackedSystem, shocks: Sequence[ShockSpec],
     mas = ma_coefficients(system.f1, max(shock.horizon for shock in shocks))
     mas_chol, b_sigma = mas @ chol_eps, mas @ sigma
     impact = _impact(system)
-    radius = stability_check(system.f1).radius
+    radius = spectral_radius(system.f1)
     g0_condition = float(np.linalg.cond(system.g0))
 
     results = []

@@ -38,8 +38,9 @@ variance draw are stacked. Column i keeps its own ``default_rng([seed, i])``
 and draws from it in the order path normals, 4 normals, gamma, so a column's
 result does not depend on the others. A column whose draw fails (a
 non-finite X'X, a precision without a Cholesky factor, non-finite
-residuals) leaves the stack with a ``NumericalError`` reason naming the
-iteration; the others go on. ``fit_equation`` is the one-column case.
+residuals) leaves the stack with its first failed draw's reason, naming the
+iteration; the others go on. A trajectory keeps theta0, sqrt_omega, the
+theta path and sigma2. ``fit_equation`` is the one-column case.
 """
 
 from __future__ import annotations
@@ -81,15 +82,13 @@ class KalmanState:
 class TVPTrajectory:
     """Final-draw coefficient paths for one panel column.
 
-    Row t corresponds to observation t+1 of the input series (the first
-    observation is consumed as the initial lag). ``theta`` reconstructs as
-    ``theta0 + sqrt_omega * theta_tilde`` row-wise, so it holds no NaN, and
-    the arrays are read-only once checked.
+    Row t of ``theta`` (intercept, slope) corresponds to observation t+1 of
+    the input series (the first observation is consumed as the initial lag).
+    Every entry is finite, and the arrays are read-only once checked.
     """
 
     theta0: np.ndarray       # (2,)
     sqrt_omega: np.ndarray   # (2,)
-    theta_tilde: np.ndarray  # (n, 2)
     theta: np.ndarray        # (n, 2)
     sigma2: float
 
@@ -97,11 +96,10 @@ class TVPTrajectory:
         # written so that NaN fails: every comparison with NaN is False
         if not self.sigma2 > 0:
             raise ValidationError("sigma2 must be positive")
-        recon = self.theta0[None, :] + self.sqrt_omega[None, :] * self.theta_tilde
-        if not np.max(np.abs(recon - self.theta)) <= 1e-12 * max(1.0, np.max(np.abs(self.theta))):
-            raise ValidationError("theta is not finite or does not reconstruct "
-                                  "from theta0 + sqrt_omega * theta_tilde")
-        for array in (self.theta0, self.sqrt_omega, self.theta_tilde, self.theta):
+        arrays = (self.theta0, self.sqrt_omega, self.theta)
+        if not all(np.isfinite(array).all() for array in arrays):
+            raise ValidationError("theta0, sqrt_omega or theta is not finite")
+        for array in arrays:
             array.setflags(write=False)
 
 
@@ -505,17 +503,16 @@ def _sample_stack(y: np.ndarray, iters: int, seeds: Sequence,
             # the previous path goes before the next band is built, and the
             # step-3 arrays after their last use: one iteration at a time
             tilde = None
-            tilde, failed = sample_theta_tilde_banded(y, theta_star[:, :2], theta_star[:, 2:],
-                                                      sigma2, rngs)
-            ids, y, sigma2, tilde, rngs = _drop(failed, it, errors, ids, y, sigma2, tilde, rngs)
+            tilde, path_failed = sample_theta_tilde_banded(y, theta_star[:, :2],
+                                                           theta_star[:, 2:], sigma2, rngs)
             target, design = _step3_design(y, tilde)
-            theta_star, failed = sample_theta0_omega(target, design, sigma2, rngs)
-            ids, y, theta_star, tilde, rngs, target, design = _drop(
-                failed, it, errors, ids, y, theta_star, tilde, rngs, target, design)
-            sigma2, failed = sample_sigma(target, design, theta_star, rngs)
+            theta_star, coef_failed = sample_theta0_omega(target, design, sigma2, rngs)
+            sigma2, sigma_failed = sample_sigma(target, design, theta_star, rngs)
             del target, design
+            # failed draws leave placeholders, not exceptions; the first reason wins
             ids, y, theta_star, sigma2, tilde, rngs = _drop(
-                failed, it, errors, ids, y, theta_star, sigma2, tilde, rngs)
+                {**sigma_failed, **coef_failed, **path_failed}, it, errors,
+                ids, y, theta_star, sigma2, tilde, rngs)
             if not ids.size:
                 break
 
@@ -525,7 +522,7 @@ def _sample_stack(y: np.ndarray, iters: int, seeds: Sequence,
         try:
             trajectories[row] = TVPTrajectory(
                 theta0=theta_star[pos, :2].copy(), sqrt_omega=theta_star[pos, 2:].copy(),
-                theta_tilde=tilde[pos], theta=theta[pos], sigma2=float(sigma2[pos]))
+                theta=theta[pos], sigma2=float(sigma2[pos]))
         except ValidationError as exc:
             errors[int(row)] = str(exc)
     return trajectories, errors
@@ -555,10 +552,10 @@ def fit_equation(y: np.ndarray, iters: int, seed: int | Sequence[int]) -> TVPTra
 
 @dataclass
 class PanelTVPResult:
-    """Per-column trajectories; failed columns carry None plus a reason."""
+    """Per-column trajectories; failed columns carry None plus a reason by name."""
 
     trajectories: list[TVPTrajectory | None]
-    errors: dict[int, str]
+    errors: dict[str, str]
 
     @property
     def ok(self) -> bool:
@@ -590,7 +587,8 @@ def estimate_all(panel: TimeSeriesPanel, config: TVPConfig) -> PanelTVPResult:
     for i, trajectory in zip(live, fitted):
         trajectories[i] = trajectory
     errors.update((live[row], reason) for row, reason in failed.items())
-    return PanelTVPResult(trajectories=trajectories, errors=dict(sorted(errors.items())))
+    names = panel.column_names()
+    return PanelTVPResult(trajectories, {names[i]: errors[i] for i in sorted(errors)})
 
 
 def write_trajectories(result: PanelTVPResult, panel: TimeSeriesPanel,
@@ -614,7 +612,7 @@ def write_trajectories(result: PanelTVPResult, panel: TimeSeriesPanel,
             }
             for i, traj in enumerate(result.trajectories) if traj is not None
         },
-        "errors": {names[i]: msg for i, msg in result.errors.items()},
+        "errors": result.errors,
     }
     write_json(meta, meta_path)
 

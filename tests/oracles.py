@@ -38,7 +38,7 @@ import numpy as np
 from scipy.linalg import lapack
 from scipy.special import ndtri
 
-from tvpgvar.gvar import ma_coefficients, stability_check
+from tvpgvar.gvar import ma_coefficients, spectral_radius
 from tvpgvar.ingest import month_index
 from tvpgvar.irf import IRFResult, cholesky_lower, derivative_Gn, derivative_H
 from tvpgvar.tvp import C0_RATE, C0_SHAPE, P0_SCALE, RIDGE_JITTER, TVPTrajectory
@@ -209,7 +209,7 @@ def dense_asymptotic_bands(system, shock, sample_size, sigma_alpha, sigma_sigma)
         var = np.clip(np.diag(selector @ cov @ selector.T), 0.0, None)
         half[s] = z * np.sqrt(var) / np.sqrt(sample_size)
     return IRFResult(point=point, half_width=half,
-                     radius=stability_check(system.f1).radius,
+                     radius=spectral_radius(system.f1),
                      g0_condition=float(np.linalg.cond(system.g0)),
                      at_time=shock.at_time, targets=shock.targets,
                      level=shock.level, sample_size=sample_size)
@@ -256,7 +256,7 @@ def fit_equation_loop(y, iters, seed):
         resid = target - design @ draw
         rate = C0_RATE + 0.5 * float(resid @ resid)
         sigma2 = 1.0 / rng.gamma(shape=C0_SHAPE + target.size / 2.0, scale=1.0 / rate)
-    return TVPTrajectory(theta0=theta0, sqrt_omega=sqrt_omega, theta_tilde=tilde,
+    return TVPTrajectory(theta0=theta0, sqrt_omega=sqrt_omega,
                          theta=theta0[None, :] + sqrt_omega[None, :] * tilde, sigma2=sigma2)
 
 

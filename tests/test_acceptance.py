@@ -291,7 +291,7 @@ def test_lasso_cv_matches_scalar_oracle_on_sample(tmp_path):
     config = ForecasterConfig(kind="lasso", lag_window=6, cv_folds=2, grid_size=25)
     start = time.perf_counter()
     x, y, _, grids = _lasso_inputs(series, config)
-    fast = grids[np.arange(series.shape[0]), select_lasso_lambda(x, y, grids, config.cv_folds)]
+    fast = grids[np.arange(series.shape[0]), select_lasso_lambda(x, y, grids, config.cv_folds)[0]]
     fast_s = time.perf_counter() - start
     start = time.perf_counter()
     slow = np.array([select_lambda_cd(row, 6, 2, 25, 1e-4) for row in series])
@@ -424,8 +424,7 @@ def test_forecaster_head_to_head():
         actuals = panel.values[t_len - h:]
         theta_true = np.column_stack([b_true[1:t_len - h], f_true[1:t_len - h]])
         trajectories = PanelTVPResult(trajectories=[TVPTrajectory(
-            theta0=theta_true[0].copy(), sqrt_omega=np.ones(2),
-            theta_tilde=theta_true - theta_true[0], theta=theta_true,
+            theta0=theta_true[0].copy(), sqrt_omega=np.ones(2), theta=theta_true,
             sigma2=0.03 ** 2)], errors={})
         res_const = two_stage_forecast(
             train, trajectories, ForecasterConfig(kind="constant", horizon=h),

@@ -440,6 +440,39 @@ class TestForecast:
         assert set(table) == {"constant", "partial"}
         assert set(table["partial"]) == {"AAA.CPI", "AAA.GDP", "BBB.CPI", "BBB.GDP", "ALL"}
 
+    def test_lasso_stall_fails_only_its_series(self, tmp_path, capsys, monkeypatch):
+        # one stalled fold path drops AAA.GDP's lasso rows alone, and the
+        # warning names the column and the series
+        import tvpgvar.forecast as forecast_module
+
+        config_path = mini_config(tmp_path)
+        clean_out = ["--out", str(tmp_path / "clean")]
+        for argv in ([], clean_out):
+            assert main(["ingest", "--config", str(config_path), *argv]) == 0
+        assert main(["forecast", "--config", str(config_path), *clean_out]) == 0
+        lasso_path = forecast_module._lasso_path
+        batches = []
+
+        def stalling(problems, lams):
+            betas, failed = lasso_path(problems, lams)
+            if not batches:  # the CV batch, fold-major over the 10 series b_0, f_0, ...
+                failed[10 + 3] = "lasso path took more than 27 events between two grid penalties"
+            batches.append(problems)
+            return betas, failed
+
+        monkeypatch.setattr(forecast_module, "_lasso_path", stalling)
+        capsys.readouterr()
+        assert main(["forecast", "--config", str(config_path)]) == 0
+        err = capsys.readouterr().err
+        assert ("warning: lasso failed for AAA.GDP: f1 series of AAA.GDP: "
+                "lasso path took more than 27 events between two grid penalties") in err
+        assert err.count("warning:") == 1
+        rows = (tmp_path / "out" / "forecast_params.csv").read_text().splitlines()
+        clean = (tmp_path / "clean" / "forecast_params.csv").read_text().splitlines()
+        assert rows == [row for row in clean if not row.startswith("lasso,")
+                        or ",AAA.GDP," not in row]
+        assert len(clean) - len(rows) == 4  # the horizon's lasso rows of AAA.GDP
+
     @pytest.mark.parametrize("text, message", [
         (None, "file not found or unreadable"),
         ("date,column,b,f1\n2005-09,OIL,0.0,abc\n", "row 2: non-numeric value 'abc'"),
@@ -779,10 +812,24 @@ def test_irf_unknown_shock_column_fails_before_numpy(tmp_path):
     assert proc.stdout.split() == ["False"]
 
 
+def test_repeated_shock_target_fails_at_load(tmp_path):
+    # the config is at fault: no panel.csv is read and numpy never loads
+    config_path = mini_config(tmp_path, irf={"dates": ["2003-06"],
+                                             "shocks": [["OIL"], ["OIL", "OIL"]]})
+    script = ("import sys, tvpgvar.cli\n"
+              "code = tvpgvar.cli.main(['irf', '--config', sys.argv[1]])\n"
+              "print('numpy' in sys.modules)\n"
+              "sys.exit(code)")
+    proc = run_python("-c", script, str(config_path))
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.strip() == "error: duplicate columns in irf.shocks[1]: ['OIL', 'OIL']"
+    assert proc.stdout.split() == ["False"]
+
+
 def test_package_names_resolve_on_first_use():
     namespace = {}
     exec("from tvpgvar import *", namespace)
-    assert len(tvpgvar.__all__) == 44
+    assert len(tvpgvar.__all__) == 43
     assert set(tvpgvar.__all__) <= set(dir(tvpgvar))
     for name in tvpgvar.__all__:
         assert namespace[name] is getattr(tvpgvar, name)

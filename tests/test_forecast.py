@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from tvpgvar import (
     select_model,
     two_stage_forecast,
 )
-from tvpgvar.errors import ValidationError
+from tvpgvar.errors import NumericalError, ValidationError
 from tvpgvar.forecast import (
     _lag_design, _lasso_inputs, _lasso_path, _original_scale, _stack, _standardize,
     read_mse_report, read_variable_paths, select_lasso_lambda,
@@ -23,10 +25,31 @@ from conftest import make_panel
 from oracles import lag_design, lasso_cd, lasso_objective
 
 
+STALL = "lasso path took more than 3 events between two grid penalties"
+
+
+def stall_problem(monkeypatch, call, row):
+    """Make problem ``row`` of the ``call``-th ``_lasso_path`` batch stall: its
+    solutions stay zero and it is reported, as the solver does on a stall."""
+    import tvpgvar.forecast as forecast_module
+
+    calls = itertools.count()
+    lasso_path = forecast_module._lasso_path
+
+    def stalling(problems, lams):
+        betas, failed = lasso_path(problems, lams)
+        if next(calls) == call:
+            betas[:, row] = 0.0
+            failed[row] = STALL
+        return betas, failed
+
+    monkeypatch.setattr(forecast_module, "_lasso_path", stalling)
+
+
 def chosen_penalties(stack, config):
     """Each series' cross-validated penalty: its grid at the chosen position."""
     x, y, _, grids = _lasso_inputs(stack, config)
-    return grids[np.arange(grids.shape[0]), select_lasso_lambda(x, y, grids, config.cv_folds)]
+    return grids[np.arange(grids.shape[0]), select_lasso_lambda(x, y, grids, config.cv_folds)[0]]
 
 
 def orthonormal_design(rng, n, n_feat):
@@ -118,26 +141,33 @@ class TestLassoFit:
         with pytest.raises(ValidationError):
             lasso_fit(np.array([[np.nan, 1.0]]), np.array([1.0]), 0.1)
 
+    def test_stalled_path_raises(self, rng, monkeypatch):
+        # the one-problem call has no other series to go on with
+        stall_problem(monkeypatch, 0, 0)
+        with pytest.raises(NumericalError, match=f"^{STALL}$"):
+            lasso_fit(rng.standard_normal((40, 3)), rng.standard_normal(40), 0.01)
+
 
 class TestForecastConstant:
     def test_repeats_last_row(self):
         theta = np.array([[0.1, 0.2], [0.3, 0.5]])
-        out = forecast_constant(theta, ForecasterConfig(horizon=6))
+        out, failed = forecast_constant(theta, ForecasterConfig(horizon=6))
+        assert failed == {}
         assert out.shape == (6, 2)
         np.testing.assert_array_equal(out, np.tile([0.3, 0.5], (6, 1)))
 
     def test_single_step_equals_last_row(self, rng):
         theta = rng.standard_normal((10, 2))
         np.testing.assert_array_equal(
-            forecast_constant(theta, ForecasterConfig(horizon=1))[0], theta[-1])
+            forecast_constant(theta, ForecasterConfig(horizon=1))[0][0], theta[-1])
 
     def test_invariant_to_history_before_last_row(self, rng):
         theta_a = rng.standard_normal((10, 2))
         theta_b = rng.standard_normal((10, 2))
         theta_b[-1] = theta_a[-1]
         config = ForecasterConfig(horizon=4)
-        np.testing.assert_array_equal(forecast_constant(theta_a, config),
-                                      forecast_constant(theta_b, config))
+        np.testing.assert_array_equal(forecast_constant(theta_a, config)[0],
+                                      forecast_constant(theta_b, config)[0])
 
 
 class TestForecastVar1:
@@ -151,7 +181,8 @@ class TestForecastVar1:
         for t in range(1, t_len):
             series[t] = intercept + slope @ series[t - 1]
         horizon = 8
-        out = forecast_var1(series, ForecasterConfig(kind="var1", horizon=horizon))
+        out, failed = forecast_var1(series, ForecasterConfig(kind="var1", horizon=horizon))
+        assert failed == {}
         expected = np.empty((horizon, dim))
         state = series[-1]
         for s in range(horizon):
@@ -161,7 +192,7 @@ class TestForecastVar1:
 
     def test_white_noise_converges_to_mean(self, rng):
         series = rng.standard_normal((400, 2)) + np.array([1.0, -2.0])
-        out = forecast_var1(series, ForecasterConfig(kind="var1", horizon=60))
+        out, _ = forecast_var1(series, ForecasterConfig(kind="var1", horizon=60))
         np.testing.assert_allclose(out[-1], series.mean(axis=0), atol=0.3)
         gap_start = np.abs(out[0] - series.mean(axis=0))
         gap_end = np.abs(out[-1] - series.mean(axis=0))
@@ -172,7 +203,7 @@ class TestForecastVar1:
         y[0] = 0.3
         for t in range(1, 80):
             y[t] = 0.4 + 0.6 * y[t - 1] + 0.05 * rng.standard_normal()
-        out = forecast_var1(y[:, None], ForecasterConfig(kind="var1", horizon=5))
+        out, _ = forecast_var1(y[:, None], ForecasterConfig(kind="var1", horizon=5))
         design = np.column_stack([np.ones(79), y[:-1]])
         coef = np.linalg.lstsq(design, y[1:], rcond=None)[0]
         state = y[-1]
@@ -225,8 +256,9 @@ class TestBatchedSolver:
     def test_mixed_batch_matches_oracle(self, seed, n, n_feat):
         xs, ys, lams = self.mixed_batch(seed, n, n_feat)
         problems = _stack([_standardize(x, y) for x, y in zip(xs, ys)])
-        beta = _lasso_path(problems, lams[:, None])[0]
-        coefs, intercepts = _original_scale(problems, beta)
+        betas, failed = _lasso_path(problems, lams[:, None])
+        assert failed == {}
+        coefs, intercepts = _original_scale(problems, betas[0])
         for b, (x, y, lam) in enumerate(zip(xs, ys, lams)):
             coef, intercept, *_ = lasso_cd(x, y, lam, tol=1e-12)
             scale = x.std(axis=0)
@@ -248,7 +280,8 @@ class TestBatchedSolver:
         x, y = _lag_design(stack, lag_window)
         split = y.shape[1] // 2
         problems = _stack([_standardize(x[s, :split], y[s, :split]) for s in range(40)])
-        betas = _lasso_path(problems, grids)
+        betas, failed = _lasso_path(problems, grids)
+        assert failed == {}
         assert self.kkt_violation(problems, grids, betas) <= 1e-9
 
     def test_singular_support_stays_in_the_batch(self):
@@ -268,7 +301,9 @@ class TestBatchedSolver:
             targets += [y, y]
         problems = _stack([_standardize(x, y) for x, y in zip(designs, targets)])
         lams = 0.01 * problems.lam_max
-        beta = _lasso_path(problems, lams[:, None])[0]
+        betas, failed = _lasso_path(problems, lams[:, None])
+        assert failed == {}
+        beta = betas[0]
         assert np.all(np.isfinite(beta))
         assert np.all(np.count_nonzero(beta[::2, :2], axis=1) == 1)
         assert self.kkt_violation(problems, lams[:, None], beta[None]) <= 1e-9
@@ -288,8 +323,8 @@ class TestBatchedSolver:
         assert lams.shape == (5,)
         assert [chosen_penalties(row[None], config)[0] for row in stack] == list(lams)
         np.testing.assert_allclose(
-            forecast_lasso(stack.T, config),
-            np.hstack([forecast_lasso(row[:, None], config) for row in stack]),
+            forecast_lasso(stack.T, config)[0],
+            np.hstack([forecast_lasso(row[:, None], config)[0] for row in stack]),
             rtol=0, atol=1e-12)
 
     def test_penalty_grids_match_per_series_geomspace(self, rng):
@@ -337,21 +372,22 @@ class TestForecastLasso:
             y[t] = 0.9 * y[t - 1]
         config = ForecasterConfig(kind="lasso", horizon=6, lag_window=1, cv_folds=3,
                                   grid_size=40, grid_floor=1e-10)
-        out = forecast_lasso(y[:, None], config)[:, 0]
+        out = forecast_lasso(y[:, None], config)[0][:, 0]
         expected = y[-1] * 0.9 ** np.arange(1, 7)
         np.testing.assert_allclose(out, expected, atol=1e-4)
 
     def test_constant_series_intercept_only(self):
         y = np.full(60, 4.2)
         config = ForecasterConfig(kind="lasso", horizon=5, lag_window=3, cv_folds=3)
-        out = forecast_lasso(y[:, None], config)
+        out, failed = forecast_lasso(y[:, None], config)
+        assert failed == {}
         np.testing.assert_allclose(out, 4.2, atol=1e-12)
 
     def test_deterministic(self, rng):
         y = np.cumsum(rng.standard_normal((1, 90)), axis=1) * 0.1 + 1.0
         config = ForecasterConfig(kind="lasso", horizon=4, lag_window=4, cv_folds=4)
-        a = forecast_lasso(y.T, config)
-        b = forecast_lasso(y.T, config)
+        a, _ = forecast_lasso(y.T, config)
+        b, _ = forecast_lasso(y.T, config)
         np.testing.assert_array_equal(a, b)
         np.testing.assert_array_equal(chosen_penalties(y, config), chosen_penalties(y, config))
 
@@ -397,7 +433,7 @@ class TestForecastLasso:
                 for step in range(h):
                     expected[s, step] = fit.intercept + fit.coef @ np.array(window)
                     window = [expected[s, step]] + window[:-1]
-            np.testing.assert_allclose(forecast_lasso(stack.T, config), expected.T,
+            np.testing.assert_allclose(forecast_lasso(stack.T, config)[0], expected.T,
                                        rtol=0, atol=1e-12)
 
 
@@ -407,8 +443,7 @@ def trajectories_from_paths(theta_per_column, sigma2=0.01):
     for theta in theta_per_column:
         theta = np.asarray(theta, float)
         out.append(TVPTrajectory(
-            theta0=theta[0].copy(), sqrt_omega=np.ones(2),
-            theta_tilde=theta - theta[0], theta=theta, sigma2=sigma2))
+            theta0=theta[0].copy(), sqrt_omega=np.ones(2), theta=theta, sigma2=sigma2))
     return PanelTVPResult(trajectories=out, errors={})
 
 
@@ -468,7 +503,7 @@ class TestTwoStageForecast:
                                     ForecasterConfig(kind="var1", horizon=h))
         assert not result.errors
         # stage one is the joint VAR(1) on the stacked parameter series
-        expected = forecast_var1(np.hstack(paths), ForecasterConfig(kind="var1", horizon=h))
+        expected, _ = forecast_var1(np.hstack(paths), ForecasterConfig(kind="var1", horizon=h))
         np.testing.assert_allclose(result.param_paths[:, 0, :], expected[:, 0:2],
                                    atol=1e-12)
         np.testing.assert_allclose(result.param_paths[:, 1, :], expected[:, 2:4],
@@ -533,7 +568,7 @@ class TestTwoStageForecast:
         tvp_result = trajectories_from_paths(paths)
         # a built trajectory holds no NaN: the sampler reports a failed column as None
         tvp_result.trajectories[1] = None
-        tvp_result.errors[1] = "iteration 3: residuals are not finite"
+        tvp_result.errors["B.v1"] = "iteration 3: residuals are not finite"
         result = two_stage_forecast(panel, tvp_result, config)
         assert result.errors == {"B.v1": "iteration 3: residuals are not finite"}
         assert np.all(np.isnan(result.variable_paths[:, 1]))
@@ -550,7 +585,8 @@ class TestTwoStageForecast:
         theta = np.column_stack([np.full(t_len - 1, 0.1), drift])
         paths = trajectories_from_paths([theta])
         tvp_result = PanelTVPResult(trajectories=[None, paths.trajectories[0], None],
-                                    errors={0: "sampler failed", 2: "iteration 7: no factor"})
+                                    errors={"A.v1": "sampler failed",
+                                            "C.v1": "iteration 7: no factor"})
         config = ForecasterConfig(kind="lasso", horizon=h, lag_window=4, cv_folds=4)
         result = two_stage_forecast(panel, tvp_result, config)
         assert result.errors == {"A.v1": "sampler failed", "C.v1": "iteration 7: no factor"}
@@ -559,6 +595,32 @@ class TestTwoStageForecast:
                                    trajectories_from_paths([theta]), config)
         np.testing.assert_array_equal(result.param_paths[:, 1], alone.param_paths[:, 0])
         np.testing.assert_array_equal(result.variable_paths[:, 1], alone.variable_paths[:, 0])
+
+    @pytest.mark.parametrize("call, row, reason", [
+        (0, 2 * 6 + 3, "f1 series of B.v1: "),
+        (1, 2, "b series of B.v1: "),
+    ], ids=["fold", "full-sample"])
+    def test_lasso_stall_fails_only_its_series(self, rng, monkeypatch, call, row, reason):
+        # a stalled path in any fold or in the full-sample fit of one of
+        # column B's two series drops B alone; the series are b_0, f_0, b_1, ...
+        # and the CV batch is fold-major, so row 2 * 6 + 3 is fold 2's f_1
+        t_len, h = 90, 3
+        y = np.cumsum(rng.standard_normal((t_len, 3)), axis=0) * 0.05 + 1.0
+        panel = make_panel(y, ["A", "B", "C"], ["v1"])
+        paths = [np.column_stack([np.full(t_len - 1, 0.1), np.linspace(0.2, 0.6, t_len - 1)])
+                 + 0.01 * np.cumsum(rng.standard_normal((t_len - 1, 2)), axis=0)
+                 for _ in range(3)]
+        config = ForecasterConfig(kind="lasso", horizon=h, lag_window=4, cv_folds=4)
+        clean = two_stage_forecast(panel, trajectories_from_paths(paths), config)
+        assert not clean.errors
+        stall_problem(monkeypatch, call, row)
+        result = two_stage_forecast(panel, trajectories_from_paths(paths), config)
+        assert result.errors == {"B.v1": reason + STALL}
+        assert np.all(np.isnan(result.param_paths[:, 1]))
+        assert np.all(np.isnan(result.variable_paths[:, 1]))
+        np.testing.assert_array_equal(result.param_paths[:, [0, 2]], clean.param_paths[:, [0, 2]])
+        np.testing.assert_array_equal(result.variable_paths[:, [0, 2]],
+                                      clean.variable_paths[:, [0, 2]])
 
 
 class TestMSE:

@@ -5,7 +5,7 @@ from tvpgvar import (
     WeightSequence,
     estimate_structural,
     ma_coefficients,
-    stability_check,
+    spectral_radius,
     stack_system,
 )
 from tvpgvar.errors import NumericalError, ValidationError
@@ -470,20 +470,25 @@ class TestMACoefficients:
 
 
 class TestStability:
+    # a system is stable iff its spectral radius is strictly below 1
     def test_half_identity(self):
-        report = stability_check(0.5 * np.eye(3))
-        assert report.radius == pytest.approx(0.5)
-        assert report.stable
+        radius = spectral_radius(0.5 * np.eye(3))
+        assert radius == pytest.approx(0.5)
+        assert radius < 1.0
 
     def test_identity_not_stable(self):
-        report = stability_check(np.eye(2))
-        assert report.radius == pytest.approx(1.0)
-        assert not report.stable
+        radius = spectral_radius(np.eye(2))
+        assert radius == pytest.approx(1.0)
+        assert not radius < 1.0
 
     def test_explosive_ar(self):
-        report = stability_check(np.array([[1.2]]))
-        assert report.radius == pytest.approx(1.2)
-        assert not report.stable
+        radius = spectral_radius(np.array([[1.2]]))
+        assert radius == pytest.approx(1.2)
+        assert not radius < 1.0
+
+    def test_non_square_rejected(self):
+        with pytest.raises(ValidationError, match="square matrix"):
+            spectral_radius(np.ones((2, 3)))
 
 
 def test_coefficients_json_round_trip(tmp_path, rng):

@@ -232,10 +232,9 @@ def test_write_trajectories_streams(tmp_path, rng):
     trajectories = []
     for _ in range(panel.width):
         theta0, sqrt_omega = rng.standard_normal(2), rng.uniform(0.1, 1.0, 2)
-        theta_tilde = rng.standard_normal((n, 2))
+        tilde = rng.standard_normal((n, 2))
         trajectories.append(TVPTrajectory(theta0=theta0, sqrt_omega=sqrt_omega,
-                                          theta_tilde=theta_tilde,
-                                          theta=theta0 + sqrt_omega * theta_tilde, sigma2=1.0))
+                                          theta=theta0 + sqrt_omega * tilde, sigma2=1.0))
     result = PanelTVPResult(trajectories=trajectories, errors={})
     path = tmp_path / "trajectories.csv"
     peak = traced_peak(lambda: write_trajectories(result, panel, TVPConfig(), path,

@@ -1,5 +1,6 @@
 import importlib.machinery
 import importlib.util
+import itertools
 import re
 import tracemalloc
 import warnings
@@ -388,28 +389,22 @@ class TestRunAlgorithm1:
         a = fit_equation(y, 1, 123)
         b = fit_equation(y, 1, 123)
         np.testing.assert_array_equal(a.theta, b.theta)
-        np.testing.assert_array_equal(a.theta_tilde, b.theta_tilde)
+        np.testing.assert_array_equal(a.theta0, b.theta0)
+        np.testing.assert_array_equal(a.sqrt_omega, b.sqrt_omega)
         assert a.sigma2 == b.sigma2
 
-    def test_reconstruction_identity(self, rng):
-        y = rng.standard_normal(80)
-        traj = fit_equation(y, 20, 5)
-        recon = traj.theta0[None, :] + traj.sqrt_omega[None, :] * traj.theta_tilde
-        np.testing.assert_array_equal(recon, traj.theta)
-
-    @pytest.mark.parametrize("sigma2, theta_tilde, theta", [
-        (np.nan, [[0.0, 0.0]], [[0.0, 0.0]]),
-        (0.5, [[np.nan, 0.0]], [[5.0, 0.0]]),
-        (0.5, [[np.nan, 0.0]], [[np.nan, 0.0]]),
+    @pytest.mark.parametrize("sigma2, theta0, theta", [
+        (np.nan, [0.0, 0.0], [[0.0, 0.0]]),
+        (0.5, [np.nan, 0.0], [[5.0, 0.0]]),
+        (0.5, [0.0, 0.0], [[np.nan, 0.0]]),
     ])
-    def test_nan_trajectory_rejected(self, sigma2, theta_tilde, theta):
+    def test_nan_trajectory_rejected(self, sigma2, theta0, theta):
         # every comparison with NaN is False, so a check must be written to fail on it
         with pytest.raises(ValidationError, match="sigma2|theta"):
-            TVPTrajectory(theta0=np.zeros(2), sqrt_omega=np.ones(2),
-                          theta_tilde=np.array(theta_tilde), theta=np.array(theta),
-                          sigma2=sigma2)
+            TVPTrajectory(theta0=np.array(theta0), sqrt_omega=np.ones(2),
+                          theta=np.array(theta), sigma2=sigma2)
 
-    @pytest.mark.parametrize("name", ["theta0", "sqrt_omega", "theta_tilde", "theta"])
+    @pytest.mark.parametrize("name", ["theta0", "sqrt_omega", "theta"])
     def test_trajectory_arrays_read_only(self, rng, name):
         # checked once when built: no later write can slip a NaN past the check
         traj = fit_equation(rng.standard_normal(40), 5, 3)
@@ -457,16 +452,47 @@ class TestEstimateAll:
         result = estimate_all(make_panel(values, ["A"], ["x", "y", "z"]),
                               TVPConfig(iters=2, seed=0))
         assert not result.ok
-        assert set(result.errors) == {1}
-        assert result.errors[1].startswith("iteration 0: ")
+        assert set(result.errors) == {"A.y"}
+        assert result.errors["A.y"].startswith("iteration 0: ")
         assert result.trajectories[1] is None
         assert result.trajectories[0] is not None
         assert result.trajectories[2] is not None
         for i in (0, 2):
             ours, alone = result.trajectories[i], fit_equation(values[:, i], 2, (0, i))
             np.testing.assert_array_equal(ours.theta, alone.theta)
-            np.testing.assert_array_equal(ours.theta_tilde, alone.theta_tilde)
+            np.testing.assert_array_equal(ours.sqrt_omega, alone.sqrt_omega)
             assert ours.sigma2 == alone.sigma2
+
+    def test_path_reason_comes_first(self, rng, monkeypatch):
+        # A.y's path draw fails at iteration 1 and leaves NaN rows, so its
+        # coefficient and variance draws fail too; the column is named once,
+        # with the path reason, and the others keep their chains
+        import tvpgvar.tvp as tvp_module
+
+        values = rng.standard_normal((40, 3))
+        alone = {i: fit_equation(values[:, i], 3, (0, i)) for i in (0, 2)}
+        reason = "state precision not positive definite (dpbtrf info 5)"
+        draw = tvp_module.sample_theta_tilde_banded
+        calls = itertools.count()
+
+        def failing(y, theta0, sqrt_omega, sigma2, rngs):
+            tilde, failed = draw(y, theta0, sqrt_omega, sigma2, rngs)
+            if next(calls) == 1:
+                tilde[1] = np.nan
+                failed[1] = reason
+            return tilde, failed
+
+        monkeypatch.setattr(tvp_module, "sample_theta_tilde_banded", failing)
+        result = estimate_all(make_panel(values, ["A"], ["x", "y", "z"]),
+                              TVPConfig(iters=3, seed=0))
+        assert result.errors == {"A.y": f"iteration 1: {reason}"}
+        assert [t is None for t in result.trajectories] == [False, True, False]
+        for i in (0, 2):
+            ours = result.trajectories[i]
+            np.testing.assert_array_equal(ours.theta, alone[i].theta)
+            np.testing.assert_array_equal(ours.theta0, alone[i].theta0)
+            np.testing.assert_array_equal(ours.sqrt_omega, alone[i].sqrt_omega)
+            assert ours.sigma2 == alone[i].sigma2
 
     @pytest.mark.parametrize("scale", [1e155, 1e160])
     def test_overflowing_column_is_a_numerical_error(self, rng, scale):
@@ -481,7 +507,7 @@ class TestEstimateAll:
                                   TVPConfig(iters=3, seed=0))
             with pytest.raises(NumericalError, match=r"^iteration 0: non-finite X'X"):
                 fit_equation(values[:, 1], 3, 0)
-        assert result.errors == {1: "iteration 0: non-finite X'X in coefficient posterior"}
+        assert result.errors == {"A.y": "iteration 0: non-finite X'X in coefficient posterior"}
         assert [t is None for t in result.trajectories] == [False, True, False]
 
     def test_constant_column_takes_the_pseudo_inverse_prior(self):
@@ -499,9 +525,10 @@ class TestEstimateAll:
     def test_holds_one_iteration_at_a_time(self):
         # the largest arrays the sampler must hold at once: one path draw's
         # band (3 lower diagonals) and right-hand sides over the 2n
-        # interleaved states of every column, and the theta and theta_tilde
-        # paths it returns; a loop that also keeps the previous iteration's
-        # path and step-3 designs, or full-size temporaries, goes over
+        # interleaved states of every column, and the final standardized path
+        # with the theta paths built from it; a loop that also keeps the
+        # previous iteration's path and step-3 designs, or full-size
+        # temporaries, goes over
         width, t_len, iters = 31, 250, 20
         values = 1.0 + np.cumsum(0.1 * np.random.default_rng(7).standard_normal((t_len, width)),
                                  axis=0)
