@@ -15,6 +15,7 @@ Exit codes: 0 success, 1 validation error, 2 numerical failure.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from pathlib import Path
@@ -70,7 +71,6 @@ def cmd_ingest(config: RunConfig) -> None:
         regions=config.regions, variables=config.variables,
         activities=config.activities, transform=config.transform)
     report = ingest.validate_panel(panel)
-    config.out_dir.mkdir(parents=True, exist_ok=True)
     write_json(report.as_dict(), config.out_dir / VALIDATION_FILE)
     if not report.ok:
         raise ValidationError(
@@ -194,10 +194,12 @@ def cmd_forecast(config: RunConfig) -> None:
     fc.write_variable_paths(results, config.out_dir / FORECAST_VARIABLES_FILE,
                             actuals=actuals)
     fc.write_mse_report(results, config.out_dir / MSE_REPORT_FILE)
-    aggregates = {method: r.pooled_mse for method, r in results.items()
-                  if r.pooled_mse is not None}
+    aggregates = fc.pooled_mse(results)
     if not aggregates:
-        raise NumericalError("no forecaster produced a scoreable path")
+        scoring = [method for method, r in results.items() if r.mse_per_series]
+        raise NumericalError(
+            f"the forecasters {', '.join(scoring)} share no scored series" if scoring
+            else "no forecaster produced a scoreable path")
     best = select_model(aggregates)
     print(f"mse report -> {config.out_dir / MSE_REPORT_FILE}")
     print(f"selected model: {best}")
@@ -250,7 +252,12 @@ def main(argv: list[str] | None = None) -> int:
     start = time.perf_counter()
     try:
         config = _apply_overrides(load_config(args.config), args)
-        config.out_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            config.out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            reason = exc.strerror or exc
+            raise ValidationError(
+                f"{config.out_dir}: cannot create output directory ({reason})") from None
         if args.command == "ingest":
             cmd_ingest(config)
         elif args.command == "estimate":
@@ -272,6 +279,13 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entrypoint() -> None:
+    # An idle OpenBLAS worker (numpy's pool, and SciPy's behind _flapack)
+    # busy-waits about 2**28 cycles before it sleeps, at start-up and after
+    # every threaded call, and takes that CPU from the main thread when the
+    # other core is busy. 4 is the floor: idle workers sleep at once. It must
+    # be set before a stage imports numpy, and not in main(), which callers
+    # run in-process; a user's own value wins.
+    os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
     sys.exit(main())
 
 

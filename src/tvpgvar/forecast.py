@@ -360,12 +360,6 @@ class ForecastResult:
     mse_per_series: dict[str, float] | None
     errors: dict[str, str] = field(default_factory=dict)
 
-    @property
-    def pooled_mse(self) -> float | None:
-        if not self.mse_per_series:
-            return None
-        return float(np.mean(list(self.mse_per_series.values())))
-
 
 def _future_dates(panel: TimeSeriesPanel, horizon: int) -> tuple[str, ...]:
     last = month_index(panel.time_index[-1])
@@ -464,8 +458,26 @@ def mse(actual: np.ndarray, predicted: np.ndarray) -> float:
 # artifacts
 # ---------------------------------------------------------------------------
 
+def pooled_mse(results: Mapping[str, ForecastResult]) -> dict[str, float]:
+    """Each scoring method's mean MSE over the series that every scoring
+    method scored, so that the methods compare on the same series.
+
+    A method that scored no series is left out. The result is empty when no
+    method scored or the scoring methods share no series.
+    """
+    scoring = {method: result.mse_per_series for method, result in results.items()
+               if result.mse_per_series}
+    shared = set.intersection(*map(set, scoring.values())) if scoring else set()
+    if not shared:
+        return {}
+    return {method: float(np.mean([value for name, value in scores.items() if name in shared]))
+            for method, scores in scoring.items()}
+
+
 def write_mse_report(results: Mapping[str, ForecastResult], path: str | Path) -> None:
-    """Per-series rows plus one ``ALL`` aggregate row per method."""
+    """Per-series rows plus one ``ALL`` row per method, pooled by ``pooled_mse``."""
+    pooled = pooled_mse(results)
+
     def rows():
         for method, result in results.items():
             if result.mse_per_series is None:
@@ -473,9 +485,8 @@ def write_mse_report(results: Mapping[str, ForecastResult], path: str | Path) ->
             for name in result.columns:
                 if name in result.mse_per_series:
                     yield method, name, result.mse_per_series[name]
-            pooled = result.pooled_mse
-            if pooled is not None:
-                yield method, "ALL", pooled
+            if method in pooled:
+                yield method, "ALL", pooled[method]
     write_csv(path, ["method", "series", "mse"], rows())
 
 

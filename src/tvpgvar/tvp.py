@@ -228,7 +228,7 @@ def sample_theta_tilde_smoothed(state: KalmanState, rng: np.random.Generator,
 def _flapack():
     """SciPy's compiled LAPACK wrappers, the module behind ``scipy.linalg.lapack``.
 
-    ``import scipy.linalg`` adds about 0.3 s and 19 MB to the start of every
+    ``import scipy.linalg`` adds about 0.23 s and 28 MB to the start of every
     process that draws a path, mostly for modules the draw never calls; the
     extension loaded alone exposes the same Fortran routines. It is left out
     of ``sys.modules``, so a later ``import scipy.linalg`` loads its own copy.

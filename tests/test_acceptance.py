@@ -18,7 +18,8 @@ from tvpgvar import ShockSpec, WeightSequence
 from tvpgvar.cli import main
 from tvpgvar.errors import NumericalError
 from tvpgvar.forecast import (
-    ForecasterConfig, _lasso_inputs, _standardize, select_lasso_lambda, two_stage_forecast,
+    ForecasterConfig, _lasso_inputs, _standardize, pooled_mse, select_lasso_lambda,
+    two_stage_forecast,
 )
 from tvpgvar.irf import commutation_matrix, derivative_Gn, derivative_H, elimination_matrix
 from tvpgvar.sample import IRF_DATES, write_sample_config
@@ -434,7 +435,8 @@ def test_forecaster_head_to_head():
             ForecasterConfig(kind="lasso", horizon=h, lag_window=8,
                              cv_folds=5, grid_size=30),
             actuals=actuals)
-        if res_lasso.pooled_mse <= res_const.pooled_mse:
+        pooled = pooled_mse({"constant": res_const, "lasso": res_lasso})
+        if pooled["lasso"] <= pooled["constant"]:
             wins += 1
     elapsed = time.perf_counter() - start
     ok = wins >= 15

@@ -1,3 +1,4 @@
+import errno
 import os
 import re
 import shutil
@@ -70,6 +71,24 @@ def mini_config(tmp_path, **overrides):
     return config_path
 
 
+def stall_lasso_on_aaa_gdp(monkeypatch):
+    """Make the first lasso path batch, the CV folds, report a stall for
+    AAA.GDP's f1 series in the second fold."""
+    import tvpgvar.forecast as forecast_module
+
+    lasso_path = forecast_module._lasso_path
+    batches = []
+
+    def stalling(problems, lams):
+        betas, failed = lasso_path(problems, lams)
+        if not batches:  # the CV batch, fold-major over the 10 series b_0, f_0, ...
+            failed[10 + 3] = "lasso path took more than 27 events between two grid penalties"
+        batches.append(problems)
+        return betas, failed
+
+    monkeypatch.setattr(forecast_module, "_lasso_path", stalling)
+
+
 @pytest.fixture(scope="module")
 def pipeline(tmp_path_factory):
     """Run the full pipeline once; individual tests inspect the artifacts."""
@@ -97,6 +116,18 @@ class TestIngest:
         write_json(obj, config_path)
         assert main(["ingest", "--config", str(config_path)]) == 1
         assert "does-not-exist.csv" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("out, code", [("afile/sub", errno.ENOTDIR),
+                                           ("afile", errno.EEXIST)],
+                             ids=["parent-is-a-file", "dir-is-a-file"])
+    def test_uncreatable_out_dir(self, tmp_path, capsys, out, code):
+        # a regular file stands where the output directory or its parent goes
+        config_path = mini_config(tmp_path)
+        (tmp_path / "afile").write_text("")
+        out_dir = (tmp_path / out).resolve()
+        assert main(["ingest", "--config", str(config_path), "--out", str(out_dir)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {out_dir}: cannot create output directory ({os.strerror(code)})\n")
 
     def test_unknown_key_rejected(self, tmp_path, capsys):
         config_path = mini_config(tmp_path, extra_section={"x": 1})
@@ -443,24 +474,12 @@ class TestForecast:
     def test_lasso_stall_fails_only_its_series(self, tmp_path, capsys, monkeypatch):
         # one stalled fold path drops AAA.GDP's lasso rows alone, and the
         # warning names the column and the series
-        import tvpgvar.forecast as forecast_module
-
         config_path = mini_config(tmp_path)
         clean_out = ["--out", str(tmp_path / "clean")]
         for argv in ([], clean_out):
             assert main(["ingest", "--config", str(config_path), *argv]) == 0
         assert main(["forecast", "--config", str(config_path), *clean_out]) == 0
-        lasso_path = forecast_module._lasso_path
-        batches = []
-
-        def stalling(problems, lams):
-            betas, failed = lasso_path(problems, lams)
-            if not batches:  # the CV batch, fold-major over the 10 series b_0, f_0, ...
-                failed[10 + 3] = "lasso path took more than 27 events between two grid penalties"
-            batches.append(problems)
-            return betas, failed
-
-        monkeypatch.setattr(forecast_module, "_lasso_path", stalling)
+        stall_lasso_on_aaa_gdp(monkeypatch)
         capsys.readouterr()
         assert main(["forecast", "--config", str(config_path)]) == 0
         err = capsys.readouterr().err
@@ -472,6 +491,50 @@ class TestForecast:
         assert rows == [row for row in clean if not row.startswith("lasso,")
                         or ",AAA.GDP," not in row]
         assert len(clean) - len(rows) == 4  # the horizon's lasso rows of AAA.GDP
+
+    def test_all_rows_pool_the_series_every_method_scored(self, tmp_path, capsys,
+                                                          monkeypatch):
+        # lasso loses AAA.GDP: constant and var1 keep its per-series rows, but
+        # every ALL row averages the four series all three methods scored
+        config_path = mini_config(tmp_path)
+        assert main(["ingest", "--config", str(config_path)]) == 0
+        stall_lasso_on_aaa_gdp(monkeypatch)
+        assert main(["forecast", "--config", str(config_path)]) == 0
+        table = read_mse_report(tmp_path / "out" / "mse_report.csv")
+        shared = ["AAA.CPI", "BBB.CPI", "BBB.GDP", "OIL"]
+        assert "AAA.GDP" in table["constant"] and "AAA.GDP" in table["var1"]
+        assert set(table["lasso"]) == {*shared, "ALL"}
+        for method, per_series in table.items():
+            assert per_series["ALL"] == np.mean([per_series[name] for name in shared]), method
+        forecast_choice = capsys.readouterr().out.splitlines()[-1]
+        assert forecast_choice.startswith("selected model: ")
+        assert main(["report", "--config", str(config_path)]) == 0
+        assert forecast_choice in capsys.readouterr().out.splitlines()
+
+    def test_methods_sharing_no_scored_series_exit_2(self, tmp_path, capsys):
+        # one external file covers OIL alone and the other every column but
+        # OIL: each method scores, but over no common series
+        from tvpgvar.serialize import write_csv
+
+        config_path = mini_config(tmp_path)
+        assert main(["ingest", "--config", str(config_path)]) == 0
+        panel = read_panel_csv(tmp_path / "out" / "panel.csv")
+        files = {}
+        for method, keep in (("oil", lambda name: name == "OIL"),
+                             ("rest", lambda name: name != "OIL")):
+            files[method] = str(tmp_path / f"{method}.csv")
+            write_csv(files[method], ["date", "column", "b", "f1"],
+                      [[date, name, 0.0, 1.0] for date in panel.time_index[-4:]
+                       for name in panel.column_names() if keep(name)])
+        obj = read_json(config_path)
+        obj["forecast"].update(methods=["oil", "rest"], external=files)
+        write_json(obj, config_path)
+        capsys.readouterr()
+        assert main(["forecast", "--config", str(config_path)]) == 2
+        assert ("numerical failure: the forecasters oil, rest share no scored series"
+                in capsys.readouterr().err)
+        table = read_mse_report(tmp_path / "out" / "mse_report.csv")
+        assert set(table["oil"]) == {"OIL"} and "ALL" not in table["rest"]
 
     @pytest.mark.parametrize("text, message", [
         (None, "file not found or unreadable"),
@@ -729,7 +792,7 @@ def run_stage_fresh(config_path, stage):
 
 def test_ingest_and_report_start_without_scipy(tmp_path):
     # every CLI stage is its own process, and importing scipy.linalg costs
-    # about 0.3 s and 19 MB: estimate and forecast load only SciPy's compiled
+    # about 0.23 s and 28 MB: estimate and forecast load only SciPy's compiled
     # LAPACK extension, and irf runs on numpy alone
     config_path = write_sample_config(tmp_path, iters=20)
     for stage in ("ingest", "estimate", "forecast", "report"):
@@ -824,6 +887,50 @@ def test_repeated_shock_target_fails_at_load(tmp_path):
     assert proc.returncode == 1, proc.stderr
     assert proc.stderr.strip() == "error: duplicate columns in irf.shocks[1]: ['OIL', 'OIL']"
     assert proc.stdout.split() == ["False"]
+
+
+# a fresh interpreter records OPENBLAS_THREAD_TIMEOUT as numpy starts to
+# import, then runs the given CLI argv as ``python -m tvpgvar.cli`` does
+TIMEOUT_SCRIPT = """
+import os, runpy, sys
+
+class Probe:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy":
+            print("numpy sees:", os.environ.get("OPENBLAS_THREAD_TIMEOUT"))
+            sys.meta_path.remove(self)
+        return None
+
+sys.meta_path.insert(0, Probe())
+sys.argv = ["tvpgvar", *sys.argv[1:]]
+runpy.run_module("tvpgvar.cli", run_name="__main__")
+"""
+
+
+@pytest.mark.parametrize("user_value, seen", [(None, "4"), ("12", "12")],
+                         ids=["unset", "user-set"])
+def test_entrypoint_lets_idle_blas_workers_sleep(tmp_path, monkeypatch, user_value, seen):
+    # an idle OpenBLAS worker spins for about 2**28 cycles unless the timeout
+    # is set before numpy (and with it the BLAS library) loads
+    config_path = mini_config(tmp_path)
+    assert main(["ingest", "--config", str(config_path)]) == 0
+    if user_value is None:
+        monkeypatch.delenv("OPENBLAS_THREAD_TIMEOUT", raising=False)
+    else:
+        monkeypatch.setenv("OPENBLAS_THREAD_TIMEOUT", user_value)
+    proc = run_python("-c", TIMEOUT_SCRIPT, "estimate", "--config", str(config_path))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0] == f"numpy sees: {seen}"
+
+
+def test_main_leaves_the_environment_alone(tmp_path, monkeypatch):
+    # callers run main() in-process: the timeout belongs to entrypoint()
+    monkeypatch.delenv("OPENBLAS_THREAD_TIMEOUT", raising=False)
+    config_path = mini_config(tmp_path)
+    before = dict(os.environ)
+    for stage in ("ingest", "estimate"):
+        assert main([stage, "--config", str(config_path)]) == 0
+    assert dict(os.environ) == before
 
 
 def test_package_names_resolve_on_first_use():

@@ -16,7 +16,7 @@ from tvpgvar import (
 from tvpgvar.errors import NumericalError, ValidationError
 from tvpgvar.forecast import (
     _lag_design, _lasso_inputs, _lasso_path, _original_scale, _stack, _standardize,
-    read_mse_report, read_variable_paths, select_lasso_lambda,
+    pooled_mse, read_mse_report, read_variable_paths, select_lasso_lambda,
     write_mse_report, write_param_paths, write_variable_paths,
 )
 from tvpgvar.tvp import PanelTVPResult, TVPTrajectory, read_trajectories
@@ -679,7 +679,7 @@ def test_report_files_round_trip(tmp_path, rng):
     write_mse_report(results, tmp_path / "mse.csv")
     table = read_mse_report(tmp_path / "mse.csv")
     assert set(table) == {"constant", "var1"}
-    assert table["constant"]["ALL"] == pytest.approx(results["constant"].pooled_mse)
+    assert table["constant"]["ALL"] == pytest.approx(pooled_mse(results)["constant"])
     assert table["constant"]["A.x"] == results["constant"].mse_per_series["A.x"]
 
     write_param_paths(results, tmp_path / "params.csv")
