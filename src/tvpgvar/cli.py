@@ -10,11 +10,16 @@ so it needs only ``ingest`` to have run.
 A command that succeeds ends with one ``<stage>: <seconds> s`` line of wall
 time on stderr; timings never enter the output directory.
 Exit codes: 0 success, 1 validation error, 2 numerical failure.
+A stage process flushes its output and then ends without interpreter
+teardown; ``main()`` called in-process is unaffected. So ``atexit`` handlers
+registered before the CLI's own (by ``sitecustomize``, say) do not run, but a
+wrapper that prints after the run, such as ``python -m cProfile``, still does.
 """
 
 from __future__ import annotations
 
 import argparse
+import atexit
 import os
 import sys
 import time
@@ -286,7 +291,22 @@ def entrypoint() -> None:
     # be set before a stage imports numpy, and not in main(), which callers
     # run in-process; a user's own value wins.
     os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
-    sys.exit(main())
+    code = main()
+    # Tearing the modules down would cost a numpy stage about 30 ms after its
+    # artifacts are written. Exit from an atexit handler, not here, so that a
+    # wrapper such as ``python -m cProfile`` prints first. A usage error or an
+    # uncaught exception leaves main() before this and exits as usual.
+    atexit.register(_exit_without_teardown, code)
+    sys.exit(code)
+
+
+def _exit_without_teardown(code: int) -> None:
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except (OSError, ValueError):  # a closed pipe or stream: the normal exit reports it
+        return
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -166,6 +166,10 @@ class ForecasterConfig(Record, frozen=True):
 class WeightSettings(Record):
     def __init__(self, provider: str = "equal", variable: str | None = None,
                  window: int = 24, path: Path | None = None):
+        if variable is not None and not isinstance(variable, str):
+            raise ValidationError(f"weights.variable must be a string, got {variable!r}")
+        if window < 1:
+            raise ValidationError("weights.window must be >= 1")
         self._set(provider=provider, variable=variable, window=window, path=path)
 
 
@@ -256,11 +260,21 @@ def load_config(path: str | Path) -> RunConfig:
         raise ValidationError("irf.horizon must be >= 0")
     if not 0.0 < irf.level < 1.0:
         raise ValidationError("irf.level must be in (0, 1)")
+    for i, date in enumerate(irf.dates):
+        first = irf.dates.index(date)
+        if first != i:
+            raise ValidationError(f"irf.dates[{i}] repeats irf.dates[{first}]: {date!r}")
+    column_sets: dict[frozenset[str], int] = {}
     for i, shock in enumerate(irf.shocks):
         if not shock:
             raise ValidationError("each IRF shock needs at least one target column")
         if len(set(shock)) != len(shock):
             raise ValidationError(f"duplicate columns in irf.shocks[{i}]: {shock}")
+        # the same columns in another order give the same response
+        first = column_sets.setdefault(frozenset(shock), i)
+        if first != i:
+            raise ValidationError(
+                f"irf.shocks[{i}] repeats the columns of irf.shocks[{first}]: {shock}")
 
     fc_obj = _section(obj, "forecast")
     _check_keys(fc_obj, {"horizon", "methods", "lag_window", "cv_folds",

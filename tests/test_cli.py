@@ -157,6 +157,8 @@ class TestIngest:
         ("irf", "horizon", True),  # int() would give 1
         ("tvp", "iters", "3"),  # int() would parse the string
         ("irf", "level", "0.9"),
+        ("weights", "window", 0),  # gvar would reject these two only after numpy loads
+        ("weights", "variable", 5),
     ])
     def test_wrongly_typed_value_rejected(self, tmp_path, capsys, section, key, value):
         config_path = mini_config(tmp_path)
@@ -512,23 +514,7 @@ class TestForecast:
         assert forecast_choice in capsys.readouterr().out.splitlines()
 
     def test_methods_sharing_no_scored_series_exit_2(self, tmp_path, capsys):
-        # one external file covers OIL alone and the other every column but
-        # OIL: each method scores, but over no common series
-        from tvpgvar.serialize import write_csv
-
-        config_path = mini_config(tmp_path)
-        assert main(["ingest", "--config", str(config_path)]) == 0
-        panel = read_panel_csv(tmp_path / "out" / "panel.csv")
-        files = {}
-        for method, keep in (("oil", lambda name: name == "OIL"),
-                             ("rest", lambda name: name != "OIL")):
-            files[method] = str(tmp_path / f"{method}.csv")
-            write_csv(files[method], ["date", "column", "b", "f1"],
-                      [[date, name, 0.0, 1.0] for date in panel.time_index[-4:]
-                       for name in panel.column_names() if keep(name)])
-        obj = read_json(config_path)
-        obj["forecast"].update(methods=["oil", "rest"], external=files)
-        write_json(obj, config_path)
+        config_path = disjoint_forecasters_config(tmp_path)
         capsys.readouterr()
         assert main(["forecast", "--config", str(config_path)]) == 2
         assert ("numerical failure: the forecasters oil, rest share no scored series"
@@ -553,6 +539,28 @@ class TestForecast:
         assert main(["forecast", "--config", str(config_path)]) == 1
         assert f"{ext_path}: {message}" in capsys.readouterr().err
         assert not (tmp_path / "out" / "trajectories_train.csv").exists()
+
+
+def disjoint_forecasters_config(tmp_path):
+    """An ingested mini config whose two external forecasters, ``oil`` and
+    ``rest``, each score but over no common series: one file covers OIL alone
+    and the other every column but OIL, so ``forecast`` exits 2."""
+    from tvpgvar.serialize import write_csv
+
+    config_path = mini_config(tmp_path)
+    assert main(["ingest", "--config", str(config_path)]) == 0
+    panel = read_panel_csv(tmp_path / "out" / "panel.csv")
+    files = {}
+    for method, keep in (("oil", lambda name: name == "OIL"),
+                         ("rest", lambda name: name != "OIL")):
+        files[method] = str(tmp_path / f"{method}.csv")
+        write_csv(files[method], ["date", "column", "b", "f1"],
+                  [[date, name, 0.0, 1.0] for date in panel.time_index[-4:]
+                   for name in panel.column_names() if keep(name)])
+    obj = read_json(config_path)
+    obj["forecast"].update(methods=["oil", "rest"], external=files)
+    write_json(obj, config_path)
+    return config_path
 
 
 class TestExternalForecaster:
@@ -645,14 +653,15 @@ def test_each_stage_prints_its_wall_time(tmp_path, capsys):
         assert timings[0] in captured.err.splitlines()
 
 
-def run_python(*args):
+def run_python(*args, stdout=subprocess.PIPE):
     """Run a fresh interpreter that imports this checkout of the package; a
-    run that hangs fails the test after two minutes."""
+    run that hangs fails the test after two minutes. Its stderr, and its
+    stdout unless ``stdout`` sends it elsewhere, are captured."""
     src_dir = str(Path(tvpgvar.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src_dir] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
-                          timeout=120)
+    return subprocess.run([sys.executable, *args], env=env, stdout=stdout,
+                          stderr=subprocess.PIPE, text=True, timeout=120)
 
 
 def last_cell(line, value):
@@ -848,14 +857,20 @@ def test_each_stage_loads_only_the_modules_it_runs(tmp_path):
         assert loaded == shared | modules, stage
 
 
+# a fresh interpreter runs the irf stage on the config argv[1], prints
+# whether numpy loaded and exits with the stage's code
+IRF_SCRIPT = """
+import sys, tvpgvar.cli
+code = tvpgvar.cli.main(["irf", "--config", sys.argv[1]])
+print("numpy" in sys.modules)
+sys.exit(code)
+"""
+
+
 def test_irf_without_requests_fails_before_numpy(tmp_path):
     # no panel.csv either: the config is at fault, and is named before any fit
     config_path = mini_config(tmp_path, irf={"dates": []})
-    script = ("import sys, tvpgvar.cli\n"
-              "code = tvpgvar.cli.main(['irf', '--config', sys.argv[1]])\n"
-              "print('numpy' in sys.modules)\n"
-              "sys.exit(code)")
-    proc = run_python("-c", script, str(config_path))
+    proc = run_python("-c", IRF_SCRIPT, str(config_path))
     assert proc.returncode == 1, proc.stderr
     assert proc.stderr.strip() == "error: config lists no IRF dates"
     assert proc.stdout.split() == ["False"]
@@ -865,11 +880,7 @@ def test_irf_unknown_shock_column_fails_before_numpy(tmp_path):
     # the shock names are checked against panel.csv's header, before any fit
     config_path = mini_config(tmp_path, irf={"dates": ["2003-06"], "shocks": [["NOPE"]]})
     assert main(["ingest", "--config", str(config_path)]) == 0
-    script = ("import sys, tvpgvar.cli\n"
-              "code = tvpgvar.cli.main(['irf', '--config', sys.argv[1]])\n"
-              "print('numpy' in sys.modules)\n"
-              "sys.exit(code)")
-    proc = run_python("-c", script, str(config_path))
+    proc = run_python("-c", IRF_SCRIPT, str(config_path))
     assert proc.returncode == 1, proc.stderr
     assert proc.stderr.strip() == "error: unknown panel column 'NOPE'"
     assert proc.stdout.split() == ["False"]
@@ -879,13 +890,26 @@ def test_repeated_shock_target_fails_at_load(tmp_path):
     # the config is at fault: no panel.csv is read and numpy never loads
     config_path = mini_config(tmp_path, irf={"dates": ["2003-06"],
                                              "shocks": [["OIL"], ["OIL", "OIL"]]})
-    script = ("import sys, tvpgvar.cli\n"
-              "code = tvpgvar.cli.main(['irf', '--config', sys.argv[1]])\n"
-              "print('numpy' in sys.modules)\n"
-              "sys.exit(code)")
-    proc = run_python("-c", script, str(config_path))
+    proc = run_python("-c", IRF_SCRIPT, str(config_path))
     assert proc.returncode == 1, proc.stderr
     assert proc.stderr.strip() == "error: duplicate columns in irf.shocks[1]: ['OIL', 'OIL']"
+    assert proc.stdout.split() == ["False"]
+
+
+@pytest.mark.parametrize("dates, shocks, message", [
+    # without the check: one fit, the period answered twice, each file written
+    # twice and the period listed twice in stacking.json
+    (["2003-06", "2005-01", "2003-06"], [["OIL"]], "irf.dates[2] repeats irf.dates[0]: '2003-06'"),
+    # the same columns in another order: the same response under two names
+    (["2003-06"], [["OIL"], ["AAA.CPI", "OIL"], ["OIL", "AAA.CPI"]],
+     "irf.shocks[2] repeats the columns of irf.shocks[1]: ['OIL', 'AAA.CPI']"),
+], ids=["date", "shock"])
+def test_repeated_irf_request_fails_at_load(tmp_path, dates, shocks, message):
+    # no panel.csv is read and numpy never loads
+    config_path = mini_config(tmp_path, irf={"dates": dates, "shocks": shocks})
+    proc = run_python("-c", IRF_SCRIPT, str(config_path))
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.strip() == f"error: {message}"
     assert proc.stdout.split() == ["False"]
 
 
@@ -943,3 +967,73 @@ def test_package_names_resolve_on_first_use():
         assert namespace[name].__module__.startswith("tvpgvar.")
     with pytest.raises(AttributeError, match="no_such_name"):
         tvpgvar.no_such_name
+
+
+# a fresh interpreter registers an atexit handler, then runs the given CLI
+# argv as ``python -m tvpgvar.cli`` does
+EXIT_SCRIPT = """
+import atexit, runpy, sys
+atexit.register(print, "teardown ran", file=sys.stderr)
+sys.argv = ["tvpgvar", *sys.argv[1:]]
+runpy.run_module("tvpgvar.cli", run_name="__main__")
+"""
+
+
+def test_stage_output_survives_the_exit_without_teardown(pipeline, tmp_path, capsys,
+                                                         monkeypatch):
+    # buffered output, as without PYTHONUNBUFFERED: the CLI flushes it before
+    # it ends the process, and the handler registered before its own is skipped
+    monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+    config_path = str(pipeline / "config.json")
+    with open(tmp_path / "stdout.txt", "w") as stdout:
+        proc = run_python("-c", EXIT_SCRIPT, "report", "--config", config_path, stdout=stdout)
+    assert proc.returncode == 0, proc.stderr
+    assert re.fullmatch(r"report: \d+\.\d\d s\n", proc.stderr)
+    printed = (tmp_path / "stdout.txt").read_text()
+    assert main(["report", "--config", config_path]) == 0
+    assert printed == capsys.readouterr().out
+    assert any(line.startswith("selected model: ") for line in printed.splitlines())
+
+
+def test_exit_codes_pass_through(tmp_path, monkeypatch):
+    monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+    missing = tmp_path / "missing.json"
+    cases = [
+        (["report", "--config", str(missing)], 1, f"error: {missing}: file not found"),
+        (["forecast", "--config", str(disjoint_forecasters_config(tmp_path))], 2,
+         "numerical failure: the forecasters oil, rest share no scored series"),
+        (["report"], 2, "the following arguments are required: --config"),  # argparse
+        (["--help"], 0, "usage: tvpgvar"),
+    ]
+    for argv, code, message in cases:
+        proc = run_python("-m", "tvpgvar.cli", *argv)
+        assert proc.returncode == code, (argv, proc.stderr)
+        assert message in proc.stdout + proc.stderr, argv
+        assert "Traceback" not in proc.stderr, argv
+
+
+def test_closed_stdout_pipe_exits_120(pipeline, monkeypatch):
+    # the buffered report meets the pipe only at the flush: the CLI leaves the
+    # exit to the interpreter, which reports the broken pipe without a traceback
+    monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = run_python("-m", "tvpgvar.cli", "report", "--config",
+                          str(pipeline / "config.json"), stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 120
+    assert "BrokenPipeError" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_profiler_around_a_stage_still_prints(pipeline, monkeypatch):
+    # cProfile prints its table after the stage's SystemExit: an exit at the
+    # end of entrypoint() would end the process before that
+    monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+    proc = run_python("-m", "cProfile", "-m", "tvpgvar.cli", "report", "--config",
+                      str(pipeline / "config.json"))
+    assert proc.returncode == 0, proc.stderr
+    assert "selected model: " in proc.stdout
+    assert re.search(r"\d+ function calls .* in \d+\.\d+ seconds", proc.stdout)
