@@ -26,8 +26,8 @@ _HOMES = {
     "RawSeries": "ingest", "TimeSeriesPanel": "ingest", "ValidationReport": "ingest",
     "align_frequencies": "ingest", "load_panel": "ingest", "read_panel_csv": "ingest",
     "validate_panel": "ingest", "write_panel_csv": "ingest",
-    "AsymptoticInputs": "irf", "IRFResult": "irf", "ShockSpec": "irf",
-    "asymptotic_bands": "irf", "cholesky_lower": "irf", "estimate_asymptotic_inputs": "irf",
+    "IRFResult": "irf", "ShockSpec": "irf", "asymptotic_bands": "irf",
+    "cholesky_lower": "irf", "estimate_asymptotic_inputs": "irf",
     "PanelTVPResult": "tvp", "TVPTrajectory": "tvp", "estimate_all": "tvp",
     "fit_equation": "tvp", "sample_sigma": "tvp", "sample_theta0_omega": "tvp",
     "sample_theta_tilde_banded": "tvp",

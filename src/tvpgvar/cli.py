@@ -127,6 +127,7 @@ def cmd_irf(config: RunConfig) -> None:
     # re-fit rather than read coefficients.json: that file records no weights,
     # so a fit made under other weights would meet this run's links
     fit = gvar.estimate_structural(panel, weights)
+    moment_inv = irf.estimate_asymptotic_inputs(panel)
     sample_size = len(panel.time_index) - 1
     names = panel.column_names()
 
@@ -140,11 +141,10 @@ def cmd_irf(config: RunConfig) -> None:
             print(f"warning: skipping {label}: {exc}", file=sys.stderr)
             periods[-1].update(status="skipped", reason=str(exc))
             continue
-        inputs = irf.estimate_asymptotic_inputs(panel, system)
         shocks = [irf.ShockSpec(targets=targets, horizon=config.irf.horizon,
                                 at_time=label, level=config.irf.level)
                   for targets in shock_targets]
-        results = irf.asymptotic_bands(system, shocks, sample_size, inputs)
+        results = irf.asymptotic_bands(system, shocks, sample_size, moment_inv)
         for targets, result in zip(config.irf.shocks, results):
             stem = f"irf_{label}__{'+'.join(targets)}"
             irf.write_irf_json(result, names, config.out_dir / f"{stem}.json")

@@ -22,8 +22,8 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .ingest import COMMON_REGION, TimeSeriesPanel
-from .serialize import (parse_array, parse_float, parse_strings, read_json, read_table,
-                        require_keys, write_json)
+from .serialize import (parse_array, parse_float, parse_int, parse_strings, read_json,
+                        read_table, require_keys, write_json)
 
 WEIGHT_TOL = 1e-12
 COND_CAP = 1e12  # stack_system rejects a G0 with a larger condition number
@@ -133,7 +133,8 @@ class WeightSequence:
         """Load per-period weights from a ``date,from,to,weight`` CSV.
 
         Rows with ``to = __COMMON__:<activity>`` populate the activity weight
-        block. Every panel date must be covered.
+        block. Every panel date must be covered, and no ``(date, from, to)``
+        may repeat.
         """
         region_ix = {r: i for i, r in enumerate(regions)}
         act_ix = {a: i for i, a in enumerate(activities)}
@@ -141,7 +142,12 @@ class WeightSequence:
         k, l = len(regions), len(activities)
         we = np.zeros((len(time_index), k, k))
         wb = np.zeros((len(time_index), k, l))
-        for where, (date, src, dst, weight) in read_table(path, ["date", "from", "to", "weight"]):
+        seen: dict[tuple[str, str, str], int] = {}  # (date, from, to) -> first row
+        rows = read_table(path, ["date", "from", "to", "weight"])
+        for rownum, (where, (date, src, dst, weight)) in enumerate(rows, 2):
+            first = seen.setdefault((date, src, dst), rownum)
+            if first != rownum:
+                raise ValidationError(f"{where}: {date},{src},{dst} repeats row {first}")
             if date not in date_ix:
                 raise ValidationError(f"{where}: date {date} not in panel range")
             if src not in region_ix:
@@ -445,4 +451,4 @@ def read_coefficients_json(path: str | Path) -> StructuralFit:
         activities=tuple(ActivityCoefficients(**b) for b in equations["activity_equations"]),
         residuals=None, dims=(k, p, l), columns=columns,
         sigma_u=parse_array(obj["sigma_u"], (len(columns),) * 2, f"{path}: sigma_u"),
-        nobs=int(parse_float(obj["nobs"], f"{path}: nobs")))
+        nobs=parse_int(obj["nobs"], f"{path}: nobs"))

@@ -4,9 +4,10 @@ Responses to a unit orthogonalized shock are ``B_n G0^-1 P e_j`` with ``P``
 the Cholesky factor of the structural residual covariance; identification
 order equals panel column order. Error bands are the delta-method bands of
 ``B_s chol(Sigma_eps)`` (Lutkepohl 2005, section 3.7) at the requested period,
-in closed form from the w x w Kronecker factors of the estimates' covariances
-and the Cholesky derivative of Murray (2016), with no w^2 x w^2 matrix. That
-band belongs to the point response only when ``G0`` is lower triangular.
+in closed form from the w x w Kronecker factors ``M^-1`` (the panel's) and
+``Sigma_eps`` (the system's) of the estimates' covariances and the Cholesky
+derivative of Murray (2016), with no w^2 x w^2 matrix. That band belongs to
+the point response only when ``G0`` is lower triangular.
 The band multiplier is a port of the Cephes ``ndtri`` normal quantile
 (Moshier 1989), the one SciPy uses, so this module runs on numpy alone.
 """
@@ -16,15 +17,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .gvar import StackedSystem, ma_coefficients, spectral_radius
 from .ingest import TimeSeriesPanel
-from .serialize import (parse_array, parse_float, parse_strings, read_json, read_table,
-                        require_keys, write_csv, write_json)
+from .serialize import (parse_array, parse_float, parse_int, parse_strings, read_json,
+                        read_table, require_keys, write_csv, write_json)
 
 
 # ---------------------------------------------------------------------------
@@ -36,6 +37,8 @@ def cholesky_lower(sigma: np.ndarray) -> np.ndarray:
     sigma = np.asarray(sigma, float)
     if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
         raise ValidationError("covariance must be square")
+    if not np.all(np.isfinite(sigma)):
+        raise ValidationError("covariance has non-finite entries")
     scale = max(np.max(np.abs(sigma)), 1e-300)
     if np.max(np.abs(sigma - sigma.T)) > 1e-8 * scale:
         raise ValidationError("covariance must be symmetric")
@@ -129,53 +132,39 @@ class IRFResult:
         return self.point + self.half_width
 
 
-class AsymptoticInputs(NamedTuple):
-    """w x w factors of ``Cov vec(dF1) = moment_inv kron sigma`` and
-    ``Cov vec(dSigma) = (I + K)(sigma kron sigma)``."""
-
-    moment_inv: np.ndarray
-    sigma: np.ndarray
-
-
-def estimate_asymptotic_inputs(panel: TimeSeriesPanel,
-                               system: StackedSystem) -> AsymptoticInputs:
-    """Standard Gaussian-VAR estimates of the band's input covariances.
-
-    ``moment_inv`` is the lagged-regressor block of the inverse second-moment
-    matrix of the panel (intercept included, then dropped). ``sigma`` is the
-    system's innovation covariance ``Sigma_eps``.
-    """
-    t_len, width = panel.values.shape
-    if width != system.width:
-        raise ValidationError("panel width does not match system")
-    lagged = np.column_stack([np.ones(t_len - 1), panel.values[:-1]])
-    moment = lagged.T @ lagged / (t_len - 1)
+def estimate_asymptotic_inputs(panel: TimeSeriesPanel) -> np.ndarray:
+    """``M^-1``, the w x w factor of ``Cov vec(dF1) = M^-1 kron Sigma_eps``: the
+    lagged-regressor block of the inverse second-moment matrix of the panel
+    (intercept included, then dropped). It depends on the panel alone."""
+    lagged = np.column_stack([np.ones(len(panel.values) - 1), panel.values[:-1]])
+    moment = lagged.T @ lagged / len(lagged)
     try:
         moment_inv = np.linalg.inv(moment)
     except np.linalg.LinAlgError:
         raise NumericalError("singular regressor moment matrix") from None
-    return AsymptoticInputs(moment_inv=moment_inv[1:, 1:], sigma=system.sigma_eps)
+    return moment_inv[1:, 1:]
 
 
 def asymptotic_bands(system: StackedSystem, shocks: Sequence[ShockSpec],
-                     sample_size: int, inputs: AsymptoticInputs) -> list[IRFResult]:
+                     sample_size: int, moment_inv: np.ndarray) -> list[IRFResult]:
     """Point responses with delta-method half-widths.
 
     ``shocks`` are a period's shocks, answered with a list of results in the
-    same order. What depends only on the system (its Cholesky factors, ``R``,
-    the MA matrices, the eigenvalues of ``F1`` and the condition number of
+    same order. What depends only on the system (its Cholesky factors, the
+    MA matrices, the eigenvalues of ``F1`` and the condition number of
     ``G0``) is computed once for all of them.
 
     The band is the delta-method band of ``B_s P u`` with ``P = chol(Sigma_eps)``
     and ``u`` the sum of the shocked unit vectors. It is the point response
     ``B_s G0^-1 chol(Sigma_u) u`` only when ``G0`` is lower triangular.
 
-    With ``R = P^-1 sigma P^-T`` and ``C_j`` the matrix ``B_s P`` with the
-    columns before ``j`` zeroed and column ``j`` halved, the variance of
-    response i at horizon s is
+    With ``Cov vec(dF1) = M^-1 kron Sigma_eps``, ``Cov vec(dSigma_eps) =
+    (I + K)(Sigma_eps kron Sigma_eps)`` for the system's own ``Sigma_eps``, and
+    ``C_j`` the matrix ``B_s P`` with the columns before ``j`` zeroed and
+    column ``j`` halved, the variance of response i at horizon s is
 
-        sum_{j,j' in J} [(C_j R C_j'^T)_ii R_jj' + (C_j R)_ij' (C_j' R)_ij]
-        + sum_{m,m' < s} (B_m sigma B_m'^T)_ii v_{s-1-m}^T M^-1 v_{s-1-m'}
+        sum_{j in J} (C_j C_j^T)_ii + sum_{j,j' in J} (C_j)_ij' (C_j')_ij
+        + sum_{m,m' < s} (B_m Sigma_eps B_m'^T)_ii v_{s-1-m}^T M^-1 v_{s-1-m'}
 
     with ``v_k = F1^k P u``; the half-width is ``z_{1-alpha/2} sqrt(var / T)``.
     """
@@ -186,22 +175,17 @@ def asymptotic_bands(system: StackedSystem, shocks: Sequence[ShockSpec],
         raise ValidationError("sample size must be >= 1")
     for shock in shocks:
         _check_targets(shock.targets, system.width)
-    moment_inv, sigma = (np.asarray(factor, float) for factor in inputs)
-    for name, factor in zip(AsymptoticInputs._fields, (moment_inv, sigma)):
-        if factor.shape != (system.width,) * 2:
-            raise ValidationError(f"band input {name} has shape {factor.shape}, "
-                                  f"expected {(system.width,) * 2}")
-        if not np.all(np.isfinite(factor)):
-            raise ValidationError(f"band input {name} has non-finite entries")
-    if np.max(np.abs(sigma - sigma.T)) > 1e-8 * max(np.max(np.abs(sigma)), 1e-300):
-        raise ValidationError("band input sigma must be symmetric")
-    sigma = (sigma + sigma.T) / 2.0
+    moment_inv = np.asarray(moment_inv, float)
+    if moment_inv.shape != (system.width,) * 2:
+        raise ValidationError(f"band input moment_inv has shape {moment_inv.shape}, "
+                              f"expected {(system.width,) * 2}")
+    if not np.all(np.isfinite(moment_inv)):
+        raise ValidationError("band input moment_inv has non-finite entries")
+    # covariance part: dW = P^-1 dSigma P^-T has Cov vec(dW) = (I + K), and
+    # d(B_s P) = B_s P Phi(dW), Phi keeping the lower triangle, diagonal halved
     chol_eps = cholesky_lower(system.sigma_eps)
-    # covariance part: dW = P^-1 dSigma P^-T has Cov vec(dW) = (I + K)(R kron R)
-    # and d(B_s P) = B_s P Phi(dW), Phi keeping the lower triangle, diagonal halved
-    r = _solve_lower(chol_eps, _solve_lower(chol_eps, sigma).T)
     mas = ma_coefficients(system.f1, max(shock.horizon for shock in shocks))
-    mas_chol, b_sigma = mas @ chol_eps, mas @ sigma
+    mas_chol, b_sigma = mas @ chol_eps, mas @ system.sigma_eps
     impact = _impact(system)
     radius = spectral_radius(system.f1)
     g0_condition = float(np.linalg.cond(system.g0))
@@ -209,8 +193,8 @@ def asymptotic_bands(system: StackedSystem, shocks: Sequence[ShockSpec],
     results = []
     for shock in shocks:
         n = shock.horizon + 1
-        var = _response_variance(mas[:n], mas_chol[:n], b_sigma[:n], chol_eps, r,
-                                 moment_inv, list(shock.targets))
+        var = _response_variance(mas[:n], mas_chol[:n], b_sigma[:n], chol_eps, moment_inv,
+                                 list(shock.targets))
         floor = np.min(var, axis=1)
         if np.any(floor < -1e-10):
             s = int(np.argmax(floor < -1e-10))
@@ -224,16 +208,14 @@ def asymptotic_bands(system: StackedSystem, shocks: Sequence[ShockSpec],
     return results
 
 
-def _response_variance(mas, mas_chol, b_sigma, chol_eps, r, moment_inv, targets):
+def _response_variance(mas, mas_chol, b_sigma, chol_eps, moment_inv, targets):
     """Variance of every response at horizons 0..S (see ``asymptotic_bands``),
-    from ``B_s``, ``B_s P`` and ``B_s sigma`` for s = 0..S."""
+    from ``B_s``, ``B_s P`` and ``B_s Sigma_eps`` for s = 0..S."""
     cols, rows = np.arange(chol_eps.shape[0]), np.array(targets)[:, None]
     mask = (cols > rows) + 0.5 * (cols == rows)
     c = mas_chol[:, None] * mask[None, :, None, :]  # C_j per horizon
-    cr = c @ r
-    var = np.einsum("sjia,skia,jk->si", cr, c, r[np.ix_(targets, targets)])
-    picked = cr[..., targets]
-    var += np.einsum("sjik,skij->si", picked, picked)
+    picked = c[..., targets]
+    var = np.einsum("sjia,sjia->si", c, c) + np.einsum("sjik,skij->si", picked, picked)
 
     # coefficient part: dB_s = sum_{m<s} B_m dF1 F1^(s-1-m)
     horizon = mas.shape[0] - 1
@@ -243,15 +225,6 @@ def _response_variance(mas, mas_chol, b_sigma, chol_eps, r, moment_inv, targets)
         var[s] += np.einsum("mn,mia,nia->i", gram[s - 1::-1, s - 1::-1],
                             b_sigma[:s], mas[:s])
     return var
-
-
-def _solve_lower(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """``factor^-1 rhs`` for a lower-triangular ``factor``: forward substitution
-    row by row, each row over all right-hand sides at once."""
-    out = np.empty_like(rhs)
-    for i in range(factor.shape[0]):
-        out[i] = (rhs[i] - factor[i, :i] @ out[:i]) / factor[i, i]
-    return out
 
 
 # Cephes ndtri (Moshier 1989): a rational approximation in y - 1/2 for the
@@ -385,18 +358,20 @@ def read_irf_json(path: str | Path) -> tuple[IRFResult, list[str]]:
                                          "columns"), str(path))
     columns = parse_strings(obj["columns"], f"{path}: columns")
     point = parse_array(obj["responses"], (len(columns), None), f"{path}: responses")
+    if not isinstance(obj["targets"], list):
+        raise ValidationError(f"{path}: targets: expected a list, got {obj['targets']!r}")
     at_time = obj["at_time"]
     if not isinstance(at_time, str):
-        at_time = int(parse_float(at_time, f"{path}: at_time"))
+        at_time = parse_int(at_time, f"{path}: at_time")
     result = IRFResult(
         point=point.T, half_width=parse_array(obj["half_width"], point.shape,
                                               f"{path}: half_width").T,
         radius=parse_float(obj["radius"], f"{path}: radius"),
         g0_condition=parse_float(obj["g0_condition"], f"{path}: g0_condition"),
         at_time=at_time,
-        targets=tuple(int(j) for j in parse_array(obj["targets"], (None,), f"{path}: targets")),
+        targets=tuple(parse_int(j, f"{path}: targets") for j in obj["targets"]),
         level=parse_float(obj["level"], f"{path}: level"),
-        sample_size=int(parse_float(obj["sample_size"], f"{path}: sample_size")))
+        sample_size=parse_int(obj["sample_size"], f"{path}: sample_size"))
     return result, columns
 
 

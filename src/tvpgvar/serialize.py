@@ -211,3 +211,13 @@ def parse_float(cell: Any, where: str) -> float:
     if not math.isfinite(value):
         raise ValidationError(f"{where}: non-finite value {cell!r}")
     return value
+
+
+def parse_int(cell: Any, where: str) -> int:
+    """A cell or JSON number with no fractional part as an int, as :func:`parse_float`
+    reads it, or a ValidationError that starts with ``where`` and quotes the cell:
+    ``int(parse_float(...))`` would read 9.7 as 9 and ``true`` as 1."""
+    value = parse_float(cell, where)
+    if isinstance(cell, bool) or not value.is_integer():
+        raise ValidationError(f"{where}: non-integer value {cell!r}")
+    return int(value)

@@ -11,8 +11,7 @@ import numpy as np
 import pytest
 
 from tvpgvar import (
-    AsymptoticInputs, ShockSpec, StackedSystem, TimeSeriesPanel, WeightSequence,
-    asymptotic_bands,
+    ShockSpec, StackedSystem, TimeSeriesPanel, WeightSequence, asymptotic_bands,
 )
 from tvpgvar.ingest import month_label
 
@@ -161,9 +160,8 @@ def oirf_simulation_oracle(system: StackedSystem, targets, horizon: int) -> np.n
 
 def reported_point(system: StackedSystem, shock: ShockSpec) -> np.ndarray:
     """The point response the package reports: that of ``asymptotic_bands``
-    (unit band inputs, which the point does not depend on)."""
-    eye = np.eye(system.width)
-    (result,) = asymptotic_bands(system, [shock], 1, AsymptoticInputs(eye, eye))
+    (a unit moment, which the point does not depend on)."""
+    (result,) = asymptotic_bands(system, [shock], 1, np.eye(system.width))
     return result.point
 
 

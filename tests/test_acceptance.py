@@ -186,9 +186,9 @@ def test_band_coverage_monte_carlo():
         resid = xr[1:] - design @ coef
         sigma_hat = resid.T @ resid / (t_len - 1 - 3)
         system = from_reduced_form(coef[0], coef[1:].T, sigma_hat)
-        inputs = tg.estimate_asymptotic_inputs(make_panel(xr, ["A"], ["x1", "x2"]), system)
+        moment_inv = tg.estimate_asymptotic_inputs(make_panel(xr, ["A"], ["x1", "x2"]))
         shocks = [ShockSpec(targets=(j,), horizon=horizon, at_time=1) for j in range(2)]
-        for j, result in enumerate(tg.asymptotic_bands(system, shocks, t_len - 1, inputs)):
+        for j, result in enumerate(tg.asymptotic_bands(system, shocks, t_len - 1, moment_inv)):
             inside = ((true_oirf[:, :, j] >= result.lower)
                       & (true_oirf[:, :, j] <= result.upper))
             hits += inside.sum(axis=1)

@@ -18,7 +18,7 @@ from tvpgvar.gvar import read_coefficients_json
 from tvpgvar.irf import read_irf_csv, read_irf_json
 from tvpgvar.forecast import read_mse_report
 from tvpgvar.ingest import month_label
-from tvpgvar.sample import write_sample_config
+from tvpgvar.sample import write_sample_config, write_sample_csv
 from tvpgvar.serialize import read_json, write_json
 
 
@@ -639,6 +639,24 @@ def test_full_pipeline_rerun_byte_identical(tmp_path):
         assert digests[0][name] == digests[1][name], f"{name} differs between reruns"
 
 
+def test_readme_library_example_runs(tmp_path, monkeypatch):
+    # the python block after "Library use" in README.md, run as written
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    text = readme.read_text()
+    code = re.search(r"```python\n(.*?)```", text[text.index("Library use"):], re.S).group(1)
+    write_sample_csv(tmp_path / "run" / "sample_panel.csv")
+    monkeypatch.chdir(tmp_path)
+    namespace = {}
+    exec(compile(code, str(readme), "exec"), namespace)
+    oil, first = namespace["oil"], namespace["first"]
+    panel = namespace["panel"]
+    assert oil.targets == (panel.column_index("OIL"),) and first.targets == (0,)
+    for result in (oil, first):
+        assert result.at_time == "2020-07"
+        assert result.point.shape == result.half_width.shape == (7, panel.width)
+        assert np.all(np.isfinite(result.half_width)) and np.all(result.half_width >= 0)
+
+
 def test_each_stage_prints_its_wall_time(tmp_path, capsys):
     # one timing line on stderr per stage; timings stay out of the output
     # directory, which the byte-identical rerun above pins
@@ -960,7 +978,7 @@ def test_main_leaves_the_environment_alone(tmp_path, monkeypatch):
 def test_package_names_resolve_on_first_use():
     namespace = {}
     exec("from tvpgvar import *", namespace)
-    assert len(tvpgvar.__all__) == 43
+    assert len(tvpgvar.__all__) == 42
     assert set(tvpgvar.__all__) <= set(dir(tvpgvar))
     for name in tvpgvar.__all__:
         assert namespace[name] is getattr(tvpgvar, name)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -108,6 +110,15 @@ class TestWeightSequence:
         w = WeightSequence.from_csv(path, dates, ("A", "B"), ("ACT",))
         np.testing.assert_allclose(w.wb[:, 0, 0], 0.3)
         np.testing.assert_allclose(w.we[0], [[0, 1], [1, 0]])
+
+    def test_csv_repeated_weight_rejected(self, tmp_path):
+        # the last of two rows for one (date, from, to) would win silently
+        path = tmp_path / "w.csv"
+        path.write_text("date,from,to,weight\n2000-01,A,B,0.2\n2000-01,B,A,1.0\n"
+                        "2000-01,A,B,1.0\n")
+        with pytest.raises(ValidationError,
+                           match="^" + re.escape(f"{path}: row 4: 2000-01,A,B repeats row 2")):
+            WeightSequence.from_csv(path, ("2000-01",), ("A", "B"), ())
 
     def test_csv_unknown_region(self, tmp_path):
         path = tmp_path / "w.csv"

@@ -1,13 +1,12 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.linalg import solve_triangular
 from scipy.special import ndtri
 from scipy.stats import norm
 
 from tvpgvar import (
-    AsymptoticInputs,
     ShockSpec,
     StackedSystem,
     asymptotic_bands,
@@ -19,7 +18,6 @@ from tvpgvar.errors import NumericalError, ValidationError
 from tvpgvar.gvar import estimate_structural, stack_system
 from tvpgvar.irf import (
     _ndtri,
-    _solve_lower,
     commutation_matrix,
     derivative_Gn,
     derivative_H,
@@ -102,6 +100,13 @@ class TestCholesky:
         with pytest.raises(ValidationError, match="symmetric"):
             cholesky_lower(np.array([[1.0, 0.5], [0.0, 1.0]]))
 
+    @pytest.mark.parametrize("sigma", [[[1.0, np.nan], [np.nan, 1.0]], np.diag([np.inf, 1.0])],
+                             ids=["nan", "inf"])
+    def test_non_finite_rejected(self, sigma):
+        # every check compares against NaN and passes, leaving a NaN "factor"
+        with pytest.raises(ValidationError, match="covariance has non-finite entries"):
+            cholesky_lower(np.array(sigma))
+
 
 class TestOIRF:
     def test_identity_system_horizon_zero(self, rng):
@@ -155,7 +160,7 @@ class TestOIRF:
         system = random_stable_system(rng, 3)
         with pytest.raises(ValidationError, match="out of range"):
             asymptotic_bands(system, [ShockSpec(targets=(3,), horizon=2, at_time=1)], 1,
-                             eye_inputs(3))
+                             np.eye(3))
 
     def test_shock_spec_validation(self):
         with pytest.raises(ValidationError, match="distinct"):
@@ -240,28 +245,14 @@ def panel_of(values):
     return make_panel(values, ["A"], [f"v{j}" for j in range(values.shape[1])])
 
 
-def eye_inputs(width):
-    return AsymptoticInputs(moment_inv=np.eye(width), sigma=np.eye(width))
-
-
 class TestAsymptoticBands:
-    def test_zero_covariances_zero_widths(self, rng):
-        system = random_stable_system(rng, 3)
-        shock = ShockSpec(targets=(0,), horizon=4, at_time=1)
-        zero = np.zeros((3, 3))
-        (result,) = asymptotic_bands(system, [shock], 500, AsymptoticInputs(zero, zero))
-        np.testing.assert_array_equal(result.half_width, 0.0)
-        np.testing.assert_array_equal(result.lower, result.point)
-
     def test_horizon_zero_has_no_coefficient_term(self, rng):
         # B_0 = I does not depend on F1: a huge coefficient covariance leaves
         # the horizon-0 band unchanged and widens every later one
         system = random_stable_system(rng, 3)
         shock = ShockSpec(targets=(1,), horizon=3, at_time=1)
-        (quiet,) = asymptotic_bands(system, [shock], 200,
-                                    AsymptoticInputs(np.zeros((3, 3)), system.sigma_eps))
-        (loud,) = asymptotic_bands(system, [shock], 200,
-                                   AsymptoticInputs(1e6 * np.eye(3), system.sigma_eps))
+        (quiet,) = asymptotic_bands(system, [shock], 200, np.zeros((3, 3)))
+        (loud,) = asymptotic_bands(system, [shock], 200, 1e6 * np.eye(3))
         np.testing.assert_array_equal(loud.half_width[0], quiet.half_width[0])
         assert np.all(loud.half_width[1:] > quiet.half_width[1:])
 
@@ -270,8 +261,8 @@ class TestAsymptoticBands:
         shock95 = ShockSpec(targets=(2,), horizon=4, at_time=1, level=0.95)
         level_z1 = 2 * norm.cdf(1.0) - 1  # level whose quantile is exactly 1
         shock_z1 = ShockSpec(targets=(2,), horizon=4, at_time=1, level=level_z1)
-        (res95,) = asymptotic_bands(system, [shock95], 400, eye_inputs(3))
-        (res_z1,) = asymptotic_bands(system, [shock_z1], 400, eye_inputs(3))
+        (res95,) = asymptotic_bands(system, [shock95], 400, np.eye(3))
+        (res_z1,) = asymptotic_bands(system, [shock_z1], 400, np.eye(3))
         ratio = res95.half_width[1:] / res_z1.half_width[1:]
         np.testing.assert_allclose(ratio, norm.ppf(0.975), rtol=1e-12)
         assert norm.ppf(0.975) == pytest.approx(1.959964, abs=5e-7)
@@ -281,16 +272,16 @@ class TestAsymptoticBands:
         # variance is exactly 1, so the half-width is the multiplier itself
         system = from_reduced_form(np.zeros(1), np.zeros((1, 1)), np.eye(1))
         shock = ShockSpec(targets=(0,), horizon=1, at_time=1, level=0.95)
-        (result,) = asymptotic_bands(system, [shock], 1, eye_inputs(1))
+        (result,) = asymptotic_bands(system, [shock], 1, np.eye(1))
         assert result.half_width[1, 0] == 1.959963984540054
 
     def test_band_symmetry_exact(self, rng):
         # one stored half-width defines both band edges, so symmetry holds
         # at the representation level
         system = random_stable_system(rng, 2)
-        inputs = estimate_asymptotic_inputs(panel_of(rng.standard_normal((100, 2))), system)
+        moment_inv = estimate_asymptotic_inputs(panel_of(rng.standard_normal((100, 2))))
         (result,) = asymptotic_bands(system, [ShockSpec(targets=(0,), horizon=5, at_time=1)],
-                                     100, inputs)
+                                     100, moment_inv)
         np.testing.assert_array_equal(result.upper, result.point + result.half_width)
         np.testing.assert_array_equal(result.lower, result.point - result.half_width)
         assert np.all(result.half_width >= 0)
@@ -298,18 +289,18 @@ class TestAsymptoticBands:
     def test_sample_size_scaling(self, rng):
         system = random_stable_system(rng, 2)
         shock = ShockSpec(targets=(1,), horizon=3, at_time=1)
-        (r100,) = asymptotic_bands(system, [shock], 100, eye_inputs(2))
-        (r400,) = asymptotic_bands(system, [shock], 400, eye_inputs(2))
+        (r100,) = asymptotic_bands(system, [shock], 100, np.eye(2))
+        (r400,) = asymptotic_bands(system, [shock], 400, np.eye(2))
         np.testing.assert_allclose(r100.half_width, 2 * r400.half_width, rtol=1e-12)
 
     def test_multi_target_variance_uses_cross_terms(self, rng):
         # a two-column shock is one linear functional: its variance includes
         # the covariance between the two single-shock responses
         system = random_stable_system(rng, 3)
-        inputs = estimate_asymptotic_inputs(panel_of(rng.standard_normal((300, 3))), system)
+        moment_inv = estimate_asymptotic_inputs(panel_of(rng.standard_normal((300, 3))))
         both, single_a, single_b = asymptotic_bands(
             system, [ShockSpec(targets=t, horizon=2, at_time=1) for t in ((0, 1), (0,), (1,))],
-            300, inputs)
+            300, moment_inv)
         np.testing.assert_array_equal(both.point, single_a.point + single_b.point)
         # half-widths are NOT additive (they aggregate a covariance)
         assert not np.allclose(both.half_width[1:],
@@ -318,12 +309,12 @@ class TestAsymptoticBands:
     def test_stability_flag_attached(self, rng):
         stable = random_stable_system(rng, 2)
         (result,) = asymptotic_bands(stable, [ShockSpec(targets=(0,), horizon=2, at_time=1)],
-                                     50, eye_inputs(2))
+                                     50, np.eye(2))
         assert result.stable
         unstable = from_reduced_form(
             np.zeros(2), 1.05 * np.eye(2), np.eye(2))
         (result,) = asymptotic_bands(unstable, [ShockSpec(targets=(0,), horizon=2, at_time=1)],
-                                     50, eye_inputs(2))
+                                     50, np.eye(2))
         assert not result.stable
 
     def test_convergence_when_stable(self, rng):
@@ -335,10 +326,9 @@ class TestAsymptoticBands:
 
     def test_negative_variance_rejected(self, rng):
         system = random_stable_system(rng, 3)
-        inputs = AsymptoticInputs(-1e6 * np.eye(3), system.sigma_eps)
         with pytest.raises(NumericalError, match="negative response variance .* horizon 1"):
             asymptotic_bands(system, [ShockSpec(targets=(0,), horizon=3, at_time=1)], 100,
-                             inputs)
+                             -1e6 * np.eye(3))
 
 
 class TestClosedFormBands:
@@ -350,12 +340,12 @@ class TestClosedFormBands:
             assert np.max(np.abs(system.g0 - np.eye(width))) > 0.05
         panel = panel_of(rng.standard_normal((120, width)))
         multi = tuple(int(j) for j in rng.permutation(width)[:3])
-        inputs = estimate_asymptotic_inputs(panel, system)
+        moment_inv = estimate_asymptotic_inputs(panel)
         dense = dense_asymptotic_inputs(panel, system)
         for targets in ((int(rng.integers(width)),), multi):
             for level in (0.9, 0.95):
                 shock = ShockSpec(targets=targets, horizon=6, at_time=1, level=level)
-                (closed,) = asymptotic_bands(system, [shock], 119, inputs)
+                (closed,) = asymptotic_bands(system, [shock], 119, moment_inv)
                 oracle = dense_asymptotic_bands(system, shock, 119, *dense)
                 np.testing.assert_allclose(closed.point, oracle.point, rtol=0, atol=1e-12)
                 np.testing.assert_allclose(closed.half_width, oracle.half_width,
@@ -370,7 +360,7 @@ class TestClosedFormBands:
         system = random_stable_system(rng, width)
         assert np.max(np.abs(np.triu(system.g0, 1))) > 0.05
         panel = panel_of(rng.standard_normal((150, width)))
-        inputs = estimate_asymptotic_inputs(panel, system)
+        moment_inv = estimate_asymptotic_inputs(panel)
         sigma_alpha, sigma_sigma = dense_asymptotic_inputs(panel, system)
         cov = np.zeros((width * width + sigma_sigma.shape[0],) * 2)
         cov[:width * width, :width * width] = sigma_alpha
@@ -394,7 +384,7 @@ class TestClosedFormBands:
         expected = np.einsum("ik,kl,il->i", grad, cov, grad)
         level_z1 = 2 * norm.cdf(1.0) - 1
         shock = ShockSpec(targets=targets, horizon=horizon, at_time=1, level=level_z1)
-        (result,) = asymptotic_bands(system, [shock], 1, inputs)
+        (result,) = asymptotic_bands(system, [shock], 1, moment_inv)
         np.testing.assert_allclose(result.half_width[horizon] ** 2, expected, rtol=1e-6)
 
     def test_band_functional_is_point_for_lower_triangular_g0(self, rng):
@@ -416,8 +406,9 @@ class TestClosedFormBands:
         system = random_stable_system(rng, 5)
         panel = panel_of(rng.standard_normal((80, 5)))
         monkeypatch.setattr(np, "kron", refuse)
-        inputs = estimate_asymptotic_inputs(panel, system)
-        asymptotic_bands(system, [ShockSpec(targets=(0, 4), horizon=6, at_time=1)], 79, inputs)
+        moment_inv = estimate_asymptotic_inputs(panel)
+        asymptotic_bands(system, [ShockSpec(targets=(0, 4), horizon=6, at_time=1)], 79,
+                         moment_inv)
 
     def test_memory_at_width_100(self):
         # the Kronecker form needs w^2 x w^2 = 800 MB matrices at this width
@@ -426,9 +417,9 @@ class TestClosedFormBands:
         panel = panel_of(rng.standard_normal((250, 100)))
         tracemalloc.start()
         try:
-            inputs = estimate_asymptotic_inputs(panel, system)
+            moment_inv = estimate_asymptotic_inputs(panel)
             asymptotic_bands(system, [ShockSpec(targets=(50,), horizon=6, at_time=1)], 249,
-                             inputs)
+                             moment_inv)
             peak_mb = tracemalloc.get_traced_memory()[1] / 2**20
         finally:
             tracemalloc.stop()
@@ -436,7 +427,7 @@ class TestClosedFormBands:
 
 
 class TestNumpyReplacements:
-    """The band's quantile and triangular solves against the SciPy routines."""
+    """The band's quantile against the SciPy routine."""
 
     def test_quantile_bit_equal_to_ndtri(self):
         far_tail = 1.0 - np.logspace(-13.8, -15.9, 400)  # (1 - level) / 2 < exp(-32)
@@ -448,18 +439,6 @@ class TestNumpyReplacements:
         ported = np.array([_ndtri(float(p)) for p in probabilities])
         np.testing.assert_array_equal(ported.view(np.int64),
                                       ndtri(probabilities).view(np.int64))
-
-    @pytest.mark.parametrize("width", [1, 2, 10, 31, 100])
-    def test_forward_substitution_matches_solve_triangular(self, width):
-        rng = np.random.default_rng(900 + width)
-        root = rng.standard_normal((width, width))
-        factor = np.linalg.cholesky(root @ root.T / width + np.eye(width))
-        root = rng.standard_normal((width, width))
-        sigma = root @ root.T / width + 0.5 * np.eye(width)
-        ours = _solve_lower(factor, _solve_lower(factor, sigma).T)
-        scipy_r = solve_triangular(factor, solve_triangular(factor, sigma, lower=True).T,
-                                   lower=True)
-        assert np.max(np.abs(ours - scipy_r)) <= 1e-13 * np.max(np.abs(scipy_r))
 
 
 class TestPeriodShocks:
@@ -477,18 +456,18 @@ class TestPeriodShocks:
         panel = make_panel(x, ["A", "B", "C"], ["v1", "v2", "v3"], ["ACT"])
         system = stack_system(estimate_structural(panel, weights), weights, 180)
         assert np.max(np.abs(system.g0 - np.eye(system.width))) > 0.01
-        return system, estimate_asymptotic_inputs(panel, system)
+        return system, estimate_asymptotic_inputs(panel)
 
     def test_batch_equals_one_at_a_time(self, period):
-        system, inputs = period
+        system, moment_inv = period
         shocks = [ShockSpec(targets=targets, horizon=horizon, at_time=180, level=level)
                   for targets, horizon, level in [((9,), 6, 0.95), ((0,), 6, 0.9),
                                                   ((9, 0), 6, 0.95), ((4, 2, 7), 3, 0.68),
                                                   ((5,), 0, 0.95)]]
-        batch = asymptotic_bands(system, shocks, 249, inputs)
+        batch = asymptotic_bands(system, shocks, 249, moment_inv)
         assert len(batch) == len(shocks)
         for shock, together in zip(shocks, batch):
-            (alone,) = asymptotic_bands(system, [shock], 249, inputs)
+            (alone,) = asymptotic_bands(system, [shock], 249, moment_inv)
             assert together.targets == shock.targets and together.level == shock.level
             np.testing.assert_array_equal(together.point, alone.point)
             np.testing.assert_array_equal(together.half_width, alone.half_width)
@@ -498,42 +477,44 @@ class TestPeriodShocks:
                 (alone.stable, alone.radius, alone.g0_condition)
 
     def test_combined_shock_is_sum_of_singles(self, period):
-        system, inputs = period
+        system, moment_inv = period
         last, first, both = asymptotic_bands(
             system, [ShockSpec(targets=t, horizon=6, at_time=1) for t in ((9,), (0,), (9, 0))],
-            249, inputs)
+            249, moment_inv)
         total = last.point + first.point
         scale = max(1.0, float(np.max(np.abs(total))))
         assert np.max(np.abs(both.point - total)) <= 1e-9 * scale
 
     def test_conditioning_recorded(self, period):
-        system, inputs = period
+        system, moment_inv = period
         (result,) = asymptotic_bands(system, [ShockSpec(targets=(0,), at_time=1)], 249,
-                                     inputs)
+                                     moment_inv)
         assert result.radius == np.max(np.abs(np.linalg.eigvals(system.f1)))
         assert result.stable == (result.radius < 1.0)
         assert result.g0_condition == np.linalg.cond(system.g0) >= 1.0
 
     def test_empty_shock_list_rejected(self, period):
-        system, inputs = period
+        system, moment_inv = period
         with pytest.raises(ValidationError, match="no shocks"):
-            asymptotic_bands(system, [], 249, inputs)
+            asymptotic_bands(system, [], 249, moment_inv)
 
 
 class TestBandInputs:
     def bands(self, rng, moment_inv, sigma):
-        system = random_stable_system(rng, 3)
+        """The bands of a system whose ``Sigma_eps`` is ``sigma``."""
+        system = replace(random_stable_system(rng, 3), sigma_eps=sigma)
         return asymptotic_bands(system, [ShockSpec(targets=(0,), horizon=2, at_time=1)], 100,
-                                AsymptoticInputs(moment_inv, sigma))
+                                moment_inv)
 
     @pytest.mark.parametrize("which", ["moment_inv", "sigma"])
     def test_non_finite_rejected(self, rng, which):
         factors = {"moment_inv": np.eye(3), "sigma": np.eye(3)}
         factors[which][1, 1] = np.nan
-        with pytest.raises(ValidationError, match=f"{which} has non-finite"):
+        name = {"moment_inv": "band input moment_inv", "sigma": "covariance"}[which]
+        with pytest.raises(ValidationError, match=f"{name} has non-finite"):
             self.bands(rng, **factors)
 
-    @pytest.mark.parametrize("which", ["moment_inv", "sigma"])
+    @pytest.mark.parametrize("which", ["moment_inv"])
     @pytest.mark.parametrize("shape", [(2, 2), (3, 4), (9, 9), (3,)])
     def test_wrong_shape_rejected(self, rng, which, shape):
         factors = {"moment_inv": np.eye(3), "sigma": np.eye(3)}
@@ -544,7 +525,7 @@ class TestBandInputs:
     def test_asymmetric_sigma_rejected(self, rng):
         sigma = np.eye(3)
         sigma[0, 2] = 0.3
-        with pytest.raises(ValidationError, match="sigma must be symmetric"):
+        with pytest.raises(ValidationError, match="covariance must be symmetric"):
             self.bands(rng, np.eye(3), sigma)
 
 
@@ -558,9 +539,9 @@ class TestAsymptoticInputs:
             y[t] = phi * y[t - 1] + eps[t]
         system = from_reduced_form(
             np.zeros(1), np.array([[phi]]), np.array([[1.0]]))
-        inputs = estimate_asymptotic_inputs(panel_of(y[:, None]), system)
-        assert inputs.moment_inv.shape == inputs.sigma.shape == (1, 1)
-        slope_var = inputs.moment_inv[0, 0] * inputs.sigma[0, 0]
+        moment_inv = estimate_asymptotic_inputs(panel_of(y[:, None]))
+        assert moment_inv.shape == system.sigma_eps.shape == (1, 1)
+        slope_var = moment_inv[0, 0] * system.sigma_eps[0, 0]
         assert slope_var == pytest.approx(1 - phi ** 2, rel=0.05)
 
     def test_sigma_sigma_identity_case(self):
@@ -581,16 +562,16 @@ class TestAsymptoticInputs:
         y = scale * rng.standard_normal(t_len)
         sigma = np.array([[scale ** 2]])
         system = from_reduced_form(np.zeros(1), np.zeros((1, 1)), sigma)
-        inputs = estimate_asymptotic_inputs(panel_of(y[:, None]), system)
-        slope_var = inputs.moment_inv[0, 0] * inputs.sigma[0, 0]
+        moment_inv = estimate_asymptotic_inputs(panel_of(y[:, None]))
+        slope_var = moment_inv[0, 0] * system.sigma_eps[0, 0]
         assert slope_var == pytest.approx(scale ** 2 / np.var(y), rel=0.05)
 
 
 def test_irf_json_round_trip(tmp_path, rng):
     system = random_stable_system(rng, 3)
-    inputs = estimate_asymptotic_inputs(panel_of(rng.standard_normal((150, 3))), system)
+    moment_inv = estimate_asymptotic_inputs(panel_of(rng.standard_normal((150, 3))))
     (result,) = asymptotic_bands(
-        system, [ShockSpec(targets=(0, 2), horizon=6, at_time=17, level=0.9)], 149, inputs)
+        system, [ShockSpec(targets=(0, 2), horizon=6, at_time=17, level=0.9)], 149, moment_inv)
     columns = ["A.x", "A.y", "ACT"]
     path = tmp_path / "irf.json"
     write_irf_json(result, columns, path)
@@ -610,7 +591,7 @@ def test_irf_json_round_trip(tmp_path, rng):
 def test_irf_json_without_conditioning_rejected(tmp_path, rng):
     system = random_stable_system(rng, 2)
     (result,) = asymptotic_bands(system, [ShockSpec(targets=(0,), horizon=2, at_time=1)], 100,
-                                 eye_inputs(2))
+                                 np.eye(2))
     path = tmp_path / "irf.json"
     write_irf_json(result, ["u", "v"], path)
     obj = read_json(path)
@@ -623,7 +604,7 @@ def test_irf_json_without_conditioning_rejected(tmp_path, rng):
 def test_irf_csv_round_trip(tmp_path, rng):
     system = random_stable_system(rng, 2)
     (result,) = asymptotic_bands(system, [ShockSpec(targets=(1,), horizon=4, at_time=1)],
-                                 100, eye_inputs(2))
+                                 100, np.eye(2))
     columns = ["u", "v"]
     path = tmp_path / "irf.csv"
     write_irf_csv(result, columns, path)

@@ -15,7 +15,7 @@ from tvpgvar.ingest import read_panel_csv, write_panel_csv
 from tvpgvar.irf import read_irf_csv, read_irf_json
 from tvpgvar.sample import write_sample_config
 from tvpgvar.serialize import (
-    dumps_json, format_float, read_csv_rows, read_json, write_csv, write_json,
+    dumps_json, format_float, parse_int, read_csv_rows, read_json, write_csv, write_json,
 )
 from tvpgvar.tvp import PanelTVPResult, TVPTrajectory, read_trajectories, write_trajectories
 
@@ -30,6 +30,22 @@ def test_format_float_rejects_non_finite():
         format_float(float("nan"))
     with pytest.raises(ValidationError):
         format_float(float("inf"))
+
+
+@pytest.mark.parametrize("cell, value", [(3, 3), (3.0, 3), ("3", 3), (-2, -2)],
+                         ids=["int", "float", "cell", "negative"])
+def test_parse_int_accepts_integral_numbers(cell, value):
+    assert parse_int(cell, "k") == value
+
+
+@pytest.mark.parametrize("cell, message", [
+    (9.7, "k: non-integer value 9.7"), ("2.5", "k: non-integer value '2.5'"),
+    (True, "k: non-integer value True"), ([1], "k: non-numeric value [1]"),
+    (float("nan"), "k: non-finite value nan"),
+], ids=["fraction", "cell-fraction", "bool", "list", "nan"])
+def test_parse_int_rejects(cell, message):
+    with pytest.raises(ValidationError, match="^" + re.escape(message) + "$"):
+        parse_int(cell, "k")
 
 
 def test_json_round_trip(tmp_path, rng):
@@ -194,7 +210,9 @@ def test_loader_names_the_damaged_file(artifacts, tmp_path, loader, pattern, key
     (lambda obj: obj["activity_equations"].pop(), "activity_equations must list 1 equations"),
     (lambda obj: obj["sigma_u"].pop(), "sigma_u: expected an array of shape"),
     (lambda obj: obj.update(nobs=[1]), "nobs: non-numeric value [1]"),
-], ids=["short-block", "missing-block", "equation-count", "sigma-shape", "nobs"])
+    (lambda obj: obj.update(nobs=249.5), "nobs: non-integer value 249.5"),
+], ids=["short-block", "missing-block", "equation-count", "sigma-shape", "nobs",
+        "nobs-fraction"])
 def test_coefficient_blocks_checked_against_the_code_lists(artifacts, tmp_path, damage,
                                                            message):
     obj = read_json(artifacts / "coefficients.json")
@@ -203,6 +221,19 @@ def test_coefficient_blocks_checked_against_the_code_lists(artifacts, tmp_path, 
     write_json(obj, path)
     with pytest.raises(ValidationError, match="^" + re.escape(f"{path}: {message}")):
         read_coefficients_json(path)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("targets", [9.7]), ("targets", [True]), ("sample_size", 250.5), ("at_time", 3.5),
+], ids=["targets-fraction", "targets-bool", "sample_size-fraction", "at_time-fraction"])
+def test_irf_integers_must_be_integral(artifacts, tmp_path, key, value):
+    # int() of the parsed float would read these as 9, 1, 250 and 3
+    obj = read_json(sorted(artifacts.glob("irf_*.json"))[0])
+    obj[key] = value
+    path = tmp_path / "irf.json"
+    write_json(obj, path)
+    with pytest.raises(ValidationError, match="^" + re.escape(f"{path}: {key}: non-integer")):
+        read_irf_json(path)
 
 
 # ---------------------------------------------------------------------------
