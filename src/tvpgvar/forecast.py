@@ -19,7 +19,10 @@ the standardized full-sample problems and the penalty grids of the (series,
 time) transpose of its input. The cross-validation puts every (series, fold)
 problem into one batch, follows the paths down the grid and returns each
 series' grid position; the fit follows each full-sample path straight to its
-chosen penalty. ``lasso_fit`` is the one-problem call of the same solver.
+chosen penalty. The cross-validation scores one grid penalty at a time: beside
+the fold problems and their solutions it holds one (series, rows) block of
+validation residuals, not a (grid, series, rows) cube per fold.
+``lasso_fit`` is the one-problem call of the same solver.
 """
 
 from __future__ import annotations
@@ -298,6 +301,7 @@ def select_lasso_lambda(x: np.ndarray, y: np.ndarray, grids: np.ndarray,
     block f+1 and validates on it, so the future is never in the training
     set. Every (series, fold) problem is standardized once and all of them
     follow their exact paths down the grid in one ``_lasso_path`` batch.
+    Each fold's validation residuals are scored one penalty at a time.
     Ties resolve to the largest penalty.
     """
     n_series, n = y.shape
@@ -313,10 +317,11 @@ def select_lasso_lambda(x: np.ndarray, y: np.ndarray, grids: np.ndarray,
         coef, intercept = _original_scale(problems, betas)  # (grid, fold x series, ...)
         for f, (split, stop) in enumerate(folds):
             part = slice(f * n_series, (f + 1) * n_series)
-            resid = np.einsum("smj,gsj->gsm", x[:, split:stop], coef[:, part])
-            resid += intercept[:, part, None]
-            resid -= y[:, split:stop]
-            scores += np.mean(np.square(resid, out=resid), axis=2).T
+            for g in range(grids.shape[1]):
+                resid = np.einsum("smj,sj->sm", x[:, split:stop], coef[g, part])
+                resid += intercept[g, part, None]
+                resid -= y[:, split:stop]
+                scores[:, g] += np.mean(np.square(resid, out=resid), axis=1)
     return np.argmin(scores, axis=1), {row % n_series: why for row, why in stalled.items()}
 
 

@@ -180,27 +180,31 @@ def load_panel(path: str | Path) -> list[RawSeries]:
     # first appearance; the month also finds a duplicate date, as each month
     # has one YYYY-MM label
     points: dict[tuple[str, str], dict[int, tuple[str, float, int]]] = {}
-    # each distinct string is checked once, on the first row that has it, so
-    # an error still names the first bad row; a valid region code is a valid
-    # variable code, so one set holds both
-    codes: set[str] = set()
     months: dict[str, int] = {}
     for rownum, row in enumerate(rows, 2):
         date = row[at_date].strip()
         region = row[at_region].strip()
-        if region not in codes:
-            codes.add(_check_code(region, "region", rownum))
         variable = row[at_variable].strip()
-        if variable not in codes:
-            codes.add(_check_code(variable, "variable", rownum))
+        by_month = points.get((region, variable))
+        if by_month is None:
+            # a code seen for the first time comes with a series seen for the
+            # first time, so an error still names the first bad row
+            _check_code(region, "region", rownum)
+            _check_code(variable, "variable", rownum)
+            by_month = points[region, variable] = {}
         midx = months.get(date)
         if midx is None:
             try:
                 midx = months[date] = month_index(date)
             except ValidationError as exc:
                 raise ValidationError(f"{path}: row {rownum}: {exc}") from None
-        value = parse_float(row[at_value].strip(), f"{path}: row {rownum}")
-        by_month = points.setdefault((region, variable), {})
+        cell = row[at_value].strip()
+        try:
+            value = float(cell)
+        except ValueError:
+            value = math.nan
+        if not math.isfinite(value):
+            parse_float(cell, f"{path}: row {rownum}")  # raises, naming the row
         if midx in by_month:
             raise ValidationError(
                 f"{path}: row {rownum}: duplicate ({region}, {variable}, {date}), "

@@ -203,8 +203,12 @@ def read_table(path: str | Path, header: Sequence[str]) -> Iterator[tuple[str, l
 
 def parse_float(cell: Any, where: str) -> float:
     """A CSV cell (or JSON number) as a finite float, or a ValidationError
-    that starts with ``where`` (the file and row or key) and quotes the cell."""
+    that starts with ``where`` (the file and row or key) and quotes the cell.
+    A boolean is not a number here: ``float(True)`` would read a JSON ``true``
+    as 1.0."""
     try:
+        if isinstance(cell, bool):
+            raise TypeError
         value = float(cell)
     except (TypeError, ValueError, OverflowError):
         raise ValidationError(f"{where}: non-numeric value {cell!r}") from None
@@ -216,8 +220,8 @@ def parse_float(cell: Any, where: str) -> float:
 def parse_int(cell: Any, where: str) -> int:
     """A cell or JSON number with no fractional part as an int, as :func:`parse_float`
     reads it, or a ValidationError that starts with ``where`` and quotes the cell:
-    ``int(parse_float(...))`` would read 9.7 as 9 and ``true`` as 1."""
-    value = parse_float(cell, where)
-    if isinstance(cell, bool) or not value.is_integer():
+    ``int(parse_float(...))`` would read 9.7 as 9. A boolean is a non-integer."""
+    value = None if isinstance(cell, bool) else parse_float(cell, where)
+    if value is None or not value.is_integer():
         raise ValidationError(f"{where}: non-integer value {cell!r}")
     return int(value)

@@ -8,6 +8,11 @@ code with ``tvpgvar.forecast`` and reproduce what the package computed before
 it moved to batched solvers; the package now follows the exact lasso path, so
 ``lasso_cd`` is the only coordinate descent left.
 
+``select_lasso_lambda_cube`` is the package's cross-validation as it scored
+before it held one penalty at a time: each fold's validation residuals for
+every grid penalty at once, as one (grid, series, rows) cube. It shares the
+package's path solver, so it pins the scoring and its summation order only.
+
 ``dense_asymptotic_inputs`` and ``dense_asymptotic_bands`` are the
 Kronecker-form delta-method bands: the full w^2 x w^2 input covariances
 ``S_alpha = M^-1 kron Sigma`` and ``S_sigma = 2 D+ (Sigma kron Sigma) D+'``
@@ -38,6 +43,7 @@ import numpy as np
 from scipy.linalg import lapack
 from scipy.special import ndtri
 
+from tvpgvar.forecast import _lasso_path, _original_scale, _stack, _standardize
 from tvpgvar.gvar import ma_coefficients, spectral_radius
 from tvpgvar.ingest import month_index
 from tvpgvar.irf import IRFResult, cholesky_lower, derivative_Gn, derivative_H
@@ -142,6 +148,27 @@ def select_lambda_cd(series, lag_window, cv_folds, grid_size, grid_floor, tol=1e
             pred = intercept + x_va @ coef
             scores[g] += float(np.mean((y_va - pred) ** 2))
     return float(grid[int(np.argmin(scores))])
+
+
+def select_lasso_lambda_cube(x, y, grids, cv_folds):
+    """``select_lasso_lambda``'s picks and stalled rows, each fold scored as one
+    residual cube over the whole grid."""
+    n_series, n = y.shape
+    bounds = [round(n * (i + 1) / (cv_folds + 1)) for i in range(cv_folds + 1)]
+    folds = [(bounds[f], bounds[f + 1]) for f in range(cv_folds)
+             if 0 < bounds[f] < bounds[f + 1]]
+    scores, stalled = np.zeros(grids.shape), {}
+    if folds:
+        problems = _stack([_standardize(x[s, :split], y[s, :split])
+                           for split, _ in folds for s in range(n_series)])
+        betas, stalled = _lasso_path(problems, np.tile(grids, (len(folds), 1)))
+        coef, intercept = _original_scale(problems, betas)
+        for f, (split, stop) in enumerate(folds):
+            part = slice(f * n_series, (f + 1) * n_series)
+            resid = np.einsum("smj,gsj->gsm", x[:, split:stop], coef[:, part])
+            resid = resid + intercept[:, part, None] - y[:, split:stop]
+            scores += np.mean(np.square(resid), axis=2).T
+    return np.argmin(scores, axis=1), {row % n_series: why for row, why in stalled.items()}
 
 
 def vec(a):

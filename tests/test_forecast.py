@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from tvpgvar.forecast import (
 from tvpgvar.tvp import PanelTVPResult, TVPTrajectory, read_trajectories
 
 from conftest import make_panel
-from oracles import lag_design, lasso_cd, lasso_objective
+from oracles import lag_design, lasso_cd, lasso_objective, select_lasso_lambda_cube
 
 
 STALL = "lasso path took more than 3 events between two grid penalties"
@@ -361,6 +362,47 @@ class TestBatchedSolver:
                                   grid_size=20)
         forecast_lasso(np.cumsum(rng.standard_normal((4, 80)), axis=1).T, config)
         assert len(calls) == 4 * (config.cv_folds + 1)
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_picks_match_cube_scoring(self, seed):
+        # scoring one penalty at a time sums each score in the cube's order;
+        # every third batch keeps cv_folds rows, where one fold's bounds
+        # collapse, and every third a single row, where no fold is left
+        rng = np.random.default_rng(seed)
+        config = ForecasterConfig(kind="lasso", lag_window=int(rng.integers(1, 8)),
+                                  cv_folds=int(rng.integers(2, 6)),
+                                  grid_size=int(rng.integers(5, 61)))
+        stack = np.cumsum(rng.standard_normal((6, 40 + 5 * seed)), axis=1)
+        stack *= rng.uniform(1e-3, 10, (6, 1))
+        stack[seed % 6] = 4.2
+        x, y, _, grids = _lasso_inputs(stack, config)
+        rows = (y.shape[1], config.cv_folds, 1)[seed % 3]
+        picks, stalled = select_lasso_lambda(x[:, :rows], y[:, :rows], grids, config.cv_folds)
+        expected, expected_stalled = select_lasso_lambda_cube(
+            x[:, :rows], y[:, :rows], grids, config.cv_folds)
+        np.testing.assert_array_equal(picks, expected)
+        assert stalled == expected_stalled
+
+    def test_holds_one_penalty_at_a_time(self, rng):
+        # the sample's lasso settings on 20 paths; the CV may hold its designs,
+        # the fold problems, the solutions in both scales and one (series,
+        # rows) residual block, not a (grid, series, rows) cube per fold
+        config = ForecasterConfig(kind="lasso", lag_window=6, cv_folds=2, grid_size=25)
+        x, y, _, grids = _lasso_inputs(np.cumsum(rng.standard_normal((20, 250)), axis=1), config)
+        select_lasso_lambda(x, y, grids, config.cv_folds)  # numpy's caches
+        n_series, n, lags = x.shape
+        n_problems = config.cv_folds * n_series
+        # gram, mean, scale, corr, ybar and lam_max in doubles, live in bools
+        problems = n_problems * (lags * lags + 3 * lags + 2) * 8 + n_problems * lags
+        betas = config.grid_size * n_problems * lags * 8
+        block = n_series * -(-n // (config.cv_folds + 1)) * 8
+        tracemalloc.start()
+        try:
+            select_lasso_lambda(x, y, grids, config.cv_folds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < x.nbytes + problems + 2 * betas + block
 
 
 class TestForecastLasso:

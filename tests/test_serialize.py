@@ -211,8 +211,10 @@ def test_loader_names_the_damaged_file(artifacts, tmp_path, loader, pattern, key
     (lambda obj: obj["sigma_u"].pop(), "sigma_u: expected an array of shape"),
     (lambda obj: obj.update(nobs=[1]), "nobs: non-numeric value [1]"),
     (lambda obj: obj.update(nobs=249.5), "nobs: non-integer value 249.5"),
+    (lambda obj: obj["activity_equations"][0].update(a_m=True),
+     "activity_equations[0].a_m: non-numeric value True"),
 ], ids=["short-block", "missing-block", "equation-count", "sigma-shape", "nobs",
-        "nobs-fraction"])
+        "nobs-fraction", "bool-entry"])
 def test_coefficient_blocks_checked_against_the_code_lists(artifacts, tmp_path, damage,
                                                            message):
     obj = read_json(artifacts / "coefficients.json")
@@ -233,6 +235,18 @@ def test_irf_integers_must_be_integral(artifacts, tmp_path, key, value):
     path = tmp_path / "irf.json"
     write_json(obj, path)
     with pytest.raises(ValidationError, match="^" + re.escape(f"{path}: {key}: non-integer")):
+        read_irf_json(path)
+
+
+@pytest.mark.parametrize("key", ["radius", "level", "g0_condition"])
+def test_irf_floats_reject_booleans(artifacts, tmp_path, key):
+    # float() of a JSON true would read it as 1.0
+    obj = read_json(sorted(artifacts.glob("irf_*.json"))[0])
+    obj[key] = True
+    path = tmp_path / "irf.json"
+    write_json(obj, path)
+    with pytest.raises(ValidationError,
+                       match="^" + re.escape(f"{path}: {key}: non-numeric value True") + "$"):
         read_irf_json(path)
 
 
