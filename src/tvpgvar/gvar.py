@@ -133,8 +133,8 @@ class WeightSequence:
         """Load per-period weights from a ``date,from,to,weight`` CSV.
 
         Rows with ``to = __COMMON__:<activity>`` populate the activity weight
-        block. Every panel date must be covered, and no ``(date, from, to)``
-        may repeat.
+        block. Each panel date needs a row (a lone country with no activity
+        needs none), no ``(date, from, to)`` may repeat, and errors name the file.
         """
         region_ix = {r: i for i, r in enumerate(regions)}
         act_ix = {a: i for i, a in enumerate(activities)}
@@ -163,7 +163,14 @@ class WeightSequence:
                 if dst not in region_ix:
                     raise ValidationError(f"{where}: unknown region {dst!r}")
                 we[t, region_ix[src], region_ix[dst]] = w
-        return cls(we=we, wb=wb)
+        covered = {date for date, _, _ in seen}
+        missing = [date for date in time_index if date not in covered]
+        if missing and (k > 1 or l):
+            raise ValidationError(f"{path}: no weights for {missing[0]}")
+        try:
+            return cls(we=we, wb=wb)
+        except ValidationError as exc:
+            raise ValidationError(f"{path}: {exc}") from None
 
 
 @dataclass(frozen=True)

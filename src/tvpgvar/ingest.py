@@ -11,6 +11,9 @@ this module runs on the standard library alone: a panel keeps its cells as
 float rows and builds its numpy array when an estimation stage first reads
 ``values``. Each row is an ``array('d')``, 8 bytes a cell; a panel read back
 from ``panel.csv`` parses each row straight from its line.
+
+A panel is valid once built: :class:`TimeSeriesPanel` applies
+:func:`validate_panel` on construction, so no stage checks a panel again.
 """
 
 from __future__ import annotations
@@ -84,7 +87,8 @@ class TimeSeriesPanel(Record, frozen=True):
     ordering also fixes the Cholesky identification order downstream.
     The cells are stored once, as T ``array('d')`` rows of K*p + l, one per
     month; rows given as any other float sequence are converted on
-    construction. ``repr`` leaves the rows out.
+    construction. ``repr`` leaves the rows out. Construction raises unless the
+    rows fit, there are 3 months or more and :func:`validate_panel` passes.
     """
 
     _hidden = ("rows",)
@@ -102,6 +106,9 @@ class TimeSeriesPanel(Record, frozen=True):
                 f"panel rows do not match T={len(time_index)}, K*p+l={width}")
         if len(time_index) < 3:
             raise ValidationError("panel needs at least 3 months")
+        issues = validate_panel(self).issues
+        if issues:
+            raise ValidationError("; ".join(issues[:5]))
 
     @cached_property
     def values(self) -> np.ndarray:
@@ -327,8 +334,6 @@ def align_frequencies(
         if any(v <= 0 for column in columns for v in column):
             raise ValidationError("log transform requires strictly positive values")
         columns = [[math.log(v) for v in column] for column in columns]
-    if not all(math.isfinite(v) for column in columns for v in column):
-        raise ValidationError("aligned panel contains non-finite values")
 
     return TimeSeriesPanel(
         time_index=tuple(month_label(m) for m in months),
@@ -358,24 +363,17 @@ class ValidationReport(Record):
         }
 
 
-def _order_issues(panel: TimeSeriesPanel) -> list[str]:
-    """The duplicate-name and month-order violations of ``panel``."""
+def validate_panel(panel: TimeSeriesPanel) -> ValidationReport:
+    """Report a panel's invariant violations: a repeated column name, a month
+    that does not follow the one before, a non-finite cell. The one definition
+    of a valid panel: :class:`TimeSeriesPanel` raises on any of them."""
     issues: list[str] = []
     names = panel.column_names()
     if len(set(names)) != len(names):
         issues.append("duplicate column names")
     months = [month_index(d) for d in panel.time_index]
-    gaps = [panel.time_index[i + 1] for i in range(len(months) - 1)
-            if months[i + 1] - months[i] != 1]
-    for g in gaps:
-        issues.append(f"non-consecutive month at {g}")
-    return issues
-
-
-def validate_panel(panel: TimeSeriesPanel) -> ValidationReport:
-    """Report every invariant violation (non-finite cell, ordering breach)."""
-    issues = _order_issues(panel)
-    names = panel.column_names()
+    issues.extend(f"non-consecutive month at {panel.time_index[i]}"
+                  for i in range(1, len(months)) if months[i] - months[i - 1] != 1)
     for date, row in zip(panel.time_index, panel.rows):
         if not all(map(math.isfinite, row)):
             issues.extend(f"non-finite cell at ({date}, {name})"
@@ -393,10 +391,10 @@ def write_panel_csv(panel: TimeSeriesPanel, path: str | Path) -> None:
 
 
 def read_panel_csv(path: str | Path) -> TimeSeriesPanel:
-    """Load and validate a panel written by :func:`write_panel_csv` (exact round-trip).
+    """Load a panel written by :func:`write_panel_csv` (exact round-trip).
 
-    Each cell is checked once, by :func:`parse_float` as its line is parsed,
-    so the panel is then checked only for its column names and month order.
+    A cell that is not a finite number fails as its line is parsed, naming
+    the row; the panel's own checks then name the file before their message.
     """
     header, rows = read_csv_rows(path)
     names = header[1:]
@@ -422,16 +420,12 @@ def read_panel_csv(path: str | Path) -> TimeSeriesPanel:
         dates.append(row[0])
         cells.append(array("d", [parse_float(c, where) for c in row[1:]]))
     try:
-        panel = TimeSeriesPanel(
+        return TimeSeriesPanel(
             time_index=tuple(dates),
             regions=tuple(regions),
             variables=tuple(variables),
             activities=tuple(activities),
             rows=tuple(cells),
         )
-        issues = _order_issues(panel)
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from None
-    if issues:
-        raise ValidationError(f"{path}: " + "; ".join(issues[:5]))
-    return panel

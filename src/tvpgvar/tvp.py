@@ -528,7 +528,10 @@ def _sample_stack(y: np.ndarray, iters: int, seeds: Sequence,
     return trajectories, errors
 
 
-def _checked_series(y: np.ndarray, iters: int) -> np.ndarray:
+def fit_equation(y: np.ndarray, iters: int, seed: int | Sequence[int]) -> TVPTrajectory:
+    """Iterate path / coefficient / variance draws on one column and keep the
+    final draw; ``seed`` seeds the column's own ``default_rng``. This is
+    ``estimate_all`` on a one-column stack."""
     y = np.asarray(y, float).reshape(-1)
     if y.size < 3:
         raise ValidationError("need at least 3 observations per equation")
@@ -536,14 +539,6 @@ def _checked_series(y: np.ndarray, iters: int) -> np.ndarray:
         raise ValidationError("observations must be finite")
     if iters < 1:
         raise ValidationError("iters must be >= 1")
-    return y
-
-
-def fit_equation(y: np.ndarray, iters: int, seed: int | Sequence[int]) -> TVPTrajectory:
-    """Iterate path / coefficient / variance draws on one column and keep the
-    final draw; ``seed`` seeds the column's own ``default_rng``. This is
-    ``estimate_all`` on a one-column stack."""
-    y = _checked_series(y, iters)
     (trajectory,), errors = _sample_stack(y[None, :], iters, [seed])
     if errors:
         raise NumericalError(errors[0])
@@ -571,24 +566,13 @@ def estimate_all(panel: TimeSeriesPanel, config: TVPConfig) -> PanelTVPResult:
     order path normals, 4 normals, gamma, so its result depends neither on
     the other columns nor on evaluation order. A column that fails (a
     non-finite or non-factorizable matrix, non-finite residuals) leaves the
-    stack with the iteration in its reason; the others continue.
+    stack with the iteration in its reason; the others continue. A panel
+    and a config are checked as they are built, so every column starts.
     """
-    errors: dict[int, str] = {}
-    live = []
-    for i in range(panel.width):
-        try:
-            _checked_series(panel.values[:, i], config.iters)
-            live.append(i)
-        except ValidationError as exc:
-            errors[i] = str(exc)
-    fitted, failed = _sample_stack(panel.values.T[live], config.iters,
-                                   [(config.seed, i) for i in live])
-    trajectories: list[TVPTrajectory | None] = [None] * panel.width
-    for i, trajectory in zip(live, fitted):
-        trajectories[i] = trajectory
-    errors.update((live[row], reason) for row, reason in failed.items())
+    trajectories, failed = _sample_stack(panel.values.T, config.iters,
+                                         [(config.seed, i) for i in range(panel.width)])
     names = panel.column_names()
-    return PanelTVPResult(trajectories, {names[i]: errors[i] for i in sorted(errors)})
+    return PanelTVPResult(trajectories, {names[i]: failed[i] for i in sorted(failed)})
 
 
 def write_trajectories(result: PanelTVPResult, panel: TimeSeriesPanel,

@@ -159,6 +159,9 @@ class TestIngest:
         ("irf", "level", "0.9"),
         ("weights", "window", 0),  # gvar would reject these two only after numpy loads
         ("weights", "variable", 5),
+        ("forecast", "horizon", 0),
+        ("forecast", "lag_window", 0),
+        ("irf", "horizon", -1),
     ])
     def test_wrongly_typed_value_rejected(self, tmp_path, capsys, section, key, value):
         config_path = mini_config(tmp_path)
@@ -192,6 +195,26 @@ class TestIngest:
         assert proc.returncode == 1
         assert f"{key} must be" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda obj: [obj], "config must be a JSON object"),
+        (lambda obj: obj["data"].update(transform="sqrt"), "unknown transform 'sqrt'"),
+        (lambda obj: obj["panel"].update(regions=["AAA", "BBB", "AAA"]),
+         "duplicate codes in panel.regions"),
+        (lambda obj: obj.update(weights={"provider": "rolling-share"}),
+         "rolling-share weights need a 'variable'"),
+        (lambda obj: obj.update(weights={"provider": "csv"}), "csv weights need a 'path'"),
+        (lambda obj: obj["irf"].update(shocks=[["OIL"], []]),
+         "each IRF shock needs at least one target column"),
+    ], ids=["array", "transform", "repeated-region", "rolling-share-variable",
+            "csv-path", "empty-shock"])
+    def test_inconsistent_config_rejected(self, tmp_path, edit, message):
+        config_path = mini_config(tmp_path)
+        obj = read_json(config_path)
+        write_json(edit(obj) or obj, config_path)  # an edit in place returns None
+        proc = run_python("-m", "tvpgvar.cli", "ingest", "--config", str(config_path))
+        assert proc.returncode == 1
+        assert proc.stderr == f"error: {message}\n"
 
     @pytest.mark.parametrize("key, value", [
         # unchecked, forecast would end in: an empty-sequence argmin; a
@@ -369,6 +392,25 @@ class TestIRF:
         assert main(["irf", "--config", str(config_path), "--out", str(out_dir)]) == 0
         assert (out_dir / "stacking.json").read_bytes() == first
 
+    def test_every_period_skipped_exits_2(self, pipeline, capsys, monkeypatch):
+        import tvpgvar.gvar
+        from tvpgvar.errors import NumericalError as NumErr
+
+        def failing(fit, weights, t, **kwargs):
+            raise NumErr("G0 condition number above cap (synthetic)")
+
+        monkeypatch.setattr(tvpgvar.gvar, "stack_system", failing)
+        out_dir = pipeline / "out_all_skipped"
+        config_path = pipeline / "config.json"
+        assert main(["ingest", "--config", str(config_path), "--out", str(out_dir)]) == 0
+        capsys.readouterr()
+        assert main(["irf", "--config", str(config_path), "--out", str(out_dir)]) == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "numerical failure: all requested periods were skipped: ['2003-06', '2005-01']")
+        stacking = read_json(out_dir / "stacking.json")["periods"]
+        assert [p["status"] for p in stacking] == ["skipped", "skipped"]
+        assert not list(out_dir.glob("irf_*"))
+
 
 class TestForecast:
     def test_mse_report_shape(self, pipeline):
@@ -512,6 +554,24 @@ class TestForecast:
         assert forecast_choice.startswith("selected model: ")
         assert main(["report", "--config", str(config_path)]) == 0
         assert forecast_choice in capsys.readouterr().out.splitlines()
+
+    def test_failed_training_column_exits_2(self, tmp_path, capsys):
+        # OIL scaled by 1e152: its sampler overflows, while the other columns
+        # fit; the stage writes the training trajectories and scores nothing
+        config_path = write_sample_config(tmp_path, iters=20)
+        data = tmp_path / "sample_panel.csv"
+        lines = data.read_text().splitlines()
+        data.write_text("".join(
+            f"{line.rsplit(',', 1)[0]},{float(line.rsplit(',', 1)[1]) * 1e152!r}\n"
+            if ",__COMMON__,OIL," in line else f"{line}\n" for line in lines))
+        assert main(["ingest", "--config", str(config_path)]) == 0
+        capsys.readouterr()
+        assert main(["forecast", "--config", str(config_path)]) == 2
+        assert capsys.readouterr().err == (
+            "numerical failure: trajectory estimation failed for columns: OIL\n")
+        meta = read_json(tmp_path / "out" / "trajectories_train_meta.json")
+        assert list(meta["errors"]) == ["OIL"] and len(meta["columns"]) == 9
+        assert not (tmp_path / "out" / "mse_report.csv").exists()
 
     def test_methods_sharing_no_scored_series_exit_2(self, tmp_path, capsys):
         config_path = disjoint_forecasters_config(tmp_path)
@@ -1016,8 +1076,11 @@ def test_stage_output_survives_the_exit_without_teardown(pipeline, tmp_path, cap
 def test_exit_codes_pass_through(tmp_path, monkeypatch):
     monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
     missing = tmp_path / "missing.json"
+    (tmp_path / "no-shocks").mkdir()
+    no_shocks = mini_config(tmp_path / "no-shocks", irf={"dates": ["2003-06"], "shocks": []})
     cases = [
         (["report", "--config", str(missing)], 1, f"error: {missing}: file not found"),
+        (["irf", "--config", str(no_shocks)], 1, "error: config lists no IRF shocks"),
         (["forecast", "--config", str(disjoint_forecasters_config(tmp_path))], 2,
          "numerical failure: the forecasters oil, rest share no scored series"),
         (["report"], 2, "the following arguments are required: --config"),  # argparse

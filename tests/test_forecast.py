@@ -619,6 +619,31 @@ class TestTwoStageForecast:
         np.testing.assert_array_equal(result.param_paths[:, [0, 2]], alone.param_paths)
         np.testing.assert_array_equal(result.variable_paths[:, [0, 2]], alone.variable_paths)
 
+    def test_rank_deficient_var1_fails_every_usable_column(self, rng):
+        # two constant parameter paths leave the VAR(1) design rank-deficient:
+        # the method fails as a whole, each usable column with that reason and
+        # no score, and pooled_mse leaves the method out
+        t_len, h = 40, 3
+        values = rng.standard_normal((t_len, 3))
+        panel = make_panel(values[:-h], ["A", "B", "C"], ["v1"])
+        theta = np.tile([0.2, 0.5], (t_len - h - 1, 1))
+        tvp_result = trajectories_from_paths([theta, theta, theta])
+        tvp_result.trajectories[2] = None
+        tvp_result.errors["C.v1"] = "iteration 3: residuals are not finite"
+        results = {kind: two_stage_forecast(panel, tvp_result,
+                                            ForecasterConfig(kind=kind, horizon=h),
+                                            actuals=values[-h:])
+                   for kind in ("constant", "var1")}
+        assert results["var1"].errors == {
+            "A.v1": "rank-deficient design in parameter VAR(1)",
+            "B.v1": "rank-deficient design in parameter VAR(1)",
+            "C.v1": "iteration 3: residuals are not finite"}
+        assert results["var1"].mse_per_series == {}
+        assert np.all(np.isnan(results["var1"].variable_paths))
+        assert set(results["constant"].mse_per_series) == {"A.v1", "B.v1"}
+        assert pooled_mse(results) == {"constant": pytest.approx(
+            np.mean(list(results["constant"].mse_per_series.values())))}
+
     def test_lasso_column_failures_stay_per_column(self, rng):
         t_len, h = 90, 3
         y = np.cumsum(rng.standard_normal((t_len, 3)), axis=0) * 0.05 + 1.0

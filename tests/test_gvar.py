@@ -126,6 +126,30 @@ class TestWeightSequence:
         with pytest.raises(ValidationError, match="unknown region"):
             WeightSequence.from_csv(path, ("2000-01",), ("A", "B"), ())
 
+    def test_csv_month_without_rows_named(self, tmp_path):
+        # an uncovered month would otherwise fail the column sums, naming
+        # neither the file nor the month
+        path = tmp_path / "w.csv"
+        path.write_text("date,from,to,weight\n2000-01,A,B,1.0\n2000-01,B,A,1.0\n"
+                        "2000-03,A,B,1.0\n2000-03,B,A,1.0\n")
+        with pytest.raises(ValidationError,
+                           match="^" + re.escape(f"{path}: no weights for 2000-02") + "$"):
+            WeightSequence.from_csv(path, ("2000-01", "2000-02", "2000-03"), ("A", "B"), ())
+
+    def test_csv_column_sum_error_names_the_file(self, tmp_path):
+        path = tmp_path / "w.csv"
+        path.write_text("date,from,to,weight\n2000-01,A,B,0.5\n2000-01,B,A,1.0\n")
+        with pytest.raises(ValidationError, match="^" + re.escape(
+                f"{path}: country weight columns must sum to 1") + "$"):
+            WeightSequence.from_csv(path, ("2000-01",), ("A", "B"), ())
+
+    def test_csv_lone_country_needs_no_rows(self, tmp_path):
+        # one country and no activity: there is no weight to give
+        path = tmp_path / "w.csv"
+        path.write_text("date,from,to,weight\n")
+        w = WeightSequence.from_csv(path, ("2000-01", "2000-02"), ("A",), ())
+        np.testing.assert_array_equal(w.we, np.zeros((2, 1, 1)))
+
 
 class TestLinkMatrices:
     def test_country_k2p1l1_first(self):

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 from array import array
 
 import numpy as np
@@ -9,7 +10,8 @@ from tvpgvar import align_frequencies, load_panel, validate_panel
 from tvpgvar.config import ALIGN_METHODS, ForecasterConfig, TVPConfig
 from tvpgvar.errors import ValidationError
 from tvpgvar.ingest import (
-    COMMON_REGION, RawSeries, month_index, month_label, read_panel_csv, write_panel_csv,
+    COMMON_REGION, RawSeries, TimeSeriesPanel, month_index, month_label, read_panel_csv,
+    write_panel_csv,
 )
 from tvpgvar.sample import write_sample_csv
 
@@ -153,6 +155,12 @@ class TestAlignFrequencies:
             method="linear-interpolate")
         np.testing.assert_allclose(panel.values[:, 0], [100.0, 102.0, 104.0, 106.0])
 
+    def test_overflowing_interpolation_names_its_cells(self):
+        # two finite anchors whose slope overflows to -inf
+        with pytest.raises(ValidationError, match="^" + re.escape(
+                "non-finite cell at (2000-02, USA.GDP); non-finite cell at (2000-03, USA.GDP)")):
+            align_frequencies([self.quarterly([1e308, -1e308]), self.monthly([1, 2, 3, 4])])
+
     def test_repeat_last(self):
         panel = align_frequencies(
             [self.quarterly([100.0, 106.0]), self.monthly([1, 2, 3, 4], variable="CPI")],
@@ -251,12 +259,36 @@ class TestValidatePanel:
         assert report.issues == []
 
     def test_nan_cell_named(self, rng):
+        # a panel is checked as it is built: no invalid panel exists to report on
         values = rng.standard_normal((10, 3))
         values[4, 1] = np.nan
-        panel = make_panel(values, ["A"], ["x", "y"], ["ACT"])
-        report = validate_panel(panel)
-        assert not report.ok
-        assert any("2000-05" in issue and "A.y" in issue for issue in report.issues)
+        with pytest.raises(ValidationError,
+                           match=re.escape("non-finite cell at (2000-05, A.y)")):
+            make_panel(values, ["A"], ["x", "y"], ["ACT"])
+
+    def test_month_gap_named(self):
+        with pytest.raises(ValidationError, match="^non-consecutive month at 2000-04$"):
+            TimeSeriesPanel(time_index=("2000-01", "2000-02", "2000-04"), regions=("A",),
+                            variables=("x",), activities=(), rows=((1.0,), (2.0,), (3.0,)))
+
+    def test_repeated_column_name_rejected(self):
+        with pytest.raises(ValidationError, match="^duplicate column names$"):
+            make_panel(np.zeros((3, 2)), ["A", "A"], ["x"])
+
+    def test_error_lists_the_first_five_issues(self):
+        values = np.zeros((8, 1))
+        values[1:] = np.inf
+        with pytest.raises(ValidationError) as caught:
+            make_panel(values, ["A"], ["x"])
+        assert str(caught.value) == "; ".join(
+            f"non-finite cell at (2000-0{t}, A.x)" for t in range(2, 7))
+
+    def test_sliced_panel_is_checked(self):
+        # slice_rows builds a panel too: a slice needs its 3 months
+        panel = make_panel(np.zeros((5, 1)), ["A"], ["x"])
+        assert panel.slice_rows(1, 4).time_index == ("2000-02", "2000-03", "2000-04")
+        with pytest.raises(ValidationError, match="panel needs at least 3 months"):
+            panel.slice_rows(0, 2)
 
     def test_width_confirmed(self, rng):
         panel = make_panel(rng.standard_normal((8, 10)), ["A", "B", "C"],

@@ -510,6 +510,39 @@ class TestEstimateAll:
         assert result.errors == {"A.y": "iteration 0: non-finite X'X in coefficient posterior"}
         assert [t is None for t in result.trajectories] == [False, True, False]
 
+    def test_zero_column_takes_the_factor_fallbacks(self, monkeypatch):
+        # an all-zero column has no Cholesky factor of X'X or of its posterior
+        # precision: the stacked factorization falls back matrix by matrix and
+        # the precision takes the jittered retry. The other columns come out
+        # bit-equal to their one-column fits. The zero column's slope is
+        # unidentified, so only its finiteness is pinned
+        import tvpgvar.tvp as tvp_module
+
+        calls = []
+        factor = tvp_module._cholesky
+
+        def recording(a):
+            chol, bad = factor(a)
+            calls.append((len(a), bad))
+            return chol, bad
+
+        values = np.random.default_rng(5).standard_normal((60, 3))
+        values[:, 1] = 0.0
+        monkeypatch.setattr(tvp_module, "_cholesky", recording)
+        result = estimate_all(make_panel(values, ["A"], ["x", "y", "z"]),
+                              TVPConfig(iters=5, seed=0))
+        assert result.ok
+        assert (3, [1]) in calls and (1, []) in calls  # the fallback, then the retry
+        zero = result.trajectories[1]
+        assert all(np.all(np.isfinite(a)) for a in (zero.theta, zero.theta0, zero.sqrt_omega))
+        assert np.isfinite(zero.sigma2)
+        for i in (0, 2):
+            ours, alone = result.trajectories[i], fit_equation(values[:, i], 5, (0, i))
+            np.testing.assert_array_equal(ours.theta, alone.theta)
+            np.testing.assert_array_equal(ours.theta0, alone.theta0)
+            np.testing.assert_array_equal(ours.sqrt_omega, alone.sqrt_omega)
+            assert ours.sigma2 == alone.sigma2
+
     def test_constant_column_takes_the_pseudo_inverse_prior(self):
         # a constant series makes X'X singular, but rounding gives this one a
         # Cholesky factor whose inverse would put a huge prior precision on
