@@ -23,9 +23,9 @@ _HOMES = {
     "ActivityCoefficients": "gvar", "CountryCoefficients": "gvar", "StackedSystem": "gvar",
     "StructuralFit": "gvar", "WeightSequence": "gvar", "estimate_structural": "gvar",
     "ma_coefficients": "gvar", "spectral_radius": "gvar", "stack_system": "gvar",
-    "RawSeries": "ingest", "TimeSeriesPanel": "ingest", "ValidationReport": "ingest",
-    "align_frequencies": "ingest", "load_panel": "ingest", "read_panel_csv": "ingest",
-    "validate_panel": "ingest", "write_panel_csv": "ingest",
+    "RawSeries": "ingest", "TimeSeriesPanel": "ingest", "align_frequencies": "ingest",
+    "load_panel": "ingest", "read_panel_csv": "ingest", "validate_panel": "ingest",
+    "write_panel_csv": "ingest",
     "IRFResult": "irf", "ShockSpec": "irf", "asymptotic_bands": "irf",
     "cholesky_lower": "irf", "estimate_asymptotic_inputs": "irf",
     "PanelTVPResult": "tvp", "TVPTrajectory": "tvp", "estimate_all": "tvp",

@@ -12,8 +12,8 @@ float rows and builds its numpy array when an estimation stage first reads
 ``values``. Each row is an ``array('d')``, 8 bytes a cell; a panel read back
 from ``panel.csv`` parses each row straight from its line.
 
-A panel is valid once built: :class:`TimeSeriesPanel` applies
-:func:`validate_panel` on construction, so no stage checks a panel again.
+A panel is valid once built: :class:`TimeSeriesPanel` raises on any issue
+:func:`validate_panel` lists, so no stage checks a panel again.
 """
 
 from __future__ import annotations
@@ -55,12 +55,10 @@ def month_label(index: int) -> str:
     return f"{index // 12:04d}-{index % 12 + 1:02d}"
 
 
-def _check_code(code: str, what: str, row: int | None = None) -> str:
-    where = f" (row {row})" if row is not None else ""
+def _check_code(code: str, what: str, row: int) -> None:
     if code != COMMON_REGION and not _CODE_RE.match(code):
-        raise ValidationError(f"invalid {what} code {code!r}{where}: "
+        raise ValidationError(f"invalid {what} code {code!r} (row {row}): "
                               "use letters, digits, '_' or '-' only")
-    return code
 
 
 class RawSeries(Record, frozen=True):
@@ -106,7 +104,7 @@ class TimeSeriesPanel(Record, frozen=True):
                 f"panel rows do not match T={len(time_index)}, K*p+l={width}")
         if len(time_index) < 3:
             raise ValidationError("panel needs at least 3 months")
-        issues = validate_panel(self).issues
+        issues = validate_panel(self)
         if issues:
             raise ValidationError("; ".join(issues[:5]))
 
@@ -331,8 +329,12 @@ def align_frequencies(
 
     columns = [_expand_to_monthly(lookup[key], months, method) for key in wanted]
     if transform == "log":
-        if any(v <= 0 for column in columns for v in column):
-            raise ValidationError("log transform requires strictly positive values")
+        for (region, variable), column in zip(wanted, columns):
+            bad = next((t for t, v in enumerate(column) if v <= 0), None)
+            if bad is not None:
+                name = variable if region == COMMON_REGION else f"{region}.{variable}"
+                raise ValidationError("log transform requires strictly positive values: "
+                                      f"{name} is {column[bad]!r} at {month_label(months[bad])}")
         columns = [[math.log(v) for v in column] for column in columns]
 
     return TimeSeriesPanel(
@@ -344,29 +346,11 @@ def align_frequencies(
     )
 
 
-class ValidationReport(Record):
-    """Outcome of panel validation; empty ``issues`` means a clean panel."""
-
-    def __init__(self, width: int, n_rows: int, issues: list[str] | None = None):
-        self._set(width=width, n_rows=n_rows, issues=[] if issues is None else issues)
-
-    @property
-    def ok(self) -> bool:
-        return not self.issues
-
-    def as_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "width": self.width,
-            "n_rows": self.n_rows,
-            "issues": list(self.issues),
-        }
-
-
-def validate_panel(panel: TimeSeriesPanel) -> ValidationReport:
-    """Report a panel's invariant violations: a repeated column name, a month
-    that does not follow the one before, a non-finite cell. The one definition
-    of a valid panel: :class:`TimeSeriesPanel` raises on any of them."""
+def validate_panel(panel: TimeSeriesPanel) -> list[str]:
+    """A panel's invariant violations, one message each: a repeated column
+    name, a month that does not follow the one before, a non-finite cell. The
+    one definition of a valid panel: :class:`TimeSeriesPanel` raises on any of
+    them, so a built panel always gives an empty list."""
     issues: list[str] = []
     names = panel.column_names()
     if len(set(names)) != len(names):
@@ -378,11 +362,7 @@ def validate_panel(panel: TimeSeriesPanel) -> ValidationReport:
         if not all(map(math.isfinite, row)):
             issues.extend(f"non-finite cell at ({date}, {name})"
                           for name, value in zip(names, row) if not math.isfinite(value))
-    return ValidationReport(
-        width=panel.width,
-        n_rows=len(panel.time_index),
-        issues=issues,
-    )
+    return issues
 
 
 def write_panel_csv(panel: TimeSeriesPanel, path: str | Path) -> None:

@@ -9,8 +9,9 @@ non-finite floats and unsupported types are rejected. The module loads numpy
 only to build an array, so the stages that never do start without it.
 Writes go into a temporary file beside the target, which replaces the target
 only when the whole write succeeded, so a failed write leaves the target as it
-was and no partial file. CSV rows are formatted one at a time and written a
-few hundred lines at a time; JSON artifacts are small and are rendered whole.
+was and no partial file, and an OS error raises :class:`ValidationError` naming
+the target. CSV rows are formatted one at a time and written a few hundred
+lines at a time; JSON artifacts are small and are rendered whole.
 Reads are checked: a missing or undecodable file, a wrong CSV header or JSON key, a misshapen
 array or a non-finite number raises :class:`ValidationError` naming the file (and CSV row).
 CSV rows are split one at a time as the caller iterates.
@@ -55,18 +56,21 @@ def dumps_json(obj: Any) -> str:
 
 def _write_atomically(path: str | Path, write: Callable[[IO[str]], None]) -> None:
     """Call ``write`` on a temporary file beside ``path``, then move it onto
-    ``path``; on any error remove the temporary file and leave ``path`` as it was."""
+    ``path``; on any error remove the temporary file and leave ``path`` as it was.
+    An ``OSError`` is raised again as a :class:`ValidationError` naming ``path``."""
     head, name = os.path.split(path)  # str work: cheaper than pathlib on every write
     temporary = os.path.join(head, f".{name}.{os.getpid()}.tmp")
     try:
         with open(temporary, "w", encoding="utf-8") as fh:
             write(fh)
         os.replace(temporary, path)
-    except BaseException:
+    except BaseException as exc:
         try:
             os.unlink(temporary)
         except OSError:
             pass
+        if isinstance(exc, OSError):
+            raise ValidationError(f"{path}: cannot write ({exc.strerror or exc})") from None
         raise
 
 
@@ -130,9 +134,10 @@ def parse_array(value: Any, shape: Sequence[int | None], where: str) -> np.ndarr
 def write_csv(path: str | Path, header: list[str], rows: Iterable[Iterable[Any]]) -> None:
     """Write a CSV with round-trip floats and no quoting surprises, one row at a time.
 
-    ``rows`` may be any iterable, a generator included. Cells may be str,
-    bool, int, or float, or a numpy scalar of those; values must not contain
-    commas or newlines (callers use restricted code/date vocabularies).
+    ``rows`` may be any iterable, a generator included. Cells may be float
+    (numpy's ``float64`` is one), str or int; any other type, a bool included,
+    is rejected. A str must not contain commas or newlines (callers use
+    restricted code/date vocabularies).
     """
     def write(fh: IO[str]) -> None:
         # lines go out 256 at a time: one write call per row costs a few
@@ -149,17 +154,10 @@ def write_csv(path: str | Path, header: list[str], rows: Iterable[Iterable[Any]]
                     if "," in cell or "\n" in cell:
                         raise ValidationError(f"CSV cell may not contain commas/newlines: {cell!r}")
                     cells.append(cell)
+                elif type(cell) is int:  # not a bool, which is an int too
+                    cells.append(str(cell))
                 else:
-                    value = cell.item() if getattr(cell, "ndim", None) == 0 else cell  # numpy scalar
-                    if isinstance(value, bool):
-                        cells.append("true" if value else "false")
-                    elif isinstance(value, int):
-                        cells.append(str(value))
-                    elif isinstance(value, float):
-                        cells.append(format_float(value))
-                    else:
-                        raise ValidationError(
-                            f"cannot serialize CSV cell of type {type(cell).__name__}")
+                    raise ValidationError(f"cannot serialize CSV cell of type {type(cell).__name__}")
             lines.append(",".join(cells) + "\n")
             if len(lines) == 256:
                 fh.write("".join(lines))

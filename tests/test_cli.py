@@ -129,6 +129,16 @@ class TestIngest:
         assert capsys.readouterr().err == (
             f"error: {out_dir}: cannot create output directory ({os.strerror(code)})\n")
 
+    def test_unwritable_artifact_named(self, tmp_path, capsys):
+        # a directory stands where panel.csv goes: the move onto it fails
+        config_path = mini_config(tmp_path)
+        out_dir = (tmp_path / "out").resolve()
+        (out_dir / "panel.csv").mkdir(parents=True)
+        assert main(["ingest", "--config", str(config_path), "--out", str(out_dir)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {out_dir}/panel.csv: cannot write (Is a directory)\n")
+        assert not list(out_dir.glob(".panel.csv.*.tmp"))
+
     def test_unknown_key_rejected(self, tmp_path, capsys):
         config_path = mini_config(tmp_path, extra_section={"x": 1})
         assert main(["ingest", "--config", str(config_path)]) == 1
@@ -299,6 +309,29 @@ class TestEstimate:
         config_path = mini_config(tmp_path)
         assert main(["estimate", "--config", str(config_path)]) == 1
         assert "run 'ingest' first" in capsys.readouterr().err
+
+    def test_failed_column_exits_2(self, tmp_path, capsys, monkeypatch):
+        # the sampler fails the last column, OIL: the others are written
+        import tvpgvar.tvp as tvp_module
+
+        sample_stack = tvp_module._sample_stack
+
+        def failing_last(y, iters, seeds):
+            trajectories, failed = sample_stack(y, iters, seeds)
+            trajectories[-1] = None
+            return trajectories, {**failed, len(seeds) - 1: "iteration 0: forced failure"}
+        monkeypatch.setattr(tvp_module, "_sample_stack", failing_last)
+        config_path = mini_config(tmp_path)
+        assert main(["ingest", "--config", str(config_path)]) == 0
+        capsys.readouterr()
+        assert main(["estimate", "--config", str(config_path)]) == 2
+        assert capsys.readouterr().err == (
+            "numerical failure: estimation failed for columns: OIL\n")
+        meta = read_json(tmp_path / "out" / "trajectories_meta.json")
+        assert meta["errors"] == {"OIL": "iteration 0: forced failure"}
+        assert "OIL" not in meta["columns"]
+        rows = (tmp_path / "out" / "trajectories.csv").read_text().splitlines()[1:]
+        assert rows and not [row for row in rows if row.split(",")[1] == "OIL"]
 
     def test_negative_seed_override_rejected(self, tmp_path):
         # numpy's default_rng rejects a negative seed with a bare ValueError
@@ -1038,7 +1071,7 @@ def test_main_leaves_the_environment_alone(tmp_path, monkeypatch):
 def test_package_names_resolve_on_first_use():
     namespace = {}
     exec("from tvpgvar import *", namespace)
-    assert len(tvpgvar.__all__) == 42
+    assert len(tvpgvar.__all__) == 41
     assert set(tvpgvar.__all__) <= set(dir(tvpgvar))
     for name in tvpgvar.__all__:
         assert namespace[name] is getattr(tvpgvar, name)

@@ -730,6 +730,10 @@ class TestSelectModel:
         with pytest.raises(ValidationError):
             select_model({"lasso": float("nan")})
 
+    def test_no_scores_rejected(self):
+        with pytest.raises(ValidationError, match="^no model scores to select from$"):
+            select_model({})
+
 
 def test_report_files_round_trip(tmp_path, rng):
     t_len, h = 40, 3

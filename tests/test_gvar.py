@@ -126,6 +126,18 @@ class TestWeightSequence:
         with pytest.raises(ValidationError, match="unknown region"):
             WeightSequence.from_csv(path, ("2000-01",), ("A", "B"), ())
 
+    @pytest.mark.parametrize("row, message", [
+        ("2000-01,Z,A,1.0", "unknown region 'Z'"),
+        ("2000-01,A,__COMMON__:GAS,1.0", "unknown activity 'GAS'"),
+        ("1999-12,A,B,1.0", "date 1999-12 not in panel range"),
+    ], ids=["from-region", "activity", "date"])
+    def test_csv_row_outside_the_panel_named(self, tmp_path, row, message):
+        path = tmp_path / "w.csv"
+        path.write_text(f"date,from,to,weight\n{row}\n")
+        with pytest.raises(ValidationError,
+                           match="^" + re.escape(f"{path}: row 2: {message}") + "$"):
+            WeightSequence.from_csv(path, ("2000-01",), ("A", "B"), ("OIL",))
+
     def test_csv_month_without_rows_named(self, tmp_path):
         # an uncovered month would otherwise fail the column sums, naming
         # neither the file nor the month
@@ -429,6 +441,17 @@ class TestStackSystem:
         fit = true_fit(random_coefficients(rng, 2, 1, 1), (2, 1, 1))
         with pytest.raises(ValidationError, match="period 0 has no lagged period"):
             stack_system(fit, WeightSequence.equal(10, 2, 1), 0)
+
+    def test_ill_conditioned_g0_rejected(self, rng):
+        # unit contemporaneous loadings on the other country's variable make
+        # G0 = [[1, -1], [-1, 1]], singular
+        fit = true_fit(random_coefficients(rng, 2, 1, 0), (2, 1, 0))
+        import dataclasses
+        fit = dataclasses.replace(fit, countries=tuple(
+            dataclasses.replace(c, gamma_e0=np.array([[1.0]])) for c in fit.countries))
+        with pytest.raises(NumericalError, match=r"^G0 at period 5 has condition number "
+                                                 r"\S+ above cap 1\.0e\+12$"):
+            stack_system(fit, WeightSequence.equal(10, 2, 0), 5)
 
     @pytest.mark.parametrize("t", [1, 50, 119])
     def test_one_step_propagation_under_time_varying_weights(self, rng, t):

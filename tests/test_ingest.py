@@ -64,6 +64,7 @@ class TestLoadPanel:
         ("2000/02,EUR,CPI,2.0", "row 3: malformed date"),
         ("2000-02,E U,CPI,2.0", "invalid region code 'E U' \\(row 3\\)"),
         ("2000-02,EUR,C/PI,2.0", "invalid variable code 'C/PI' \\(row 3\\)"),
+        ("2000-13,EUR,CPI,2.0", "row 3: malformed date '2000-13', month out of range"),
     ])
     def test_first_bad_row_named(self, tmp_path, bad_row, message):
         # each distinct date and code is checked once: a string seen again
@@ -228,6 +229,16 @@ class TestAlignFrequencies:
         panel = align_frequencies([self.monthly(values)], transform="log")
         assert panel.values[:, 0].tolist() == [math.log(v) for v in values]
 
+    def test_log_transform_names_the_first_non_positive_cell(self):
+        series = [self.monthly([1.0, 2.0, 3.0], region="A", variable="x"),
+                  self.monthly([1.0, 0.0, -1.0], region="A", variable="y"),
+                  self.monthly([1.0, 1.0, -2.0], region=COMMON_REGION, variable="OIL")]
+        with pytest.raises(ValidationError, match="^" + re.escape(
+                "log transform requires strictly positive values: A.y is 0.0 at 2000-02") + "$"):
+            align_frequencies(series, transform="log")
+        with pytest.raises(ValidationError, match=re.escape(": OIL is -2.0 at 2000-03")):
+            align_frequencies([series[0], series[2]], transform="log")
+
     @pytest.mark.parametrize("method", ALIGN_METHODS)
     def test_alignment_matches_numpy_oracle(self, method):
         # np.interp and searchsorted, bit for bit, on random series whose
@@ -254,9 +265,7 @@ class TestAlignFrequencies:
 class TestValidatePanel:
     def test_clean_panel(self, rng):
         panel = make_panel(rng.standard_normal((10, 3)), ["A"], ["x", "y"], ["ACT"])
-        report = validate_panel(panel)
-        assert report.ok
-        assert report.issues == []
+        assert validate_panel(panel) == []
 
     def test_nan_cell_named(self, rng):
         # a panel is checked as it is built: no invalid panel exists to report on
@@ -293,8 +302,8 @@ class TestValidatePanel:
     def test_width_confirmed(self, rng):
         panel = make_panel(rng.standard_normal((8, 10)), ["A", "B", "C"],
                            ["x", "y", "z"], ["ACT"])
-        report = validate_panel(panel)
-        assert report.as_dict() == {"ok": True, "width": 10, "n_rows": 8, "issues": []}
+        assert validate_panel(panel) == []
+        assert (panel.width, len(panel.time_index)) == (10, 8)
 
 
 def test_panel_csv_misordered_columns_rejected(tmp_path):

@@ -85,6 +85,20 @@ def test_csv_rejects_commas_in_cells(tmp_path):
         write_csv(tmp_path / "t.csv", ["a"], [["x,y"]])
 
 
+@pytest.mark.parametrize("cell, name", [(True, "bool"), (np.int64(1), "int64"), (None, "NoneType")],
+                         ids=["bool", "numpy-int", "none"])
+def test_csv_rejects_other_cell_types(tmp_path, cell, name):
+    with pytest.raises(ValidationError, match=f"^cannot serialize CSV cell of type {name}$"):
+        write_csv(tmp_path / "t.csv", ["a"], [[cell]])
+
+
+def test_empty_csv_named(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("\n")
+    with pytest.raises(ValidationError, match="^" + re.escape(f"{path}: empty file") + "$"):
+        read_csv_rows(path)
+
+
 def test_dumps_json_text_is_pinned():
     obj = {
         "empty": [],
