@@ -75,10 +75,10 @@ def cmd_ingest(config: RunConfig) -> None:
         series, method=config.imputation,
         regions=config.regions, variables=config.variables,
         activities=config.activities, transform=config.transform)
+    ingest.write_panel_csv(panel, config.out_dir / PANEL_FILE)
     # every built panel is valid, so ok and issues are constant; bench/check.py reads ok
     write_json({"ok": True, "width": panel.width, "n_rows": len(panel.time_index),
                 "issues": []}, config.out_dir / VALIDATION_FILE)
-    ingest.write_panel_csv(panel, config.out_dir / PANEL_FILE)
     print(f"panel: {len(panel.time_index)} months x {panel.width} columns "
           f"-> {config.out_dir / PANEL_FILE}")
 

@@ -25,7 +25,8 @@ The path draw uses the banded posterior precision of the whole path (Chan &
 Jeliazkov 2009): the random-walk prior plus one scalar observation per period
 make it block tridiagonal, so one banded Cholesky factorization and two
 banded triangular solves give an exact joint draw. The Kalman forward pass
-and the backward (Carter-Kohn) draw stay as reference implementations.
+and the backward (Carter-Kohn) draw stay as its references, in plain 2x2
+matrix form; no stage runs them.
 The banded routines (LAPACK ``dpbtrf``/``dtbtrs``) come from SciPy's compiled
 ``_flapack`` extension, loaded by file path without importing ``scipy``.
 
@@ -114,67 +115,36 @@ def kalman_forward(y: np.ndarray, theta0: np.ndarray, sqrt_omega: np.ndarray,
     ``sigma2``, and state innovation covariance ``state_noise * I`` (1 for the
     non-centred random walk; 0 degenerates to recursive least squares). The
     initial state is N(m0, p0), by default the sampler's fixed prior.
+
+    A reference for ``sample_theta_tilde_banded`` in plain 2x2 matrix form; no stage runs it.
     """
     y = np.asarray(y, float).reshape(-1)
     if y.size < 2:
         raise ValidationError("need at least 2 observations to filter")
     if sigma2 <= 0:
         raise ValidationError("sigma2 must be positive")
-    m0 = np.asarray(m0, float).reshape(2)
-    p0 = np.asarray(p0, float).reshape(2, 2)
+    m = np.asarray(m0, float).reshape(2)
+    p = np.asarray(p0, float).reshape(2, 2)
+    p = (p + p.T) / 2.0
+    q = state_noise * np.eye(2)
     n = y.size - 1
-
-    m_out = np.empty((n, 2))
-    p_out = np.empty((n, 2, 2))
-    v_out = np.empty(n)
-    s_out = np.empty(n)
-    k_out = np.empty((n, 2))
-
-    # scalar 2x2 recursion: much faster than ndarray ops at this size
-    m0, m1 = float(m0[0]), float(m0[1])
-    p00 = float(p0[0, 0])
-    p01 = float((p0[0, 1] + p0[1, 0]) / 2.0)
-    p11 = float(p0[1, 1])
-    t00, t01 = float(theta0[0]), float(theta0[1])
-    w0, w1 = float(sqrt_omega[0]), float(sqrt_omega[1])
-    q = float(state_noise)
-    r = float(sigma2)
-    yv = y
+    state = KalmanState(m=np.empty((n, 2)), p=np.empty((n, 2, 2)), innovations=np.empty(n),
+                        innovation_var=np.empty(n), gains=np.empty((n, 2)))
 
     for t in range(1, y.size):
-        ylag = yv[t - 1]
-        h0 = w0
-        h1 = w1 * ylag
-        ystar = yv[t] - (t00 + t01 * ylag)
-        p00 += q
-        p11 += q
-        v = ystar - (h0 * m0 + h1 * m1)
-        ph0 = p00 * h0 + p01 * h1
-        ph1 = p01 * h0 + p11 * h1
-        s = h0 * ph0 + h1 * ph1 + r
+        x = np.array([1.0, y[t - 1]])
+        h = sqrt_omega * x
+        p = p + q
+        v = y[t] - x @ theta0 - h @ m
+        s = h @ p @ h + sigma2
         if s <= 0.0:
             raise NumericalError(f"non-positive innovation variance at step {t}")
-        k0 = ph0 / s
-        k1 = ph1 / s
-        m0 += k0 * v
-        m1 += k1 * v
-        p00 -= s * k0 * k0
-        p01 -= s * k0 * k1
-        p11 -= s * k1 * k1
-        i = t - 1
-        m_out[i, 0] = m0
-        m_out[i, 1] = m1
-        p_out[i, 0, 0] = p00
-        p_out[i, 0, 1] = p01
-        p_out[i, 1, 0] = p01
-        p_out[i, 1, 1] = p11
-        v_out[i] = v
-        s_out[i] = s
-        k_out[i, 0] = k0
-        k_out[i, 1] = k1
-
-    return KalmanState(m=m_out, p=p_out, innovations=v_out,
-                       innovation_var=s_out, gains=k_out)
+        k = p @ h / s
+        m = m + k * v
+        p = p - s * np.outer(k, k)
+        state.m[t - 1], state.p[t - 1], state.gains[t - 1] = m, p, k
+        state.innovations[t - 1], state.innovation_var[t - 1] = v, s
+    return state
 
 
 def sample_theta_tilde_smoothed(state: KalmanState, rng: np.random.Generator,
@@ -185,42 +155,29 @@ def sample_theta_tilde_smoothed(state: KalmanState, rng: np.random.Generator,
     backward through the conditionals of the random-walk state equation
     (Carter-Kohn). Unlike independent filtered draws this respects the serial
     dependence of the path, which keeps the scale coefficients identified.
+
+    A reference for ``sample_theta_tilde_banded`` in plain 2x2 matrix form; no stage runs it.
     """
     if state_noise <= 0:
         raise ValidationError("joint state draw needs positive state noise")
-    m, p = state.m, state.p
-    n = m.shape[0]
+    n = state.m.shape[0]
     z = rng.standard_normal((n, 2))
+    q = state_noise * np.eye(2)
+
+    def chol_draw(mean, cov, z):
+        # pivots clipped at zero: at the fixed prior the first covariances are nearly singular
+        l00 = np.sqrt(max(cov[0, 0], 0.0))
+        l10 = cov[0, 1] / l00 if l00 > 0 else 0.0
+        l11 = np.sqrt(max(cov[1, 1] - l10 * l10, 0.0))
+        return mean + np.array([[l00, 0.0], [l10, l11]]) @ z
+
     draws = np.empty((n, 2))
-    q = float(state_noise)
-
-    def chol_draw(mean0, mean1, c00, c01, c11, z0, z1):
-        l00 = np.sqrt(max(c00, 0.0))
-        l10 = c01 / l00 if l00 > 0 else 0.0
-        l11 = np.sqrt(max(c11 - l10 * l10, 0.0))
-        return mean0 + l00 * z0, mean1 + l10 * z0 + l11 * z1
-
-    d0, d1 = chol_draw(m[-1, 0], m[-1, 1], p[-1, 0, 0], p[-1, 0, 1], p[-1, 1, 1],
-                       z[-1, 0], z[-1, 1])
-    draws[-1] = (d0, d1)
+    draws[-1] = chol_draw(state.m[-1], state.p[-1], z[-1])
     for t in range(n - 2, -1, -1):
-        p00, p01, p11 = p[t, 0, 0], p[t, 0, 1], p[t, 1, 1]
-        s00, s01, s11 = p00 + q, p01, p11 + q
-        det = s00 * s11 - s01 * s01
-        # gain = P_t (P_t + qI)^-1
-        g00 = (p00 * s11 - p01 * s01) / det
-        g01 = (p01 * s00 - p00 * s01) / det
-        g10 = (p01 * s11 - p11 * s01) / det
-        g11 = (p11 * s00 - p01 * s01) / det
-        r0 = d0 - m[t, 0]
-        r1 = d1 - m[t, 1]
-        mean0 = m[t, 0] + g00 * r0 + g01 * r1
-        mean1 = m[t, 1] + g10 * r0 + g11 * r1
-        c00 = p00 - (g00 * p00 + g01 * p01)
-        c01 = p01 - (g00 * p01 + g01 * p11)
-        c11 = p11 - (g10 * p01 + g11 * p11)
-        d0, d1 = chol_draw(mean0, mean1, c00, c01, c11, z[t, 0], z[t, 1])
-        draws[t] = (d0, d1)
+        p = state.p[t]
+        gain = np.linalg.solve(p + q, p).T  # P_t (P_t + qI)^-1
+        mean = state.m[t] + gain @ (draws[t + 1] - state.m[t])
+        draws[t] = chol_draw(mean, p - gain @ p, z[t])
     return draws
 
 

@@ -138,6 +138,7 @@ class TestIngest:
         assert capsys.readouterr().err == (
             f"error: {out_dir}/panel.csv: cannot write (Is a directory)\n")
         assert not list(out_dir.glob(".panel.csv.*.tmp"))
+        assert not (out_dir / "validation.json").exists()
 
     def test_unknown_key_rejected(self, tmp_path, capsys):
         config_path = mini_config(tmp_path, extra_section={"x": 1})
@@ -715,6 +716,35 @@ def test_irf_refits_under_its_own_weights(tmp_path):
         outputs.append({p.name: p.read_bytes() for p in sorted(out_dir.iterdir())
                         if p.name.startswith("irf_") or p.name == "stacking.json"})
     assert len(outputs[0]) == 2 * 3 * 2 + 1
+    assert outputs[0] == outputs[1]
+
+
+def test_csv_weights_listing_equal_weights_match_equal_provider(tmp_path):
+    # a weights file that lists the equal weights as round-trip floats gives
+    # every artifact of estimate and irf byte for byte
+    equal_config = write_sample_config(tmp_path, iters=5)
+    assert main(["ingest", "--config", str(equal_config)]) == 0
+    panel = read_panel_csv(tmp_path / "out" / "panel.csv")
+    k = len(panel.regions)
+    lines = ["date,from,to,weight"]
+    for date in panel.time_index:
+        lines += [f"{date},{src},{dst},{1 / (k - 1)!r}"
+                  for src in panel.regions for dst in panel.regions if src != dst]
+        lines += [f"{date},{src},__COMMON__:{act},{1 / k!r}"
+                  for src in panel.regions for act in panel.activities]
+    weights_file = tmp_path / "weights.csv"
+    weights_file.write_text("\n".join(lines) + "\n")
+    obj = read_json(equal_config)
+    obj["weights"] = {"provider": "csv", "path": str(weights_file)}
+    csv_config = tmp_path / "csv.json"
+    write_json(obj, csv_config)
+    outputs = []
+    for config_path, out_name in ((equal_config, "out"), (csv_config, "csv_out")):
+        out_dir = tmp_path / out_name
+        for command in ("ingest", "estimate", "irf"):
+            assert main([command, "--config", str(config_path), "--out", str(out_dir)]) == 0
+        outputs.append({p.name: p.read_bytes() for p in sorted(out_dir.iterdir())})
+    assert k == 3 and len(outputs[0]) == 2 + 3 + 3 * 3 * 2 + 1
     assert outputs[0] == outputs[1]
 
 

@@ -141,6 +141,9 @@ class TestKalmanForward:
             kalman_forward(np.array([1.0]), np.zeros(2), np.ones(2), 0.1)
         with pytest.raises(ValidationError):
             kalman_forward(np.ones(5), np.zeros(2), np.ones(2), 0.0)
+        state = kalman_forward(np.ones(5), np.zeros(2), np.ones(2), 0.1)
+        with pytest.raises(ValidationError):
+            sample_theta_tilde_smoothed(state, np.random.default_rng(0), state_noise=0.0)
 
 
 def dense_path_posterior(y, theta0, sqrt_omega, sigma2):
@@ -192,16 +195,26 @@ class TestSampleThetaTildeBanded:
 
     @pytest.mark.parametrize("t_len", [2, 3, 13])
     def test_exact_moments_match_dense_conditioning(self, rng, t_len):
-        # a zero normal vector returns the mean; unit vectors return the
-        # columns of a square root of the covariance
+        # the banded draw and the Kalman + backward-sampling draw are both
+        # affine in their normals: a zero normal vector returns the mean;
+        # unit vectors return the columns of a square root of the covariance
         y = 1.0 + rng.standard_normal(t_len)
         dim = 2 * (t_len - 1)
         mean, cov = dense_path_posterior(y, self.theta0, self.sqrt_omega, self.sigma2)
-        got_mean = self.draw(y, FixedNormals(np.zeros(dim))).reshape(-1)
-        roots = np.column_stack([self.draw(y, FixedNormals(e)).reshape(-1) - got_mean
-                                 for e in np.eye(dim)])
-        np.testing.assert_allclose(got_mean, mean, rtol=0, atol=1e-10)
-        np.testing.assert_allclose(roots @ roots.T, cov, rtol=0, atol=1e-10)
+        state = kalman_forward(y, self.theta0, self.sqrt_omega, self.sigma2)
+        # the last state's filtered moments are its posterior moments
+        np.testing.assert_allclose(state.m[-1], mean[-2:], rtol=0, atol=1e-10)
+        np.testing.assert_allclose(state.p[-1], cov[-2:, -2:], rtol=0, atol=1e-10)
+        samplers = {
+            "banded": lambda normals: self.draw(y, normals),
+            "carter-kohn": lambda normals: sample_theta_tilde_smoothed(state, normals),
+        }
+        for name, sampler in samplers.items():
+            got_mean = sampler(FixedNormals(np.zeros(dim))).reshape(-1)
+            roots = np.column_stack([sampler(FixedNormals(e)).reshape(-1) - got_mean
+                                     for e in np.eye(dim)])
+            np.testing.assert_allclose(got_mean, mean, rtol=0, atol=1e-10, err_msg=name)
+            np.testing.assert_allclose(roots @ roots.T, cov, rtol=0, atol=1e-10, err_msg=name)
 
     def test_monte_carlo_matches_oracle_and_carter_kohn(self, rng):
         # the banded draw and the Kalman + backward-sampling draw both hit
