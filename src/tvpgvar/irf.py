@@ -33,7 +33,10 @@ from .serialize import (parse_array, parse_float, parse_int, parse_strings, read
 # ---------------------------------------------------------------------------
 
 def cholesky_lower(sigma: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor with explicit PD checks and a reconstruction test."""
+    """Lower Cholesky factor of a symmetric matrix whose correlation matrix
+    ``S^-1 Sigma S^-1``, ``S = diag(sqrt(diag Sigma))``, has its minimum
+    eigenvalue above ``1e-12`` times the width: a test that no choice of
+    units moves."""
     sigma = np.asarray(sigma, float)
     if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
         raise ValidationError("covariance must be square")
@@ -43,14 +46,13 @@ def cholesky_lower(sigma: np.ndarray) -> np.ndarray:
     if np.max(np.abs(sigma - sigma.T)) > 1e-8 * scale:
         raise ValidationError("covariance must be symmetric")
     sigma = (sigma + sigma.T) / 2.0
-    eig_min = float(np.min(np.linalg.eigvalsh(sigma)))
-    if eig_min <= 1e-12 * np.trace(sigma):
+    variance = np.diag(sigma)
+    sd = np.sqrt(np.where(variance > 0, variance, 1.0))  # a non-positive one fails below
+    eig_min = float(np.min(np.linalg.eigvalsh(sigma / sd[:, None] / sd)))
+    if eig_min <= 1e-12 * len(sigma):
         raise NumericalError(
             f"covariance not positive definite (min eigenvalue {eig_min:.6e})")
-    factor = np.linalg.cholesky(sigma)
-    if np.max(np.abs(factor @ factor.T - sigma)) > 1e-10 * scale:
-        raise NumericalError("Cholesky reconstruction check failed")
-    return factor
+    return np.linalg.cholesky(sigma)
 
 
 @dataclass(frozen=True)
@@ -104,7 +106,7 @@ def _accumulate(mas: np.ndarray, impact: np.ndarray, targets: Sequence[int]) -> 
 class IRFResult:
     """Point responses plus symmetric half-widths at the requested level, and
     how far to trust the period's system: the spectral radius of ``F1`` and
-    the condition number of ``G0``."""
+    the system's ``g0_condition``, that of ``G0`` in residual-sd units."""
 
     point: np.ndarray       # (n+1, width)
     half_width: np.ndarray  # (n+1, width)
@@ -151,8 +153,8 @@ def asymptotic_bands(system: StackedSystem, shocks: Sequence[ShockSpec],
 
     ``shocks`` are a period's shocks, answered with a list of results in the
     same order. What depends only on the system (its Cholesky factors, the
-    MA matrices, the eigenvalues of ``F1`` and the condition number of
-    ``G0``) is computed once for all of them.
+    MA matrices and the eigenvalues of ``F1``) is computed once for all of
+    them; each result reports the system's ``g0_condition``.
 
     The band is the delta-method band of ``B_s P u`` with ``P = chol(Sigma_eps)``
     and ``u`` the sum of the shocked unit vectors. It is the point response
@@ -188,7 +190,6 @@ def asymptotic_bands(system: StackedSystem, shocks: Sequence[ShockSpec],
     mas_chol, b_sigma = mas @ chol_eps, mas @ system.sigma_eps
     impact = _impact(system)
     radius = spectral_radius(system.f1)
-    g0_condition = float(np.linalg.cond(system.g0))
 
     results = []
     for shock in shocks:
@@ -203,7 +204,7 @@ def asymptotic_bands(system: StackedSystem, shocks: Sequence[ShockSpec],
         half = z * np.sqrt(np.clip(var, 0.0, None)) / np.sqrt(sample_size)
         results.append(IRFResult(
             point=_accumulate(mas[:n], impact, shock.targets), half_width=half,
-            radius=radius, g0_condition=g0_condition, at_time=shock.at_time,
+            radius=radius, g0_condition=system.g0_condition, at_time=shock.at_time,
             targets=shock.targets, level=shock.level, sample_size=sample_size))
     return results
 

@@ -15,6 +15,8 @@ from tvpgvar import (
 )
 from tvpgvar.ingest import month_label
 
+from oracles import sd_unit_condition
+
 
 def make_panel(values: np.ndarray, regions, variables, activities=(),
                start_month: int = 2000 * 12) -> TimeSeriesPanel:
@@ -124,7 +126,8 @@ def random_stable_system(rng: np.random.Generator, dim: int,
     b = rng.standard_normal(dim)
     sigma_eps = np.linalg.solve(g0, np.linalg.solve(g0, sigma_u).T).T
     return StackedSystem(g0=g0, g1=g1, a=g0 @ b, sigma_u=sigma_u,
-                         sigma_eps=(sigma_eps + sigma_eps.T) / 2, b=b, f1=f1)
+                         sigma_eps=(sigma_eps + sigma_eps.T) / 2, b=b, f1=f1,
+                         g0_condition=sd_unit_condition(g0, sigma_u))
 
 
 def from_reduced_form(intercept: np.ndarray, f1: np.ndarray,
@@ -137,6 +140,7 @@ def from_reduced_form(intercept: np.ndarray, f1: np.ndarray,
         sigma_eps=np.asarray(sigma_eps, float).copy(),
         b=np.asarray(intercept, float).copy(),
         f1=np.asarray(f1, float).copy(),
+        g0_condition=1.0,
     )
 
 

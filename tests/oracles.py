@@ -20,6 +20,10 @@ pushed through ``derivative_Gn`` and ``derivative_H``. They are what the
 package computed before it moved to the closed form, together with the
 ``vec``/``vech``/duplication-matrix kit they need.
 
+``sd_unit_condition`` is the condition number of ``G0`` in residual-sd
+units from the singular values of ``D^-1 G0 D``, with ``D`` built as a
+matrix.
+
 ``oirf_point`` is the point response ``B_s G0^-1 chol(Sigma_u) u`` from its
 definition, ``B_s = F1^s`` by matrix powers and ``u`` the sum of the shocked
 unit vectors, sharing no code with the package's accumulation.
@@ -203,6 +207,15 @@ def dense_asymptotic_inputs(panel, system):
     return sigma_alpha, sigma_sigma
 
 
+def sd_unit_condition(g0, sigma_u):
+    """Ratio of the extreme singular values of ``D^-1 G0 D``, ``D`` the
+    diagonal of residual standard deviations (a zero variance keeping 1)."""
+    sd = np.sqrt(np.diag(sigma_u))
+    d = np.diag(np.where(sd > 0, sd, 1.0))
+    singular = np.linalg.svd(np.linalg.inv(d) @ g0 @ d, compute_uv=False)
+    return float(singular[0] / singular[-1])
+
+
 def oirf_point(system, shock):
     """``B_s G0^-1 chol(Sigma_u) u`` for s = 0..n, one row per horizon."""
     u = np.zeros(system.width)
@@ -237,7 +250,7 @@ def dense_asymptotic_bands(system, shock, sample_size, sigma_alpha, sigma_sigma)
         half[s] = z * np.sqrt(var) / np.sqrt(sample_size)
     return IRFResult(point=point, half_width=half,
                      radius=spectral_radius(system.f1),
-                     g0_condition=float(np.linalg.cond(system.g0)),
+                     g0_condition=sd_unit_condition(system.g0, system.sigma_u),
                      at_time=shock.at_time, targets=shock.targets,
                      level=shock.level, sample_size=sample_size)
 

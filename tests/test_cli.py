@@ -18,7 +18,8 @@ from tvpgvar.gvar import read_coefficients_json
 from tvpgvar.irf import read_irf_csv, read_irf_json
 from tvpgvar.forecast import read_mse_report
 from tvpgvar.ingest import month_label
-from tvpgvar.sample import write_sample_config, write_sample_csv
+from tvpgvar.sample import (IRF_DATES, QUARTERLY_VARIABLE, write_sample_config,
+                            write_sample_csv)
 from tvpgvar.serialize import read_json, write_json
 
 
@@ -717,6 +718,25 @@ def test_irf_refits_under_its_own_weights(tmp_path):
                         if p.name.startswith("irf_") or p.name == "stacking.json"})
     assert len(outputs[0]) == 2 * 3 * 2 + 1
     assert outputs[0] == outputs[1]
+
+
+def test_sample_chain_with_gdp_in_other_units(tmp_path):
+    # every GDP value a million times larger: the conditioning cap and the
+    # Cholesky test are unit-free, so every requested period still stacks
+    data_path = write_sample_csv(tmp_path / "sample_panel.csv")
+    header, *rows = data_path.read_text().splitlines()
+    lines = [header]
+    for row in rows:
+        date, region, variable, value = row.split(",")
+        if variable == QUARTERLY_VARIABLE:
+            value = repr(float(value) * 1e6)
+        lines.append(",".join([date, region, variable, value]))
+    data_path.write_text("\n".join(lines) + "\n")
+    config_path = write_sample_config(tmp_path, data_path=data_path, iters=50)
+    for command in ("ingest", "estimate", "irf"):
+        assert main([command, "--config", str(config_path)]) == 0
+    stacking = read_json(tmp_path / "out" / "stacking.json")["periods"]
+    assert [(p["label"], p["status"]) for p in stacking] == [(d, "ok") for d in IRF_DATES]
 
 
 def test_csv_weights_listing_equal_weights_match_equal_provider(tmp_path):

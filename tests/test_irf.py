@@ -9,9 +9,13 @@ from scipy.stats import norm
 from tvpgvar import (
     ShockSpec,
     StackedSystem,
+    TimeSeriesPanel,
+    WeightSequence,
+    align_frequencies,
     asymptotic_bands,
     cholesky_lower,
     estimate_asymptotic_inputs,
+    load_panel,
     ma_coefficients,
 )
 from tvpgvar.errors import NumericalError, ValidationError
@@ -27,6 +31,8 @@ from tvpgvar.irf import (
     write_irf_csv,
     write_irf_json,
 )
+from tvpgvar.sample import (ACTIVITY, MONTHLY_VARIABLES, QUARTERLY_VARIABLE, REGIONS,
+                            sample_config_dict, write_sample_csv)
 from tvpgvar.serialize import read_json, write_json
 
 from conftest import (
@@ -44,6 +50,7 @@ from oracles import (
     dense_asymptotic_inputs,
     duplication_matrix,
     oirf_point,
+    sd_unit_condition,
     vec,
     vech,
 )
@@ -95,6 +102,19 @@ class TestCholesky:
         sigma = np.array([[1.0, 2.0], [2.0, 1.0]])
         with pytest.raises(NumericalError, match="min eigenvalue"):
             cholesky_lower(sigma)
+
+    def test_units_do_not_matter(self):
+        # variances 1e12 and 1e-12 around a well-conditioned correlation matrix
+        corr = np.array([[1.0, 0.5, 0.2], [0.5, 1.0, 0.3], [0.2, 0.3, 1.0]])
+        sd = np.array([1e6, 1.0, 1e-6])
+        factor = cholesky_lower(corr * sd[:, None] * sd)
+        np.testing.assert_allclose(factor / sd[:, None], np.linalg.cholesky(corr),
+                                   rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("variance", [0.0, -1.0])
+    def test_non_positive_variance_rejected(self, variance):
+        with pytest.raises(NumericalError, match="min eigenvalue"):
+            cholesky_lower(np.diag([1.0, variance]))
 
     def test_asymmetric_rejected(self):
         with pytest.raises(ValidationError, match="symmetric"):
@@ -393,7 +413,8 @@ class TestClosedFormBands:
         sigma_eps = np.linalg.solve(g0, np.linalg.solve(g0, system.sigma_u).T).T
         lower = StackedSystem(g0=g0, g1=g0 @ system.f1, a=g0 @ system.b,
                               sigma_u=system.sigma_u, sigma_eps=(sigma_eps + sigma_eps.T) / 2,
-                              b=system.b, f1=system.f1)
+                              b=system.b, f1=system.f1,
+                              g0_condition=sd_unit_condition(g0, system.sigma_u))
         shock = ShockSpec(targets=(0, 2), horizon=4, at_time=1)
         functional = ma_coefficients(lower.f1, 4) @ cholesky_lower(lower.sigma_eps)[:, [0, 2]]
         np.testing.assert_allclose(oirf_point(lower, shock), functional.sum(axis=2),
@@ -491,12 +512,63 @@ class TestPeriodShocks:
                                      moment_inv)
         assert result.radius == np.max(np.abs(np.linalg.eigvals(system.f1)))
         assert result.stable == (result.radius < 1.0)
-        assert result.g0_condition == np.linalg.cond(system.g0) >= 1.0
+        assert result.g0_condition == system.g0_condition >= 1.0
+        assert result.g0_condition == pytest.approx(
+            sd_unit_condition(system.g0, system.sigma_u), rel=1e-12, abs=0)
 
     def test_empty_shock_list_rejected(self, period):
         system, moment_inv = period
         with pytest.raises(ValidationError, match="no shocks"):
             asymptotic_bands(system, [], 249, moment_inv)
+
+
+def sample_periods(panel):
+    """(g0_condition, results) at each sample IRF date, for the sample
+    config's shocks, horizon, level and equal weights."""
+    irf = sample_config_dict("unused.csv")["irf"]
+    weights = WeightSequence.equal(len(panel.time_index), panel.dims[0], panel.dims[2])
+    fit = estimate_structural(panel, weights)
+    moment_inv = estimate_asymptotic_inputs(panel)
+    out = []
+    for date in irf["dates"]:
+        system = stack_system(fit, weights, panel.date_index(date))
+        shocks = [ShockSpec(targets=tuple(panel.column_index(name) for name in names),
+                            horizon=irf["horizon"], at_time=date, level=irf["level"])
+                  for names in irf["shocks"]]
+        out.append((system.g0_condition, asymptotic_bands(
+            system, shocks, len(panel.time_index) - 1, moment_inv)))
+    return out
+
+
+class TestUnits:
+    """Rescaling a variable rescales its responses and bands and nothing else:
+    the conditioning cap and the Cholesky test are unit-free."""
+
+    @pytest.fixture(scope="class")
+    def sample(self, tmp_path_factory):
+        path = write_sample_csv(tmp_path_factory.mktemp("sample") / "sample_panel.csv")
+        panel = align_frequencies(load_panel(path), regions=REGIONS,
+                                  variables=MONTHLY_VARIABLES + (QUARTERLY_VARIABLE,),
+                                  activities=(ACTIVITY,))
+        return panel, sample_periods(panel)
+
+    @pytest.mark.parametrize("factor", [1e-6, 1e6])
+    @pytest.mark.parametrize("variable", ["OIL", "GDP", "HUR", "CPI"])
+    def test_rescaled_variable(self, sample, variable, factor):
+        panel, expected = sample
+        scale = np.array([factor if name.split(".")[-1] == variable else 1.0
+                          for name in panel.column_names()])
+        scaled = TimeSeriesPanel(time_index=panel.time_index, regions=panel.regions,
+                                 variables=panel.variables, activities=panel.activities,
+                                 rows=tuple(map(tuple, (panel.values * scale).tolist())))
+        for (condition, results), (scaled_condition, scaled_results) in zip(
+                expected, sample_periods(scaled)):
+            assert scaled_condition == pytest.approx(condition, rel=1e-8, abs=0)
+            for result, scaled_result in zip(results, scaled_results):
+                for name in ("point", "half_width"):
+                    want = getattr(result, name)
+                    got = getattr(scaled_result, name) / scale
+                    assert np.max(np.abs(got - want)) <= 1e-8 * np.max(np.abs(want))
 
 
 class TestBandInputs:
