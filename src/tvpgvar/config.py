@@ -292,6 +292,10 @@ def load_config(path: str | Path) -> RunConfig:
         raise ValidationError("forecast.methods must list at least one method")
     if len(set(names)) != len(names):
         raise ValidationError(f"duplicate names in forecast.methods: {names}")
+    unlisted = sorted(set(external) - set(names))
+    if unlisted:
+        raise ValidationError("forecast.external names methods that forecast.methods "
+                              f"does not list: {unlisted}")
     settings = ForecasterConfig(**_numbers(fc_obj, "forecast", {
         "horizon": int, "lag_window": int, "cv_folds": int, "grid_size": int,
         "grid_floor": float}))

@@ -79,8 +79,9 @@ def write_json(obj: Any, path: str | Path) -> None:
 
 
 def _read_text(path: str | Path) -> str:
+    """The file's text, less the byte-order mark that Excel's "CSV UTF-8" writes."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise ValidationError(f"{path}: not valid UTF-8 ({exc.reason} at byte {exc.start})") from None
     except OSError as exc:

@@ -30,18 +30,18 @@ matrix form; no stage runs them.
 The banded routines (LAPACK ``dpbtrf``/``dtbtrs``) come from SciPy's compiled
 ``_flapack`` extension, loaded by file path without importing ``scipy``.
 
-One iteration runs once for all the columns of a panel. The draws take
-stacks: the bands and right-hand sides of the path draws are built as
-(columns, ...) arrays and factorized column by column; the step-3 designs
-(columns, n, 4), their X'X (columns, 4, 4), the Cholesky factors and the
-triangular solves of the coefficient draw, and the residual sums of the
-variance draw are stacked. Column i keeps its own ``default_rng([seed, i])``
-and draws from it in the order path normals, 4 normals, gamma, so a column's
-result does not depend on the others. A column whose draw fails (a
-non-finite X'X, a precision without a Cholesky factor, non-finite
-residuals) leaves the stack with its first failed draw's reason, naming the
-iteration; the others go on. A trajectory keeps theta0, sqrt_omega, the
-theta path and sigma2. ``fit_equation`` is the one-column case.
+One iteration runs once for all the columns of a panel. It first draws its
+random numbers in one loop over the live columns: column i draws from its
+own ``default_rng([seed, i])`` 2(T-1) path normals, 4 coefficient normals
+and a standard gamma, in that order, so its result does not depend on the
+others. The draws take these as arrays, and take stacks: the path bands are
+built as (columns, ...) arrays and factorized column by column; the
+coefficient draw (X'X, Cholesky factors, triangular solves) and the variance
+draw run on (columns, ...) stacks. A column whose draw fails (a non-finite
+X'X, a precision without a Cholesky factor, non-finite residuals) leaves the
+stack with its first failed draw's reason, naming the iteration; the others
+go on. A trajectory keeps theta0, sqrt_omega, the theta path and sigma2.
+``fit_equation`` is the one-column case.
 """
 
 from __future__ import annotations
@@ -49,7 +49,6 @@ from __future__ import annotations
 import functools
 import importlib.machinery
 import importlib.util
-import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -147,9 +146,9 @@ def kalman_forward(y: np.ndarray, theta0: np.ndarray, sqrt_omega: np.ndarray,
     return state
 
 
-def sample_theta_tilde_smoothed(state: KalmanState, rng: np.random.Generator,
+def sample_theta_tilde_smoothed(state: KalmanState, normals: np.ndarray,
                                 state_noise: float = 1.0) -> np.ndarray:
-    """Joint draw of the standardized path by backward sampling.
+    """Joint draw of the standardized path by backward sampling from ``normals`` (n, 2).
 
     Draws theta_tilde_{T-1} from its filtered distribution, then walks
     backward through the conditionals of the random-walk state equation
@@ -161,7 +160,7 @@ def sample_theta_tilde_smoothed(state: KalmanState, rng: np.random.Generator,
     if state_noise <= 0:
         raise ValidationError("joint state draw needs positive state noise")
     n = state.m.shape[0]
-    z = rng.standard_normal((n, 2))
+    z = np.reshape(normals, (n, 2))
     q = state_noise * np.eye(2)
 
     def chol_draw(mean, cov, z):
@@ -213,21 +212,22 @@ def _flapack():
 
 
 def sample_theta_tilde_banded(y: np.ndarray, theta0: np.ndarray, sqrt_omega: np.ndarray,
-                              sigma2: np.ndarray, rngs: Sequence[np.random.Generator],
+                              sigma2: np.ndarray, normals: np.ndarray,
                               ) -> tuple[np.ndarray, dict[int, str]]:
     """Joint draws of the standardized paths of a stack of columns from their
     banded posterior precisions.
 
     ``y`` is (columns, T), ``theta0`` and ``sqrt_omega`` are (columns, 2),
-    ``sigma2`` is (columns,) and column c draws from ``rngs[c]``. Same model
-    as ``kalman_forward`` with unit state noise and the fixed prior
-    N(0, P0_SCALE * I). The states are interleaved, index 2(t-1)+k holding
-    ``theta_tilde[t, k]``, so the precision ``K`` has upper bandwidth 2:
-    diagonal blocks ``(1 / (1 + P0_SCALE) + 1) I`` (first), ``2I`` (middle)
-    and ``I`` (last; a one-step path has just ``I / (1 + P0_SCALE)``), each
-    plus ``h_t h_t' / sigma2``, and off-diagonal blocks ``-I``. With
-    ``K = LL'`` the draw ``L^-T (L^-1 b + z)`` has mean ``K^-1 b`` and
-    covariance ``K^-1``, where ``b = h_t y*_t / sigma2``.
+    ``sigma2`` is (columns,) and column c's draw adds the normals
+    ``z = normals[c]`` (2(T-1),). Same model as ``kalman_forward`` with unit
+    state noise and the fixed prior N(0, P0_SCALE * I). The states are
+    interleaved, index 2(t-1)+k holding ``theta_tilde[t, k]``, so the
+    precision ``K`` has upper bandwidth 2: diagonal blocks
+    ``(1 / (1 + P0_SCALE) + 1) I`` (first), ``2I`` (middle) and ``I`` (last;
+    a one-step path has just ``I / (1 + P0_SCALE)``), each plus
+    ``h_t h_t' / sigma2``, and off-diagonal blocks ``-I``. With ``K = LL'``
+    the draw ``L^-T (L^-1 b + z)`` has mean ``K^-1 b`` and covariance
+    ``K^-1``, where ``b = h_t y*_t / sigma2``.
 
     The bands and right-hand sides are built for the whole stack, in place,
     so the only full-size arrays are the band and the right-hand sides; the
@@ -276,14 +276,14 @@ def sample_theta_tilde_banded(y: np.ndarray, theta0: np.ndarray, sqrt_omega: np.
 
     lapack = _flapack()
     failed = {}
-    for c, rng in enumerate(rngs):
+    for c in range(width):
         chol, info = lapack.dpbtrf(band[c].T, lower=1, overwrite_ab=1)
         if info != 0:
             failed[c] = f"state precision not positive definite (dpbtrf info {info})"
             rhs[c] = 0.0
             continue
         w, _ = lapack.dtbtrs(chol, rhs[c], uplo="L", overwrite_b=1)
-        w += rng.standard_normal((2 * n, 1))
+        w += normals[c, :, None]
         rhs[c], _ = lapack.dtbtrs(chol, w, uplo="L", trans="T", overwrite_b=1)
     return rhs.reshape(width, n, 2), failed
 
@@ -361,18 +361,17 @@ def _inverse_diagonal(xtx: np.ndarray) -> tuple[np.ndarray, dict[int, str]]:
 
 
 def sample_theta0_omega(target: np.ndarray, design: np.ndarray, sigma2: np.ndarray,
-                        rngs: Sequence[np.random.Generator],
-                        ) -> tuple[np.ndarray, dict[int, str]]:
+                        z: np.ndarray) -> tuple[np.ndarray, dict[int, str]]:
     """Draw (theta0, sqrt_omega) of a stack of columns from their joint normal
     posteriors.
 
     ``target`` (columns, n) and ``design`` (columns, n, 4) are the step-3
     regressions: y_t on the row [1, y_{t-1}, tilde_1t, y_{t-1} * tilde_2t].
     The posterior is N(A X'y / sigma^2, A) with A = (X'X/sigma^2 + A0^-1)^-1
-    and the data-based A0^-1 = diag{diag((X'X)^-1)}; column c draws 4
-    normals from ``rngs[c]``. Returns the draws (columns, 4), theta0 then
-    sqrt_omega, and {column: reason} for the columns that have none. Signs
-    of sqrt_omega are unidentified and may come back negative; the implied
+    and the data-based A0^-1 = diag{diag((X'X)^-1)}; column c's draw adds the
+    normals ``z[c]`` (4,). Returns the draws (columns, 4), theta0 then
+    sqrt_omega, and {column: reason} for the columns that have none. Signs of
+    sqrt_omega are unidentified and may come back negative; the implied
     variances use the squares.
     """
     design_t = design.transpose(0, 2, 1)
@@ -388,39 +387,33 @@ def sample_theta0_omega(target: np.ndarray, design: np.ndarray, sigma2: np.ndarr
             failed.setdefault(c, "rank-deficient design in coefficient posterior")
         else:
             chol[c] = jittered[0]
-    z = np.empty((len(rngs), 4, 1))
-    for c, rng in enumerate(rngs):
-        rng.standard_normal(out=z[c, :, 0])
     # mean = prec^-1 rhs; the draw chol^-T (chol^-1 rhs + z) adds covariance prec^-1
     inv = _lower_inverse(chol)
-    draw = inv.transpose(0, 2, 1) @ (inv @ rhs + z)
+    draw = inv.transpose(0, 2, 1) @ (inv @ rhs + z[..., None])
     return draw[..., 0], failed
 
 
-def sigma_posterior(target: np.ndarray, design: np.ndarray,
-                    theta_star: np.ndarray) -> tuple[float, np.ndarray]:
-    """Gamma posterior of the observation precision of a stack of columns: the
-    shape C0_SHAPE + n/2 they share, and the rates (columns,) C0_RATE + SSR/2
-    of the step-3 regression residuals."""
-    resid = target - (design @ theta_star[..., None])[..., 0]
-    ssr = np.einsum("cn,cn->c", resid, resid)
-    return C0_SHAPE + target.shape[1] / 2.0, C0_RATE + 0.5 * ssr
+def _precision_shape(n: int) -> float:
+    """The Gamma posterior shape of the observation precision after n observations."""
+    return C0_SHAPE + n / 2.0
 
 
 def sample_sigma(target: np.ndarray, design: np.ndarray, theta_star: np.ndarray,
-                 rngs: Sequence[np.random.Generator]) -> tuple[np.ndarray, dict[int, str]]:
-    """Draw the observation variances (columns,): column c's precision is a
-    Gamma(shape, rate) draw from ``rngs[c]``. Returns them and {column: reason}
-    for the columns whose residual sum of squares is not finite."""
-    shape, rates = sigma_posterior(target, design, theta_star)
-    sigma2 = np.ones(len(rngs))
-    failed = {}
-    for c, (rng, rate) in enumerate(zip(rngs, rates.tolist())):
-        if math.isfinite(rate):
-            sigma2[c] = 1.0 / rng.gamma(shape=shape, scale=1.0 / rate)
-        else:
-            failed[c] = "non-finite residuals in variance update"
-    return sigma2, failed
+                 gammas: np.ndarray) -> tuple[np.ndarray, dict[int, str]]:
+    """Draw the observation variances (columns,) of the step-3 regressions.
+
+    Column c's precision is ``gammas[c] / rate`` with the rate C0_RATE + SSR/2
+    of its residuals: a Gamma(shape, rate) draw when ``gammas[c]`` is a
+    standard Gamma(shape) draw. Returns the variances and {column: reason}
+    for the columns whose SSR is not finite (their variance is 1)."""
+    resid = target - (design @ theta_star[..., None])[..., 0]
+    rates = C0_RATE + 0.5 * np.einsum("cn,cn->c", resid, resid)
+    ok = np.isfinite(rates)
+    sigma2 = np.ones(rates.size)
+    # the scale 1/rate times the standard draw, as Generator.gamma computes it
+    sigma2[ok] = 1.0 / ((1.0 / rates[ok]) * gammas[ok])
+    return sigma2, dict.fromkeys(np.flatnonzero(~ok).tolist(),
+                                 "non-finite residuals in variance update")
 
 
 def _drop(failed: dict[int, str], it: int, errors: dict[int, str],
@@ -445,10 +438,11 @@ def _sample_stack(y: np.ndarray, iters: int, seeds: Sequence,
     # contiguous rows: a strided stack would take numpy's strided loops, whose
     # sums round differently, and a column's draws would depend on the layout
     y = np.ascontiguousarray(y)
-    width = y.shape[0]
+    width, n = y.shape[0], y.shape[1] - 1
     ids = np.arange(width)
-    rngs = np.empty(width, dtype=object)
-    rngs[:] = [np.random.default_rng(seed) for seed in seeds]
+    rngs = np.array([np.random.default_rng(seed) for seed in seeds], dtype=object)
+    normals, gammas = np.empty((width, 2 * n + 4)), np.empty(width)  # live columns: first rows
+    shape = _precision_shape(n)
     theta_star = np.zeros((width, 4))  # theta0, then sqrt_omega
     theta_star[:, 2:] = 1.0
     sigma2 = np.full(width, 0.1)
@@ -460,11 +454,16 @@ def _sample_stack(y: np.ndarray, iters: int, seeds: Sequence,
             # the previous path goes before the next band is built, and the
             # step-3 arrays after their last use: one iteration at a time
             tilde = None
-            tilde, path_failed = sample_theta_tilde_banded(y, theta_star[:, :2],
-                                                           theta_star[:, 2:], sigma2, rngs)
+            # every random number of the iteration, in each column's stream order
+            for c, rng in enumerate(rngs):
+                rng.standard_normal(out=normals[c])
+                gammas[c] = rng.standard_gamma(shape)
+            path_normals, coef_normals = normals[:ids.size, :2 * n], normals[:ids.size, 2 * n:]
+            tilde, path_failed = sample_theta_tilde_banded(
+                y, theta_star[:, :2], theta_star[:, 2:], sigma2, path_normals)
             target, design = _step3_design(y, tilde)
-            theta_star, coef_failed = sample_theta0_omega(target, design, sigma2, rngs)
-            sigma2, sigma_failed = sample_sigma(target, design, theta_star, rngs)
+            theta_star, coef_failed = sample_theta0_omega(target, design, sigma2, coef_normals)
+            sigma2, sigma_failed = sample_sigma(target, design, theta_star, gammas[:ids.size])
             del target, design
             # failed draws leave placeholders, not exceptions; the first reason wins
             ids, y, theta_star, sigma2, tilde, rngs = _drop(
@@ -515,16 +514,11 @@ class PanelTVPResult:
 
 
 def estimate_all(panel: TimeSeriesPanel, config: TVPConfig) -> PanelTVPResult:
-    """Fit every panel column, all columns in one sampler iteration.
-
-    Each iteration draws the paths of all live columns (banded factorizations
-    column by column), then their coefficients and variances as stacked
-    arrays. Column i draws from its own ``default_rng([seed, i])`` in the
-    order path normals, 4 normals, gamma, so its result depends neither on
-    the other columns nor on evaluation order. A column that fails (a
-    non-finite or non-factorizable matrix, non-finite residuals) leaves the
-    stack with the iteration in its reason; the others continue. A panel
-    and a config are checked as they are built, so every column starts.
+    """Fit every panel column, all columns in one sampler iteration; column i
+    draws from its own ``default_rng([seed, i])``, so its result depends
+    neither on the other columns nor on evaluation order. A column that fails
+    leaves the stack with the iteration in its reason; the others continue. A
+    panel and a config are checked as they are built, so every column starts.
     """
     trajectories, failed = _sample_stack(panel.values.T, config.iters,
                                          [(config.seed, i) for i in range(panel.width)])

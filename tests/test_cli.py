@@ -511,6 +511,8 @@ class TestForecast:
         (["constant", "constant"], {}, "duplicate names in forecast.methods"),
         (["constant"], {"constant": "paths.csv"},
          "forecast.external may not reuse a built-in method name: ['constant']"),
+        (["constant"], {"plugin": "paths.csv"},
+         "forecast.external names methods that forecast.methods does not list: ['plugin']"),
     ])
     def test_bad_method_list_rejected_at_load(self, tmp_path, capsys, methods, external,
                                               message):
@@ -888,6 +890,28 @@ class TestUndecodableInput:
         bad_file.write_bytes(bad_file.read_bytes() + b"2000-01,AAA,CPI,caf\xe9\n")
         proc = run_python("-m", "tvpgvar.cli", "ingest", "--config", str(config_path))
         self.assert_clean_failure(proc, bad_file)
+
+    def test_byte_order_mark_read_as_text_start(self, tmp_path):
+        # Excel's "CSV UTF-8" starts the file with a UTF-8 byte-order mark: a
+        # data CSV with one ingests to the same panel.csv, and a config with
+        # one loads to the same settings
+        plain_config = write_sample_config(tmp_path / "plain")
+        plain_csv = read_json(plain_config)["data"]["path"]
+        marked_csv = tmp_path / "marked.csv"
+        marked_csv.write_bytes(b"\xef\xbb\xbf" + Path(plain_csv).read_bytes())
+        marked_config = write_sample_config(tmp_path / "marked", data_path=marked_csv)
+        for config_path in (plain_config, marked_config):
+            assert main(["ingest", "--config", str(config_path)]) == 0
+        panels = [(path.parent / "out" / "panel.csv").read_bytes()
+                  for path in (plain_config, marked_config)]
+        assert panels[0] == panels[1]
+        marked_copy = plain_config.with_name("marked.json")
+        marked_copy.write_bytes(b"\xef\xbb\xbf" + plain_config.read_bytes())
+        assert load_config(marked_copy) == load_config(plain_config)
+        # a decode error still names the byte's offset in the file
+        marked_csv.write_bytes(b"\xef\xbb\xbfdate\xe9")
+        with pytest.raises(ValidationError, match="at byte 7"):
+            read_panel_csv(marked_csv)
 
 
     @pytest.mark.parametrize("bad_row, message", [

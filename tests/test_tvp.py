@@ -26,10 +26,10 @@ from tvpgvar.tvp import (
     P0_SCALE,
     TVPTrajectory,
     _flapack,
+    _precision_shape,
     kalman_forward,
     read_trajectories,
     sample_theta_tilde_smoothed,
-    sigma_posterior,
     write_trajectories,
 )
 
@@ -57,9 +57,10 @@ def step3(y, tilde):
     return y[1:], design
 
 
-def draw_one(target, design, sigma2, rng):
-    """(theta0, sqrt_omega) of a one-column stack."""
-    draw, failed = sample_theta0_omega(target[None], design[None], np.array([sigma2]), [rng])
+def draw_one(target, design, sigma2, z):
+    """(theta0, sqrt_omega) of a one-column stack, from the 4 normals ``z``."""
+    draw, failed = sample_theta0_omega(target[None], design[None], np.array([sigma2]),
+                                       np.reshape(z, (1, 4)))
     assert failed == {}
     return draw[0, :2], draw[0, 2:]
 
@@ -143,7 +144,7 @@ class TestKalmanForward:
             kalman_forward(np.ones(5), np.zeros(2), np.ones(2), 0.0)
         state = kalman_forward(np.ones(5), np.zeros(2), np.ones(2), 0.1)
         with pytest.raises(ValidationError):
-            sample_theta_tilde_smoothed(state, np.random.default_rng(0), state_noise=0.0)
+            sample_theta_tilde_smoothed(state, np.zeros((4, 2)), state_noise=0.0)
 
 
 def dense_path_posterior(y, theta0, sqrt_omega, sigma2):
@@ -170,26 +171,16 @@ def dense_path_posterior(y, theta0, sqrt_omega, sigma2):
     return mean, (cov + cov.T) / 2.0
 
 
-class FixedNormals:
-    """Generator stand-in whose ``standard_normal`` returns a preset vector."""
-
-    def __init__(self, values):
-        self.values = np.asarray(values, float)
-
-    def standard_normal(self, size):
-        return self.values.reshape(size).copy()
-
-
 class TestSampleThetaTildeBanded:
     theta0 = np.array([0.3, -0.4])
     sqrt_omega = np.array([0.6, 0.35])
     sigma2 = 0.45
 
-    def draw(self, y, rng):
+    def draw(self, y, normals):
         # a one-column stack
         draws, failed = sample_theta_tilde_banded(y[None], self.theta0[None],
                                                   self.sqrt_omega[None],
-                                                  np.array([self.sigma2]), [rng])
+                                                  np.array([self.sigma2]), normals[None])
         assert failed == {}
         return draws[0]
 
@@ -210,8 +201,8 @@ class TestSampleThetaTildeBanded:
             "carter-kohn": lambda normals: sample_theta_tilde_smoothed(state, normals),
         }
         for name, sampler in samplers.items():
-            got_mean = sampler(FixedNormals(np.zeros(dim))).reshape(-1)
-            roots = np.column_stack([sampler(FixedNormals(e)).reshape(-1) - got_mean
+            got_mean = sampler(np.zeros(dim)).reshape(-1)
+            roots = np.column_stack([sampler(e).reshape(-1) - got_mean
                                      for e in np.eye(dim)])
             np.testing.assert_allclose(got_mean, mean, rtol=0, atol=1e-10, err_msg=name)
             np.testing.assert_allclose(roots @ roots.T, cov, rtol=0, atol=1e-10, err_msg=name)
@@ -226,8 +217,9 @@ class TestSampleThetaTildeBanded:
         gen_banded = np.random.default_rng(21)
         gen_ck = np.random.default_rng(22)
         samplers = {
-            "banded": lambda: self.draw(y, gen_banded),
-            "carter-kohn": lambda: sample_theta_tilde_smoothed(state, gen_ck),
+            "banded": lambda: self.draw(y, gen_banded.standard_normal(24)),
+            "carter-kohn": lambda: sample_theta_tilde_smoothed(state,
+                                                               gen_ck.standard_normal((12, 2))),
         }
         sd = np.sqrt(np.diag(cov))
         cov_se = np.sqrt((np.outer(sd ** 2, sd ** 2) + cov ** 2) / n_draws)
@@ -245,22 +237,21 @@ class TestSampleThetaTildeBanded:
         y = np.ones((2, 10))
         sqrt_omega = np.array([self.sqrt_omega, np.full(2, 2.0 ** 40)])
         theta0 = np.array([self.theta0, np.zeros(2)])
+        normals = np.random.default_rng(0).standard_normal((2, 18))
         draws, failed = sample_theta_tilde_banded(
-            y, theta0, sqrt_omega, np.array([self.sigma2, 1.0]),
-            [np.random.default_rng(0), np.random.default_rng(1)])
+            y, theta0, sqrt_omega, np.array([self.sigma2, 1.0]), normals)
         assert failed == {1: "state precision not positive definite (dpbtrf info 2)"}
-        np.testing.assert_array_equal(draws[0], self.draw(y[0], np.random.default_rng(0)))
+        np.testing.assert_array_equal(draws[0], self.draw(y[0], normals[0]))
         # the draws overwrite the right-hand sides: a failed column keeps none of them
         np.testing.assert_array_equal(draws[1], np.zeros((9, 2)))
 
     def test_bad_inputs(self):
-        gen = np.random.default_rng(0)
         with pytest.raises(ValidationError):
             sample_theta_tilde_banded(np.array([[1.0]]), np.zeros((1, 2)), np.ones((1, 2)),
-                                      np.array([0.1]), [gen])
+                                      np.array([0.1]), np.zeros((1, 0)))
         with pytest.raises(ValidationError):
             sample_theta_tilde_banded(np.ones((1, 5)), np.zeros((1, 2)), np.ones((1, 2)),
-                                      np.array([0.0]), [gen])
+                                      np.array([0.0]), np.zeros((1, 8)))
 
 
 def random_band(rng, size):
@@ -324,9 +315,17 @@ class TestSampleTheta0Omega:
         y = rng.standard_normal(t_len)
         tilde = rng.standard_normal((t_len - 1, 2))
         target, design = step3(y, tilde)
-        theta0, sw = draw_one(target, design, 1e-18, np.random.default_rng(3))
+        theta0, sw = draw_one(target, design, 1e-18, np.random.default_rng(3).standard_normal(4))
         ols = np.linalg.lstsq(design, target, rcond=None)[0]
         np.testing.assert_allclose(np.concatenate([theta0, sw]), ols, atol=1e-6)
+
+    @staticmethod
+    def dense_posterior(target, design, sigma2):
+        """Mean and covariance of (theta0, sqrt_omega) under the data-based
+        prior A0^-1 = diag{diag((X'X)^-1)} with mean zero, by dense inverses."""
+        a0_inv = np.diag(np.diag(np.linalg.inv(design.T @ design)))
+        cov = np.linalg.inv(design.T @ design / sigma2 + a0_inv)
+        return cov @ (design.T @ target / sigma2), cov
 
     def test_posterior_moments_match_analytic(self, rng):
         t_len = 80
@@ -334,17 +333,22 @@ class TestSampleTheta0Omega:
         tilde = rng.standard_normal((t_len - 1, 2))
         sigma2 = 0.3
         target, design = step3(y, tilde)
-        # A0^-1 = diag{diag((X'X)^-1)}: the data-based prior, with mean zero
-        a0_inv = np.diag(np.diag(np.linalg.inv(design.T @ design)))
-        prec = design.T @ design / sigma2 + a0_inv
-        cov = np.linalg.inv(prec)
-        mean = cov @ (design.T @ target / sigma2)
+        mean, cov = self.dense_posterior(target, design, sigma2)
         gen = np.random.default_rng(5)
         draws = np.stack([
-            np.concatenate(draw_one(target, design, sigma2, gen))
+            np.concatenate(draw_one(target, design, sigma2, gen.standard_normal(4)))
             for _ in range(6000)])
         np.testing.assert_allclose(draws.mean(axis=0), mean, atol=0.05)
         np.testing.assert_allclose(np.cov(draws.T), cov, atol=0.05)
+
+    def test_zero_normals_give_posterior_mean(self, rng):
+        # the draw is the mean plus a covariance root applied to z: z = 0
+        # leaves exactly the mean
+        y = rng.standard_normal(80)
+        target, design = step3(y, rng.standard_normal((79, 2)))
+        mean, _ = self.dense_posterior(target, design, 0.3)
+        got = np.concatenate(draw_one(target, design, 0.3, np.zeros(4)))
+        np.testing.assert_allclose(got, mean, rtol=1e-10, atol=0)
 
     def test_synthetic_recovery_within_posterior_spread(self, rng):
         theta0 = np.array([0.4, 0.3])
@@ -353,7 +357,7 @@ class TestSampleTheta0Omega:
         target, design = step3(y, tilde[1:])
         gen = np.random.default_rng(9)
         draws = np.stack([
-            np.concatenate(draw_one(target, design, 0.05 ** 2, gen))
+            np.concatenate(draw_one(target, design, 0.05 ** 2, gen.standard_normal(4)))
             for _ in range(500)])
         post_mean = draws.mean(axis=0)
         post_sd = draws.std(axis=0)
@@ -365,34 +369,64 @@ class TestSampleTheta0Omega:
 
 
 class TestSampleSigma:
+    @staticmethod
+    def rate(y, design, theta):
+        """One column's Gamma rate: the variance that a unit gamma gives."""
+        sigma2, failed = sample_sigma(y[None], design[None], theta[None], np.ones(1))
+        assert failed == {}
+        return sigma2[0]
+
     def test_plug_in_posterior_parameters(self):
         y = np.zeros(100)
         design = np.zeros((100, 4))
         theta = np.zeros(4)
-        c_t, big_c_t = sigma_posterior(y[None], design[None], theta[None])
-        assert c_t == pytest.approx(50.01)
-        assert big_c_t == pytest.approx([0.01])
+        assert _precision_shape(y.size) == pytest.approx(50.01)
+        assert self.rate(y, design, theta) == pytest.approx(0.01)
 
     def test_precision_moment(self, rng):
         t_len = 100
         y = rng.standard_normal(t_len)
         design = np.column_stack([np.ones(t_len), rng.standard_normal((t_len, 3))])
         theta = rng.standard_normal(4)
-        c_t, (big_c_t,) = sigma_posterior(y[None], design[None], theta[None])
-        gen = np.random.default_rng(2)
-        draws = np.array([1.0 / sample_sigma(y[None], design[None], theta[None], [gen])[0][0]
-                          for _ in range(100_000)])
-        assert abs(draws.mean() - c_t / big_c_t) / (c_t / big_c_t) < 0.01
+        resid = y - design @ theta
+        c_t, big_c_t = _precision_shape(t_len), 0.01 + 0.5 * resid @ resid
+        draws = 100_000
+        gammas = np.random.default_rng(2).standard_gamma(c_t, draws)
+        # one column per draw, all of them views of the same regression
+        sigma2, failed = sample_sigma(np.broadcast_to(y, (draws, t_len)),
+                                      np.broadcast_to(design, (draws, t_len, 4)),
+                                      np.broadcast_to(theta, (draws, 4)), gammas)
+        assert failed == {}
+        assert abs((1.0 / sigma2).mean() - c_t / big_c_t) / (c_t / big_c_t) < 0.01
+
+    def test_precision_is_gamma_over_rate(self, rng):
+        # rate = C0_RATE + SSR / 2 of the step-3 residuals; a NaN target
+        # (column 1) or an SSR that overflows (column 3) fails its column
+        # alone, without a numpy warning
+        y = rng.standard_normal((4, 60))
+        y[1, 5], y[3, 5] = np.nan, 1e200
+        design = rng.standard_normal((4, 60, 4))
+        theta = rng.standard_normal((4, 4))
+        gammas = np.array([40.0, 41.0, 29.5, 35.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sigma2, failed = sample_sigma(y, design, theta, gammas)
+        reason = "non-finite residuals in variance update"
+        assert failed == {1: reason, 3: reason}
+        assert sigma2[1] == sigma2[3] == 1.0
+        for c in (0, 2):
+            resid = y[c] - design[c] @ theta[c]
+            rate = 0.01 + 0.5 * resid @ resid
+            assert sigma2[c] == pytest.approx(1.0 / (gammas[c] / rate), rel=1e-12, abs=0)
 
     def test_ssr_linearity(self, rng):
         y = rng.standard_normal(60)
         design = np.column_stack([np.ones(60), rng.standard_normal((60, 3))])
         theta = rng.standard_normal(4)
-        _, (rate_one,) = sigma_posterior(y[None], design[None], theta[None])
+        rate_one = self.rate(y, design, theta)
         resid = y - design @ theta
         ssr = float(resid @ resid)
-        _, (rate_two,) = sigma_posterior(np.sqrt(2.0) * y[None], np.sqrt(2.0) * design[None],
-                                         theta[None])
+        rate_two = self.rate(np.sqrt(2.0) * y, np.sqrt(2.0) * design, theta)
         assert rate_two - rate_one == pytest.approx(0.5 * ssr, rel=1e-12)
 
 
@@ -488,8 +522,8 @@ class TestEstimateAll:
         draw = tvp_module.sample_theta_tilde_banded
         calls = itertools.count()
 
-        def failing(y, theta0, sqrt_omega, sigma2, rngs):
-            tilde, failed = draw(y, theta0, sqrt_omega, sigma2, rngs)
+        def failing(y, theta0, sqrt_omega, sigma2, normals):
+            tilde, failed = draw(y, theta0, sqrt_omega, sigma2, normals)
             if next(calls) == 1:
                 tilde[1] = np.nan
                 failed[1] = reason
@@ -571,10 +605,11 @@ class TestEstimateAll:
     def test_holds_one_iteration_at_a_time(self):
         # the largest arrays the sampler must hold at once: one path draw's
         # band (3 lower diagonals) and right-hand sides over the 2n
-        # interleaved states of every column, and the final standardized path
-        # with the theta paths built from it; a loop that also keeps the
-        # previous iteration's path and step-3 designs, or full-size
-        # temporaries, goes over
+        # interleaved states of every column, one iteration's 2n + 4 normals
+        # and gamma per column, and the final standardized path with the
+        # theta paths built from it; a loop that also keeps the previous
+        # iteration's path and step-3 designs, or full-size temporaries,
+        # goes over
         width, t_len, iters = 31, 250, 20
         values = 1.0 + np.cumsum(0.1 * np.random.default_rng(7).standard_normal((t_len, width)),
                                  axis=0)
@@ -583,6 +618,7 @@ class TestEstimateAll:
         estimate_all(panel, TVPConfig(iters=1, seed=0))  # loads LAPACK and numpy's caches
         n = t_len - 1
         band, rhs, paths = width * 2 * n * 3 * 8, width * 2 * n * 8, 2 * width * n * 2 * 8
+        normals, gammas = width * (2 * n + 4) * 8, width * 8
         tracemalloc.start()
         try:
             result = estimate_all(panel, TVPConfig(iters=iters, seed=3))
@@ -590,7 +626,7 @@ class TestEstimateAll:
         finally:
             tracemalloc.stop()
         assert result.ok
-        assert peak < band + rhs + paths
+        assert peak < band + rhs + paths + normals + gammas
 
     def test_matches_per_column_reference_on_sample(self, tmp_path, capsys):
         # the batched iteration against the one-column-at-a-time loop it
