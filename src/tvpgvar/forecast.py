@@ -36,6 +36,7 @@ import numpy as np
 from .config import ForecasterConfig, read_mse_report  # noqa: F401 (read_mse_report re-exported)
 from .errors import NumericalError, ValidationError
 from .ingest import TimeSeriesPanel, month_index, month_label
+from .ols import least_squares
 from .serialize import parse_float, read_table, write_csv
 from .tvp import PanelTVPResult
 
@@ -234,7 +235,11 @@ def forecast_constant(series: np.ndarray, config: ForecasterConfig) -> tuple[np.
 
 
 def forecast_var1(series: np.ndarray, config: ForecasterConfig) -> tuple[np.ndarray, dict]:
-    """OLS VAR(1) on the (T, d) series, iterated ``config.horizon`` steps ahead."""
+    """OLS VAR(1) on the (T, d) series, iterated ``config.horizon`` steps ahead.
+
+    The fit is ``ols.least_squares``, so scaling one series scales its
+    forecast and nothing else. A rank-deficient design fails the method.
+    """
     series = np.asarray(series, float)
     if series.ndim != 2:
         raise ValidationError("stacked series must be 2-D")
@@ -242,7 +247,7 @@ def forecast_var1(series: np.ndarray, config: ForecasterConfig) -> tuple[np.ndar
     if t_len < 2 * dim:
         raise ValidationError(f"need at least {2 * dim} periods to fit a {dim}-dim VAR(1)")
     design = np.column_stack([np.ones(t_len - 1), series[:-1]])
-    coef, _, rank, _ = np.linalg.lstsq(design, series[1:], rcond=None)
+    coef, _, rank = least_squares(design, series[1:])
     if rank < design.shape[1]:
         raise NumericalError("rank-deficient design in parameter VAR(1)")
     intercept, slope = coef[0], coef[1:].T

@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .ingest import COMMON_REGION, TimeSeriesPanel
+from .ols import least_squares
 from .serialize import (parse_array, parse_float, parse_int, parse_strings, read_json,
                         read_table, require_keys, write_json)
 
@@ -272,15 +273,16 @@ def _ols(z: np.ndarray, own: int, spans: Sequence[slice], target: np.ndarray,
     for span in spans:
         cols += [z[1:, span], z[:-1, span]]
     design = np.hstack(cols)
-    coef, _, rank, _ = np.linalg.lstsq(design, target, rcond=None)
+    coef, residuals, rank = least_squares(design, target)
     if rank < design.shape[1]:
         raise NumericalError(f"rank-deficient regressors in {equation} "
                              f"(rank {rank} < {design.shape[1]})")
-    return coef, target - design @ coef
+    return coef, residuals
 
 
 def estimate_structural(panel: TimeSeriesPanel, weights: WeightSequence) -> StructuralFit:
-    """Estimate all structural blocks by per-equation ordinary least squares.
+    """Estimate all structural blocks by per-equation ordinary least squares
+    (``ols.least_squares``: a change of units moves only the coefficients).
 
     Country k's p-variable block is regressed on an intercept, its own lag,
     the foreign aggregate and the activities at t and t-1; activity

@@ -1032,9 +1032,9 @@ def test_each_stage_loads_only_the_modules_it_runs(tmp_path):
     assert loaded_after() == set()
     config_path = mini_config(tmp_path)
     shared = {"cli", "config", "errors", "serialize"}
-    runs = {"ingest": {"ingest"}, "estimate": {"ingest", "gvar", "tvp", "numpy"},
-            "irf": {"ingest", "gvar", "irf", "numpy"},
-            "forecast": {"ingest", "tvp", "forecast", "numpy"}, "report": set()}
+    runs = {"ingest": {"ingest"}, "estimate": {"ingest", "gvar", "ols", "tvp", "numpy"},
+            "irf": {"ingest", "gvar", "ols", "irf", "numpy"},
+            "forecast": {"ingest", "tvp", "ols", "forecast", "numpy"}, "report": set()}
     for stage, modules in runs.items():
         loaded = loaded_after(str(config_path), stage)
         if "numpy" in modules:  # numpy loads inspect, and its stages' modules keep @dataclass

@@ -6,10 +6,14 @@ import pytest
 
 from tvpgvar import (
     ForecasterConfig,
+    TVPConfig,
+    align_frequencies,
+    estimate_all,
     forecast_constant,
     forecast_lasso,
     forecast_var1,
     lasso_fit,
+    load_panel,
     mse,
     select_model,
     two_stage_forecast,
@@ -20,6 +24,8 @@ from tvpgvar.forecast import (
     pooled_mse, read_mse_report, read_variable_paths, select_lasso_lambda,
     write_mse_report, write_param_paths, write_variable_paths,
 )
+from tvpgvar.sample import (ACTIVITY, MONTHLY_VARIABLES, QUARTERLY_VARIABLE, REGIONS,
+                            write_sample_csv)
 from tvpgvar.tvp import PanelTVPResult, TVPTrajectory, read_trajectories
 
 from conftest import make_panel
@@ -215,6 +221,32 @@ class TestForecastVar1:
     def test_too_short_rejected(self, rng):
         with pytest.raises(ValidationError, match="at least"):
             forecast_var1(rng.standard_normal((5, 4)), ForecasterConfig(kind="var1", horizon=3))
+
+    @pytest.fixture(scope="class")
+    def sample_paths(self, tmp_path_factory):
+        """The stacked (b, f1) training paths of the sample, as the forecast
+        stage hands them to the VAR(1) at the sample's horizon."""
+        path = write_sample_csv(tmp_path_factory.mktemp("sample") / "sample_panel.csv")
+        panel = align_frequencies(load_panel(path), regions=REGIONS,
+                                  variables=MONTHLY_VARIABLES + (QUARTERLY_VARIABLE,),
+                                  activities=(ACTIVITY,))
+        train = panel.slice_rows(0, len(panel.time_index) - 6)
+        fitted = estimate_all(train, TVPConfig(iters=50, seed=7))
+        return np.hstack([traj.theta for traj in fitted.trajectories])
+
+    @pytest.mark.parametrize("factor", [1e-12, 1e-6, 1e6, 1e12])
+    def test_rescaled_column(self, sample_paths, factor):
+        # the rank test and the solve are unit-free: scaling one series scales
+        # its forecast and leaves every other series' forecast as it was
+        config = ForecasterConfig(kind="var1", horizon=6)
+        want, _ = forecast_var1(sample_paths, config)
+        for j in range(sample_paths.shape[1]):
+            scale = np.ones(sample_paths.shape[1])
+            scale[j] = factor
+            got, failed = forecast_var1(sample_paths * scale, config)
+            assert failed == {}
+            err = np.abs(got / scale - want)
+            assert np.all(err <= 1e-8 * np.max(np.abs(want), axis=0)), j
 
 
 class TestBatchedSolver:

@@ -542,7 +542,8 @@ def sample_periods(panel):
 
 class TestUnits:
     """Rescaling a variable rescales its responses and bands and nothing else:
-    the conditioning cap and the Cholesky test are unit-free."""
+    the least-squares rank test, the conditioning cap and the Cholesky test
+    are unit-free."""
 
     @pytest.fixture(scope="class")
     def sample(self, tmp_path_factory):
@@ -552,7 +553,7 @@ class TestUnits:
                                   activities=(ACTIVITY,))
         return panel, sample_periods(panel)
 
-    @pytest.mark.parametrize("factor", [1e-6, 1e6])
+    @pytest.mark.parametrize("factor", [1e-12, 1e-6, 1e6, 1e12])
     @pytest.mark.parametrize("variable", ["OIL", "GDP", "HUR", "CPI"])
     def test_rescaled_variable(self, sample, variable, factor):
         panel, expected = sample
