@@ -17,9 +17,9 @@ The priors are fixed: theta_tilde_0 ~ N(0, P0_SCALE * I) with P0_SCALE = 1e-15;
 (theta_0, sqrt_omega) ~ N(0, A0) with the data-based A0 = diag{1 / diag((X'X)^-1)}
 of the current step-3 regression, recomputed each iteration (the diagonal is
 read from the inverse Cholesky factor of X'X, or from its pseudo-inverse when
-X'X is numerically singular); and the observation precision
-~ Gamma(C0_SHAPE, C0_RATE) = Gamma(0.01, 0.01). The only settings are the
-iteration count and the seed (``TVPConfig``).
+X'X is numerically singular, a test that no choice of units moves); and the
+observation precision ~ Gamma(C0_SHAPE, C0_RATE) = Gamma(0.01, 0.01). The only
+settings are the iteration count and the seed (``TVPConfig``).
 
 The path draw uses the banded posterior precision of the whole path (Chan &
 Jeliazkov 2009): the random-walk prior plus one scalar observation per period
@@ -62,7 +62,9 @@ from .ingest import TimeSeriesPanel
 from .serialize import parse_float, read_table, write_csv, write_json
 
 RIDGE_JITTER = 1e-8
-SINGULAR_PIVOT = 1e-8  # relative squared Cholesky pivot below which X'X counts as singular
+# X'X counts as singular when a squared Cholesky pivot over its own diagonal
+# entry (1 - R^2 of that design column on the ones before it) is below this
+SINGULAR_PIVOT = 1e-8
 P0_SCALE = 1e-15  # prior covariance of the first standardized state, times I
 C0_SHAPE = C0_RATE = 0.01  # Gamma prior of the observation precision
 
@@ -337,15 +339,17 @@ def _inverse_diagonal(xtx: np.ndarray) -> tuple[np.ndarray, dict[int, str]]:
     ``(X'X)^-1 = L^-T L^-1``, and {column: reason} for the non-finite ones.
 
     A numerically singular ``X'X`` (no Cholesky factor, or a squared pivot
-    at most SINGULAR_PIVOT times its largest diagonal entry, as a constant
-    series gives) takes the diagonal of its pseudo-inverse instead, clipped
-    at zero, which drops the unidentified direction.
+    at most SINGULAR_PIVOT times its own diagonal entry, as a constant series
+    gives) takes the diagonal of its pseudo-inverse instead, clipped at zero,
+    which drops the unidentified direction. The ratio ``L_jj^2 / (X'X)_jj``
+    is ``1 - R^2`` of design column j on the columns before it, so no choice
+    of units moves the test.
     """
     chol, singular = _cholesky(xtx)
     dim = xtx.shape[-1]
     pivots = chol.reshape(-1, dim * dim)[:, ::dim + 1] ** 2
-    scale = xtx.reshape(-1, dim * dim)[:, ::dim + 1].max(axis=1)
-    tiny = np.flatnonzero(pivots.min(axis=1) <= SINGULAR_PIVOT * scale)
+    diagonal = xtx.reshape(-1, dim * dim)[:, ::dim + 1]
+    tiny = np.flatnonzero((pivots <= SINGULAR_PIVOT * diagonal).any(axis=1))
     singular = set(singular).union(tiny.tolist())
     diag = np.sum(_lower_inverse(chol) ** 2, axis=1)
     failed = {}

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 import tvpgvar
 from tvpgvar import read_panel_csv
@@ -362,6 +363,26 @@ class TestIRF:
         assert result.level == 0.95
         assert columns == ["AAA.CPI", "AAA.GDP", "BBB.CPI", "BBB.GDP", "OIL"]
         assert result.point.shape == (5, 5)  # horizons 0..4 x width
+
+    def test_configured_level_scales_only_the_half_widths(self, pipeline):
+        # irf.level reaches the band multiplier: at 0.9 the responses keep
+        # their bytes and every half-width scales by ndtri(0.95) / ndtri(0.975)
+        obj = read_json(pipeline / "config.json")
+        obj["irf"]["level"] = 0.9
+        write_json(obj, pipeline / "level90.json")
+        out_dir = pipeline / "out_level90"
+        shutil.copytree(pipeline / "out", out_dir)
+        assert main(["irf", "--config", str(pipeline / "level90.json"),
+                     "--out", str(out_dir)]) == 0
+        files = sorted(path.name for path in (pipeline / "out").glob("irf_*.json"))
+        assert len(files) == 6
+        for name in files:
+            at95, at90 = read_json(pipeline / "out" / name), read_json(out_dir / name)
+            assert (at95["level"], at90["level"]) == (0.95, 0.9)
+            assert at90["responses"] == at95["responses"]
+            np.testing.assert_allclose(np.array(at90["half_width"]),
+                                       np.array(at95["half_width"]) * ndtri(0.95) / ndtri(0.975),
+                                       rtol=1e-13, atol=0)
 
     def test_csv_matches_json(self, pipeline):
         result, columns = read_irf_json(pipeline / "out" / "irf_2005-01__OIL.json")

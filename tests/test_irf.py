@@ -21,7 +21,7 @@ from tvpgvar import (
 from tvpgvar.errors import NumericalError, ValidationError
 from tvpgvar.gvar import estimate_structural, stack_system
 from tvpgvar.irf import (
-    _ndtri,
+    _band_multiplier,
     commutation_matrix,
     derivative_Gn,
     derivative_H,
@@ -450,16 +450,21 @@ class TestClosedFormBands:
 class TestNumpyReplacements:
     """The band's quantile against the SciPy routine."""
 
-    def test_quantile_bit_equal_to_ndtri(self):
+    def test_quantile_matches_ndtri(self):
         far_tail = 1.0 - np.logspace(-13.8, -15.9, 400)  # (1 - level) / 2 < exp(-32)
         assert np.all((1.0 - far_tail) / 2.0 < np.exp(-32.0))
         levels = np.concatenate([
             np.linspace(1e-9, 1 - 1e-12, 100_001), far_tail,
-            [0.5, 0.68, 0.8, 0.9, 0.95, 0.99, 0.999, 1e-300, 1 - 2**-52]])
-        probabilities = 0.5 + levels / 2.0
-        ported = np.array([_ndtri(float(p)) for p in probabilities])
-        np.testing.assert_array_equal(ported.view(np.int64),
-                                      ndtri(probabilities).view(np.int64))
+            [0.5, 0.68, 0.8, 0.9, 0.95, 0.99, 0.999, 1e-300, 1 - 2**-52, 1 - 2**-53]])
+        reference = ndtri(0.5 + levels / 2.0)
+        got = np.array([_band_multiplier(float(level)) for level in levels])
+        assert np.isinf(reference[-1])  # 0.5 + level / 2 rounds to 1
+        np.testing.assert_array_equal(np.isinf(got), np.isinf(reference))
+        np.testing.assert_array_equal(got[np.isinf(got)], reference[np.isinf(reference)])
+        zero = reference == 0.0  # level 1e-300
+        assert zero.sum() == 1 and np.all(np.abs(got[zero]) < 1e-15)
+        finite = np.isfinite(reference) & ~zero
+        np.testing.assert_allclose(got[finite], reference[finite], rtol=1e-14, atol=0)
 
 
 class TestPeriodShocks:

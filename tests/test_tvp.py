@@ -367,6 +367,32 @@ class TestSampleTheta0Omega:
             estimate = abs(post_mean[j]) if j >= 2 else post_mean[j]
             assert abs(estimate - truth[j]) < 3 * max(post_sd[j], 1e-3)
 
+    @pytest.mark.parametrize("factor", [1e-6, 1e-4, 1e4, 1e6])
+    def test_singular_test_is_unit_free(self, rng, monkeypatch, factor):
+        # y in other units scales design columns 1 and 3 (y_{t-1} and
+        # y_{t-1} tilde_2t) by the factor: X'X stays regular, so nothing
+        # takes the pseudo-inverse, and those columns' diag((X'X)^-1) scales
+        # by 1 / factor^2
+        import tvpgvar.tvp as tvp_module
+
+        designs = np.stack([step3(1.0 + 0.5 * rng.standard_normal(120),
+                                  rng.standard_normal((119, 2)))[1] for _ in range(3)])
+        xtx = designs.transpose(0, 2, 1) @ designs
+        base, failed = tvp_module._inverse_diagonal(xtx)
+        assert failed == {}
+        calls = []
+        pinv = np.linalg.pinv
+
+        def counting(a, *args, **kwargs):
+            calls.append(a)
+            return pinv(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "pinv", counting)
+        scale = np.array([1.0, factor, 1.0, factor])
+        diag, failed = tvp_module._inverse_diagonal(xtx * scale[:, None] * scale)
+        assert failed == {} and calls == []
+        np.testing.assert_allclose(diag, base / scale ** 2, rtol=1e-8, atol=0)
+
 
 class TestSampleSigma:
     @staticmethod
