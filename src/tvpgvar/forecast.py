@@ -8,7 +8,9 @@ in-process forecasters share one call shape: ``(series, config)`` maps a
 (T, d) array of parameter series to (horizon, d) predictions and
 {series: reason} for the series that failed alone. Stage two
 feeds the predicted coefficients back through the scalar recursion
-``x_{t+1} = b_{t+1} + f_{t+1} x_t`` and scores against held-out actuals.
+``x_{t+1} = b_{t+1} + f_{t+1} x_t`` and scores against held-out actuals; a
+method's pooled score averages each series' MSE over the variance of its
+column in the training window, so no series weighs by its units.
 
 The lasso has one solver, ``_lasso_path``. It takes a batch of standardized
 problems in Gram form (``G = Xs'Xs/n``, ``c = Xs'yc/n``) and follows each
@@ -38,7 +40,7 @@ from .errors import NumericalError, ValidationError
 from .ingest import TimeSeriesPanel, month_index, month_label
 from .ols import least_squares
 from .serialize import parse_float, read_table, write_csv
-from .tvp import PanelTVPResult
+from .tvp import PanelTVPResult, column_scales
 
 
 # ---------------------------------------------------------------------------
@@ -368,6 +370,7 @@ class ForecastResult:
     param_paths: np.ndarray      # (h, width, 2)
     variable_paths: np.ndarray   # (h, width)
     mse_per_series: dict[str, float] | None
+    scales: dict[str, float]     # each column's ``column_scales`` over the training window
     errors: dict[str, str] = field(default_factory=dict)
 
 
@@ -449,8 +452,8 @@ def two_stage_forecast(panel: TimeSeriesPanel, tvp_result: PanelTVPResult,
     return ForecastResult(
         columns=tuple(names),
         future_dates=_future_dates(panel, h),
-        param_paths=param, variable_paths=variables,
-        mse_per_series=mse_per_series, errors=errors)
+        param_paths=param, variable_paths=variables, mse_per_series=mse_per_series,
+        scales=dict(zip(names, column_scales(panel.values.T).tolist())), errors=errors)
 
 
 def mse(actual: np.ndarray, predicted: np.ndarray) -> float:
@@ -469,14 +472,16 @@ def mse(actual: np.ndarray, predicted: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 def pooled_mse(results: Mapping[str, ForecastResult]) -> dict[str, float]:
-    """Each scoring method's mean MSE over the series that every scoring
-    method scored, so that the methods compare on the same series.
+    """Each scoring method's mean of MSE / scale^2 (``ForecastResult.scales``)
+    over the series that every scoring method scored, so that the methods
+    compare on the same series.
 
     A method that scored no series is left out. The result is empty when no
     method scored or the scoring methods share no series.
     """
-    scoring = {method: result.mse_per_series for method, result in results.items()
-               if result.mse_per_series}
+    scoring = {method: {name: value / result.scales[name] ** 2
+                        for name, value in result.mse_per_series.items()}
+               for method, result in results.items() if result.mse_per_series}
     shared = set.intersection(*map(set, scoring.values())) if scoring else set()
     if not shared:
         return {}

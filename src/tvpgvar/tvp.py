@@ -18,8 +18,11 @@ The priors are fixed: theta_tilde_0 ~ N(0, P0_SCALE * I) with P0_SCALE = 1e-15;
 of the current step-3 regression, recomputed each iteration (the diagonal is
 read from the inverse Cholesky factor of X'X, or from its pseudo-inverse when
 X'X is numerically singular, a test that no choice of units moves); and the
-observation precision ~ Gamma(C0_SHAPE, C0_RATE) = Gamma(0.01, 0.01). The only
-settings are the iteration count and the seed (``TVPConfig``).
+observation precision ~ Gamma(C0_SHAPE, C0_RATE) = Gamma(0.01, 0.01), all in
+the column's sd units: each column runs divided by its ``column_scales``
+entry and its draws are mapped back, so a change of units scales the results
+but a shift of location still moves them. The only settings are the
+iteration count and the seed (``TVPConfig``).
 
 The path draw uses the banded posterior precision of the whole path (Chan &
 Jeliazkov 2009): the random-walk prior plus one scalar observation per period
@@ -96,8 +99,8 @@ class TVPTrajectory:
 
     def __post_init__(self):
         # written so that NaN fails: every comparison with NaN is False
-        if not self.sigma2 > 0:
-            raise ValidationError("sigma2 must be positive")
+        if not 0 < self.sigma2 < np.inf:
+            raise ValidationError("sigma2 must be positive and finite")
         arrays = (self.theta0, self.sqrt_omega, self.theta)
         if not all(np.isfinite(array).all() for array in arrays):
             raise ValidationError("theta0, sqrt_omega or theta is not finite")
@@ -433,15 +436,28 @@ def _drop(failed: dict[int, str], it: int, errors: dict[int, str],
     return tuple(stack[keep] for stack in (ids, *stacks))
 
 
+def column_scales(y: np.ndarray) -> np.ndarray:
+    """Each row's sd over ``y`` (columns, T), or 1 where its values are all
+    equal (rounding gives a constant 4.2 an sd of 8.9e-16) or the sd is not
+    positive and finite (it overflows from |values| of 1e153 at T = 250)."""
+    y = np.ascontiguousarray(y)  # the sums of strided rows round differently
+    with np.errstate(over="ignore", invalid="ignore"):
+        sd = np.std(y, axis=1)
+    return np.where(np.any(y != y[:, :1], axis=1) & (sd > 0) & (sd < np.inf), sd, 1.0)
+
+
 def _sample_stack(y: np.ndarray, iters: int, seeds: Sequence,
                   ) -> tuple[list[TVPTrajectory | None], dict[int, str]]:
     """Iterate path / coefficient / variance draws on the rows of ``y``
-    (columns, T) together, row c drawing from ``default_rng(seeds[c])``, and
-    keep the final draws. A row that fails leaves the stack, and its
-    trajectory is None with the reason in the returned {row: reason}."""
+    (columns, T) together, each divided by its ``column_scales`` entry, row c
+    drawing from ``default_rng(seeds[c])``, and keep the final draws in the
+    rows' own units. A row that fails leaves the stack, and its trajectory is
+    None with the reason in the returned {row: reason}."""
     # contiguous rows: a strided stack would take numpy's strided loops, whose
     # sums round differently, and a column's draws would depend on the layout
     y = np.ascontiguousarray(y)
+    scales = column_scales(y)
+    y = y / scales[:, None]
     width, n = y.shape[0], y.shape[1] - 1
     ids = np.arange(width)
     rngs = np.array([np.random.default_rng(seed) for seed in seeds], dtype=object)
@@ -475,9 +491,12 @@ def _sample_stack(y: np.ndarray, iters: int, seeds: Sequence,
                 ids, y, theta_star, sigma2, tilde, rngs)
             if not ids.size:
                 break
+        # back to each column's own units; entries 0 and 2 are the intercept's
+        theta_star[:, ::2] *= scales[ids, None]
+        sigma2 *= scales[ids] ** 2
+        theta = theta_star[:, None, :2] + theta_star[:, None, 2:] * tilde
 
     trajectories: list[TVPTrajectory | None] = [None] * width
-    theta = theta_star[:, None, :2] + theta_star[:, None, 2:] * tilde
     for pos, row in enumerate(ids):
         try:
             trajectories[row] = TVPTrajectory(

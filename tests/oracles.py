@@ -35,6 +35,10 @@ the coefficient draw and a scalar variance draw. It is what the package ran
 before the iteration was batched over the panel's columns, and it draws from
 the column's generator in the same order: path normals, 4 normals, a gamma.
 
+``pooled_scores`` is each forecasting method's ``ALL`` row recomputed from
+``panel.csv`` and ``forecast_variables.csv`` alone, with the standard
+library's CSV reader and ``np.std``.
+
 ``expand_to_monthly_np`` puts one raw series on a range of months with numpy,
 as ``ingest`` did before it moved to the standard library: ``np.interp``
 between quarterly anchors, or the anchor at
@@ -42,6 +46,8 @@ between quarterly anchors, or the anchor at
 """
 
 from __future__ import annotations
+
+import csv
 
 import numpy as np
 from scipy.linalg import lapack
@@ -298,6 +304,26 @@ def fit_equation_loop(y, iters, seed):
         sigma2 = 1.0 / rng.gamma(shape=C0_SHAPE + target.size / 2.0, scale=1.0 / rate)
     return TVPTrajectory(theta0=theta0, sqrt_omega=sqrt_omega,
                          theta=theta0[None, :] + sqrt_omega[None, :] * tilde, sigma2=sigma2)
+
+
+def pooled_scores(panel_csv, variables_csv, horizon):
+    """Each method's ``ALL`` score: the mean, over the series that every
+    method forecast, of each series' MSE in its own units divided by the
+    variance of its column over the training window, the panel minus its
+    last ``horizon`` months."""
+    with open(panel_csv, newline="") as handle:
+        header, *rows = csv.reader(handle)
+    train = np.array([[float(cell) for cell in row[1:]] for row in rows[:-horizon]])
+    variance = {name: np.std(train[:, j]) ** 2 for j, name in enumerate(header[1:])}
+    squares = {}
+    with open(variables_csv, newline="") as handle:
+        for row in csv.DictReader(handle):
+            error = float(row["actual"]) - float(row["predicted"])
+            squares.setdefault(row["method"], {}).setdefault(row["column"], []).append(error ** 2)
+    shared = set.intersection(*(set(per_series) for per_series in squares.values()))
+    return {method: float(np.mean([np.mean(per_series[name]) / variance[name]
+                                   for name in sorted(shared)]))
+            for method, per_series in squares.items()}
 
 
 def expand_to_monthly_np(series, months, method):

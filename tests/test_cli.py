@@ -1,4 +1,6 @@
+import csv
 import errno
+import itertools
 import os
 import re
 import shutil
@@ -22,6 +24,8 @@ from tvpgvar.ingest import month_label
 from tvpgvar.sample import (IRF_DATES, QUARTERLY_VARIABLE, write_sample_config,
                             write_sample_csv)
 from tvpgvar.serialize import read_json, write_json
+
+from oracles import pooled_scores
 
 
 def write_mini_dataset(path, t_len=72, seed=99):
@@ -597,7 +601,8 @@ class TestForecast:
     def test_all_rows_pool_the_series_every_method_scored(self, tmp_path, capsys,
                                                           monkeypatch):
         # lasso loses AAA.GDP: constant and var1 keep its per-series rows, but
-        # every ALL row averages the four series all three methods scored
+        # every ALL row averages the four series all three methods scored,
+        # each MSE over the variance of its column in the training window
         config_path = mini_config(tmp_path)
         assert main(["ingest", "--config", str(config_path)]) == 0
         stall_lasso_on_aaa_gdp(monkeypatch)
@@ -606,23 +611,35 @@ class TestForecast:
         shared = ["AAA.CPI", "BBB.CPI", "BBB.GDP", "OIL"]
         assert "AAA.GDP" in table["constant"] and "AAA.GDP" in table["var1"]
         assert set(table["lasso"]) == {*shared, "ALL"}
+        panel = read_panel_csv(tmp_path / "out" / "panel.csv")
+        train = panel.values[:-4]  # the mini config holds out 4 months
+        sd = {name: np.std(train[:, i]) for i, name in enumerate(panel.column_names())}
         for method, per_series in table.items():
-            assert per_series["ALL"] == np.mean([per_series[name] for name in shared]), method
+            assert per_series["ALL"] == np.mean(
+                [per_series[name] / sd[name] ** 2 for name in shared]), method
         forecast_choice = capsys.readouterr().out.splitlines()[-1]
         assert forecast_choice.startswith("selected model: ")
         assert main(["report", "--config", str(config_path)]) == 0
         assert forecast_choice in capsys.readouterr().out.splitlines()
 
-    def test_failed_training_column_exits_2(self, tmp_path, capsys):
-        # OIL scaled by 1e152: its sampler overflows, while the other columns
-        # fit; the stage writes the training trajectories and scores nothing
+    def test_failed_training_column_exits_2(self, tmp_path, capsys, monkeypatch):
+        # OIL's path draw fails, while the other columns fit; the stage
+        # writes the training trajectories and scores nothing
+        import tvpgvar.tvp as tvp_module
+
         config_path = write_sample_config(tmp_path, iters=20)
-        data = tmp_path / "sample_panel.csv"
-        lines = data.read_text().splitlines()
-        data.write_text("".join(
-            f"{line.rsplit(',', 1)[0]},{float(line.rsplit(',', 1)[1]) * 1e152!r}\n"
-            if ",__COMMON__,OIL," in line else f"{line}\n" for line in lines))
         assert main(["ingest", "--config", str(config_path)]) == 0
+        oil = read_panel_csv(tmp_path / "out" / "panel.csv").column_names().index("OIL")
+        draw = tvp_module.sample_theta_tilde_banded
+        calls = itertools.count()
+
+        def failing(y, theta0, sqrt_omega, sigma2, normals):
+            tilde, failed = draw(y, theta0, sqrt_omega, sigma2, normals)
+            if next(calls) == 0:  # the first iteration, on the whole panel
+                failed[oil] = "state precision not positive definite (dpbtrf info 5)"
+            return tilde, failed
+
+        monkeypatch.setattr(tvp_module, "sample_theta_tilde_banded", failing)
         capsys.readouterr()
         assert main(["forecast", "--config", str(config_path)]) == 2
         assert capsys.readouterr().err == (
@@ -760,6 +777,109 @@ def test_sample_chain_with_gdp_in_other_units(tmp_path):
         assert main([command, "--config", str(config_path)]) == 0
     stacking = read_json(tmp_path / "out" / "stacking.json")["periods"]
     assert [(p["label"], p["status"]) for p in stacking] == [(d, "ok") for d in IRF_DATES]
+
+
+def run_sample_chain(run_dir, stages, variable=None, factor=1.0):
+    """The sample chain at 5 iterations with ``variable`` times ``factor`` in
+    the data CSV; returns the output directory."""
+    data_path = write_sample_csv(Path(run_dir) / "sample_panel.csv")
+    header, *rows = data_path.read_text().splitlines()
+    lines = [header]
+    for row in rows:
+        date, region, name, value = row.split(",")
+        if name == variable:
+            value = repr(float(value) * factor)
+        lines.append(",".join([date, region, name, value]))
+    data_path.write_text("\n".join(lines) + "\n")
+    config_path = write_sample_config(run_dir, data_path=data_path, iters=5)
+    for command in stages:
+        assert main([command, "--config", str(config_path)]) == 0
+    return Path(run_dir) / "out"
+
+
+@pytest.fixture(scope="module")
+def sample_chain(tmp_path_factory):
+    return run_sample_chain(tmp_path_factory.mktemp("units"), ("ingest", "irf", "forecast"))
+
+
+def csv_groups(path, keys, fields):
+    """An artifact CSV as {key cells: (rows, fields) float array}."""
+    groups = {}
+    with open(path, newline="") as handle:
+        for row in csv.DictReader(handle):
+            groups.setdefault(tuple(row[k] for k in keys), []).append(
+                [float(row[f]) for f in fields])
+    return {key: np.array(values) for key, values in groups.items()}
+
+
+def assert_scaled(ours, base, factor):
+    """``ours`` equals ``base`` times ``factor`` (broadcast over its fields),
+    within 1e-8 of each field's largest value: the paths cross zero."""
+    want = base * factor
+    top = np.abs(want).max(axis=0)
+    top = np.where(top > 0, top, 1.0)
+    np.testing.assert_allclose(ours / top, want / top, rtol=0, atol=1e-8)
+
+
+@pytest.mark.parametrize("variable, factor", [
+    *((variable, factor) for variable in ("OIL", QUARTERLY_VARIABLE, "HUR", "CPI")
+      for factor in (1e-2, 1e2, 1e12)),
+    ("OIL", 1e152),
+])
+def test_a_change_of_units_changes_no_result(sample_chain, tmp_path, variable, factor):
+    # the sampler runs in each column's sd units and the ALL rows average
+    # MSE / sd^2, so one variable in other units selects the same model with
+    # the same ALL rows, and every response, band, path and forecast of that
+    # variable's columns comes out times the factor (sigma2 times its
+    # square). OIL x 1e152 runs
+    # ingest and forecast, whose sampler used to overflow on it
+    stages = ("ingest", "forecast") if factor > 1e100 else ("ingest", "irf", "forecast")
+    out = run_sample_chain(tmp_path, stages, variable, factor)
+
+    def scale(name, power=1):
+        return factor ** power if name.rsplit(".", 1)[-1] == variable else 1.0
+
+    report, base_report = (csv_groups(d / "mse_report.csv", ["method", "series"], ["mse"])
+                           for d in (out, sample_chain))
+    assert report.keys() == base_report.keys()
+    for (method, series), value in base_report.items():
+        np.testing.assert_allclose(report[method, series], value * scale(series, 2),
+                                   rtol=1e-8, atol=0)
+    table = read_mse_report(out / "mse_report.csv")
+    base_table = read_mse_report(sample_chain / "mse_report.csv")
+    assert min(table, key=lambda m: table[m]["ALL"]) == min(
+        base_table, key=lambda m: base_table[m]["ALL"])
+    for name, keys, fields, per_field in (
+            ("trajectories_train.csv", ["column"], ["b", "f1"], (1, 0)),
+            ("forecast_params.csv", ["method", "column"], ["b", "f1"], (1, 0)),
+            ("forecast_variables.csv", ["method", "column"], ["actual", "predicted"], (1, 1))):
+        ours, base = (csv_groups(d / name, keys, fields) for d in (out, sample_chain))
+        assert ours.keys() == base.keys()
+        for key, values in base.items():
+            assert_scaled(ours[key], values, [scale(key[-1], power) for power in per_field])
+    meta, base_meta = (read_json(d / "trajectories_train_meta.json")["columns"]
+                       for d in (out, sample_chain))
+    for column, draw in base_meta.items():
+        assert meta[column]["sigma2"] == pytest.approx(draw["sigma2"] * scale(column, 2),
+                                                       rel=1e-8, abs=0)
+    irf_files = sorted(p.name for p in out.glob("irf_*.json"))
+    assert irf_files == (sorted(p.name for p in sample_chain.glob("irf_*.json"))
+                         if "irf" in stages else [])
+    for name in irf_files:
+        (ours, columns), (base, _) = (read_irf_json(d / name) for d in (out, sample_chain))
+        factors = [scale(column) for column in columns]
+        assert_scaled(ours.point, base.point, factors)
+        assert_scaled(ours.half_width, base.half_width, factors)
+
+
+def test_all_rows_match_an_independent_oracle(sample_chain):
+    # each ALL row from panel.csv and forecast_variables.csv alone
+    table = read_mse_report(sample_chain / "mse_report.csv")
+    scores = pooled_scores(sample_chain / "panel.csv",
+                           sample_chain / "forecast_variables.csv", horizon=6)
+    assert scores.keys() == table.keys()
+    for method, score in scores.items():
+        assert table[method]["ALL"] == pytest.approx(score, rel=1e-12, abs=0), method
 
 
 def test_csv_weights_listing_equal_weights_match_equal_provider(tmp_path):

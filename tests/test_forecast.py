@@ -654,7 +654,8 @@ class TestTwoStageForecast:
     def test_rank_deficient_var1_fails_every_usable_column(self, rng):
         # two constant parameter paths leave the VAR(1) design rank-deficient:
         # the method fails as a whole, each usable column with that reason and
-        # no score, and pooled_mse leaves the method out
+        # no score, and pooled_mse leaves the method out. The ALL score is the
+        # mean of each series' MSE over its training-window variance
         t_len, h = 40, 3
         values = rng.standard_normal((t_len, 3))
         panel = make_panel(values[:-h], ["A", "B", "C"], ["v1"])
@@ -673,8 +674,9 @@ class TestTwoStageForecast:
         assert results["var1"].mse_per_series == {}
         assert np.all(np.isnan(results["var1"].variable_paths))
         assert set(results["constant"].mse_per_series) == {"A.v1", "B.v1"}
-        assert pooled_mse(results) == {"constant": pytest.approx(
-            np.mean(list(results["constant"].mse_per_series.values())))}
+        scores = results["constant"].mse_per_series
+        assert pooled_mse(results) == {"constant": pytest.approx(np.mean(
+            [scores[name] / np.std(values[:-h, i]) ** 2 for i, name in enumerate(scores)]))}
 
     def test_lasso_column_failures_stay_per_column(self, rng):
         t_len, h = 90, 3

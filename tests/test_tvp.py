@@ -27,6 +27,7 @@ from tvpgvar.tvp import (
     TVPTrajectory,
     _flapack,
     _precision_shape,
+    column_scales,
     kalman_forward,
     read_trajectories,
     sample_theta_tilde_smoothed,
@@ -466,10 +467,43 @@ class TestRunAlgorithm1:
         np.testing.assert_array_equal(a.sqrt_omega, b.sqrt_omega)
         assert a.sigma2 == b.sigma2
 
+    @pytest.mark.parametrize("factor", [1e-6, 1e-2, 1e2, 1e6])
+    def test_equivariant_in_the_units(self, factor):
+        # the sampler runs in the column's sd units: f * y gives f times the
+        # intercept path, theta0[0] and sqrt_omega[0], the same slopes and
+        # f^2 times sigma2
+        y = 0.4 + np.cumsum(0.1 * np.random.default_rng(8).standard_normal(80))
+        base, scaled = fit_equation(y, 20, 4), fit_equation(factor * y, 20, 4)
+        for ours, want in ((scaled.theta, base.theta * [factor, 1.0]),
+                           (scaled.theta0, base.theta0 * [factor, 1.0]),
+                           (scaled.sqrt_omega, base.sqrt_omega * [factor, 1.0])):
+            # each path (intercept, slope) to its own largest magnitude: the
+            # paths cross zero, where an elementwise ratio measures nothing
+            top = np.abs(want).reshape(-1, 2).max(axis=0)
+            np.testing.assert_allclose(ours / top, want / top, rtol=0, atol=1e-10)
+        assert scaled.sigma2 == pytest.approx(factor ** 2 * base.sigma2, rel=1e-10, abs=0)
+
+    def test_column_scale_is_the_sd_or_one(self):
+        # the sd of each row; 1 for a constant (whose computed sd rounding
+        # makes 8.9e-16), for an sd that overflows and for one that underflows
+        rows = np.random.default_rng(2).standard_normal((5, 250))
+        rows[1] = 4.2
+        rows[2] *= 1e160
+        rows[3] *= 1e-170
+        rows[4] *= 1e-3
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scales = column_scales(rows)
+        assert np.std(rows[1]) > 0 and np.std(rows[3]) == 0
+        np.testing.assert_array_equal(scales, [np.std(rows[0]), 1.0, 1.0, 1.0,
+                                               np.std(rows[4])])
+        np.testing.assert_array_equal(column_scales(np.asfortranarray(rows)), scales)
+
     @pytest.mark.parametrize("sigma2, theta0, theta", [
         (np.nan, [0.0, 0.0], [[0.0, 0.0]]),
         (0.5, [np.nan, 0.0], [[5.0, 0.0]]),
         (0.5, [0.0, 0.0], [[np.nan, 0.0]]),
+        (np.inf, [0.0, 0.0], [[0.0, 0.0]]),
     ])
     def test_nan_trajectory_rejected(self, sigma2, theta0, theta):
         # every comparison with NaN is False, so a check must be written to fail on it
@@ -656,7 +690,9 @@ class TestEstimateAll:
 
     def test_matches_per_column_reference_on_sample(self, tmp_path, capsys):
         # the batched iteration against the one-column-at-a-time loop it
-        # replaced, on the bundled sample at the benchmark's iteration count
+        # replaced, on the bundled sample at the benchmark's iteration count.
+        # The loop runs on the column in its sd units, and its draws are
+        # mapped back here: intercept path times the sd, sigma2 times its square
         config_path = write_sample_config(tmp_path, iters=50)
         assert main(["ingest", "--config", str(config_path), "--out", str(tmp_path / "out")]) == 0
         panel = read_panel_csv(tmp_path / "out" / "panel.csv")
@@ -664,13 +700,17 @@ class TestEstimateAll:
         result = estimate_all(panel, config)
         assert result.ok
         for i, trajectory in enumerate(result.trajectories):
-            reference = fit_equation_loop(panel.values[:, i], config.iters, (config.seed, i))
+            sd = np.std(panel.values[:, i])
+            reference = fit_equation_loop(panel.values[:, i] / sd, config.iters,
+                                          (config.seed, i))
+            theta = reference.theta * [sd, 1.0]
             # relative to each coefficient path's scale: the paths cross zero,
             # where an elementwise ratio measures nothing but the crossing
-            scale = np.abs(reference.theta).max(axis=0)
-            np.testing.assert_allclose(trajectory.theta, reference.theta, rtol=0,
+            scale = np.abs(theta).max(axis=0)
+            np.testing.assert_allclose(trajectory.theta, theta, rtol=0,
                                        atol=1e-9 * scale.min())
-            assert trajectory.sigma2 == pytest.approx(reference.sigma2, rel=1e-9, abs=0)
+            assert trajectory.sigma2 == pytest.approx(reference.sigma2 * sd ** 2, rel=1e-9,
+                                                      abs=0)
 
 
 def test_trajectory_csv_round_trip(tmp_path, rng):
