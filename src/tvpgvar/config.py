@@ -5,7 +5,7 @@ fails fast; relative paths resolve against the config file's directory.
 
 This is the package's leaf module. It owns the vocabulary the stages share
 (the alignment, transform and forecaster names, ``ForecasterConfig``,
-``TVPConfig``), the ``Record`` base of the numpy-free stages' records, and
+``TVPConfig``), ``Record``, the base of every record the stages build, and
 the method scores' reader and tie-break. It imports neither numpy, nor a
 stage module, nor ``inspect``, so ``report`` starts without them.
 """
@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Any, Mapping
 
 from .errors import ValidationError
-from .serialize import parse_float, parse_strings, read_json, read_table
+from .serialize import is_csv_cell, parse_float, parse_strings, read_json, read_table
 
 ALIGN_METHODS = ("linear-interpolate", "repeat-last")
 TRANSFORMS = ("none", "log")
@@ -76,13 +76,14 @@ def _path(base: Path, obj: Mapping[str, Any], section: str, key: str,
 
 
 class Record:
-    """Base of the records that the numpy-free stages build.
+    """Base of every record the stages build.
 
     Their methods are written out, not generated when the module loads:
     generating them would load ``inspect`` and compile code in every stage
     process, a large share of the start-up of ``ingest`` and ``report``.
     A subclass's own ``__init__`` checks its arguments and stores them with
-    ``_set``; its parameters are the fields. The base compares and prints
+    ``_set``; its parameters, keyword-only ones included, are the fields, in
+    the order of the signature. The base compares and prints
     records field by field (leaving ``_hidden`` fields out of ``repr``) and
     makes checked copies with ``replace``. A subclass declared
     ``frozen=True`` refuses assignment and hashes by its fields.
@@ -93,7 +94,7 @@ class Record:
 
     def __init_subclass__(cls, frozen: bool = False):
         code = cls.__init__.__code__
-        cls._fields = code.co_varnames[1:code.co_argcount]
+        cls._fields = code.co_varnames[1:code.co_argcount + code.co_kwonlyargcount]
         if frozen:
             cls.__setattr__ = cls.__delattr__ = Record._refuse
             cls.__hash__ = Record._hash
@@ -283,6 +284,11 @@ def load_config(path: str | Path) -> RunConfig:
     if not isinstance(external_obj, dict) or not all(
             isinstance(p, str) for p in external_obj.values()):
         raise ValidationError("forecast.external must be an object of method name -> file path")
+    # a name is a cell of mse_report.csv: it fails here, not after the sampler
+    unwritable = [name for name in external_obj if not is_csv_cell(name)]
+    if unwritable:
+        raise ValidationError("forecast.external method names may not contain commas or "
+                              f"line breaks: {unwritable}")
     reused = sorted(set(external_obj) & set(METHOD_ORDER))
     if reused:
         raise ValidationError(f"forecast.external may not reuse a built-in method name: {reused}")

@@ -29,13 +29,12 @@ validation residuals, not a (grid, series, rows) cube per fold.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .config import ForecasterConfig, read_mse_report  # noqa: F401 (read_mse_report re-exported)
+from .config import ForecasterConfig, Record, read_mse_report  # noqa: F401 (re-exported)
 from .errors import NumericalError, ValidationError
 from .ingest import TimeSeriesPanel, month_index, month_label
 from .ols import least_squares
@@ -54,12 +53,12 @@ _SIDES = np.array([1.0, -1.0])
 _NEW_SIGN = np.array([1.0, -1.0, 0.0])  # by event kind: join +, join -, cross
 
 
-@dataclass(frozen=True)
-class LassoFit:
-    """Lasso solution on internally standardized features."""
+class LassoFit(Record, frozen=True):
+    """Lasso solution on internally standardized features, its ``coef`` on
+    the original scale."""
 
-    coef: np.ndarray       # original-scale coefficients
-    intercept: float
+    def __init__(self, coef: np.ndarray, intercept: float):
+        self._set(coef=coef, intercept=intercept)
 
 
 class _Gram(NamedTuple):
@@ -361,17 +360,18 @@ _FORECASTERS = {"constant": forecast_constant, "var1": forecast_var1, "lasso": f
 # two-stage forecast
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ForecastResult:
-    """Predicted parameter and variable paths plus optional per-series MSE."""
+class ForecastResult(Record):
+    """Predicted parameter paths (h, width, 2) and variable paths (h, width),
+    optional per-series MSE, each column's ``column_scales`` over the training
+    window, and the failed columns' reasons by name."""
 
-    columns: tuple[str, ...]
-    future_dates: tuple[str, ...]
-    param_paths: np.ndarray      # (h, width, 2)
-    variable_paths: np.ndarray   # (h, width)
-    mse_per_series: dict[str, float] | None
-    scales: dict[str, float]     # each column's ``column_scales`` over the training window
-    errors: dict[str, str] = field(default_factory=dict)
+    def __init__(self, columns: tuple[str, ...], future_dates: tuple[str, ...],
+                 param_paths: np.ndarray, variable_paths: np.ndarray,
+                 mse_per_series: dict[str, float] | None, scales: dict[str, float],
+                 errors: dict[str, str] | None = None):
+        self._set(columns=columns, future_dates=future_dates, param_paths=param_paths,
+                  variable_paths=variable_paths, mse_per_series=mse_per_series, scales=scales,
+                  errors={} if errors is None else errors)
 
 
 def _future_dates(panel: TimeSeriesPanel, horizon: int) -> tuple[str, ...]:

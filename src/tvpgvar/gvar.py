@@ -14,12 +14,12 @@ drives impulse responses and the moving-average recursion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
+from .config import Record
 from .errors import NumericalError, ValidationError
 from .ingest import COMMON_REGION, TimeSeriesPanel
 from .ols import least_squares
@@ -30,28 +30,24 @@ WEIGHT_TOL = 1e-12
 COND_CAP = 1e12  # stack_system rejects a larger StackedSystem.g0_condition
 
 
-@dataclass(frozen=True)
-class WeightSequence:
+class WeightSequence(Record, frozen=True):
     """Per-period weight matrices linking countries to each other and to activities.
 
-    ``we[t]`` is K x K with zero diagonal and unit column sums (column k holds
-    the weights other countries get in country k's foreign aggregate);
-    ``wb[t]`` is K x l with unit column sums (column m holds the country
-    weights in activity m's aggregate). The degenerate one-country case keeps
-    an all-zero 1 x 1 ``we`` since no foreign aggregate exists.
+    ``we`` is (T, K, K) and ``we[t]`` is K x K with zero diagonal and unit
+    column sums (column k holds the weights other countries get in country
+    k's foreign aggregate); ``wb`` is (T, K, l) and ``wb[t]`` is K x l with
+    unit column sums (column m holds the country weights in activity m's
+    aggregate). The degenerate one-country case keeps an all-zero 1 x 1
+    ``we`` since no foreign aggregate exists.
     """
 
-    we: np.ndarray  # (T, K, K)
-    wb: np.ndarray  # (T, K, l)
-
-    def __post_init__(self):
-        we, wb = np.asarray(self.we, float), np.asarray(self.wb, float)
+    def __init__(self, we: np.ndarray, wb: np.ndarray):
+        we, wb = np.asarray(we, float), np.asarray(wb, float)
         if we.ndim != 3 or we.shape[1] != we.shape[2]:
             raise ValidationError(f"we must be (T, K, K), got {we.shape}")
         if wb.ndim != 3 or wb.shape[0] != we.shape[0] or wb.shape[1] != we.shape[1]:
             raise ValidationError(f"wb must be (T, K, l) matching we, got {wb.shape}")
-        object.__setattr__(self, "we", we)
-        object.__setattr__(self, "wb", wb)
+        self._set(we=we, wb=wb)
         self.validate()
 
     @property
@@ -174,57 +170,52 @@ class WeightSequence:
             raise ValidationError(f"{path}: {exc}") from None
 
 
-@dataclass(frozen=True)
-class CountryCoefficients:
-    """Structural blocks of one country equation."""
+class CountryCoefficients(Record, frozen=True):
+    """Structural blocks of one country equation: the intercept ``a_k`` (p,),
+    the own-lag block ``phi1`` (p, p), the contemporaneous and lagged foreign
+    aggregate blocks ``gamma_e0``, ``gamma_e1`` (p, p) and the contemporaneous
+    and lagged activity blocks ``gamma_b0``, ``gamma_b1`` (p, l)."""
 
-    a_k: np.ndarray       # (p,) intercept
-    phi1: np.ndarray      # (p, p) own-lag block
-    gamma_e0: np.ndarray  # (p, p) contemporaneous foreign aggregate
-    gamma_e1: np.ndarray  # (p, p) lagged foreign aggregate
-    gamma_b0: np.ndarray  # (p, l) contemporaneous activities
-    gamma_b1: np.ndarray  # (p, l) lagged activities
-
-
-@dataclass(frozen=True)
-class ActivityCoefficients:
-    """Structural blocks of one common-activity equation."""
-
-    a_m: float
-    phi_b: float
-    gamma_be0: np.ndarray  # (p,) contemporaneous country aggregate
-    gamma_be1: np.ndarray  # (p,) lagged country aggregate
+    def __init__(self, a_k: np.ndarray, phi1: np.ndarray, gamma_e0: np.ndarray,
+                 gamma_e1: np.ndarray, gamma_b0: np.ndarray, gamma_b1: np.ndarray):
+        self._set(a_k=a_k, phi1=phi1, gamma_e0=gamma_e0, gamma_e1=gamma_e1,
+                  gamma_b0=gamma_b0, gamma_b1=gamma_b1)
 
 
-@dataclass(frozen=True)
-class StructuralFit:
-    """Least-squares estimates of all structural blocks plus residuals."""
+class ActivityCoefficients(Record, frozen=True):
+    """Structural blocks of one common-activity equation: the intercept
+    ``a_m``, the own-lag ``phi_b`` and the contemporaneous and lagged country
+    aggregate blocks ``gamma_be0``, ``gamma_be1`` (p,)."""
 
-    countries: tuple[CountryCoefficients, ...]
-    activities: tuple[ActivityCoefficients, ...]
-    residuals: np.ndarray | None  # (T-1, K*p+l), panel column order
-    sigma_u: np.ndarray           # (K*p+l, K*p+l)
-    dims: tuple[int, int, int]
-    columns: tuple[str, ...]
-    nobs: int
+    def __init__(self, a_m: float, phi_b: float, gamma_be0: np.ndarray,
+                 gamma_be1: np.ndarray):
+        self._set(a_m=a_m, phi_b=phi_b, gamma_be0=gamma_be0, gamma_be1=gamma_be1)
 
 
-@dataclass(frozen=True)
-class StackedSystem:
+class StructuralFit(Record, frozen=True):
+    """Least-squares estimates of all structural blocks plus residuals:
+    ``residuals`` is (T-1, K*p+l) in panel column order (``None`` once read
+    back from ``coefficients.json``) and ``sigma_u`` is (K*p+l, K*p+l)."""
+
+    def __init__(self, countries: tuple[CountryCoefficients, ...],
+                 activities: tuple[ActivityCoefficients, ...], residuals: np.ndarray | None,
+                 sigma_u: np.ndarray, dims: tuple[int, int, int], columns: tuple[str, ...],
+                 nobs: int):
+        self._set(countries=countries, activities=activities, residuals=residuals,
+                  sigma_u=sigma_u, dims=dims, columns=columns, nobs=nobs)
+
+
+class StackedSystem(Record, frozen=True):
     """Stacked contemporaneous/lag system at one period and its reduced form.
 
     ``g0_condition`` is the 2-norm condition number of ``G0`` in residual-sd
     units, that of ``D^-1 G0 D`` with ``D = diag(sqrt(diag Sigma_u))``:
     rescaling a variable leaves it unchanged."""
 
-    g0: np.ndarray
-    g1: np.ndarray
-    a: np.ndarray
-    sigma_u: np.ndarray
-    sigma_eps: np.ndarray
-    b: np.ndarray
-    f1: np.ndarray
-    g0_condition: float
+    def __init__(self, g0: np.ndarray, g1: np.ndarray, a: np.ndarray, sigma_u: np.ndarray,
+                 sigma_eps: np.ndarray, b: np.ndarray, f1: np.ndarray, g0_condition: float):
+        self._set(g0=g0, g1=g1, a=a, sigma_u=sigma_u, sigma_eps=sigma_eps, b=b, f1=f1,
+                  g0_condition=g0_condition)
 
     @property
     def width(self) -> int:

@@ -15,12 +15,12 @@ library's ``erf``/``erfc``, so this module runs on numpy alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
+from .config import Record
 from .errors import NumericalError, ValidationError
 from .gvar import StackedSystem, ma_coefficients, spectral_radius
 from .ingest import TimeSeriesPanel
@@ -55,26 +55,22 @@ def cholesky_lower(sigma: np.ndarray) -> np.ndarray:
     return np.linalg.cholesky(sigma)
 
 
-@dataclass(frozen=True)
-class ShockSpec:
-    """Which columns are shocked, for how many horizons, at which period."""
+class ShockSpec(Record, frozen=True):
+    """Which columns are shocked, for how many horizons, at which period
+    (``at_time``, the period's label), with bands at ``level``."""
 
-    targets: tuple[int, ...]
-    horizon: int = 6
-    at_time: int | str = field(kw_only=True)  # the period's label
-    level: float = 0.95
-
-    def __post_init__(self):
-        targets = tuple(int(j) for j in self.targets)
-        object.__setattr__(self, "targets", targets)
+    def __init__(self, targets: Sequence[int], horizon: int = 6, level: float = 0.95, *,
+                 at_time: int | str):
+        targets = tuple(int(j) for j in targets)
         if not targets:
             raise ValidationError("shock needs at least one target column")
         if len(set(targets)) != len(targets):
             raise ValidationError("shock targets must be distinct")
-        if self.horizon < 0:
+        if horizon < 0:
             raise ValidationError("horizon must be >= 0")
-        if not 0.0 < self.level < 1.0:
+        if not 0.0 < level < 1.0:
             raise ValidationError("confidence level must be in (0, 1)")
+        self._set(targets=targets, horizon=horizon, level=level, at_time=at_time)
 
 
 def _check_targets(targets: Sequence[int], width: int) -> None:
@@ -102,20 +98,18 @@ def _accumulate(mas: np.ndarray, impact: np.ndarray, targets: Sequence[int]) -> 
 # delta-method bands
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class IRFResult:
-    """Point responses plus symmetric half-widths at the requested level, and
-    how far to trust the period's system: the spectral radius of ``F1`` and
-    the system's ``g0_condition``, that of ``G0`` in residual-sd units."""
+class IRFResult(Record, frozen=True):
+    """Point responses and symmetric half-widths at the requested level, both
+    (n+1, width), and how far to trust the period's system: the spectral
+    radius of ``F1`` and the system's ``g0_condition``, that of ``G0`` in
+    residual-sd units."""
 
-    point: np.ndarray       # (n+1, width)
-    half_width: np.ndarray  # (n+1, width)
-    radius: float
-    g0_condition: float
-    at_time: int | str
-    targets: tuple[int, ...]
-    level: float
-    sample_size: int
+    def __init__(self, point: np.ndarray, half_width: np.ndarray, radius: float,
+                 g0_condition: float, at_time: int | str, targets: tuple[int, ...],
+                 level: float, sample_size: int):
+        self._set(point=point, half_width=half_width, radius=radius,
+                  g0_condition=g0_condition, at_time=at_time, targets=targets, level=level,
+                  sample_size=sample_size)
 
     @property
     def stable(self) -> bool:

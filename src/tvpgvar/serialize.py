@@ -132,13 +132,24 @@ def parse_array(value: Any, shape: Sequence[int | None], where: str) -> np.ndarr
     return np.array(parsed, dtype=float).reshape([d or 0 for d in dims])
 
 
+def is_csv_cell(text: str) -> bool:
+    """Whether ``text`` reads back as the one CSV cell it was written as: it
+    holds no comma and no line boundary on which the reader's
+    ``str.splitlines`` splits (``\\r``, ``\\x0b``, ``\\x85`` and ``\\u2028``
+    among others, not only ``\\n``)."""
+    # every line boundary is unprintable, so printable text, nearly every
+    # cell, needs no split; the appended character makes a trailing
+    # boundary split the text too
+    return "," not in text and (text.isprintable() or len((text + "x").splitlines()) == 1)
+
+
 def write_csv(path: str | Path, header: list[str], rows: Iterable[Iterable[Any]]) -> None:
     """Write a CSV with round-trip floats and no quoting surprises, one row at a time.
 
     ``rows`` may be any iterable, a generator included. Cells may be float
     (numpy's ``float64`` is one), str or int; any other type, a bool included,
-    is rejected. A str must not contain commas or newlines (callers use
-    restricted code/date vocabularies).
+    is rejected. A str must pass :func:`is_csv_cell` (callers use restricted
+    code/date vocabularies).
     """
     def write(fh: IO[str]) -> None:
         # lines go out 256 at a time: one write call per row costs a few
@@ -152,8 +163,9 @@ def write_csv(path: str | Path, header: list[str], rows: Iterable[Iterable[Any]]
                 if isinstance(cell, float):
                     cells.append(format_float(cell))
                 elif isinstance(cell, str):
-                    if "," in cell or "\n" in cell:
-                        raise ValidationError(f"CSV cell may not contain commas/newlines: {cell!r}")
+                    if not is_csv_cell(cell):
+                        raise ValidationError(
+                            f"CSV cell may not contain commas or line breaks: {cell!r}")
                     cells.append(cell)
                 elif type(cell) is int:  # not a bool, which is an int too
                     cells.append(str(cell))

@@ -53,13 +53,12 @@ import functools
 import importlib.machinery
 import importlib.util
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .config import TVPConfig
+from .config import Record, TVPConfig
 from .errors import NumericalError, ValidationError
 from .ingest import TimeSeriesPanel
 from .serialize import parse_float, read_table, write_csv, write_json
@@ -72,40 +71,37 @@ P0_SCALE = 1e-15  # prior covariance of the first standardized state, times I
 C0_SHAPE = C0_RATE = 0.01  # Gamma prior of the observation precision
 
 
-@dataclass(frozen=True)
-class KalmanState:
-    """Filtered moments and update diagnostics, one row per step t=1..T-1."""
+class KalmanState(Record, frozen=True):
+    """Filtered moments and update diagnostics, one row per step t=1..T-1:
+    the means ``m`` (n, 2) and covariances ``p`` (n, 2, 2), the
+    ``innovations`` and ``innovation_var`` (n,) and the ``gains`` (n, 2)."""
 
-    m: np.ndarray               # (n, 2) filtered means
-    p: np.ndarray               # (n, 2, 2) filtered covariances
-    innovations: np.ndarray     # (n,)
-    innovation_var: np.ndarray  # (n,)
-    gains: np.ndarray           # (n, 2)
+    def __init__(self, m: np.ndarray, p: np.ndarray, innovations: np.ndarray,
+                 innovation_var: np.ndarray, gains: np.ndarray):
+        self._set(m=m, p=p, innovations=innovations, innovation_var=innovation_var,
+                  gains=gains)
 
 
-@dataclass(frozen=True)
-class TVPTrajectory:
+class TVPTrajectory(Record, frozen=True):
     """Final-draw coefficient paths for one panel column.
 
-    Row t of ``theta`` (intercept, slope) corresponds to observation t+1 of
-    the input series (the first observation is consumed as the initial lag).
-    Every entry is finite, and the arrays are read-only once checked.
+    ``theta0`` and ``sqrt_omega`` are (2,) and ``theta`` is (n, 2): its row t
+    (intercept, slope) corresponds to observation t+1 of the input series
+    (the first observation is consumed as the initial lag). Every entry is
+    finite, and the arrays are read-only once checked.
     """
 
-    theta0: np.ndarray       # (2,)
-    sqrt_omega: np.ndarray   # (2,)
-    theta: np.ndarray        # (n, 2)
-    sigma2: float
-
-    def __post_init__(self):
+    def __init__(self, theta0: np.ndarray, sqrt_omega: np.ndarray, theta: np.ndarray,
+                 sigma2: float):
         # written so that NaN fails: every comparison with NaN is False
-        if not 0 < self.sigma2 < np.inf:
+        if not 0 < sigma2 < np.inf:
             raise ValidationError("sigma2 must be positive and finite")
-        arrays = (self.theta0, self.sqrt_omega, self.theta)
+        arrays = (theta0, sqrt_omega, theta)
         if not all(np.isfinite(array).all() for array in arrays):
             raise ValidationError("theta0, sqrt_omega or theta is not finite")
         for array in arrays:
             array.setflags(write=False)
+        self._set(theta0=theta0, sqrt_omega=sqrt_omega, theta=theta, sigma2=sigma2)
 
 
 def kalman_forward(y: np.ndarray, theta0: np.ndarray, sqrt_omega: np.ndarray,
@@ -524,12 +520,11 @@ def fit_equation(y: np.ndarray, iters: int, seed: int | Sequence[int]) -> TVPTra
     return trajectory
 
 
-@dataclass
-class PanelTVPResult:
+class PanelTVPResult(Record):
     """Per-column trajectories; failed columns carry None plus a reason by name."""
 
-    trajectories: list[TVPTrajectory | None]
-    errors: dict[str, str]
+    def __init__(self, trajectories: list[TVPTrajectory | None], errors: dict[str, str]):
+        self._set(trajectories=trajectories, errors=errors)
 
     @property
     def ok(self) -> bool:

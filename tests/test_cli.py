@@ -552,6 +552,20 @@ class TestForecast:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out" / "trajectories_train.csv").exists()
 
+    @pytest.mark.parametrize("name", ["mine,x", "mine\nx", "mine\rx", "mine\x0bx",
+                                      "mine\x1cx", "mine\u2028x", "mine\r"], ids=ascii)
+    def test_external_name_must_be_a_csv_cell(self, tmp_path, capsys, name):
+        # the name is a cell of mse_report.csv, which report reads back
+        config_path = mini_config(tmp_path)
+        assert main(["ingest", "--config", str(config_path)]) == 0
+        obj = read_json(config_path)
+        obj["forecast"].update(methods=["constant", name], external={name: "paths.csv"})
+        write_json(obj, config_path)
+        assert main(["forecast", "--config", str(config_path)]) == 1
+        assert ("error: forecast.external method names may not contain commas or line "
+                f"breaks: {[name]}") in capsys.readouterr().err
+        assert not (tmp_path / "out" / "trajectories_train.csv").exists()
+
     def test_failed_method_reported(self, tmp_path, capsys):
         # the external path file lacks OIL: only the stage's own run can tell,
         # so the method fails for that column while the rest still score
@@ -1178,8 +1192,8 @@ def test_each_stage_loads_only_the_modules_it_runs(tmp_path):
             "forecast": {"ingest", "tvp", "ols", "forecast", "numpy"}, "report": set()}
     for stage, modules in runs.items():
         loaded = loaded_after(str(config_path), stage)
-        if "numpy" in modules:  # numpy loads inspect, and its stages' modules keep @dataclass
-            loaded -= {"dataclasses", "inspect"}
+        if "numpy" in modules:  # numpy loads inspect; no stage loads dataclasses
+            loaded -= {"inspect"}
         assert loaded == shared | modules, stage
 
 

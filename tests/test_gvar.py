@@ -328,16 +328,13 @@ class TestStackSystem:
         panel = make_panel(x, ["A", "B"], ["v1"], ["ACT"])
         fit = estimate_structural(panel, weights)
         # rebuild the stacked system from the true (zero-coupling) blocks
-        import dataclasses
-        zeroed = dataclasses.replace(
-            fit,
-            countries=tuple(dataclasses.replace(
-                c, gamma_e0=np.zeros((p, p)), gamma_e1=np.zeros((p, p)),
+        zeroed = fit.replace(
+            countries=tuple(c.replace(
+                gamma_e0=np.zeros((p, p)), gamma_e1=np.zeros((p, p)),
                 gamma_b0=np.zeros((p, l)), gamma_b1=np.zeros((p, l)))
                 for c in fit.countries),
-            activities=tuple(dataclasses.replace(
-                a, gamma_be0=np.zeros(p), gamma_be1=np.zeros(p))
-                for a in fit.activities),
+            activities=tuple(a.replace(gamma_be0=np.zeros(p), gamma_be1=np.zeros(p))
+                             for a in fit.activities),
         )
         system = stack_system(zeroed, weights, 1)
         np.testing.assert_array_equal(system.g0, np.eye(3))
@@ -365,11 +362,8 @@ class TestStackSystem:
                                 noise=noise)
         panel = make_panel(x, ["A", "B"], ["v1"])
         fit = estimate_structural(panel, weights)
-        import dataclasses
-        pinned = dataclasses.replace(
-            fit, countries=tuple(
-                dataclasses.replace(c, gamma_e0=np.array([[0.2]]))
-                for c in fit.countries))
+        pinned = fit.replace(
+            countries=tuple(c.replace(gamma_e0=np.array([[0.2]])) for c in fit.countries))
         system = stack_system(pinned, weights, 1)
         np.testing.assert_allclose(system.g0, [[1.0, -0.2], [-0.2, 1.0]])
 
@@ -446,9 +440,8 @@ class TestStackSystem:
         # unit contemporaneous loadings on the other country's variable make
         # G0 = [[1, -1], [-1, 1]], singular
         fit = true_fit(random_coefficients(rng, 2, 1, 0), (2, 1, 0))
-        import dataclasses
-        fit = dataclasses.replace(fit, countries=tuple(
-            dataclasses.replace(c, gamma_e0=np.array([[1.0]])) for c in fit.countries))
+        fit = fit.replace(countries=tuple(
+            c.replace(gamma_e0=np.array([[1.0]])) for c in fit.countries))
         with pytest.raises(NumericalError, match=r"^G0 at period 5 has condition number "
                                                  r"\S+ above cap 1\.0e\+12$"):
             stack_system(fit, WeightSequence.equal(10, 2, 0), 5)

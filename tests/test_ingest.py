@@ -9,11 +9,17 @@ import pytest
 from tvpgvar import align_frequencies, load_panel, validate_panel
 from tvpgvar.config import ALIGN_METHODS, ForecasterConfig, TVPConfig
 from tvpgvar.errors import ValidationError
+from tvpgvar.forecast import LassoFit
+from tvpgvar.gvar import (
+    ActivityCoefficients, CountryCoefficients, StackedSystem, StructuralFit, WeightSequence,
+)
 from tvpgvar.ingest import (
     COMMON_REGION, RawSeries, TimeSeriesPanel, month_index, month_label, read_panel_csv,
     write_panel_csv,
 )
+from tvpgvar.irf import IRFResult, ShockSpec
 from tvpgvar.sample import write_sample_csv
+from tvpgvar.tvp import KalmanState, TVPTrajectory
 
 from conftest import make_panel
 from oracles import expand_to_monthly_np
@@ -113,25 +119,45 @@ class TestLoadPanel:
 
 
 class TestRecords:
-    """The records of the numpy-free stages behave as frozen value types."""
+    """The records of every stage behave as value types, the frozen ones
+    refusing assignment."""
 
     @pytest.mark.parametrize("make, field", [
         (TVPConfig, "seed"),
         (ForecasterConfig, "horizon"),
         (lambda: RawSeries("USA", "CPI", ("2000-01",), (1.0,), "monthly"), "values"),
         (lambda: make_panel(np.zeros((3, 1)), ["A"], ["x"]), "rows"),
+        (lambda: WeightSequence.equal(2, 2, 1), "we"),
+        (lambda: CountryCoefficients(*[np.zeros((1, 1))] * 6), "phi1"),
+        (lambda: ActivityCoefficients(0.0, 0.5, np.zeros(1), np.zeros(1)), "phi_b"),
+        (lambda: StructuralFit((), (), None, np.eye(1), (1, 1, 0), ("A.x",), 9), "nobs"),
+        (lambda: StackedSystem(*[np.eye(1)] * 7, 1.0), "g0_condition"),
+        (lambda: KalmanState(*[np.zeros(1)] * 5), "gains"),
+        (lambda: TVPTrajectory(np.ones(2), np.ones(2), np.ones((3, 2)), 1.0), "sigma2"),
+        (lambda: ShockSpec((0,), at_time=1), "at_time"),
+        (lambda: IRFResult(*[np.zeros((1, 1))] * 2, 0.5, 1.0, 1, (0,), 0.95, 9), "radius"),
+        (lambda: LassoFit(np.zeros(1), 0.0), "intercept"),
     ])
     def test_fields_refuse_assignment(self, make, field):
         record = make()
+        value = getattr(record, field)
         with pytest.raises(AttributeError, match=f"cannot assign to field '{field}'"):
-            setattr(record, field, getattr(record, field))
-        assert record == make()
+            setattr(record, field, None)
+        assert getattr(record, field) is value
 
     def test_replace_runs_the_constructor_checks(self):
         assert ForecasterConfig().replace(cv_folds=3) == ForecasterConfig(cv_folds=3)
         assert hash(TVPConfig().replace(seed=0)) == hash(TVPConfig())
         with pytest.raises(ValidationError, match="forecast.cv_folds must be >= 2"):
             ForecasterConfig().replace(cv_folds=1)
+        weights = WeightSequence.equal(2, 2, 1)
+        with pytest.raises(ValidationError, match="^weights must be non-negative$"):
+            weights.replace(we=-weights.we)
+        # a keyword-only field is a field like the others
+        shock = ShockSpec((0, 2), at_time="2001-05")
+        moved = shock.replace(horizon=3)
+        assert moved == ShockSpec((0, 2), 3, at_time="2001-05") != shock
+        assert repr(moved) == "ShockSpec(targets=(0, 2), horizon=3, level=0.95, at_time='2001-05')"
 
     def test_panel_repr_omits_rows(self):
         panel = make_panel(np.full((3, 2), 7.25), ["A"], ["x", "y"])

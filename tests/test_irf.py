@@ -1,5 +1,4 @@
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -580,7 +579,7 @@ class TestUnits:
 class TestBandInputs:
     def bands(self, rng, moment_inv, sigma):
         """The bands of a system whose ``Sigma_eps`` is ``sigma``."""
-        system = replace(random_stable_system(rng, 3), sigma_eps=sigma)
+        system = random_stable_system(rng, 3).replace(sigma_eps=sigma)
         return asymptotic_bands(system, [ShockSpec(targets=(0,), horizon=2, at_time=1)], 100,
                                 moment_inv)
 

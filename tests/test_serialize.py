@@ -85,6 +85,19 @@ def test_csv_rejects_commas_in_cells(tmp_path):
         write_csv(tmp_path / "t.csv", ["a"], [["x,y"]])
 
 
+# every line boundary on which the reader's str.splitlines splits a line
+LINE_BREAKS = ["\r\n"] + [c for c in map(chr, range(0x10000)) if len(f"x{c}y".splitlines()) == 2]
+
+
+@pytest.mark.parametrize("cell", [f"x{b}y" for b in LINE_BREAKS] + ["x\r"], ids=ascii)
+def test_csv_rejects_a_cell_the_reader_would_split(tmp_path, cell):
+    # written, the cell would read back as two rows or a short row
+    with pytest.raises(ValidationError,
+                       match="^CSV cell may not contain commas or line breaks: "):
+        write_csv(tmp_path / "t.csv", ["a", "b"], [[cell, 1.0]])
+    assert not (tmp_path / "t.csv").exists()
+
+
 @pytest.mark.parametrize("cell, name", [(True, "bool"), (np.int64(1), "int64"), (None, "NoneType")],
                          ids=["bool", "numpy-int", "none"])
 def test_csv_rejects_other_cell_types(tmp_path, cell, name):
