@@ -9,7 +9,7 @@ start without the estimation code, and both without numpy.
 so it needs only ``ingest`` to have run.
 A command that succeeds ends with one ``<stage>: <seconds> s`` line of wall
 time on stderr; timings never enter the output directory.
-Exit codes: 0 success, 1 validation error, 2 numerical failure.
+Exit codes: 0 success, 1 validation error or out of memory, 2 numerical failure.
 A stage process flushes its output and then ends without interpreter
 teardown; ``main()`` called in-process is unaffected. So ``atexit`` handlers
 registered before the CLI's own (by ``sitecustomize``, say) do not run, but a
@@ -225,9 +225,9 @@ def cmd_report(config: RunConfig) -> None:
 
 def _apply_overrides(config: RunConfig, args: argparse.Namespace) -> RunConfig:
     if args.seed is not None:
-        config.tvp = config.tvp.replace(seed=args.seed)
+        config = config.replace(tvp=config.tvp.replace(seed=args.seed))
     if args.out is not None:
-        config.out_dir = Path(args.out).resolve()
+        config = config.replace(out_dir=Path(args.out).resolve())
     return config
 
 
@@ -276,6 +276,9 @@ def main(argv: list[str] | None = None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 1
     print(f"{args.command}: {time.perf_counter() - start:.2f} s", file=sys.stderr)
     return 0
 

@@ -5,14 +5,16 @@ fails fast; relative paths resolve against the config file's directory.
 
 This is the package's leaf module. It owns the vocabulary the stages share
 (the alignment, transform and forecaster names, ``ForecasterConfig``,
-``TVPConfig``), ``Record``, the base of every record the stages build, and
-the method scores' reader and tie-break. It imports neither numpy, nor a
-stage module, nor ``inspect``, so ``report`` starts without them.
+``TVPConfig``), ``Record``, the base of every record the stages build, each
+an immutable value compared field by field, and the method scores' reader
+and tie-break. It imports neither numpy, nor a stage module, nor
+``inspect``, so ``report`` starts without them.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from pathlib import Path
 from typing import Any, Mapping
 
@@ -76,28 +78,25 @@ def _path(base: Path, obj: Mapping[str, Any], section: str, key: str,
 
 
 class Record:
-    """Base of every record the stages build.
+    """Base of every record the stages build: an immutable value.
 
     Their methods are written out, not generated when the module loads:
     generating them would load ``inspect`` and compile code in every stage
     process, a large share of the start-up of ``ingest`` and ``report``.
     A subclass's own ``__init__`` checks its arguments and stores them with
     ``_set``; its parameters, keyword-only ones included, are the fields, in
-    the order of the signature. The base compares and prints
-    records field by field (leaving ``_hidden`` fields out of ``repr``) and
-    makes checked copies with ``replace``. A subclass declared
-    ``frozen=True`` refuses assignment and hashes by its fields.
+    the order of the signature. Every record refuses assignment, hashes by
+    its fields, compares field by field (an array field by value, with
+    ``np.array_equal``), prints its fields (leaving ``_hidden`` ones out of
+    ``repr``) and makes checked copies with ``replace``.
     """
 
     _fields: tuple[str, ...]
     _hidden: tuple[str, ...] = ()
 
-    def __init_subclass__(cls, frozen: bool = False):
+    def __init_subclass__(cls):
         code = cls.__init__.__code__
         cls._fields = code.co_varnames[1:code.co_argcount + code.co_kwonlyargcount]
-        if frozen:
-            cls.__setattr__ = cls.__delattr__ = Record._refuse
-            cls.__hash__ = Record._hash
 
     def _set(self, **fields: Any) -> None:
         self.__dict__.update(fields)
@@ -105,16 +104,21 @@ class Record:
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)
 
-    def _refuse(self, name: str, *value: Any) -> None:
+    def __setattr__(self, name: str, *value: Any) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
 
-    def _hash(self) -> int:
+    __delattr__ = __setattr__
+
+    def __hash__(self) -> int:
         return hash(self._values())
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._values() == other._values()
+        np = sys.modules.get("numpy")  # no array exists before numpy is loaded
+        array = np.ndarray if np else ()
+        return all(np.array_equal(a, b) if isinstance(a, array) or isinstance(b, array)
+                   else a == b for a, b in zip(self._values(), other._values()))
 
     def __repr__(self) -> str:
         shown = ", ".join(f"{name}={getattr(self, name)!r}"
@@ -126,7 +130,7 @@ class Record:
         return self.__class__(**{**dict(zip(self._fields, self._values())), **changes})
 
 
-class TVPConfig(Record, frozen=True):
+class TVPConfig(Record):
     """The sampler's settings: iterations per column and the base seed."""
 
     def __init__(self, iters: int = 1000, seed: int = 0):
@@ -137,7 +141,7 @@ class TVPConfig(Record, frozen=True):
         self._set(iters=iters, seed=seed)
 
 
-class ForecasterConfig(Record, frozen=True):
+class ForecasterConfig(Record):
     """Stage-one settings. The numeric fields are the ``forecast`` config keys
     of the same name; a value out of range fails with a message naming it.
     ``kind`` is one of ``FORECASTER_KINDS``."""

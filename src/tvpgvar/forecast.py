@@ -53,7 +53,7 @@ _SIDES = np.array([1.0, -1.0])
 _NEW_SIGN = np.array([1.0, -1.0, 0.0])  # by event kind: join +, join -, cross
 
 
-class LassoFit(Record, frozen=True):
+class LassoFit(Record):
     """Lasso solution on internally standardized features, its ``coef`` on
     the original scale."""
 

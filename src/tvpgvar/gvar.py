@@ -30,7 +30,7 @@ WEIGHT_TOL = 1e-12
 COND_CAP = 1e12  # stack_system rejects a larger StackedSystem.g0_condition
 
 
-class WeightSequence(Record, frozen=True):
+class WeightSequence(Record):
     """Per-period weight matrices linking countries to each other and to activities.
 
     ``we`` is (T, K, K) and ``we[t]`` is K x K with zero diagonal and unit
@@ -170,7 +170,7 @@ class WeightSequence(Record, frozen=True):
             raise ValidationError(f"{path}: {exc}") from None
 
 
-class CountryCoefficients(Record, frozen=True):
+class CountryCoefficients(Record):
     """Structural blocks of one country equation: the intercept ``a_k`` (p,),
     the own-lag block ``phi1`` (p, p), the contemporaneous and lagged foreign
     aggregate blocks ``gamma_e0``, ``gamma_e1`` (p, p) and the contemporaneous
@@ -182,7 +182,7 @@ class CountryCoefficients(Record, frozen=True):
                   gamma_b0=gamma_b0, gamma_b1=gamma_b1)
 
 
-class ActivityCoefficients(Record, frozen=True):
+class ActivityCoefficients(Record):
     """Structural blocks of one common-activity equation: the intercept
     ``a_m``, the own-lag ``phi_b`` and the contemporaneous and lagged country
     aggregate blocks ``gamma_be0``, ``gamma_be1`` (p,)."""
@@ -192,7 +192,7 @@ class ActivityCoefficients(Record, frozen=True):
         self._set(a_m=a_m, phi_b=phi_b, gamma_be0=gamma_be0, gamma_be1=gamma_be1)
 
 
-class StructuralFit(Record, frozen=True):
+class StructuralFit(Record):
     """Least-squares estimates of all structural blocks plus residuals:
     ``residuals`` is (T-1, K*p+l) in panel column order (``None`` once read
     back from ``coefficients.json``) and ``sigma_u`` is (K*p+l, K*p+l)."""
@@ -205,7 +205,7 @@ class StructuralFit(Record, frozen=True):
                   sigma_u=sigma_u, dims=dims, columns=columns, nobs=nobs)
 
 
-class StackedSystem(Record, frozen=True):
+class StackedSystem(Record):
     """Stacked contemporaneous/lag system at one period and its reduced form.
 
     ``g0_condition`` is the 2-norm condition number of ``G0`` in residual-sd

@@ -61,7 +61,7 @@ def _check_code(code: str, what: str, row: int) -> None:
                               "use letters, digits, '_' or '-' only")
 
 
-class RawSeries(Record, frozen=True):
+class RawSeries(Record):
     """One (region, variable) series in its native observation frequency,
     ``"monthly"`` or ``"quarterly"``."""
 
@@ -78,7 +78,7 @@ class RawSeries(Record, frozen=True):
         return len(self.dates)
 
 
-class TimeSeriesPanel(Record, frozen=True):
+class TimeSeriesPanel(Record):
     """Aligned monthly panel: K regions x p variables plus l activity columns.
 
     Column order is region-major, variable-minor, activities last; that
@@ -156,13 +156,7 @@ class TimeSeriesPanel(Record, frozen=True):
                                   f"[{self.time_index[0]}, {self.time_index[-1]}]") from None
 
     def slice_rows(self, start: int, stop: int) -> "TimeSeriesPanel":
-        return TimeSeriesPanel(
-            time_index=self.time_index[start:stop],
-            regions=self.regions,
-            variables=self.variables,
-            activities=self.activities,
-            rows=self.rows[start:stop],
-        )
+        return self.replace(time_index=self.time_index[start:stop], rows=self.rows[start:stop])
 
 
 def load_panel(path: str | Path) -> list[RawSeries]:

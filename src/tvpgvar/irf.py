@@ -55,7 +55,7 @@ def cholesky_lower(sigma: np.ndarray) -> np.ndarray:
     return np.linalg.cholesky(sigma)
 
 
-class ShockSpec(Record, frozen=True):
+class ShockSpec(Record):
     """Which columns are shocked, for how many horizons, at which period
     (``at_time``, the period's label), with bands at ``level``."""
 
@@ -98,7 +98,7 @@ def _accumulate(mas: np.ndarray, impact: np.ndarray, targets: Sequence[int]) -> 
 # delta-method bands
 # ---------------------------------------------------------------------------
 
-class IRFResult(Record, frozen=True):
+class IRFResult(Record):
     """Point responses and symmetric half-widths at the requested level, both
     (n+1, width), and how far to trust the period's system: the spectral
     radius of ``F1`` and the system's ``g0_condition``, that of ``G0`` in

@@ -71,7 +71,7 @@ P0_SCALE = 1e-15  # prior covariance of the first standardized state, times I
 C0_SHAPE = C0_RATE = 0.01  # Gamma prior of the observation precision
 
 
-class KalmanState(Record, frozen=True):
+class KalmanState(Record):
     """Filtered moments and update diagnostics, one row per step t=1..T-1:
     the means ``m`` (n, 2) and covariances ``p`` (n, 2, 2), the
     ``innovations`` and ``innovation_var`` (n,) and the ``gains`` (n, 2)."""
@@ -82,7 +82,7 @@ class KalmanState(Record, frozen=True):
                   gains=gains)
 
 
-class TVPTrajectory(Record, frozen=True):
+class TVPTrajectory(Record):
     """Final-draw coefficient paths for one panel column.
 
     ``theta0`` and ``sqrt_omega`` are (2,) and ``theta`` is (n, 2): its row t

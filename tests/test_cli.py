@@ -971,6 +971,25 @@ def test_each_stage_prints_its_wall_time(tmp_path, capsys):
         assert timings[0] in captured.err.splitlines()
 
 
+@pytest.mark.parametrize("stage, section, key, value", [
+    ("irf", "irf", "horizon", 1_000_000_000_000_000),
+    ("forecast", "forecast", "grid_size", 100_000_000_000_000_000),
+])
+def test_allocation_no_host_can_make_exits_1(tmp_path, capsys, stage, section, key, value):
+    # 10**15 horizons of responses or 10**17 lasso penalties ask for more
+    # than the 64 PiB user address space of any x86-64 host, and for less
+    # than numpy's 2**63-byte limit, above which it raises ValueError
+    config_path = mini_config(tmp_path, tvp={"iters": 2, "seed": 11})
+    assert main(["ingest", "--config", str(config_path)]) == 0
+    obj = read_json(config_path)
+    obj[section][key] = value
+    write_json(obj, config_path)
+    capsys.readouterr()
+    assert main([stage, "--config", str(config_path)]) == 1
+    assert re.fullmatch(r"error: out of memory: Unable to allocate .+ PiB for an array "
+                        r"with shape \(\d+[^\n]*\n", capsys.readouterr().err)
+
+
 def run_python(*args, stdout=subprocess.PIPE):
     """Run a fresh interpreter that imports this checkout of the package; a
     run that hangs fails the test after two minutes. Its stderr, and its

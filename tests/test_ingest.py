@@ -2,14 +2,17 @@ import hashlib
 import math
 import re
 from array import array
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from tvpgvar import align_frequencies, load_panel, validate_panel
-from tvpgvar.config import ALIGN_METHODS, ForecasterConfig, TVPConfig
+from tvpgvar.config import (
+    ALIGN_METHODS, ForecasterConfig, IRFSettings, RunConfig, TVPConfig, WeightSettings,
+)
 from tvpgvar.errors import ValidationError
-from tvpgvar.forecast import LassoFit
+from tvpgvar.forecast import ForecastResult, LassoFit
 from tvpgvar.gvar import (
     ActivityCoefficients, CountryCoefficients, StackedSystem, StructuralFit, WeightSequence,
 )
@@ -19,7 +22,7 @@ from tvpgvar.ingest import (
 )
 from tvpgvar.irf import IRFResult, ShockSpec
 from tvpgvar.sample import write_sample_csv
-from tvpgvar.tvp import KalmanState, TVPTrajectory
+from tvpgvar.tvp import KalmanState, PanelTVPResult, TVPTrajectory
 
 from conftest import make_panel
 from oracles import expand_to_monthly_np
@@ -119,8 +122,7 @@ class TestLoadPanel:
 
 
 class TestRecords:
-    """The records of every stage behave as value types, the frozen ones
-    refusing assignment."""
+    """The records of every stage behave as immutable values."""
 
     @pytest.mark.parametrize("make, field", [
         (TVPConfig, "seed"),
@@ -137,13 +139,60 @@ class TestRecords:
         (lambda: ShockSpec((0,), at_time=1), "at_time"),
         (lambda: IRFResult(*[np.zeros((1, 1))] * 2, 0.5, 1.0, 1, (0,), 0.95, 9), "radius"),
         (lambda: LassoFit(np.zeros(1), 0.0), "intercept"),
+        (WeightSettings, "window"),
+        (IRFSettings, "dates"),
+        (lambda: RunConfig(Path("data.csv"), "repeat-last", "none", None, None, None,
+                           WeightSettings(), TVPConfig(), IRFSettings(), {}, Path("out")),
+         "out_dir"),
+        (lambda: PanelTVPResult([], {}), "errors"),
+        (lambda: ForecastResult((), (), np.zeros((1, 0, 2)), np.zeros((1, 0)), None, {}),
+         "errors"),
     ])
     def test_fields_refuse_assignment(self, make, field):
         record = make()
         value = getattr(record, field)
         with pytest.raises(AttributeError, match=f"cannot assign to field '{field}'"):
             setattr(record, field, None)
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{field}'"):
+            delattr(record, field)
         assert getattr(record, field) is value
+
+    @pytest.mark.parametrize("make, array", [
+        (lambda wb: WeightSequence(WeightSequence.equal(2, 2, 1).we, wb),
+         np.full((2, 2, 1), 0.5)),
+        (lambda a_k: CountryCoefficients(a_k, *[np.eye(2)] * 5), np.arange(2.0)),
+        (lambda be0: ActivityCoefficients(0.0, 0.5, be0, np.zeros(2)), np.arange(2.0)),
+        (lambda res: StructuralFit((), (), res, np.eye(1), (1, 1, 0), ("A.x",), 9),
+         np.ones((3, 1))),
+        (lambda g0: StackedSystem(g0, *[np.eye(2)] * 6, 1.0), np.eye(2)),
+        (lambda m: KalmanState(m, *[np.zeros(2)] * 4), np.ones((2, 2))),
+        (lambda theta: TVPTrajectory(np.ones(2), np.ones(2), theta, 1.0), np.ones((3, 2))),
+        # the arrays sit in a record in a list
+        (lambda theta: PanelTVPResult(
+            [None, TVPTrajectory(np.ones(2), np.ones(2), theta, 1.0)], {"A.x": "failed"}),
+         np.ones((3, 2))),
+        (lambda point: IRFResult(point, np.zeros((2, 1)), 0.5, 1.0, 1, (0,), 0.95, 9),
+         np.ones((2, 1))),
+        (lambda coef: LassoFit(coef, 0.0), np.arange(3.0)),
+        (lambda paths: ForecastResult(("A.x",), ("2001-01",), paths, np.zeros((1, 1)),
+                                      None, {"A.x": 1.0}), np.ones((1, 1, 2))),
+    ], ids=["WeightSequence", "CountryCoefficients", "ActivityCoefficients", "StructuralFit",
+            "StackedSystem", "KalmanState", "TVPTrajectory", "PanelTVPResult", "IRFResult",
+            "LassoFit", "ForecastResult"])
+    def test_equality_compares_arrays_by_value(self, make, array):
+        record = make(array)
+        assert record == make(array.copy())
+        bumped = array.copy()
+        bumped.flat[0] = np.nextafter(bumped.flat[0], np.inf)
+        assert (record == make(bumped)) is False
+        wider = np.concatenate([array, array[..., :1]], axis=-1)
+        assert (record == make(wider)) is False
+
+    def test_records_hash_by_their_fields(self):
+        assert hash(TVPConfig()) == hash((1000, 0))
+        assert hash(WeightSettings(window=3)) == hash(WeightSettings().replace(window=3))
+        with pytest.raises(TypeError, match="unhashable type"):
+            hash(WeightSequence.equal(2, 2, 1))
 
     def test_replace_runs_the_constructor_checks(self):
         assert ForecasterConfig().replace(cv_folds=3) == ForecasterConfig(cv_folds=3)
