@@ -26,7 +26,7 @@ _HOMES = {
     "RawSeries": "ingest", "TimeSeriesPanel": "ingest", "align_frequencies": "ingest",
     "load_panel": "ingest", "read_panel_csv": "ingest", "validate_panel": "ingest",
     "write_panel_csv": "ingest",
-    "IRFResult": "irf", "ShockSpec": "irf", "asymptotic_bands": "irf",
+    "IRFResult": "irf", "asymptotic_bands": "irf",
     "cholesky_lower": "irf", "estimate_asymptotic_inputs": "irf",
     "PanelTVPResult": "tvp", "TVPTrajectory": "tvp", "estimate_all": "tvp",
     "fit_equation": "tvp", "sample_sigma": "tvp", "sample_theta0_omega": "tvp",

@@ -9,7 +9,8 @@ start without the estimation code, and both without numpy.
 so it needs only ``ingest`` to have run.
 A command that succeeds ends with one ``<stage>: <seconds> s`` line of wall
 time on stderr; timings never enter the output directory.
-Exit codes: 0 success, 1 validation error or out of memory, 2 numerical failure.
+Exit codes: 0 success, 1 validation error or out of memory (an array past
+numpy's 2**63-byte limit included), 2 numerical failure.
 A stage process flushes its output and then ends without interpreter
 teardown; ``main()`` called in-process is unaffected. So ``atexit`` handlers
 registered before the CLI's own (by ``sitecustomize``, say) do not run, but a
@@ -138,10 +139,9 @@ def cmd_irf(config: RunConfig) -> None:
             print(f"warning: skipping {label}: {exc}", file=sys.stderr)
             periods[-1].update(status="skipped", reason=str(exc))
             continue
-        shocks = [irf.ShockSpec(targets=targets, horizon=config.irf.horizon,
-                                at_time=label, level=config.irf.level)
-                  for targets in shock_targets]
-        results = irf.asymptotic_bands(system, shocks, sample_size, moment_inv)
+        results = irf.asymptotic_bands(system, shock_targets, sample_size, moment_inv,
+                                       horizon=config.irf.horizon, level=config.irf.level,
+                                       at_time=label)
         for targets, result in zip(config.irf.shocks, results):
             stem = f"irf_{label}__{'+'.join(targets)}"
             irf.write_irf_json(result, names, config.out_dir / f"{stem}.json")
@@ -231,6 +231,15 @@ def _apply_overrides(config: RunConfig, args: argparse.Namespace) -> RunConfig:
     return config
 
 
+COMMANDS = {
+    "ingest": (cmd_ingest, "align raw series into the monthly panel"),
+    "estimate": (cmd_estimate, "structural blocks + coefficient paths"),
+    "irf": (cmd_irf, "impulse responses with error bands"),
+    "forecast": (cmd_forecast, "two-stage forecasts and MSE report"),
+    "report": (cmd_report, "summarize artifacts in the output dir"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tvpgvar",
@@ -241,11 +250,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=None, help="override tvp.seed")
     common.add_argument("--out", default=None, help="override the output directory")
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("ingest", parents=[common], help="align raw series into the monthly panel")
-    sub.add_parser("estimate", parents=[common], help="structural blocks + coefficient paths")
-    sub.add_parser("irf", parents=[common], help="impulse responses with error bands")
-    sub.add_parser("forecast", parents=[common], help="two-stage forecasts and MSE report")
-    sub.add_parser("report", parents=[common], help="summarize artifacts in the output dir")
+    for name, (_, help_text) in COMMANDS.items():
+        sub.add_parser(name, parents=[common], help=help_text)
     return parser
 
 
@@ -260,16 +266,7 @@ def main(argv: list[str] | None = None) -> int:
             reason = exc.strerror or exc
             raise ValidationError(
                 f"{config.out_dir}: cannot create output directory ({reason})") from None
-        if args.command == "ingest":
-            cmd_ingest(config)
-        elif args.command == "estimate":
-            cmd_estimate(config)
-        elif args.command == "irf":
-            cmd_irf(config)
-        elif args.command == "forecast":
-            cmd_forecast(config)
-        elif args.command == "report":
-            cmd_report(config)
+        COMMANDS[args.command][0](config)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

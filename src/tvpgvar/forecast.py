@@ -35,7 +35,7 @@ from typing import Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .config import ForecasterConfig, Record, read_mse_report  # noqa: F401 (re-exported)
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, check_array_size
 from .ingest import TimeSeriesPanel, month_index, month_label
 from .ols import least_squares
 from .serialize import parse_float, read_table, write_csv
@@ -292,6 +292,7 @@ def _lasso_inputs(series: np.ndarray, config: ForecasterConfig
     problems = _stack([_standardize(x[s], y[s]) for s in range(series.shape[0])])
     live = problems.lam_max > 0
     ceiling = np.where(live, problems.lam_max, 1.0)
+    check_array_size((len(ceiling), config.grid_size))
     grids = np.geomspace(ceiling, ceiling * config.grid_floor, config.grid_size, axis=-1)
     return x, y, problems, np.where(live[:, None], grids, 0.0)
 

@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .config import Record
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, check_array_size
 from .ingest import COMMON_REGION, TimeSeriesPanel
 from .ols import least_squares
 from .serialize import (parse_array, parse_float, parse_int, parse_strings, read_json,
@@ -47,8 +47,23 @@ class WeightSequence(Record):
             raise ValidationError(f"we must be (T, K, K), got {we.shape}")
         if wb.ndim != 3 or wb.shape[0] != we.shape[0] or wb.shape[1] != we.shape[1]:
             raise ValidationError(f"wb must be (T, K, l) matching we, got {wb.shape}")
+        if np.any(we < -WEIGHT_TOL) or np.any(wb < -WEIGHT_TOL):
+            raise ValidationError("weights must be non-negative")
+        diag = np.abs(np.diagonal(we, axis1=1, axis2=2))
+        if np.any(diag > WEIGHT_TOL):
+            raise ValidationError("country weight matrices must have zero diagonal")
+        if we.shape[1] == 1:
+            if np.any(np.abs(we) > WEIGHT_TOL):
+                raise ValidationError("single-country weight matrix must be zero")
+        else:
+            colsums = we.sum(axis=1)
+            if np.any(np.abs(colsums - 1.0) > 1e-9):
+                raise ValidationError("country weight columns must sum to 1")
+        if wb.shape[2] > 0:
+            colsums = wb.sum(axis=1)
+            if np.any(np.abs(colsums - 1.0) > 1e-9):
+                raise ValidationError("activity weight columns must sum to 1")
         self._set(we=we, wb=wb)
-        self.validate()
 
     @property
     def n_periods(self) -> int:
@@ -61,26 +76,6 @@ class WeightSequence(Record):
     @property
     def n_activities(self) -> int:
         return self.wb.shape[2]
-
-    def validate(self) -> None:
-        we, wb = self.we, self.wb
-        if np.any(we < -WEIGHT_TOL) or np.any(wb < -WEIGHT_TOL):
-            raise ValidationError("weights must be non-negative")
-        diag = np.abs(np.diagonal(we, axis1=1, axis2=2))
-        if np.any(diag > WEIGHT_TOL):
-            raise ValidationError("country weight matrices must have zero diagonal")
-        k = self.n_regions
-        if k == 1:
-            if np.any(np.abs(we) > WEIGHT_TOL):
-                raise ValidationError("single-country weight matrix must be zero")
-        else:
-            colsums = we.sum(axis=1)
-            if np.any(np.abs(colsums - 1.0) > 1e-9):
-                raise ValidationError("country weight columns must sum to 1")
-        if self.n_activities > 0:
-            colsums = wb.sum(axis=1)
-            if np.any(np.abs(colsums - 1.0) > 1e-9):
-                raise ValidationError("activity weight columns must sum to 1")
 
     @classmethod
     def equal(cls, n_periods: int, n_regions: int, n_activities: int) -> "WeightSequence":
@@ -206,15 +201,18 @@ class StructuralFit(Record):
 
 
 class StackedSystem(Record):
-    """Stacked contemporaneous/lag system at one period and its reduced form.
+    """What the impulse responses need of the stacked system at one period:
+    ``G0``, the structural residual covariance ``Sigma_u``, the reduced-form
+    covariance ``Sigma_eps = G0^-1 Sigma_u G0^-T`` and transition
+    ``F1 = G0^-1 G1``.
 
     ``g0_condition`` is the 2-norm condition number of ``G0`` in residual-sd
     units, that of ``D^-1 G0 D`` with ``D = diag(sqrt(diag Sigma_u))``:
     rescaling a variable leaves it unchanged."""
 
-    def __init__(self, g0: np.ndarray, g1: np.ndarray, a: np.ndarray, sigma_u: np.ndarray,
-                 sigma_eps: np.ndarray, b: np.ndarray, f1: np.ndarray, g0_condition: float):
-        self._set(g0=g0, g1=g1, a=a, sigma_u=sigma_u, sigma_eps=sigma_eps, b=b, f1=f1,
+    def __init__(self, g0: np.ndarray, sigma_u: np.ndarray, sigma_eps: np.ndarray,
+                 f1: np.ndarray, g0_condition: float):
+        self._set(g0=g0, sigma_u=sigma_u, sigma_eps=sigma_eps, f1=f1,
                   g0_condition=g0_condition)
 
     @property
@@ -331,10 +329,11 @@ def estimate_structural(panel: TimeSeriesPanel, weights: WeightSequence) -> Stru
 
 
 def stack_system(fit: StructuralFit, weights: WeightSequence, t: int) -> StackedSystem:
-    """Assemble (G0_t, G1_{t-1}, a) and solve for the reduced form at period t.
+    """Assemble G0_t and G1_{t-1} and solve for the reduced form at period t.
 
     ``G0_t x_t = a + G1_{t-1} x_{t-1}``: the contemporaneous terms carry the
     weights of period t and the lag terms those of t-1, as in estimation.
+    The responses do not depend on the intercept ``a``, so it is not stacked.
     Period 0 has no lag, so ``t`` must be at least 1. A ``g0_condition``
     above ``COND_CAP`` raises ``NumericalError``.
     """
@@ -342,27 +341,23 @@ def stack_system(fit: StructuralFit, weights: WeightSequence, t: int) -> Stacked
         raise ValidationError(f"period {t} has no lagged period; stacking starts at period 1")
     p = fit.dims[1]
     blocks = [(np.hstack([np.eye(p), -c.gamma_e0, -c.gamma_b0]),
-               np.hstack([c.phi1, c.gamma_e1, c.gamma_b1]), c.a_k)
-              for c in fit.countries]
+               np.hstack([c.phi1, c.gamma_e1, c.gamma_b1])) for c in fit.countries]
     blocks += [(np.concatenate([[1.0], -act.gamma_be0])[None],
-                np.concatenate([[act.phi_b], act.gamma_be1])[None], [act.a_m])
-               for act in fit.activities]
+                np.concatenate([[act.phi_b], act.gamma_be1])[None]) for act in fit.activities]
     now, lag = _links(weights, t, fit.dims), _links(weights, t - 1, fit.dims)
-    g0 = np.vstack([a0 @ link for (a0, _, _), link in zip(blocks, [*now[0], *now[1]])])
-    g1 = np.vstack([a1 @ link for (_, a1, _), link in zip(blocks, [*lag[0], *lag[1]])])
-    a = np.concatenate([c for _, _, c in blocks])
+    g0 = np.vstack([a0 @ link for (a0, _), link in zip(blocks, [*now[0], *now[1]])])
+    g1 = np.vstack([a1 @ link for (_, a1), link in zip(blocks, [*lag[0], *lag[1]])])
     sd = np.sqrt(np.diag(fit.sigma_u))
     sd[sd == 0] = 1.0
     cond = float(np.linalg.cond(g0 / sd[:, None] * sd))
     if not np.isfinite(cond) or cond > COND_CAP:
         raise NumericalError(
             f"G0 at period {t} has condition number {cond:.3e} above cap {COND_CAP:.1e}")
-    b = np.linalg.solve(g0, a)
     f1 = np.linalg.solve(g0, g1)
     sigma_eps = np.linalg.solve(g0, np.linalg.solve(g0, fit.sigma_u).T).T
     sigma_eps = (sigma_eps + sigma_eps.T) / 2.0
-    return StackedSystem(g0=g0, g1=g1, a=a, sigma_u=fit.sigma_u.copy(),
-                         sigma_eps=sigma_eps, b=b, f1=f1, g0_condition=cond)
+    return StackedSystem(g0=g0, sigma_u=fit.sigma_u.copy(), sigma_eps=sigma_eps, f1=f1,
+                         g0_condition=cond)
 
 
 def ma_coefficients(f1: np.ndarray, horizon: int) -> np.ndarray:
@@ -371,6 +366,7 @@ def ma_coefficients(f1: np.ndarray, horizon: int) -> np.ndarray:
         raise ValidationError("horizon must be >= 0")
     f1 = np.asarray(f1, float)
     n = f1.shape[0]
+    check_array_size((horizon + 1, n, n))
     out = np.empty((horizon + 1, n, n))
     out[0] = np.eye(n)
     for s in range(1, horizon + 1):

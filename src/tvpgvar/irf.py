@@ -7,7 +7,8 @@ order equals panel column order. Error bands are the delta-method bands of
 in closed form from the w x w Kronecker factors ``M^-1`` (the panel's) and
 ``Sigma_eps`` (the system's) of the estimates' covariances and the Cholesky
 derivative of Murray (2016), with no w^2 x w^2 matrix. That band belongs to
-the point response only when ``G0`` is lower triangular.
+the point response only when ``G0`` is lower triangular. One call answers
+one period's request: a list of shocks, all at one horizon and one level.
 The band multiplier is the normal quantile by Newton steps on the standard
 library's ``erf``/``erfc``, so this module runs on numpy alone.
 """
@@ -53,30 +54,6 @@ def cholesky_lower(sigma: np.ndarray) -> np.ndarray:
         raise NumericalError(
             f"covariance not positive definite (min eigenvalue {eig_min:.6e})")
     return np.linalg.cholesky(sigma)
-
-
-class ShockSpec(Record):
-    """Which columns are shocked, for how many horizons, at which period
-    (``at_time``, the period's label), with bands at ``level``."""
-
-    def __init__(self, targets: Sequence[int], horizon: int = 6, level: float = 0.95, *,
-                 at_time: int | str):
-        targets = tuple(int(j) for j in targets)
-        if not targets:
-            raise ValidationError("shock needs at least one target column")
-        if len(set(targets)) != len(targets):
-            raise ValidationError("shock targets must be distinct")
-        if horizon < 0:
-            raise ValidationError("horizon must be >= 0")
-        if not 0.0 < level < 1.0:
-            raise ValidationError("confidence level must be in (0, 1)")
-        self._set(targets=targets, horizon=horizon, level=level, at_time=at_time)
-
-
-def _check_targets(targets: Sequence[int], width: int) -> None:
-    for j in targets:
-        if not 0 <= j < width:
-            raise ValidationError(f"shock target {j} out of range [0, {width})")
 
 
 def _impact(system: StackedSystem) -> np.ndarray:
@@ -141,14 +118,17 @@ def estimate_asymptotic_inputs(panel: TimeSeriesPanel) -> np.ndarray:
     return moment_inv[1:, 1:]
 
 
-def asymptotic_bands(system: StackedSystem, shocks: Sequence[ShockSpec],
-                     sample_size: int, moment_inv: np.ndarray) -> list[IRFResult]:
-    """Point responses with delta-method half-widths.
+def asymptotic_bands(system: StackedSystem, targets: Sequence[Sequence[int]],
+                     sample_size: int, moment_inv: np.ndarray, *, horizon: int, level: float,
+                     at_time: int | str) -> list[IRFResult]:
+    """Point responses with delta-method half-widths for one period's shocks.
 
-    ``shocks`` are a period's shocks, answered with a list of results in the
-    same order. What depends only on the system (its Cholesky factors, the
-    MA matrices and the eigenvalues of ``F1``) is computed once for all of
-    them; each result reports the system's ``g0_condition``.
+    ``targets`` lists the shocks as column-index tuples; the results come
+    back in the same order, over horizons 0..``horizon`` with bands at
+    ``level``, labelled ``at_time``. What depends only on the system and the
+    request (its Cholesky factors, the MA matrices, the eigenvalues of ``F1``
+    and the band multiplier) is computed once for all shocks; each result
+    reports the system's ``g0_condition``.
 
     The band is the delta-method band of ``B_s P u`` with ``P = chol(Sigma_eps)``
     and ``u`` the sum of the shocked unit vectors. It is the point response
@@ -164,13 +144,21 @@ def asymptotic_bands(system: StackedSystem, shocks: Sequence[ShockSpec],
 
     with ``v_k = F1^k P u``; the half-width is ``z_{1-alpha/2} sqrt(var / T)``.
     """
-    shocks = list(shocks)
-    if not shocks:
+    targets = [tuple(int(j) for j in shock) for shock in targets]
+    if not targets:
         raise ValidationError("no shocks given")
+    for shock in targets:
+        if not shock:
+            raise ValidationError("shock needs at least one target column")
+        if len(set(shock)) != len(shock):
+            raise ValidationError("shock targets must be distinct")
+        for j in shock:
+            if not 0 <= j < system.width:
+                raise ValidationError(f"shock target {j} out of range [0, {system.width})")
+    if not 0.0 < level < 1.0:
+        raise ValidationError("confidence level must be in (0, 1)")
     if sample_size < 1:
         raise ValidationError("sample size must be >= 1")
-    for shock in shocks:
-        _check_targets(shock.targets, system.width)
     moment_inv = np.asarray(moment_inv, float)
     if moment_inv.shape != (system.width,) * 2:
         raise ValidationError(f"band input moment_inv has shape {moment_inv.shape}, "
@@ -180,26 +168,24 @@ def asymptotic_bands(system: StackedSystem, shocks: Sequence[ShockSpec],
     # covariance part: dW = P^-1 dSigma P^-T has Cov vec(dW) = (I + K), and
     # d(B_s P) = B_s P Phi(dW), Phi keeping the lower triangle, diagonal halved
     chol_eps = cholesky_lower(system.sigma_eps)
-    mas = ma_coefficients(system.f1, max(shock.horizon for shock in shocks))
+    mas = ma_coefficients(system.f1, horizon)  # checks horizon >= 0
     mas_chol, b_sigma = mas @ chol_eps, mas @ system.sigma_eps
     impact = _impact(system)
     radius = spectral_radius(system.f1)
+    z = _band_multiplier(level)
 
     results = []
-    for shock in shocks:
-        n = shock.horizon + 1
-        var = _response_variance(mas[:n], mas_chol[:n], b_sigma[:n], chol_eps, moment_inv,
-                                 list(shock.targets))
+    for shock in targets:
+        var = _response_variance(mas, mas_chol, b_sigma, chol_eps, moment_inv, list(shock))
         floor = np.min(var, axis=1)
         if np.any(floor < -1e-10):
             s = int(np.argmax(floor < -1e-10))
             raise NumericalError(f"negative response variance {floor[s]:.3e} at horizon {s}")
-        z = _band_multiplier(shock.level)
         half = z * np.sqrt(np.clip(var, 0.0, None)) / np.sqrt(sample_size)
         results.append(IRFResult(
-            point=_accumulate(mas[:n], impact, shock.targets), half_width=half,
-            radius=radius, g0_condition=system.g0_condition, at_time=shock.at_time,
-            targets=shock.targets, level=shock.level, sample_size=sample_size))
+            point=_accumulate(mas, impact, shock), half_width=half, radius=radius,
+            g0_condition=system.g0_condition, at_time=at_time, targets=shock, level=level,
+            sample_size=sample_size))
     return results
 
 
@@ -242,7 +228,9 @@ def _band_multiplier(level: float) -> float:
     return x
 
 
-# Kronecker-form band derivatives: unused by the bands, kept for bench/spans.py
+# Kronecker-form band derivatives: unused by the bands. They stay because the
+# tests' dense band oracle is built from them and bench/spans.py wraps
+# derivative_Gn and derivative_H by name
 
 def elimination_matrix(m: int) -> np.ndarray:
     """L_m with L_m vec(S) = vech(S) for any m x m matrix S."""

@@ -10,9 +10,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from tvpgvar import (
-    ShockSpec, StackedSystem, TimeSeriesPanel, WeightSequence, asymptotic_bands,
-)
+from tvpgvar import StackedSystem, TimeSeriesPanel, WeightSequence, asymptotic_bands
 from tvpgvar.ingest import month_label
 
 from oracles import sd_unit_condition
@@ -120,52 +118,45 @@ def random_stable_system(rng: np.random.Generator, dim: int,
     raw = rng.standard_normal((dim, dim))
     eig_max = np.max(np.abs(np.linalg.eigvals(raw)))
     f1 = raw * (radius / eig_max) * rng.uniform(0.6, 1.0)
-    g1 = g0 @ f1
     root = rng.standard_normal((dim, dim)) / np.sqrt(dim)
     sigma_u = root @ root.T + 0.3 * np.eye(dim)
-    b = rng.standard_normal(dim)
     sigma_eps = np.linalg.solve(g0, np.linalg.solve(g0, sigma_u).T).T
-    return StackedSystem(g0=g0, g1=g1, a=g0 @ b, sigma_u=sigma_u,
-                         sigma_eps=(sigma_eps + sigma_eps.T) / 2, b=b, f1=f1,
-                         g0_condition=sd_unit_condition(g0, sigma_u))
+    return StackedSystem(g0=g0, sigma_u=sigma_u, sigma_eps=(sigma_eps + sigma_eps.T) / 2,
+                         f1=f1, g0_condition=sd_unit_condition(g0, sigma_u))
 
 
-def from_reduced_form(intercept: np.ndarray, f1: np.ndarray,
-                      sigma_eps: np.ndarray) -> StackedSystem:
+def from_reduced_form(f1: np.ndarray, sigma_eps: np.ndarray) -> StackedSystem:
     """Plain reduced-form VAR(1) as a stacked system with G0 = I."""
     return StackedSystem(
-        g0=np.eye(f1.shape[0]), g1=np.asarray(f1, float).copy(),
-        a=np.asarray(intercept, float).copy(),
+        g0=np.eye(f1.shape[0]),
         sigma_u=np.asarray(sigma_eps, float).copy(),
         sigma_eps=np.asarray(sigma_eps, float).copy(),
-        b=np.asarray(intercept, float).copy(),
         f1=np.asarray(f1, float).copy(),
         g0_condition=1.0,
     )
 
 
 def oirf_simulation_oracle(system: StackedSystem, targets, horizon: int) -> np.ndarray:
-    """Shocked-minus-baseline paths of the reduced-form recursion."""
+    """Shocked-minus-baseline paths of the reduced-form recursion. The
+    intercept cancels in the difference and the baseline starts at rest, so
+    the baseline is zero and the shocked path is the difference."""
     width = system.width
     chol = np.linalg.cholesky(system.sigma_u)
     u0 = np.zeros(width)
     for j in targets:
         u0 += chol[:, j]
-    x_init = np.zeros(width)
     shocked = np.empty((horizon + 1, width))
-    baseline = np.empty((horizon + 1, width))
-    shocked[0] = system.b + system.f1 @ x_init + np.linalg.solve(system.g0, u0)
-    baseline[0] = system.b + system.f1 @ x_init
+    shocked[0] = np.linalg.solve(system.g0, u0)
     for s in range(1, horizon + 1):
-        shocked[s] = system.b + system.f1 @ shocked[s - 1]
-        baseline[s] = system.b + system.f1 @ baseline[s - 1]
-    return shocked - baseline
+        shocked[s] = system.f1 @ shocked[s - 1]
+    return shocked
 
 
-def reported_point(system: StackedSystem, shock: ShockSpec) -> np.ndarray:
+def reported_point(system: StackedSystem, targets, horizon: int) -> np.ndarray:
     """The point response the package reports: that of ``asymptotic_bands``
-    (a unit moment, which the point does not depend on)."""
-    (result,) = asymptotic_bands(system, [shock], 1, np.eye(system.width))
+    (at any moment and level: the point depends on neither)."""
+    (result,) = asymptotic_bands(system, [targets], 1, np.eye(system.width),
+                                 horizon=horizon, level=0.95, at_time=1)
     return result.point
 
 

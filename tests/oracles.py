@@ -222,31 +222,32 @@ def sd_unit_condition(g0, sigma_u):
     return float(singular[0] / singular[-1])
 
 
-def oirf_point(system, shock):
-    """``B_s G0^-1 chol(Sigma_u) u`` for s = 0..n, one row per horizon."""
+def oirf_point(system, targets, horizon):
+    """``B_s G0^-1 chol(Sigma_u) u`` for s = 0..horizon, one row per horizon."""
     u = np.zeros(system.width)
-    u[list(shock.targets)] = 1.0
+    u[list(targets)] = 1.0
     impact = np.linalg.solve(system.g0, np.linalg.cholesky(system.sigma_u) @ u)
     return np.array([np.linalg.matrix_power(system.f1, s) @ impact
-                     for s in range(shock.horizon + 1)])
+                     for s in range(horizon + 1)])
 
 
-def dense_asymptotic_bands(system, shock, sample_size, sigma_alpha, sigma_sigma):
+def dense_asymptotic_bands(system, targets, sample_size, sigma_alpha, sigma_sigma, *,
+                           horizon, level, at_time):
     """Half-widths from ``C_s S_alpha C_s' + Cbar_s S_sigma Cbar_s'`` with
     ``C_0 = 0``, ``C_s = (P' kron I) G_s`` and ``Cbar_s = (I kron B_s) H``,
     ``P = chol(Sigma_eps)``; multi-target shocks sum the shocked columns."""
     width = system.width
     chol_eps = cholesky_lower(system.sigma_eps)
-    mas = ma_coefficients(system.f1, shock.horizon)
+    mas = ma_coefficients(system.f1, horizon)
     h_mat = derivative_H(chol_eps)
-    z = ndtri(0.5 + shock.level / 2.0)
+    z = ndtri(0.5 + level / 2.0)
     eye = np.eye(width)
     selector = np.zeros((width, width * width))
-    for j in shock.targets:
+    for j in targets:
         selector[np.arange(width), j * width + np.arange(width)] += 1.0
-    point = oirf_point(system, shock)
+    point = oirf_point(system, targets, horizon)
     half = np.empty_like(point)
-    for s in range(shock.horizon + 1):
+    for s in range(horizon + 1):
         cbar = np.kron(eye, mas[s]) @ h_mat
         cov = cbar @ sigma_sigma @ cbar.T
         if s > 0:
@@ -257,8 +258,8 @@ def dense_asymptotic_bands(system, shock, sample_size, sigma_alpha, sigma_sigma)
     return IRFResult(point=point, half_width=half,
                      radius=spectral_radius(system.f1),
                      g0_condition=sd_unit_condition(system.g0, system.sigma_u),
-                     at_time=shock.at_time, targets=shock.targets,
-                     level=shock.level, sample_size=sample_size)
+                     at_time=at_time, targets=tuple(targets), level=level,
+                     sample_size=sample_size)
 
 
 def _path_draw_loop(y, theta0, sqrt_omega, sigma2, rng):

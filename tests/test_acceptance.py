@@ -14,7 +14,7 @@ import numpy as np
 from scipy.stats import norm
 
 import tvpgvar as tg
-from tvpgvar import ShockSpec, WeightSequence
+from tvpgvar import WeightSequence
 from tvpgvar.cli import main
 from tvpgvar.errors import NumericalError
 from tvpgvar.forecast import (
@@ -70,7 +70,7 @@ def test_oirf_oracle_equivalence():
         dim = int(rng.integers(2, 6))
         system = random_stable_system(rng, dim)
         j = int(rng.integers(dim))
-        point = reported_point(system, ShockSpec(targets=(j,), horizon=10, at_time=1))
+        point = reported_point(system, (j,), 10)
         oracle = oirf_simulation_oracle(system, (j,), 10)
         worst = max(worst, float(np.max(np.abs(point - oracle))))
     elapsed = time.perf_counter() - start
@@ -90,9 +90,9 @@ def test_multi_shock_additivity():
         split = int(rng.integers(1, dim))
         set_a = tuple(int(j) for j in order[:split])
         set_b = (int(order[split]),)
-        resp_a = reported_point(system, ShockSpec(targets=set_a, horizon=6, at_time=1))
-        resp_b = reported_point(system, ShockSpec(targets=set_b, horizon=6, at_time=1))
-        resp_ab = reported_point(system, ShockSpec(targets=set_a + set_b, horizon=6, at_time=1))
+        resp_a = reported_point(system, set_a, 6)
+        resp_b = reported_point(system, set_b, 6)
+        resp_ab = reported_point(system, set_a + set_b, 6)
         worst = max(worst, float(np.max(np.abs(resp_ab - (resp_a + resp_b)))))
     ok = worst == 0.0
     report("multi-shock-additivity", ok, f"worst abs diff {worst:.1e}")
@@ -185,10 +185,11 @@ def test_band_coverage_monte_carlo():
         coef, _, _, _ = np.linalg.lstsq(design, xr[1:], rcond=None)
         resid = xr[1:] - design @ coef
         sigma_hat = resid.T @ resid / (t_len - 1 - 3)
-        system = from_reduced_form(coef[0], coef[1:].T, sigma_hat)
+        system = from_reduced_form(coef[1:].T, sigma_hat)
         moment_inv = tg.estimate_asymptotic_inputs(make_panel(xr, ["A"], ["x1", "x2"]))
-        shocks = [ShockSpec(targets=(j,), horizon=horizon, at_time=1) for j in range(2)]
-        for j, result in enumerate(tg.asymptotic_bands(system, shocks, t_len - 1, moment_inv)):
+        results = tg.asymptotic_bands(system, [(0,), (1,)], t_len - 1, moment_inv,
+                                      horizon=horizon, level=0.95, at_time=1)
+        for j, result in enumerate(results):
             inside = ((true_oirf[:, :, j] >= result.lower)
                       & (true_oirf[:, :, j] <= result.upper))
             hits += inside.sum(axis=1)

@@ -19,7 +19,6 @@ from tvpgvar.gvar import (
     read_coefficients_json,
     write_coefficients_json,
 )
-from tvpgvar.irf import ShockSpec
 
 from conftest import (
     make_panel,
@@ -38,6 +37,21 @@ def swap_weights(t_len):
     we[:, 1, 0] = 1.0
     wb = np.full((t_len, 2, 1), 0.5)
     return WeightSequence(we=we, wb=wb)
+
+
+def fit_blocks(fit):
+    """The blocks of a StructuralFit as a ``random_coefficients`` dict."""
+    return dict(
+        phi=[c.phi1 for c in fit.countries],
+        ge0=[c.gamma_e0 for c in fit.countries],
+        ge1=[c.gamma_e1 for c in fit.countries],
+        gb0=[c.gamma_b0 for c in fit.countries],
+        gb1=[c.gamma_b1 for c in fit.countries],
+        ak=[c.a_k for c in fit.countries],
+        gbe0=[a.gamma_be0 for a in fit.activities],
+        gbe1=[a.gamma_be1 for a in fit.activities],
+        phib=[a.phi_b for a in fit.activities],
+        am=[a.a_m for a in fit.activities])
 
 
 def true_fit(coeffs, dims):
@@ -84,7 +98,6 @@ class TestWeightSequence:
         values = rng.uniform(1.0, 3.0, (30, 5))
         panel = make_panel(values, ["A", "B"], ["CPI", "GDP"], ["ACT"])
         w = WeightSequence.rolling_share(panel, "GDP", window=6)
-        w.validate()
         # weights at t reflect trailing means of the GDP columns
         t = 17
         means = values[t - 5:t + 1][:, [1, 3]].mean(axis=0)
@@ -379,8 +392,10 @@ class TestStackSystem:
         fit = estimate_structural(panel, weights)
         for t in (1, 100, 299):
             system = stack_system(fit, weights, t)
-            assert np.max(np.abs(system.g0 @ system.f1 - system.g1)) < 1e-12
-            assert np.max(np.abs(system.g0 @ system.b - system.a)) < 1e-12
+            # G0_t F1 = G1_{t-1}, the lag matrix under the weights of t-1
+            _, g1_ref, _ = structural_matrices(fit_blocks(fit), weights.we[t - 1],
+                                               weights.wb[t - 1], n_regions, p, l)
+            assert np.max(np.abs(system.g0 @ system.f1 - g1_ref)) < 1e-12
 
     def test_matches_independent_construction(self, rng):
         # stack_system agrees with the per-equation oracle construction
@@ -393,27 +408,16 @@ class TestStackSystem:
                                 n_regions, p, l, noise=noise)
         panel = make_panel(x, ["A", "B"], ["v1", "v2"], ["ACT"])
         fit = estimate_structural(panel, weights)
-        coeffs_hat = dict(
-            phi=[c.phi1 for c in fit.countries],
-            ge0=[c.gamma_e0 for c in fit.countries],
-            ge1=[c.gamma_e1 for c in fit.countries],
-            gb0=[c.gamma_b0 for c in fit.countries],
-            gb1=[c.gamma_b1 for c in fit.countries],
-            ak=[c.a_k for c in fit.countries],
-            gbe0=[a.gamma_be0 for a in fit.activities],
-            gbe1=[a.gamma_be1 for a in fit.activities],
-            phib=[a.phi_b for a in fit.activities],
-            am=[a.a_m for a in fit.activities])
+        coeffs_hat = fit_blocks(fit)
         t = 77
         # G0 carries the weights of t, G1 those of t-1
-        g0_ref, _, a_ref = structural_matrices(
+        g0_ref, _, _ = structural_matrices(
             coeffs_hat, weights.we[t], weights.wb[t], n_regions, p, l)
         _, g1_ref, _ = structural_matrices(
             coeffs_hat, weights.we[t - 1], weights.wb[t - 1], n_regions, p, l)
         system = stack_system(fit, weights, t)
         np.testing.assert_allclose(system.g0, g0_ref, atol=1e-13)
-        np.testing.assert_allclose(system.g1, g1_ref, atol=1e-13)
-        np.testing.assert_allclose(system.a, a_ref, atol=1e-13)
+        np.testing.assert_allclose(system.f1, np.linalg.solve(g0_ref, g1_ref), atol=1e-12)
 
     def test_time_invariant_mode_constant_reduced_form(self, rng):
         n_regions, p, l = 2, 1, 1
@@ -428,7 +432,6 @@ class TestStackSystem:
         s0 = stack_system(fit, weights, 1)
         s1 = stack_system(fit, weights, t_len - 1)
         assert np.max(np.abs(s0.f1 - s1.f1)) < 1e-12
-        assert np.max(np.abs(s0.b - s1.b)) < 1e-12
 
     def test_period_zero_rejected(self, rng):
         # period 0 has no lag, so there is no G1 to stack
@@ -448,24 +451,26 @@ class TestStackSystem:
 
     @pytest.mark.parametrize("t", [1, 50, 119])
     def test_one_step_propagation_under_time_varying_weights(self, rng, t):
-        # b + F1 x_{t-1} from the stacked system at t reproduces the
-        # simulator's G0_t^-1 (a + G1_{t-1} x_{t-1}) step
+        # F1 from the stacked system at t moves two states as the simulator's
+        # G0_t^-1 (a + G1_{t-1} x_{t-1}) step does: the intercept cancels in
+        # their difference
         n_regions, p, l = 3, 2, 1
         weights = wave_weights(120, n_regions, l)
         coeffs = random_coefficients(rng, n_regions, p, l)
-        x = simulate_structural(coeffs, weights, rng.standard_normal(7), n_regions, p, l)
+        step = WeightSequence(we=weights.we[t - 1:t + 1], wb=weights.wb[t - 1:t + 1])
+        x, y = (simulate_structural(coeffs, step, rng.standard_normal(7), n_regions, p, l)
+                for _ in range(2))
         system = stack_system(true_fit(coeffs, (n_regions, p, l)), weights, t)
-        assert np.max(np.abs(system.b + system.f1 @ x[t - 1] - x[t])) < 1e-12
+        assert np.max(np.abs(system.f1 @ (x[0] - y[0]) - (x[1] - y[1]))) < 1e-12
 
     def test_responses_vary_with_the_weights_of_the_period(self, rng):
         n_regions, p, l = 3, 2, 1
         fit = true_fit(random_coefficients(rng, n_regions, p, l), (n_regions, p, l))
-        shock = ShockSpec(targets=(6,), horizon=4, at_time=1)
         varying = wave_weights(120, n_regions, l)
-        a, b = (oirf_point(stack_system(fit, varying, t), shock) for t in (20, 50))
+        a, b = (oirf_point(stack_system(fit, varying, t), (6,), 4) for t in (20, 50))
         assert np.max(np.abs(a - b)) > 1e-6
         equal = WeightSequence.equal(120, n_regions, l)
-        a, b = (oirf_point(stack_system(fit, equal, t), shock) for t in (20, 50))
+        a, b = (oirf_point(stack_system(fit, equal, t), (6,), 4) for t in (20, 50))
         np.testing.assert_array_equal(a, b)
 
     def test_zero_coupling_reduces_to_univariate_ar(self, rng):

@@ -9,7 +9,7 @@ import pytest
 
 from tvpgvar import align_frequencies, load_panel, validate_panel
 from tvpgvar.config import (
-    ALIGN_METHODS, ForecasterConfig, IRFSettings, RunConfig, TVPConfig, WeightSettings,
+    ALIGN_METHODS, ForecasterConfig, IRFSettings, Record, RunConfig, TVPConfig, WeightSettings,
 )
 from tvpgvar.errors import ValidationError
 from tvpgvar.forecast import ForecastResult, LassoFit
@@ -20,7 +20,7 @@ from tvpgvar.ingest import (
     COMMON_REGION, RawSeries, TimeSeriesPanel, month_index, month_label, read_panel_csv,
     write_panel_csv,
 )
-from tvpgvar.irf import IRFResult, ShockSpec
+from tvpgvar.irf import IRFResult
 from tvpgvar.sample import write_sample_csv
 from tvpgvar.tvp import KalmanState, PanelTVPResult, TVPTrajectory
 
@@ -121,6 +121,13 @@ class TestLoadPanel:
         assert all(len(s) == 84 for s in quarterly)
 
 
+class Labelled(Record):
+    """A record with a keyword-only field, a kind no stage builds."""
+
+    def __init__(self, targets, horizon=6, *, at_time):
+        self._set(targets=tuple(targets), horizon=horizon, at_time=at_time)
+
+
 class TestRecords:
     """The records of every stage behave as immutable values."""
 
@@ -133,10 +140,9 @@ class TestRecords:
         (lambda: CountryCoefficients(*[np.zeros((1, 1))] * 6), "phi1"),
         (lambda: ActivityCoefficients(0.0, 0.5, np.zeros(1), np.zeros(1)), "phi_b"),
         (lambda: StructuralFit((), (), None, np.eye(1), (1, 1, 0), ("A.x",), 9), "nobs"),
-        (lambda: StackedSystem(*[np.eye(1)] * 7, 1.0), "g0_condition"),
+        (lambda: StackedSystem(*[np.eye(1)] * 4, 1.0), "g0_condition"),
         (lambda: KalmanState(*[np.zeros(1)] * 5), "gains"),
         (lambda: TVPTrajectory(np.ones(2), np.ones(2), np.ones((3, 2)), 1.0), "sigma2"),
-        (lambda: ShockSpec((0,), at_time=1), "at_time"),
         (lambda: IRFResult(*[np.zeros((1, 1))] * 2, 0.5, 1.0, 1, (0,), 0.95, 9), "radius"),
         (lambda: LassoFit(np.zeros(1), 0.0), "intercept"),
         (WeightSettings, "window"),
@@ -164,7 +170,7 @@ class TestRecords:
         (lambda be0: ActivityCoefficients(0.0, 0.5, be0, np.zeros(2)), np.arange(2.0)),
         (lambda res: StructuralFit((), (), res, np.eye(1), (1, 1, 0), ("A.x",), 9),
          np.ones((3, 1))),
-        (lambda g0: StackedSystem(g0, *[np.eye(2)] * 6, 1.0), np.eye(2)),
+        (lambda g0: StackedSystem(g0, *[np.eye(2)] * 3, 1.0), np.eye(2)),
         (lambda m: KalmanState(m, *[np.zeros(2)] * 4), np.ones((2, 2))),
         (lambda theta: TVPTrajectory(np.ones(2), np.ones(2), theta, 1.0), np.ones((3, 2))),
         # the arrays sit in a record in a list
@@ -203,10 +209,10 @@ class TestRecords:
         with pytest.raises(ValidationError, match="^weights must be non-negative$"):
             weights.replace(we=-weights.we)
         # a keyword-only field is a field like the others
-        shock = ShockSpec((0, 2), at_time="2001-05")
+        shock = Labelled((0, 2), at_time="2001-05")
         moved = shock.replace(horizon=3)
-        assert moved == ShockSpec((0, 2), 3, at_time="2001-05") != shock
-        assert repr(moved) == "ShockSpec(targets=(0, 2), horizon=3, level=0.95, at_time='2001-05')"
+        assert moved == Labelled((0, 2), 3, at_time="2001-05") != shock
+        assert repr(moved) == "Labelled(targets=(0, 2), horizon=3, at_time='2001-05')"
 
     def test_panel_repr_omits_rows(self):
         panel = make_panel(np.full((3, 2), 7.25), ["A"], ["x", "y"])

@@ -6,7 +6,6 @@ from scipy.special import ndtri
 from scipy.stats import norm
 
 from tvpgvar import (
-    ShockSpec,
     StackedSystem,
     TimeSeriesPanel,
     WeightSequence,
@@ -130,9 +129,9 @@ class TestCholesky:
 class TestOIRF:
     def test_identity_system_horizon_zero(self, rng):
         f1 = 0.5 * np.eye(3)
-        system = from_reduced_form(np.zeros(3), f1, np.eye(3))
+        system = from_reduced_form(f1, np.eye(3))
         for j in range(3):
-            resp = reported_point(system, ShockSpec(targets=(j,), horizon=2, at_time=1))
+            resp = reported_point(system, (j,), 2)
             np.testing.assert_array_equal(resp[0], np.eye(3)[j])
 
     def test_additivity_exact(self, rng):
@@ -145,9 +144,9 @@ class TestOIRF:
             split = int(rng.integers(1, dim))
             set_a = tuple(int(j) for j in targets[:split])
             set_b = (int(targets[split]),)
-            resp_a = reported_point(system, ShockSpec(targets=set_a, horizon=5, at_time=1))
-            resp_b = reported_point(system, ShockSpec(targets=set_b, horizon=5, at_time=1))
-            resp_ab = reported_point(system, ShockSpec(targets=set_a + set_b, horizon=5, at_time=1))
+            resp_a = reported_point(system, set_a, 5)
+            resp_b = reported_point(system, set_b, 5)
+            resp_ab = reported_point(system, set_a + set_b, 5)
             np.testing.assert_array_equal(resp_ab, resp_a + resp_b)
 
     def test_additivity_general_splits(self, rng):
@@ -160,9 +159,9 @@ class TestOIRF:
             split = int(rng.integers(1, dim))
             set_a = tuple(int(j) for j in targets[:split])
             set_b = tuple(int(j) for j in targets[split:])
-            resp_a = reported_point(system, ShockSpec(targets=set_a, horizon=5, at_time=1))
-            resp_b = reported_point(system, ShockSpec(targets=set_b, horizon=5, at_time=1))
-            resp_ab = reported_point(system, ShockSpec(targets=set_a + set_b, horizon=5, at_time=1))
+            resp_a = reported_point(system, set_a, 5)
+            resp_b = reported_point(system, set_b, 5)
+            resp_ab = reported_point(system, set_a + set_b, 5)
             np.testing.assert_allclose(resp_ab, resp_a + resp_b, rtol=0, atol=1e-13)
 
     def test_matches_simulation_oracle(self, rng):
@@ -170,24 +169,26 @@ class TestOIRF:
             dim = int(rng.integers(2, 6))
             system = random_stable_system(rng, dim)
             j = int(rng.integers(dim))
-            shock = ShockSpec(targets=(j,), horizon=10, at_time=1)
-            point = reported_point(system, shock)
+            point = reported_point(system, (j,), 10)
             oracle = oirf_simulation_oracle(system, (j,), 10)
             np.testing.assert_allclose(point, oracle, atol=1e-8)
 
     def test_target_out_of_range(self, rng):
         system = random_stable_system(rng, 3)
         with pytest.raises(ValidationError, match="out of range"):
-            asymptotic_bands(system, [ShockSpec(targets=(3,), horizon=2, at_time=1)], 1,
-                             np.eye(3))
+            asymptotic_bands(system, [(3,)], 1, np.eye(3), horizon=2, level=0.95, at_time=1)
 
-    def test_shock_spec_validation(self):
-        with pytest.raises(ValidationError, match="distinct"):
-            ShockSpec(targets=(1, 1), horizon=2, at_time=1)
-        with pytest.raises(ValidationError, match="at least one"):
-            ShockSpec(targets=(), horizon=2, at_time=1)
-        with pytest.raises(ValidationError, match="level"):
-            ShockSpec(targets=(0,), horizon=2, at_time=1, level=1.5)
+    def test_request_validation(self, rng):
+        system = random_stable_system(rng, 3)
+        for targets, horizon, level, message in [
+                ([(1, 1)], 2, 0.95, "shock targets must be distinct"),
+                ([(0,), ()], 2, 0.95, "shock needs at least one target column"),
+                ([(0,)], -1, 0.95, "horizon must be >= 0"),
+                ([(0,)], 2, 1.5, r"confidence level must be in \(0, 1\)"),
+                ([(0,)], 2, 0.0, r"confidence level must be in \(0, 1\)")]:
+            with pytest.raises(ValidationError, match=f"^{message}$"):
+                asymptotic_bands(system, targets, 1, np.eye(3), horizon=horizon, level=level,
+                                 at_time=1)
 
 
 class TestDerivatives:
@@ -269,19 +270,19 @@ class TestAsymptoticBands:
         # B_0 = I does not depend on F1: a huge coefficient covariance leaves
         # the horizon-0 band unchanged and widens every later one
         system = random_stable_system(rng, 3)
-        shock = ShockSpec(targets=(1,), horizon=3, at_time=1)
-        (quiet,) = asymptotic_bands(system, [shock], 200, np.zeros((3, 3)))
-        (loud,) = asymptotic_bands(system, [shock], 200, 1e6 * np.eye(3))
+        request = dict(horizon=3, level=0.95, at_time=1)
+        (quiet,) = asymptotic_bands(system, [(1,)], 200, np.zeros((3, 3)), **request)
+        (loud,) = asymptotic_bands(system, [(1,)], 200, 1e6 * np.eye(3), **request)
         np.testing.assert_array_equal(loud.half_width[0], quiet.half_width[0])
         assert np.all(loud.half_width[1:] > quiet.half_width[1:])
 
     def test_quantile_scaling(self, rng):
         system = random_stable_system(rng, 3)
-        shock95 = ShockSpec(targets=(2,), horizon=4, at_time=1, level=0.95)
         level_z1 = 2 * norm.cdf(1.0) - 1  # level whose quantile is exactly 1
-        shock_z1 = ShockSpec(targets=(2,), horizon=4, at_time=1, level=level_z1)
-        (res95,) = asymptotic_bands(system, [shock95], 400, np.eye(3))
-        (res_z1,) = asymptotic_bands(system, [shock_z1], 400, np.eye(3))
+        (res95,) = asymptotic_bands(system, [(2,)], 400, np.eye(3), horizon=4, level=0.95,
+                                    at_time=1)
+        (res_z1,) = asymptotic_bands(system, [(2,)], 400, np.eye(3), horizon=4,
+                                     level=level_z1, at_time=1)
         ratio = res95.half_width[1:] / res_z1.half_width[1:]
         np.testing.assert_allclose(ratio, norm.ppf(0.975), rtol=1e-12)
         assert norm.ppf(0.975) == pytest.approx(1.959964, abs=5e-7)
@@ -289,9 +290,9 @@ class TestAsymptoticBands:
     def test_band_multiplier_pinned_at_95(self):
         # scalar VAR with F1 = 0 and unit variances: at horizon 1 the response
         # variance is exactly 1, so the half-width is the multiplier itself
-        system = from_reduced_form(np.zeros(1), np.zeros((1, 1)), np.eye(1))
-        shock = ShockSpec(targets=(0,), horizon=1, at_time=1, level=0.95)
-        (result,) = asymptotic_bands(system, [shock], 1, np.eye(1))
+        system = from_reduced_form(np.zeros((1, 1)), np.eye(1))
+        (result,) = asymptotic_bands(system, [(0,)], 1, np.eye(1), horizon=1, level=0.95,
+                                     at_time=1)
         assert result.half_width[1, 0] == 1.959963984540054
 
     def test_band_symmetry_exact(self, rng):
@@ -299,17 +300,17 @@ class TestAsymptoticBands:
         # at the representation level
         system = random_stable_system(rng, 2)
         moment_inv = estimate_asymptotic_inputs(panel_of(rng.standard_normal((100, 2))))
-        (result,) = asymptotic_bands(system, [ShockSpec(targets=(0,), horizon=5, at_time=1)],
-                                     100, moment_inv)
+        (result,) = asymptotic_bands(system, [(0,)], 100, moment_inv, horizon=5, level=0.95,
+                                     at_time=1)
         np.testing.assert_array_equal(result.upper, result.point + result.half_width)
         np.testing.assert_array_equal(result.lower, result.point - result.half_width)
         assert np.all(result.half_width >= 0)
 
     def test_sample_size_scaling(self, rng):
         system = random_stable_system(rng, 2)
-        shock = ShockSpec(targets=(1,), horizon=3, at_time=1)
-        (r100,) = asymptotic_bands(system, [shock], 100, np.eye(2))
-        (r400,) = asymptotic_bands(system, [shock], 400, np.eye(2))
+        request = dict(horizon=3, level=0.95, at_time=1)
+        (r100,) = asymptotic_bands(system, [(1,)], 100, np.eye(2), **request)
+        (r400,) = asymptotic_bands(system, [(1,)], 400, np.eye(2), **request)
         np.testing.assert_allclose(r100.half_width, 2 * r400.half_width, rtol=1e-12)
 
     def test_multi_target_variance_uses_cross_terms(self, rng):
@@ -318,8 +319,7 @@ class TestAsymptoticBands:
         system = random_stable_system(rng, 3)
         moment_inv = estimate_asymptotic_inputs(panel_of(rng.standard_normal((300, 3))))
         both, single_a, single_b = asymptotic_bands(
-            system, [ShockSpec(targets=t, horizon=2, at_time=1) for t in ((0, 1), (0,), (1,))],
-            300, moment_inv)
+            system, [(0, 1), (0,), (1,)], 300, moment_inv, horizon=2, level=0.95, at_time=1)
         np.testing.assert_array_equal(both.point, single_a.point + single_b.point)
         # half-widths are NOT additive (they aggregate a covariance)
         assert not np.allclose(both.half_width[1:],
@@ -327,18 +327,17 @@ class TestAsymptoticBands:
 
     def test_stability_flag_attached(self, rng):
         stable = random_stable_system(rng, 2)
-        (result,) = asymptotic_bands(stable, [ShockSpec(targets=(0,), horizon=2, at_time=1)],
-                                     50, np.eye(2))
+        (result,) = asymptotic_bands(stable, [(0,)], 50, np.eye(2), horizon=2, level=0.95,
+                                     at_time=1)
         assert result.stable
-        unstable = from_reduced_form(
-            np.zeros(2), 1.05 * np.eye(2), np.eye(2))
-        (result,) = asymptotic_bands(unstable, [ShockSpec(targets=(0,), horizon=2, at_time=1)],
-                                     50, np.eye(2))
+        unstable = from_reduced_form(1.05 * np.eye(2), np.eye(2))
+        (result,) = asymptotic_bands(unstable, [(0,)], 50, np.eye(2), horizon=2, level=0.95,
+                                     at_time=1)
         assert not result.stable
 
     def test_convergence_when_stable(self, rng):
         system = random_stable_system(rng, 3)
-        point = reported_point(system, ShockSpec(targets=(0,), horizon=30, at_time=1))
+        point = reported_point(system, (0,), 30)
         peaks = np.max(np.abs(point), axis=1)
         tail = peaks[2 * system.width:]
         assert all(b <= a + 1e-12 for a, b in zip(tail, tail[1:]))
@@ -346,8 +345,8 @@ class TestAsymptoticBands:
     def test_negative_variance_rejected(self, rng):
         system = random_stable_system(rng, 3)
         with pytest.raises(NumericalError, match="negative response variance .* horizon 1"):
-            asymptotic_bands(system, [ShockSpec(targets=(0,), horizon=3, at_time=1)], 100,
-                             -1e6 * np.eye(3))
+            asymptotic_bands(system, [(0,)], 100, -1e6 * np.eye(3), horizon=3, level=0.95,
+                             at_time=1)
 
 
 class TestClosedFormBands:
@@ -363,9 +362,9 @@ class TestClosedFormBands:
         dense = dense_asymptotic_inputs(panel, system)
         for targets in ((int(rng.integers(width)),), multi):
             for level in (0.9, 0.95):
-                shock = ShockSpec(targets=targets, horizon=6, at_time=1, level=level)
-                (closed,) = asymptotic_bands(system, [shock], 119, moment_inv)
-                oracle = dense_asymptotic_bands(system, shock, 119, *dense)
+                request = dict(horizon=6, level=level, at_time=1)
+                (closed,) = asymptotic_bands(system, [targets], 119, moment_inv, **request)
+                oracle = dense_asymptotic_bands(system, targets, 119, *dense, **request)
                 np.testing.assert_allclose(closed.point, oracle.point, rtol=0, atol=1e-12)
                 np.testing.assert_allclose(closed.half_width, oracle.half_width,
                                            rtol=1e-10, atol=0)
@@ -402,21 +401,19 @@ class TestClosedFormBands:
             grad[:, k] = (functional(theta + delta) - functional(theta - delta)) / (2 * step)
         expected = np.einsum("ik,kl,il->i", grad, cov, grad)
         level_z1 = 2 * norm.cdf(1.0) - 1
-        shock = ShockSpec(targets=targets, horizon=horizon, at_time=1, level=level_z1)
-        (result,) = asymptotic_bands(system, [shock], 1, moment_inv)
+        (result,) = asymptotic_bands(system, [targets], 1, moment_inv, horizon=horizon,
+                                     level=level_z1, at_time=1)
         np.testing.assert_allclose(result.half_width[horizon] ** 2, expected, rtol=1e-6)
 
     def test_band_functional_is_point_for_lower_triangular_g0(self, rng):
         system = random_stable_system(rng, 4)
         g0 = np.tril(system.g0)
         sigma_eps = np.linalg.solve(g0, np.linalg.solve(g0, system.sigma_u).T).T
-        lower = StackedSystem(g0=g0, g1=g0 @ system.f1, a=g0 @ system.b,
-                              sigma_u=system.sigma_u, sigma_eps=(sigma_eps + sigma_eps.T) / 2,
-                              b=system.b, f1=system.f1,
+        lower = StackedSystem(g0=g0, sigma_u=system.sigma_u,
+                              sigma_eps=(sigma_eps + sigma_eps.T) / 2, f1=system.f1,
                               g0_condition=sd_unit_condition(g0, system.sigma_u))
-        shock = ShockSpec(targets=(0, 2), horizon=4, at_time=1)
         functional = ma_coefficients(lower.f1, 4) @ cholesky_lower(lower.sigma_eps)[:, [0, 2]]
-        np.testing.assert_allclose(oirf_point(lower, shock), functional.sum(axis=2),
+        np.testing.assert_allclose(oirf_point(lower, (0, 2), 4), functional.sum(axis=2),
                                    rtol=0, atol=1e-12)
 
     def test_no_kronecker_products(self, rng, monkeypatch):
@@ -427,8 +424,7 @@ class TestClosedFormBands:
         panel = panel_of(rng.standard_normal((80, 5)))
         monkeypatch.setattr(np, "kron", refuse)
         moment_inv = estimate_asymptotic_inputs(panel)
-        asymptotic_bands(system, [ShockSpec(targets=(0, 4), horizon=6, at_time=1)], 79,
-                         moment_inv)
+        asymptotic_bands(system, [(0, 4)], 79, moment_inv, horizon=6, level=0.95, at_time=1)
 
     def test_memory_at_width_100(self):
         # the Kronecker form needs w^2 x w^2 = 800 MB matrices at this width
@@ -438,8 +434,8 @@ class TestClosedFormBands:
         tracemalloc.start()
         try:
             moment_inv = estimate_asymptotic_inputs(panel)
-            asymptotic_bands(system, [ShockSpec(targets=(50,), horizon=6, at_time=1)], 249,
-                             moment_inv)
+            asymptotic_bands(system, [(50,)], 249, moment_inv, horizon=6, level=0.95,
+                             at_time=1)
             peak_mb = tracemalloc.get_traced_memory()[1] / 2**20
         finally:
             tracemalloc.stop()
@@ -485,35 +481,35 @@ class TestPeriodShocks:
 
     def test_batch_equals_one_at_a_time(self, period):
         system, moment_inv = period
-        shocks = [ShockSpec(targets=targets, horizon=horizon, at_time=180, level=level)
-                  for targets, horizon, level in [((9,), 6, 0.95), ((0,), 6, 0.9),
-                                                  ((9, 0), 6, 0.95), ((4, 2, 7), 3, 0.68),
-                                                  ((5,), 0, 0.95)]]
-        batch = asymptotic_bands(system, shocks, 249, moment_inv)
-        assert len(batch) == len(shocks)
-        for shock, together in zip(shocks, batch):
-            (alone,) = asymptotic_bands(system, [shock], 249, moment_inv)
-            assert together.targets == shock.targets and together.level == shock.level
-            np.testing.assert_array_equal(together.point, alone.point)
-            np.testing.assert_array_equal(together.half_width, alone.half_width)
-            np.testing.assert_allclose(together.point, oirf_point(system, shock),
-                                       rtol=0, atol=1e-12)
-            assert (together.stable, together.radius, together.g0_condition) == \
-                (alone.stable, alone.radius, alone.g0_condition)
+        # one request per (horizon, level) pair
+        for targets, horizon, level in [([(9,), (9, 0), (0,)], 6, 0.95), ([(0,)], 6, 0.9),
+                                        ([(4, 2, 7), (1,)], 3, 0.68), ([(5,)], 0, 0.95)]:
+            request = dict(horizon=horizon, level=level, at_time=180)
+            batch = asymptotic_bands(system, targets, 249, moment_inv, **request)
+            assert len(batch) == len(targets)
+            for shock, together in zip(targets, batch):
+                (alone,) = asymptotic_bands(system, [shock], 249, moment_inv, **request)
+                assert together.targets == shock and together.level == level
+                assert together.horizon == horizon and together.at_time == 180
+                np.testing.assert_array_equal(together.point, alone.point)
+                np.testing.assert_array_equal(together.half_width, alone.half_width)
+                np.testing.assert_allclose(together.point, oirf_point(system, shock, horizon),
+                                           rtol=0, atol=1e-12)
+                assert (together.stable, together.radius, together.g0_condition) == \
+                    (alone.stable, alone.radius, alone.g0_condition)
 
     def test_combined_shock_is_sum_of_singles(self, period):
         system, moment_inv = period
         last, first, both = asymptotic_bands(
-            system, [ShockSpec(targets=t, horizon=6, at_time=1) for t in ((9,), (0,), (9, 0))],
-            249, moment_inv)
+            system, [(9,), (0,), (9, 0)], 249, moment_inv, horizon=6, level=0.95, at_time=1)
         total = last.point + first.point
         scale = max(1.0, float(np.max(np.abs(total))))
         assert np.max(np.abs(both.point - total)) <= 1e-9 * scale
 
     def test_conditioning_recorded(self, period):
         system, moment_inv = period
-        (result,) = asymptotic_bands(system, [ShockSpec(targets=(0,), at_time=1)], 249,
-                                     moment_inv)
+        (result,) = asymptotic_bands(system, [(0,)], 249, moment_inv, horizon=6, level=0.95,
+                                     at_time=1)
         assert result.radius == np.max(np.abs(np.linalg.eigvals(system.f1)))
         assert result.stable == (result.radius < 1.0)
         assert result.g0_condition == system.g0_condition >= 1.0
@@ -523,7 +519,7 @@ class TestPeriodShocks:
     def test_empty_shock_list_rejected(self, period):
         system, moment_inv = period
         with pytest.raises(ValidationError, match="no shocks"):
-            asymptotic_bands(system, [], 249, moment_inv)
+            asymptotic_bands(system, [], 249, moment_inv, horizon=6, level=0.95, at_time=1)
 
 
 def sample_periods(panel):
@@ -536,11 +532,10 @@ def sample_periods(panel):
     out = []
     for date in irf["dates"]:
         system = stack_system(fit, weights, panel.date_index(date))
-        shocks = [ShockSpec(targets=tuple(panel.column_index(name) for name in names),
-                            horizon=irf["horizon"], at_time=date, level=irf["level"])
-                  for names in irf["shocks"]]
+        targets = [tuple(panel.column_index(name) for name in names) for names in irf["shocks"]]
         out.append((system.g0_condition, asymptotic_bands(
-            system, shocks, len(panel.time_index) - 1, moment_inv)))
+            system, targets, len(panel.time_index) - 1, moment_inv, horizon=irf["horizon"],
+            level=irf["level"], at_time=date)))
     return out
 
 
@@ -580,8 +575,8 @@ class TestBandInputs:
     def bands(self, rng, moment_inv, sigma):
         """The bands of a system whose ``Sigma_eps`` is ``sigma``."""
         system = random_stable_system(rng, 3).replace(sigma_eps=sigma)
-        return asymptotic_bands(system, [ShockSpec(targets=(0,), horizon=2, at_time=1)], 100,
-                                moment_inv)
+        return asymptotic_bands(system, [(0,)], 100, moment_inv, horizon=2, level=0.95,
+                                at_time=1)
 
     @pytest.mark.parametrize("which", ["moment_inv", "sigma"])
     def test_non_finite_rejected(self, rng, which):
@@ -614,8 +609,7 @@ class TestAsymptoticInputs:
         eps = rng.standard_normal(t_len)
         for t in range(1, t_len):
             y[t] = phi * y[t - 1] + eps[t]
-        system = from_reduced_form(
-            np.zeros(1), np.array([[phi]]), np.array([[1.0]]))
+        system = from_reduced_form(np.array([[phi]]), np.array([[1.0]]))
         moment_inv = estimate_asymptotic_inputs(panel_of(y[:, None]))
         assert moment_inv.shape == system.sigma_eps.shape == (1, 1)
         slope_var = moment_inv[0, 0] * system.sigma_eps[0, 0]
@@ -624,8 +618,7 @@ class TestAsymptoticInputs:
     def test_sigma_sigma_identity_case(self):
         # the dense oracle for Sigma = I_2: 2 D+ D+' with the hand-built
         # duplication matrix
-        system = from_reduced_form(
-            np.zeros(2), 0.2 * np.eye(2), np.eye(2))
+        system = from_reduced_form(0.2 * np.eye(2), np.eye(2))
         panel = panel_of(np.random.default_rng(0).standard_normal((50, 2)))
         _, sigma_sigma = dense_asymptotic_inputs(panel, system)
         dup = np.array([[1.0, 0, 0], [0, 1, 0], [0, 1, 0], [0, 0, 1]])
@@ -638,7 +631,7 @@ class TestAsymptoticInputs:
         scale = 1.7
         y = scale * rng.standard_normal(t_len)
         sigma = np.array([[scale ** 2]])
-        system = from_reduced_form(np.zeros(1), np.zeros((1, 1)), sigma)
+        system = from_reduced_form(np.zeros((1, 1)), sigma)
         moment_inv = estimate_asymptotic_inputs(panel_of(y[:, None]))
         slope_var = moment_inv[0, 0] * system.sigma_eps[0, 0]
         assert slope_var == pytest.approx(scale ** 2 / np.var(y), rel=0.05)
@@ -647,8 +640,8 @@ class TestAsymptoticInputs:
 def test_irf_json_round_trip(tmp_path, rng):
     system = random_stable_system(rng, 3)
     moment_inv = estimate_asymptotic_inputs(panel_of(rng.standard_normal((150, 3))))
-    (result,) = asymptotic_bands(
-        system, [ShockSpec(targets=(0, 2), horizon=6, at_time=17, level=0.9)], 149, moment_inv)
+    (result,) = asymptotic_bands(system, [(0, 2)], 149, moment_inv, horizon=6, level=0.9,
+                                 at_time=17)
     columns = ["A.x", "A.y", "ACT"]
     path = tmp_path / "irf.json"
     write_irf_json(result, columns, path)
@@ -667,8 +660,8 @@ def test_irf_json_round_trip(tmp_path, rng):
 
 def test_irf_json_without_conditioning_rejected(tmp_path, rng):
     system = random_stable_system(rng, 2)
-    (result,) = asymptotic_bands(system, [ShockSpec(targets=(0,), horizon=2, at_time=1)], 100,
-                                 np.eye(2))
+    (result,) = asymptotic_bands(system, [(0,)], 100, np.eye(2), horizon=2, level=0.95,
+                                 at_time=1)
     path = tmp_path / "irf.json"
     write_irf_json(result, ["u", "v"], path)
     obj = read_json(path)
@@ -680,8 +673,8 @@ def test_irf_json_without_conditioning_rejected(tmp_path, rng):
 
 def test_irf_csv_round_trip(tmp_path, rng):
     system = random_stable_system(rng, 2)
-    (result,) = asymptotic_bands(system, [ShockSpec(targets=(1,), horizon=4, at_time=1)],
-                                 100, np.eye(2))
+    (result,) = asymptotic_bands(system, [(1,)], 100, np.eye(2), horizon=4, level=0.95,
+                                 at_time=1)
     columns = ["u", "v"]
     path = tmp_path / "irf.csv"
     write_irf_csv(result, columns, path)
