@@ -10,7 +10,11 @@ so it needs only ``ingest`` to have run.
 A command that succeeds ends with one ``<stage>: <seconds> s`` line of wall
 time on stderr; timings never enter the output directory.
 Exit codes: 0 success, 1 validation error or out of memory (an array past
-numpy's 2**63-byte limit included), 2 numerical failure.
+numpy's 2**63-byte limit included), 2 numerical failure or a usage error.
+argparse ends a usage error (a missing ``--config``, ``--seed x``) with exit 2
+and a stderr that starts with a ``usage:`` line; a failed stage ends its
+stderr, after any ``warning:`` lines, with one line that starts ``error:``
+or ``numerical failure:``. That line tells the cases apart.
 A stage process flushes its output and then ends without interpreter
 teardown; ``main()`` called in-process is unaffected. So ``atexit`` handlers
 registered before the CLI's own (by ``sitecustomize``, say) do not run, but a

@@ -2,6 +2,10 @@
 
 Unknown keys are rejected so that a config is either fully understood or
 fails fast; relative paths resolve against the config file's directory.
+``load_config`` reads JSON: each section goes through one reader that
+rejects unknown keys and wrong JSON types, and only the checks that span
+keys or sections stay in it. Each config record checks its own values when
+it is built, so one built or changed outside ``load_config`` is as valid.
 
 This is the package's leaf module. It owns the vocabulary the stages share
 (the alignment, transform and forecaster names, ``ForecasterConfig``,
@@ -31,50 +35,40 @@ SCHEMA_VERSION = 1
 WEIGHT_PROVIDERS = ("equal", "rolling-share", "csv")
 
 
-def _check_keys(obj: Mapping[str, Any], allowed: set[str], where: str) -> None:
-    unknown = set(obj) - allowed
+def _read(obj: Mapping[str, Any], section: str, fields: Mapping[str, Any],
+          base: Path) -> dict[str, Any]:
+    """``obj[section]`` (an empty object when absent) with each key it holds
+    read as its kind in ``fields``: ``int`` or ``float`` (a JSON number; an int
+    key takes no fractional value), ``Path`` (a string, resolved against
+    ``base``), ``list`` (a list of strings) or ``None`` (as is, for the record
+    to check). A non-object section, an unknown key or a wrong JSON type is a
+    ValidationError naming it, where ``int("3")``, ``int(True)`` and
+    ``int(2.7)`` would silently run with 3, 1 and 2."""
+    body = obj.get(section, {})
+    if not isinstance(body, dict):
+        raise ValidationError(f"{section} must be an object, got {body!r}")
+    unknown = set(body) - set(fields)
     if unknown:
-        raise ValidationError(f"unknown config keys in {where}: {sorted(unknown)}")
-
-
-def _section(obj: Mapping[str, Any], key: str) -> Mapping[str, Any]:
-    """``obj[key]`` (an empty object when absent), or a ValidationError naming it."""
-    value = obj.get(key, {})
-    if not isinstance(value, dict):
-        raise ValidationError(f"{key} must be an object, got {value!r}")
-    return value
-
-
-def _numbers(obj: Mapping[str, Any], section: str, kinds: Mapping[str, type]) -> dict[str, Any]:
-    """``kind(obj[key])`` for each ``key: kind`` of ``kinds`` that ``obj`` holds
-    (an absent key takes the record's default), or a ValidationError naming
-    the key.
-
-    Only JSON numbers pass: strings and booleans do not, and an int key takes
-    no fractional value, where ``int("3")``, ``int(True)`` and ``int(2.7)``
-    would silently run with 3, 1 and 2.
-    """
+        raise ValidationError(f"unknown config keys in {section}: {sorted(unknown)}")
     out = {}
-    for key, kind in kinds.items():
-        if key not in obj:
+    for key, kind in fields.items():
+        if key not in body:
             continue
-        value = obj[key]
-        if isinstance(value, bool) or not isinstance(value, (int, float)) or (
-                kind is int and isinstance(value, float) and not value.is_integer()):
-            what = "an integer" if kind is int else "a number"
-            raise ValidationError(f"{section}.{key} must be {what}, got {value!r}")
-        out[key] = kind(value)
+        value, name = body[key], f"{section}.{key}"
+        if kind is list:
+            value = parse_strings(value, name)
+        elif kind is Path:
+            if not isinstance(value, str):
+                raise ValidationError(f"{name} must be a string, got {value!r}")
+            value = (base / value).resolve()
+        elif kind is not None:
+            if isinstance(value, bool) or not isinstance(value, (int, float)) or (
+                    kind is int and isinstance(value, float) and not value.is_integer()):
+                what = "an integer" if kind is int else "a number"
+                raise ValidationError(f"{name} must be {what}, got {value!r}")
+            value = kind(value)
+        out[key] = value
     return out
-
-
-def _path(base: Path, obj: Mapping[str, Any], section: str, key: str,
-          default: Any = None) -> Path:
-    """``obj[key]`` resolved against ``base``, or a ValidationError naming the
-    key when it is not a string."""
-    value = obj.get(key, default)
-    if not isinstance(value, str):
-        raise ValidationError(f"{section}.{key} must be a string, got {value!r}")
-    return (base / value).resolve()
 
 
 class Record:
@@ -126,7 +120,8 @@ class Record:
         return f"{self.__class__.__qualname__}({shown})"
 
     def replace(self, **changes: Any):
-        """A copy with ``changes``, checked by the constructor like any new record."""
+        """A copy with ``changes``, checked by the constructor like any new record:
+        a config record changed this way meets the checks of ``load_config``."""
         return self.__class__(**{**dict(zip(self._fields, self._values())), **changes})
 
 
@@ -169,30 +164,70 @@ class ForecasterConfig(Record):
 
 
 class WeightSettings(Record):
+    """The ``weights`` keys; ``provider`` is one of ``WEIGHT_PROVIDERS``."""
+
     def __init__(self, provider: str = "equal", variable: str | None = None,
                  window: int = 24, path: Path | None = None):
+        if provider not in WEIGHT_PROVIDERS:
+            raise ValidationError(f"unknown weight provider {provider!r}")
         if variable is not None and not isinstance(variable, str):
             raise ValidationError(f"weights.variable must be a string, got {variable!r}")
         if window < 1:
             raise ValidationError("weights.window must be >= 1")
+        if provider == "rolling-share" and not variable:
+            raise ValidationError("rolling-share weights need a 'variable'")
+        if provider == "csv" and path is None:
+            raise ValidationError("csv weights need a 'path'")
         self._set(provider=provider, variable=variable, window=window, path=path)
 
 
 class IRFSettings(Record):
+    """The ``irf`` keys: distinct dates, and shocks on distinct sets of columns."""
+
     def __init__(self, horizon: int = 6, level: float = 0.95,
                  dates: list[str] | None = None, shocks: list[list[str]] | None = None):
-        self._set(horizon=horizon, level=level, dates=[] if dates is None else dates,
-                  shocks=[] if shocks is None else shocks)
+        dates = [] if dates is None else dates
+        shocks = [] if shocks is None else shocks
+        if horizon < 0:
+            raise ValidationError("irf.horizon must be >= 0")
+        if not 0.0 < level < 1.0:
+            raise ValidationError("irf.level must be in (0, 1)")
+        for i, date in enumerate(dates):
+            first = dates.index(date)
+            if first != i:
+                raise ValidationError(f"irf.dates[{i}] repeats irf.dates[{first}]: {date!r}")
+        column_sets: dict[frozenset[str], int] = {}
+        for i, shock in enumerate(shocks):
+            if not shock:
+                raise ValidationError("each IRF shock needs at least one target column")
+            if len(set(shock)) != len(shock):
+                raise ValidationError(f"duplicate columns in irf.shocks[{i}]: {shock}")
+            # the same columns in another order give the same response
+            first = column_sets.setdefault(frozenset(shock), i)
+            if first != i:
+                raise ValidationError(
+                    f"irf.shocks[{i}] repeats the columns of irf.shocks[{first}]: {shock}")
+        self._set(horizon=horizon, level=level, dates=dates, shocks=shocks)
 
 
 class RunConfig(Record):
     """A loaded config; ``methods`` is in config order, each with its kind and
-    external path set."""
+    external path set, and lists at least one method."""
 
     def __init__(self, data_path: Path, imputation: str, transform: str,
                  regions: list[str] | None, variables: list[str] | None,
                  activities: list[str] | None, weights: WeightSettings, tvp: TVPConfig,
                  irf: IRFSettings, methods: dict[str, ForecasterConfig], out_dir: Path):
+        if imputation not in ALIGN_METHODS:
+            raise ValidationError(f"unknown imputation {imputation!r}")
+        if transform not in TRANSFORMS:
+            raise ValidationError(f"unknown transform {transform!r}")
+        for key, codes in (("regions", regions), ("variables", variables),
+                           ("activities", activities)):
+            if codes is not None and len(set(codes)) != len(codes):
+                raise ValidationError(f"duplicate codes in panel.{key}")
+        if not methods:
+            raise ValidationError("forecast.methods must list at least one method")
         self._set(data_path=data_path, imputation=imputation, transform=transform,
                   regions=regions, variables=variables, activities=activities,
                   weights=weights, tvp=tvp, irf=irf, methods=methods, out_dir=out_dir)
@@ -204,87 +239,41 @@ def load_config(path: str | Path) -> RunConfig:
     obj = read_json(path)
     if not isinstance(obj, dict):
         raise ValidationError("config must be a JSON object")
-    _check_keys(obj, {"schema_version", "data", "panel", "weights", "tvp",
-                      "irf", "forecast", "output"}, "top level")
+    # the document is a section whose keys, the sections, are read as is
+    _read({"top level": obj}, "top level", dict.fromkeys((
+        "schema_version", "data", "panel", "weights", "tvp", "irf", "forecast",
+        "output")), base)
     version = obj.get("schema_version")
     # True == 1.0 == 1 in Python: only the integer itself names the version
     if type(version) is not int or version != SCHEMA_VERSION:
         raise ValidationError(f"unsupported schema_version {version!r}, expected {SCHEMA_VERSION}")
 
-    data = obj.get("data")
-    if not isinstance(data, dict) or "path" not in data:
+    if not isinstance(obj.get("data"), dict) or "path" not in obj["data"]:
         raise ValidationError("config needs a data object with a path")
-    _check_keys(data, {"path", "imputation", "transform"}, "data")
-    data_path = _path(base, data, "data", "path")
-    imputation = data.get("imputation", "linear-interpolate")
-    if imputation not in ALIGN_METHODS:
-        raise ValidationError(f"unknown imputation {imputation!r}")
-    transform = data.get("transform", "none")
-    if transform not in TRANSFORMS:
-        raise ValidationError(f"unknown transform {transform!r}")
+    data = _read(obj, "data", {"path": Path, "imputation": None, "transform": None}, base)
 
-    panel = _section(obj, "panel")
-    _check_keys(panel, {"regions", "variables", "activities"}, "panel")
-    for key in ("regions", "variables", "activities"):
-        if panel.get(key) is not None:
-            codes = parse_strings(panel[key], f"panel.{key}")
-            if len(set(codes)) != len(codes):
-                raise ValidationError(f"duplicate codes in panel.{key}")
+    # a code list that is null or absent is unset
+    keys = ("regions", "variables", "activities")
+    panel = _read(obj, "panel", dict.fromkeys(keys), base)
+    codes = {key: None if panel.get(key) is None else parse_strings(panel[key], f"panel.{key}")
+             for key in keys}
 
-    weights_obj = _section(obj, "weights")
-    _check_keys(weights_obj, {"provider", "variable", "window", "path"}, "weights")
-    provider = weights_obj.get("provider", "equal")
-    if provider not in WEIGHT_PROVIDERS:
-        raise ValidationError(f"unknown weight provider {provider!r}")
-    weights = WeightSettings(
-        provider=provider,
-        variable=weights_obj.get("variable"),
-        **_numbers(weights_obj, "weights", {"window": int}),
-        path=_path(base, weights_obj, "weights", "path") if "path" in weights_obj else None,
-    )
-    if provider == "rolling-share" and not weights.variable:
-        raise ValidationError("rolling-share weights need a 'variable'")
-    if provider == "csv" and weights.path is None:
-        raise ValidationError("csv weights need a 'path'")
+    weights = WeightSettings(**_read(obj, "weights", {
+        "provider": None, "variable": None, "window": int, "path": Path}, base))
+    tvp = TVPConfig(**_read(obj, "tvp", {"iters": int, "seed": int}, base))
 
-    tvp_obj = _section(obj, "tvp")
-    _check_keys(tvp_obj, {"iters", "seed"}, "tvp")
-    tvp = TVPConfig(**_numbers(tvp_obj, "tvp", {"iters": int, "seed": int}))
-
-    irf_obj = _section(obj, "irf")
-    _check_keys(irf_obj, {"horizon", "level", "dates", "shocks"}, "irf")
-    shocks = irf_obj.get("shocks", [])
+    irf_obj = _read(obj, "irf", {"horizon": int, "level": float, "dates": list,
+                                 "shocks": None}, base)
+    shocks = irf_obj.pop("shocks", [])
     if not isinstance(shocks, list):
         raise ValidationError(f"irf.shocks must be a list of column lists, got {shocks!r}")
-    irf = IRFSettings(
-        **_numbers(irf_obj, "irf", {"horizon": int, "level": float}),
-        dates=parse_strings(irf_obj.get("dates", []), "irf.dates"),
-        shocks=[parse_strings(s, f"irf.shocks[{i}]") for i, s in enumerate(shocks)],
-    )
-    if irf.horizon < 0:
-        raise ValidationError("irf.horizon must be >= 0")
-    if not 0.0 < irf.level < 1.0:
-        raise ValidationError("irf.level must be in (0, 1)")
-    for i, date in enumerate(irf.dates):
-        first = irf.dates.index(date)
-        if first != i:
-            raise ValidationError(f"irf.dates[{i}] repeats irf.dates[{first}]: {date!r}")
-    column_sets: dict[frozenset[str], int] = {}
-    for i, shock in enumerate(irf.shocks):
-        if not shock:
-            raise ValidationError("each IRF shock needs at least one target column")
-        if len(set(shock)) != len(shock):
-            raise ValidationError(f"duplicate columns in irf.shocks[{i}]: {shock}")
-        # the same columns in another order give the same response
-        first = column_sets.setdefault(frozenset(shock), i)
-        if first != i:
-            raise ValidationError(
-                f"irf.shocks[{i}] repeats the columns of irf.shocks[{first}]: {shock}")
+    irf = IRFSettings(**irf_obj, shocks=[parse_strings(s, f"irf.shocks[{i}]")
+                                         for i, s in enumerate(shocks)])
 
-    fc_obj = _section(obj, "forecast")
-    _check_keys(fc_obj, {"horizon", "methods", "lag_window", "cv_folds",
-                         "grid_size", "grid_floor", "external"}, "forecast")
-    external_obj = fc_obj.get("external", {})
+    fc_obj = _read(obj, "forecast", {
+        "horizon": int, "methods": list, "lag_window": int, "cv_folds": int,
+        "grid_size": int, "grid_floor": float, "external": None}, base)
+    external_obj = fc_obj.pop("external", {})
     if not isinstance(external_obj, dict) or not all(
             isinstance(p, str) for p in external_obj.values()):
         raise ValidationError("forecast.external must be an object of method name -> file path")
@@ -297,18 +286,14 @@ def load_config(path: str | Path) -> RunConfig:
     if reused:
         raise ValidationError(f"forecast.external may not reuse a built-in method name: {reused}")
     external = {name: (base / p).resolve() for name, p in external_obj.items()}
-    names = parse_strings(fc_obj.get("methods", list(METHOD_ORDER)), "forecast.methods")
-    if not names:
-        raise ValidationError("forecast.methods must list at least one method")
+    names = fc_obj.pop("methods", list(METHOD_ORDER))
     if len(set(names)) != len(names):
         raise ValidationError(f"duplicate names in forecast.methods: {names}")
     unlisted = sorted(set(external) - set(names))
     if unlisted:
         raise ValidationError("forecast.external names methods that forecast.methods "
                               f"does not list: {unlisted}")
-    settings = ForecasterConfig(**_numbers(fc_obj, "forecast", {
-        "horizon": int, "lag_window": int, "cv_folds": int, "grid_size": int,
-        "grid_floor": float}))
+    settings = ForecasterConfig(**fc_obj)
     methods = {}
     for name in names:
         if name in external:
@@ -319,14 +304,11 @@ def load_config(path: str | Path) -> RunConfig:
             raise ValidationError(
                 f"unknown forecast method {name!r} (no external path configured)")
 
-    output = _section(obj, "output")
-    _check_keys(output, {"dir"}, "output")
-    out_dir = _path(base, output, "output", "dir", "out")
+    out_dir = _read(obj, "output", {"dir": Path}, base).get("dir") or (base / "out").resolve()
 
     return RunConfig(
-        data_path=data_path, imputation=imputation, transform=transform,
-        regions=panel.get("regions"), variables=panel.get("variables"),
-        activities=panel.get("activities"), weights=weights, tvp=tvp,
+        data_path=data["path"], imputation=data.get("imputation", "linear-interpolate"),
+        transform=data.get("transform", "none"), **codes, weights=weights, tvp=tvp,
         irf=irf, methods=methods, out_dir=out_dir)
 
 

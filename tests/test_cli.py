@@ -14,8 +14,8 @@ from scipy.special import ndtri
 
 import tvpgvar
 from tvpgvar import read_panel_csv
-from tvpgvar.cli import main
-from tvpgvar.config import load_config
+from tvpgvar.cli import cmd_estimate, main
+from tvpgvar.config import WeightSettings, load_config
 from tvpgvar.errors import ValidationError
 from tvpgvar.gvar import read_coefficients_json
 from tvpgvar.irf import read_irf_csv, read_irf_json
@@ -250,12 +250,13 @@ class TestIngest:
         assert "Traceback" not in proc.stderr
 
     def test_any_wrongly_typed_key_raises_only_validation_error(self, tmp_path):
-        # every key of the sample config, plus the two optional path keys,
+        # every key of the sample config, plus the optional keys it omits,
         # set to each JSON type in turn: loading succeeds or fails cleanly
         config_path = write_sample_config(tmp_path, iters=20)
         sample = read_json(config_path)
-        sample["weights"]["path"] = "weights.csv"
-        sample["forecast"]["external"] = {}
+        sample["data"]["transform"] = "none"
+        sample["weights"].update(variable="HUR", window=24, path="weights.csv")
+        sample["forecast"].update(external={}, grid_size=50, grid_floor=1e-4)
         keys = [(section,) for section in sample]
         keys += [(section, key) for section, body in sample.items()
                  if isinstance(body, dict) for key in body]
@@ -275,8 +276,70 @@ class TestIngest:
                     pass
                 except Exception as exc:
                     unexpected.append((".".join(where), value, type(exc).__name__))
-        assert len(keys) == 27
+        assert len(keys) == 32
         assert unexpected == []
+
+    @pytest.mark.parametrize("section, key, value, record, message", [
+        ("weights", "provider", "rolling_share", "weights",
+         "unknown weight provider 'rolling_share'"),
+        ("weights", "provider", "rolling-share", "weights",
+         "rolling-share weights need a 'variable'"),
+        ("weights", "provider", "csv", "weights", "csv weights need a 'path'"),
+        ("irf", "horizon", -1, "irf", "irf.horizon must be >= 0"),
+        ("irf", "level", 1.5, "irf", "irf.level must be in (0, 1)"),
+        ("irf", "dates", ["2003-06", "2003-06"], "irf",
+         "irf.dates[1] repeats irf.dates[0]: '2003-06'"),
+        ("irf", "shocks", [["OIL", "OIL"]], "irf",
+         "duplicate columns in irf.shocks[0]: ['OIL', 'OIL']"),
+        ("irf", "shocks", [["OIL", "AAA.CPI"], ["AAA.CPI", "OIL"]], "irf",
+         "irf.shocks[1] repeats the columns of irf.shocks[0]: ['AAA.CPI', 'OIL']"),
+        ("data", "imputation", "spline", None, "unknown imputation 'spline'"),
+        ("data", "transform", "sqrt", None, "unknown transform 'sqrt'"),
+        ("panel", "regions", ["AAA", "BBB", "AAA"], None, "duplicate codes in panel.regions"),
+        ("forecast", "methods", [], None, "forecast.methods must list at least one method"),
+    ], ids=["provider-typo", "rolling-share-variable", "csv-path", "horizon", "level",
+            "repeated-date", "repeated-column", "reordered-shock", "imputation", "transform",
+            "repeated-region", "no-methods"])
+    def test_each_record_checks_its_fields_as_load_config_does(
+            self, tmp_path, section, key, value, record, message):
+        config_path = mini_config(tmp_path)
+        config = load_config(config_path)
+        obj = read_json(config_path)
+        obj[section][key] = value
+        write_json(obj, config_path)
+        exact = "^" + re.escape(message) + "$"
+        with pytest.raises(ValidationError, match=exact):
+            load_config(config_path)
+        # a record built or changed outside load_config meets the same check;
+        # the field has the key's name, and RunConfig holds no methods as {}
+        valid = config if record is None else getattr(config, record)
+        changes = {key: {} if key == "methods" else value}
+        with pytest.raises(ValidationError, match=exact):
+            type(valid)(**{**vars(valid), **changes})
+        with pytest.raises(ValidationError, match=exact):
+            valid.replace(**changes)
+
+    def test_provider_typo_fails_before_the_stage_runs(self, pipeline):
+        # once built, estimate would fall through to the csv provider and
+        # end in a TypeError on its missing path
+        config = load_config(pipeline / "config.json")
+        with pytest.raises(ValidationError, match="^unknown weight provider 'rolling_share'$"):
+            cmd_estimate(config.replace(
+                weights=WeightSettings(provider="rolling_share", variable="HUR")))
+
+    def test_null_code_lists_load_unset(self, tmp_path):
+        config = load_config(mini_config(tmp_path, panel={
+            "regions": None, "variables": None, "activities": None}))
+        assert (config.regions, config.variables, config.activities) == (None, None, None)
+        # the other lists are never unset
+        for section, key in [("irf", "dates"), ("forecast", "methods")]:
+            config_path = mini_config(tmp_path)
+            obj = read_json(config_path)
+            obj[section][key] = None
+            write_json(obj, config_path)
+            with pytest.raises(ValidationError,
+                               match=f"^{section}.{key} must be a list of strings, got None$"):
+                load_config(config_path)
 
     def test_rerun_byte_identical(self, pipeline, tmp_path):
         first = (pipeline / "out" / "panel.csv").read_bytes()

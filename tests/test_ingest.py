@@ -148,7 +148,8 @@ class TestRecords:
         (WeightSettings, "window"),
         (IRFSettings, "dates"),
         (lambda: RunConfig(Path("data.csv"), "repeat-last", "none", None, None, None,
-                           WeightSettings(), TVPConfig(), IRFSettings(), {}, Path("out")),
+                           WeightSettings(), TVPConfig(), IRFSettings(),
+                           {"constant": ForecasterConfig()}, Path("out")),
          "out_dir"),
         (lambda: PanelTVPResult([], {}), "errors"),
         (lambda: ForecastResult((), (), np.zeros((1, 0, 2)), np.zeros((1, 0)), None, {}),
