@@ -19,7 +19,7 @@ _HOMES = {
     "NumericalError": "errors", "ValidationError": "errors",
     "ForecastResult": "forecast", "LassoFit": "forecast", "forecast_constant": "forecast",
     "forecast_lasso": "forecast", "forecast_var1": "forecast", "lasso_fit": "forecast",
-    "mse": "forecast", "two_stage_forecast": "forecast",
+    "mse_per_series": "forecast", "two_stage_forecast": "forecast",
     "ActivityCoefficients": "gvar", "CountryCoefficients": "gvar", "StackedSystem": "gvar",
     "StructuralFit": "gvar", "WeightSequence": "gvar", "estimate_structural": "gvar",
     "ma_coefficients": "gvar", "spectral_radius": "gvar", "stack_system": "gvar",

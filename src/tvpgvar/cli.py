@@ -31,7 +31,7 @@ import time
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .config import RunConfig, load_config, read_mse_report, select_model
+from .config import POOLED_ROW, RunConfig, load_config, read_mse_report, select_model
 from .errors import NumericalError, ValidationError
 from .serialize import write_json
 
@@ -188,7 +188,7 @@ def cmd_forecast(config: RunConfig) -> None:
 
     results = {}
     for method, fconf in config.methods.items():
-        results[method] = fc.two_stage_forecast(train, tvp_result, fconf, actuals=actuals,
+        results[method] = fc.two_stage_forecast(train, tvp_result, fconf,
                                                 paths=external.get(method))
         failed: dict[str, list[str]] = {}
         for name, reason in results[method].errors.items():
@@ -196,17 +196,18 @@ def cmd_forecast(config: RunConfig) -> None:
         for reason, columns in failed.items():
             print(f"warning: {method} failed for {', '.join(columns)}: {reason}",
                   file=sys.stderr)
+    scores = {method: fc.mse_per_series(result, actuals) for method, result in results.items()}
+    pooled = fc.pooled_mse(scores, train)
     fc.write_param_paths(results, config.out_dir / FORECAST_PARAMS_FILE)
     fc.write_variable_paths(results, config.out_dir / FORECAST_VARIABLES_FILE,
                             actuals=actuals)
-    fc.write_mse_report(results, config.out_dir / MSE_REPORT_FILE)
-    aggregates = fc.pooled_mse(results)
-    if not aggregates:
-        scoring = [method for method, r in results.items() if r.mse_per_series]
+    fc.write_mse_report(scores, pooled, config.out_dir / MSE_REPORT_FILE)
+    if not pooled:
+        scoring = [method for method, per_series in scores.items() if per_series]
         raise NumericalError(
             f"the forecasters {', '.join(scoring)} share no scored series" if scoring
             else "no forecaster produced a scoreable path")
-    best = select_model(aggregates)
+    best = select_model(pooled)
     print(f"mse report -> {config.out_dir / MSE_REPORT_FILE}")
     print(f"selected model: {best}")
 
@@ -216,9 +217,9 @@ def cmd_report(config: RunConfig) -> None:
     print("method,aggregate_mse")
     aggregates = {}
     for method, per_series in table.items():
-        if "ALL" in per_series:
-            aggregates[method] = per_series["ALL"]
-            print(f"{method},{per_series['ALL']:.6g}")
+        if POOLED_ROW in per_series:
+            aggregates[method] = per_series[POOLED_ROW]
+            print(f"{method},{aggregates[method]:.6g}")
     if aggregates:
         print(f"selected model: {select_model(aggregates)}")
     irf_files = sorted(p.name for p in config.out_dir.glob("irf_*.json"))

@@ -9,10 +9,11 @@ it is built, so one built or changed outside ``load_config`` is as valid.
 
 This is the package's leaf module. It owns the vocabulary the stages share
 (the alignment, transform and forecaster names, ``ForecasterConfig``,
-``TVPConfig``), ``Record``, the base of every record the stages build, each
-an immutable value compared field by field, and the method scores' reader
-and tie-break. It imports neither numpy, nor a stage module, nor
-``inspect``, so ``report`` starts without them.
+``TVPConfig``, the pooled-row label ``POOLED_ROW``), ``Record``, the base of
+every record the stages build, each an immutable value compared field by
+field, and the method scores' reader and tie-break. It imports neither
+numpy, nor a stage module, nor ``inspect``, so ``report`` starts without
+them.
 """
 
 from __future__ import annotations
@@ -29,6 +30,8 @@ ALIGN_METHODS = ("linear-interpolate", "repeat-last")
 TRANSFORMS = ("none", "log")
 METHOD_ORDER = ("constant", "var1", "lasso")
 FORECASTER_KINDS = METHOD_ORDER + ("external",)
+# the series cell of each method's pooled row in mse_report.csv: no column takes it
+POOLED_ROW = "ALL"
 
 SCHEMA_VERSION = 1
 
@@ -192,6 +195,9 @@ class IRFSettings(Record):
             raise ValidationError("irf.horizon must be >= 0")
         if not 0.0 < level < 1.0:
             raise ValidationError("irf.level must be in (0, 1)")
+        if 0.5 + level / 2.0 == 1.0:  # the band multiplier's quantile point
+            raise ValidationError(f"irf.level {level!r} is too close to 1: the band "
+                                  "multiplier at 0.5 + level/2 = 1.0 is infinite")
         for i, date in enumerate(dates):
             first = dates.index(date)
             if first != i:
@@ -329,7 +335,7 @@ def select_model(results: Mapping[str, float]) -> str:
 
 
 def read_mse_report(path: str | Path) -> dict[str, dict[str, float]]:
-    """The ``forecast`` stage's MSE report: method -> series (or ``ALL``) -> MSE."""
+    """The ``forecast`` stage's MSE report: method -> series (or ``POOLED_ROW``) -> MSE."""
     out: dict[str, dict[str, float]] = {}
     for where, (method, series, value) in read_table(path, ["method", "series", "mse"]):
         out.setdefault(method, {})[series] = parse_float(value, where)

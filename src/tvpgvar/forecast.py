@@ -8,9 +8,9 @@ in-process forecasters share one call shape: ``(series, config)`` maps a
 (T, d) array of parameter series to (horizon, d) predictions and
 {series: reason} for the series that failed alone. Stage two
 feeds the predicted coefficients back through the scalar recursion
-``x_{t+1} = b_{t+1} + f_{t+1} x_t`` and scores against held-out actuals; a
-method's pooled score averages each series' MSE over the variance of its
-column in the training window, so no series weighs by its units.
+``x_{t+1} = b_{t+1} + f_{t+1} x_t``; ``mse_per_series`` then scores a method
+against held-out actuals, and ``pooled_mse`` averages each series' MSE over
+its column's training-window variance, so no series weighs by its units.
 
 The lasso has one solver, ``_lasso_path``. It takes a batch of standardized
 problems in Gram form (``G = Xs'Xs/n``, ``c = Xs'yc/n``) and follows each
@@ -34,7 +34,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .config import ForecasterConfig, Record, read_mse_report  # noqa: F401 (re-exported)
+from .config import POOLED_ROW, ForecasterConfig, Record, read_mse_report  # noqa: F401 (re-export)
 from .errors import NumericalError, ValidationError, check_array_size
 from .ingest import TimeSeriesPanel, month_index, month_label
 from .ols import least_squares
@@ -363,16 +363,12 @@ _FORECASTERS = {"constant": forecast_constant, "var1": forecast_var1, "lasso": f
 
 class ForecastResult(Record):
     """Predicted parameter paths (h, width, 2) and variable paths (h, width),
-    optional per-series MSE, each column's ``column_scales`` over the training
-    window, and the failed columns' reasons by name."""
+    and the failed columns' reasons by name."""
 
     def __init__(self, columns: tuple[str, ...], future_dates: tuple[str, ...],
-                 param_paths: np.ndarray, variable_paths: np.ndarray,
-                 mse_per_series: dict[str, float] | None, scales: dict[str, float],
-                 errors: dict[str, str] | None = None):
+                 param_paths: np.ndarray, variable_paths: np.ndarray, errors: dict[str, str]):
         self._set(columns=columns, future_dates=future_dates, param_paths=param_paths,
-                  variable_paths=variable_paths, mse_per_series=mse_per_series, scales=scales,
-                  errors={} if errors is None else errors)
+                  variable_paths=variable_paths, errors=errors)
 
 
 def _future_dates(panel: TimeSeriesPanel, horizon: int) -> tuple[str, ...]:
@@ -381,17 +377,16 @@ def _future_dates(panel: TimeSeriesPanel, horizon: int) -> tuple[str, ...]:
 
 
 def two_stage_forecast(panel: TimeSeriesPanel, tvp_result: PanelTVPResult,
-                       config: ForecasterConfig, actuals: np.ndarray | None = None,
+                       config: ForecasterConfig,
                        paths: Mapping[str, tuple[list[str], np.ndarray]] | None = None
                        ) -> ForecastResult:
     """Forecast parameters per column, then roll the scalar recursion forward.
 
-    ``panel`` is the training window whose final row seeds the recursion;
-    ``actuals``, when given, is the (horizon, width) held-out block to score
-    against. An external forecaster takes ``paths``, its ``external_path``
-    file as ``read_trajectories`` returns it. A missing trajectory, a
-    stage-one failure of either of a column's series or a missing external
-    path aborts only the affected columns.
+    ``panel`` is the training window whose final row seeds the recursion. An
+    external forecaster takes ``paths``, its ``external_path`` file as
+    ``read_trajectories`` returns it. A missing trajectory, a stage-one
+    failure of either of a column's series or a missing external path aborts
+    only the affected columns. ``mse_per_series`` scores the result.
     """
     names = panel.column_names()
     width = panel.width
@@ -442,67 +437,56 @@ def two_stage_forecast(panel: TimeSeriesPanel, tvp_result: PanelTVPResult,
         state = param[s, :, 0] + param[s, :, 1] * state
         variables[s] = state
 
-    mse_per_series = None
-    if actuals is not None:
-        actuals = np.asarray(actuals, float)
-        if actuals.shape != (h, width):
-            raise ValidationError(f"actuals shape {actuals.shape} != ({h}, {width})")
-        mse_per_series = {name: mse(actuals[:, i], variables[:, i])
-                          for i, name in enumerate(names) if name not in errors}
-
     return ForecastResult(
-        columns=tuple(names),
-        future_dates=_future_dates(panel, h),
-        param_paths=param, variable_paths=variables, mse_per_series=mse_per_series,
-        scales=dict(zip(names, column_scales(panel.values.T).tolist())), errors=errors)
-
-
-def mse(actual: np.ndarray, predicted: np.ndarray) -> float:
-    """Mean of squared differences."""
-    actual = np.asarray(actual, float).reshape(-1)
-    predicted = np.asarray(predicted, float).reshape(-1)
-    if actual.size != predicted.size:
-        raise ValidationError(f"length mismatch: {actual.size} vs {predicted.size}")
-    if actual.size == 0:
-        raise ValidationError("need at least one observation")
-    return float(np.mean((actual - predicted) ** 2))
+        columns=tuple(names), future_dates=_future_dates(panel, h),
+        param_paths=param, variable_paths=variables, errors=errors)
 
 
 # ---------------------------------------------------------------------------
-# artifacts
+# scores and artifacts
 # ---------------------------------------------------------------------------
 
-def pooled_mse(results: Mapping[str, ForecastResult]) -> dict[str, float]:
-    """Each scoring method's mean of MSE / scale^2 (``ForecastResult.scales``)
-    over the series that every scoring method scored, so that the methods
-    compare on the same series.
+def mse_per_series(result: ForecastResult, actuals: np.ndarray) -> dict[str, float]:
+    """{column: MSE} of one method's variable paths against the (horizon,
+    width) held-out ``actuals``, over the columns that did not fail. Each is
+    the mean of one 1-D column, which numpy sums pairwise; an axis-0 mean
+    over the block would not, and would move the report's last bits."""
+    actuals = np.asarray(actuals, float)
+    if actuals.shape != result.variable_paths.shape:
+        raise ValidationError(f"actuals shape {actuals.shape} != {result.variable_paths.shape}")
+    return {name: float(np.mean((actuals[:, i] - result.variable_paths[:, i]) ** 2))
+            for i, name in enumerate(result.columns) if name not in result.errors}
+
+
+def pooled_mse(scores: Mapping[str, Mapping[str, float]],
+               train: TimeSeriesPanel) -> dict[str, float]:
+    """Each scoring method's mean of MSE / scale^2 over the series that every
+    scoring method scored, so that the methods compare on the same series.
+    ``scores`` maps each method to its ``mse_per_series``; a series' scale is
+    its ``column_scales`` entry over the training window ``train``.
 
     A method that scored no series is left out. The result is empty when no
     method scored or the scoring methods share no series.
     """
-    scoring = {method: {name: value / result.scales[name] ** 2
-                        for name, value in result.mse_per_series.items()}
-               for method, result in results.items() if result.mse_per_series}
+    scales = dict(zip(train.column_names(), column_scales(train.values.T).tolist()))
+    scoring = {method: {name: value / scales[name] ** 2 for name, value in per_series.items()}
+               for method, per_series in scores.items() if per_series}
     shared = set.intersection(*map(set, scoring.values())) if scoring else set()
     if not shared:
         return {}
-    return {method: float(np.mean([value for name, value in scores.items() if name in shared]))
-            for method, scores in scoring.items()}
+    return {method: float(np.mean([value for name, value in scaled.items() if name in shared]))
+            for method, scaled in scoring.items()}
 
 
-def write_mse_report(results: Mapping[str, ForecastResult], path: str | Path) -> None:
-    """Per-series rows plus one ``ALL`` row per method, pooled by ``pooled_mse``."""
-    pooled = pooled_mse(results)
-
+def write_mse_report(scores: Mapping[str, Mapping[str, float]], pooled: Mapping[str, float],
+                     path: str | Path) -> None:
+    """Each method's ``mse_per_series`` rows, then its ``POOLED_ROW`` row when
+    ``pooled`` (from ``pooled_mse``) holds the method."""
     def rows():
-        for method, result in results.items():
-            if result.mse_per_series is None:
-                continue
-            for name in result.columns:
-                if name in result.mse_per_series:
-                    yield method, name, result.mse_per_series[name]
+        for method, per_series in scores.items():
+            yield from ((method, name, value) for name, value in per_series.items())
             if method in pooled:
-                yield method, "ALL", pooled[method]
+                yield method, POOLED_ROW, pooled[method]
     write_csv(path, ["method", "series", "mse"], rows())
 
 

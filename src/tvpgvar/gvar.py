@@ -52,13 +52,9 @@ class WeightSequence(Record):
         diag = np.abs(np.diagonal(we, axis1=1, axis2=2))
         if np.any(diag > WEIGHT_TOL):
             raise ValidationError("country weight matrices must have zero diagonal")
-        if we.shape[1] == 1:
-            if np.any(np.abs(we) > WEIGHT_TOL):
-                raise ValidationError("single-country weight matrix must be zero")
-        else:
-            colsums = we.sum(axis=1)
-            if np.any(np.abs(colsums - 1.0) > 1e-9):
-                raise ValidationError("country weight columns must sum to 1")
+        # a 1 x 1 we is its diagonal: the check above keeps it zero
+        if we.shape[1] > 1 and np.any(np.abs(we.sum(axis=1) - 1.0) > 1e-9):
+            raise ValidationError("country weight columns must sum to 1")
         if wb.shape[2] > 0:
             colsums = wb.sum(axis=1)
             if np.any(np.abs(colsums - 1.0) > 1e-9):

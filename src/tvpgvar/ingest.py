@@ -4,7 +4,8 @@ Input data is a UTF-8 CSV with header ``date,region,variable,value``, dates
 formatted ``YYYY-MM``. Series observed quarterly (3-month date spacing) are
 expanded to monthly frequency on the common date range; the reserved region
 code ``__COMMON__`` marks shared activity series (oil price and the like)
-that enter every country's equation.
+that enter every country's equation. No column may be named ``ALL``
+(``config.POOLED_ROW``), the series cell of ``mse_report.csv``'s pooled rows.
 
 Ingest is scalar work on thousands of cells, cheaper than importing numpy, so
 this module runs on the standard library alone: a panel keeps its cells as
@@ -26,7 +27,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
-from .config import ALIGN_METHODS, TRANSFORMS, Record
+from .config import ALIGN_METHODS, POOLED_ROW, TRANSFORMS, Record
 from .errors import ValidationError
 from .serialize import parse_float, read_csv_rows, write_csv
 
@@ -342,13 +343,17 @@ def align_frequencies(
 
 def validate_panel(panel: TimeSeriesPanel) -> list[str]:
     """A panel's invariant violations, one message each: a repeated column
-    name, a month that does not follow the one before, a non-finite cell. The
-    one definition of a valid panel: :class:`TimeSeriesPanel` raises on any of
-    them, so a built panel always gives an empty list."""
+    name, a column named ``POOLED_ROW``, a month that does not follow the one
+    before, a non-finite cell. The one definition of a valid panel:
+    :class:`TimeSeriesPanel` raises on any of them, so a built panel always
+    gives an empty list."""
     issues: list[str] = []
     names = panel.column_names()
     if len(set(names)) != len(names):
         issues.append("duplicate column names")
+    if POOLED_ROW in names:
+        issues.append(f"column name {POOLED_ROW!r} is reserved for the pooled rows "
+                      "of mse_report.csv")
     months = [month_index(d) for d in panel.time_index]
     issues.extend(f"non-consecutive month at {panel.time_index[i]}"
                   for i in range(1, len(months)) if months[i] - months[i - 1] != 1)

@@ -157,6 +157,9 @@ def asymptotic_bands(system: StackedSystem, targets: Sequence[Sequence[int]],
                 raise ValidationError(f"shock target {j} out of range [0, {system.width})")
     if not 0.0 < level < 1.0:
         raise ValidationError("confidence level must be in (0, 1)")
+    z = _band_multiplier(level)
+    if math.isinf(z):
+        raise ValidationError(f"confidence level {level!r} gives an infinite band multiplier")
     if sample_size < 1:
         raise ValidationError("sample size must be >= 1")
     moment_inv = np.asarray(moment_inv, float)
@@ -172,7 +175,6 @@ def asymptotic_bands(system: StackedSystem, targets: Sequence[Sequence[int]],
     mas_chol, b_sigma = mas @ chol_eps, mas @ system.sigma_eps
     impact = _impact(system)
     radius = spectral_radius(system.f1)
-    z = _band_multiplier(level)
 
     results = []
     for shock in targets:

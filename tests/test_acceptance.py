@@ -18,8 +18,8 @@ from tvpgvar import WeightSequence
 from tvpgvar.cli import main
 from tvpgvar.errors import NumericalError
 from tvpgvar.forecast import (
-    ForecasterConfig, _lasso_inputs, _standardize, pooled_mse, select_lasso_lambda,
-    two_stage_forecast,
+    ForecasterConfig, _lasso_inputs, _standardize, mse_per_series, pooled_mse,
+    select_lasso_lambda, two_stage_forecast,
 )
 from tvpgvar.irf import commutation_matrix, derivative_Gn, derivative_H, elimination_matrix
 from tvpgvar.sample import IRF_DATES, write_sample_config
@@ -429,14 +429,13 @@ def test_forecaster_head_to_head():
             theta0=theta_true[0].copy(), sqrt_omega=np.ones(2), theta=theta_true,
             sigma2=0.03 ** 2)], errors={})
         res_const = two_stage_forecast(
-            train, trajectories, ForecasterConfig(kind="constant", horizon=h),
-            actuals=actuals)
+            train, trajectories, ForecasterConfig(kind="constant", horizon=h))
         res_lasso = two_stage_forecast(
             train, trajectories,
             ForecasterConfig(kind="lasso", horizon=h, lag_window=8,
-                             cv_folds=5, grid_size=30),
-            actuals=actuals)
-        pooled = pooled_mse({"constant": res_const, "lasso": res_lasso})
+                             cv_folds=5, grid_size=30))
+        pooled = pooled_mse({"constant": mse_per_series(res_const, actuals),
+                             "lasso": mse_per_series(res_lasso, actuals)}, train)
         if pooled["lasso"] <= pooled["constant"]:
             wins += 1
     elapsed = time.perf_counter() - start

@@ -287,6 +287,9 @@ class TestIngest:
         ("weights", "provider", "csv", "weights", "csv weights need a 'path'"),
         ("irf", "horizon", -1, "irf", "irf.horizon must be >= 0"),
         ("irf", "level", 1.5, "irf", "irf.level must be in (0, 1)"),
+        ("irf", "level", 0.9999999999999999, "irf",
+         "irf.level 0.9999999999999999 is too close to 1: the band multiplier at "
+         "0.5 + level/2 = 1.0 is infinite"),
         ("irf", "dates", ["2003-06", "2003-06"], "irf",
          "irf.dates[1] repeats irf.dates[0]: '2003-06'"),
         ("irf", "shocks", [["OIL", "OIL"]], "irf",
@@ -298,8 +301,8 @@ class TestIngest:
         ("panel", "regions", ["AAA", "BBB", "AAA"], None, "duplicate codes in panel.regions"),
         ("forecast", "methods", [], None, "forecast.methods must list at least one method"),
     ], ids=["provider-typo", "rolling-share-variable", "csv-path", "horizon", "level",
-            "repeated-date", "repeated-column", "reordered-shock", "imputation", "transform",
-            "repeated-region", "no-methods"])
+            "level-next-to-1", "repeated-date", "repeated-column", "reordered-shock",
+            "imputation", "transform", "repeated-region", "no-methods"])
     def test_each_record_checks_its_fields_as_load_config_does(
             self, tmp_path, section, key, value, record, message):
         config_path = mini_config(tmp_path)

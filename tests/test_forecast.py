@@ -14,14 +14,14 @@ from tvpgvar import (
     forecast_var1,
     lasso_fit,
     load_panel,
-    mse,
+    mse_per_series,
     select_model,
     two_stage_forecast,
 )
 from tvpgvar.errors import NumericalError, ValidationError
 from tvpgvar.forecast import (
-    _lag_design, _lasso_inputs, _lasso_path, _original_scale, _stack, _standardize,
-    pooled_mse, read_mse_report, read_variable_paths, select_lasso_lambda,
+    ForecastResult, _lag_design, _lasso_inputs, _lasso_path, _original_scale, _stack,
+    _standardize, pooled_mse, read_mse_report, read_variable_paths, select_lasso_lambda,
     write_mse_report, write_param_paths, write_variable_paths,
 )
 from tvpgvar.sample import (ACTIVITY, MONTHLY_VARIABLES, QUARTERLY_VARIABLE, REGIONS,
@@ -559,12 +559,12 @@ class TestTwoStageForecast:
         theta = np.tile([0.0, 0.5], (t_len - h - 1, 1))
         tvp_result = trajectories_from_paths([theta, theta])
         result = two_stage_forecast(panel, tvp_result,
-                                    ForecasterConfig(kind="constant", horizon=h),
-                                    actuals=values[-h:])
-        assert set(result.mse_per_series) == {"A.x", "A.y"}
+                                    ForecasterConfig(kind="constant", horizon=h))
+        scores = mse_per_series(result, values[-h:])
+        assert set(scores) == {"A.x", "A.y"}
         for i, name in enumerate(["A.x", "A.y"]):
-            assert result.mse_per_series[name] == pytest.approx(
-                mse(values[-h:, i], result.variable_paths[:, i]))
+            assert scores[name] == pytest.approx(
+                np.mean((values[-h:, i] - result.variable_paths[:, i]) ** 2))
 
     def test_var1_stage_one_matches_direct_fit(self, rng):
         t_len, h = 80, 4
@@ -664,18 +664,18 @@ class TestTwoStageForecast:
         tvp_result.trajectories[2] = None
         tvp_result.errors["C.v1"] = "iteration 3: residuals are not finite"
         results = {kind: two_stage_forecast(panel, tvp_result,
-                                            ForecasterConfig(kind=kind, horizon=h),
-                                            actuals=values[-h:])
+                                            ForecasterConfig(kind=kind, horizon=h))
                    for kind in ("constant", "var1")}
+        scored = {kind: mse_per_series(result, values[-h:]) for kind, result in results.items()}
         assert results["var1"].errors == {
             "A.v1": "rank-deficient design in parameter VAR(1)",
             "B.v1": "rank-deficient design in parameter VAR(1)",
             "C.v1": "iteration 3: residuals are not finite"}
-        assert results["var1"].mse_per_series == {}
+        assert scored["var1"] == {}
         assert np.all(np.isnan(results["var1"].variable_paths))
-        assert set(results["constant"].mse_per_series) == {"A.v1", "B.v1"}
-        scores = results["constant"].mse_per_series
-        assert pooled_mse(results) == {"constant": pytest.approx(np.mean(
+        assert set(scored["constant"]) == {"A.v1", "B.v1"}
+        scores = scored["constant"]
+        assert pooled_mse(scored, panel) == {"constant": pytest.approx(np.mean(
             [scores[name] / np.std(values[:-h, i]) ** 2 for i, name in enumerate(scores)]))}
 
     def test_lasso_column_failures_stay_per_column(self, rng):
@@ -724,23 +724,56 @@ class TestTwoStageForecast:
                                       clean.variable_paths[:, [0, 2]])
 
 
+def scored_result(predicted, errors=None):
+    """A ForecastResult with variable paths ``predicted`` (h, width) over
+    columns c0, c1, ... and the failed columns ``errors``."""
+    h, width = predicted.shape
+    return ForecastResult(tuple(f"c{i}" for i in range(width)),
+                          tuple(f"2001-{s + 1:02d}" for s in range(h)),
+                          np.zeros((h, width, 2)), predicted, errors or {})
+
+
 class TestMSE:
     def test_hand_checked(self):
-        assert mse([1.0, 2.0], [1.0, 3.0]) == pytest.approx(0.5)
+        scores = mse_per_series(scored_result(np.array([[1.0], [3.0]])), [[1.0], [2.0]])
+        assert scores == {"c0": pytest.approx(0.5)}
 
     def test_identical_is_zero(self, rng):
-        v = rng.standard_normal(10)
-        assert mse(v, v) == 0.0
+        v = rng.standard_normal((10, 2))
+        assert mse_per_series(scored_result(v), v) == {"c0": 0.0, "c1": 0.0}
 
     def test_permutation_covariant(self, rng):
-        a = rng.standard_normal(30)
-        p = rng.standard_normal(30)
+        a = rng.standard_normal((30, 1))
+        p = rng.standard_normal((30, 1))
         perm = rng.permutation(30)
-        assert mse(a, p) == pytest.approx(mse(a[perm], p[perm]), rel=1e-12)
+        assert mse_per_series(scored_result(p), a)["c0"] == pytest.approx(
+            mse_per_series(scored_result(p[perm]), a[perm])["c0"], rel=1e-12)
+
+    @pytest.mark.parametrize("h", [3, 8, 17])
+    def test_each_value_is_its_columns_mean_bit_for_bit(self, rng, h):
+        # each column's mean on its own 1-D run: from 8 elements up numpy sums
+        # that pairwise, which an axis-0 mean over the block does not
+        a = rng.standard_normal((h, 4)) * 1e3
+        p = rng.standard_normal((h, 4)) * 1e3
+        scores = mse_per_series(scored_result(p), a)
+        for i in range(4):
+            column = np.ascontiguousarray((a[:, i] - p[:, i]) ** 2)
+            assert scores[f"c{i}"] == float(np.mean(column))
+
+    def test_failed_columns_are_absent(self, rng):
+        p = rng.standard_normal((3, 3))
+        p[:, 1] = np.nan
+        scores = mse_per_series(scored_result(p, {"c1": "failed"}), np.zeros((3, 3)))
+        assert list(scores) == ["c0", "c2"]
 
     def test_length_mismatch(self):
-        with pytest.raises(ValidationError, match="length"):
-            mse([1.0], [1.0, 2.0])
+        with pytest.raises(ValidationError, match=r"^actuals shape \(2, 2\) != \(3, 2\)$"):
+            mse_per_series(scored_result(np.zeros((3, 2))), np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("shape", [(3, 1), (3, 3), (6,)])
+    def test_shape_mismatch(self, shape):
+        with pytest.raises(ValidationError, match=r"^actuals shape .* != \(3, 2\)$"):
+            mse_per_series(scored_result(np.zeros((3, 2))), np.zeros(shape))
 
 
 class TestSelectModel:
@@ -778,14 +811,15 @@ def test_report_files_round_trip(tmp_path, rng):
     theta_b = base + 0.05 * rng.standard_normal(base.shape)
     tvp_result = trajectories_from_paths([theta_a, theta_b])
     results = {kind: two_stage_forecast(panel, tvp_result,
-                                        ForecasterConfig(kind=kind, horizon=h),
-                                        actuals=values[-h:])
+                                        ForecasterConfig(kind=kind, horizon=h))
                for kind in ("constant", "var1")}
-    write_mse_report(results, tmp_path / "mse.csv")
+    scores = {kind: mse_per_series(result, values[-h:]) for kind, result in results.items()}
+    pooled = pooled_mse(scores, panel)
+    write_mse_report(scores, pooled, tmp_path / "mse.csv")
     table = read_mse_report(tmp_path / "mse.csv")
     assert set(table) == {"constant", "var1"}
-    assert table["constant"]["ALL"] == pytest.approx(pooled_mse(results)["constant"])
-    assert table["constant"]["A.x"] == results["constant"].mse_per_series["A.x"]
+    assert table["constant"]["ALL"] == pytest.approx(pooled["constant"])
+    assert table["constant"]["A.x"] == scores["constant"]["A.x"]
 
     write_param_paths(results, tmp_path / "params.csv")
     write_variable_paths(results, tmp_path / "vars.csv", actuals=values[-h:])

@@ -94,6 +94,13 @@ class TestWeightSequence:
         with pytest.raises(ValidationError, match="diagonal"):
             WeightSequence(we=we, wb=np.full((1, 2, 1), 0.5))
 
+    @pytest.mark.parametrize("weight", [0.5, 2e-12])
+    def test_nonzero_single_country_weight_is_a_diagonal(self, weight):
+        # a 1 x 1 we is its own diagonal, so the zero-diagonal check refuses it
+        with pytest.raises(ValidationError,
+                           match="^country weight matrices must have zero diagonal$"):
+            WeightSequence(we=np.full((2, 1, 1), weight), wb=np.ones((2, 1, 1)))
+
     def test_rolling_share(self, rng):
         values = rng.uniform(1.0, 3.0, (30, 5))
         panel = make_panel(values, ["A", "B"], ["CPI", "GDP"], ["ACT"])

@@ -9,7 +9,8 @@ import pytest
 
 from tvpgvar import align_frequencies, load_panel, validate_panel
 from tvpgvar.config import (
-    ALIGN_METHODS, ForecasterConfig, IRFSettings, Record, RunConfig, TVPConfig, WeightSettings,
+    ALIGN_METHODS, POOLED_ROW, ForecasterConfig, IRFSettings, Record, RunConfig, TVPConfig,
+    WeightSettings,
 )
 from tvpgvar.errors import ValidationError
 from tvpgvar.forecast import ForecastResult, LassoFit
@@ -152,8 +153,7 @@ class TestRecords:
                            {"constant": ForecasterConfig()}, Path("out")),
          "out_dir"),
         (lambda: PanelTVPResult([], {}), "errors"),
-        (lambda: ForecastResult((), (), np.zeros((1, 0, 2)), np.zeros((1, 0)), None, {}),
-         "errors"),
+        (lambda: ForecastResult((), (), np.zeros((1, 0, 2)), np.zeros((1, 0)), {}), "errors"),
     ])
     def test_fields_refuse_assignment(self, make, field):
         record = make()
@@ -181,8 +181,8 @@ class TestRecords:
         (lambda point: IRFResult(point, np.zeros((2, 1)), 0.5, 1.0, 1, (0,), 0.95, 9),
          np.ones((2, 1))),
         (lambda coef: LassoFit(coef, 0.0), np.arange(3.0)),
-        (lambda paths: ForecastResult(("A.x",), ("2001-01",), paths, np.zeros((1, 1)),
-                                      None, {"A.x": 1.0}), np.ones((1, 1, 2))),
+        (lambda paths: ForecastResult(("A.x",), ("2001-01",), paths, np.zeros((1, 1)), {}),
+         np.ones((1, 1, 2))),
     ], ids=["WeightSequence", "CountryCoefficients", "ActivityCoefficients", "StructuralFit",
             "StackedSystem", "KalmanState", "TVPTrajectory", "PanelTVPResult", "IRFResult",
             "LassoFit", "ForecastResult"])
@@ -365,6 +365,26 @@ class TestValidatePanel:
     def test_repeated_column_name_rejected(self):
         with pytest.raises(ValidationError, match="^duplicate column names$"):
             make_panel(np.zeros((3, 2)), ["A", "A"], ["x"])
+
+    def test_pooled_row_label_is_reserved(self, tmp_path):
+        # a common series named ALL would share its mse_report.csv rows with
+        # the pooled scores, and reading the report back would keep only one
+        message = "column name 'ALL' is reserved for the pooled rows of mse_report.csv"
+        assert POOLED_ROW == "ALL"
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            make_panel(np.zeros((3, 2)), ["A"], ["x"], ["ALL"])
+        series = [RawSeries("A", "x", ("2000-01", "2000-02", "2000-03"), (1.0, 2.0, 3.0),
+                            "monthly"),
+                  RawSeries(COMMON_REGION, "ALL", ("2000-01", "2000-02", "2000-03"),
+                            (1.0, 2.0, 3.0), "monthly")]
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            align_frequencies(series)
+        path = tmp_path / "panel.csv"
+        path.write_text("date,A.x,ALL\n2000-01,1.0,2.0\n2000-02,1.0,2.0\n2000-03,1.0,2.0\n")
+        with pytest.raises(ValidationError, match=re.escape(f"{path}: {message}")):
+            read_panel_csv(path)
+        # a country series named ALL is the column A.ALL, which is free
+        assert make_panel(np.zeros((3, 1)), ["A"], ["ALL"]).column_names() == ["A.ALL"]
 
     def test_error_lists_the_first_five_issues(self):
         values = np.zeros((8, 1))

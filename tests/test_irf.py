@@ -185,7 +185,10 @@ class TestOIRF:
                 ([(0,), ()], 2, 0.95, "shock needs at least one target column"),
                 ([(0,)], -1, 0.95, "horizon must be >= 0"),
                 ([(0,)], 2, 1.5, r"confidence level must be in \(0, 1\)"),
-                ([(0,)], 2, 0.0, r"confidence level must be in \(0, 1\)")]:
+                ([(0,)], 2, 0.0, r"confidence level must be in \(0, 1\)"),
+                # 0.5 + level / 2 rounds to 1 there: the bands would be NaN or inf
+                ([(0,)], 2, 1 - 2**-53,
+                 r"confidence level 0\.9999999999999999 gives an infinite band multiplier")]:
             with pytest.raises(ValidationError, match=f"^{message}$"):
                 asymptotic_bands(system, targets, 1, np.eye(3), horizon=horizon, level=level,
                                  at_time=1)
