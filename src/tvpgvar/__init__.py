@@ -20,7 +20,7 @@ _HOMES = {
     "ForecastResult": "forecast", "LassoFit": "forecast", "forecast_constant": "forecast",
     "forecast_lasso": "forecast", "forecast_var1": "forecast", "lasso_fit": "forecast",
     "mse_per_series": "forecast", "two_stage_forecast": "forecast",
-    "ActivityCoefficients": "gvar", "CountryCoefficients": "gvar", "StackedSystem": "gvar",
+    "Equation": "gvar", "StackedSystem": "gvar",
     "StructuralFit": "gvar", "WeightSequence": "gvar", "estimate_structural": "gvar",
     "ma_coefficients": "gvar", "spectral_radius": "gvar", "stack_system": "gvar",
     "RawSeries": "ingest", "TimeSeriesPanel": "ingest", "align_frequencies": "ingest",

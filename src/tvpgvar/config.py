@@ -3,9 +3,10 @@
 Unknown keys are rejected so that a config is either fully understood or
 fails fast; relative paths resolve against the config file's directory.
 ``load_config`` reads JSON: each section goes through one reader that
-rejects unknown keys and wrong JSON types, and only the checks that span
-keys or sections stay in it. Each config record checks its own values when
-it is built, so one built or changed outside ``load_config`` is as valid.
+rejects unknown keys and resolves paths, and only the checks that span keys
+or sections stay in it. Each config record checks the types and values of
+its own fields when it is built, with the messages a config file gets, so
+one built or changed outside ``load_config`` is as valid.
 
 This is the package's leaf module. It owns the vocabulary the stages share
 (the alignment, transform and forecaster names, ``ForecasterConfig``,
@@ -21,7 +22,7 @@ from __future__ import annotations
 import math
 import sys
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Mapping, Sequence
 
 from .errors import ValidationError
 from .serialize import is_csv_cell, parse_float, parse_strings, read_json, read_table
@@ -41,12 +42,10 @@ WEIGHT_PROVIDERS = ("equal", "rolling-share", "csv")
 def _read(obj: Mapping[str, Any], section: str, fields: Mapping[str, Any],
           base: Path) -> dict[str, Any]:
     """``obj[section]`` (an empty object when absent) with each key it holds
-    read as its kind in ``fields``: ``int`` or ``float`` (a JSON number; an int
-    key takes no fractional value), ``Path`` (a string, resolved against
-    ``base``), ``list`` (a list of strings) or ``None`` (as is, for the record
-    to check). A non-object section, an unknown key or a wrong JSON type is a
-    ValidationError naming it, where ``int("3")``, ``int(True)`` and
-    ``int(2.7)`` would silently run with 3, 1 and 2."""
+    read as its kind in ``fields``: ``Path`` (a string, resolved against
+    ``base``) or ``None`` (as is, for the record to check). A non-object
+    section, an unknown key or a non-string path is a ValidationError naming
+    it."""
     body = obj.get(section, {})
     if not isinstance(body, dict):
         raise ValidationError(f"{section} must be an object, got {body!r}")
@@ -57,21 +56,25 @@ def _read(obj: Mapping[str, Any], section: str, fields: Mapping[str, Any],
     for key, kind in fields.items():
         if key not in body:
             continue
-        value, name = body[key], f"{section}.{key}"
-        if kind is list:
-            value = parse_strings(value, name)
-        elif kind is Path:
+        value = body[key]
+        if kind is Path:
             if not isinstance(value, str):
-                raise ValidationError(f"{name} must be a string, got {value!r}")
+                raise ValidationError(f"{section}.{key} must be a string, got {value!r}")
             value = (base / value).resolve()
-        elif kind is not None:
-            if isinstance(value, bool) or not isinstance(value, (int, float)) or (
-                    kind is int and isinstance(value, float) and not value.is_integer()):
-                what = "an integer" if kind is int else "a number"
-                raise ValidationError(f"{name} must be {what}, got {value!r}")
-            value = kind(value)
         out[key] = value
     return out
+
+
+def _number(value: Any, name: str, kind: type) -> Any:
+    """``value`` as ``kind``, ``int`` or ``float``, or a ValidationError naming
+    it: a bool is no number and an int takes no fractional value, where
+    ``int("3")``, ``int(True)`` and ``int(2.7)`` would silently run with 3, 1
+    and 2."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or (
+            kind is int and isinstance(value, float) and not value.is_integer()):
+        what = "an integer" if kind is int else "a number"
+        raise ValidationError(f"{name} must be {what}, got {value!r}")
+    return kind(value)
 
 
 class Record:
@@ -132,6 +135,7 @@ class TVPConfig(Record):
     """The sampler's settings: iterations per column and the base seed."""
 
     def __init__(self, iters: int = 1000, seed: int = 0):
+        iters, seed = _number(iters, "tvp.iters", int), _number(seed, "tvp.seed", int)
         if iters < 1:
             raise ValidationError("tvp.iters must be >= 1")
         if seed < 0:
@@ -150,6 +154,11 @@ class ForecasterConfig(Record):
         if kind not in FORECASTER_KINDS:
             raise ValidationError(
                 f"unknown forecaster kind {kind!r}, expected one of {FORECASTER_KINDS}")
+        horizon = _number(horizon, "forecast.horizon", int)
+        lag_window = _number(lag_window, "forecast.lag_window", int)
+        cv_folds = _number(cv_folds, "forecast.cv_folds", int)
+        grid_size = _number(grid_size, "forecast.grid_size", int)
+        grid_floor = _number(grid_floor, "forecast.grid_floor", float)
         if horizon < 1:
             raise ValidationError("forecast.horizon must be >= 1")
         if lag_window < 1:
@@ -175,6 +184,7 @@ class WeightSettings(Record):
             raise ValidationError(f"unknown weight provider {provider!r}")
         if variable is not None and not isinstance(variable, str):
             raise ValidationError(f"weights.variable must be a string, got {variable!r}")
+        window = _number(window, "weights.window", int)
         if window < 1:
             raise ValidationError("weights.window must be >= 1")
         if provider == "rolling-share" and not variable:
@@ -185,12 +195,16 @@ class WeightSettings(Record):
 
 
 class IRFSettings(Record):
-    """The ``irf`` keys: distinct dates, and shocks on distinct sets of columns."""
+    """The ``irf`` keys: distinct dates, and shocks on distinct sets of
+    columns, each held as a list."""
 
     def __init__(self, horizon: int = 6, level: float = 0.95,
-                 dates: list[str] | None = None, shocks: list[list[str]] | None = None):
-        dates = [] if dates is None else dates
-        shocks = [] if shocks is None else shocks
+                 dates: Sequence[str] = (), shocks: Sequence[Sequence[str]] = ()):
+        horizon, level = _number(horizon, "irf.horizon", int), _number(level, "irf.level", float)
+        dates = parse_strings(dates, "irf.dates")
+        if not isinstance(shocks, (list, tuple)):
+            raise ValidationError(f"irf.shocks must be a list of column lists, got {shocks!r}")
+        shocks = [parse_strings(shock, f"irf.shocks[{i}]") for i, shock in enumerate(shocks)]
         if horizon < 0:
             raise ValidationError("irf.horizon must be >= 0")
         if not 0.0 < level < 1.0:
@@ -228,14 +242,15 @@ class RunConfig(Record):
             raise ValidationError(f"unknown imputation {imputation!r}")
         if transform not in TRANSFORMS:
             raise ValidationError(f"unknown transform {transform!r}")
-        for key, codes in (("regions", regions), ("variables", variables),
-                           ("activities", activities)):
-            if codes is not None and len(set(codes)) != len(codes):
-                raise ValidationError(f"duplicate codes in panel.{key}")
+        lists = {"regions": regions, "variables": variables, "activities": activities}
+        for key, codes in lists.items():
+            if codes is not None:  # a code list that is None is unset
+                lists[key] = codes = parse_strings(codes, f"panel.{key}")
+                if len(set(codes)) != len(codes):
+                    raise ValidationError(f"duplicate codes in panel.{key}")
         if not methods:
             raise ValidationError("forecast.methods must list at least one method")
-        self._set(data_path=data_path, imputation=imputation, transform=transform,
-                  regions=regions, variables=variables, activities=activities,
+        self._set(data_path=data_path, imputation=imputation, transform=transform, **lists,
                   weights=weights, tvp=tvp, irf=irf, methods=methods, out_dir=out_dir)
 
 
@@ -261,24 +276,17 @@ def load_config(path: str | Path) -> RunConfig:
     # a code list that is null or absent is unset
     keys = ("regions", "variables", "activities")
     panel = _read(obj, "panel", dict.fromkeys(keys), base)
-    codes = {key: None if panel.get(key) is None else parse_strings(panel[key], f"panel.{key}")
-             for key in keys}
+    codes = {key: panel.get(key) for key in keys}
 
     weights = WeightSettings(**_read(obj, "weights", {
-        "provider": None, "variable": None, "window": int, "path": Path}, base))
-    tvp = TVPConfig(**_read(obj, "tvp", {"iters": int, "seed": int}, base))
+        "provider": None, "variable": None, "window": None, "path": Path}, base))
+    tvp = TVPConfig(**_read(obj, "tvp", dict.fromkeys(("iters", "seed")), base))
+    irf = IRFSettings(**_read(obj, "irf", dict.fromkeys(("horizon", "level", "dates",
+                                                          "shocks")), base))
 
-    irf_obj = _read(obj, "irf", {"horizon": int, "level": float, "dates": list,
-                                 "shocks": None}, base)
-    shocks = irf_obj.pop("shocks", [])
-    if not isinstance(shocks, list):
-        raise ValidationError(f"irf.shocks must be a list of column lists, got {shocks!r}")
-    irf = IRFSettings(**irf_obj, shocks=[parse_strings(s, f"irf.shocks[{i}]")
-                                         for i, s in enumerate(shocks)])
-
-    fc_obj = _read(obj, "forecast", {
-        "horizon": int, "methods": list, "lag_window": int, "cv_folds": int,
-        "grid_size": int, "grid_floor": float, "external": None}, base)
+    fc_obj = _read(obj, "forecast", dict.fromkeys((
+        "horizon", "methods", "lag_window", "cv_folds", "grid_size", "grid_floor",
+        "external")), base)
     external_obj = fc_obj.pop("external", {})
     if not isinstance(external_obj, dict) or not all(
             isinstance(p, str) for p in external_obj.values()):
@@ -292,7 +300,7 @@ def load_config(path: str | Path) -> RunConfig:
     if reused:
         raise ValidationError(f"forecast.external may not reuse a built-in method name: {reused}")
     external = {name: (base / p).resolve() for name, p in external_obj.items()}
-    names = fc_obj.pop("methods", list(METHOD_ORDER))
+    names = parse_strings(fc_obj.pop("methods", list(METHOD_ORDER)), "forecast.methods")
     if len(set(names)) != len(names):
         raise ValidationError(f"duplicate names in forecast.methods: {names}")
     unlisted = sorted(set(external) - set(names))

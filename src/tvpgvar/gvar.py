@@ -5,11 +5,16 @@ cross-country ("starred") aggregates, and the common activity block; each
 activity equation mirrors that with country aggregates. One linear map,
 ``_aggregates``, builds those series: estimation applies it to the panel,
 and the link matrices are the same map applied to the identity. Each
-equation works on ``z_t = W_t x_t`` and its lag term is the lag of that
-series, so the stacked system at period t is ``G0_t x_t = a + G1_{t-1}
-x_{t-1}``: ``G0`` carries the weights of t, ``G1`` those of t-1, and period
-0 (no lag) cannot be stacked. The reduced form ``F1 = G0_t^-1 G1_{t-1}``
-drives impulse responses and the moving-average recursion.
+equation is one ``Equation(intercept, now, lag)``: rows of coefficients on
+its series ``z_t = W_t x_t`` at t and on the lag of that series, so the
+stacked system at period t is ``G0_t x_t = a + G1_{t-1} x_{t-1}``, each
+equation giving ``G0`` the rows ``(I - now) L_t`` and ``G1`` the rows
+``lag L_{t-1}`` (``L`` its link matrix): ``G0`` carries the weights of t,
+``G1`` those of t-1, and period 0 (no lag) cannot be stacked. The reduced
+form ``F1 = G0_t^-1 G1_{t-1}`` drives impulse responses and the
+moving-average recursion. The named blocks of ``coefficients.json``
+(``a_k``, ``phi1``, ``gamma_e0`` ...) are only that file's view of the
+equations, given once in ``_file_view``.
 """
 
 from __future__ import annotations
@@ -161,39 +166,30 @@ class WeightSequence(Record):
             raise ValidationError(f"{path}: {exc}") from None
 
 
-class CountryCoefficients(Record):
-    """Structural blocks of one country equation: the intercept ``a_k`` (p,),
-    the own-lag block ``phi1`` (p, p), the contemporaneous and lagged foreign
-    aggregate blocks ``gamma_e0``, ``gamma_e1`` (p, p) and the contemporaneous
-    and lagged activity blocks ``gamma_b0``, ``gamma_b1`` (p, l)."""
+class Equation(Record):
+    """One structural equation, ``y_t = intercept + now z_t + lag z_{t-1}``,
+    where ``z`` is the equation's ``_aggregates`` series and ``y`` its first
+    ``own`` columns (p for a country, 1 for an activity). ``intercept`` is
+    (own,); ``now`` and ``lag`` are the (own, series) rows of coefficients on
+    ``z`` at t and t-1. ``now`` is zero on the own columns, and a series the
+    equation is not regressed on (a lone country's foreign aggregate) has zero
+    coefficients in both."""
 
-    def __init__(self, a_k: np.ndarray, phi1: np.ndarray, gamma_e0: np.ndarray,
-                 gamma_e1: np.ndarray, gamma_b0: np.ndarray, gamma_b1: np.ndarray):
-        self._set(a_k=a_k, phi1=phi1, gamma_e0=gamma_e0, gamma_e1=gamma_e1,
-                  gamma_b0=gamma_b0, gamma_b1=gamma_b1)
-
-
-class ActivityCoefficients(Record):
-    """Structural blocks of one common-activity equation: the intercept
-    ``a_m``, the own-lag ``phi_b`` and the contemporaneous and lagged country
-    aggregate blocks ``gamma_be0``, ``gamma_be1`` (p,)."""
-
-    def __init__(self, a_m: float, phi_b: float, gamma_be0: np.ndarray,
-                 gamma_be1: np.ndarray):
-        self._set(a_m=a_m, phi_b=phi_b, gamma_be0=gamma_be0, gamma_be1=gamma_be1)
+    def __init__(self, intercept: np.ndarray, now: np.ndarray, lag: np.ndarray):
+        self._set(intercept=intercept, now=now, lag=lag)
 
 
 class StructuralFit(Record):
-    """Least-squares estimates of all structural blocks plus residuals:
-    ``residuals`` is (T-1, K*p+l) in panel column order (``None`` once read
-    back from ``coefficients.json``) and ``sigma_u`` is (K*p+l, K*p+l)."""
+    """Least-squares estimates of every structural equation plus residuals:
+    ``equations`` lists the K countries, then the l activities; ``residuals``
+    is (T-1, K*p+l) in panel column order (``None`` once read back from
+    ``coefficients.json``) and ``sigma_u`` is (K*p+l, K*p+l)."""
 
-    def __init__(self, countries: tuple[CountryCoefficients, ...],
-                 activities: tuple[ActivityCoefficients, ...], residuals: np.ndarray | None,
+    def __init__(self, equations: tuple[Equation, ...], residuals: np.ndarray | None,
                  sigma_u: np.ndarray, dims: tuple[int, int, int], columns: tuple[str, ...],
                  nobs: int):
-        self._set(countries=countries, activities=activities, residuals=residuals,
-                  sigma_u=sigma_u, dims=dims, columns=columns, nobs=nobs)
+        self._set(equations=equations, residuals=residuals, sigma_u=sigma_u, dims=dims,
+                  columns=columns, nobs=nobs)
 
 
 class StackedSystem(Record):
@@ -236,46 +232,56 @@ def _aggregates(x: np.ndarray, we: np.ndarray, wb: np.ndarray,
             np.concatenate([x_b[..., None], star_b], axis=-1))
 
 
-def _links(weights: WeightSequence, t: int,
-           dims: tuple[int, int, int]) -> tuple[np.ndarray, np.ndarray]:
-    """Period-t link matrices: (K, 2p+l, width) country and (l, 1+p, width)
-    activity, ``_aggregates`` applied to the identity: country k's rows select
-    its own variables, its foreign aggregate and the activities; activity m's
-    rows select its own column and its country aggregate."""
+def _links(weights: WeightSequence, t: int, dims: tuple[int, int, int]) -> list[np.ndarray]:
+    """Period-t link matrices in ``StructuralFit.equations`` order, (2p+l, width)
+    for a country and (1+p, width) for an activity: ``_aggregates`` applied to
+    the identity. Country k's rows select its own variables, its foreign
+    aggregate and the activities; activity m's rows select its own column and
+    its country aggregate."""
     if not 0 <= t < weights.n_periods:
         raise ValidationError(f"time index {t} out of range [0, {weights.n_periods})")
     n_regions, p, l = dims
     country, activity = _aggregates(np.eye(n_regions * p + l), weights.we[t],
                                     weights.wb[t], dims)
-    return country.transpose(1, 2, 0), activity.transpose(1, 2, 0)
+    return [*country.transpose(1, 2, 0), *activity.transpose(1, 2, 0)]
 
 
 def _ols(z: np.ndarray, own: int, spans: Sequence[slice], target: np.ndarray,
-         equation: str) -> tuple[np.ndarray, np.ndarray]:
-    """(coefficients, residuals) of one equation regressed on an intercept, the
-    lag of the first ``own`` columns of its series ``z``, and each span at t, t-1."""
-    cols = [np.ones((len(z) - 1, 1)), z[:-1, :own]]
-    for span in spans:
-        cols += [z[1:, span], z[:-1, span]]
-    design = np.hstack(cols)
+         equation: str) -> tuple[Equation, np.ndarray]:
+    """(Equation, residuals) of one equation regressed on an intercept, the lag
+    of the first ``own`` columns of its series ``z`` and each span at t, t-1;
+    the columns outside the spans get zero coefficients."""
+    n = len(z) - 1
+    # each regressor block after the intercept: (1 at t, 0 at t-1; its columns),
+    # sliced, not indexed, so the design stays C-ordered as least_squares sums it
+    blocks = [(0, slice(own))] + [(at, span) for span in spans for at in (1, 0)]
+    pieces = [z[at:n + at, span] for at, span in blocks]
+    design = np.hstack([np.ones((n, 1)), *pieces])
     coef, residuals, rank = least_squares(design, target)
     if rank < design.shape[1]:
         raise NumericalError(f"rank-deficient regressors in {equation} "
                              f"(rank {rank} < {design.shape[1]})")
-    return coef, residuals
+    rows = coef.reshape(len(coef), -1).T  # one row per own column
+    terms = np.zeros((2, own, z.shape[1]))  # the coefficients at t-1 and at t
+    start = 1
+    for (at, span), piece in zip(blocks, pieces):
+        terms[at][:, span] = rows[:, start:start + piece.shape[1]]
+        start += piece.shape[1]
+    return Equation(intercept=rows[:, 0].copy(), now=terms[1], lag=terms[0]), residuals
 
 
 def estimate_structural(panel: TimeSeriesPanel, weights: WeightSequence) -> StructuralFit:
-    """Estimate all structural blocks by per-equation ordinary least squares
+    """Estimate every structural equation by ordinary least squares
     (``ols.least_squares``: a change of units moves only the coefficients).
 
     Country k's p-variable block is regressed on an intercept, its own lag,
     the foreign aggregate and the activities at t and t-1; activity
-    equations mirror that with country aggregates. Each aggregate series
-    uses the weights of its own period, so the lag term of period t carries
-    the weights of t-1. Residuals come back column-aligned with the panel;
-    the residual covariance uses the unbiased divisor nobs - q with q the
-    largest per-equation regressor count.
+    equations mirror that with country aggregates. A lone country has no
+    foreign aggregate: it is left out of the regressors and its coefficients
+    are zero. Each aggregate series uses the weights of its own period, so
+    the lag term of period t carries the weights of t-1. Residuals come back
+    column-aligned with the panel; the residual covariance uses the unbiased
+    divisor nobs - q with q the largest per-equation regressor count.
     """
     k, p, l = panel.dims
     t_len = len(panel.time_index)
@@ -287,62 +293,48 @@ def estimate_structural(panel: TimeSeriesPanel, weights: WeightSequence) -> Stru
     z_e, z_b = _aggregates(panel.values, weights.we, weights.wb, panel.dims)
     nobs = t_len - 1
 
-    use_foreign = k > 1  # one country has no foreign aggregate
+    foreign = [slice(p, 2 * p)] if k > 1 else []  # one country has no foreign aggregate
     # regressor counts of a country and (if any) an activity equation
-    q_max = max(1 + p + (2 * p if use_foreign else 0) + 2 * l, 2 + 2 * p if l else 0)
+    q_max = max(1 + p + 2 * p * len(foreign) + 2 * l, 2 + 2 * p if l else 0)
     if nobs < q_max + 1:
         raise NumericalError(
             f"panel too short: {nobs} usable periods for up to {q_max} regressors")
 
+    # each equation: its series, own width, regressor spans, panel columns (its
+    # target, an activity's 1-D) and name
+    requests = [(z_e[:, kk], p, foreign + [slice(2 * p, None)], slice(kk * p, (kk + 1) * p),
+                 f"country equation {panel.regions[kk]}") for kk in range(k)]
+    requests += [(z_b[:, m], 1, [slice(1, None)], k * p + m,
+                  f"activity equation {panel.activities[m]}") for m in range(l)]
     residuals = np.empty((nobs, k * p + l))
-    spans = ([slice(p, 2 * p)] if use_foreign else []) + [slice(2 * p, None)]
-    countries = []
-    for kk in range(k):
-        coef, residuals[:, kk * p:(kk + 1) * p] = _ols(
-            z_e[:, kk], p, spans, z_e[1:, kk, :p],
-            f"country equation {panel.regions[kk]}")
-        if not use_foreign:
-            coef = np.vstack([coef[:1 + p], np.zeros((2 * p, p)), coef[1 + p:]])
-        a_k, phi1, ge0, ge1, gb0, gb1 = np.split(coef, np.cumsum([1, p, p, p, l]))
-        countries.append(CountryCoefficients(
-            a_k=a_k[0].copy(), phi1=phi1.T, gamma_e0=ge0.T, gamma_e1=ge1.T,
-            gamma_b0=gb0.T, gamma_b1=gb1.T))
-
-    activities = []
-    for m in range(l):
-        coef, residuals[:, k * p + m] = _ols(
-            z_b[:, m], 1, [slice(1, None)], z_b[1:, m, 0],
-            f"activity equation {panel.activities[m]}")
-        activities.append(ActivityCoefficients(
-            a_m=float(coef[0]), phi_b=float(coef[1]),
-            gamma_be0=coef[2:2 + p].copy(), gamma_be1=coef[2 + p:2 + 2 * p].copy()))
+    equations = []
+    for z, own, spans, cols, name in requests:
+        equation, residuals[:, cols] = _ols(z, own, spans, panel.values[1:, cols], name)
+        equations.append(equation)
 
     sigma_u = residuals.T @ residuals / (nobs - q_max)
     return StructuralFit(
-        countries=tuple(countries), activities=tuple(activities),
-        residuals=residuals, sigma_u=sigma_u, dims=(k, p, l),
+        equations=tuple(equations), residuals=residuals, sigma_u=sigma_u, dims=(k, p, l),
         columns=tuple(panel.column_names()), nobs=nobs)
 
 
 def stack_system(fit: StructuralFit, weights: WeightSequence, t: int) -> StackedSystem:
     """Assemble G0_t and G1_{t-1} and solve for the reduced form at period t.
 
-    ``G0_t x_t = a + G1_{t-1} x_{t-1}``: the contemporaneous terms carry the
-    weights of period t and the lag terms those of t-1, as in estimation.
-    The responses do not depend on the intercept ``a``, so it is not stacked.
-    Period 0 has no lag, so ``t`` must be at least 1. A ``g0_condition``
-    above ``COND_CAP`` raises ``NumericalError``.
+    ``G0_t x_t = a + G1_{t-1} x_{t-1}``: each equation contributes the rows
+    ``(I - now) L_t`` to ``G0`` and ``lag L_{t-1}`` to ``G1``, with ``L`` its
+    link matrix, so the contemporaneous terms carry the weights of period t
+    and the lag terms those of t-1, as in estimation. The responses do not
+    depend on the intercept ``a``, so it is not stacked. Period 0 has no lag,
+    so ``t`` must be at least 1. A ``g0_condition`` above ``COND_CAP`` raises
+    ``NumericalError``.
     """
     if t < 1:
         raise ValidationError(f"period {t} has no lagged period; stacking starts at period 1")
-    p = fit.dims[1]
-    blocks = [(np.hstack([np.eye(p), -c.gamma_e0, -c.gamma_b0]),
-               np.hstack([c.phi1, c.gamma_e1, c.gamma_b1])) for c in fit.countries]
-    blocks += [(np.concatenate([[1.0], -act.gamma_be0])[None],
-                np.concatenate([[act.phi_b], act.gamma_be1])[None]) for act in fit.activities]
     now, lag = _links(weights, t, fit.dims), _links(weights, t - 1, fit.dims)
-    g0 = np.vstack([a0 @ link for (a0, _), link in zip(blocks, [*now[0], *now[1]])])
-    g1 = np.vstack([a1 @ link for (_, a1), link in zip(blocks, [*lag[0], *lag[1]])])
+    g0 = np.vstack([(np.eye(*e.now.shape) - e.now) @ link
+                    for e, link in zip(fit.equations, now)])
+    g1 = np.vstack([e.lag @ link for e, link in zip(fit.equations, lag)])
     sd = np.sqrt(np.diag(fit.sigma_u))
     sd[sd == 0] = 1.0
     cond = float(np.linalg.cond(g0 / sd[:, None] * sd))
@@ -379,32 +371,36 @@ def spectral_radius(f1: np.ndarray) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(f1))))
 
 
+def _file_view(p: int, l: int) -> tuple:
+    """``coefficients.json``'s view of ``StructuralFit.equations``: for the
+    countries, then the activities, the file's list key, the code list that
+    labels its entries, each entry's label key, an equation's own and series
+    widths, and each named block as (``Equation`` field, index). A country's
+    series are [own p, foreign p, activities l], an activity's [own 1, country
+    aggregate p]."""
+    own, foreign, common = np.s_[:, :p], np.s_[:, p:2 * p], np.s_[:, 2 * p:]
+    return (
+        ("countries", "regions", "region", p, 2 * p + l, {
+            "a_k": ("intercept", ...), "phi1": ("lag", own),
+            "gamma_e0": ("now", foreign), "gamma_e1": ("lag", foreign),
+            "gamma_b0": ("now", common), "gamma_b1": ("lag", common)}),
+        ("activity_equations", "activities", "activity", 1, 1 + p, {
+            "a_m": ("intercept", 0), "phi_b": ("lag", (0, 0)),
+            "gamma_be0": ("now", np.s_[0, 1:]), "gamma_be1": ("lag", np.s_[0, 1:])}),
+    )
+
+
 def write_coefficients_json(fit: StructuralFit, panel: TimeSeriesPanel,
                             path: str | Path) -> None:
-    obj = {
-        "regions": list(panel.regions),
-        "variables": list(panel.variables),
-        "activities": list(panel.activities),
-        "nobs": fit.nobs,
-        "countries": [
-            {
-                "region": panel.regions[i],
-                "a_k": c.a_k, "phi1": c.phi1,
-                "gamma_e0": c.gamma_e0, "gamma_e1": c.gamma_e1,
-                "gamma_b0": c.gamma_b0, "gamma_b1": c.gamma_b1,
-            }
-            for i, c in enumerate(fit.countries)
-        ],
-        "activity_equations": [
-            {
-                "activity": panel.activities[m],
-                "a_m": a.a_m, "phi_b": a.phi_b,
-                "gamma_be0": a.gamma_be0, "gamma_be1": a.gamma_be1,
-            }
-            for m, a in enumerate(fit.activities)
-        ],
-        "sigma_u": fit.sigma_u,
-    }
+    obj = {"regions": list(panel.regions), "variables": list(panel.variables),
+           "activities": list(panel.activities), "nobs": fit.nobs}
+    # zip takes a code before an equation, so each list takes only its own equations
+    equations = iter(fit.equations)
+    for key, codes, label, _, _, blocks in _file_view(*fit.dims[1:]):
+        obj[key] = [{label: code, **{name: getattr(e, field)[index]
+                                     for name, (field, index) in blocks.items()}}
+                    for code, e in zip(obj[codes], equations)]
+    obj["sigma_u"] = fit.sigma_u
     write_json(obj, path)
 
 
@@ -413,28 +409,26 @@ def read_coefficients_json(path: str | Path) -> StructuralFit:
     block checked against the shape that the file's own code lists give it."""
     obj = require_keys(read_json(path), ("regions", "variables", "activities", "nobs",
                                          "countries", "activity_equations", "sigma_u"), str(path))
-    regions, variables, activities = (parse_strings(obj[key], f"{path}: {key}")
-                                      for key in ("regions", "variables", "activities"))
-    k, p, l = len(regions), len(variables), len(activities)
-    equations = {}
-    for key, count, shapes in (
-            ("countries", k, {"a_k": (p,), "phi1": (p, p), "gamma_e0": (p, p),
-                              "gamma_e1": (p, p), "gamma_b0": (p, l), "gamma_b1": (p, l)}),
-            ("activity_equations", l, {"a_m": (), "phi_b": (), "gamma_be0": (p,),
-                                       "gamma_be1": (p,)})):
-        entries = obj[key]
+    codes = {key: parse_strings(obj[key], f"{path}: {key}")
+             for key in ("regions", "variables", "activities")}
+    k, p, l = map(len, codes.values())
+    equations = []
+    for key, code_key, _, own, width, blocks in _file_view(p, l):
+        entries, count = obj[key], len(codes[code_key])
         if not isinstance(entries, list) or len(entries) != count:
             raise ValidationError(f"{path}: {key} must list {count} equations")
-        equations[key] = []
         for i, entry in enumerate(entries):
             where = f"{path}: {key}[{i}]"
-            require_keys(entry, list(shapes), where)
-            equations[key].append({name: parse_array(entry[name], shape, f"{where}.{name}")
-                                   for name, shape in shapes.items()})
-    columns = tuple([f"{r}.{v}" for r in regions for v in variables] + activities)
+            require_keys(entry, list(blocks), where)
+            terms = {"intercept": np.zeros(own), "now": np.zeros((own, width)),
+                     "lag": np.zeros((own, width))}
+            for name, (field, index) in blocks.items():
+                terms[field][index] = parse_array(entry[name], np.shape(terms[field][index]),
+                                                  f"{where}.{name}")
+            equations.append(Equation(**terms))
+    columns = tuple([f"{r}.{v}" for r in codes["regions"] for v in codes["variables"]]
+                    + codes["activities"])
     return StructuralFit(
-        countries=tuple(CountryCoefficients(**b) for b in equations["countries"]),
-        activities=tuple(ActivityCoefficients(**b) for b in equations["activity_equations"]),
-        residuals=None, dims=(k, p, l), columns=columns,
+        equations=tuple(equations), residuals=None, dims=(k, p, l), columns=columns,
         sigma_u=parse_array(obj["sigma_u"], (len(columns),) * 2, f"{path}: sigma_u"),
         nobs=parse_int(obj["nobs"], f"{path}: nobs"))

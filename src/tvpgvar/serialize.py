@@ -106,8 +106,8 @@ def require_keys(obj: Any, keys: Sequence[str], where: str) -> dict:
 
 
 def parse_strings(value: Any, name: str) -> list[str]:
-    """``value`` as a list of strings, or a ValidationError naming it."""
-    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+    """``value``, a list (or tuple) of strings, as a list, or a ValidationError naming it."""
+    if not isinstance(value, (list, tuple)) or not all(isinstance(v, str) for v in value):
         raise ValidationError(f"{name} must be a list of strings, got {value!r}")
     return list(value)
 

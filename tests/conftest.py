@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from tvpgvar import StackedSystem, TimeSeriesPanel, WeightSequence, asymptotic_bands
+from tvpgvar.gvar import Equation, StructuralFit
 from tvpgvar.ingest import month_label
 
 from oracles import sd_unit_condition
@@ -40,6 +41,46 @@ def random_coefficients(rng: np.random.Generator, n_regions: int, p: int, l: int
         phib=[rng.uniform(-0.2, 0.5) for _ in range(l)],
         am=[rng.uniform(-0.4, 0.4) for _ in range(l)],
     )
+
+
+def true_fit(coeffs: dict, dims: tuple[int, int, int]) -> StructuralFit:
+    """StructuralFit holding the blocks of a ``random_coefficients`` dict, unit
+    Sigma_u. Each block goes to its columns of an equation's series: a
+    country's are [own p, foreign p, activities l], an activity's [own 1,
+    country aggregate p]; ``now`` is zero on the own columns."""
+    n_regions, p, l = dims
+    equations = [Equation(
+        intercept=np.asarray(coeffs["ak"][k], float),
+        now=np.hstack([np.zeros((p, p)), coeffs["ge0"][k], coeffs["gb0"][k]]),
+        lag=np.hstack([coeffs["phi"][k], coeffs["ge1"][k], coeffs["gb1"][k]]))
+        for k in range(n_regions)]
+    equations += [Equation(
+        intercept=np.array([coeffs["am"][m]], float),
+        now=np.concatenate([[0.0], coeffs["gbe0"][m]])[None],
+        lag=np.concatenate([[coeffs["phib"][m]], coeffs["gbe1"][m]])[None])
+        for m in range(l)]
+    width = n_regions * p + l
+    return StructuralFit(equations=tuple(equations), residuals=None, sigma_u=np.eye(width),
+                         dims=dims, columns=tuple(f"c{j}" for j in range(width)), nobs=100)
+
+
+def fit_blocks(fit: StructuralFit) -> dict:
+    """The equations of a StructuralFit as a ``random_coefficients`` dict: the
+    inverse of ``true_fit``."""
+    n_regions, p, _ = fit.dims
+    countries, activities = fit.equations[:n_regions], fit.equations[n_regions:]
+    own, foreign, common = slice(p), slice(p, 2 * p), slice(2 * p, None)
+    return dict(
+        phi=[e.lag[:, own] for e in countries],
+        ge0=[e.now[:, foreign] for e in countries],
+        ge1=[e.lag[:, foreign] for e in countries],
+        gb0=[e.now[:, common] for e in countries],
+        gb1=[e.lag[:, common] for e in countries],
+        ak=[e.intercept for e in countries],
+        gbe0=[e.now[0, 1:] for e in activities],
+        gbe1=[e.lag[0, 1:] for e in activities],
+        phib=[e.lag[0, 0] for e in activities],
+        am=[e.intercept[0] for e in activities])
 
 
 def structural_matrices(coeffs: dict, we_t: np.ndarray, wb_t: np.ndarray,

@@ -26,6 +26,7 @@ from tvpgvar.sample import IRF_DATES, write_sample_config
 from tvpgvar.tvp import PanelTVPResult, TVPTrajectory
 
 from conftest import (
+    fit_blocks,
     from_reduced_form,
     make_panel,
     oirf_simulation_oracle,
@@ -391,17 +392,12 @@ def test_structural_recovery_zero_noise_k3():
     x = simulate_structural(coeffs, weights, rng.standard_normal(7), n_regions, p, l)
     panel = make_panel(x, ["A", "B", "C"], ["v1", "v2"], ["ACT"])
     fit = tg.estimate_structural(panel, weights)
+    blocks = fit_blocks(fit)
     worst = 0.0
-    for k in range(n_regions):
-        c = fit.countries[k]
-        for est, true in [(c.phi1, coeffs["phi"][k]), (c.gamma_e0, coeffs["ge0"][k]),
-                          (c.gamma_e1, coeffs["ge1"][k]), (c.gamma_b0, coeffs["gb0"][k]),
-                          (c.gamma_b1, coeffs["gb1"][k]), (c.a_k, coeffs["ak"][k])]:
-            worst = max(worst, float(np.max(np.abs(est - true))))
-    act = fit.activities[0]
-    for est, true in [(act.phi_b, coeffs["phib"][0]), (act.a_m, coeffs["am"][0]),
-                      (act.gamma_be0, coeffs["gbe0"][0]), (act.gamma_be1, coeffs["gbe1"][0])]:
-        worst = max(worst, float(np.max(np.abs(np.asarray(est) - np.asarray(true)))))
+    for key in ("phi", "ge0", "ge1", "gb0", "gb1", "ak", "phib", "am", "gbe0", "gbe1"):
+        assert len(blocks[key]) == len(coeffs[key])
+        for est, true in zip(blocks[key], coeffs[key]):
+            worst = max(worst, float(np.max(np.abs(np.asarray(est) - np.asarray(true)))))
     ok = worst <= 1e-8
     report("structural-recovery-k3 (identified variant)", ok, f"max err {worst:.2e}")
     assert worst <= 1e-8

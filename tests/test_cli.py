@@ -300,9 +300,20 @@ class TestIngest:
         ("data", "transform", "sqrt", None, "unknown transform 'sqrt'"),
         ("panel", "regions", ["AAA", "BBB", "AAA"], None, "duplicate codes in panel.regions"),
         ("forecast", "methods", [], None, "forecast.methods must list at least one method"),
+        # each record checks its fields' JSON types too
+        ("tvp", "iters", 2.5, "tvp", "tvp.iters must be an integer, got 2.5"),
+        ("tvp", "seed", True, "tvp", "tvp.seed must be an integer, got True"),
+        ("forecast", "horizon", 2.5, "methods", "forecast.horizon must be an integer, got 2.5"),
+        ("irf", "dates", ["2020-01", ["x"]], "irf",
+         "irf.dates must be a list of strings, got ['2020-01', ['x']]"),
+        ("irf", "horizon", "6", "irf", "irf.horizon must be an integer, got '6'"),
+        ("weights", "window", None, "weights", "weights.window must be an integer, got None"),
+        ("panel", "regions", [["A"]], None, "panel.regions must be a list of strings, got [['A']]"),
     ], ids=["provider-typo", "rolling-share-variable", "csv-path", "horizon", "level",
             "level-next-to-1", "repeated-date", "repeated-column", "reordered-shock",
-            "imputation", "transform", "repeated-region", "no-methods"])
+            "imputation", "transform", "repeated-region", "no-methods", "fractional-iters",
+            "boolean-seed", "fractional-forecast-horizon", "nested-date", "string-horizon",
+            "null-window", "nested-region"])
     def test_each_record_checks_its_fields_as_load_config_does(
             self, tmp_path, section, key, value, record, message):
         config_path = mini_config(tmp_path)
@@ -314,8 +325,11 @@ class TestIngest:
         with pytest.raises(ValidationError, match=exact):
             load_config(config_path)
         # a record built or changed outside load_config meets the same check;
-        # the field has the key's name, and RunConfig holds no methods as {}
+        # the field has the key's name, and RunConfig holds no methods as {}.
+        # The forecast keys are fields of each method's settings: take the first
         valid = config if record is None else getattr(config, record)
+        if isinstance(valid, dict):
+            valid = next(iter(valid.values()))
         changes = {key: {} if key == "methods" else value}
         with pytest.raises(ValidationError, match=exact):
             type(valid)(**{**vars(valid), **changes})
@@ -1389,7 +1403,7 @@ def test_main_leaves_the_environment_alone(tmp_path, monkeypatch):
 def test_package_names_resolve_on_first_use():
     namespace = {}
     exec("from tvpgvar import *", namespace)
-    assert len(tvpgvar.__all__) == 40
+    assert len(tvpgvar.__all__) == 39
     assert set(tvpgvar.__all__) <= set(dir(tvpgvar))
     for name in tvpgvar.__all__:
         assert namespace[name] is getattr(tvpgvar, name)

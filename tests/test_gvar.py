@@ -11,23 +11,36 @@ from tvpgvar import (
     stack_system,
 )
 from tvpgvar.errors import NumericalError, ValidationError
-from tvpgvar.gvar import (
-    ActivityCoefficients,
-    CountryCoefficients,
-    StructuralFit,
-    _links,
-    read_coefficients_json,
-    write_coefficients_json,
-)
+from tvpgvar.gvar import _links, read_coefficients_json, write_coefficients_json
 
 from conftest import (
+    fit_blocks,
     make_panel,
     random_coefficients,
     simulate_structural,
     structural_matrices,
+    true_fit,
     wave_weights,
 )
 from oracles import oirf_point
+
+
+# (K, p, l): two countries, a lone country (zero foreign coefficients) and no activity
+SHAPES = [(2, 2, 1), (1, 2, 1), (3, 1, 0)]
+SHAPE_IDS = ["K2-p2-l1", "lone-country", "no-activity"]
+
+
+def simulated_panel(rng, n_regions, p, l, t_len=150):
+    """(weights, panel) of a simulated structural system with noise."""
+    weights = wave_weights(t_len, n_regions, l)
+    coeffs = random_coefficients(rng, n_regions, p, l, scale=0.5)
+    width = n_regions * p + l
+    noise = 0.1 * rng.standard_normal((t_len, width))
+    x = simulate_structural(coeffs, weights, rng.standard_normal(width),
+                            n_regions, p, l, noise=noise)
+    panel = make_panel(x, ["A", "B", "C"][:n_regions], [f"v{i + 1}" for i in range(p)],
+                       ["ACT"][:l])
+    return weights, panel
 
 
 def swap_weights(t_len):
@@ -37,37 +50,6 @@ def swap_weights(t_len):
     we[:, 1, 0] = 1.0
     wb = np.full((t_len, 2, 1), 0.5)
     return WeightSequence(we=we, wb=wb)
-
-
-def fit_blocks(fit):
-    """The blocks of a StructuralFit as a ``random_coefficients`` dict."""
-    return dict(
-        phi=[c.phi1 for c in fit.countries],
-        ge0=[c.gamma_e0 for c in fit.countries],
-        ge1=[c.gamma_e1 for c in fit.countries],
-        gb0=[c.gamma_b0 for c in fit.countries],
-        gb1=[c.gamma_b1 for c in fit.countries],
-        ak=[c.a_k for c in fit.countries],
-        gbe0=[a.gamma_be0 for a in fit.activities],
-        gbe1=[a.gamma_be1 for a in fit.activities],
-        phib=[a.phi_b for a in fit.activities],
-        am=[a.a_m for a in fit.activities])
-
-
-def true_fit(coeffs, dims):
-    """StructuralFit holding the true blocks of ``random_coefficients``, unit Sigma_u."""
-    n_regions, p, l = dims
-    countries = tuple(CountryCoefficients(
-        a_k=coeffs["ak"][k], phi1=coeffs["phi"][k], gamma_e0=coeffs["ge0"][k],
-        gamma_e1=coeffs["ge1"][k], gamma_b0=coeffs["gb0"][k], gamma_b1=coeffs["gb1"][k])
-        for k in range(n_regions))
-    activities = tuple(ActivityCoefficients(
-        a_m=coeffs["am"][m], phi_b=coeffs["phib"][m],
-        gamma_be0=coeffs["gbe0"][m], gamma_be1=coeffs["gbe1"][m]) for m in range(l))
-    width = n_regions * p + l
-    return StructuralFit(countries=countries, activities=activities, residuals=None,
-                         sigma_u=np.eye(width), dims=dims,
-                         columns=tuple(f"c{j}" for j in range(width)), nobs=100)
 
 
 class TestWeightSequence:
@@ -186,19 +168,19 @@ class TestWeightSequence:
 class TestLinkMatrices:
     def test_country_k2p1l1_first(self):
         w = swap_weights(1)
-        link = _links(w, 0, (2, 1, 1))[0][0]
+        link = _links(w, 0, (2, 1, 1))[0]
         np.testing.assert_array_equal(link, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
 
     def test_country_k2p1l1_second(self):
         w = swap_weights(1)
-        link = _links(w, 0, (2, 1, 1))[0][1]
+        link = _links(w, 0, (2, 1, 1))[1]
         np.testing.assert_array_equal(link, [[0, 1, 0], [1, 0, 0], [0, 0, 1]])
 
     def test_country_k3p2l1_equal_weights_blocks(self):
         # hand-built from the block layout: own identity rows, halved foreign
         # identity blocks in the middle rows, activity selector last
         w = WeightSequence.equal(1, 3, 1)
-        link = _links(w, 0, (3, 2, 1))[0][1]
+        link = _links(w, 0, (3, 2, 1))[1]
         eye2 = np.eye(2)
         expected = np.zeros((5, 7))
         expected[0:2, 2:4] = eye2
@@ -209,12 +191,12 @@ class TestLinkMatrices:
 
     def test_activity_k1p1l1(self):
         w = WeightSequence(we=np.zeros((1, 1, 1)), wb=np.ones((1, 1, 1)))
-        link = _links(w, 0, (1, 1, 1))[1][0]
+        link = _links(w, 0, (1, 1, 1))[1 + 0]  # K + m
         np.testing.assert_array_equal(link, [[0, 1], [1, 0]])
 
     def test_activity_k2p1l1(self):
         w = swap_weights(1)
-        link = _links(w, 0, (2, 1, 1))[1][0]
+        link = _links(w, 0, (2, 1, 1))[2 + 0]  # K + m
         np.testing.assert_allclose(link, [[0, 0, 1], [0.5, 0.5, 0]])
 
     def test_activity_k2p2l2_second_activity(self):
@@ -224,7 +206,7 @@ class TestLinkMatrices:
         wb[0, :, 0] = [0.5, 0.5]
         wb[0, :, 1] = [0.3, 0.7]
         w = WeightSequence(we=we, wb=wb)
-        link = _links(w, 0, (2, 2, 2))[1][1]
+        link = _links(w, 0, (2, 2, 2))[2 + 1]  # K + m
         expected = np.zeros((3, 6))
         expected[0, 5] = 1.0
         expected[1:3, 0:2] = 0.3 * np.eye(2)
@@ -239,7 +221,7 @@ class TestLinkMatrices:
         n_regions, p, l = 4, 3, 2
         w = wave_weights(6, n_regions, l)
         for k in range(n_regions):
-            link = _links(w, 3, (n_regions, p, l))[0][k]
+            link = _links(w, 3, (n_regions, p, l))[k]
             np.testing.assert_array_equal(link[0:p, k * p:(k + 1) * p], np.eye(p))
             weight_rows = link[p:2 * p, :n_regions * p]
             np.testing.assert_allclose(weight_rows.sum(axis=1), 1.0)
@@ -255,19 +237,11 @@ class TestEstimateStructural:
                                 n_regions, p, l)
         panel = make_panel(x, ["A", "B", "C"], ["v1", "v2"], ["ACT"])
         fit = estimate_structural(panel, weights)
-        for k in range(n_regions):
-            c = fit.countries[k]
-            np.testing.assert_allclose(c.phi1, coeffs["phi"][k], atol=1e-8)
-            np.testing.assert_allclose(c.gamma_e0, coeffs["ge0"][k], atol=1e-8)
-            np.testing.assert_allclose(c.gamma_e1, coeffs["ge1"][k], atol=1e-8)
-            np.testing.assert_allclose(c.gamma_b0, coeffs["gb0"][k], atol=1e-8)
-            np.testing.assert_allclose(c.gamma_b1, coeffs["gb1"][k], atol=1e-8)
-            np.testing.assert_allclose(c.a_k, coeffs["ak"][k], atol=1e-8)
-        act = fit.activities[0]
-        np.testing.assert_allclose(act.phi_b, coeffs["phib"][0], atol=1e-8)
-        np.testing.assert_allclose(act.a_m, coeffs["am"][0], atol=1e-8)
-        np.testing.assert_allclose(act.gamma_be0, coeffs["gbe0"][0], atol=1e-8)
-        np.testing.assert_allclose(act.gamma_be1, coeffs["gbe1"][0], atol=1e-8)
+        blocks = fit_blocks(fit)
+        for key in ("phi", "ge0", "ge1", "gb0", "gb1", "ak", "phib", "am", "gbe0", "gbe1"):
+            assert len(blocks[key]) == len(coeffs[key])
+            for est, true in zip(blocks[key], coeffs[key]):
+                np.testing.assert_allclose(est, true, atol=1e-8)
         assert np.max(np.abs(fit.residuals)) < 1e-10
 
     def test_white_noise_slopes_within_3se(self, rng):
@@ -288,19 +262,18 @@ class TestEstimateStructural:
         design = np.column_stack([np.ones(t_len - 1), values[:-1, 0],
                                   values[1:, 1], values[:-1, 1]])
         se = ols_se(design, fit.residuals[:, 0])
-        c = fit.countries[0]
-        assert abs(c.phi1[0, 0]) < 3 * se[1]
-        assert abs(c.gamma_b0[0, 0]) < 3 * se[2]
-        assert abs(c.gamma_b1[0, 0]) < 3 * se[3]
+        blocks = fit_blocks(fit)
+        assert abs(blocks["phi"][0][0, 0]) < 3 * se[1]
+        assert abs(blocks["gb0"][0][0, 0]) < 3 * se[2]
+        assert abs(blocks["gb1"][0][0, 0]) < 3 * se[3]
 
         y_b = values[1:, 1]
         design_b = np.column_stack([np.ones(t_len - 1), values[:-1, 1],
                                     values[1:, 0], values[:-1, 0]])
         se_b = ols_se(design_b, fit.residuals[:, 1])
-        act = fit.activities[0]
-        assert abs(act.phi_b) < 3 * se_b[1]
-        assert abs(act.gamma_be0[0]) < 3 * se_b[2]
-        assert abs(act.gamma_be1[0]) < 3 * se_b[3]
+        assert abs(blocks["phib"][0]) < 3 * se_b[1]
+        assert abs(blocks["gbe0"][0][0]) < 3 * se_b[2]
+        assert abs(blocks["gbe1"][0][0]) < 3 * se_b[3]
 
     def test_too_short_panel_rejected(self, rng):
         values = rng.standard_normal((6, 5))
@@ -348,19 +321,13 @@ class TestStackSystem:
         panel = make_panel(x, ["A", "B"], ["v1"], ["ACT"])
         fit = estimate_structural(panel, weights)
         # rebuild the stacked system from the true (zero-coupling) blocks
-        zeroed = fit.replace(
-            countries=tuple(c.replace(
-                gamma_e0=np.zeros((p, p)), gamma_e1=np.zeros((p, p)),
-                gamma_b0=np.zeros((p, l)), gamma_b1=np.zeros((p, l)))
-                for c in fit.countries),
-            activities=tuple(a.replace(gamma_be0=np.zeros(p), gamma_be1=np.zeros(p))
-                             for a in fit.activities),
-        )
+        blocks = fit_blocks(fit)
+        for key in ("ge0", "ge1", "gb0", "gb1", "gbe0", "gbe1"):
+            blocks[key] = [np.zeros_like(block) for block in blocks[key]]
+        zeroed = fit.replace(equations=true_fit(blocks, fit.dims).equations)
         system = stack_system(zeroed, weights, 1)
         np.testing.assert_array_equal(system.g0, np.eye(3))
-        expected_diag = [zeroed.countries[0].phi1[0, 0],
-                         zeroed.countries[1].phi1[0, 0],
-                         zeroed.activities[0].phi_b]
+        expected_diag = [blocks["phi"][0][0, 0], blocks["phi"][1][0, 0], blocks["phib"][0]]
         np.testing.assert_allclose(system.f1, np.diag(expected_diag), atol=1e-12)
 
     def test_k2_p1_l0_hand_checked_g0(self, rng):
@@ -382,8 +349,9 @@ class TestStackSystem:
                                 noise=noise)
         panel = make_panel(x, ["A", "B"], ["v1"])
         fit = estimate_structural(panel, weights)
-        pinned = fit.replace(
-            countries=tuple(c.replace(gamma_e0=np.array([[0.2]])) for c in fit.countries))
+        blocks = fit_blocks(fit)
+        blocks["ge0"] = [np.array([[0.2]])] * 2
+        pinned = fit.replace(equations=true_fit(blocks, fit.dims).equations)
         system = stack_system(pinned, weights, 1)
         np.testing.assert_allclose(system.g0, [[1.0, -0.2], [-0.2, 1.0]])
 
@@ -404,16 +372,11 @@ class TestStackSystem:
                                                weights.wb[t - 1], n_regions, p, l)
             assert np.max(np.abs(system.g0 @ system.f1 - g1_ref)) < 1e-12
 
-    def test_matches_independent_construction(self, rng):
-        # stack_system agrees with the per-equation oracle construction
-        n_regions, p, l = 2, 2, 1
-        t_len = 150
-        weights = wave_weights(t_len, n_regions, l)
-        coeffs = random_coefficients(rng, n_regions, p, l, scale=0.5)
-        noise = 0.1 * rng.standard_normal((t_len, 5))
-        x = simulate_structural(coeffs, weights, rng.standard_normal(5),
-                                n_regions, p, l, noise=noise)
-        panel = make_panel(x, ["A", "B"], ["v1", "v2"], ["ACT"])
+    @pytest.mark.parametrize("n_regions, p, l", SHAPES, ids=SHAPE_IDS)
+    def test_matches_independent_construction(self, rng, n_regions, p, l):
+        # stack_system agrees with the per-equation oracle construction, a
+        # lone country's zero foreign coefficients and no activity included
+        weights, panel = simulated_panel(rng, n_regions, p, l)
         fit = estimate_structural(panel, weights)
         coeffs_hat = fit_blocks(fit)
         t = 77
@@ -449,9 +412,9 @@ class TestStackSystem:
     def test_ill_conditioned_g0_rejected(self, rng):
         # unit contemporaneous loadings on the other country's variable make
         # G0 = [[1, -1], [-1, 1]], singular
-        fit = true_fit(random_coefficients(rng, 2, 1, 0), (2, 1, 0))
-        fit = fit.replace(countries=tuple(
-            c.replace(gamma_e0=np.array([[1.0]])) for c in fit.countries))
+        coeffs = random_coefficients(rng, 2, 1, 0)
+        coeffs["ge0"] = [np.array([[1.0]])] * 2
+        fit = true_fit(coeffs, (2, 1, 0))
         with pytest.raises(NumericalError, match=r"^G0 at period 5 has condition number "
                                                  r"\S+ above cap 1\.0e\+12$"):
             stack_system(fit, WeightSequence.equal(10, 2, 0), 5)
@@ -554,15 +517,9 @@ class TestStability:
             spectral_radius(np.ones((2, 3)))
 
 
-def test_coefficients_json_round_trip(tmp_path, rng):
-    n_regions, p, l = 2, 2, 1
-    t_len = 150
-    weights = wave_weights(t_len, n_regions, l)
-    coeffs = random_coefficients(rng, n_regions, p, l, scale=0.5)
-    noise = 0.1 * rng.standard_normal((t_len, 5))
-    x = simulate_structural(coeffs, weights, rng.standard_normal(5),
-                            n_regions, p, l, noise=noise)
-    panel = make_panel(x, ["A", "B"], ["v1", "v2"], ["ACT"])
+@pytest.mark.parametrize("n_regions, p, l", SHAPES, ids=SHAPE_IDS)
+def test_coefficients_json_round_trip(tmp_path, rng, n_regions, p, l):
+    weights, panel = simulated_panel(rng, n_regions, p, l)
     fit = estimate_structural(panel, weights)
     path = tmp_path / "coef.json"
     write_coefficients_json(fit, panel, path)
@@ -570,9 +527,11 @@ def test_coefficients_json_round_trip(tmp_path, rng):
     assert loaded.dims == fit.dims
     assert loaded.columns == fit.columns
     np.testing.assert_array_equal(loaded.sigma_u, fit.sigma_u)
-    for a, b in zip(loaded.countries, fit.countries):
-        np.testing.assert_array_equal(a.phi1, b.phi1)
-        np.testing.assert_array_equal(a.gamma_b0, b.gamma_b0)
+    assert loaded.equations == fit.equations
+    # the file is a view of the equations: writing them back gives its bytes
+    again = tmp_path / "again.json"
+    write_coefficients_json(loaded, panel, again)
+    assert again.read_bytes() == path.read_bytes()
     system_a = stack_system(fit, weights, 10)
     system_b = stack_system(loaded, weights, 10)
     np.testing.assert_array_equal(system_a.f1, system_b.f1)

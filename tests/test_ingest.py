@@ -14,9 +14,7 @@ from tvpgvar.config import (
 )
 from tvpgvar.errors import ValidationError
 from tvpgvar.forecast import ForecastResult, LassoFit
-from tvpgvar.gvar import (
-    ActivityCoefficients, CountryCoefficients, StackedSystem, StructuralFit, WeightSequence,
-)
+from tvpgvar.gvar import Equation, StackedSystem, StructuralFit, WeightSequence
 from tvpgvar.ingest import (
     COMMON_REGION, RawSeries, TimeSeriesPanel, month_index, month_label, read_panel_csv,
     write_panel_csv,
@@ -138,9 +136,8 @@ class TestRecords:
         (lambda: RawSeries("USA", "CPI", ("2000-01",), (1.0,), "monthly"), "values"),
         (lambda: make_panel(np.zeros((3, 1)), ["A"], ["x"]), "rows"),
         (lambda: WeightSequence.equal(2, 2, 1), "we"),
-        (lambda: CountryCoefficients(*[np.zeros((1, 1))] * 6), "phi1"),
-        (lambda: ActivityCoefficients(0.0, 0.5, np.zeros(1), np.zeros(1)), "phi_b"),
-        (lambda: StructuralFit((), (), None, np.eye(1), (1, 1, 0), ("A.x",), 9), "nobs"),
+        (lambda: Equation(np.zeros(1), *[np.zeros((1, 2))] * 2), "lag"),
+        (lambda: StructuralFit((), None, np.eye(1), (1, 1, 0), ("A.x",), 9), "nobs"),
         (lambda: StackedSystem(*[np.eye(1)] * 4, 1.0), "g0_condition"),
         (lambda: KalmanState(*[np.zeros(1)] * 5), "gains"),
         (lambda: TVPTrajectory(np.ones(2), np.ones(2), np.ones((3, 2)), 1.0), "sigma2"),
@@ -167,9 +164,8 @@ class TestRecords:
     @pytest.mark.parametrize("make, array", [
         (lambda wb: WeightSequence(WeightSequence.equal(2, 2, 1).we, wb),
          np.full((2, 2, 1), 0.5)),
-        (lambda a_k: CountryCoefficients(a_k, *[np.eye(2)] * 5), np.arange(2.0)),
-        (lambda be0: ActivityCoefficients(0.0, 0.5, be0, np.zeros(2)), np.arange(2.0)),
-        (lambda res: StructuralFit((), (), res, np.eye(1), (1, 1, 0), ("A.x",), 9),
+        (lambda now: Equation(np.zeros(2), now, np.zeros((2, 5))), np.arange(10.0).reshape(2, 5)),
+        (lambda res: StructuralFit((), res, np.eye(1), (1, 1, 0), ("A.x",), 9),
          np.ones((3, 1))),
         (lambda g0: StackedSystem(g0, *[np.eye(2)] * 3, 1.0), np.eye(2)),
         (lambda m: KalmanState(m, *[np.zeros(2)] * 4), np.ones((2, 2))),
@@ -183,8 +179,7 @@ class TestRecords:
         (lambda coef: LassoFit(coef, 0.0), np.arange(3.0)),
         (lambda paths: ForecastResult(("A.x",), ("2001-01",), paths, np.zeros((1, 1)), {}),
          np.ones((1, 1, 2))),
-    ], ids=["WeightSequence", "CountryCoefficients", "ActivityCoefficients", "StructuralFit",
-            "StackedSystem", "KalmanState", "TVPTrajectory", "PanelTVPResult", "IRFResult",
+    ], ids=["WeightSequence", "Equation", "StructuralFit", "StackedSystem", "KalmanState", "TVPTrajectory", "PanelTVPResult", "IRFResult",
             "LassoFit", "ForecastResult"])
     def test_equality_compares_arrays_by_value(self, make, array):
         record = make(array)
