@@ -136,7 +136,12 @@ class TestRecords:
         (lambda: RawSeries("USA", "CPI", ("2000-01",), (1.0,), "monthly"), "values"),
         (lambda: make_panel(np.zeros((3, 1)), ["A"], ["x"]), "rows"),
         (lambda: WeightSequence.equal(2, 2, 1), "we"),
-        (lambda: Equation(np.zeros(1), *[np.zeros((1, 2))] * 2), "lag"),
+        # a country's and an activity's equation; the ids name the own-lag
+        # block each one's lag field holds (coefficients.json's phi1 and phi_b)
+        pytest.param(lambda: Equation(np.zeros(2), *[np.zeros((2, 5))] * 2), "lag",
+                     id="<lambda>-phi1"),
+        pytest.param(lambda: Equation(np.zeros(1), *[np.zeros((1, 3))] * 2), "lag",
+                     id="<lambda>-phi_b"),
         (lambda: StructuralFit((), None, np.eye(1), (1, 1, 0), ("A.x",), 9), "nobs"),
         (lambda: StackedSystem(*[np.eye(1)] * 4, 1.0), "g0_condition"),
         (lambda: KalmanState(*[np.zeros(1)] * 5), "gains"),
@@ -164,7 +169,10 @@ class TestRecords:
     @pytest.mark.parametrize("make, array", [
         (lambda wb: WeightSequence(WeightSequence.equal(2, 2, 1).we, wb),
          np.full((2, 2, 1), 0.5)),
+        # a country's (p=2, l=1) and an activity's equation, under the names
+        # their records had before both became one Equation
         (lambda now: Equation(np.zeros(2), now, np.zeros((2, 5))), np.arange(10.0).reshape(2, 5)),
+        (lambda lag: Equation(np.zeros(1), np.zeros((1, 3)), lag), np.arange(3.0).reshape(1, 3)),
         (lambda res: StructuralFit((), res, np.eye(1), (1, 1, 0), ("A.x",), 9),
          np.ones((3, 1))),
         (lambda g0: StackedSystem(g0, *[np.eye(2)] * 3, 1.0), np.eye(2)),
@@ -179,7 +187,8 @@ class TestRecords:
         (lambda coef: LassoFit(coef, 0.0), np.arange(3.0)),
         (lambda paths: ForecastResult(("A.x",), ("2001-01",), paths, np.zeros((1, 1)), {}),
          np.ones((1, 1, 2))),
-    ], ids=["WeightSequence", "Equation", "StructuralFit", "StackedSystem", "KalmanState", "TVPTrajectory", "PanelTVPResult", "IRFResult",
+    ], ids=["WeightSequence", "CountryCoefficients", "ActivityCoefficients", "StructuralFit",
+            "StackedSystem", "KalmanState", "TVPTrajectory", "PanelTVPResult", "IRFResult",
             "LassoFit", "ForecastResult"])
     def test_equality_compares_arrays_by_value(self, make, array):
         record = make(array)
