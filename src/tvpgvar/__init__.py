@@ -28,9 +28,8 @@ _HOMES = {
     "write_panel_csv": "ingest",
     "IRFResult": "irf", "asymptotic_bands": "irf",
     "cholesky_lower": "irf", "estimate_asymptotic_inputs": "irf",
-    "PanelTVPResult": "tvp", "TVPTrajectory": "tvp", "estimate_all": "tvp",
-    "fit_equation": "tvp", "sample_sigma": "tvp", "sample_theta0_omega": "tvp",
-    "sample_theta_tilde_banded": "tvp",
+    "PanelTVPResult": "tvp", "estimate_all": "tvp", "fit_equation": "tvp",
+    "sample_sigma": "tvp", "sample_theta0_omega": "tvp", "sample_theta_tilde_banded": "tvp",
 }
 
 __all__ = list(_HOMES)

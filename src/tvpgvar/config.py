@@ -87,8 +87,9 @@ class Record:
     ``_set``; its parameters, keyword-only ones included, are the fields, in
     the order of the signature. Every record refuses assignment, hashes by
     its fields, compares field by field (an array field by value, with
-    ``np.array_equal``), prints its fields (leaving ``_hidden`` ones out of
-    ``repr``) and makes checked copies with ``replace``.
+    ``np.array_equal``, NaN equal to NaN in a float array), prints its
+    fields (leaving ``_hidden`` ones out of ``repr``) and makes checked
+    copies with ``replace``.
     """
 
     _fields: tuple[str, ...]
@@ -117,7 +118,10 @@ class Record:
             return NotImplemented
         np = sys.modules.get("numpy")  # no array exists before numpy is loaded
         array = np.ndarray if np else ()
-        return all(np.array_equal(a, b) if isinstance(a, array) or isinstance(b, array)
+        # NaN equals NaN between float arrays: a failed column's row of NaN is a value
+        return all(np.array_equal(a, b, equal_nan=getattr(a, "dtype", None) == float
+                                  == getattr(b, "dtype", None))
+                   if isinstance(a, array) or isinstance(b, array)
                    else a == b for a, b in zip(self._values(), other._values()))
 
     def __repr__(self) -> str:

@@ -1,6 +1,7 @@
 """Two-stage out-of-sample forecasting and model scoring.
 
-Stage one extrapolates each column's (intercept, slope) trajectory with a
+Stage one extrapolates each column's (intercept, slope) path in the sampler's
+stack (``tvp.PanelTVPResult``, a failed column's row of NaN left out) with a
 pluggable forecaster — freeze-the-last-value baseline, a joint VAR(1) on the
 stacked parameter series, an l1-penalized lag regression tuned by
 forward-chaining cross-validation, or externally supplied paths. The three
@@ -384,23 +385,20 @@ def two_stage_forecast(panel: TimeSeriesPanel, tvp_result: PanelTVPResult,
 
     ``panel`` is the training window whose final row seeds the recursion. An
     external forecaster takes ``paths``, its ``external_path`` file as
-    ``read_trajectories`` returns it. A missing trajectory, a stage-one
-    failure of either of a column's series or a missing external path aborts
-    only the affected columns. ``mse_per_series`` scores the result.
+    ``read_trajectories`` returns it. A failed column (NaN in ``tvp_result``),
+    a stage-one failure of either of a column's series or a missing external
+    path aborts only the affected columns. ``mse_per_series`` scores the result.
     """
     names = panel.column_names()
     width = panel.width
     h = config.horizon
-    if len(tvp_result.trajectories) != width:
+    if len(tvp_result.sigma2) != width:
         raise ValidationError("trajectory count does not match panel width")
     param = np.full((h, width, 2), np.nan)
-    errors: dict[str, str] = {}
-    usable = []
-    for i, traj in enumerate(tvp_result.trajectories):
-        if traj is None:
-            errors[names[i]] = tvp_result.errors.get(names[i], "missing trajectory")
-        else:
-            usable.append(i)
+    failed = np.isnan(tvp_result.sigma2)  # a failed column's row is NaN
+    errors = {names[i]: tvp_result.errors.get(names[i], "missing trajectory")
+              for i in np.flatnonzero(failed)}
+    usable = np.flatnonzero(~failed).tolist()
 
     if config.kind == "external":
         if paths is None:
@@ -417,7 +415,7 @@ def two_stage_forecast(panel: TimeSeriesPanel, tvp_result: PanelTVPResult,
             param[:, i, :] = values
     elif usable:
         # (T, 2n): the forecasters see the series b_0, f_0, b_1, ...
-        series = np.hstack([tvp_result.trajectories[i].theta for i in usable])
+        series = tvp_result.theta[usable].transpose(1, 0, 2).reshape(-1, 2 * len(usable))
         try:
             pred, failed = _FORECASTERS[config.kind](series, config)
         except (NumericalError, ValidationError) as exc:

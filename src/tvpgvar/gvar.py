@@ -252,8 +252,7 @@ def _ols(z: np.ndarray, own: int, spans: Sequence[slice], target: np.ndarray,
     of the first ``own`` columns of its series ``z`` and each span at t, t-1;
     the columns outside the spans get zero coefficients."""
     n = len(z) - 1
-    # each regressor block after the intercept: (1 at t, 0 at t-1; its columns),
-    # sliced, not indexed, so the design stays C-ordered as least_squares sums it
+    # each regressor block after the intercept: (1 at t, 0 at t-1; its columns)
     blocks = [(0, slice(own))] + [(at, span) for span in spans for at in (1, 0)]
     pieces = [z[at:n + at, span] for at, span in blocks]
     design = np.hstack([np.ones((n, 1)), *pieces])

@@ -164,16 +164,18 @@ def load_panel(path: str | Path) -> list[RawSeries]:
     """Parse a long-format ``date,region,variable,value`` CSV into one
     RawSeries per (region, variable).
 
-    The columns are found by header name, in any order. Rows are sorted by
-    date within each series; duplicates, malformed dates, and non-numeric
-    values are rejected with the offending row number (header = row 1).
+    The columns are found by header name, once each, in any order. Rows are
+    sorted by date within each series; duplicates, malformed dates, and
+    non-numeric values are rejected with the offending row number (header =
+    row 1).
     """
     path = Path(path)
     header, rows = read_csv_rows(path)
     names = ("date", "region", "variable", "value")
     for name in names:
-        if name not in header:
-            raise ValidationError(f"{path}: missing column {name!r} in header {header}")
+        if header.count(name) != 1:  # a second column of the name would go unread
+            what = "repeated" if name in header else "missing"
+            raise ValidationError(f"{path}: {what} column {name!r} in header {header}")
     at_date, at_region, at_variable, at_value = (header.index(name) for name in names)
 
     # (region, variable) -> month -> (date, value, row number), in order of

@@ -23,6 +23,7 @@ def least_squares(design: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, n
     rank no unique solution exists: the coefficients and residuals are NaN,
     and the caller names the failure.
     """
+    design = np.ascontiguousarray(design)  # the same values in F order round differently
     n, q = design.shape
     scale = np.linalg.norm(design, axis=0)
     scale[scale == 0.0] = 1.0

@@ -43,8 +43,8 @@ coefficient draw (X'X, Cholesky factors, triangular solves) and the variance
 draw run on (columns, ...) stacks. A column whose draw fails (a non-finite
 X'X, a precision without a Cholesky factor, non-finite residuals) leaves the
 stack with its first failed draw's reason, naming the iteration; the others
-go on. A trajectory keeps theta0, sqrt_omega, the theta path and sigma2.
-``fit_equation`` is the one-column case.
+go on. ``PanelTVPResult`` holds the stack's final draws, a failed column as a
+row of NaN in each array; ``fit_equation`` is the one-column case.
 """
 
 from __future__ import annotations
@@ -80,28 +80,6 @@ class KalmanState(Record):
                  innovation_var: np.ndarray, gains: np.ndarray):
         self._set(m=m, p=p, innovations=innovations, innovation_var=innovation_var,
                   gains=gains)
-
-
-class TVPTrajectory(Record):
-    """Final-draw coefficient paths for one panel column.
-
-    ``theta0`` and ``sqrt_omega`` are (2,) and ``theta`` is (n, 2): its row t
-    (intercept, slope) corresponds to observation t+1 of the input series
-    (the first observation is consumed as the initial lag). Every entry is
-    finite, and the arrays are read-only once checked.
-    """
-
-    def __init__(self, theta0: np.ndarray, sqrt_omega: np.ndarray, theta: np.ndarray,
-                 sigma2: float):
-        # written so that NaN fails: every comparison with NaN is False
-        if not 0 < sigma2 < np.inf:
-            raise ValidationError("sigma2 must be positive and finite")
-        arrays = (theta0, sqrt_omega, theta)
-        if not all(np.isfinite(array).all() for array in arrays):
-            raise ValidationError("theta0, sqrt_omega or theta is not finite")
-        for array in arrays:
-            array.setflags(write=False)
-        self._set(theta0=theta0, sqrt_omega=sqrt_omega, theta=theta, sigma2=sigma2)
 
 
 def kalman_forward(y: np.ndarray, theta0: np.ndarray, sqrt_omega: np.ndarray,
@@ -442,13 +420,53 @@ def column_scales(y: np.ndarray) -> np.ndarray:
     return np.where(np.any(y != y[:, :1], axis=1) & (sd > 0) & (sd < np.inf), sd, 1.0)
 
 
+def _row_problems(theta0: np.ndarray, sqrt_omega: np.ndarray, theta: np.ndarray,
+                  sigma2: np.ndarray) -> dict[int, str]:
+    """{row: reason} for the rows of a column stack that are neither a fit nor
+    a failed column's row of NaN: a fit's sigma2 is positive and finite, and
+    then every entry of its theta0, sqrt_omega and theta is finite."""
+    failed, finite = np.isnan(sigma2), np.ones(sigma2.shape, dtype=bool)
+    for array in (theta0, sqrt_omega, theta):
+        axes = tuple(range(1, array.ndim))
+        failed &= np.isnan(array).all(axis=axes)
+        finite &= np.isfinite(array).all(axis=axes)
+    # written so that NaN fails: every comparison with NaN is False
+    positive = (sigma2 > 0) & (sigma2 < np.inf)
+    return {int(c): "sigma2 must be positive and finite" if not positive[c]
+            else "theta0, sqrt_omega or theta is not finite"
+            for c in np.flatnonzero(~failed & ~(positive & finite))}
+
+
+class PanelTVPResult(Record):
+    """Final-draw coefficient paths of a stack of panel columns: ``theta0`` and
+    ``sqrt_omega`` (columns, 2), ``theta`` (columns, n, 2), whose row t of
+    column c (intercept, slope) goes with observation t+1 of the column, and
+    ``sigma2`` (columns,). A failed column is a row of NaN in every array,
+    with its reason in ``errors`` by column name; the others pass
+    ``_row_problems``. The arrays are read-only once checked."""
+
+    def __init__(self, theta0: np.ndarray, sqrt_omega: np.ndarray, theta: np.ndarray,
+                 sigma2: np.ndarray, errors: dict[str, str]):
+        problems = _row_problems(theta0, sqrt_omega, theta, sigma2)
+        if problems:
+            raise ValidationError(next(iter(problems.values())))
+        for array in (theta0, sqrt_omega, theta, sigma2):
+            array.setflags(write=False)
+        self._set(theta0=theta0, sqrt_omega=sqrt_omega, theta=theta, sigma2=sigma2,
+                  errors=errors)
+
+    @property
+    def ok(self) -> bool:
+        return not self.errors
+
+
 def _sample_stack(y: np.ndarray, iters: int, seeds: Sequence,
-                  ) -> tuple[list[TVPTrajectory | None], dict[int, str]]:
+                  ) -> tuple[list[np.ndarray], dict[int, str]]:
     """Iterate path / coefficient / variance draws on the rows of ``y``
     (columns, T) together, each divided by its ``column_scales`` entry, row c
     drawing from ``default_rng(seeds[c])``, and keep the final draws in the
-    rows' own units. A row that fails leaves the stack, and its trajectory is
-    None with the reason in the returned {row: reason}."""
+    rows' own units, as ``PanelTVPResult``'s arrays. A row that fails leaves
+    the stack; its rows are NaN, with the reason in the returned {row: reason}."""
     # contiguous rows: a strided stack would take numpy's strided loops, whose
     # sums round differently, and a column's draws would depend on the layout
     y = np.ascontiguousarray(y)
@@ -481,7 +499,7 @@ def _sample_stack(y: np.ndarray, iters: int, seeds: Sequence,
             theta_star, coef_failed = sample_theta0_omega(target, design, sigma2, coef_normals)
             sigma2, sigma_failed = sample_sigma(target, design, theta_star, gammas[:ids.size])
             del target, design
-            # failed draws leave placeholders, not exceptions; the first reason wins
+            # failed draws leave NaN rows, not exceptions; the first reason wins
             ids, y, theta_star, sigma2, tilde, rngs = _drop(
                 {**sigma_failed, **coef_failed, **path_failed}, it, errors,
                 ids, y, theta_star, sigma2, tilde, rngs)
@@ -492,21 +510,20 @@ def _sample_stack(y: np.ndarray, iters: int, seeds: Sequence,
         sigma2 *= scales[ids] ** 2
         theta = theta_star[:, None, :2] + theta_star[:, None, 2:] * tilde
 
-    trajectories: list[TVPTrajectory | None] = [None] * width
-    for pos, row in enumerate(ids):
-        try:
-            trajectories[row] = TVPTrajectory(
-                theta0=theta_star[pos, :2].copy(), sqrt_omega=theta_star[pos, 2:].copy(),
-                theta=theta[pos], sigma2=float(sigma2[pos]))
-        except ValidationError as exc:
-            errors[int(row)] = str(exc)
-    return trajectories, errors
+    stack = [theta_star[:, :2].copy(), theta_star[:, 2:].copy(), theta, sigma2]
+    errors.update({int(ids[pos]): reason for pos, reason in _row_problems(*stack).items()})
+    if errors:
+        for k, live in enumerate(stack):
+            stack[k] = np.full((width,) + live.shape[1:], np.nan)
+            stack[k][ids] = live
+            stack[k][list(errors)] = np.nan
+    return stack, errors
 
 
-def fit_equation(y: np.ndarray, iters: int, seed: int | Sequence[int]) -> TVPTrajectory:
+def fit_equation(y: np.ndarray, iters: int, seed: int | Sequence[int]) -> PanelTVPResult:
     """Iterate path / coefficient / variance draws on one column and keep the
     final draw; ``seed`` seeds the column's own ``default_rng``. This is
-    ``estimate_all`` on a one-column stack."""
+    ``estimate_all`` on a one-column stack; a failed draw raises NumericalError."""
     y = np.asarray(y, float).reshape(-1)
     if y.size < 3:
         raise ValidationError("need at least 3 observations per equation")
@@ -514,21 +531,10 @@ def fit_equation(y: np.ndarray, iters: int, seed: int | Sequence[int]) -> TVPTra
         raise ValidationError("observations must be finite")
     if iters < 1:
         raise ValidationError("iters must be >= 1")
-    (trajectory,), errors = _sample_stack(y[None, :], iters, [seed])
+    stack, errors = _sample_stack(y[None, :], iters, [seed])
     if errors:
         raise NumericalError(errors[0])
-    return trajectory
-
-
-class PanelTVPResult(Record):
-    """Per-column trajectories; failed columns carry None plus a reason by name."""
-
-    def __init__(self, trajectories: list[TVPTrajectory | None], errors: dict[str, str]):
-        self._set(trajectories=trajectories, errors=errors)
-
-    @property
-    def ok(self) -> bool:
-        return not self.errors
+    return PanelTVPResult(*stack, errors={})
 
 
 def estimate_all(panel: TimeSeriesPanel, config: TVPConfig) -> PanelTVPResult:
@@ -538,10 +544,10 @@ def estimate_all(panel: TimeSeriesPanel, config: TVPConfig) -> PanelTVPResult:
     leaves the stack with the iteration in its reason; the others continue. A
     panel and a config are checked as they are built, so every column starts.
     """
-    trajectories, failed = _sample_stack(panel.values.T, config.iters,
-                                         [(config.seed, i) for i in range(panel.width)])
+    stack, failed = _sample_stack(panel.values.T, config.iters,
+                                  [(config.seed, i) for i in range(panel.width)])
     names = panel.column_names()
-    return PanelTVPResult(trajectories, {names[i]: failed[i] for i in sorted(failed)})
+    return PanelTVPResult(*stack, errors={names[i]: failed[i] for i in sorted(failed)})
 
 
 def write_trajectories(result: PanelTVPResult, panel: TimeSeriesPanel,
@@ -549,25 +555,15 @@ def write_trajectories(result: PanelTVPResult, panel: TimeSeriesPanel,
     """Export paths as ``date,column,b,f1`` rows plus a JSON sidecar."""
     names = panel.column_names()
     dates = panel.time_index[1:]
+    fitted = np.flatnonzero(~np.isnan(result.sigma2)).tolist()  # a failed column is NaN
     # one column's Python floats at a time: write_csv formats them fastest
     rows = ((date, names[i], b, f1)
-            for i, traj in enumerate(result.trajectories) if traj is not None
-            for date, (b, f1) in zip(dates, traj.theta.tolist()))
+            for i in fitted for date, (b, f1) in zip(dates, result.theta[i].tolist()))
     write_csv(csv_path, ["date", "column", "b", "f1"], rows)
-    meta = {
-        "seed": config.seed,
-        "iters": config.iters,
-        "columns": {
-            names[i]: {
-                "theta0": traj.theta0,
-                "sqrt_omega": traj.sqrt_omega,
-                "sigma2": traj.sigma2,
-            }
-            for i, traj in enumerate(result.trajectories) if traj is not None
-        },
-        "errors": result.errors,
-    }
-    write_json(meta, meta_path)
+    columns = {names[i]: {"theta0": result.theta0[i], "sqrt_omega": result.sqrt_omega[i],
+                          "sigma2": float(result.sigma2[i])} for i in fitted}
+    write_json({"seed": config.seed, "iters": config.iters, "columns": columns,
+                "errors": result.errors}, meta_path)
 
 
 def read_trajectories(csv_path: str | Path) -> dict[str, tuple[list[str], np.ndarray]]:

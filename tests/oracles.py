@@ -57,7 +57,7 @@ from tvpgvar.forecast import _lasso_path, _original_scale, _stack, _standardize
 from tvpgvar.gvar import ma_coefficients, spectral_radius
 from tvpgvar.ingest import month_index
 from tvpgvar.irf import IRFResult, cholesky_lower, derivative_Gn, derivative_H
-from tvpgvar.tvp import C0_RATE, C0_SHAPE, P0_SCALE, RIDGE_JITTER, TVPTrajectory
+from tvpgvar.tvp import C0_RATE, C0_SHAPE, P0_SCALE, RIDGE_JITTER, PanelTVPResult
 
 
 def standardize(x, y):
@@ -283,7 +283,7 @@ def _path_draw_loop(y, theta0, sqrt_omega, sigma2, rng):
 
 def fit_equation_loop(y, iters, seed):
     """The final draw of ``iters`` sampler iterations on one column, seeded by
-    ``default_rng(seed)``."""
+    ``default_rng(seed)``, as a one-row ``PanelTVPResult``."""
     y = np.asarray(y, float)
     rng = np.random.default_rng(seed)
     theta0, sqrt_omega, sigma2 = np.zeros(2), np.ones(2), 0.1
@@ -303,8 +303,9 @@ def fit_equation_loop(y, iters, seed):
         resid = target - design @ draw
         rate = C0_RATE + 0.5 * float(resid @ resid)
         sigma2 = 1.0 / rng.gamma(shape=C0_SHAPE + target.size / 2.0, scale=1.0 / rate)
-    return TVPTrajectory(theta0=theta0, sqrt_omega=sqrt_omega,
-                         theta=theta0[None, :] + sqrt_omega[None, :] * tilde, sigma2=sigma2)
+    return PanelTVPResult(theta0=theta0[None], sqrt_omega=sqrt_omega[None],
+                          theta=(theta0 + sqrt_omega * tilde)[None], sigma2=np.array([sigma2]),
+                          errors={})
 
 
 def pooled_scores(panel_csv, variables_csv, horizon):

@@ -23,7 +23,7 @@ from tvpgvar.forecast import (
 )
 from tvpgvar.irf import commutation_matrix, derivative_Gn, derivative_H, elimination_matrix
 from tvpgvar.sample import IRF_DATES, write_sample_config
-from tvpgvar.tvp import PanelTVPResult, TVPTrajectory
+from tvpgvar.tvp import PanelTVPResult
 
 from conftest import (
     fit_blocks,
@@ -214,7 +214,7 @@ def test_tvp_recovery_constant_ar1():
     for t in range(1, t_len):
         y[t] = 0.3 + 0.5 * y[t - 1] + 0.1 * rng.standard_normal()
     traj = tg.fit_equation(y, 1000, 77)
-    averaged = traj.theta.mean(axis=0)
+    averaged = traj.theta[0].mean(axis=0)
     err = np.abs(averaged - np.array([0.3, 0.5]))
     scales = np.abs(traj.sqrt_omega)
     elapsed = time.perf_counter() - start
@@ -236,7 +236,7 @@ def test_tvp_recovery_drifting_slope():
     for t in range(1, t_len):
         y[t] = 0.1 + f_true[t] * y[t - 1] + 0.05 * rng.standard_normal()
     traj = tg.fit_equation(y, 1000, (7, 0))
-    corr = float(np.corrcoef(traj.theta[:, 1], f_true[1:])[0, 1])
+    corr = float(np.corrcoef(traj.theta[0, :, 1], f_true[1:])[0, 1])
     elapsed = time.perf_counter() - start
     ok = corr > 0.8 and elapsed < 60
     report("tvp-recovery-drifting-slope", ok, f"corr {corr:.3f}, {elapsed:.0f}s")
@@ -290,7 +290,7 @@ def test_lasso_cv_matches_scalar_oracle_on_sample(tmp_path):
     panel = tg.read_panel_csv(tmp_path / "out" / "panel.csv")
     train = panel.slice_rows(0, len(panel.time_index) - 6)
     fitted = tg.estimate_all(train, tg.TVPConfig(iters=50, seed=7))
-    series = np.vstack([traj.theta.T for traj in fitted.trajectories])
+    series = fitted.theta.transpose(0, 2, 1).reshape(-1, fitted.theta.shape[1])  # b_0, f_0, ...
     config = ForecasterConfig(kind="lasso", lag_window=6, cv_folds=2, grid_size=25)
     start = time.perf_counter()
     x, y, _, grids = _lasso_inputs(series, config)
@@ -421,9 +421,9 @@ def test_forecaster_head_to_head():
         train = panel.slice_rows(0, t_len - h)
         actuals = panel.values[t_len - h:]
         theta_true = np.column_stack([b_true[1:t_len - h], f_true[1:t_len - h]])
-        trajectories = PanelTVPResult(trajectories=[TVPTrajectory(
-            theta0=theta_true[0].copy(), sqrt_omega=np.ones(2), theta=theta_true,
-            sigma2=0.03 ** 2)], errors={})
+        trajectories = PanelTVPResult(
+            theta0=theta_true[:1].copy(), sqrt_omega=np.ones((1, 2)), theta=theta_true[None],
+            sigma2=np.array([0.03 ** 2]), errors={})
         res_const = two_stage_forecast(
             train, trajectories, ForecasterConfig(kind="constant", horizon=h))
         res_lasso = two_stage_forecast(

@@ -123,6 +123,17 @@ class TestIngest:
         assert main(["ingest", "--config", str(config_path)]) == 1
         assert "does-not-exist.csv" in capsys.readouterr().err
 
+    def test_repeated_header_name_exit_code(self, tmp_path, capsys):
+        config_path = mini_config(tmp_path)
+        data_path = (tmp_path / "mini.csv").resolve()
+        header, *rows = data_path.read_text().splitlines()
+        lines = [header + ",value"] + [row + ",0.0" for row in rows]
+        data_path.write_text("\n".join(lines) + "\n")
+        assert main(["ingest", "--config", str(config_path)]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: {data_path}: repeated column 'value' in header ")
+        assert not (tmp_path / "out" / "panel.csv").exists()
+
     @pytest.mark.parametrize("out, code", [("afile/sub", errno.ENOTDIR),
                                            ("afile", errno.EEXIST)],
                              ids=["parent-is-a-file", "dir-is-a-file"])
@@ -404,9 +415,10 @@ class TestEstimate:
         sample_stack = tvp_module._sample_stack
 
         def failing_last(y, iters, seeds):
-            trajectories, failed = sample_stack(y, iters, seeds)
-            trajectories[-1] = None
-            return trajectories, {**failed, len(seeds) - 1: "iteration 0: forced failure"}
+            stack, failed = sample_stack(y, iters, seeds)
+            for array in stack:
+                array[-1] = np.nan
+            return stack, {**failed, len(seeds) - 1: "iteration 0: forced failure"}
         monkeypatch.setattr(tvp_module, "_sample_stack", failing_last)
         config_path = mini_config(tmp_path)
         assert main(["ingest", "--config", str(config_path)]) == 0
@@ -1403,7 +1415,7 @@ def test_main_leaves_the_environment_alone(tmp_path, monkeypatch):
 def test_package_names_resolve_on_first_use():
     namespace = {}
     exec("from tvpgvar import *", namespace)
-    assert len(tvpgvar.__all__) == 39
+    assert len(tvpgvar.__all__) == 38
     assert set(tvpgvar.__all__) <= set(dir(tvpgvar))
     for name in tvpgvar.__all__:
         assert namespace[name] is getattr(tvpgvar, name)

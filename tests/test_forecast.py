@@ -26,7 +26,7 @@ from tvpgvar.forecast import (
 )
 from tvpgvar.sample import (ACTIVITY, MONTHLY_VARIABLES, QUARTERLY_VARIABLE, REGIONS,
                             write_sample_csv)
-from tvpgvar.tvp import PanelTVPResult, TVPTrajectory, read_trajectories
+from tvpgvar.tvp import PanelTVPResult, read_trajectories
 
 from conftest import make_panel
 from oracles import lag_design, lasso_cd, lasso_objective, select_lasso_lambda_cube
@@ -232,7 +232,7 @@ class TestForecastVar1:
                                   activities=(ACTIVITY,))
         train = panel.slice_rows(0, len(panel.time_index) - 6)
         fitted = estimate_all(train, TVPConfig(iters=50, seed=7))
-        return np.hstack([traj.theta for traj in fitted.trajectories])
+        return fitted.theta.transpose(1, 0, 2).reshape(fitted.theta.shape[1], -1)
 
     @pytest.mark.parametrize("factor", [1e-12, 1e-6, 1e6, 1e12])
     def test_rescaled_column(self, sample_paths, factor):
@@ -511,14 +511,17 @@ class TestForecastLasso:
                                        rtol=0, atol=1e-12)
 
 
-def trajectories_from_paths(theta_per_column, sigma2=0.01):
-    """Wrap plain coefficient paths in TVPTrajectory containers."""
-    out = []
-    for theta in theta_per_column:
-        theta = np.asarray(theta, float)
-        out.append(TVPTrajectory(
-            theta0=theta[0].copy(), sqrt_omega=np.ones(2), theta=theta, sigma2=sigma2))
-    return PanelTVPResult(trajectories=out, errors={})
+def trajectories_from_paths(theta_per_column, errors=None, sigma2=0.01):
+    """The sampler's result for plain coefficient paths, one per column; a
+    None path is a failed column, a row of NaN in every array."""
+    n = next(len(theta) for theta in theta_per_column if theta is not None)
+    failed = np.array([theta is None for theta in theta_per_column])
+    theta = np.array([np.full((n, 2), np.nan) if path is None else path
+                      for path in theta_per_column], float)
+    return PanelTVPResult(theta0=theta[:, 0].copy(),
+                          sqrt_omega=np.where(failed[:, None], np.nan, np.ones(2)),
+                          theta=theta, sigma2=np.where(failed, np.nan, sigma2),
+                          errors=errors or {})
 
 
 class TestTwoStageForecast:
@@ -639,10 +642,8 @@ class TestTwoStageForecast:
         paths = [0.1 * np.cumsum(rng.standard_normal((t_len - 1, 2)), axis=0) + [0.2, 0.5]
                  for _ in range(3)]
         config = ForecasterConfig(kind=kind, horizon=h)
-        tvp_result = trajectories_from_paths(paths)
-        # a built trajectory holds no NaN: the sampler reports a failed column as None
-        tvp_result.trajectories[1] = None
-        tvp_result.errors["B.v1"] = "iteration 3: residuals are not finite"
+        tvp_result = trajectories_from_paths(
+            [paths[0], None, paths[2]], {"B.v1": "iteration 3: residuals are not finite"})
         result = two_stage_forecast(panel, tvp_result, config)
         assert result.errors == {"B.v1": "iteration 3: residuals are not finite"}
         assert np.all(np.isnan(result.variable_paths[:, 1]))
@@ -660,9 +661,8 @@ class TestTwoStageForecast:
         values = rng.standard_normal((t_len, 3))
         panel = make_panel(values[:-h], ["A", "B", "C"], ["v1"])
         theta = np.tile([0.2, 0.5], (t_len - h - 1, 1))
-        tvp_result = trajectories_from_paths([theta, theta, theta])
-        tvp_result.trajectories[2] = None
-        tvp_result.errors["C.v1"] = "iteration 3: residuals are not finite"
+        tvp_result = trajectories_from_paths(
+            [theta, theta, None], {"C.v1": "iteration 3: residuals are not finite"})
         results = {kind: two_stage_forecast(panel, tvp_result,
                                             ForecasterConfig(kind=kind, horizon=h))
                    for kind in ("constant", "var1")}
@@ -684,10 +684,8 @@ class TestTwoStageForecast:
         panel = make_panel(y, ["A", "B", "C"], ["v1"])
         drift = np.linspace(0.2, 0.6, t_len - 1)
         theta = np.column_stack([np.full(t_len - 1, 0.1), drift])
-        paths = trajectories_from_paths([theta])
-        tvp_result = PanelTVPResult(trajectories=[None, paths.trajectories[0], None],
-                                    errors={"A.v1": "sampler failed",
-                                            "C.v1": "iteration 7: no factor"})
+        tvp_result = trajectories_from_paths(
+            [None, theta, None], {"A.v1": "sampler failed", "C.v1": "iteration 7: no factor"})
         config = ForecasterConfig(kind="lasso", horizon=h, lag_window=4, cv_folds=4)
         result = two_stage_forecast(panel, tvp_result, config)
         assert result.errors == {"A.v1": "sampler failed", "C.v1": "iteration 7: no factor"}

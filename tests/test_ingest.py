@@ -21,7 +21,7 @@ from tvpgvar.ingest import (
 )
 from tvpgvar.irf import IRFResult
 from tvpgvar.sample import write_sample_csv
-from tvpgvar.tvp import KalmanState, PanelTVPResult, TVPTrajectory
+from tvpgvar.tvp import KalmanState, PanelTVPResult
 
 from conftest import make_panel
 from oracles import expand_to_monthly_np
@@ -99,6 +99,16 @@ class TestLoadPanel:
         with pytest.raises(ValidationError, match="missing column 'value'"):
             load_panel(path)
 
+    @pytest.mark.parametrize("name", ["date", "region", "variable", "value"])
+    def test_repeated_header_name_rejected(self, tmp_path, name):
+        # the first of two columns of one name would be read and the second
+        # silently ignored
+        path = write_rows(tmp_path, ["2000-01,USA,CPI,1.0,2.0"],
+                          header=f"date,region,variable,value,{name}")
+        with pytest.raises(ValidationError, match=re.escape(
+                f"{path}: repeated column {name!r} in header ")):
+            load_panel(path)
+
     def test_quarterly_frequency_inferred(self, tmp_path):
         path = write_rows(tmp_path, [
             "2000-01,USA,GDP,1.0", "2000-04,USA,GDP,2.0", "2000-07,USA,GDP,3.0"])
@@ -145,7 +155,8 @@ class TestRecords:
         (lambda: StructuralFit((), None, np.eye(1), (1, 1, 0), ("A.x",), 9), "nobs"),
         (lambda: StackedSystem(*[np.eye(1)] * 4, 1.0), "g0_condition"),
         (lambda: KalmanState(*[np.zeros(1)] * 5), "gains"),
-        (lambda: TVPTrajectory(np.ones(2), np.ones(2), np.ones((3, 2)), 1.0), "sigma2"),
+        (lambda: PanelTVPResult(*[np.ones((1, 2))] * 2, np.ones((1, 3, 2)), np.ones(1), {}),
+         "sigma2"),
         (lambda: IRFResult(*[np.zeros((1, 1))] * 2, 0.5, 1.0, 1, (0,), 0.95, 9), "radius"),
         (lambda: LassoFit(np.zeros(1), 0.0), "intercept"),
         (WeightSettings, "window"),
@@ -154,7 +165,8 @@ class TestRecords:
                            WeightSettings(), TVPConfig(), IRFSettings(),
                            {"constant": ForecasterConfig()}, Path("out")),
          "out_dir"),
-        (lambda: PanelTVPResult([], {}), "errors"),
+        (lambda: PanelTVPResult(*[np.full((1, 2), np.nan)] * 2, np.full((1, 3, 2), np.nan),
+                                np.full(1, np.nan), {"A.x": "failed"}), "errors"),
         (lambda: ForecastResult((), (), np.zeros((1, 0, 2)), np.zeros((1, 0)), {}), "errors"),
     ])
     def test_fields_refuse_assignment(self, make, field):
@@ -177,27 +189,36 @@ class TestRecords:
          np.ones((3, 1))),
         (lambda g0: StackedSystem(g0, *[np.eye(2)] * 3, 1.0), np.eye(2)),
         (lambda m: KalmanState(m, *[np.zeros(2)] * 4), np.ones((2, 2))),
-        (lambda theta: TVPTrajectory(np.ones(2), np.ones(2), theta, 1.0), np.ones((3, 2))),
-        # the arrays sit in a record in a list
-        (lambda theta: PanelTVPResult(
-            [None, TVPTrajectory(np.ones(2), np.ones(2), theta, 1.0)], {"A.x": "failed"}),
-         np.ones((3, 2))),
+        (lambda theta: PanelTVPResult(*[np.ones((1, 2))] * 2, theta, np.ones(1), {}),
+         np.ones((1, 3, 2))),
+        # a failed column, A.y, is a row of NaN, and NaN equals NaN
+        (lambda theta: PanelTVPResult(theta[:, 0], theta[:, -1], theta, theta[:, 0, 0],
+                                      {"A.y": "failed"}),
+         np.stack([np.ones((3, 2)), np.full((3, 2), np.nan)])),
         (lambda point: IRFResult(point, np.zeros((2, 1)), 0.5, 1.0, 1, (0,), 0.95, 9),
          np.ones((2, 1))),
         (lambda coef: LassoFit(coef, 0.0), np.arange(3.0)),
         (lambda paths: ForecastResult(("A.x",), ("2001-01",), paths, np.zeros((1, 1)), {}),
          np.ones((1, 1, 2))),
+        # a failed column's parameter (and variable) paths are NaN
+        (lambda paths: ForecastResult(("A.x", "A.y"), ("2001-01",), paths,
+                                      paths[..., 0] + paths[..., 1], {"A.y": "failed"}),
+         np.array([[[1.0, 1.0], [np.nan, np.nan]]])),
     ], ids=["WeightSequence", "CountryCoefficients", "ActivityCoefficients", "StructuralFit",
-            "StackedSystem", "KalmanState", "TVPTrajectory", "PanelTVPResult", "IRFResult",
-            "LassoFit", "ForecastResult"])
+            "StackedSystem", "KalmanState", "PanelTVPResult-one-column", "PanelTVPResult",
+            "IRFResult", "LassoFit", "ForecastResult", "ForecastResult-failed-column"])
     def test_equality_compares_arrays_by_value(self, make, array):
         record = make(array)
         assert record == make(array.copy())
+        assert record == record.replace()
         bumped = array.copy()
         bumped.flat[0] = np.nextafter(bumped.flat[0], np.inf)
         assert (record == make(bumped)) is False
         wider = np.concatenate([array, array[..., :1]], axis=-1)
         assert (record == make(wider)) is False
+        nan = np.isnan(array)
+        if nan.any():  # a NaN against a number is still unequal
+            assert (record == make(np.where(nan, 1.0, array))) is False
 
     def test_records_hash_by_their_fields(self):
         assert hash(TVPConfig()) == hash((1000, 0))

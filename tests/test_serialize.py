@@ -17,7 +17,7 @@ from tvpgvar.sample import write_sample_config
 from tvpgvar.serialize import (
     dumps_json, format_float, parse_int, read_csv_rows, read_json, write_csv, write_json,
 )
-from tvpgvar.tvp import PanelTVPResult, TVPTrajectory, read_trajectories, write_trajectories
+from tvpgvar.tvp import PanelTVPResult, read_trajectories, write_trajectories
 
 
 def test_format_float_round_trips_exactly(rng):
@@ -300,21 +300,19 @@ def wide_panel(rng):
 def test_write_trajectories_streams(tmp_path, rng):
     # the whole file as Python rows would take about 20 MB
     panel = wide_panel(rng)
-    n = len(panel.time_index) - 1
-    trajectories = []
-    for _ in range(panel.width):
-        theta0, sqrt_omega = rng.standard_normal(2), rng.uniform(0.1, 1.0, 2)
-        tilde = rng.standard_normal((n, 2))
-        trajectories.append(TVPTrajectory(theta0=theta0, sqrt_omega=sqrt_omega,
-                                          theta=theta0 + sqrt_omega * tilde, sigma2=1.0))
-    result = PanelTVPResult(trajectories=trajectories, errors={})
+    width, n = panel.width, len(panel.time_index) - 1
+    theta0, sqrt_omega = rng.standard_normal((width, 2)), rng.uniform(0.1, 1.0, (width, 2))
+    tilde = rng.standard_normal((width, n, 2))
+    result = PanelTVPResult(theta0=theta0, sqrt_omega=sqrt_omega,
+                            theta=theta0[:, None] + sqrt_omega[:, None] * tilde,
+                            sigma2=np.ones(width), errors={})
     path = tmp_path / "trajectories.csv"
     peak = traced_peak(lambda: write_trajectories(result, panel, TVPConfig(), path,
                                                   tmp_path / "trajectories_meta.json"))
     assert peak < 1_000_000
     loaded = read_trajectories(path)
     assert len(loaded) == panel.width
-    np.testing.assert_array_equal(loaded["R32.z"][1], trajectories[98].theta)
+    np.testing.assert_array_equal(loaded["R32.z"][1], result.theta[98])
 
 
 def test_read_panel_csv_streams(tmp_path, rng):

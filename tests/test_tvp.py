@@ -24,7 +24,7 @@ from tvpgvar.ingest import read_panel_csv
 from tvpgvar.sample import write_sample_config
 from tvpgvar.tvp import (
     P0_SCALE,
-    TVPTrajectory,
+    PanelTVPResult,
     _flapack,
     _precision_shape,
     column_scales,
@@ -465,7 +465,7 @@ class TestRunAlgorithm1:
         np.testing.assert_array_equal(a.theta, b.theta)
         np.testing.assert_array_equal(a.theta0, b.theta0)
         np.testing.assert_array_equal(a.sqrt_omega, b.sqrt_omega)
-        assert a.sigma2 == b.sigma2
+        np.testing.assert_array_equal(a.sigma2, b.sigma2)
 
     @pytest.mark.parametrize("factor", [1e-6, 1e-2, 1e2, 1e6])
     def test_equivariant_in_the_units(self, factor):
@@ -506,17 +506,30 @@ class TestRunAlgorithm1:
         (np.inf, [0.0, 0.0], [[0.0, 0.0]]),
     ])
     def test_nan_trajectory_rejected(self, sigma2, theta0, theta):
-        # every comparison with NaN is False, so a check must be written to fail on it
+        # every comparison with NaN is False, so a check must be written to
+        # fail on it; a row that is NaN only in part is no failed column
         with pytest.raises(ValidationError, match="sigma2|theta"):
-            TVPTrajectory(theta0=np.array(theta0), sqrt_omega=np.ones(2),
-                          theta=np.array(theta), sigma2=sigma2)
+            PanelTVPResult(theta0=np.array([theta0]), sqrt_omega=np.ones((1, 2)),
+                           theta=np.array([theta]), sigma2=np.array([sigma2]), errors={})
 
-    @pytest.mark.parametrize("name", ["theta0", "sqrt_omega", "theta"])
+    def test_failed_column_is_a_row_of_nan(self):
+        # the check passes a row of NaN in every array and still checks the others
+        nan_row = [np.full((2, 2), np.nan), np.full((2, 2), np.nan), np.full((2, 3, 2), np.nan),
+                   np.full(2, np.nan)]
+        for array in nan_row:
+            array[0] = 1.0
+        result = PanelTVPResult(*nan_row, errors={"A.y": "iteration 0: failed"})
+        assert result.errors == {"A.y": "iteration 0: failed"}
+        nan_row[3] = np.array([-1.0, np.nan])
+        with pytest.raises(ValidationError, match="^sigma2 must be positive and finite$"):
+            PanelTVPResult(*nan_row, errors={})
+
+    @pytest.mark.parametrize("name", ["theta0", "sqrt_omega", "theta", "sigma2"])
     def test_trajectory_arrays_read_only(self, rng, name):
         # checked once when built: no later write can slip a NaN past the check
-        traj = fit_equation(rng.standard_normal(40), 5, 3)
+        result = fit_equation(rng.standard_normal(40), 5, 3)
         with pytest.raises(ValueError, match="read-only"):
-            getattr(traj, name)[0] = np.nan
+            getattr(result, name)[0] = np.nan
 
     def test_spec_validation(self):
         with pytest.raises(ValidationError, match="at least 3 observations"):
@@ -531,14 +544,30 @@ class TestRunAlgorithm1:
             TVPConfig(seed=-1)
 
 
+def assert_failed_rows(result, rows):
+    """The failed columns of ``result`` are ``rows``, each a row of NaN in every array."""
+    failed = np.flatnonzero(np.isnan(result.sigma2)).tolist()
+    assert failed == rows
+    for array in (result.theta0, result.sqrt_omega, result.theta):
+        assert np.all(np.isnan(array[rows]))
+        assert np.all(np.isfinite(np.delete(array, rows, axis=0)))
+
+
+def assert_row_is(result, row, alone):
+    """Row ``row`` of ``result`` is bit-equal to the one-column result ``alone``."""
+    for name in ("theta0", "sqrt_omega", "theta", "sigma2"):
+        np.testing.assert_array_equal(getattr(result, name)[row], getattr(alone, name)[0])
+
+
 class TestEstimateAll:
     def test_single_column_panel(self, rng):
         y = 0.3 + np.cumsum(0.1 * rng.standard_normal(40))
         panel = make_panel(y[:, None], ["A"], ["v1"])
         result = estimate_all(panel, TVPConfig(iters=5, seed=1))
         assert result.ok
-        assert len(result.trajectories) == 1
-        assert result.trajectories[0].theta.shape == (39, 2)
+        assert result.theta.shape == (1, 39, 2)
+        assert result.theta0.shape == result.sqrt_omega.shape == (1, 2)
+        assert result.sigma2.shape == (1,)
 
     def test_column_order_preserved_and_deterministic(self, rng):
         values = rng.standard_normal((60, 10)) + np.arange(10)
@@ -546,9 +575,8 @@ class TestEstimateAll:
         config = TVPConfig(iters=3, seed=9)
         res_a = estimate_all(panel, config)
         res_b = estimate_all(panel, config)
-        assert len(res_a.trajectories) == 10
-        for ta, tb in zip(res_a.trajectories, res_b.trajectories):
-            np.testing.assert_array_equal(ta.theta, tb.theta)
+        assert res_a.theta.shape == (10, 59, 2)
+        assert res_a == res_b
 
     def test_failures_collected_run_continues(self, rng):
         # column 1 at 1e160 overflows X'X in the first coefficient draw; the
@@ -561,14 +589,9 @@ class TestEstimateAll:
         assert not result.ok
         assert set(result.errors) == {"A.y"}
         assert result.errors["A.y"].startswith("iteration 0: ")
-        assert result.trajectories[1] is None
-        assert result.trajectories[0] is not None
-        assert result.trajectories[2] is not None
+        assert_failed_rows(result, [1])
         for i in (0, 2):
-            ours, alone = result.trajectories[i], fit_equation(values[:, i], 2, (0, i))
-            np.testing.assert_array_equal(ours.theta, alone.theta)
-            np.testing.assert_array_equal(ours.sqrt_omega, alone.sqrt_omega)
-            assert ours.sigma2 == alone.sigma2
+            assert_row_is(result, i, fit_equation(values[:, i], 2, (0, i)))
 
     def test_path_reason_comes_first(self, rng, monkeypatch):
         # A.y's path draw fails at iteration 1 and leaves NaN rows, so its
@@ -593,13 +616,35 @@ class TestEstimateAll:
         result = estimate_all(make_panel(values, ["A"], ["x", "y", "z"]),
                               TVPConfig(iters=3, seed=0))
         assert result.errors == {"A.y": f"iteration 1: {reason}"}
-        assert [t is None for t in result.trajectories] == [False, True, False]
+        assert_failed_rows(result, [1])
         for i in (0, 2):
-            ours = result.trajectories[i]
-            np.testing.assert_array_equal(ours.theta, alone[i].theta)
-            np.testing.assert_array_equal(ours.theta0, alone[i].theta0)
-            np.testing.assert_array_equal(ours.sqrt_omega, alone[i].sqrt_omega)
-            assert ours.sigma2 == alone[i].sigma2
+            assert_row_is(result, i, alone[i])
+
+    def test_final_check_fails_its_column_alone(self, rng, monkeypatch):
+        # A.y's last variance draw overflows on its way back to the column's
+        # units (times its sd squared, about 100): the final check fails it
+        # with the check's reason and no iteration, it becomes a row of NaN,
+        # and the others keep their chains
+        import tvpgvar.tvp as tvp_module
+
+        values = 10.0 * rng.standard_normal((40, 3))
+        alone = {i: fit_equation(values[:, i], 3, (0, i)) for i in (0, 2)}
+        draw = tvp_module.sample_sigma
+        calls = itertools.count()
+
+        def huge_last(target, design, theta_star, gammas):
+            sigma2, failed = draw(target, design, theta_star, gammas)
+            if next(calls) == 2:
+                sigma2[1] = 1e308
+            return sigma2, failed
+
+        monkeypatch.setattr(tvp_module, "sample_sigma", huge_last)
+        result = estimate_all(make_panel(values, ["A"], ["x", "y", "z"]),
+                              TVPConfig(iters=3, seed=0))
+        assert result.errors == {"A.y": "sigma2 must be positive and finite"}
+        assert_failed_rows(result, [1])
+        for i in (0, 2):
+            assert_row_is(result, i, alone[i])
 
     @pytest.mark.parametrize("scale", [1e155, 1e160])
     def test_overflowing_column_is_a_numerical_error(self, rng, scale):
@@ -615,7 +660,7 @@ class TestEstimateAll:
             with pytest.raises(NumericalError, match=r"^iteration 0: non-finite X'X"):
                 fit_equation(values[:, 1], 3, 0)
         assert result.errors == {"A.y": "iteration 0: non-finite X'X in coefficient posterior"}
-        assert [t is None for t in result.trajectories] == [False, True, False]
+        assert_failed_rows(result, [1])
 
     def test_zero_column_takes_the_factor_fallbacks(self, monkeypatch):
         # an all-zero column has no Cholesky factor of X'X or of its posterior
@@ -640,15 +685,10 @@ class TestEstimateAll:
                               TVPConfig(iters=5, seed=0))
         assert result.ok
         assert (3, [1]) in calls and (1, []) in calls  # the fallback, then the retry
-        zero = result.trajectories[1]
-        assert all(np.all(np.isfinite(a)) for a in (zero.theta, zero.theta0, zero.sqrt_omega))
-        assert np.isfinite(zero.sigma2)
+        assert all(np.all(np.isfinite(a[1]))
+                   for a in (result.theta, result.theta0, result.sqrt_omega, result.sigma2))
         for i in (0, 2):
-            ours, alone = result.trajectories[i], fit_equation(values[:, i], 5, (0, i))
-            np.testing.assert_array_equal(ours.theta, alone.theta)
-            np.testing.assert_array_equal(ours.theta0, alone.theta0)
-            np.testing.assert_array_equal(ours.sqrt_omega, alone.sqrt_omega)
-            assert ours.sigma2 == alone.sigma2
+            assert_row_is(result, i, fit_equation(values[:, i], 5, (0, i)))
 
     def test_constant_column_takes_the_pseudo_inverse_prior(self):
         # a constant series makes X'X singular, but rounding gives this one a
@@ -659,7 +699,7 @@ class TestEstimateAll:
         values[:, 1] = 4.2
         result = estimate_all(make_panel(values, ["A"], ["x", "y"]), TVPConfig(iters=5, seed=0))
         reference = fit_equation_loop(values[:, 1], 5, (0, 1))
-        np.testing.assert_allclose(result.trajectories[1].theta, reference.theta, rtol=0,
+        np.testing.assert_allclose(result.theta[1], reference.theta[0], rtol=0,
                                    atol=1e-6 * np.abs(reference.theta).max())
 
     def test_holds_one_iteration_at_a_time(self):
@@ -699,18 +739,16 @@ class TestEstimateAll:
         config = load_config(config_path).tvp
         result = estimate_all(panel, config)
         assert result.ok
-        for i, trajectory in enumerate(result.trajectories):
+        for i, (path, sigma2) in enumerate(zip(result.theta, result.sigma2)):
             sd = np.std(panel.values[:, i])
             reference = fit_equation_loop(panel.values[:, i] / sd, config.iters,
                                           (config.seed, i))
-            theta = reference.theta * [sd, 1.0]
+            theta = reference.theta[0] * [sd, 1.0]
             # relative to each coefficient path's scale: the paths cross zero,
             # where an elementwise ratio measures nothing but the crossing
             scale = np.abs(theta).max(axis=0)
-            np.testing.assert_allclose(trajectory.theta, theta, rtol=0,
-                                       atol=1e-9 * scale.min())
-            assert trajectory.sigma2 == pytest.approx(reference.sigma2 * sd ** 2, rel=1e-9,
-                                                      abs=0)
+            np.testing.assert_allclose(path, theta, rtol=0, atol=1e-9 * scale.min())
+            assert sigma2 == pytest.approx(reference.sigma2[0] * sd ** 2, rel=1e-9, abs=0)
 
 
 def test_trajectory_csv_round_trip(tmp_path, rng):
@@ -726,4 +764,4 @@ def test_trajectory_csv_round_trip(tmp_path, rng):
     dates, theta = loaded["A.x"]
     assert dates[0] == panel.time_index[1]
     assert len(dates) == 39
-    np.testing.assert_array_equal(theta, result.trajectories[0].theta)
+    np.testing.assert_array_equal(theta, result.theta[0])
