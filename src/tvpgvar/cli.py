@@ -36,7 +36,7 @@ from .errors import NumericalError, ValidationError
 from .serialize import write_json
 
 if TYPE_CHECKING:
-    from . import gvar, ingest
+    from . import gvar, ingest, tvp
 
 PANEL_FILE = "panel.csv"
 VALIDATION_FILE = "validation.json"
@@ -72,6 +72,15 @@ def _artifact(config: RunConfig, name: str, stage: str) -> Path:
     return path
 
 
+def _fail_sampler_columns(result: tvp.PanelTVPResult, what: str) -> None:
+    """Print one ``warning:`` line per failed sampler column, with its reason,
+    and end the stage if any column failed."""
+    for column, reason in result.errors.items():
+        print(f"warning: {column}: {reason}", file=sys.stderr)
+    if result.errors:
+        raise NumericalError(f"{what} failed for columns: {', '.join(result.errors)}")
+
+
 def cmd_ingest(config: RunConfig) -> None:
     from . import ingest
 
@@ -101,8 +110,7 @@ def cmd_estimate(config: RunConfig) -> None:
                            config.out_dir / TRAJECTORY_META_FILE)
     print(f"coefficients -> {config.out_dir / COEFFICIENTS_FILE}")
     print(f"trajectories -> {config.out_dir / TRAJECTORY_FILE}")
-    if not result.ok:
-        raise NumericalError(f"estimation failed for columns: {', '.join(result.errors)}")
+    _fail_sampler_columns(result, "estimation")
 
 
 def cmd_irf(config: RunConfig) -> None:
@@ -182,9 +190,7 @@ def cmd_forecast(config: RunConfig) -> None:
     tvp.write_trajectories(tvp_result, train, config.tvp,
                            config.out_dir / TRAIN_TRAJECTORY_FILE,
                            config.out_dir / TRAIN_TRAJECTORY_META_FILE)
-    if not tvp_result.ok:
-        raise NumericalError(
-            f"trajectory estimation failed for columns: {', '.join(tvp_result.errors)}")
+    _fail_sampler_columns(tvp_result, "trajectory estimation")
 
     results = {}
     for method, fconf in config.methods.items():

@@ -236,7 +236,7 @@ class IRFSettings(Record):
 
 class RunConfig(Record):
     """A loaded config; ``methods`` is in config order, each with its kind and
-    external path set, and lists at least one method."""
+    external path set, and lists at least one method, all with one horizon."""
 
     def __init__(self, data_path: Path, imputation: str, transform: str,
                  regions: list[str] | None, variables: list[str] | None,
@@ -254,6 +254,10 @@ class RunConfig(Record):
                     raise ValidationError(f"duplicate codes in panel.{key}")
         if not methods:
             raise ValidationError("forecast.methods must list at least one method")
+        # forecast holds out one horizon for every method
+        if len({fconf.horizon for fconf in methods.values()}) > 1:
+            raise ValidationError("forecast.methods must share one horizon, got " + ", ".join(
+                f"{name} {fconf.horizon}" for name, fconf in methods.items()))
         self._set(data_path=data_path, imputation=imputation, transform=transform, **lists,
                   weights=weights, tvp=tvp, irf=irf, methods=methods, out_dir=out_dir)
 

@@ -40,9 +40,9 @@ def _ar1(rng: np.random.Generator, n: int, rho: float, scale: float) -> np.ndarr
     return out
 
 
-def generate_series(seed: int = SAMPLE_SEED) -> dict[tuple[str, str], np.ndarray]:
+def generate_series() -> dict[tuple[str, str], np.ndarray]:
     """Monthly latent paths for every (region, variable) plus the activity."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(SAMPLE_SEED)
     cycle = _ar1(rng, N_MONTHS, 0.92, 0.25)
     oil = 5.0 + 1.6 * cycle + _ar1(rng, N_MONTHS, 0.9, 0.35)
 
@@ -61,11 +61,11 @@ def generate_series(seed: int = SAMPLE_SEED) -> dict[tuple[str, str], np.ndarray
     return series
 
 
-def write_sample_csv(path: str | Path, seed: int = SAMPLE_SEED) -> Path:
+def write_sample_csv(path: str | Path) -> Path:
     """Write the long-format fixture CSV; quarterly output keeps only the
     first month of each quarter."""
     path = Path(path)
-    series = generate_series(seed)
+    series = generate_series()
     keys = [(region, variable) for region in REGIONS
             for variable in MONTHLY_VARIABLES + (QUARTERLY_VARIABLE,)]
     keys.append((COMMON_REGION, ACTIVITY))

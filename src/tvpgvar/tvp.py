@@ -37,14 +37,14 @@ One iteration runs once for all the columns of a panel. It first draws its
 random numbers in one loop over the live columns: column i draws from its
 own ``default_rng([seed, i])`` 2(T-1) path normals, 4 coefficient normals
 and a standard gamma, in that order, so its result does not depend on the
-others. The draws take these as arrays, and take stacks: the path bands are
-built as (columns, ...) arrays and factorized column by column; the
-coefficient draw (X'X, Cholesky factors, triangular solves) and the variance
-draw run on (columns, ...) stacks. A column whose draw fails (a non-finite
-X'X, a precision without a Cholesky factor, non-finite residuals) leaves the
-stack with its first failed draw's reason, naming the iteration; the others
-go on. ``PanelTVPResult`` holds the stack's final draws, a failed column as a
-row of NaN in each array; ``fit_equation`` is the one-column case.
+others. The path bands are then built as (columns, ...) arrays and
+factorized column by column; the coefficient draw (X'X, Cholesky factors,
+triangular solves) and the variance draw run on (columns, ...) stacks. No
+draw is rescued: a column whose draw fails (a non-finite X'X, a coefficient
+posterior precision with no Cholesky factor, as all-zero lagged values give,
+non-finite residuals) leaves the stack with that reason and the iteration;
+the others go on. ``PanelTVPResult`` holds the stack's final draws, a failed
+column as a row of NaN in each array; ``fit_equation`` is the one-column case.
 """
 
 from __future__ import annotations
@@ -63,7 +63,6 @@ from .errors import NumericalError, ValidationError
 from .ingest import TimeSeriesPanel
 from .serialize import parse_float, read_table, write_csv, write_json
 
-RIDGE_JITTER = 1e-8
 # X'X counts as singular when a squared Cholesky pivot over its own diagonal
 # entry (1 - R^2 of that design column on the ones before it) is below this
 SINGULAR_PIVOT = 1e-8
@@ -363,11 +362,7 @@ def sample_theta0_omega(target: np.ndarray, design: np.ndarray, sigma2: np.ndarr
     rhs = (design_t @ target[..., None]) / sigma2[:, None, None]
     chol, singular = _cholesky(prec)
     for c in singular:
-        jittered, still = _cholesky(prec[c:c + 1] + RIDGE_JITTER * np.eye(4))
-        if still:
-            failed.setdefault(c, "rank-deficient design in coefficient posterior")
-        else:
-            chol[c] = jittered[0]
+        failed.setdefault(c, "rank-deficient design in coefficient posterior")
     # mean = prec^-1 rhs; the draw chol^-T (chol^-1 rhs + z) adds covariance prec^-1
     inv = _lower_inverse(chol)
     draw = inv.transpose(0, 2, 1) @ (inv @ rhs + z[..., None])
@@ -405,9 +400,7 @@ def _drop(failed: dict[int, str], it: int, errors: dict[int, str],
         return (ids, *stacks)
     for pos, reason in failed.items():
         errors[int(ids[pos])] = f"iteration {it}: {reason}"
-    keep = np.ones(ids.size, dtype=bool)
-    keep[list(failed)] = False
-    return tuple(stack[keep] for stack in (ids, *stacks))
+    return tuple(np.delete(stack, list(failed), axis=0) for stack in (ids, *stacks))
 
 
 def column_scales(y: np.ndarray) -> np.ndarray:
@@ -442,22 +435,24 @@ class PanelTVPResult(Record):
     ``sqrt_omega`` (columns, 2), ``theta`` (columns, n, 2), whose row t of
     column c (intercept, slope) goes with observation t+1 of the column, and
     ``sigma2`` (columns,). A failed column is a row of NaN in every array,
-    with its reason in ``errors`` by column name; the others pass
-    ``_row_problems``. The arrays are read-only once checked."""
+    with its reason in ``errors`` by column name, one entry per such row; the
+    others pass ``_row_problems``. The arrays are read-only once checked."""
 
     def __init__(self, theta0: np.ndarray, sqrt_omega: np.ndarray, theta: np.ndarray,
                  sigma2: np.ndarray, errors: dict[str, str]):
+        if theta.ndim != 3 or len({theta0.shape, sqrt_omega.shape, theta.shape[::2],
+                                   sigma2.shape + theta.shape[2:]}) > 1:  # (columns, k) each
+            raise ValidationError(f"theta0 {theta0.shape}, sqrt_omega {sqrt_omega.shape}, theta "
+                                  f"{theta.shape} and sigma2 {sigma2.shape} do not stack")
         problems = _row_problems(theta0, sqrt_omega, theta, sigma2)
         if problems:
             raise ValidationError(next(iter(problems.values())))
+        if len(errors) != np.isnan(sigma2).sum():
+            raise ValidationError(f"errors has {len(errors)} entries, not one per row of NaN")
         for array in (theta0, sqrt_omega, theta, sigma2):
             array.setflags(write=False)
         self._set(theta0=theta0, sqrt_omega=sqrt_omega, theta=theta, sigma2=sigma2,
                   errors=errors)
-
-    @property
-    def ok(self) -> bool:
-        return not self.errors
 
 
 def _sample_stack(y: np.ndarray, iters: int, seeds: Sequence,

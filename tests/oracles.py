@@ -57,7 +57,7 @@ from tvpgvar.forecast import _lasso_path, _original_scale, _stack, _standardize
 from tvpgvar.gvar import ma_coefficients, spectral_radius
 from tvpgvar.ingest import month_index
 from tvpgvar.irf import IRFResult, cholesky_lower, derivative_Gn, derivative_H
-from tvpgvar.tvp import C0_RATE, C0_SHAPE, P0_SCALE, RIDGE_JITTER, PanelTVPResult
+from tvpgvar.tvp import C0_RATE, C0_SHAPE, P0_SCALE, PanelTVPResult
 
 
 def standardize(x, y):
@@ -293,10 +293,7 @@ def fit_equation_loop(y, iters, seed):
         design = np.column_stack([np.ones(y.size - 1), y[:-1], tilde[:, 0], y[:-1] * tilde[:, 1]])
         xtx = design.T @ design
         prec = xtx / sigma2 + np.diag(np.clip(np.diag(np.linalg.pinv(xtx)), 0.0, None))
-        try:
-            chol = np.linalg.cholesky(prec)
-        except np.linalg.LinAlgError:
-            chol = np.linalg.cholesky(prec + RIDGE_JITTER * np.eye(4))
+        chol = np.linalg.cholesky(prec)
         mean = np.linalg.solve(chol.T, np.linalg.solve(chol, design.T @ target / sigma2))
         draw = mean + np.linalg.solve(chol.T, rng.standard_normal(4))
         theta0, sqrt_omega = draw[:2], draw[2:]

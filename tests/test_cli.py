@@ -355,6 +355,15 @@ class TestIngest:
             cmd_estimate(config.replace(
                 weights=WeightSettings(provider="rolling_share", variable="HUR")))
 
+    def test_methods_with_different_horizons_refused(self, tmp_path):
+        # forecast holds out one horizon for every method: a config file has
+        # one forecast.horizon, and a record changed in code may not hold two
+        config = load_config(mini_config(tmp_path))
+        var1 = config.methods["var1"].replace(horizon=3)
+        with pytest.raises(ValidationError, match="^forecast.methods must share one horizon, "
+                                                  "got constant 4, var1 3, lasso 4$"):
+            config.replace(methods={**config.methods, "var1": var1})
+
     def test_null_code_lists_load_unset(self, tmp_path):
         config = load_config(mini_config(tmp_path, panel={
             "regions": None, "variables": None, "activities": None}))
@@ -425,6 +434,7 @@ class TestEstimate:
         capsys.readouterr()
         assert main(["estimate", "--config", str(config_path)]) == 2
         assert capsys.readouterr().err == (
+            "warning: OIL: iteration 0: forced failure\n"
             "numerical failure: estimation failed for columns: OIL\n")
         meta = read_json(tmp_path / "out" / "trajectories_meta.json")
         assert meta["errors"] == {"OIL": "iteration 0: forced failure"}
@@ -749,9 +759,28 @@ class TestForecast:
         capsys.readouterr()
         assert main(["forecast", "--config", str(config_path)]) == 2
         assert capsys.readouterr().err == (
+            "warning: OIL: iteration 0: state precision not positive definite (dpbtrf info 5)\n"
             "numerical failure: trajectory estimation failed for columns: OIL\n")
         meta = read_json(tmp_path / "out" / "trajectories_train_meta.json")
         assert list(meta["errors"]) == ["OIL"] and len(meta["columns"]) == 9
+        assert not (tmp_path / "out" / "mse_report.csv").exists()
+
+    def test_all_zero_column_exits_2(self, tmp_path, capsys):
+        # every OIL value 0: the lag of OIL's equation is zero, its slope and
+        # slope scale unidentified, and its coefficient posterior has no
+        # Cholesky factor. The column fails by name; nothing is scored
+        config_path = write_sample_config(tmp_path, iters=20)
+        data = tmp_path / "sample_panel.csv"
+        data.write_text(re.sub(r"(,__COMMON__,OIL,).*", r"\g<1>0", data.read_text()))
+        assert main(["ingest", "--config", str(config_path)]) == 0
+        capsys.readouterr()
+        assert main(["forecast", "--config", str(config_path)]) == 2
+        reason = "iteration 0: rank-deficient design in coefficient posterior"
+        assert capsys.readouterr().err == (
+            f"warning: OIL: {reason}\n"
+            "numerical failure: trajectory estimation failed for columns: OIL\n")
+        meta = read_json(tmp_path / "out" / "trajectories_train_meta.json")
+        assert meta["errors"] == {"OIL": reason}
         assert not (tmp_path / "out" / "mse_report.csv").exists()
 
     def test_methods_sharing_no_scored_series_exit_2(self, tmp_path, capsys):

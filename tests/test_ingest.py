@@ -189,11 +189,12 @@ class TestRecords:
          np.ones((3, 1))),
         (lambda g0: StackedSystem(g0, *[np.eye(2)] * 3, 1.0), np.eye(2)),
         (lambda m: KalmanState(m, *[np.zeros(2)] * 4), np.ones((2, 2))),
-        (lambda theta: PanelTVPResult(*[np.ones((1, 2))] * 2, theta, np.ones(1), {}),
+        (lambda theta: PanelTVPResult(theta[:, 0], theta[:, -1], theta, np.ones(1), {}),
          np.ones((1, 3, 2))),
-        # a failed column, A.y, is a row of NaN, and NaN equals NaN
+        # a failed column, A.y, is a row of NaN, and NaN equals NaN; with a
+        # number in place of its NaN, A.y is no failed column
         (lambda theta: PanelTVPResult(theta[:, 0], theta[:, -1], theta, theta[:, 0, 0],
-                                      {"A.y": "failed"}),
+                                      {"A.y": "failed"} if np.isnan(theta).any() else {}),
          np.stack([np.ones((3, 2)), np.full((3, 2), np.nan)])),
         (lambda point: IRFResult(point, np.zeros((2, 1)), 0.5, 1.0, 1, (0,), 0.95, 9),
          np.ones((2, 1))),

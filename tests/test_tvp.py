@@ -524,6 +524,25 @@ class TestRunAlgorithm1:
         with pytest.raises(ValidationError, match="^sigma2 must be positive and finite$"):
             PanelTVPResult(*nan_row, errors={})
 
+    @pytest.mark.parametrize("arrays, errors, message", [
+        ((np.ones((2, 2)), np.ones((2, 2)), np.ones((2, 3, 2)), np.ones(3)), {},
+         "theta0 (2, 2), sqrt_omega (2, 2), theta (2, 3, 2) and sigma2 (3,) do not stack"),
+        ((np.ones((1, 2)), np.ones((1, 2)), np.ones((1, 3)), np.ones(1)), {},
+         "theta0 (1, 2), sqrt_omega (1, 2), theta (1, 3) and sigma2 (1,) do not stack"),
+        ((np.ones((1, 2)), np.ones((1, 3)), np.ones((1, 4, 2)), np.ones(1)), {},
+         "theta0 (1, 2), sqrt_omega (1, 3), theta (1, 4, 2) and sigma2 (1,) do not stack"),
+        ((np.ones((1, 2)), np.ones((1, 2)), np.ones((1, 3, 2)), np.ones(1)), {"A.x": "failed"},
+         "errors has 1 entries, not one per row of NaN"),
+        ((np.full((1, 2), np.nan), np.full((1, 2), np.nan), np.full((1, 3, 2), np.nan),
+          np.full(1, np.nan)), {}, "errors has 0 entries, not one per row of NaN"),
+    ], ids=["lengths", "theta-shape", "coefficients", "error-for-a-fit",
+            "failed-row-without-error"])
+    def test_result_checks_its_arrays_agree_with_errors(self, arrays, errors, message):
+        # a stack whose arrays do not line up, or whose errors do not name
+        # its failed rows one for one, is no sampler result
+        with pytest.raises(ValidationError, match="^" + re.escape(message) + "$"):
+            PanelTVPResult(*arrays, errors=errors)
+
     @pytest.mark.parametrize("name", ["theta0", "sqrt_omega", "theta", "sigma2"])
     def test_trajectory_arrays_read_only(self, rng, name):
         # checked once when built: no later write can slip a NaN past the check
@@ -564,7 +583,7 @@ class TestEstimateAll:
         y = 0.3 + np.cumsum(0.1 * rng.standard_normal(40))
         panel = make_panel(y[:, None], ["A"], ["v1"])
         result = estimate_all(panel, TVPConfig(iters=5, seed=1))
-        assert result.ok
+        assert result.errors == {}
         assert result.theta.shape == (1, 39, 2)
         assert result.theta0.shape == result.sqrt_omega.shape == (1, 2)
         assert result.sigma2.shape == (1,)
@@ -586,7 +605,6 @@ class TestEstimateAll:
         values[:, 1] *= 1e160
         result = estimate_all(make_panel(values, ["A"], ["x", "y", "z"]),
                               TVPConfig(iters=2, seed=0))
-        assert not result.ok
         assert set(result.errors) == {"A.y"}
         assert result.errors["A.y"].startswith("iteration 0: ")
         assert_failed_rows(result, [1])
@@ -662,12 +680,12 @@ class TestEstimateAll:
         assert result.errors == {"A.y": "iteration 0: non-finite X'X in coefficient posterior"}
         assert_failed_rows(result, [1])
 
-    def test_zero_column_takes_the_factor_fallbacks(self, monkeypatch):
-        # an all-zero column has no Cholesky factor of X'X or of its posterior
-        # precision: the stacked factorization falls back matrix by matrix and
-        # the precision takes the jittered retry. The other columns come out
-        # bit-equal to their one-column fits. The zero column's slope is
-        # unidentified, so only its finiteness is pinned
+    def test_zero_column_fails_at_its_coefficient_draw(self, monkeypatch):
+        # an all-zero column leaves its slope and slope scale unidentified: its
+        # X'X takes the stacked factorization's matrix-by-matrix fallback and
+        # the pseudo-inverse prior, and its posterior precision, with no
+        # Cholesky factor, fails the column with no retry. The other columns
+        # come out bit-equal to their one-column fits
         import tvpgvar.tvp as tvp_module
 
         calls = []
@@ -683,10 +701,11 @@ class TestEstimateAll:
         monkeypatch.setattr(tvp_module, "_cholesky", recording)
         result = estimate_all(make_panel(values, ["A"], ["x", "y", "z"]),
                               TVPConfig(iters=5, seed=0))
-        assert result.ok
-        assert (3, [1]) in calls and (1, []) in calls  # the fallback, then the retry
-        assert all(np.all(np.isfinite(a[1]))
-                   for a in (result.theta, result.theta0, result.sqrt_omega, result.sigma2))
+        assert result.errors == {
+            "A.y": "iteration 0: rank-deficient design in coefficient posterior"}
+        assert_failed_rows(result, [1])
+        assert (3, [1]) in calls  # the matrix-by-matrix fallback
+        assert all(size != 1 for size, _ in calls)  # no one-matrix retry
         for i in (0, 2):
             assert_row_is(result, i, fit_equation(values[:, i], 5, (0, i)))
 
@@ -725,7 +744,7 @@ class TestEstimateAll:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert result.ok
+        assert result.errors == {}
         assert peak < band + rhs + paths + normals + gammas
 
     def test_matches_per_column_reference_on_sample(self, tmp_path, capsys):
@@ -738,7 +757,7 @@ class TestEstimateAll:
         panel = read_panel_csv(tmp_path / "out" / "panel.csv")
         config = load_config(config_path).tvp
         result = estimate_all(panel, config)
-        assert result.ok
+        assert result.errors == {}
         for i, (path, sigma2) in enumerate(zip(result.theta, result.sigma2)):
             sd = np.std(panel.values[:, i])
             reference = fit_equation_loop(panel.values[:, i] / sd, config.iters,
