@@ -1,7 +1,7 @@
 """Two-stage out-of-sample forecasting and model scoring.
 
 Stage one extrapolates each column's (intercept, slope) path in the sampler's
-stack (``tvp.PanelTVPResult``, a failed column's row of NaN left out) with a
+stack (``tvp.PanelTVPResult``, which must hold no failed column) with a
 pluggable forecaster — freeze-the-last-value baseline, a joint VAR(1) on the
 stacked parameter series, an l1-penalized lag regression tuned by
 forward-chaining cross-validation, or externally supplied paths. The three
@@ -383,48 +383,47 @@ def two_stage_forecast(panel: TimeSeriesPanel, tvp_result: PanelTVPResult,
                        ) -> ForecastResult:
     """Forecast parameters per column, then roll the scalar recursion forward.
 
-    ``panel`` is the training window whose final row seeds the recursion. An
-    external forecaster takes ``paths``, its ``external_path`` file as
-    ``read_trajectories`` returns it. A failed column (NaN in ``tvp_result``),
-    a stage-one failure of either of a column's series or a missing external
-    path aborts only the affected columns. ``mse_per_series`` scores the result.
+    ``panel`` is the training window whose final row seeds the recursion, and
+    ``tvp_result`` a complete sampler result: a failed sampler column is
+    refused by name. An external forecaster takes ``paths``, its
+    ``external_path`` file as ``read_trajectories`` returns it. A stage-one
+    failure of either of a column's series or a missing external path aborts
+    only the affected columns. ``mse_per_series`` scores the result.
     """
     names = panel.column_names()
     width = panel.width
     h = config.horizon
     if len(tvp_result.sigma2) != width:
         raise ValidationError("trajectory count does not match panel width")
+    if tvp_result.errors:
+        raise ValidationError(f"sampler failed for columns: {', '.join(tvp_result.errors)}")
     param = np.full((h, width, 2), np.nan)
-    failed = np.isnan(tvp_result.sigma2)  # a failed column's row is NaN
-    errors = {names[i]: tvp_result.errors.get(names[i], "missing trajectory")
-              for i in np.flatnonzero(failed)}
-    usable = np.flatnonzero(~failed).tolist()
+    errors = {}
 
     if config.kind == "external":
         if paths is None:
             raise ValidationError("external forecaster needs its paths read from external_path")
         expected = list(_future_dates(panel, h))
-        for i in usable:
-            if names[i] not in paths:
-                errors[names[i]] = "external path file has no rows for this column"
+        for i, name in enumerate(names):
+            if name not in paths:
+                errors[name] = "external path file has no rows for this column"
                 continue
-            dates, values = paths[names[i]]
+            dates, values = paths[name]
             if dates != expected or values.shape != (h, 2):
-                errors[names[i]] = f"external path dates/shape mismatch (expected {expected})"
+                errors[name] = f"external path dates/shape mismatch (expected {expected})"
                 continue
             param[:, i, :] = values
-    elif usable:
+    else:
         # (T, 2n): the forecasters see the series b_0, f_0, b_1, ...
-        series = tvp_result.theta[usable].transpose(1, 0, 2).reshape(-1, 2 * len(usable))
+        series = tvp_result.theta.transpose(1, 0, 2).reshape(-1, 2 * width)
         try:
             pred, failed = _FORECASTERS[config.kind](series, config)
         except (NumericalError, ValidationError) as exc:
-            for i in usable:
-                errors[names[i]] = str(exc)
+            errors = dict.fromkeys(names, str(exc))
         else:
-            param[:, usable] = pred.reshape(h, len(usable), 2)
+            param[:] = pred.reshape(h, width, 2)
             for s, reason in sorted(failed.items()):
-                i = usable[s // 2]
+                i = s // 2
                 param[:, i] = np.nan
                 errors.setdefault(names[i], f"{('b', 'f1')[s % 2]} series of {names[i]}: {reason}")
 
@@ -505,9 +504,8 @@ def write_param_paths(results: Mapping[str, ForecastResult], path: str | Path) -
 
 
 def write_variable_paths(results: Mapping[str, ForecastResult], path: str | Path,
-                         actuals: np.ndarray | None = None) -> None:
-    rows = ((method, date, name, "" if actuals is None else actuals[s, i],
-             result.variable_paths[s, i])
+                         actuals: np.ndarray) -> None:
+    rows = ((method, date, name, actuals[s, i], result.variable_paths[s, i])
             for method, result, i, name, s, date in _path_cells(results))
     write_csv(path, ["method", "date", "column", "actual", "predicted"], rows)
 

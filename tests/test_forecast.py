@@ -634,66 +634,43 @@ class TestTwoStageForecast:
         # the drifting slope path should keep drifting upward-ish
         assert result.param_paths[-1, 0, 1] > 0.5
 
-    @pytest.mark.parametrize("kind", ["constant", "var1"])
-    def test_non_finite_path_fails_only_its_column(self, rng, kind):
+    @pytest.mark.parametrize("kind", ["constant", "var1", "lasso"])
+    def test_failed_sampler_column_refused(self, rng, kind):
+        # stage one takes a complete sampler result: failed columns are
+        # refused by name before any forecaster runs
         t_len, h = 80, 4
         values = rng.standard_normal((t_len, 3))
         panel = make_panel(values, ["A", "B", "C"], ["v1"])
-        paths = [0.1 * np.cumsum(rng.standard_normal((t_len - 1, 2)), axis=0) + [0.2, 0.5]
-                 for _ in range(3)]
-        config = ForecasterConfig(kind=kind, horizon=h)
+        theta = 0.1 * np.cumsum(rng.standard_normal((t_len - 1, 2)), axis=0) + [0.2, 0.5]
         tvp_result = trajectories_from_paths(
-            [paths[0], None, paths[2]], {"B.v1": "iteration 3: residuals are not finite"})
-        result = two_stage_forecast(panel, tvp_result, config)
-        assert result.errors == {"B.v1": "iteration 3: residuals are not finite"}
-        assert np.all(np.isnan(result.variable_paths[:, 1]))
-        alone = two_stage_forecast(make_panel(values[:, [0, 2]], ["A", "C"], ["v1"]),
-                                   trajectories_from_paths([paths[0], paths[2]]), config)
-        np.testing.assert_array_equal(result.param_paths[:, [0, 2]], alone.param_paths)
-        np.testing.assert_array_equal(result.variable_paths[:, [0, 2]], alone.variable_paths)
+            [None, theta, None], {"A.v1": "iteration 3: residuals are not finite",
+                                  "C.v1": "iteration 7: no factor"})
+        with pytest.raises(ValidationError, match=r"^sampler failed for columns: A\.v1, C\.v1$"):
+            two_stage_forecast(panel, tvp_result, ForecasterConfig(kind=kind, horizon=h))
 
     def test_rank_deficient_var1_fails_every_usable_column(self, rng):
         # two constant parameter paths leave the VAR(1) design rank-deficient:
-        # the method fails as a whole, each usable column with that reason and
-        # no score, and pooled_mse leaves the method out. The ALL score is the
+        # the method fails as a whole, each column with that reason and no
+        # score, and pooled_mse leaves the method out. The ALL score is the
         # mean of each series' MSE over its training-window variance
         t_len, h = 40, 3
-        values = rng.standard_normal((t_len, 3))
-        panel = make_panel(values[:-h], ["A", "B", "C"], ["v1"])
+        values = rng.standard_normal((t_len, 2))
+        panel = make_panel(values[:-h], ["A", "B"], ["v1"])
         theta = np.tile([0.2, 0.5], (t_len - h - 1, 1))
-        tvp_result = trajectories_from_paths(
-            [theta, theta, None], {"C.v1": "iteration 3: residuals are not finite"})
+        tvp_result = trajectories_from_paths([theta, theta])
         results = {kind: two_stage_forecast(panel, tvp_result,
                                             ForecasterConfig(kind=kind, horizon=h))
                    for kind in ("constant", "var1")}
         scored = {kind: mse_per_series(result, values[-h:]) for kind, result in results.items()}
         assert results["var1"].errors == {
             "A.v1": "rank-deficient design in parameter VAR(1)",
-            "B.v1": "rank-deficient design in parameter VAR(1)",
-            "C.v1": "iteration 3: residuals are not finite"}
+            "B.v1": "rank-deficient design in parameter VAR(1)"}
         assert scored["var1"] == {}
         assert np.all(np.isnan(results["var1"].variable_paths))
         assert set(scored["constant"]) == {"A.v1", "B.v1"}
         scores = scored["constant"]
         assert pooled_mse(scored, panel) == {"constant": pytest.approx(np.mean(
             [scores[name] / np.std(values[:-h, i]) ** 2 for i, name in enumerate(scores)]))}
-
-    def test_lasso_column_failures_stay_per_column(self, rng):
-        t_len, h = 90, 3
-        y = np.cumsum(rng.standard_normal((t_len, 3)), axis=0) * 0.05 + 1.0
-        panel = make_panel(y, ["A", "B", "C"], ["v1"])
-        drift = np.linspace(0.2, 0.6, t_len - 1)
-        theta = np.column_stack([np.full(t_len - 1, 0.1), drift])
-        tvp_result = trajectories_from_paths(
-            [None, theta, None], {"A.v1": "sampler failed", "C.v1": "iteration 7: no factor"})
-        config = ForecasterConfig(kind="lasso", horizon=h, lag_window=4, cv_folds=4)
-        result = two_stage_forecast(panel, tvp_result, config)
-        assert result.errors == {"A.v1": "sampler failed", "C.v1": "iteration 7: no factor"}
-        assert np.all(np.isnan(result.variable_paths[:, [0, 2]]))
-        alone = two_stage_forecast(make_panel(y[:, 1:2], ["B"], ["v1"]),
-                                   trajectories_from_paths([theta]), config)
-        np.testing.assert_array_equal(result.param_paths[:, 1], alone.param_paths[:, 0])
-        np.testing.assert_array_equal(result.variable_paths[:, 1], alone.variable_paths[:, 0])
 
     @pytest.mark.parametrize("call, row, reason", [
         (0, 2 * 6 + 3, "f1 series of B.v1: "),
