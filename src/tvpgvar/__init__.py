@@ -17,8 +17,8 @@ __version__ = "0.1.0"
 _HOMES = {
     "ForecasterConfig": "config", "TVPConfig": "config", "select_model": "config",
     "NumericalError": "errors", "ValidationError": "errors",
-    "ForecastResult": "forecast", "LassoFit": "forecast", "forecast_constant": "forecast",
-    "forecast_lasso": "forecast", "forecast_var1": "forecast", "lasso_fit": "forecast",
+    "ForecastResult": "forecast", "forecast_constant": "forecast",
+    "forecast_lasso": "forecast", "forecast_var1": "forecast",
     "mse_per_series": "forecast", "two_stage_forecast": "forecast",
     "Equation": "gvar", "StackedSystem": "gvar",
     "StructuralFit": "gvar", "WeightSequence": "gvar", "estimate_structural": "gvar",

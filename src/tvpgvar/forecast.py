@@ -25,7 +25,8 @@ series' grid position; the fit follows each full-sample path straight to its
 chosen penalty. The cross-validation scores one grid penalty at a time: beside
 the fold problems and their solutions it holds one (series, rows) block of
 validation residuals, not a (grid, series, rows) cube per fold.
-``lasso_fit`` is the one-problem call of the same solver.
+``lasso_fit``, the one-problem call of the same solver, is a test reference
+on plain arrays; no stage calls it, and ``bench/spans.py`` wraps it.
 """
 
 from __future__ import annotations
@@ -52,14 +53,6 @@ from .tvp import PanelTVPResult, column_scales
 _RATE_TOL = 1e-9
 _SIDES = np.array([1.0, -1.0])
 _NEW_SIGN = np.array([1.0, -1.0, 0.0])  # by event kind: join +, join -, cross
-
-
-class LassoFit(Record):
-    """Lasso solution on internally standardized features, its ``coef`` on
-    the original scale."""
-
-    def __init__(self, coef: np.ndarray, intercept: float):
-        self._set(coef=coef, intercept=intercept)
 
 
 class _Gram(NamedTuple):
@@ -186,7 +179,7 @@ def _lasso_path(problems: _Gram, lams: np.ndarray) -> tuple[np.ndarray, dict[int
     return betas, failed
 
 
-def lasso_fit(x: np.ndarray, y: np.ndarray, lam: float) -> LassoFit:
+def lasso_fit(x: np.ndarray, y: np.ndarray, lam: float) -> tuple[np.ndarray, float]:
     """Minimize (1/2n)||y - X beta||^2 + lam ||beta||_1 exactly.
 
     Features are standardized internally (zero mean, unit variance) and the
@@ -195,6 +188,8 @@ def lasso_fit(x: np.ndarray, y: np.ndarray, lam: float) -> LassoFit:
     standardized scale) the all-zero vector satisfies the optimality
     conditions and is returned exactly, with intercept ``y.mean()``. This is
     the one-problem call of the path solver that cross-validation uses.
+    Returns ``(coef, intercept)`` on the original scale; it stays because
+    ``bench/spans.py`` wraps it.
     """
     x = np.asarray(x, float)
     y = np.asarray(y, float).reshape(-1)
@@ -209,7 +204,7 @@ def lasso_fit(x: np.ndarray, y: np.ndarray, lam: float) -> LassoFit:
     if failed:
         raise NumericalError(failed[0])
     coef, intercept = _original_scale(problem, betas[0, 0])
-    return LassoFit(coef=coef, intercept=float(intercept))
+    return coef, float(intercept)
 
 
 # ---------------------------------------------------------------------------

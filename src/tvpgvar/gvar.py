@@ -26,7 +26,7 @@ import numpy as np
 
 from .config import Record
 from .errors import NumericalError, ValidationError, check_array_size
-from .ingest import COMMON_REGION, TimeSeriesPanel
+from .ingest import COMMON_REGION, TimeSeriesPanel, month_index
 from .ols import least_squares
 from .serialize import (parse_array, parse_float, parse_int, parse_strings, read_json,
                         read_table, require_keys, write_json)
@@ -142,6 +142,7 @@ class WeightSequence(Record):
             if first != rownum:
                 raise ValidationError(f"{where}: {date},{src},{dst} repeats row {first}")
             if date not in date_ix:
+                month_index(date, where)  # a malformed date fails as malformed
                 raise ValidationError(f"{where}: date {date} not in panel range")
             if src not in region_ix:
                 raise ValidationError(f"{where}: unknown region {src!r}")
@@ -405,7 +406,10 @@ def write_coefficients_json(fit: StructuralFit, panel: TimeSeriesPanel,
 
 def read_coefficients_json(path: str | Path) -> StructuralFit:
     """Rebuild a StructuralFit (without residuals) from the JSON export, each
-    block checked against the shape that the file's own code lists give it."""
+    block checked against the shape that the file's own code lists give it.
+
+    No stage reads the file back; this stays because ``bench/check.py``
+    reads the export with it and ``bench/spans.py`` wraps it."""
     obj = require_keys(read_json(path), ("regions", "variables", "activities", "nobs",
                                          "countries", "activity_equations", "sigma_u"), str(path))
     codes = {key: parse_strings(obj[key], f"{path}: {key}")

@@ -40,15 +40,16 @@ _DATE_RE = re.compile(r"^(\d{4})-(\d{2})$")
 _CODE_RE = re.compile(r"^[A-Za-z0-9_\-]+$")
 
 
-def month_index(date: str) -> int:
-    """Map 'YYYY-MM' to a consecutive month counter."""
+def month_index(date: str, where: str = "") -> int:
+    """Map 'YYYY-MM' to a consecutive month counter. An error starts with
+    ``where`` (the file and row), when given, as ``parse_float``'s does."""
     m = _DATE_RE.match(date)
-    if not m:
-        raise ValidationError(f"malformed date {date!r}, expected YYYY-MM")
-    year, month = int(m.group(1)), int(m.group(2))
+    month = int(m.group(2)) if m else 0
     if not 1 <= month <= 12:
-        raise ValidationError(f"malformed date {date!r}, month out of range")
-    return year * 12 + (month - 1)
+        prefix = f"{where}: " if where else ""
+        reason = "month out of range" if m else "expected YYYY-MM"
+        raise ValidationError(f"{prefix}malformed date {date!r}, {reason}")
+    return int(m.group(1)) * 12 + (month - 1)
 
 
 def month_label(index: int) -> str:
@@ -150,6 +151,7 @@ class TimeSeriesPanel(Record):
             raise ValidationError(f"unknown panel column {name!r}") from None
 
     def date_index(self, date: str) -> int:
+        month_index(date)  # a malformed date fails as malformed, not as out of range
         try:
             return self.time_index.index(date)
         except ValueError:
@@ -196,10 +198,7 @@ def load_panel(path: str | Path) -> list[RawSeries]:
             by_month = points[region, variable] = {}
         midx = months.get(date)
         if midx is None:
-            try:
-                midx = months[date] = month_index(date)
-            except ValidationError as exc:
-                raise ValidationError(f"{path}: row {rownum}: {exc}") from None
+            midx = months[date] = month_index(date, f"{path}: row {rownum}")
         cell = row[at_value].strip()
         try:
             value = float(cell)
@@ -304,9 +303,6 @@ def align_frequencies(
             s.variable for s in series if s.region == regions[0]))
     else:
         variables = list(variables)
-    for name, codes in (("regions", regions), ("variables", variables), ("activities", activities)):
-        if len(set(codes)) != len(codes):
-            raise ValidationError(f"duplicate codes in {name} list: {codes}")
 
     wanted: list[tuple[str, str]] = [(r, v) for r in regions for v in variables]
     wanted += [(COMMON_REGION, a) for a in activities]

@@ -65,9 +65,7 @@ def _accumulate(mas: np.ndarray, impact: np.ndarray, targets: Sequence[int]) -> 
     """Point responses summed target by target: exactly the sum of the single-target ones."""
     out = np.zeros((mas.shape[0], impact.shape[0]))
     for j in targets:
-        column = impact[:, j]
-        for s in range(mas.shape[0]):
-            out[s] += mas[s] @ column
+        out += mas @ impact[:, j]
     return out
 
 

@@ -28,8 +28,8 @@ The path draw uses the banded posterior precision of the whole path (Chan &
 Jeliazkov 2009): the random-walk prior plus one scalar observation per period
 make it block tridiagonal, so one banded Cholesky factorization and two
 banded triangular solves give an exact joint draw. The Kalman forward pass
-and the backward (Carter-Kohn) draw stay as its references, in plain 2x2
-matrix form; no stage runs them.
+and the backward (Carter-Kohn) draw are its references on plain arrays, in
+2x2 matrix form; no stage runs them, and ``bench/spans.py`` wraps them.
 The banded routines (LAPACK ``dpbtrf``/``dtbtrs``) come from SciPy's compiled
 ``_flapack`` extension, loaded by file path without importing ``scipy``.
 
@@ -70,21 +70,11 @@ P0_SCALE = 1e-15  # prior covariance of the first standardized state, times I
 C0_SHAPE = C0_RATE = 0.01  # Gamma prior of the observation precision
 
 
-class KalmanState(Record):
-    """Filtered moments and update diagnostics, one row per step t=1..T-1:
-    the means ``m`` (n, 2) and covariances ``p`` (n, 2, 2), the
-    ``innovations`` and ``innovation_var`` (n,) and the ``gains`` (n, 2)."""
-
-    def __init__(self, m: np.ndarray, p: np.ndarray, innovations: np.ndarray,
-                 innovation_var: np.ndarray, gains: np.ndarray):
-        self._set(m=m, p=p, innovations=innovations, innovation_var=innovation_var,
-                  gains=gains)
-
-
 def kalman_forward(y: np.ndarray, theta0: np.ndarray, sqrt_omega: np.ndarray,
                    sigma2: float, m0: Sequence[float] = (0.0, 0.0),
                    p0: np.ndarray = P0_SCALE * np.eye(2),
-                   state_noise: float = 1.0) -> KalmanState:
+                   state_noise: float = 1.0,
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Forward Kalman pass for the standardized state path.
 
     Observation t (t = 1..T-1) is ``y_t - [1, y_{t-1}] @ theta0`` with loading
@@ -93,7 +83,10 @@ def kalman_forward(y: np.ndarray, theta0: np.ndarray, sqrt_omega: np.ndarray,
     non-centred random walk; 0 degenerates to recursive least squares). The
     initial state is N(m0, p0), by default the sampler's fixed prior.
 
-    A reference for ``sample_theta_tilde_banded`` in plain 2x2 matrix form; no stage runs it.
+    Returns ``(m, p, innovations, innovation_var, gains)``, one row per step
+    t=1..T-1: (n, 2), (n, 2, 2), (n,), (n,) and (n, 2). A reference for
+    ``sample_theta_tilde_banded`` that no stage runs; it stays because
+    ``bench/spans.py`` wraps it.
     """
     y = np.asarray(y, float).reshape(-1)
     if y.size < 2:
@@ -105,8 +98,8 @@ def kalman_forward(y: np.ndarray, theta0: np.ndarray, sqrt_omega: np.ndarray,
     p = (p + p.T) / 2.0
     q = state_noise * np.eye(2)
     n = y.size - 1
-    state = KalmanState(m=np.empty((n, 2)), p=np.empty((n, 2, 2)), innovations=np.empty(n),
-                        innovation_var=np.empty(n), gains=np.empty((n, 2)))
+    means, covs, gains = np.empty((n, 2)), np.empty((n, 2, 2)), np.empty((n, 2))
+    innovations, innovation_var = np.empty(n), np.empty(n)
 
     for t in range(1, y.size):
         x = np.array([1.0, y[t - 1]])
@@ -119,25 +112,27 @@ def kalman_forward(y: np.ndarray, theta0: np.ndarray, sqrt_omega: np.ndarray,
         k = p @ h / s
         m = m + k * v
         p = p - s * np.outer(k, k)
-        state.m[t - 1], state.p[t - 1], state.gains[t - 1] = m, p, k
-        state.innovations[t - 1], state.innovation_var[t - 1] = v, s
-    return state
+        means[t - 1], covs[t - 1], gains[t - 1] = m, p, k
+        innovations[t - 1], innovation_var[t - 1] = v, s
+    return means, covs, innovations, innovation_var, gains
 
 
-def sample_theta_tilde_smoothed(state: KalmanState, normals: np.ndarray,
+def sample_theta_tilde_smoothed(m: np.ndarray, p: np.ndarray, normals: np.ndarray,
                                 state_noise: float = 1.0) -> np.ndarray:
-    """Joint draw of the standardized path by backward sampling from ``normals`` (n, 2).
+    """Joint draw of the standardized path by backward sampling from ``normals``
+    (n, 2), given ``kalman_forward``'s filtered means ``m`` and covariances ``p``.
 
     Draws theta_tilde_{T-1} from its filtered distribution, then walks
     backward through the conditionals of the random-walk state equation
     (Carter-Kohn). Unlike independent filtered draws this respects the serial
     dependence of the path, which keeps the scale coefficients identified.
 
-    A reference for ``sample_theta_tilde_banded`` in plain 2x2 matrix form; no stage runs it.
+    A reference for ``sample_theta_tilde_banded`` that no stage runs; it stays
+    because ``bench/spans.py`` wraps it.
     """
     if state_noise <= 0:
         raise ValidationError("joint state draw needs positive state noise")
-    n = state.m.shape[0]
+    n = m.shape[0]
     z = np.reshape(normals, (n, 2))
     q = state_noise * np.eye(2)
 
@@ -149,12 +144,11 @@ def sample_theta_tilde_smoothed(state: KalmanState, normals: np.ndarray,
         return mean + np.array([[l00, 0.0], [l10, l11]]) @ z
 
     draws = np.empty((n, 2))
-    draws[-1] = chol_draw(state.m[-1], state.p[-1], z[-1])
+    draws[-1] = chol_draw(m[-1], p[-1], z[-1])
     for t in range(n - 2, -1, -1):
-        p = state.p[t]
-        gain = np.linalg.solve(p + q, p).T  # P_t (P_t + qI)^-1
-        mean = state.m[t] + gain @ (draws[t + 1] - state.m[t])
-        draws[t] = chol_draw(mean, p - gain @ p, z[t])
+        gain = np.linalg.solve(p[t] + q, p[t]).T  # P_t (P_t + qI)^-1
+        mean = m[t] + gain @ (draws[t + 1] - m[t])
+        draws[t] = chol_draw(mean, p[t] - gain @ p[t], z[t])
     return draws
 
 
@@ -518,7 +512,8 @@ def _sample_stack(y: np.ndarray, iters: int, seeds: Sequence,
 def fit_equation(y: np.ndarray, iters: int, seed: int | Sequence[int]) -> PanelTVPResult:
     """Iterate path / coefficient / variance draws on one column and keep the
     final draw; ``seed`` seeds the column's own ``default_rng``. This is
-    ``estimate_all`` on a one-column stack; a failed draw raises NumericalError."""
+    ``estimate_all`` on a one-column stack; a failed draw raises NumericalError.
+    No stage runs it; it stays because ``bench/spans.py`` wraps it."""
     y = np.asarray(y, float).reshape(-1)
     if y.size < 3:
         raise ValidationError("need at least 3 observations per equation")

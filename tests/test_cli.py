@@ -506,6 +506,16 @@ class TestIRF:
         assert main(["irf", "--config", str(bad_path)]) == 1
         assert "1980-01" in capsys.readouterr().err
 
+    def test_malformed_date_named(self, pipeline, capsys):
+        # a month without its leading zero is malformed, not out of range
+        obj = read_json(pipeline / "config.json")
+        obj["irf"]["dates"] = ["2003-6"]
+        bad_path = pipeline / "malformed_irf.json"
+        write_json(obj, bad_path)
+        assert main(["irf", "--config", str(bad_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1] == "error: malformed date '2003-6', expected YYYY-MM"
+
     def test_first_panel_month_rejected(self, pipeline, capsys):
         # the first month has no lagged month to stack G1 from
         config_path = pipeline / "config.json"
@@ -860,6 +870,26 @@ class TestExternalForecaster:
         table = read_mse_report(tmp_path / "out" / "mse_report.csv")
         assert table["oracle"]["ALL"] == pytest.approx(0.0, abs=1e-28)
 
+
+    def test_path_file_covering_no_column_exits_2(self, tmp_path, capsys):
+        from tvpgvar.serialize import write_csv
+
+        config_path = mini_config(tmp_path)
+        assert main(["ingest", "--config", str(config_path)]) == 0
+        capsys.readouterr()
+        ext_path = tmp_path / "elsewhere.csv"
+        write_csv(ext_path, ["date", "column", "b", "f1"], [["2030-01", "NOPE", 0.0, 0.0]])
+        obj = read_json(config_path)
+        obj["forecast"]["methods"] = ["ext"]
+        obj["forecast"]["external"] = {"ext": str(ext_path)}
+        obj["tvp"]["iters"] = 3
+        write_json(obj, config_path)
+        assert main(["forecast", "--config", str(config_path)]) == 2
+        # one warning line for the one reason, then the stage's own failure
+        assert capsys.readouterr().err.splitlines() == [
+            "warning: ext failed for AAA.CPI, AAA.GDP, BBB.CPI, BBB.GDP, OIL: "
+            "external path file has no rows for this column",
+            "numerical failure: no forecaster produced a scoreable path"]
 
 class TestReport:
     def test_report_prints_summary(self, pipeline, capsys):
@@ -1444,7 +1474,7 @@ def test_main_leaves_the_environment_alone(tmp_path, monkeypatch):
 def test_package_names_resolve_on_first_use():
     namespace = {}
     exec("from tvpgvar import *", namespace)
-    assert len(tvpgvar.__all__) == 38
+    assert len(tvpgvar.__all__) == 36
     assert set(tvpgvar.__all__) <= set(dir(tvpgvar))
     for name in tvpgvar.__all__:
         assert namespace[name] is getattr(tvpgvar, name)

@@ -12,7 +12,6 @@ from tvpgvar import (
     forecast_constant,
     forecast_lasso,
     forecast_var1,
-    lasso_fit,
     load_panel,
     mse_per_series,
     select_model,
@@ -21,7 +20,7 @@ from tvpgvar import (
 from tvpgvar.errors import NumericalError, ValidationError
 from tvpgvar.forecast import (
     ForecastResult, _lag_design, _lasso_inputs, _lasso_path, _original_scale, _stack,
-    _standardize, pooled_mse, read_mse_report, read_variable_paths, select_lasso_lambda,
+    _standardize, lasso_fit, pooled_mse, read_mse_report, read_variable_paths, select_lasso_lambda,
     write_mse_report, write_param_paths, write_variable_paths,
 )
 from tvpgvar.sample import (ACTIVITY, MONTHLY_VARIABLES, QUARTERLY_VARIABLE, REGIONS,
@@ -71,11 +70,11 @@ class TestLassoFit:
     def test_zero_penalty_matches_ols(self, rng):
         x = rng.standard_normal((200, 5))
         y = x @ np.array([1.0, -2.0, 0.5, 0.0, 3.0]) + 0.1 * rng.standard_normal(200)
-        fit = lasso_fit(x, y, lam=0.0)
+        coef, intercept = lasso_fit(x, y, lam=0.0)
         design = np.column_stack([np.ones(200), x])
         ols = np.linalg.lstsq(design, y, rcond=None)[0]
-        np.testing.assert_allclose(fit.intercept, ols[0], atol=1e-6)
-        np.testing.assert_allclose(fit.coef, ols[1:], atol=1e-6)
+        np.testing.assert_allclose(intercept, ols[0], atol=1e-6)
+        np.testing.assert_allclose(coef, ols[1:], atol=1e-6)
 
     def test_orthonormal_soft_threshold(self, rng):
         n, n_feat = 400, 6
@@ -83,26 +82,26 @@ class TestLassoFit:
         beta = np.array([2.0, -1.5, 0.8, 0.05, 0.0, -0.02])
         y = x @ beta + 0.05 * rng.standard_normal(n)
         lam = 0.3
-        fit = lasso_fit(x, y, lam)
+        coef, _ = lasso_fit(x, y, lam)
         yc = y - y.mean()
         z = x.T @ yc / n  # per-column OLS on the orthonormal design
         col_ss = np.einsum("ij,ij->j", x - x.mean(0), x - x.mean(0)) / n
         scale = np.sqrt(col_ss)
         z_std = (x - x.mean(0)).T @ yc / n / scale
         expected_std = np.sign(z_std) * np.maximum(np.abs(z_std) - lam, 0.0)
-        np.testing.assert_allclose(fit.coef * scale, expected_std, atol=1e-8)
+        np.testing.assert_allclose(coef * scale, expected_std, atol=1e-8)
         # raw-scale sanity: matches soft threshold of the raw projections too
         expected_raw = np.sign(z) * np.maximum(np.abs(z) - lam, 0.0)
-        np.testing.assert_allclose(fit.coef, expected_raw, atol=1e-6)
+        np.testing.assert_allclose(coef, expected_raw, atol=1e-6)
 
     def test_lambda_max_gives_zero_solution(self, rng):
         x = rng.standard_normal((120, 4))
         y = rng.standard_normal(120) + x[:, 1]
         lam_max = _standardize(x, y).lam_max
         for lam in (lam_max, 1.5 * lam_max):
-            fit = lasso_fit(x, y, lam)
-            np.testing.assert_array_equal(fit.coef, 0.0)
-            assert fit.intercept == pytest.approx(y.mean())
+            coef, intercept = lasso_fit(x, y, lam)
+            np.testing.assert_array_equal(coef, 0.0)
+            assert intercept == pytest.approx(y.mean())
 
     # The ceiling and the sweeps round differently under some BLAS builds, so
     # one seed cannot pin the boundary down: sweep seeds and shapes.
@@ -112,9 +111,9 @@ class TestLassoFit:
         rng = np.random.default_rng([seed, n, n_feat])
         x = rng.standard_normal((n, n_feat)) * rng.uniform(0.1, 10.0, n_feat)
         y = rng.standard_normal(n) + x @ rng.standard_normal(n_feat)
-        fit = lasso_fit(x, y, _standardize(x, y).lam_max)
-        np.testing.assert_array_equal(fit.coef, 0.0)
-        assert fit.intercept == y.mean()
+        coef, intercept = lasso_fit(x, y, _standardize(x, y).lam_max)
+        np.testing.assert_array_equal(coef, 0.0)
+        assert intercept == y.mean()
 
     @pytest.mark.parametrize("seed", range(8))
     def test_lambda_max_zero_with_constant_column(self, seed):
@@ -122,15 +121,15 @@ class TestLassoFit:
         x = rng.standard_normal((80, 5))
         x[:, 2] = 1.7
         y = rng.standard_normal(80) + x[:, 0] - x[:, 4]
-        fit = lasso_fit(x, y, _standardize(x, y).lam_max)
-        np.testing.assert_array_equal(fit.coef, 0.0)
+        coef, _ = lasso_fit(x, y, _standardize(x, y).lam_max)
+        np.testing.assert_array_equal(coef, 0.0)
 
     def test_path_continuity_with_warm_starts(self, rng):
         x = rng.standard_normal((200, 5))
         y = x @ np.array([1.0, 0.5, -0.7, 0.0, 0.2]) + 0.2 * rng.standard_normal(200)
         lam_max = _standardize(x, y).lam_max
         grid = np.geomspace(lam_max, 1e-3 * lam_max, 30)
-        coefs = np.array([lasso_fit(x, y, lam).coef * x.std(axis=0) for lam in grid])
+        coefs = np.array([lasso_fit(x, y, lam)[0] * x.std(axis=0) for lam in grid])
         steps = np.abs(np.diff(grid))
         jumps = np.max(np.abs(np.diff(coefs, axis=0)), axis=1)
         # measured Lipschitz-style bound on this fixed data
@@ -139,10 +138,10 @@ class TestLassoFit:
     def test_constant_column_gets_zero_coefficient(self, rng):
         x = np.column_stack([np.full(50, 3.0), rng.standard_normal(50)])
         y = 2.0 * x[:, 1] + 1.0
-        fit = lasso_fit(x, y, lam=0.0)
-        assert fit.coef[0] == 0.0
-        np.testing.assert_allclose(fit.coef[1], 2.0, atol=1e-8)
-        np.testing.assert_allclose(fit.intercept, 1.0, atol=1e-8)
+        coef, intercept = lasso_fit(x, y, lam=0.0)
+        assert coef[0] == 0.0
+        np.testing.assert_allclose(coef[1], 2.0, atol=1e-8)
+        np.testing.assert_allclose(intercept, 1.0, atol=1e-8)
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValidationError):
@@ -502,10 +501,10 @@ class TestForecastLasso:
             expected = np.empty((stack.shape[0], h))
             for s, row in enumerate(stack):
                 x, y = lag_design(row, lag_window)
-                fit = lasso_fit(x, y, chosen_penalties(row[None], config)[0])
+                coef, intercept = lasso_fit(x, y, chosen_penalties(row[None], config)[0])
                 window = list(row[::-1][:lag_window])  # most recent first
                 for step in range(h):
-                    expected[s, step] = fit.intercept + fit.coef @ np.array(window)
+                    expected[s, step] = intercept + coef @ np.array(window)
                     window = [expected[s, step]] + window[:-1]
             np.testing.assert_allclose(forecast_lasso(stack.T, config)[0], expected.T,
                                        rtol=0, atol=1e-12)

@@ -132,7 +132,8 @@ class TestWeightSequence:
         ("2000-01,Z,A,1.0", "unknown region 'Z'"),
         ("2000-01,A,__COMMON__:GAS,1.0", "unknown activity 'GAS'"),
         ("1999-12,A,B,1.0", "date 1999-12 not in panel range"),
-    ], ids=["from-region", "activity", "date"])
+        ("2000-1,A,B,1.0", "malformed date '2000-1', expected YYYY-MM"),
+    ], ids=["from-region", "activity", "date", "malformed-date"])
     def test_csv_row_outside_the_panel_named(self, tmp_path, row, message):
         path = tmp_path / "w.csv"
         path.write_text(f"date,from,to,weight\n{row}\n")

@@ -9,11 +9,11 @@ import pytest
 
 from tvpgvar import align_frequencies, load_panel, validate_panel
 from tvpgvar.config import (
-    ALIGN_METHODS, POOLED_ROW, ForecasterConfig, IRFSettings, Record, RunConfig, TVPConfig,
-    WeightSettings,
+    ALIGN_METHODS, POOLED_ROW, TRANSFORMS, ForecasterConfig, IRFSettings, Record, RunConfig,
+    TVPConfig, WeightSettings,
 )
 from tvpgvar.errors import ValidationError
-from tvpgvar.forecast import ForecastResult, LassoFit
+from tvpgvar.forecast import ForecastResult
 from tvpgvar.gvar import Equation, StackedSystem, StructuralFit, WeightSequence
 from tvpgvar.ingest import (
     COMMON_REGION, RawSeries, TimeSeriesPanel, month_index, month_label, read_panel_csv,
@@ -21,7 +21,7 @@ from tvpgvar.ingest import (
 )
 from tvpgvar.irf import IRFResult
 from tvpgvar.sample import write_sample_csv
-from tvpgvar.tvp import KalmanState, PanelTVPResult
+from tvpgvar.tvp import PanelTVPResult
 
 from conftest import make_panel
 from oracles import expand_to_monthly_np
@@ -154,11 +154,9 @@ class TestRecords:
                      id="<lambda>-phi_b"),
         (lambda: StructuralFit((), None, np.eye(1), (1, 1, 0), ("A.x",), 9), "nobs"),
         (lambda: StackedSystem(*[np.eye(1)] * 4, 1.0), "g0_condition"),
-        (lambda: KalmanState(*[np.zeros(1)] * 5), "gains"),
         (lambda: PanelTVPResult(*[np.ones((1, 2))] * 2, np.ones((1, 3, 2)), np.ones(1), {}),
          "sigma2"),
         (lambda: IRFResult(*[np.zeros((1, 1))] * 2, 0.5, 1.0, 1, (0,), 0.95, 9), "radius"),
-        (lambda: LassoFit(np.zeros(1), 0.0), "intercept"),
         (WeightSettings, "window"),
         (IRFSettings, "dates"),
         (lambda: RunConfig(Path("data.csv"), "repeat-last", "none", None, None, None,
@@ -188,7 +186,6 @@ class TestRecords:
         (lambda res: StructuralFit((), res, np.eye(1), (1, 1, 0), ("A.x",), 9),
          np.ones((3, 1))),
         (lambda g0: StackedSystem(g0, *[np.eye(2)] * 3, 1.0), np.eye(2)),
-        (lambda m: KalmanState(m, *[np.zeros(2)] * 4), np.ones((2, 2))),
         (lambda theta: PanelTVPResult(theta[:, 0], theta[:, -1], theta, np.ones(1), {}),
          np.ones((1, 3, 2))),
         # a failed column, A.y, is a row of NaN, and NaN equals NaN; with a
@@ -198,7 +195,6 @@ class TestRecords:
          np.stack([np.ones((3, 2)), np.full((3, 2), np.nan)])),
         (lambda point: IRFResult(point, np.zeros((2, 1)), 0.5, 1.0, 1, (0,), 0.95, 9),
          np.ones((2, 1))),
-        (lambda coef: LassoFit(coef, 0.0), np.arange(3.0)),
         (lambda paths: ForecastResult(("A.x",), ("2001-01",), paths, np.zeros((1, 1)), {}),
          np.ones((1, 1, 2))),
         # a failed column's parameter (and variable) paths are NaN
@@ -206,8 +202,8 @@ class TestRecords:
                                       paths[..., 0] + paths[..., 1], {"A.y": "failed"}),
          np.array([[[1.0, 1.0], [np.nan, np.nan]]])),
     ], ids=["WeightSequence", "CountryCoefficients", "ActivityCoefficients", "StructuralFit",
-            "StackedSystem", "KalmanState", "PanelTVPResult-one-column", "PanelTVPResult",
-            "IRFResult", "LassoFit", "ForecastResult", "ForecastResult-failed-column"])
+            "StackedSystem", "PanelTVPResult-one-column", "PanelTVPResult",
+            "IRFResult", "ForecastResult", "ForecastResult-failed-column"])
     def test_equality_compares_arrays_by_value(self, make, array):
         record = make(array)
         assert record == make(array.copy())
@@ -322,6 +318,26 @@ class TestAlignFrequencies:
         panel = align_frequencies(series)
         assert panel.width == 3 * 3 + 1
         assert panel.values.shape[1] == 10
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda m, a: ([m, a], {"method": "spline"}),
+         f"unknown alignment method 'spline', expected one of {ALIGN_METHODS}"),
+        (lambda m, a: ([m, a], {"transform": "sqrt"}),
+         f"unknown transform 'sqrt', expected one of {TRANSFORMS}"),
+        (lambda m, a: ([m, a, m], {}), "duplicate series for ('USA', 'CPI')"),
+        (lambda m, a: ([a], {}), "panel has no country series"),
+        # the panel, not align_frequencies, refuses a repeated code
+        (lambda m, a: ([m, a], {"regions": ["USA", "USA"]}), "duplicate column names"),
+        (lambda m, a: ([m, a], {"variables": ["CPI", "CPI"]}), "duplicate column names"),
+        (lambda m, a: ([m, a], {"activities": ["OIL", "OIL"]}), "duplicate column names"),
+    ], ids=["method", "transform", "repeated-series", "no-country", "regions", "variables",
+            "activities"])
+    def test_library_input_refused(self, make, message):
+        # RunConfig refuses these before the CLI calls align_frequencies
+        series, options = make(self.monthly(np.arange(6.0)),
+                               self.monthly(np.arange(6.0), COMMON_REGION, "OIL"))
+        with pytest.raises(ValidationError, match="^" + re.escape(message) + "$"):
+            align_frequencies(series, **options)
 
     def test_missing_series_for_region(self):
         m1 = self.monthly(np.arange(6.0), region="USA", variable="CPI")

@@ -70,12 +70,13 @@ class TestKalmanForward:
     def test_zero_loading_keeps_prior_mean(self):
         y = np.full(20, 3.0)
         theta0 = np.array([1.0, 0.5])
-        state = kalman_forward(y, theta0, np.zeros(2), sigma2=0.25)
-        np.testing.assert_array_equal(state.m, 0.0)
+        m, _, innovations, innovation_var, _ = kalman_forward(y, theta0, np.zeros(2),
+                                                              sigma2=0.25)
+        np.testing.assert_array_equal(m, 0.0)
         # innovations equal the constant residual y - [1, y] theta0
         expected = 3.0 - (1.0 + 0.5 * 3.0)
-        np.testing.assert_allclose(state.innovations, expected)
-        np.testing.assert_allclose(state.innovation_var, 0.25 + 2e-15, atol=1e-12)
+        np.testing.assert_allclose(innovations, expected)
+        np.testing.assert_allclose(innovation_var, 0.25 + 2e-15, atol=1e-12)
 
     def test_hand_computed_step(self):
         # single update worked through the five formulas with plain matrices
@@ -85,7 +86,8 @@ class TestKalmanForward:
         sigma2 = 0.3
         m0 = np.array([0.1, -0.2])
         p0 = np.array([[0.5, 0.1], [0.1, 0.8]])
-        state = kalman_forward(y, theta0, sw, sigma2, m0=m0, p0=p0)
+        means, covs, innovations, innovation_var, gains = kalman_forward(
+            y, theta0, sw, sigma2, m0=m0, p0=p0)
 
         m = m0.copy()
         p = p0.copy()
@@ -98,27 +100,27 @@ class TestKalmanForward:
             k = p_pred @ h / s
             m = m + k * v
             p = p_pred - np.outer(k, k) * s
-            np.testing.assert_allclose(state.m[t - 1], m, atol=1e-12)
-            np.testing.assert_allclose(state.p[t - 1], p, atol=1e-12)
-            np.testing.assert_allclose(state.innovations[t - 1], v, atol=1e-12)
-            np.testing.assert_allclose(state.innovation_var[t - 1], s, atol=1e-12)
-            np.testing.assert_allclose(state.gains[t - 1], k, atol=1e-12)
+            np.testing.assert_allclose(means[t - 1], m, atol=1e-12)
+            np.testing.assert_allclose(covs[t - 1], p, atol=1e-12)
+            np.testing.assert_allclose(innovations[t - 1], v, atol=1e-12)
+            np.testing.assert_allclose(innovation_var[t - 1], s, atol=1e-12)
+            np.testing.assert_allclose(gains[t - 1], k, atol=1e-12)
 
     def test_tracks_random_walk_states(self, rng):
         theta0 = np.array([0.2, 0.5])
         sw = np.array([0.05, 0.02])
         sigma = 0.1
         y, tilde = simulate_tvp_series(rng, 400, theta0, sw, sigma)
-        state = kalman_forward(y, theta0, sw, sigma ** 2)
-        rmse_filter = np.sqrt(np.mean((state.m - tilde[1:]) ** 2))
+        m = kalman_forward(y, theta0, sw, sigma ** 2)[0]
+        rmse_filter = np.sqrt(np.mean((m - tilde[1:]) ** 2))
         rmse_prior = np.sqrt(np.mean(tilde[1:] ** 2))  # no-filter baseline: m0 = 0
         assert rmse_filter < rmse_prior
 
     def test_filtered_covariances_psd_symmetric(self, rng):
         y = rng.standard_normal(200)
-        state = kalman_forward(y, np.zeros(2), np.array([0.3, 0.2]), 0.5)
-        np.testing.assert_array_equal(state.p[:, 0, 1], state.p[:, 1, 0])
-        eig_min = np.linalg.eigvalsh(state.p).min()
+        p = kalman_forward(y, np.zeros(2), np.array([0.3, 0.2]), 0.5)[1]
+        np.testing.assert_array_equal(p[:, 0, 1], p[:, 1, 0])
+        eig_min = np.linalg.eigvalsh(p).min()
         assert eig_min >= -1e-10
 
     def test_rls_degenerate_case(self, rng):
@@ -129,23 +131,23 @@ class TestKalmanForward:
         theta0 = np.zeros(2)
         sw = np.array([1.0, 1.0])
         sigma2 = 0.4
-        state = kalman_forward(y, theta0, sw, sigma2, m0=np.zeros(2), p0=np.eye(2),
-                               state_noise=0.0)
+        m = kalman_forward(y, theta0, sw, sigma2, m0=np.zeros(2), p0=np.eye(2),
+                           state_noise=0.0)[0]
         for t in range(1, t_len):
             h_rows = np.column_stack([np.full(t, sw[0]), sw[1] * y[:t]])
             targets = y[1:t + 1]
             prec = np.eye(2) + h_rows.T @ h_rows / sigma2
             mean = np.linalg.solve(prec, h_rows.T @ targets / sigma2)
-            np.testing.assert_allclose(state.m[t - 1], mean, atol=1e-8)
+            np.testing.assert_allclose(m[t - 1], mean, atol=1e-8)
 
     def test_bad_inputs(self):
         with pytest.raises(ValidationError):
             kalman_forward(np.array([1.0]), np.zeros(2), np.ones(2), 0.1)
         with pytest.raises(ValidationError):
             kalman_forward(np.ones(5), np.zeros(2), np.ones(2), 0.0)
-        state = kalman_forward(np.ones(5), np.zeros(2), np.ones(2), 0.1)
+        m, p, *_ = kalman_forward(np.ones(5), np.zeros(2), np.ones(2), 0.1)
         with pytest.raises(ValidationError):
-            sample_theta_tilde_smoothed(state, np.zeros((4, 2)), state_noise=0.0)
+            sample_theta_tilde_smoothed(m, p, np.zeros((4, 2)), state_noise=0.0)
 
 
 def dense_path_posterior(y, theta0, sqrt_omega, sigma2):
@@ -193,13 +195,13 @@ class TestSampleThetaTildeBanded:
         y = 1.0 + rng.standard_normal(t_len)
         dim = 2 * (t_len - 1)
         mean, cov = dense_path_posterior(y, self.theta0, self.sqrt_omega, self.sigma2)
-        state = kalman_forward(y, self.theta0, self.sqrt_omega, self.sigma2)
+        m, p, *_ = kalman_forward(y, self.theta0, self.sqrt_omega, self.sigma2)
         # the last state's filtered moments are its posterior moments
-        np.testing.assert_allclose(state.m[-1], mean[-2:], rtol=0, atol=1e-10)
-        np.testing.assert_allclose(state.p[-1], cov[-2:, -2:], rtol=0, atol=1e-10)
+        np.testing.assert_allclose(m[-1], mean[-2:], rtol=0, atol=1e-10)
+        np.testing.assert_allclose(p[-1], cov[-2:, -2:], rtol=0, atol=1e-10)
         samplers = {
             "banded": lambda normals: self.draw(y, normals),
-            "carter-kohn": lambda normals: sample_theta_tilde_smoothed(state, normals),
+            "carter-kohn": lambda normals: sample_theta_tilde_smoothed(m, p, normals),
         }
         for name, sampler in samplers.items():
             got_mean = sampler(np.zeros(dim)).reshape(-1)
@@ -213,13 +215,13 @@ class TestSampleThetaTildeBanded:
         # the dense-conditioning moments within Monte-Carlo error
         y = 1.0 + rng.standard_normal(13)
         mean, cov = dense_path_posterior(y, self.theta0, self.sqrt_omega, self.sigma2)
-        state = kalman_forward(y, self.theta0, self.sqrt_omega, self.sigma2)
+        m, p, *_ = kalman_forward(y, self.theta0, self.sqrt_omega, self.sigma2)
         n_draws = 4000
         gen_banded = np.random.default_rng(21)
         gen_ck = np.random.default_rng(22)
         samplers = {
             "banded": lambda: self.draw(y, gen_banded.standard_normal(24)),
-            "carter-kohn": lambda: sample_theta_tilde_smoothed(state,
+            "carter-kohn": lambda: sample_theta_tilde_smoothed(m, p,
                                                                gen_ck.standard_normal((12, 2))),
         }
         sd = np.sqrt(np.diag(cov))
