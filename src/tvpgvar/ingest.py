@@ -341,14 +341,17 @@ def align_frequencies(
 
 def validate_panel(panel: TimeSeriesPanel) -> list[str]:
     """A panel's invariant violations, one message each: a repeated column
-    name, a column named ``POOLED_ROW``, a month that does not follow the one
-    before, a non-finite cell. The one definition of a valid panel:
+    name or code, a column named ``POOLED_ROW``, a month that does not follow
+    the one before, a non-finite cell. The one definition of a valid panel:
     :class:`TimeSeriesPanel` raises on any of them, so a built panel always
     gives an empty list."""
     issues: list[str] = []
     names = panel.column_names()
     if len(set(names)) != len(names):
         issues.append("duplicate column names")
+    else:  # a repeated code repeats a name unless the other code list is empty
+        issues.extend(f"duplicate codes in panel.{kind}" for kind in ("regions", "variables")
+                      if len(set(getattr(panel, kind))) != len(getattr(panel, kind)))
     if POOLED_ROW in names:
         issues.append(f"column name {POOLED_ROW!r} is reserved for the pooled rows "
                       "of mse_report.csv")

@@ -34,17 +34,19 @@ The banded routines (LAPACK ``dpbtrf``/``dtbtrs``) come from SciPy's compiled
 ``_flapack`` extension, loaded by file path without importing ``scipy``.
 
 One iteration runs once for all the columns of a panel. It first draws its
-random numbers in one loop over the live columns: column i draws from its
-own ``default_rng([seed, i])`` 2(T-1) path normals, 4 coefficient normals
-and a standard gamma, in that order, so its result does not depend on the
-others. The path bands are then built as (columns, ...) arrays and
-factorized column by column; the coefficient draw (X'X, Cholesky factors,
-triangular solves) and the variance draw run on (columns, ...) stacks. No
-draw is rescued: a column whose draw fails (a non-finite X'X, a coefficient
-posterior precision with no Cholesky factor, as all-zero lagged values give,
-non-finite residuals) leaves the stack with that reason and the iteration;
-the others go on. ``PanelTVPResult`` holds the stack's final draws, a failed
-column as a row of NaN in each array; ``fit_equation`` is the one-column case.
+random numbers in one loop over the live columns: each column draws from
+its own stream, keyed by the seed and its name (``column_seed``), 2(T-1)
+path normals, 4 coefficient normals and a standard gamma, in that order, so
+its result depends neither on the others nor on its position in the panel
+(that position still fixes the IRFs' Cholesky order). The path bands are
+then built as (columns, ...) arrays and factorized column by column; the
+coefficient draw (X'X, Cholesky factors, triangular solves) and the variance
+draw run on (columns, ...) stacks. No draw is rescued: a column whose draw
+fails (a non-finite X'X, a coefficient posterior precision with no Cholesky
+factor, as all-zero lagged values give, non-finite residuals) leaves the
+stack with that reason and the iteration; the others go on.
+``PanelTVPResult`` holds the stack's final draws, a failed column as a row
+of NaN in each array; ``fit_equation`` is the one-column case.
 """
 
 from __future__ import annotations
@@ -453,9 +455,11 @@ def _sample_stack(y: np.ndarray, iters: int, seeds: Sequence,
                   ) -> tuple[list[np.ndarray], dict[int, str]]:
     """Iterate path / coefficient / variance draws on the rows of ``y``
     (columns, T) together, each divided by its ``column_scales`` entry, row c
-    drawing from ``default_rng(seeds[c])``, and keep the final draws in the
-    rows' own units, as ``PanelTVPResult``'s arrays. A row that fails leaves
-    the stack; its rows are NaN, with the reason in the returned {row: reason}."""
+    drawing from ``default_rng(seeds[c])`` (``estimate_all`` passes each
+    column's ``column_seed``, a key by name, not by row), and keep the final
+    draws in the rows' own units, as ``PanelTVPResult``'s arrays. A row that
+    fails leaves the stack; its rows are NaN, with the reason in the returned
+    {row: reason}."""
     # contiguous rows: a strided stack would take numpy's strided loops, whose
     # sums round differently, and a column's draws would depend on the layout
     y = np.ascontiguousarray(y)
@@ -509,10 +513,21 @@ def _sample_stack(y: np.ndarray, iters: int, seeds: Sequence,
     return stack, errors
 
 
-def fit_equation(y: np.ndarray, iters: int, seed: int | Sequence[int]) -> PanelTVPResult:
+def column_seed(seed: int, name: str) -> np.random.SeedSequence:
+    """The stream key of panel column ``name`` under the run's ``seed``. The
+    spawn key is the name's bytes prefixed by their count, so a name stays
+    apart from a longer one; numpy mixes it in after the zero-padded seed, so
+    even the empty name's key is not the bare seed's."""
+    b = name.encode()
+    return np.random.SeedSequence(seed, spawn_key=(len(b), *b))
+
+
+def fit_equation(y: np.ndarray, iters: int,
+                 seed: int | Sequence[int] | np.random.SeedSequence) -> PanelTVPResult:
     """Iterate path / coefficient / variance draws on one column and keep the
     final draw; ``seed`` seeds the column's own ``default_rng``. This is
-    ``estimate_all`` on a one-column stack; a failed draw raises NumericalError.
+    ``estimate_all`` on a one-column stack, the same draws given the column's
+    ``column_seed``; a failed draw raises NumericalError.
     No stage runs it; it stays because ``bench/spans.py`` wraps it."""
     y = np.asarray(y, float).reshape(-1)
     if y.size < 3:
@@ -528,15 +543,16 @@ def fit_equation(y: np.ndarray, iters: int, seed: int | Sequence[int]) -> PanelT
 
 
 def estimate_all(panel: TimeSeriesPanel, config: TVPConfig) -> PanelTVPResult:
-    """Fit every panel column, all columns in one sampler iteration; column i
-    draws from its own ``default_rng([seed, i])``, so its result depends
-    neither on the other columns nor on evaluation order. A column that fails
-    leaves the stack with the iteration in its reason; the others continue. A
-    panel and a config are checked as they are built, so every column starts.
+    """Fit every panel column, all columns in one sampler iteration; each
+    column draws from its own ``default_rng(column_seed(seed, name))``, so its
+    result depends neither on the other columns nor on their order (which
+    still fixes the IRFs' Cholesky order). A column that fails leaves the
+    stack with the iteration in its reason; the others continue. A panel and
+    a config are checked as they are built, so every column starts.
     """
-    stack, failed = _sample_stack(panel.values.T, config.iters,
-                                  [(config.seed, i) for i in range(panel.width)])
     names = panel.column_names()
+    stack, failed = _sample_stack(panel.values.T, config.iters,
+                                  [column_seed(config.seed, name) for name in names])
     return PanelTVPResult(*stack, errors={names[i]: failed[i] for i in sorted(failed)})
 
 

@@ -330,8 +330,11 @@ class TestAlignFrequencies:
         (lambda m, a: ([m, a], {"regions": ["USA", "USA"]}), "duplicate column names"),
         (lambda m, a: ([m, a], {"variables": ["CPI", "CPI"]}), "duplicate column names"),
         (lambda m, a: ([m, a], {"activities": ["OIL", "OIL"]}), "duplicate column names"),
+        # with no regions, a repeated variable repeats no column name
+        (lambda m, a: ([a], {"regions": [], "variables": ["GDP", "GDP"], "activities": ["OIL"]}),
+         "duplicate codes in panel.variables"),
     ], ids=["method", "transform", "repeated-series", "no-country", "regions", "variables",
-            "activities"])
+            "activities", "variables-without-regions"])
     def test_library_input_refused(self, make, message):
         # RunConfig refuses these before the CLI calls align_frequencies
         series, options = make(self.monthly(np.arange(6.0)),
@@ -407,6 +410,13 @@ class TestValidatePanel:
     def test_repeated_column_name_rejected(self):
         with pytest.raises(ValidationError, match="^duplicate column names$"):
             make_panel(np.zeros((3, 2)), ["A", "A"], ["x"])
+
+    def test_repeated_code_rejected_without_a_repeated_name(self):
+        # with no variables the regions name no column, but a panel's codes
+        # must still identify its columns, whose names key the sampler's streams
+        with pytest.raises(ValidationError, match=r"^duplicate codes in panel\.regions$"):
+            TimeSeriesPanel(time_index=("2000-01", "2000-02", "2000-03"), regions=("A", "A"),
+                            variables=(), activities=("OIL",), rows=((1.0,), (2.0,), (3.0,)))
 
     def test_pooled_row_label_is_reserved(self, tmp_path):
         # a common series named ALL would share its mse_report.csv rows with

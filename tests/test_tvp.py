@@ -1,6 +1,8 @@
+import csv
 import importlib.machinery
 import importlib.util
 import itertools
+import json
 import re
 import tracemalloc
 import warnings
@@ -28,6 +30,7 @@ from tvpgvar.tvp import (
     _flapack,
     _precision_shape,
     column_scales,
+    column_seed,
     kalman_forward,
     read_trajectories,
     sample_theta_tilde_smoothed,
@@ -609,8 +612,8 @@ class TestEstimateAll:
                               TVPConfig(iters=2, seed=0))
         assert result.errors == {"A.y": "iteration 0: non-finite X'X in coefficient posterior"}
         assert_failed_rows(result, [1])
-        for i in (0, 2):
-            assert_row_is(result, i, fit_equation(values[:, i], 2, (0, i)))
+        for i, name in ((0, "A.x"), (2, "A.z")):
+            assert_row_is(result, i, fit_equation(values[:, i], 2, column_seed(0, name)))
 
     def test_path_reason_comes_first(self, rng, monkeypatch):
         # A.y's path draw fails at iteration 1 and leaves NaN rows, so its
@@ -619,7 +622,8 @@ class TestEstimateAll:
         import tvpgvar.tvp as tvp_module
 
         values = rng.standard_normal((40, 3))
-        alone = {i: fit_equation(values[:, i], 3, (0, i)) for i in (0, 2)}
+        alone = {i: fit_equation(values[:, i], 3, column_seed(0, name))
+                 for i, name in ((0, "A.x"), (2, "A.z"))}
         reason = "state precision not positive definite (dpbtrf info 5)"
         draw = tvp_module.sample_theta_tilde_banded
         calls = itertools.count()
@@ -647,7 +651,8 @@ class TestEstimateAll:
         import tvpgvar.tvp as tvp_module
 
         values = 10.0 * rng.standard_normal((40, 3))
-        alone = {i: fit_equation(values[:, i], 3, (0, i)) for i in (0, 2)}
+        alone = {i: fit_equation(values[:, i], 3, column_seed(0, name))
+                 for i, name in ((0, "A.x"), (2, "A.z"))}
         draw = tvp_module.sample_sigma
         calls = itertools.count()
 
@@ -707,8 +712,8 @@ class TestEstimateAll:
         assert_failed_rows(result, [1])
         assert (3, [1]) in calls  # the matrix-by-matrix fallback
         assert all(size != 1 for size, _ in calls)  # no one-matrix retry
-        for i in (0, 2):
-            assert_row_is(result, i, fit_equation(values[:, i], 5, (0, i)))
+        for i, name in ((0, "A.x"), (2, "A.z")):
+            assert_row_is(result, i, fit_equation(values[:, i], 5, column_seed(0, name)))
 
     def test_constant_column_takes_the_pseudo_inverse_prior(self):
         # a constant series makes X'X singular, but rounding gives this one a
@@ -718,7 +723,7 @@ class TestEstimateAll:
         values = np.random.default_rng(3).standard_normal((60, 2))
         values[:, 1] = 4.2
         result = estimate_all(make_panel(values, ["A"], ["x", "y"]), TVPConfig(iters=5, seed=0))
-        reference = fit_equation_loop(values[:, 1], 5, (0, 1))
+        reference = fit_equation_loop(values[:, 1], 5, column_seed(0, "A.y"))
         np.testing.assert_allclose(result.theta[1], reference.theta[0], rtol=0,
                                    atol=1e-6 * np.abs(reference.theta).max())
 
@@ -759,16 +764,108 @@ class TestEstimateAll:
         config = load_config(config_path).tvp
         result = estimate_all(panel, config)
         assert result.errors == {}
-        for i, (path, sigma2) in enumerate(zip(result.theta, result.sigma2)):
+        for i, (name, path, sigma2) in enumerate(
+                zip(panel.column_names(), result.theta, result.sigma2)):
             sd = np.std(panel.values[:, i])
             reference = fit_equation_loop(panel.values[:, i] / sd, config.iters,
-                                          (config.seed, i))
+                                          column_seed(config.seed, name))
             theta = reference.theta[0] * [sd, 1.0]
             # relative to each coefficient path's scale: the paths cross zero,
             # where an elementwise ratio measures nothing but the crossing
             scale = np.abs(theta).max(axis=0)
             np.testing.assert_allclose(path, theta, rtol=0, atol=1e-9 * scale.min())
             assert sigma2 == pytest.approx(reference.sigma2[0] * sd ** 2, rel=1e-9, abs=0)
+
+
+def run_sample(run_dir, stages=("ingest", "estimate", "irf", "forecast"), **panel):
+    """The sample's chain at 10 iterations and 2 CV folds, with the config's
+    ``panel`` lists replaced by ``panel``; returns the output directory."""
+    config_path = write_sample_config(run_dir, iters=10)
+    config = json.loads(config_path.read_text())
+    config["panel"].update(panel)
+    config["forecast"]["cv_folds"] = 2
+    config_path.write_text(json.dumps(config))
+    for stage in stages:
+        assert main([stage, "--config", str(config_path)]) == 0
+    return run_dir / "out"
+
+
+def sorted_lines(path):
+    return sorted(path.read_bytes().splitlines())
+
+
+def numbers_by_key(path, key_fields):
+    """A CSV's numeric cells keyed by its ``key_fields`` cells."""
+    with open(path, newline="") as f:
+        return {tuple(row.pop(k) for k in key_fields): [float(v) for v in row.values()]
+                for row in csv.DictReader(f)}
+
+
+def assert_same_numbers(a, b, of_largest=False):
+    """``b``'s numbers equal ``a``'s to 1e-12 relative, each to itself or, with
+    ``of_largest``, to the largest |number| of ``a``."""
+    assert a.keys() == b.keys()
+    keys = sorted(a)
+    desired = np.array([a[k] for k in keys])
+    atol = 1e-12 * np.abs(desired).max() if of_largest else 0.0
+    np.testing.assert_allclose(np.array([b[k] for k in keys]), desired, rtol=1e-12, atol=atol)
+
+
+class TestColumnSeed:
+    """A column's stream is keyed by the seed and its name, not its position."""
+
+    @staticmethod
+    def first_draws(key):
+        return np.random.default_rng(key).standard_normal(4)
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**40])
+    def test_keys_that_could_collide_draw_apart(self, seed):
+        # the length prefix keeps a name apart from a longer one, and the
+        # empty name's spawn key apart from the bare seed
+        assert not np.array_equal(self.first_draws(column_seed(seed, "A")),
+                                  self.first_draws(column_seed(seed, "AA")))
+        assert not np.array_equal(self.first_draws(column_seed(seed, "")),
+                                  self.first_draws(seed))
+        np.testing.assert_array_equal(self.first_draws(column_seed(seed, "A")),
+                                      self.first_draws(column_seed(seed, "A")))
+
+    def test_generated_names_draw_apart(self):
+        # short names over a small alphabet: many are prefixes of others
+        rng = np.random.default_rng(11)
+        alphabet = list("AUSE.x_0é")
+        names = set()
+        while len(names) < 1000:
+            names.add("".join(rng.choice(alphabet, rng.integers(0, 9))))
+        first = {np.random.default_rng(column_seed(3, name)).standard_normal()
+                 for name in names}
+        assert len(first) == 1000
+
+    def test_permuting_the_lists_permutes_the_rows(self, tmp_path):
+        # sorted by column, the trajectories keep their bytes; what sums over
+        # the columns in another order agrees to rounding
+        base = run_sample(tmp_path / "base")
+        for name, panel in [("regions", {"regions": ["JPN", "USA", "EUR"]}),
+                            ("variables", {"variables": ["GDP", "CPI", "HUR"]})]:
+            out = run_sample(tmp_path / name, **panel)
+            for artifact in ("trajectories.csv", "trajectories_train.csv"):
+                assert sorted_lines(out / artifact) == sorted_lines(base / artifact)
+            assert_same_numbers(numbers_by_key(base / "mse_report.csv", ["method", "series"]),
+                                numbers_by_key(out / "mse_report.csv", ["method", "series"]))
+            # the OIL shock is last in every order; a response near zero moves
+            # by rounding alone, so the IRFs are compared on their own scale
+            for date in ("2020-07", "2011-04", "2007-12"):
+                irf = f"irf_{date}__OIL.csv"
+                assert_same_numbers(numbers_by_key(base / irf, ["horizon", "column"]),
+                                    numbers_by_key(out / irf, ["horizon", "column"]),
+                                    of_largest=True)
+
+    def test_dropping_a_region_keeps_the_other_rows(self, tmp_path):
+        stages = ("ingest", "estimate")
+        full = sorted_lines(run_sample(tmp_path / "full", stages) / "trajectories.csv")
+        lone = sorted_lines(run_sample(tmp_path / "two", stages, regions=["USA", "EUR"])
+                            / "trajectories.csv")
+        assert len(lone) == 1 + 7 * 249
+        assert set(lone) <= set(full)
 
 
 def test_trajectory_csv_round_trip(tmp_path, rng):
