@@ -1,8 +1,9 @@
 """Loading, validation, and monthly alignment of long-format economic panels.
 
 Input data is a UTF-8 CSV with header ``date,region,variable,value``, dates
-formatted ``YYYY-MM``. Series observed quarterly (3-month date spacing) are
-expanded to monthly frequency on the common date range; the reserved region
+formatted ``YYYY-MM`` and read into month numbers (:func:`month_index`).
+Series observed quarterly (3-month spacing) are expanded to monthly
+frequency on the common date range; the reserved region
 code ``__COMMON__`` marks shared activity series (oil price and the like)
 that enter every country's equation. No column may be named ``ALL``
 (``config.POOLED_ROW``), the series cell of ``mse_report.csv``'s pooled rows.
@@ -13,8 +14,9 @@ float rows and builds its numpy array when an estimation stage first reads
 ``values``. Each row is an ``array('d')``, 8 bytes a cell; a panel read back
 from ``panel.csv`` parses each row straight from its line.
 
-A panel is valid once built: :class:`TimeSeriesPanel` raises on any issue
-:func:`validate_panel` lists, so no stage checks a panel again.
+A series and a panel are valid once built: :class:`RawSeries` and
+:class:`TimeSeriesPanel` (on any issue :func:`validate_panel` lists) raise
+as they are built, so no stage checks either again.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ if TYPE_CHECKING:
 COMMON_REGION = "__COMMON__"
 
 _DATE_RE = re.compile(r"^(\d{4})-(\d{2})$")
-_CODE_RE = re.compile(r"^[A-Za-z0-9_\-]+$")
+_CODE_RE = re.compile(r"[A-Za-z0-9_\-]+")
 
 
 def month_index(date: str, where: str = "") -> int:
@@ -58,26 +60,43 @@ def month_label(index: int) -> str:
 
 
 def _check_code(code: str, what: str, row: int) -> None:
-    if code != COMMON_REGION and not _CODE_RE.match(code):
+    if code != COMMON_REGION and not _CODE_RE.fullmatch(code):
         raise ValidationError(f"invalid {what} code {code!r} (row {row}): "
                               "use letters, digits, '_' or '-' only")
 
 
 class RawSeries(Record):
-    """One (region, variable) series in its native observation frequency,
-    ``"monthly"`` or ``"quarterly"``."""
+    """One (region, variable) series at its observation months, as
+    :func:`month_index` numbers: 2 or more, one value each, spaced a uniform
+    1 month (``frequency`` ``"monthly"``) or 3 (``"quarterly"``), or it raises."""
 
-    def __init__(self, region: str, variable: str, dates: tuple[str, ...],
-                 values: tuple[float, ...], frequency: str):
-        self._set(region=region, variable=variable, dates=dates, values=values,
-                  frequency=frequency)
+    def __init__(self, region: str, variable: str, months: tuple[int, ...],
+                 values: tuple[float, ...]):
+        name = f"series {region}/{variable}"
+        if len(values) != len(months):
+            raise ValidationError(f"{name} has {len(values)} values for {len(months)} months")
+        if len(months) < 2:
+            raise ValidationError(f"{name} has fewer than 2 observations")
+        steps = {b - a for a, b in zip(months, months[1:])}
+        if steps != {1} and steps != {3}:
+            raise ValidationError(f"{name} has irregular date spacing {sorted(steps)}; "
+                                  "expected uniform 1-month or 3-month steps")
+        self._set(region=region, variable=variable, months=months, values=values)
+
+    @property
+    def frequency(self) -> str:
+        return "monthly" if self.months[1] - self.months[0] == 1 else "quarterly"
+
+    @property
+    def dates(self) -> tuple[str, ...]:
+        return tuple(map(month_label, self.months))
 
     @property
     def key(self) -> tuple[str, str]:
         return (self.region, self.variable)
 
     def __len__(self) -> int:
-        return len(self.dates)
+        return len(self.months)
 
 
 class TimeSeriesPanel(Record):
@@ -169,7 +188,7 @@ def load_panel(path: str | Path) -> list[RawSeries]:
     The columns are found by header name, once each, in any order. Rows are
     sorted by date within each series; duplicates, malformed dates, and
     non-numeric values are rejected with the offending row number (header =
-    row 1).
+    row 1); a series that :class:`RawSeries` refuses fails naming the file.
     """
     path = Path(path)
     header, rows = read_csv_rows(path)
@@ -180,10 +199,10 @@ def load_panel(path: str | Path) -> list[RawSeries]:
             raise ValidationError(f"{path}: {what} column {name!r} in header {header}")
     at_date, at_region, at_variable, at_value = (header.index(name) for name in names)
 
-    # (region, variable) -> month -> (date, value, row number), in order of
-    # first appearance; the month also finds a duplicate date, as each month
-    # has one YYYY-MM label
-    points: dict[tuple[str, str], dict[int, tuple[str, float, int]]] = {}
+    # (region, variable) -> month -> (value, row number), in order of first
+    # appearance; the month also finds a duplicate date, as each month has
+    # one YYYY-MM label
+    points: dict[tuple[str, str], dict[int, tuple[float, int]]] = {}
     months: dict[str, int] = {}
     for rownum, row in enumerate(rows, 2):
         date = row[at_date].strip()
@@ -209,44 +228,28 @@ def load_panel(path: str | Path) -> list[RawSeries]:
         if midx in by_month:
             raise ValidationError(
                 f"{path}: row {rownum}: duplicate ({region}, {variable}, {date}), "
-                f"first seen at row {by_month[midx][2]}")
-        by_month[midx] = (date, value, rownum)
+                f"first seen at row {by_month[midx][1]}")
+        by_month[midx] = (value, rownum)
 
     series: list[RawSeries] = []
-    for key, by_month in points.items():
-        anchors = sorted(by_month)
-        series.append(RawSeries(
-            region=key[0],
-            variable=key[1],
-            dates=tuple(by_month[m][0] for m in anchors),
-            values=tuple(by_month[m][1] for m in anchors),
-            frequency=_infer_frequency(anchors, key, path),
-        ))
+    for (region, variable), by_month in points.items():
+        anchors = tuple(sorted(by_month))
+        try:
+            series.append(RawSeries(region, variable, anchors,
+                                    tuple(by_month[m][0] for m in anchors)))
+        except ValidationError as exc:
+            raise ValidationError(f"{path}: {exc}") from None
     if not series:
         raise ValidationError(f"{path}: no data rows")
     return series
 
 
-def _infer_frequency(months: Sequence[int], key: tuple[str, str], path: Path) -> str:
-    if len(months) < 2:
-        return "monthly"
-    steps = {b - a for a, b in zip(months, months[1:])}
-    if steps == {1}:
-        return "monthly"
-    if steps == {3}:
-        return "quarterly"
-    raise ValidationError(
-        f"{path}: series {key[0]}/{key[1]} has irregular date spacing {sorted(steps)}; "
-        "expected uniform 1-month or 3-month steps")
-
-
 def _expand_to_monthly(s: RawSeries, months: range, method: str) -> Sequence[float]:
     """``s`` on each of ``months``, which lie within its first and last anchor."""
-    ys = s.values
+    ys, anchors = s.values, s.months
     if s.frequency == "monthly":
-        start = months[0] - month_index(s.dates[0])
+        start = months[0] - anchors[0]
         return ys[start:start + len(months)]
-    anchors = [month_index(d) for d in s.dates]
     out = []
     for x in months:
         j = bisect_right(anchors, x) - 1  # the last anchor at or before x
@@ -281,9 +284,6 @@ def align_frequencies(
         raise ValidationError(f"unknown transform {transform!r}, expected one of {TRANSFORMS}")
     if not series:
         raise ValidationError("no series to align")
-    for s in series:
-        if len(s) < 2:
-            raise ValidationError(f"series {s.region}/{s.variable} has fewer than 2 observations")
 
     lookup: dict[tuple[str, str], RawSeries] = {}
     for s in series:
@@ -310,12 +310,8 @@ def align_frequencies(
     if missing:
         raise ValidationError(f"missing series for {missing}")
 
-    firsts, lasts = [], []
-    for key in wanted:
-        s = lookup[key]
-        firsts.append(month_index(s.dates[0]))
-        lasts.append(month_index(s.dates[-1]))
-    start, stop = max(firsts), min(lasts)
+    start = max(lookup[key].months[0] for key in wanted)
+    stop = min(lookup[key].months[-1] for key in wanted)
     if start > stop:
         raise ValidationError("empty date-range intersection across series")
     months = range(start, stop + 1)
@@ -341,8 +337,10 @@ def align_frequencies(
 
 def validate_panel(panel: TimeSeriesPanel) -> list[str]:
     """A panel's invariant violations, one message each: a repeated column
-    name or code, a column named ``POOLED_ROW``, a month that does not follow
-    the one before, a non-finite cell. The one definition of a valid panel:
+    name or code, a code :func:`load_panel` would refuse (one with a ``.``
+    would not read back from ``panel.csv``), a column named ``POOLED_ROW``, a
+    month that does not follow the one before, a non-finite cell. The one
+    definition of a valid panel:
     :class:`TimeSeriesPanel` raises on any of them, so a built panel always
     gives an empty list."""
     issues: list[str] = []
@@ -352,6 +350,9 @@ def validate_panel(panel: TimeSeriesPanel) -> list[str]:
     else:  # a repeated code repeats a name unless the other code list is empty
         issues.extend(f"duplicate codes in panel.{kind}" for kind in ("regions", "variables")
                       if len(set(getattr(panel, kind))) != len(getattr(panel, kind)))
+    issues.extend(f"invalid code {code!r} in panel.{kind}: use letters, digits, '_' or '-' only"
+                  for kind in ("regions", "variables", "activities")
+                  for code in getattr(panel, kind) if not _CODE_RE.fullmatch(code))
     if POOLED_ROW in names:
         issues.append(f"column name {POOLED_ROW!r} is reserved for the pooled rows "
                       "of mse_report.csv")

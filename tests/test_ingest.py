@@ -114,6 +114,13 @@ class TestLoadPanel:
             "2000-01,USA,GDP,1.0", "2000-04,USA,GDP,2.0", "2000-07,USA,GDP,3.0"])
         assert load_panel(path)[0].frequency == "quarterly"
 
+    def test_one_row_series_named_with_its_file(self, tmp_path):
+        path = write_rows(tmp_path, ["2000-01,USA,CPI,1.0", "2000-02,USA,CPI,2.0",
+                                     "2000-01,USA,HUR,5.0"])
+        with pytest.raises(ValidationError, match="^" + re.escape(
+                f"{path}: series USA/HUR has fewer than 2 observations") + "$"):
+            load_panel(path)
+
     def test_irregular_spacing_rejected(self, tmp_path):
         path = write_rows(tmp_path, [
             "2000-01,USA,CPI,1.0", "2000-02,USA,CPI,2.0", "2000-04,USA,CPI,3.0"])
@@ -143,7 +150,7 @@ class TestRecords:
     @pytest.mark.parametrize("make, field", [
         (TVPConfig, "seed"),
         (ForecasterConfig, "horizon"),
-        (lambda: RawSeries("USA", "CPI", ("2000-01",), (1.0,), "monthly"), "values"),
+        (lambda: RawSeries("USA", "CPI", (24000, 24001), (1.0, 2.0)), "values"),
         (lambda: make_panel(np.zeros((3, 1)), ["A"], ["x"]), "rows"),
         (lambda: WeightSequence.equal(2, 2, 1), "we"),
         # a country's and an activity's equation; the ids name the own-lag
@@ -245,14 +252,14 @@ class TestRecords:
 
 class TestAlignFrequencies:
     def quarterly(self, values, region="USA", variable="GDP", start="2000-01"):
-        dates = tuple(month_label(month_index(start) + 3 * i) for i in range(len(values)))
-        return RawSeries(region=region, variable=variable, dates=dates,
-                         values=tuple(map(float, values)), frequency="quarterly")
+        months = tuple(month_index(start) + 3 * i for i in range(len(values)))
+        return RawSeries(region=region, variable=variable, months=months,
+                         values=tuple(map(float, values)))
 
     def monthly(self, values, region="USA", variable="CPI", start="2000-01"):
-        dates = tuple(month_label(month_index(start) + i) for i in range(len(values)))
-        return RawSeries(region=region, variable=variable, dates=dates,
-                         values=tuple(map(float, values)), frequency="monthly")
+        months = tuple(month_index(start) + i for i in range(len(values)))
+        return RawSeries(region=region, variable=variable, months=months,
+                         values=tuple(map(float, values)))
 
     def test_linear_interpolation(self):
         panel = align_frequencies(
@@ -302,6 +309,23 @@ class TestAlignFrequencies:
     def test_short_series_rejected(self):
         with pytest.raises(ValidationError, match="fewer than 2"):
             align_frequencies([self.monthly([1.0])])
+
+    @pytest.mark.parametrize("months, values, message", [
+        # out of order, a quarterly series would cut the common range short
+        ((24006, 24000, 24003, 24009), (3.0, 1.0, 2.0, 4.0),
+         "has irregular date spacing [-6, 3, 6]; expected uniform 1-month or 3-month steps"),
+        # a monthly series missing 2000-03 and 2000-04 would move every
+        # later value two months early
+        ((24000, 24001, 24004, 24005), (1.0, 2.0, 5.0, 6.0),
+         "has irregular date spacing [1, 3]; expected uniform 1-month or 3-month steps"),
+        ((24000, 24003, 24004, 24007), (1.0, 2.0, 3.0, 4.0),
+         "has irregular date spacing [1, 3]; expected uniform 1-month or 3-month steps"),
+        ((24000, 24001, 24002, 24003), (1.0, 2.0, 3.0), "has 3 values for 4 months"),
+    ], ids=["decreasing", "gapped", "mixed-steps", "length-mismatch"])
+    def test_series_refused_as_built(self, months, values, message):
+        with pytest.raises(ValidationError,
+                           match="^" + re.escape(f"series USA/CPI {message}") + "$"):
+            RawSeries("USA", "CPI", months, values)
 
     def test_column_order_is_pure_function_of_lists(self):
         m1 = self.monthly(np.arange(6.0), region="USA", variable="CPI")
@@ -418,6 +442,17 @@ class TestValidatePanel:
             TimeSeriesPanel(time_index=("2000-01", "2000-02", "2000-03"), regions=("A", "A"),
                             variables=(), activities=("OIL",), rows=((1.0,), (2.0,), (3.0,)))
 
+    @pytest.mark.parametrize("regions, activities, message", [
+        # panel.csv would read back as region A with variable B.x
+        (["A.B"], [], "invalid code 'A.B' in panel.regions"),
+        # panel.csv would not read back at all
+        (["A"], ["OIL.B"], "invalid code 'OIL.B' in panel.activities"),
+    ], ids=["region", "activity"])
+    def test_code_that_would_not_read_back_refused(self, regions, activities, message):
+        with pytest.raises(ValidationError, match="^" + re.escape(
+                f"{message}: use letters, digits, '_' or '-' only") + "$"):
+            make_panel(np.zeros((3, 1 + len(activities))), regions, ["x"], activities)
+
     def test_pooled_row_label_is_reserved(self, tmp_path):
         # a common series named ALL would share its mse_report.csv rows with
         # the pooled scores, and reading the report back would keep only one
@@ -425,10 +460,8 @@ class TestValidatePanel:
         assert POOLED_ROW == "ALL"
         with pytest.raises(ValidationError, match=f"^{message}$"):
             make_panel(np.zeros((3, 2)), ["A"], ["x"], ["ALL"])
-        series = [RawSeries("A", "x", ("2000-01", "2000-02", "2000-03"), (1.0, 2.0, 3.0),
-                            "monthly"),
-                  RawSeries(COMMON_REGION, "ALL", ("2000-01", "2000-02", "2000-03"),
-                            (1.0, 2.0, 3.0), "monthly")]
+        series = [RawSeries("A", "x", (24000, 24001, 24002), (1.0, 2.0, 3.0)),
+                  RawSeries(COMMON_REGION, "ALL", (24000, 24001, 24002), (1.0, 2.0, 3.0))]
         with pytest.raises(ValidationError, match=f"^{message}$"):
             align_frequencies(series)
         path = tmp_path / "panel.csv"
