@@ -10,16 +10,17 @@ one built or changed outside ``load_config`` is as valid.
 
 This is the package's leaf module. It owns the vocabulary the stages share
 (the alignment, transform and forecaster names, ``ForecasterConfig``,
-``TVPConfig``, the pooled-row label ``POOLED_ROW``), ``Record``, the base of
-every record the stages build, each an immutable value compared field by
-field, and the method scores' reader and tie-break. It imports neither
-numpy, nor a stage module, nor ``inspect``, so ``report`` starts without
-them.
+``TVPConfig``, the pooled-row label ``POOLED_ROW``, the panel code rule
+``code_issues``), ``Record``, the base of every record the stages build,
+each an immutable value compared field by field, and the method scores'
+reader and tie-break. It imports neither numpy, nor a stage module, nor
+``inspect``, so ``report`` starts without them.
 """
 
 from __future__ import annotations
 
 import math
+import re
 import sys
 from pathlib import Path
 from typing import Any, Mapping, Sequence
@@ -33,6 +34,9 @@ METHOD_ORDER = ("constant", "var1", "lasso")
 FORECASTER_KINDS = METHOD_ORDER + ("external",)
 # the series cell of each method's pooled row in mse_report.csv: no column takes it
 POOLED_ROW = "ALL"
+# the input CSV's region code for the common (activity) series
+COMMON_REGION = "__COMMON__"
+CODE_RE = re.compile(r"[A-Za-z0-9_\-]+")
 
 SCHEMA_VERSION = 1
 
@@ -63,6 +67,27 @@ def _read(obj: Mapping[str, Any], section: str, fields: Mapping[str, Any],
             value = (base / value).resolve()
         out[key] = value
     return out
+
+
+def code_issues(key: str, codes: Sequence[str]) -> list[str]:
+    """The issues of ``codes`` as the code list ``panel.<key>`` (``regions``,
+    ``variables`` or ``activities``), one message each: an empty ``regions``
+    or ``variables`` list (a panel needs a country column), a repeated code,
+    a code other than letters, digits, ``_`` and ``-`` (a ``.`` would split
+    its column name in ``panel.csv``) and ``COMMON_REGION`` as a region.
+    The one rule for a code list: ``RunConfig`` raises the first issue and
+    ``ingest.validate_panel`` lists them all."""
+    issues = []
+    if not codes and key != "activities":
+        issues.append(f"panel.{key} is empty: a panel needs a country column")
+    if len(set(codes)) != len(codes):
+        issues.append(f"duplicate codes in panel.{key}")
+    issues.extend(f"invalid code {code!r} in panel.{key}: use letters, digits, '_' or '-' only"
+                  for code in dict.fromkeys(codes) if not CODE_RE.fullmatch(code))
+    if key == "regions" and COMMON_REGION in codes:
+        issues.append(f"panel.regions may not list {COMMON_REGION!r}, the region of "
+                      "the common series")
+    return issues
 
 
 def _number(value: Any, name: str, kind: type) -> Any:
@@ -250,8 +275,9 @@ class RunConfig(Record):
         for key, codes in lists.items():
             if codes is not None:  # a code list that is None is unset
                 lists[key] = codes = parse_strings(codes, f"panel.{key}")
-                if len(set(codes)) != len(codes):
-                    raise ValidationError(f"duplicate codes in panel.{key}")
+                issues = code_issues(key, codes)
+                if issues:
+                    raise ValidationError(issues[0])
         if not methods:
             raise ValidationError("forecast.methods must list at least one method")
         # forecast holds out one horizon for every method

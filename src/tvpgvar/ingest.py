@@ -7,6 +7,9 @@ frequency on the common date range; the reserved region
 code ``__COMMON__`` marks shared activity series (oil price and the like)
 that enter every country's equation. No column may be named ``ALL``
 (``config.POOLED_ROW``), the series cell of ``mse_report.csv``'s pooled rows.
+A panel's code lists follow the one code rule, ``config.code_issues``: the
+run config applies it as it loads, so in every stage, and
+:func:`validate_panel` as a panel is built.
 
 Ingest is scalar work on thousands of cells, cheaper than importing numpy, so
 this module runs on the standard library alone: a panel keeps its cells as
@@ -29,17 +32,15 @@ from functools import cached_property
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
-from .config import ALIGN_METHODS, POOLED_ROW, TRANSFORMS, Record
+from .config import (ALIGN_METHODS, CODE_RE, COMMON_REGION, POOLED_ROW, TRANSFORMS, Record,
+                     code_issues)
 from .errors import ValidationError
 from .serialize import parse_float, read_csv_rows, write_csv
 
 if TYPE_CHECKING:
     import numpy as np
 
-COMMON_REGION = "__COMMON__"
-
 _DATE_RE = re.compile(r"^(\d{4})-(\d{2})$")
-_CODE_RE = re.compile(r"[A-Za-z0-9_\-]+")
 
 
 def month_index(date: str, where: str = "") -> int:
@@ -60,7 +61,7 @@ def month_label(index: int) -> str:
 
 
 def _check_code(code: str, what: str, row: int) -> None:
-    if code != COMMON_REGION and not _CODE_RE.fullmatch(code):
+    if not CODE_RE.fullmatch(code):
         raise ValidationError(f"invalid {what} code {code!r} (row {row}): "
                               "use letters, digits, '_' or '-' only")
 
@@ -296,11 +297,9 @@ def align_frequencies(
     regions = list(regions) if regions is not None else list(dict.fromkeys(seen_regions))
     activities = (list(activities) if activities is not None
                   else list(dict.fromkeys(seen_activities)))
-    if variables is None:
-        if not regions:
-            raise ValidationError("panel has no country series")
+    if variables is None:  # none without a region: the panel refuses both lists
         variables = list(dict.fromkeys(
-            s.variable for s in series if s.region == regions[0]))
+            s.variable for s in series if s.region in regions[:1]))
     else:
         variables = list(variables)
 
@@ -336,23 +335,16 @@ def align_frequencies(
 
 
 def validate_panel(panel: TimeSeriesPanel) -> list[str]:
-    """A panel's invariant violations, one message each: a repeated column
-    name or code, a code :func:`load_panel` would refuse (one with a ``.``
-    would not read back from ``panel.csv``), a column named ``POOLED_ROW``, a
-    month that does not follow the one before, a non-finite cell. The one
-    definition of a valid panel:
-    :class:`TimeSeriesPanel` raises on any of them, so a built panel always
-    gives an empty list."""
-    issues: list[str] = []
+    """A panel's invariant violations, one message each: each issue that the
+    code rule, ``config.code_issues``, finds in its regions, variables and
+    activities, a column named ``POOLED_ROW``, a month that does not follow
+    the one before, a non-finite cell. Under the code rule no column name
+    repeats and ``panel.csv`` reads back as the same panel. The one
+    definition of a valid panel: :class:`TimeSeriesPanel` raises on any of
+    them, so a built panel always gives an empty list."""
+    issues = [issue for kind in ("regions", "variables", "activities")
+              for issue in code_issues(kind, getattr(panel, kind))]
     names = panel.column_names()
-    if len(set(names)) != len(names):
-        issues.append("duplicate column names")
-    else:  # a repeated code repeats a name unless the other code list is empty
-        issues.extend(f"duplicate codes in panel.{kind}" for kind in ("regions", "variables")
-                      if len(set(getattr(panel, kind))) != len(getattr(panel, kind)))
-    issues.extend(f"invalid code {code!r} in panel.{kind}: use letters, digits, '_' or '-' only"
-                  for kind in ("regions", "variables", "activities")
-                  for code in getattr(panel, kind) if not _CODE_RE.fullmatch(code))
     if POOLED_ROW in names:
         issues.append(f"column name {POOLED_ROW!r} is reserved for the pooled rows "
                       "of mse_report.csv")

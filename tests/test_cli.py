@@ -310,6 +310,16 @@ class TestIngest:
         ("data", "imputation", "spline", None, "unknown imputation 'spline'"),
         ("data", "transform", "sqrt", None, "unknown transform 'sqrt'"),
         ("panel", "regions", ["AAA", "BBB", "AAA"], None, "duplicate codes in panel.regions"),
+        # the panel's code rule, config.code_issues: at load, not at ingest
+        ("panel", "regions", ["USA", "E.U"], None,
+         "invalid code 'E.U' in panel.regions: use letters, digits, '_' or '-' only"),
+        ("panel", "regions", [" USA"], None,
+         "invalid code ' USA' in panel.regions: use letters, digits, '_' or '-' only"),
+        ("panel", "regions", ["__COMMON__"], None,
+         "panel.regions may not list '__COMMON__', the region of the common series"),
+        ("panel", "regions", [], None, "panel.regions is empty: a panel needs a country column"),
+        ("panel", "variables", [], None,
+         "panel.variables is empty: a panel needs a country column"),
         ("forecast", "methods", [], None, "forecast.methods must list at least one method"),
         # each record checks its fields' JSON types too
         ("tvp", "iters", 2.5, "tvp", "tvp.iters must be an integer, got 2.5"),
@@ -322,7 +332,8 @@ class TestIngest:
         ("panel", "regions", [["A"]], None, "panel.regions must be a list of strings, got [['A']]"),
     ], ids=["provider-typo", "rolling-share-variable", "csv-path", "horizon", "level",
             "level-next-to-1", "repeated-date", "repeated-column", "reordered-shock",
-            "imputation", "transform", "repeated-region", "no-methods", "fractional-iters",
+            "imputation", "transform", "repeated-region", "dotted-region", "spaced-region",
+            "common-region", "no-regions", "no-variables", "no-methods", "fractional-iters",
             "boolean-seed", "fractional-forecast-horizon", "nested-date", "string-horizon",
             "null-window", "nested-region"])
     def test_each_record_checks_its_fields_as_load_config_does(
@@ -1185,13 +1196,20 @@ class TestUndecodableInput:
          "row 3: non-numeric value 'abc'"),
         ("estimate", "panel.csv", lambda lines: lines[:3] + lines[4:],
          "non-consecutive month at 2000-04"),
+        # the common series alone: no country equation, where unchecked the
+        # weights' division by the number of regions raised ZeroDivisionError
+        ("estimate", "panel.csv",
+         lambda lines: [f"{line.split(',')[0]},{line.rsplit(',', 1)[1]}" for line in lines],
+         "panel.regions is empty: a panel needs a country column; "
+         "panel.variables is empty: a panel needs a country column"),
         # no stage reads coefficients.json (irf re-fits), so its reader is called directly
         (None, "coefficients.json", None, "file not found or unreadable"),
         (None, "coefficients.json",
          lambda lines: [line for line in lines if '"nobs"' not in line], "lacks nobs"),
         ("report", "mse_report.csv", lambda lines: lines[:1] + ["constant,ALL,abc"] + lines[2:],
          "row 2: non-numeric value 'abc'"),
-    ], ids=["panel-nan", "panel-abc", "panel-gap", "no-coefficients", "no-nobs", "mse-abc"])
+    ], ids=["panel-nan", "panel-abc", "panel-gap", "panel-no-country", "no-coefficients",
+            "no-nobs", "mse-abc"])
     def test_malformed_artifact(self, pipeline, tmp_path, stage, name, damage, message):
         # a copy of the pipeline's artifacts in which ``damage`` rewrote the
         # lines of file ``name`` (None deletes it)
@@ -1205,13 +1223,12 @@ class TestUndecodableInput:
         if stage is None:
             with pytest.raises(ValidationError) as caught:
                 read_coefficients_json(bad_file)
-            error = str(caught.value)
+            assert f"{bad_file}: {message}" in str(caught.value)
         else:
             proc = run_python("-m", "tvpgvar.cli", stage, "--config",
                               str(pipeline / "config.json"), "--out", str(out))
             self.assert_clean_failure(proc, bad_file)
-            error = proc.stderr
-        assert f"{bad_file}: {message}" in error
+            assert proc.stderr == f"error: {bad_file}: {message}\n"  # one line
 
     def test_non_utf8_data_file(self, tmp_path):
         config_path = mini_config(tmp_path)

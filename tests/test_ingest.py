@@ -349,13 +349,17 @@ class TestAlignFrequencies:
         (lambda m, a: ([m, a], {"transform": "sqrt"}),
          f"unknown transform 'sqrt', expected one of {TRANSFORMS}"),
         (lambda m, a: ([m, a, m], {}), "duplicate series for ('USA', 'CPI')"),
-        (lambda m, a: ([a], {}), "panel has no country series"),
-        # the panel, not align_frequencies, refuses a repeated code
-        (lambda m, a: ([m, a], {"regions": ["USA", "USA"]}), "duplicate column names"),
-        (lambda m, a: ([m, a], {"variables": ["CPI", "CPI"]}), "duplicate column names"),
-        (lambda m, a: ([m, a], {"activities": ["OIL", "OIL"]}), "duplicate column names"),
+        # the panel, not align_frequencies, refuses a list config.code_issues refuses
+        (lambda m, a: ([a], {}), "panel.regions is empty: a panel needs a country column; "
+         "panel.variables is empty: a panel needs a country column"),
+        (lambda m, a: ([m, a], {"regions": ["USA", "USA"]}), "duplicate codes in panel.regions"),
+        (lambda m, a: ([m, a], {"variables": ["CPI", "CPI"]}),
+         "duplicate codes in panel.variables"),
+        (lambda m, a: ([m, a], {"activities": ["OIL", "OIL"]}),
+         "duplicate codes in panel.activities"),
         # with no regions, a repeated variable repeats no column name
         (lambda m, a: ([a], {"regions": [], "variables": ["GDP", "GDP"], "activities": ["OIL"]}),
+         "panel.regions is empty: a panel needs a country column; "
          "duplicate codes in panel.variables"),
     ], ids=["method", "transform", "repeated-series", "no-country", "regions", "variables",
             "activities", "variables-without-regions"])
@@ -432,13 +436,15 @@ class TestValidatePanel:
                             variables=("x",), activities=(), rows=((1.0,), (2.0,), (3.0,)))
 
     def test_repeated_column_name_rejected(self):
-        with pytest.raises(ValidationError, match="^duplicate column names$"):
+        # valid codes, none repeated, repeat no column name
+        with pytest.raises(ValidationError, match=r"^duplicate codes in panel\.regions$"):
             make_panel(np.zeros((3, 2)), ["A", "A"], ["x"])
 
     def test_repeated_code_rejected_without_a_repeated_name(self):
         # with no variables the regions name no column, but a panel's codes
         # must still identify its columns, whose names key the sampler's streams
-        with pytest.raises(ValidationError, match=r"^duplicate codes in panel\.regions$"):
+        with pytest.raises(ValidationError, match=r"^duplicate codes in panel\.regions; "
+                           r"panel\.variables is empty: a panel needs a country column$"):
             TimeSeriesPanel(time_index=("2000-01", "2000-02", "2000-03"), regions=("A", "A"),
                             variables=(), activities=("OIL",), rows=((1.0,), (2.0,), (3.0,)))
 
@@ -508,19 +514,35 @@ def test_bundled_fixture_matches_generator(tmp_path):
 
 
 def test_panel_csv_round_trip(tmp_path, rng):
-    panel = make_panel(rng.standard_normal((9, 5)), ["A", "B"], ["x", "y"], ["ACT"])
+    shapes = [(["A", "B"], ["x", "y"], ["ACT"]), (["A"], ["x"], []),
+              (["A", "B", "C"], ["x"], ["ACT", "OIL"]), (["A"], ["x", "y", "z"], ["ACT"]),
+              (["__COMMON"], ["A-1", "b_2"], ["COMMON__"])]
+    for regions, variables, activities in shapes:
+        width = len(regions) * len(variables) + len(activities)
+        panel = make_panel(rng.standard_normal((9, width)), regions, variables, activities)
+        path = tmp_path / "panel.csv"
+        write_panel_csv(panel, path)
+        loaded = read_panel_csv(path)
+        assert loaded.time_index == panel.time_index
+        assert loaded.regions == panel.regions
+        assert loaded.variables == panel.variables
+        assert loaded.activities == panel.activities
+        np.testing.assert_array_equal(loaded.values, panel.values)
+        assert loaded.values.dtype == np.float64
+        assert not loaded.values.flags.writeable
+        assert loaded.values is loaded.values  # built once, on first use
+        # every panel holds 8-byte cells, so a read panel equals the panel it was written from
+        for p in (panel, loaded):
+            assert all(isinstance(row, array) and row.typecode == "d" for row in p.rows)
+        assert loaded == panel
+    # a panel with regions but no variables is refused: its panel.csv would
+    # hold only the activities and read back as a panel with no regions
+    with pytest.raises(ValidationError, match=r"^panel\.variables is empty: a panel needs "
+                       r"a country column$"):
+        make_panel(np.zeros((9, 1)), ["A", "B"], [], ["ACT"])
     path = tmp_path / "panel.csv"
-    write_panel_csv(panel, path)
-    loaded = read_panel_csv(path)
-    assert loaded.time_index == panel.time_index
-    assert loaded.regions == panel.regions
-    assert loaded.variables == panel.variables
-    assert loaded.activities == panel.activities
-    np.testing.assert_array_equal(loaded.values, panel.values)
-    assert loaded.values.dtype == np.float64
-    assert not loaded.values.flags.writeable
-    assert loaded.values is loaded.values  # built once, on first use
-    # every panel holds 8-byte cells, so a read panel equals the panel it was written from
-    for p in (panel, loaded):
-        assert all(isinstance(row, array) and row.typecode == "d" for row in p.rows)
-    assert loaded == panel
+    path.write_text("date,ACT\n2000-01,1.0\n2000-02,1.0\n2000-03,1.0\n")
+    with pytest.raises(ValidationError, match="^" + re.escape(
+            f"{path}: panel.regions is empty: a panel needs a country column; "
+            "panel.variables is empty: a panel needs a country column") + "$"):
+        read_panel_csv(path)
